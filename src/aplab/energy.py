@@ -19,6 +19,9 @@ decoupling: at p = 2 it reduces edge-by-edge to the classical second-order
 form, and it is exact on affine fields for every p.  Both smoothings are
 anchored so that the density vanishes where grad u = 0 and u = 0, for any
 eps; eps = 0 gives the exact density.
+
+``DiscreteEnergy`` evaluates all of this from one q per iterate; the
+module-level functions are thin wrappers over it.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .core import Grid, Params, ScalarField
 __all__ = [
     "Regularization",
     "NO_REG",
+    "DiscreteEnergy",
     "potential_value",
     "potential_derivative",
     "potential_curvature",
@@ -118,42 +122,24 @@ def potential_curvature(v, params: Params, eps: float) -> np.ndarray:
     return cp + cm
 
 
-def _axis_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Node weights (c_plus, c_minus) of the one-sided squares along an axis.
+def _axis(grid: Grid, a: int) -> tuple:
+    """The edges along axis ``a``: (lo, hi, cplus, cminus, h).
 
-    Interior nodes average both differences (1/2 each); the first and
-    last node carry the only available difference with weight 1.
+    ``lo``/``hi`` slice out the lower/upper node of every edge, and
+    ``cplus``/``cminus`` weigh the edge's square at that node.  Interior
+    nodes average both differences (1/2 each); the first and last node
+    carry the only available difference with weight 1.
     """
-    cplus = np.full(n, 0.5)
-    cminus = np.full(n, 0.5)
+    n = grid.resolution[a]
+    cplus = np.full(n - 1, 0.5)
     cplus[0] = 1.0
-    cplus[-1] = 0.0
-    cminus[0] = 0.0
-    cminus[-1] = 1.0
-    return cplus, cminus
-
-
-def _shape_along(arr: np.ndarray, axis: int, ndim: int) -> np.ndarray:
-    shape = [1] * ndim
-    shape[axis] = arr.shape[0]
-    return arr.reshape(shape)
-
-
-def grad_sq_nodes(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """|grad u|^2 at nodes from averaged one-sided differences."""
-    q = np.zeros(grid.shape)
-    for a in range(grid.ndim):
-        d = np.diff(values, axis=a) / grid.spacing[a]
-        dsq = d * d
-        n = grid.resolution[a]
-        cplus, cminus = _axis_weights(n)
-        sl_lo = [slice(None)] * grid.ndim
-        sl_hi = [slice(None)] * grid.ndim
-        sl_lo[a] = slice(0, n - 1)
-        sl_hi[a] = slice(1, n)
-        q[tuple(sl_lo)] += _shape_along(cplus[: n - 1], a, grid.ndim) * dsq
-        q[tuple(sl_hi)] += _shape_along(cminus[1:], a, grid.ndim) * dsq
-    return q
+    cminus = cplus[::-1]  # the mirror image: weight 1 at the last node
+    along = (-1,) + (1,) * (grid.ndim - 1 - a)  # broadcasts along axis a
+    lead = (slice(None),) * a
+    return (
+        lead + (slice(0, n - 1),), lead + (slice(1, n),),
+        cplus.reshape(along), cminus.reshape(along), grid.spacing[a],
+    )
 
 
 def _phi(q: np.ndarray, p: float, eps_grad: float) -> np.ndarray:
@@ -175,31 +161,93 @@ def _psi(q: np.ndarray, p: float, eps_grad: float) -> np.ndarray:
     return 0.5 * (q + eps_grad * eps_grad) ** (0.5 * p - 1.0)
 
 
+class DiscreteEnergy:
+    """The discrete energy of one grid and parameter set.
+
+    Built once per problem, it holds the quadrature weights and each
+    axis's edge slices and one-sided weights.  The energy, its gradient
+    and the edge conductances of an iterate u all derive from one node
+    gradient-square ``q = grad_sq(u)``, which does not depend on the
+    smoothing widths.  Node arrays are grid-shaped, and every sum runs
+    over the full grid.
+    """
+
+    def __init__(self, grid: Grid, params: Params):
+        self.grid = grid
+        self.params = params
+        self.weights = grid.quadrature_weights
+        self.axes = tuple(_axis(grid, a) for a in range(grid.ndim))
+
+    @classmethod
+    def dirichlet(cls, grid: Grid, p: float) -> "DiscreteEnergy":
+        """The kernel of the Dirichlet term alone (no potential)."""
+        return cls(
+            grid,
+            Params(p=p, gamma=1.0, lambda_plus=0.0, lambda_minus=0.0, delta=0.0,
+                   alpha_p=1.0),
+        )
+
+    def grad_sq(self, u: np.ndarray) -> np.ndarray:
+        """|grad u|^2 at nodes from averaged one-sided differences."""
+        q = np.zeros(self.grid.shape)
+        for lo, hi, cplus, cminus, h in self.axes:
+            d = (u[hi] - u[lo]) / h
+            dsq = d * d
+            q[lo] += cplus * dsq
+            q[hi] += cminus * dsq
+        return q
+
+    def energy(self, u: np.ndarray, q: np.ndarray, reg: Regularization,
+               region: np.ndarray | None = None) -> float:
+        """Quadrature value of the (regularized) energy, on ``region`` if given."""
+        prm = self.params
+        dens = _phi(q, prm.p, reg.eps_grad) + prm.delta * potential_value(
+            u, prm, reg.eps_pot
+        )
+        if region is None:
+            return float(np.sum(self.weights * dens))
+        return float(np.sum(self.weights[region] * dens[region]))
+
+    def conductances(self, q: np.ndarray, eps_grad: float) -> tuple:
+        """Per-axis edge conductances of the linearized Dirichlet form.
+
+        The exact first variation of the Dirichlet part is the graph
+        operator  g_i = sum_edges kappa_e (u_i - u_j)  with the conductances
+        returned here (frozen at the current field).  The solver reuses them
+        as its lagged-coefficient matrix.
+        """
+        psi_w = self.weights * _psi(q, self.params.p, eps_grad)
+        return tuple(
+            2.0 * (psi_w[lo] * cplus + psi_w[hi] * cminus) / h**2
+            for lo, hi, cplus, cminus, h in self.axes
+        )
+
+    def gradient(self, u: np.ndarray, kappas, reg: Regularization) -> np.ndarray:
+        """First variation of the energy at u, given the conductances of u."""
+        prm = self.params
+        grad = np.zeros(self.grid.shape)
+        for (lo, hi, *_), kappa in zip(self.axes, kappas):
+            t = kappa * (u[hi] - u[lo])  # one entry per edge
+            grad[lo] -= t
+            grad[hi] += t
+        if prm.delta != 0.0:
+            grad = grad + self.weights * (
+                prm.delta * potential_derivative(u, prm, reg.eps_pot)
+            )
+        return grad
+
+
+def grad_sq_nodes(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """|grad u|^2 at nodes from averaged one-sided differences."""
+    return DiscreteEnergy.dirichlet(grid, 2.0).grad_sq(values)  # q has no p
+
+
 def edge_conductances(
     values: np.ndarray, grid: Grid, p: float, eps_grad: float
 ) -> tuple[np.ndarray, ...]:
-    """Per-axis edge conductances of the linearized Dirichlet form.
-
-    The exact first variation of the Dirichlet part is the graph
-    operator  g_i = sum_edges kappa_e (u_i - u_j)  with the conductances
-    returned here (frozen at the current field).  The solver reuses them
-    as its lagged-coefficient matrix.
-    """
-    q = grad_sq_nodes(values, grid)
-    w = grid.quadrature_weights
-    psi_w = w * _psi(q, p, eps_grad)
-    out = []
-    for a in range(grid.ndim):
-        n = grid.resolution[a]
-        cplus, cminus = _axis_weights(n)
-        sl_lo = [slice(None)] * grid.ndim
-        sl_hi = [slice(None)] * grid.ndim
-        sl_lo[a] = slice(0, n - 1)
-        sl_hi[a] = slice(1, n)
-        left = psi_w[tuple(sl_lo)] * _shape_along(cplus[: n - 1], a, grid.ndim)
-        right = psi_w[tuple(sl_hi)] * _shape_along(cminus[1:], a, grid.ndim)
-        out.append(2.0 * (left + right) / grid.spacing[a] ** 2)
-    return tuple(out)
+    """Per-axis edge conductances (``DiscreteEnergy.conductances``) at ``values``."""
+    kern = DiscreteEnergy.dirichlet(grid, p)
+    return kern.conductances(kern.grad_sq(values), eps_grad)
 
 
 def dirichlet_gradient(
@@ -207,18 +255,7 @@ def dirichlet_gradient(
 ) -> np.ndarray:
     """Exact gradient of sum_i w_i phi(q_i) with respect to node values."""
     kappas = edge_conductances(values, grid, p, eps_grad)
-    g = np.zeros(grid.shape)
-    for a, kappa in enumerate(kappas):
-        d = np.diff(values, axis=a)
-        t = kappa * d  # kappa_e (u_{i+1} - u_i), one entry per edge
-        n = grid.resolution[a]
-        sl_lo = [slice(None)] * grid.ndim
-        sl_hi = [slice(None)] * grid.ndim
-        sl_lo[a] = slice(0, n - 1)
-        sl_hi[a] = slice(1, n)
-        g[tuple(sl_lo)] -= t
-        g[tuple(sl_hi)] += t
-    return g
+    return DiscreteEnergy.dirichlet(grid, p).gradient(values, kappas, NO_REG)
 
 
 def total_energy(
@@ -233,20 +270,14 @@ def total_energy(
     quadrature weights are the grid's trapezoidal weights restricted to
     the region.
     """
-    g = field.grid
-    q = grad_sq_nodes(field.values, g)
-    dens = _phi(q, params.p, reg.eps_grad) + params.delta * potential_value(
-        field.values, params, reg.eps_pot
-    )
-    w = g.quadrature_weights
-    if region is None:
-        return float(np.sum(w * dens))
-    region = np.asarray(region)
-    if region.dtype != bool or region.shape != g.shape:
-        raise ValueError("region must be a bool node mask of grid shape")
-    if not region.any():
-        raise ValueError("empty integration region")
-    return float(np.sum(w[region] * dens[region]))
+    if region is not None:
+        region = np.asarray(region)
+        if region.dtype != bool or region.shape != field.grid.shape:
+            raise ValueError("region must be a bool node mask of grid shape")
+        if not region.any():
+            raise ValueError("empty integration region")
+    kern = DiscreteEnergy(field.grid, params)
+    return kern.energy(field.values, kern.grad_sq(field.values), reg, region)
 
 
 def energy_gradient(
@@ -258,13 +289,9 @@ def energy_gradient(
     scale; masked nodes still get their partials (the solver projects
     them out).
     """
-    g = field.grid
-    grad = dirichlet_gradient(field.values, g, params.p, reg.eps_grad)
-    if params.delta != 0.0:
-        grad = grad + g.quadrature_weights * (
-            params.delta * potential_derivative(field.values, params, reg.eps_pot)
-        )
-    return grad
+    kern = DiscreteEnergy(field.grid, params)
+    u = field.values
+    return kern.gradient(u, kern.conductances(kern.grad_sq(u), reg.eps_grad), reg)
 
 
 def default_activity_threshold(grid: Grid, params: Params) -> float:

@@ -16,11 +16,6 @@ from scipy.optimize import brentq
 
 from .core import Grid, Params, ScalarField
 
-try:  # optional speedup; the pure-python integrator is the fallback
-    from numba import njit as _njit
-except ImportError:  # pragma: no cover
-    _njit = None
-
 __all__ = [
     "ExactProfile",
     "one_phase_profile",
@@ -111,58 +106,52 @@ def radial_p_harmonic(dim: int, p: float) -> ExactProfile:
 # root finding.  All bracketed matches are returned.
 
 
-def _make_integrator():
-    def run(u0, q0, x0, h, n_steps, p, gamma, lamp, lamm, delta, eps, rec_u, rec_q):
-        inv = 1.0 / (p - 1.0)
-        e2 = eps * eps
-        ex = 0.5 * gamma - 1.0
-        u = u0
-        q = q0
-        rec_u[0] = u
-        rec_q[0] = q
-        for k in range(n_steps):
-            # RK4 on f(u, q) = (sign(q)|q|^inv, delta * F'(u))
-            du1 = abs(q) ** inv if q > 0 else (-(abs(q) ** inv) if q < 0 else 0.0)
-            vp = u if u > 0 else 0.0
-            vm = -u if u < 0 else 0.0
-            dq1 = delta * gamma * (
-                lamp * vp * (vp * vp + e2) ** ex - lamm * vm * (vm * vm + e2) ** ex
-            )
-            ua = u + 0.5 * h * du1
-            qa = q + 0.5 * h * dq1
-            du2 = abs(qa) ** inv if qa > 0 else (-(abs(qa) ** inv) if qa < 0 else 0.0)
-            vp = ua if ua > 0 else 0.0
-            vm = -ua if ua < 0 else 0.0
-            dq2 = delta * gamma * (
-                lamp * vp * (vp * vp + e2) ** ex - lamm * vm * (vm * vm + e2) ** ex
-            )
-            ub = u + 0.5 * h * du2
-            qb = q + 0.5 * h * dq2
-            du3 = abs(qb) ** inv if qb > 0 else (-(abs(qb) ** inv) if qb < 0 else 0.0)
-            vp = ub if ub > 0 else 0.0
-            vm = -ub if ub < 0 else 0.0
-            dq3 = delta * gamma * (
-                lamp * vp * (vp * vp + e2) ** ex - lamm * vm * (vm * vm + e2) ** ex
-            )
-            uc = u + h * du3
-            qc = q + h * dq3
-            du4 = abs(qc) ** inv if qc > 0 else (-(abs(qc) ** inv) if qc < 0 else 0.0)
-            vp = uc if uc > 0 else 0.0
-            vm = -uc if uc < 0 else 0.0
-            dq4 = delta * gamma * (
-                lamp * vp * (vp * vp + e2) ** ex - lamm * vm * (vm * vm + e2) ** ex
-            )
-            u = u + h * (du1 + 2.0 * du2 + 2.0 * du3 + du4) / 6.0
-            q = q + h * (dq1 + 2.0 * dq2 + 2.0 * dq3 + dq4) / 6.0
-            rec_u[k + 1] = u
-            rec_q[k + 1] = q
-        return u
-
-    return run
-
-
-_integrate_py = _make_integrator()
-_integrate = _njit(cache=False)(_make_integrator()) if _njit is not None else _integrate_py
+def _integrate(u0, q0, x0, h, n_steps, p, gamma, lamp, lamm, delta, eps, rec_u, rec_q):
+    """Fixed-step RK4 from (u0, q0), recording every step in rec_u/rec_q."""
+    inv = 1.0 / (p - 1.0)
+    e2 = eps * eps
+    ex = 0.5 * gamma - 1.0
+    u = u0
+    q = q0
+    rec_u[0] = u
+    rec_q[0] = q
+    for k in range(n_steps):
+        # RK4 on f(u, q) = (sign(q)|q|^inv, delta * F'(u))
+        du1 = abs(q) ** inv if q > 0 else (-(abs(q) ** inv) if q < 0 else 0.0)
+        vp = u if u > 0 else 0.0
+        vm = -u if u < 0 else 0.0
+        dq1 = delta * gamma * (
+            lamp * vp * (vp * vp + e2) ** ex - lamm * vm * (vm * vm + e2) ** ex
+        )
+        ua = u + 0.5 * h * du1
+        qa = q + 0.5 * h * dq1
+        du2 = abs(qa) ** inv if qa > 0 else (-(abs(qa) ** inv) if qa < 0 else 0.0)
+        vp = ua if ua > 0 else 0.0
+        vm = -ua if ua < 0 else 0.0
+        dq2 = delta * gamma * (
+            lamp * vp * (vp * vp + e2) ** ex - lamm * vm * (vm * vm + e2) ** ex
+        )
+        ub = u + 0.5 * h * du2
+        qb = q + 0.5 * h * dq2
+        du3 = abs(qb) ** inv if qb > 0 else (-(abs(qb) ** inv) if qb < 0 else 0.0)
+        vp = ub if ub > 0 else 0.0
+        vm = -ub if ub < 0 else 0.0
+        dq3 = delta * gamma * (
+            lamp * vp * (vp * vp + e2) ** ex - lamm * vm * (vm * vm + e2) ** ex
+        )
+        uc = u + h * du3
+        qc = q + h * dq3
+        du4 = abs(qc) ** inv if qc > 0 else (-(abs(qc) ** inv) if qc < 0 else 0.0)
+        vp = uc if uc > 0 else 0.0
+        vm = -uc if uc < 0 else 0.0
+        dq4 = delta * gamma * (
+            lamp * vp * (vp * vp + e2) ** ex - lamm * vm * (vm * vm + e2) ** ex
+        )
+        u = u + h * (du1 + 2.0 * du2 + 2.0 * du3 + du4) / 6.0
+        q = q + h * (dq1 + 2.0 * dq2 + 2.0 * dq3 + dq4) / 6.0
+        rec_u[k + 1] = u
+        rec_q[k + 1] = q
+    return u
 
 
 def _coarse_endpoints(q0s, u0, x0, h, n_steps, p, gamma, lamp, lamm, delta, eps):

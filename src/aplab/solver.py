@@ -22,13 +22,12 @@ from scipy.sparse.linalg import spsolve
 
 from .core import Grid, Params, ScalarField
 from .energy import (
+    NO_REG,
+    DiscreteEnergy,
     Regularization,
-    edge_conductances,
-    energy_gradient,
     grad_sq_nodes,
     potential_curvature,
     potential_value,
-    total_energy,
 )
 
 __all__ = [
@@ -79,10 +78,9 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class StageRecord:
-    """One continuation stage: smoothing widths, trace, exit residual."""
+    """One continuation stage: smoothing width, trace, exit residual."""
 
-    eps_pot: float
-    eps_grad: float
+    eps: float  # width of both the potential and the gradient smoothing
     n_iters: int
     energies: tuple[float, ...]
     residual_rms: float
@@ -110,29 +108,13 @@ class SolverStall(RuntimeError):
 # Linearized operator.
 
 
-def _flat_edge_indices(grid: Grid, axis: int) -> tuple[np.ndarray, np.ndarray]:
-    idx = np.arange(int(np.prod(grid.shape))).reshape(grid.shape)
-    lo = [slice(None)] * grid.ndim
-    hi = [slice(None)] * grid.ndim
-    lo[axis] = slice(0, -1)
-    hi[axis] = slice(1, None)
-    return idx[tuple(lo)].ravel(), idx[tuple(hi)].ravel()
-
-
-def assemble_diffusion(
-    values: np.ndarray, grid: Grid, p: float, eps_grad: float
-) -> sp.csr_matrix:
-    """Sparse symmetric operator A with (A v)_i = sum_edges kappa (v_i - v_j).
-
-    By construction A @ values equals the exact gradient of the discrete
-    Dirichlet term at ``values``; refreezing it each step makes it the
-    lagged-diffusion (Kacanov) linearization.
-    """
-    kappas = edge_conductances(values, grid, p, eps_grad)
-    n = int(np.prod(grid.shape))
+def _diffusion_matrix(kern: DiscreteEnergy, kappas) -> sp.csr_matrix:
+    """Sparse symmetric operator A with (A v)_i = sum_edges kappa (v_i - v_j)."""
+    n = kern.weights.size
+    idx = np.arange(n).reshape(kern.weights.shape)
     rows, cols, data = [], [], []
-    for a, kap in enumerate(kappas):
-        i, j = _flat_edge_indices(grid, a)
+    for (lo, hi, *_), kap in zip(kern.axes, kappas):
+        i, j = idx[lo].ravel(), idx[hi].ravel()
         k = kap.ravel()
         rows.extend((i, j, i, j))
         cols.extend((i, j, j, i))
@@ -142,6 +124,20 @@ def assemble_diffusion(
         shape=(n, n),
     )
     return A.tocsr()
+
+
+def assemble_diffusion(
+    values: np.ndarray, grid: Grid, p: float, eps_grad: float
+) -> sp.csr_matrix:
+    """The diffusion operator with the edge conductances of ``values``.
+
+    By construction A @ values equals the exact gradient of the discrete
+    Dirichlet term at ``values``; refreezing it each step makes it the
+    lagged-diffusion (Kacanov) linearization.
+    """
+    kern = DiscreteEnergy.dirichlet(grid, p)
+    kappas = kern.conductances(kern.grad_sq(values), eps_grad)
+    return _diffusion_matrix(kern, kappas)
 
 
 def _solve_spd(M: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
@@ -180,96 +176,90 @@ def minimize(
     """
     if config is None:
         config = SolverConfig()
-    grid = initial.grid
-    free = initial.free_mask
-    idx_f = np.flatnonzero(free.ravel())
-    w_f = grid.quadrature_weights.ravel()[idx_f]
+    kern = DiscreteEnergy(initial.grid, params)
+    idx_f = np.flatnonzero(initial.free_mask.ravel())
+    w_f = kern.weights.ravel()[idx_f]
+    u = initial.values  # node values of the current iterate
+    q = kern.grad_sq(u)  # its gradient-square, shared by every smoothing width
     if idx_f.size == 0:
-        e = total_energy(initial, params)
-        return SolveResult(initial, e, 0.0, (), True, 0)
+        return SolveResult(initial, kern.energy(u, q, NO_REG), 0.0, (), True, 0)
 
-    fld = initial
     stages: list[StageRecord] = []
     total_iters = 0
     res_rms = math.inf
 
-    def partial() -> SolveResult:
+    def result(converged: bool) -> SolveResult:
         return SolveResult(
-            field=fld,
-            energy=total_energy(fld, params),
+            field=initial.with_values(u),
+            energy=kern.energy(u, q, NO_REG),
             residual_rms=res_rms,
             stages=tuple(stages),
-            converged=False,
+            converged=converged,
             n_iterations=total_iters,
         )
 
+    # The lagged operator carries |∇u|^{p-2}, but the curvature of
+    # t ↦ |t|^{p-2} t along the gradient is (p-1)|t|^{p-2}; for p > 2
+    # the unscaled model understates stiffness and every Newton step
+    # overshoots into a backtrack.  Scaling by p-1 restores the
+    # one-dimensional Hessian exactly and only over-damps transverse
+    # directions, which Armijo tolerates.
+    stiff = max(params.p - 1.0, 1.0)
     for eps in config.eps_ladder:
         reg = Regularization(eps_pot=eps, eps_grad=eps)
-
-        def model_matrix(f: ScalarField) -> sp.csr_matrix:
-            A = assemble_diffusion(f.values, grid, params.p, eps)
-            # The lagged operator carries |∇u|^{p-2}, but the curvature of
-            # t ↦ |t|^{p-2} t along the gradient is (p-1)|t|^{p-2}; for p > 2
-            # the unscaled model understates stiffness and every Newton step
-            # overshoots into a backtrack.  Scaling by p-1 restores the
-            # one-dimensional Hessian exactly and only over-damps transverse
-            # directions, which Armijo tolerates.
-            stiff = max(params.p - 1.0, 1.0)
-            # |F''|, not max(F'', 0): for gamma < 1 the potential is concave
-            # where it matters and a pure-diffusion model lets Newton overshoot
-            # there, throttling every stage; the absolute value keeps the model
-            # SPD and sized to the true local stiffness.
-            curv = params.delta * np.abs(
-                potential_curvature(f.values, params, eps)
-            )
-            dvec = (grid.quadrature_weights * curv).ravel()[idx_f]
-            return (stiff * A[idx_f][:, idx_f] + sp.diags(dvec)).tocsr()
-
-        energy = total_energy(fld, params, reg)
+        energy = kern.energy(u, q, reg)
         trace = [energy]
         n_it = 0
         res_rms = math.inf
         n_flat = 0
         polishing = False
         for _ in range(config.max_iters):
-            g = energy_gradient(fld, params, reg)
-            g_f = g.ravel()[idx_f]
+            kappas = kern.conductances(q, eps)
+            g_f = kern.gradient(u, kappas, reg).ravel()[idx_f]
             res_rms = _rms(g_f / w_f)
             if res_rms <= config.tol_residual:
                 break
-            d = _solve_spd(model_matrix(fld), g_f)
+            # |F''|, not max(F'', 0): for gamma < 1 the potential is concave
+            # where it matters and a pure-diffusion model lets Newton overshoot
+            # there, throttling every stage; the absolute value keeps the model
+            # SPD and sized to the true local stiffness.
+            curv = params.delta * np.abs(potential_curvature(u, params, eps))
+            M = (
+                stiff * _diffusion_matrix(kern, kappas)[idx_f][:, idx_f]
+                + sp.diags(w_f * curv.ravel()[idx_f])
+            ).tocsr()
+            d = _solve_spd(M, g_f)
             if polishing:
                 # Energy decreases here are below float rounding, so Armijo
                 # can no longer certify progress; full model steps still
                 # contract the residual, which we watch directly instead.
-                trial = np.array(fld.values, copy=True).ravel()
-                trial[idx_f] -= d
-                cand = fld.with_values(trial.reshape(grid.shape))
-                g2 = energy_gradient(cand, params, reg).ravel()[idx_f]
-                r2 = _rms(g2 / w_f)
+                trial = u.copy()
+                trial.flat[idx_f] -= d
+                q_t = kern.grad_sq(trial)
+                g2 = kern.gradient(trial, kern.conductances(q_t, eps), reg)
+                r2 = _rms(g2.ravel()[idx_f] / w_f)
                 if not (math.isfinite(r2) and r2 < 0.95 * res_rms):
                     break
-                fld = cand
-                res_rms = r2
+                u, q, res_rms = trial, q_t, r2
                 n_it += 1
                 total_iters += 1
                 continue
             slope = float(g_f @ d)
             if not math.isfinite(slope) or slope <= 0.0:
                 # fall back to a diagonally preconditioned gradient step
-                dg = model_matrix(fld).diagonal()
+                dg = M.diagonal()
                 dg = np.where(dg > 0, dg, np.max(dg) if np.max(dg) > 0 else 1.0)
                 d = g_f / dg
                 slope = float(g_f @ d)
             t = 1.0
             accepted = None
             while t >= config.step_floor:
-                trial = np.array(fld.values, copy=True).ravel()
-                trial[idx_f] -= t * d
-                cand = fld.with_values(trial.reshape(grid.shape))
-                e_t = total_energy(cand, params, reg)
+                trial = u.copy()
+                trial.flat[idx_f] -= t * d
+                q_t = kern.grad_sq(trial)
+                e_t = kern.energy(trial, q_t, reg)
                 if e_t <= energy - config.armijo_c1 * t * slope:
-                    accepted = (cand, e_t)
+                    accepted = (trial, q_t, e_t)
                     break
                 t *= config.backtrack
             if accepted is None:
@@ -280,15 +270,13 @@ def minimize(
                 if res_rms <= 1e3 * config.tol_residual:
                     polishing = True
                     continue
-                stages.append(
-                    StageRecord(eps, eps, n_it, tuple(trace), res_rms)
-                )
+                stages.append(StageRecord(eps, n_it, tuple(trace), res_rms))
                 raise SolverStall(
                     f"line search stalled at smoothing width {eps:g} "
                     f"(residual rms {res_rms:.3e})",
-                    partial(),
+                    result(False),
                 )
-            fld, energy = accepted
+            u, q, energy = accepted
             trace.append(energy)
             n_it += 1
             total_iters += 1
@@ -302,37 +290,13 @@ def minimize(
                 # a one-off tiny decrease happens mid-descent; five in a row
                 # means the energy is flat to rounding at this smoothing level
                 polishing = True
-        stages.append(StageRecord(eps, eps, n_it, tuple(trace), res_rms))
+        stages.append(StageRecord(eps, n_it, tuple(trace), res_rms))
 
-    converged = res_rms <= config.tol_residual
-    return SolveResult(
-        field=fld,
-        energy=total_energy(fld, params),
-        residual_rms=res_rms,
-        stages=tuple(stages),
-        converged=converged,
-        n_iterations=total_iters,
-    )
+    return result(res_rms <= config.tol_residual)
 
 
 # ---------------------------------------------------------------------------
 # Dirichlet-term replacement and comparison gaps.
-
-
-def _linear_dirichlet_solve(
-    values: np.ndarray, grid: Grid, p: float, eps_grad: float, relax: np.ndarray
-) -> np.ndarray:
-    """One lagged-diffusion solve: minimize the frozen quadratic form over
-    the relaxed nodes with the rest pinned at ``values``."""
-    A = assemble_diffusion(values, grid, p, eps_grad)
-    idx_f = np.flatnonzero(relax.ravel())
-    idx_p = np.flatnonzero(~relax.ravel())
-    vflat = values.ravel()
-    rhs = -A[idx_f][:, idx_p] @ vflat[idx_p]
-    x = _solve_spd(A[idx_f][:, idx_f].tocsr(), rhs)
-    out = vflat.copy()
-    out[idx_f] = x
-    return out.reshape(grid.shape)
 
 
 def _affine_fill_1d(values: np.ndarray, relax: np.ndarray) -> np.ndarray:
@@ -381,40 +345,46 @@ def p_harmonic_replacement(
         eps_grad = 0.0 if p >= 2.0 else 1e-9
     if grid.ndim == 1:
         return field.with_values(_affine_fill_1d(np.array(field.values), relax))
-    if p == 2.0:
-        sol = _linear_dirichlet_solve(field.values, grid, p, eps_grad, relax)
-        return field.with_values(sol)
-
-    dirichlet_only = Params(
-        p=p, gamma=1.0, lambda_plus=0.0, lambda_minus=0.0, delta=0.0, alpha_p=1.0
-    )
+    kern = DiscreteEnergy.dirichlet(grid, p)
     reg = Regularization(eps_pot=0.0, eps_grad=eps_grad)
-    cur = field
-    energy = total_energy(cur, dirichlet_only, reg)
+    u = field.values
+    q = kern.grad_sq(u)
+
     idx_f = np.flatnonzero(relax.ravel())
+    idx_p = np.flatnonzero(~relax.ravel())
+
+    def lagged_solve() -> np.ndarray:
+        """Minimize the Dirichlet form frozen at u over the relaxed nodes."""
+        A = _diffusion_matrix(kern, kern.conductances(q, eps_grad))
+        out = u.copy()
+        rhs = -A[idx_f][:, idx_p] @ u.flat[idx_p]
+        out.flat[idx_f] = _solve_spd(A[idx_f][:, idx_f].tocsr(), rhs)
+        return out
+
+    if p == 2.0:
+        return field.with_values(lagged_solve())
+
+    energy = kern.energy(u, q, reg)
     for _ in range(max_iters):
-        target = _linear_dirichlet_solve(
-            cur.values, grid, p, eps_grad, relax
-        ).ravel()
-        d = target[idx_f] - np.array(cur.values).ravel()[idx_f]
+        d = lagged_solve().flat[idx_f] - u.flat[idx_f]
         t = 1.0
         improved = None
         while t >= 1e-14:
-            trial = np.array(cur.values).ravel()
-            trial[idx_f] += t * d
-            cand = cur.with_values(trial.reshape(grid.shape))
-            e_t = total_energy(cand, dirichlet_only, reg)
+            trial = u.copy()
+            trial.flat[idx_f] += t * d
+            q_t = kern.grad_sq(trial)
+            e_t = kern.energy(trial, q_t, reg)
             if e_t < energy:
-                improved = (cand, e_t)
+                improved = (trial, q_t, e_t)
                 break
             t *= 0.5
         if improved is None:
             break
         prev = energy
-        cur, energy = improved
+        u, q, energy = improved
         if abs(prev - energy) <= tol * max(1.0, abs(energy)):
             break
-    return cur
+    return field.with_values(u)
 
 
 def comparison_gap(

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from aplab.core import Grid, Params, ScalarField
+from aplab.energy import dirichlet_gradient
 from aplab.oracle import one_phase_profile, radial_p_harmonic
 from aplab.solver import (
     SolverConfig,
     SolverStall,
+    assemble_diffusion,
     comparison_gap,
     minimize,
     nonlinearity_gap,
@@ -47,6 +49,29 @@ def _one_phase_start(n=257):
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
         SolverConfig(**kwargs)
+
+
+# ---------------------------------------------------------------------------
+# linearized operator
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize(
+    "extents, shape",
+    [
+        (((0.0, 1.0),), (17,)),
+        (((-1.0, 1.0), (0.0, 0.5)), (9, 7)),
+        (((0.0, 1.0), (-0.5, 1.0), (0.0, 2.0)), (5, 6, 4)),
+    ],
+    ids=["1d", "2d", "3d"],
+)
+def test_diffusion_operator_reproduces_dirichlet_gradient(extents, shape, p):
+    # the Newton model rests on A(u) @ u being the exact Dirichlet gradient
+    grid = Grid(extents=extents, resolution=shape)
+    u = np.random.default_rng(len(shape)).standard_normal(shape)
+    a_u = assemble_diffusion(u, grid, p, 0.1) @ u.ravel()
+    g = dirichlet_gradient(u, grid, p, 0.1).ravel()
+    assert np.max(np.abs(a_u - g)) <= 1e-12 * np.max(np.abs(g))
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +118,7 @@ def test_minimize_stage_accounting(convex_1d):
     res = convex_1d.result
     cfg = SolverConfig()
     assert len(res.stages) == len(cfg.eps_ladder)
-    assert [s.eps_pot for s in res.stages] == list(cfg.eps_ladder)
+    assert [s.eps for s in res.stages] == list(cfg.eps_ladder)
     assert res.n_iterations == sum(s.n_iters for s in res.stages)
     assert res.residual_rms == res.stages[-1].residual_rms
     assert res.residual_rms <= cfg.tol_residual
