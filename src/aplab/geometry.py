@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Grid, Params, ScalarField
-from .energy import grad_sq_nodes, potential_value
+from .energy import NO_REG, DiscreteEnergy
 from .phases import distance_to_set
 
 __all__ = [
@@ -254,11 +254,8 @@ def level_strip_energy(
     strip = (np.abs(v) > 0.0) & (np.abs(v) < eps) & ball.node_mask(grid, closed=False)
     if not strip.any():
         return 0.0
-    q = grad_sq_nodes(v, grid)
-    dens = q ** (0.5 * params.p) / params.p + params.delta * potential_value(
-        v, params
-    )
-    return float(np.sum(grid.quadrature_weights[strip] * dens[strip]))
+    kern = DiscreteEnergy(grid, params)
+    return kern.energy(v, kern.grad_sq(v), NO_REG, region=strip)
 
 
 def coarea_average_perimeter(

@@ -17,7 +17,7 @@ from scipy.ndimage import map_coordinates
 
 from .core import Grid, Params, ScalarField, build_grid, gradient_field
 from .energy import potential_value, total_energy
-from .geometry import BallSpec
+from .geometry import BallSpec, _loglog_fit
 
 __all__ = [
     "GrowthProfile",
@@ -130,16 +130,10 @@ def fit_exponent(radii, values, window=None) -> FitResult:
     n_used = int(np.count_nonzero(keep))
     if n_used < 2:
         raise ValueError("fewer than two positive readings; cannot fit exponent")
-    lx = np.log(radii[keep])
-    ly = np.log(values[keep])
-    slope, intercept = np.polyfit(lx, ly, 1)
-    pred = slope * lx + intercept
-    ss_res = float(np.sum((ly - pred) ** 2))
-    ss_tot = float(np.sum((ly - np.mean(ly)) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    slope, intercept, r2 = _loglog_fit(radii[keep], values[keep])
     return FitResult(
-        exponent=float(slope),
-        prefactor=float(math.exp(intercept)),
+        exponent=slope,
+        prefactor=math.exp(intercept),
         r_squared=r2,
         n_used=n_used,
         n_dropped=n_in_window - n_used,

@@ -108,22 +108,36 @@ class SolverStall(RuntimeError):
 # Linearized operator.
 
 
-def _diffusion_matrix(kern: DiscreteEnergy, kappas) -> sp.csr_matrix:
-    """Sparse symmetric operator A with (A v)_i = sum_edges kappa (v_i - v_j)."""
-    n = kern.weights.size
-    idx = np.arange(n).reshape(kern.weights.shape)
-    rows, cols, data = [], [], []
+def _free_block(
+    kern: DiscreteEnergy, kappas, nodes: np.ndarray, scale: float = 1.0, shift=0.0
+) -> sp.csr_matrix:
+    """scale * A + diag(shift) restricted to the sorted flat node set ``nodes``.
+
+    A is the diffusion operator (A v)_i = sum_edges kappa (v_i - v_j).  Its
+    diagonal is summed over the whole grid, axis by axis and lower end
+    first, the order in which COO->CSR would sum duplicate entries; only
+    edges with both ends in ``nodes`` give off-diagonal entries.
+    """
+    at = np.arange(nodes.size)
+    pos = np.full(kern.weights.shape, -1)  # block index of each node, -1 if outside
+    pos.flat[nodes] = at
+    diag = np.zeros(kern.weights.shape)
+    rows, cols, data = [at], [at], []
     for (lo, hi, *_), kap in zip(kern.axes, kappas):
-        i, j = idx[lo].ravel(), idx[hi].ravel()
-        k = kap.ravel()
-        rows.extend((i, j, i, j))
-        cols.extend((i, j, j, i))
-        data.extend((k, k, -k, -k))
-    A = sp.coo_matrix(
+        diag[lo] += kap
+        diag[hi] += kap
+        i, j = pos[lo], pos[hi]
+        both = (i >= 0) & (j >= 0)
+        i, j, k = i[both], j[both], scale * -kap[both]
+        rows.extend((i, j))
+        cols.extend((j, i))
+        data.extend((k, k))
+    data.insert(0, scale * diag.ravel()[nodes] + shift)
+    M = sp.coo_matrix(
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
+        shape=(at.size, at.size),
     )
-    return A.tocsr()
+    return M.tocsr()
 
 
 def assemble_diffusion(
@@ -137,7 +151,7 @@ def assemble_diffusion(
     """
     kern = DiscreteEnergy.dirichlet(grid, p)
     kappas = kern.conductances(kern.grad_sq(values), eps_grad)
-    return _diffusion_matrix(kern, kappas)
+    return _free_block(kern, kappas, np.arange(kern.weights.size))
 
 
 def _solve_spd(M: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
@@ -188,6 +202,11 @@ def minimize(
     total_iters = 0
     res_rms = math.inf
 
+    def model(v: np.ndarray, qv: np.ndarray, reg: Regularization) -> tuple:
+        """The edge conductances of v and its free-node energy gradient."""
+        kap = kern.conductances(qv, reg.eps_grad)
+        return kap, kern.gradient(v, kap, reg).ravel()[idx_f]
+
     def result(converged: bool) -> SolveResult:
         return SolveResult(
             field=initial.with_values(u),
@@ -213,9 +232,8 @@ def minimize(
         res_rms = math.inf
         n_flat = 0
         polishing = False
+        kappas, g_f = model(u, q, reg)  # kept current with every accepted step
         for _ in range(config.max_iters):
-            kappas = kern.conductances(q, eps)
-            g_f = kern.gradient(u, kappas, reg).ravel()[idx_f]
             res_rms = _rms(g_f / w_f)
             if res_rms <= config.tol_residual:
                 break
@@ -224,10 +242,7 @@ def minimize(
             # there, throttling every stage; the absolute value keeps the model
             # SPD and sized to the true local stiffness.
             curv = params.delta * np.abs(potential_curvature(u, params, eps))
-            M = (
-                stiff * _diffusion_matrix(kern, kappas)[idx_f][:, idx_f]
-                + sp.diags(w_f * curv.ravel()[idx_f])
-            ).tocsr()
+            M = _free_block(kern, kappas, idx_f, stiff, w_f * curv.ravel()[idx_f])
             d = _solve_spd(M, g_f)
             if polishing:
                 # Energy decreases here are below float rounding, so Armijo
@@ -236,11 +251,11 @@ def minimize(
                 trial = u.copy()
                 trial.flat[idx_f] -= d
                 q_t = kern.grad_sq(trial)
-                g2 = kern.gradient(trial, kern.conductances(q_t, eps), reg)
-                r2 = _rms(g2.ravel()[idx_f] / w_f)
+                kap_t, g_t = model(trial, q_t, reg)
+                r2 = _rms(g_t / w_f)
                 if not (math.isfinite(r2) and r2 < 0.95 * res_rms):
                     break
-                u, q, res_rms = trial, q_t, r2
+                u, q, res_rms, kappas, g_f = trial, q_t, r2, kap_t, g_t
                 n_it += 1
                 total_iters += 1
                 continue
@@ -277,6 +292,7 @@ def minimize(
                     result(False),
                 )
             u, q, energy = accepted
+            kappas, g_f = model(u, q, reg)
             trace.append(energy)
             n_it += 1
             total_iters += 1
@@ -300,25 +316,17 @@ def minimize(
 
 
 def _affine_fill_1d(values: np.ndarray, relax: np.ndarray) -> np.ndarray:
-    out = values.copy()
+    """Interpolate every relaxed run linearly between its pinned neighbours."""
+    if relax[0] or relax[-1]:
+        raise ValueError("replacement region must be bounded by pinned nodes")
     n = len(values)
-    i = 0
-    while i < n:
-        if not relax[i]:
-            i += 1
-            continue
-        j = i
-        while j < n and relax[j]:
-            j += 1
-        if i == 0 or j == n:
-            raise ValueError(
-                "replacement region must be bounded by pinned nodes"
-            )
-        left, right = values[i - 1], values[j]
-        m = j - i + 1
-        for k in range(i, j):
-            out[k] = left + (right - left) * (k - i + 1) / m
-        i = j
+    k = np.arange(n)
+    left = np.maximum.accumulate(np.where(relax, 0, k))
+    right = np.minimum.accumulate(np.where(relax, n, k)[::-1])[::-1]
+    r = np.flatnonzero(relax)
+    lo, hi = left[r], right[r]
+    out = values.copy()
+    out[r] = values[lo] + (values[hi] - values[lo]) * (r - lo) / (hi - lo)
     return out
 
 
@@ -351,22 +359,21 @@ def p_harmonic_replacement(
     q = kern.grad_sq(u)
 
     idx_f = np.flatnonzero(relax.ravel())
-    idx_p = np.flatnonzero(~relax.ravel())
 
-    def lagged_solve() -> np.ndarray:
-        """Minimize the Dirichlet form frozen at u over the relaxed nodes."""
-        A = _diffusion_matrix(kern, kern.conductances(q, eps_grad))
-        out = u.copy()
-        rhs = -A[idx_f][:, idx_p] @ u.flat[idx_p]
-        out.flat[idx_f] = _solve_spd(A[idx_f][:, idx_f].tocsr(), rhs)
-        return out
+    def lagged_step() -> np.ndarray:
+        """Newton step of the Dirichlet form frozen at u, on the relaxed nodes."""
+        kappas = kern.conductances(q, eps_grad)
+        g_f = kern.gradient(u, kappas, reg).ravel()[idx_f]
+        return -_solve_spd(_free_block(kern, kappas, idx_f), g_f)
 
     if p == 2.0:
-        return field.with_values(lagged_solve())
+        out = u.copy()
+        out.flat[idx_f] += lagged_step()
+        return field.with_values(out)
 
     energy = kern.energy(u, q, reg)
     for _ in range(max_iters):
-        d = lagged_solve().flat[idx_f] - u.flat[idx_f]
+        d = lagged_step()
         t = 1.0
         improved = None
         while t >= 1e-14:

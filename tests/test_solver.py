@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from aplab.core import Grid, Params, ScalarField
-from aplab.energy import dirichlet_gradient
+from aplab.energy import DiscreteEnergy, dirichlet_gradient
 from aplab.oracle import one_phase_profile, radial_p_harmonic
 from aplab.solver import (
     SolverConfig,
+    _affine_fill_1d,
+    _free_block,
     SolverStall,
     assemble_diffusion,
     comparison_gap,
@@ -55,8 +58,7 @@ def test_config_rejects_bad_values(kwargs):
 # linearized operator
 
 
-@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
-@pytest.mark.parametrize(
+_OPERATOR_GRIDS = pytest.mark.parametrize(
     "extents, shape",
     [
         (((0.0, 1.0),), (17,)),
@@ -65,6 +67,10 @@ def test_config_rejects_bad_values(kwargs):
     ],
     ids=["1d", "2d", "3d"],
 )
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@_OPERATOR_GRIDS
 def test_diffusion_operator_reproduces_dirichlet_gradient(extents, shape, p):
     # the Newton model rests on A(u) @ u being the exact Dirichlet gradient
     grid = Grid(extents=extents, resolution=shape)
@@ -72,6 +78,44 @@ def test_diffusion_operator_reproduces_dirichlet_gradient(extents, shape, p):
     a_u = assemble_diffusion(u, grid, p, 0.1) @ u.ravel()
     g = dirichlet_gradient(u, grid, p, 0.1).ravel()
     assert np.max(np.abs(a_u - g)) <= 1e-12 * np.max(np.abs(g))
+
+
+def _coo_operator(kern, kappas):
+    # reference assembly: four COO entries per edge, duplicates summed by tocsr
+    idx = np.arange(kern.weights.size).reshape(kern.weights.shape)
+    rows, cols, data = [], [], []
+    for (lo, hi, *_), k in zip(kern.axes, kappas):
+        i, j, k = idx[lo].ravel(), idx[hi].ravel(), k.ravel()
+        rows.extend((i, j, i, j))
+        cols.extend((i, j, j, i))
+        data.extend((k, k, -k, -k))
+    n = kern.weights.size
+    return sp.coo_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(n, n)).tocsr()
+
+
+def _assert_same_csr(got, want):
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@_OPERATOR_GRIDS
+def test_free_block_equals_sliced_full_operator(extents, shape, p):
+    # built on the node set directly, the block must be the sliced full-grid
+    # operator plus the diagonal shift, bit for bit, in the arrays spsolve gets
+    grid = Grid(extents=extents, resolution=shape)
+    rng = np.random.default_rng(len(shape))
+    u = rng.standard_normal(shape)
+    idx = np.flatnonzero(rng.random(u.size) < 0.6)
+    scale = 1.0 + rng.random()
+    shift = rng.random(idx.size)
+    kern = DiscreteEnergy.dirichlet(grid, p)
+    kappas = kern.conductances(kern.grad_sq(u), 0.1)
+    full = assemble_diffusion(u, grid, p, 0.1)
+    _assert_same_csr(full, _coo_operator(kern, kappas))
+    want = (scale * full[idx][:, idx] + sp.diags(shift)).tocsr()
+    _assert_same_csr(_free_block(kern, kappas, idx, scale, shift), want)
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +221,30 @@ def test_replacement_1d_fills_affine_runs():
         np.testing.assert_array_equal(out[region == False], vals[region == False])  # noqa: E712
 
 
+def _affine_fill_loop(values, relax):
+    # run-by-run reference for the vectorized fill, with the same arithmetic
+    out = values.copy()
+    i = 0
+    while i < len(values):
+        j = i
+        while j < len(values) and relax[j]:
+            j += 1
+        left, right, m = values[i - 1], values[j], j - i + 1
+        for k in range(i, j):
+            out[k] = left + (right - left) * (k - i + 1) / m
+        i = j + 1
+    return out
+
+
+def test_affine_fill_matches_run_by_run_loop():
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        vals = rng.standard_normal(60)
+        relax = rng.random(60) < 0.6
+        relax[[0, -1]] = False
+        assert np.array_equal(_affine_fill_1d(vals, relax), _affine_fill_loop(vals, relax))
+
+
 def test_replacement_1d_region_must_be_interior():
     grid = Grid(extents=((0.0, 1.0),), resolution=(9,))
     vals = np.linspace(0.0, 1.0, 9) ** 2
@@ -189,15 +257,21 @@ def test_replacement_1d_region_must_be_interior():
 
 
 def test_replacement_preserves_affine_fields():
-    grid = Grid(extents=((-1.0, 1.0), (-1.0, 1.0)), resolution=(33, 33))
-    X, Y = np.meshgrid(grid.axes[0], grid.axes[1], indexing="ij")
-    affine = 1.2 * X - 0.5 * Y
-    fld = ScalarField(grid=grid, values=affine, boundary_mask=grid.boundary_face_mask,
-                      boundary_values=affine)
-    region = (X**2 + Y**2) < 0.5**2
-    for p in (2.0, 3.0):
-        rep = p_harmonic_replacement(fld, p, region)
-        assert np.max(np.abs(rep.values - affine)) <= 1e-9
+    # the 3D grid is the one replacement case whose operator has an axis 2
+    for shape, slopes in (((33, 33), (1.2, -0.5)), ((13, 11, 9), (1.2, -0.5, 0.3))):
+        grid = Grid(extents=((-1.0, 1.0),) * len(shape), resolution=shape)
+        X = grid.coordinate_arrays()
+        affine = sum(c * x for c, x in zip(slopes, X))
+        fld = ScalarField(grid=grid, values=affine,
+                          boundary_mask=grid.boundary_face_mask, boundary_values=affine)
+        region = sum(x**2 for x in X) < 0.5**2
+        for p in (1.5, 2.0, 3.0):
+            rep = p_harmonic_replacement(fld, p, region)
+            assert np.max(np.abs(rep.values - affine)) <= 1e-9, (shape, p)
+        # from a bumped start, the one p = 2 solve must land on the affine field
+        bumped = fld.with_values(np.where(region, affine + 0.05 * np.cos(3 * X[0]), affine))
+        rep = p_harmonic_replacement(bumped, 2.0, region)
+        assert np.max(np.abs(rep.values - affine)) <= 1e-12, shape
 
 
 def test_replacement_p2_satisfies_mean_value_property():
