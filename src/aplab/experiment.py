@@ -730,6 +730,9 @@ def run_experiment(cfg: dict) -> ExperimentResult:
             "el_residual": el_residual(fld, params, reg_last),
             "converged": solve.converged,
             "n_iterations": solve.n_iterations,
+            "linear_solves": solve.linear_solves,
+            "cg_iterations": solve.cg_iterations,
+            "superlu_solves": solve.superlu_solves,
             "n_stages": len(solve.stages),
             "stage_energies": [s.energies[-1] for s in solve.stages],
         },

@@ -246,12 +246,17 @@ def porosity_constant(set_mask: np.ndarray, ball: BallSpec, grid: Grid) -> float
 def level_strip_energy(
     field: ScalarField, params: Params, eps: float, ball: BallSpec
 ) -> float:
-    """Exact-density energy over the strip {0 < |u| < eps} in the open ball."""
+    """Exact-density energy over the strip {0 < |u| < eps} in the open ball.
+
+    Values within 1e-12 of max |u| count as zero, so the strip does not
+    depend on which solver rounding lands exactly on 0.0.
+    """
     if eps <= 0:
         raise ValueError("strip width must be positive")
     grid = field.grid
     v = field.values
-    strip = (np.abs(v) > 0.0) & (np.abs(v) < eps) & ball.node_mask(grid, closed=False)
+    a = np.abs(v)
+    strip = (a > 1e-12 * np.max(a)) & (a < eps) & ball.node_mask(grid, closed=False)
     if not strip.any():
         return 0.0
     kern = DiscreteEnergy(grid, params)

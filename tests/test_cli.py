@@ -260,3 +260,32 @@ def test_module_invocation_matches_entry_point():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["beta"] == 0.0
+
+
+def test_bundle_does_not_depend_on_thread_count(tmp_path):
+    # 105x105 has more than 10 000 free nodes, the size above which
+    # OpenBLAS splits a dot product over its threads; a smaller grid would
+    # pass even with BLAS inner products in the solver.
+    cfg = json.loads(
+        (Path(__file__).resolve().parents[1] / "configs" / "crossing_2d.json").read_text()
+    )
+    cfg["problem"]["resolution"] = [105, 105]
+    path = tmp_path / "crossing.json"
+    path.write_text(json.dumps(cfg))
+    bundles = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, APL_THREADS=threads)
+        for var in POOL_VARS:
+            env.pop(var, None)
+        out = tmp_path / f"threads{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "aplab.cli", "run", str(path), "--out", str(out)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        bundles.append(out)
+    for name in ("field.apf", "report.json"):
+        assert (bundles[0] / name).read_bytes() == (bundles[1] / name).read_bytes(), name

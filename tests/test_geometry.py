@@ -213,6 +213,19 @@ def test_strip_energy_linear_profile_closed_form():
     assert got == pytest.approx(126 * (2.0 / 1024.0) * 0.5, abs=1e-15)
 
 
+@pytest.mark.parametrize("tiny", [1e-30, -1e-30])
+def test_strip_energy_ignores_rounding_at_zero(tiny):
+    # a solver may leave 1e-30 instead of 0.0 on the zero set; the strip
+    # must still hold the same 126 nodes as for the exact linear profile
+    grid = build_grid(((-1.0, 1.0),), (1025,))
+    x = grid.axes[0].copy()
+    x[512] = tiny
+    fld = ScalarField(grid, x, grid.boundary_face_mask, x)
+    par = Params(p=2.0, gamma=1.0, lambda_plus=0.5, lambda_minus=0.5, delta=0.0)
+    got = level_strip_energy(fld, par, 0.125, BallSpec((0.0,), 0.5))
+    assert got == pytest.approx(126 * (2.0 / 1024.0) * 0.5, abs=1e-15)
+
+
 def test_strip_energy_empty_strip_is_zero():
     grid = build_grid(((-1.0, 1.0),), (257,))
     x = grid.axes[0]

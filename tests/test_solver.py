@@ -1,8 +1,11 @@
 """Continuation solver, Dirichlet-term replacement, and comparison gaps."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from aplab.core import Grid, Params, ScalarField
 from aplab.energy import DiscreteEnergy, dirichlet_gradient
@@ -10,6 +13,7 @@ from aplab.oracle import one_phase_profile, radial_p_harmonic
 from aplab.solver import (
     SolverConfig,
     _affine_fill_1d,
+    _box_preconditioner,
     _free_block,
     SolverStall,
     assemble_diffusion,
@@ -17,6 +21,7 @@ from aplab.solver import (
     minimize,
     nonlinearity_gap,
     p_harmonic_replacement,
+    spsolve,
 )
 
 
@@ -118,6 +123,72 @@ def test_free_block_equals_sliced_full_operator(extents, shape, p):
     _assert_same_csr(_free_block(kern, kappas, idx, scale, shift), want)
 
 
+def _interior(grid):
+    return np.flatnonzero(~grid.boundary_face_mask.ravel())
+
+
+def _newton_system(grid, p, nodes, shift, seed=0):
+    # a Newton matrix of minimize's form: stiffened lagged operator at a
+    # random field plus a nonnegative diagonal shift of size up to ``shift``
+    rng = np.random.default_rng(seed)
+    kern = DiscreteEnergy.dirichlet(grid, p)
+    kappas = kern.conductances(kern.grad_sq(rng.standard_normal(grid.shape)), 0.1)
+    M = _free_block(kern, kappas, nodes, max(p - 1.0, 1.0), shift * rng.random(nodes.size))
+    return kern, M, rng.standard_normal(nodes.size)
+
+
+def _ball(grid):
+    X = grid.coordinate_arrays()
+    mid = [0.5 * (a + b) for a, b in grid.extents]
+    return np.flatnonzero((sum((x - c) ** 2 for x, c in zip(X, mid)) < 0.6**2).ravel())
+
+
+@pytest.mark.parametrize("shift", [0.0, 1.0, 1e3])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize(
+    "shape, subset",
+    [((17, 13), _interior), ((9, 7, 6), _interior), ((17, 13), _ball)],
+    ids=["box2d", "box3d", "ball2d"],
+)
+def test_preconditioned_solve_matches_superlu(shape, subset, p, shift):
+    grid = Grid(extents=((-1.0, 1.0), (0.0, 1.5), (0.0, 1.0))[: len(shape)],
+                resolution=shape)
+    nodes = subset(grid)
+    kern, M, b = _newton_system(grid, p, nodes, shift)
+    precond = _box_preconditioner(kern, nodes)
+    assert precond is not None
+    tally = Counter()
+    x = spsolve(M, b, precond, tally)
+    want = spla.spsolve(M, b)
+    assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
+    # solved by CG, not by the SuperLU fallback
+    assert tally["cg_iterations"] > 0 and tally["superlu_solves"] == 0
+
+
+def test_box_preconditioner_needs_strictly_interior_nodes_in_2d_or_3d():
+    line = Grid(extents=((0.0, 1.0),), resolution=(17,))
+    assert _box_preconditioner(DiscreteEnergy.dirichlet(line, 2.0), _interior(line)) is None
+    grid = Grid(extents=((0.0, 1.0), (0.0, 1.0)), resolution=(9, 9))
+    kern = DiscreteEnergy.dirichlet(grid, 2.0)
+    assert _box_preconditioner(kern, _interior(grid)) is not None
+    assert _box_preconditioner(kern, np.arange(grid.shape[0] * grid.shape[1])) is None
+    # one node on the last face of axis 1 is enough to rule the DST-I out
+    touching = np.union1d(_interior(grid), [np.ravel_multi_index((4, 8), grid.shape)])
+    assert _box_preconditioner(kern, touching) is None
+
+
+def test_indefinite_system_falls_back_to_superlu():
+    grid = Grid(extents=((-1.0, 1.0), (-1.0, 1.0)), resolution=(17, 17))
+    nodes = _interior(grid)
+    kern, M, b = _newton_system(grid, 2.0, nodes, 0.0)
+    # a positive diagonal, but eigenvalues of both signs
+    M = (M - 0.5 * M.diagonal().min() * sp.identity(nodes.size)).tocsr()
+    tally = Counter()
+    x = spsolve(M, b, _box_preconditioner(kern, nodes), tally)
+    assert tally["superlu_solves"] == 1
+    assert np.array_equal(x, spla.spsolve(M, b))
+
+
 # ---------------------------------------------------------------------------
 # minimize
 
@@ -172,6 +243,21 @@ def test_minimize_energy_traces_decrease(convex_1d):
     for stage in convex_1d.result.stages:
         trace = np.asarray(stage.energies)
         assert np.all(np.diff(trace) <= 0.0)
+
+
+def test_minimize_1d_solves_by_superlu(convex_1d):
+    res = convex_1d.result
+    assert res.linear_solves >= res.n_iterations > 0
+    assert res.superlu_solves == res.linear_solves
+    assert res.cg_iterations == 0
+
+
+@pytest.mark.parametrize("fixture", ["crossing_2d", "branching_2d"])
+def test_minimize_2d_solves_by_cg_without_misses(fixture, request):
+    res = request.getfixturevalue(fixture).result
+    assert res.linear_solves >= res.n_iterations > 0
+    assert res.cg_iterations >= res.linear_solves
+    assert res.superlu_solves == 0
 
 
 def test_minimize_is_deterministic():
