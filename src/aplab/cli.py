@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -98,6 +99,21 @@ def _walk_numeric(node, path, out):
             _walk_numeric(v, f"{path}[{i}]", out)
 
 
+# Work counters record how a build solved, not what it computed; compare
+# reports them apart and they never fail a comparison.
+_WORK_COUNTERS = frozenset(
+    {"solve/linear_solves", "solve/cg_iterations", "solve/superlu_solves"}
+)
+
+
+def _delta(a: float, b: float) -> float:
+    """|a - b|; NaN against NaN is 0, NaN against anything else is inf."""
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    d = abs(a - b)
+    return math.inf if math.isnan(d) else d
+
+
 def _cmd_compare(args) -> int:
     from .core import FieldFormatError, load_field
 
@@ -122,10 +138,12 @@ def _cmd_compare(args) -> int:
     na, nb = {}, {}
     _walk_numeric(reports[0], "", na)
     _walk_numeric(reports[1], "", nb)
-    deltas = {k: abs(na[k] - nb[k]) for k in na if k in nb}
+    deltas = {k: _delta(na[k], nb[k]) for k in na if k in nb}
+    counters = {k: deltas.pop(k) for k in sorted(_WORK_COUNTERS & deltas.keys())}
     unmatched = sorted(set(na) ^ set(nb))
     worst = max(deltas.values(), default=0.0)
     summary = {
+        "counter_deltas": counters,
         "field_sup_diff": sup_diff,
         "max_delta": worst,
         "n_compared": len(deltas),

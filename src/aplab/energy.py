@@ -8,60 +8,35 @@ with trapezoidal weights w, the node gradient-square
 
     q_i = sum_axes ( mean of the squared one-sided differences at i ),
 
-phi(q) = ((q + eps_grad^2)^(p/2) - eps_grad^p) / p, and the smoothed
-two-phase potential
+phi(q) = ((q + eps^2)^(p/2) - eps^p) / p, and the smoothed two-phase
+potential
 
-    F(v) = lam+ * ((v+^2 + eps_pot^2)^(g/2) - eps_pot^g)  +  (- part).
+    F(v) = lam+ * ((v+^2 + eps^2)^(g/2) - eps^g)  +  (- part).
 
 Averaging forward and backward differences per axis (instead of a central
 difference) keeps the discrete Dirichlet form free of odd/even sublattice
 decoupling: at p = 2 it reduces edge-by-edge to the classical second-order
-form, and it is exact on affine fields for every p.  Both smoothings are
+form, and it is exact on affine fields for every p.  One width eps >= 0
+smooths both the potential and the gradient norm; both smoothings are
 anchored so that the density vanishes where grad u = 0 and u = 0, for any
-eps; eps = 0 gives the exact density.
+eps, and eps = 0 gives the exact density.
 
-``DiscreteEnergy`` evaluates all of this from one q per iterate; the
-module-level functions are thin wrappers over it.
+``DiscreteEnergy`` evaluates all of this from one q per iterate.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Grid, Params, ScalarField
 
 __all__ = [
-    "Regularization",
-    "NO_REG",
     "DiscreteEnergy",
     "potential_value",
     "potential_derivative",
     "potential_curvature",
-    "grad_sq_nodes",
-    "dirichlet_gradient",
-    "edge_conductances",
-    "total_energy",
-    "energy_gradient",
     "el_residual",
-    "default_activity_threshold",
 ]
-
-
-@dataclass(frozen=True)
-class Regularization:
-    """Smoothing widths for the potential and the gradient norm."""
-
-    eps_pot: float = 0.0
-    eps_grad: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.eps_pot < 0 or self.eps_grad < 0:
-            raise ValueError("regularization widths must be >= 0")
-
-
-NO_REG = Regularization(0.0, 0.0)
 
 
 def potential_value(v, params: Params, eps: float = 0.0):
@@ -142,23 +117,29 @@ def _axis(grid: Grid, a: int) -> tuple:
     )
 
 
-def _phi(q: np.ndarray, p: float, eps_grad: float) -> np.ndarray:
-    if eps_grad == 0.0:
+def _phi(q: np.ndarray, p: float, eps: float) -> np.ndarray:
+    if eps == 0.0:
         return q ** (0.5 * p) / p
-    e2 = eps_grad * eps_grad
-    return ((q + e2) ** (0.5 * p) - eps_grad**p) / p
+    e2 = eps * eps
+    return ((q + e2) ** (0.5 * p) - eps**p) / p
 
 
-def _psi(q: np.ndarray, p: float, eps_grad: float) -> np.ndarray:
+def _psi(q: np.ndarray, p: float, eps: float) -> np.ndarray:
     """phi'(q) = (q + eps^2)^((p-2)/2) / 2."""
-    if eps_grad == 0.0:
+    if eps == 0.0:
         if p < 2.0 and np.any(q == 0.0):
             raise ValueError(
-                "p < 2 with eps_grad = 0 hits a zero-gradient node; "
-                "use a positive gradient regularization"
+                "p < 2 with eps = 0 hits a zero-gradient node; "
+                "use a positive smoothing width"
             )
         return 0.5 * q ** (0.5 * p - 1.0)
-    return 0.5 * (q + eps_grad * eps_grad) ** (0.5 * p - 1.0)
+    return 0.5 * (q + eps * eps) ** (0.5 * p - 1.0)
+
+
+def _width(eps: float) -> float:
+    if eps < 0:
+        raise ValueError("smoothing width must be >= 0")
+    return eps
 
 
 class DiscreteEnergy:
@@ -168,8 +149,8 @@ class DiscreteEnergy:
     axis's edge slices and one-sided weights.  The energy, its gradient
     and the edge conductances of an iterate u all derive from one node
     gradient-square ``q = grad_sq(u)``, which does not depend on the
-    smoothing widths.  Node arrays are grid-shaped, and every sum runs
-    over the full grid.
+    smoothing width ``eps``.  Node arrays are grid-shaped, and every sum
+    runs over the full grid.
     """
 
     def __init__(self, grid: Grid, params: Params):
@@ -197,18 +178,27 @@ class DiscreteEnergy:
             q[hi] += cminus * dsq
         return q
 
-    def energy(self, u: np.ndarray, q: np.ndarray, reg: Regularization,
+    def energy(self, u: np.ndarray, q: np.ndarray, eps: float,
                region: np.ndarray | None = None) -> float:
-        """Quadrature value of the (regularized) energy, on ``region`` if given."""
+        """Quadrature value of the energy smoothed with width ``eps``.
+
+        ``region`` is a non-empty boolean node mask of grid shape that
+        restricts the trapezoidal weights to its nodes; None means the
+        whole grid.
+        """
         prm = self.params
-        dens = _phi(q, prm.p, reg.eps_grad) + prm.delta * potential_value(
-            u, prm, reg.eps_pot
-        )
+        eps = _width(eps)
+        dens = _phi(q, prm.p, eps) + prm.delta * potential_value(u, prm, eps)
         if region is None:
             return float(np.sum(self.weights * dens))
+        region = np.asarray(region)
+        if region.dtype != bool or region.shape != self.grid.shape:
+            raise ValueError("region must be a bool node mask of grid shape")
+        if not region.any():
+            raise ValueError("empty integration region")
         return float(np.sum(self.weights[region] * dens[region]))
 
-    def conductances(self, q: np.ndarray, eps_grad: float) -> tuple:
+    def conductances(self, q: np.ndarray, eps: float) -> tuple:
         """Per-axis edge conductances of the linearized Dirichlet form.
 
         The exact first variation of the Dirichlet part is the graph
@@ -216,15 +206,20 @@ class DiscreteEnergy:
         returned here (frozen at the current field).  The solver reuses them
         as its lagged-coefficient matrix.
         """
-        psi_w = self.weights * _psi(q, self.params.p, eps_grad)
+        psi_w = self.weights * _psi(q, self.params.p, _width(eps))
         return tuple(
             2.0 * (psi_w[lo] * cplus + psi_w[hi] * cminus) / h**2
             for lo, hi, cplus, cminus, h in self.axes
         )
 
-    def gradient(self, u: np.ndarray, kappas, reg: Regularization) -> np.ndarray:
-        """First variation of the energy at u, given the conductances of u."""
+    def gradient(self, u: np.ndarray, kappas, eps: float) -> np.ndarray:
+        """First variation of the energy at u, given the conductances of u.
+
+        Masked nodes still get their partials (the solver projects them
+        out).
+        """
         prm = self.params
+        eps = _width(eps)
         grad = np.zeros(self.grid.shape)
         for (lo, hi, *_), kappa in zip(self.axes, kappas):
             t = kappa * (u[hi] - u[lo])  # one entry per edge
@@ -232,99 +227,39 @@ class DiscreteEnergy:
             grad[hi] += t
         if prm.delta != 0.0:
             grad = grad + self.weights * (
-                prm.delta * potential_derivative(u, prm, reg.eps_pot)
+                prm.delta * potential_derivative(u, prm, eps)
             )
         return grad
-
-
-def grad_sq_nodes(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """|grad u|^2 at nodes from averaged one-sided differences."""
-    return DiscreteEnergy.dirichlet(grid, 2.0).grad_sq(values)  # q has no p
-
-
-def edge_conductances(
-    values: np.ndarray, grid: Grid, p: float, eps_grad: float
-) -> tuple[np.ndarray, ...]:
-    """Per-axis edge conductances (``DiscreteEnergy.conductances``) at ``values``."""
-    kern = DiscreteEnergy.dirichlet(grid, p)
-    return kern.conductances(kern.grad_sq(values), eps_grad)
-
-
-def dirichlet_gradient(
-    values: np.ndarray, grid: Grid, p: float, eps_grad: float
-) -> np.ndarray:
-    """Exact gradient of sum_i w_i phi(q_i) with respect to node values."""
-    kappas = edge_conductances(values, grid, p, eps_grad)
-    return DiscreteEnergy.dirichlet(grid, p).gradient(values, kappas, NO_REG)
-
-
-def total_energy(
-    field: ScalarField,
-    params: Params,
-    reg: Regularization = NO_REG,
-    region: np.ndarray | None = None,
-) -> float:
-    """Quadrature value of the (regularized) energy, optionally on a region.
-
-    ``region`` is a boolean node mask; None means the whole grid.  The
-    quadrature weights are the grid's trapezoidal weights restricted to
-    the region.
-    """
-    if region is not None:
-        region = np.asarray(region)
-        if region.dtype != bool or region.shape != field.grid.shape:
-            raise ValueError("region must be a bool node mask of grid shape")
-        if not region.any():
-            raise ValueError("empty integration region")
-    kern = DiscreteEnergy(field.grid, params)
-    return kern.energy(field.values, kern.grad_sq(field.values), reg, region)
-
-
-def energy_gradient(
-    field: ScalarField, params: Params, reg: Regularization = NO_REG
-) -> np.ndarray:
-    """First variation of the discrete energy at every node.
-
-    Matches central finite differences of ``total_energy`` to roundoff
-    scale; masked nodes still get their partials (the solver projects
-    them out).
-    """
-    kern = DiscreteEnergy(field.grid, params)
-    u = field.values
-    return kern.gradient(u, kern.conductances(kern.grad_sq(u), reg.eps_grad), reg)
-
-
-def default_activity_threshold(grid: Grid, params: Params) -> float:
-    """|u| level below which a node does not count as active: 10 h^(1+tau)."""
-    h = max(grid.spacing)
-    return 10.0 * h ** (1.0 + params.tau)
 
 
 def el_residual(
     field: ScalarField,
     params: Params,
-    reg: Regularization = NO_REG,
+    eps: float = 0.0,
     activity_threshold: float | None = None,
 ) -> float:
     """Max Euler-Lagrange defect over active interior nodes.
 
     The discrete p-Laplacian is read off the first variation of the
     Dirichlet sum (divided by the node weight), and compared with the
-    exact reaction term delta * F'(u).  Excluded: nodes with |u| below
-    the activity threshold, and nodes within two layers of a grid face
-    -- at the face-adjacent layer the variational stencil encodes the
-    natural boundary flux, not the operator, and differs from it by O(1)
-    for p != 2.  If nothing is active the residual is 0.
+    exact reaction term delta * F'(u), both smoothed with width ``eps``.
+    Excluded: nodes with |u| at or below the activity threshold (default
+    10 h^(1+tau), h the largest grid spacing), and nodes within two layers
+    of a grid face -- at the face-adjacent layer the variational stencil
+    encodes the natural boundary flux, not the operator, and differs from
+    it by O(1) for p != 2.  If nothing is active the residual is 0.
     """
     g = field.grid
     if activity_threshold is None:
-        activity_threshold = default_activity_threshold(g, params)
-    lap = -dirichlet_gradient(field.values, g, params.p, reg.eps_grad)
+        activity_threshold = 10.0 * max(g.spacing) ** (1.0 + params.tau)
+    kern = DiscreteEnergy.dirichlet(g, params.p)
+    u = field.values
+    lap = -kern.gradient(u, kern.conductances(kern.grad_sq(u), eps), eps)
     lap /= g.quadrature_weights
-    rhs = params.delta * potential_derivative(field.values, params, reg.eps_pot)
+    rhs = params.delta * potential_derivative(u, params, eps)
     interior = np.zeros(g.shape, dtype=bool)
     interior[(slice(2, -2),) * g.ndim] = True
-    active = interior & (np.abs(field.values) > activity_threshold)
+    active = interior & (np.abs(u) > activity_threshold)
     if not active.any():
         return 0.0
     return float(np.max(np.abs(lap[active] - rhs[active])))

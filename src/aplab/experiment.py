@@ -37,7 +37,7 @@ from .core import (
     gradient_field,
     save_field,
 )
-from .energy import Regularization, el_residual
+from .energy import el_residual
 from .geometry import (
     BallSpec,
     minkowski_content,
@@ -700,7 +700,6 @@ def run_experiment(cfg: dict) -> ExperimentResult:
     fld = solve.field
     grid = fld.grid
     eps_last = solver_cfg.eps_ladder[-1]
-    reg_last = Regularization(eps_pot=eps_last, eps_grad=eps_last)
 
     diag = cfg.get("diagnostics", {})
     zero_tol = diag.get("zero_tol", default_zero_tol(grid, params))
@@ -727,7 +726,7 @@ def run_experiment(cfg: dict) -> ExperimentResult:
         "solve": {
             "energy": solve.energy,
             "residual_rms": solve.residual_rms,
-            "el_residual": el_residual(fld, params, reg_last),
+            "el_residual": el_residual(fld, params, eps_last),
             "converged": solve.converged,
             "n_iterations": solve.n_iterations,
             "linear_solves": solve.linear_solves,

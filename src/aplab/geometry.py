@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Grid, Params, ScalarField
-from .energy import NO_REG, DiscreteEnergy
+from .energy import DiscreteEnergy
 from .phases import distance_to_set
 
 __all__ = [
@@ -260,7 +260,7 @@ def level_strip_energy(
     if not strip.any():
         return 0.0
     kern = DiscreteEnergy(grid, params)
-    return kern.energy(v, kern.grad_sq(v), NO_REG, region=strip)
+    return kern.energy(v, kern.grad_sq(v), 0.0, region=strip)
 
 
 def coarea_average_perimeter(

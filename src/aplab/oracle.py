@@ -106,7 +106,7 @@ def radial_p_harmonic(dim: int, p: float) -> ExactProfile:
 # root finding.  All bracketed matches are returned.
 
 
-def _integrate(u0, q0, x0, h, n_steps, p, gamma, lamp, lamm, delta, eps, rec_u, rec_q):
+def _integrate(u0, q0, h, n_steps, p, gamma, lamp, lamm, delta, eps, rec_u, rec_q):
     """Fixed-step RK4 from (u0, q0), recording every step in rec_u/rec_q."""
     inv = 1.0 / (p - 1.0)
     e2 = eps * eps
@@ -154,7 +154,7 @@ def _integrate(u0, q0, x0, h, n_steps, p, gamma, lamp, lamm, delta, eps, rec_u, 
     return u
 
 
-def _coarse_endpoints(q0s, u0, x0, h, n_steps, p, gamma, lamp, lamm, delta, eps):
+def _coarse_endpoints(q0s, u0, h, n_steps, p, gamma, lamp, lamm, delta, eps):
     """Vectorized RK4 endpoint values for a batch of initial fluxes."""
     inv = 1.0 / (p - 1.0)
     e2 = eps * eps
@@ -263,7 +263,7 @@ def shoot_two_phase_1d(
 
     n_coarse = max(2000, n_steps // 100)
     ends = _coarse_endpoints(
-        q0s, g_left, xa, length / n_coarse, n_coarse, p, g, lamp, lamm, delta, eps_pot
+        q0s, g_left, length / n_coarse, n_coarse, p, g, lamp, lamm, delta, eps_pot
     )
     resid = ends - g_right
     ok = np.isfinite(resid)
@@ -271,7 +271,7 @@ def shoot_two_phase_1d(
     def endpoint(q0: float) -> float:
         rec_u = np.empty(n_steps + 1)
         rec_q = np.empty(n_steps + 1)
-        _integrate(g_left, q0, xa, h, n_steps, p, g, lamp, lamm, delta, eps_pot,
+        _integrate(g_left, q0, h, n_steps, p, g, lamp, lamm, delta, eps_pot,
                    rec_u, rec_q)
         return rec_u[-1] - g_right
 
@@ -305,13 +305,13 @@ def shoot_two_phase_1d(
 
         rec_u = np.empty(n_steps + 1)
         rec_q = np.empty(n_steps + 1)
-        _integrate(g_left, q_root, xa, h, n_steps, p, g, lamp, lamm, delta,
+        _integrate(g_left, q_root, h, n_steps, p, g, lamp, lamm, delta,
                    eps_pot, rec_u, rec_q)
         mismatch = abs(rec_u[-1] - g_right)
 
         rec_u2 = np.empty(2 * n_steps + 1)
         rec_q2 = np.empty(2 * n_steps + 1)
-        _integrate(g_left, q_root, xa, 0.5 * h, 2 * n_steps, p, g, lamp, lamm,
+        _integrate(g_left, q_root, 0.5 * h, 2 * n_steps, p, g, lamp, lamm,
                    delta, eps_pot, rec_u2, rec_q2)
         rich = abs(rec_u2[-1] - rec_u[-1])
 

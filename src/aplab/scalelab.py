@@ -16,7 +16,7 @@ import numpy as np
 from scipy.ndimage import map_coordinates
 
 from .core import Grid, Params, ScalarField, build_grid, gradient_field
-from .energy import potential_value, total_energy
+from .energy import DiscreteEnergy, potential_value
 from .geometry import BallSpec, _loglog_fit
 
 __all__ = [
@@ -273,8 +273,12 @@ def scaling_identity_gap(
     lhs_region = inner.node_mask(scaled.grid, closed=False)
     rhs_region = BallSpec(center, radius).node_mask(grid, closed=False)
     power = grid.ndim + params.p * params.tau
-    lhs = r**power * total_energy(scaled, scaled_params, region=lhs_region)
-    rhs = total_energy(field, params, region=rhs_region)
+    kern = DiscreteEnergy(scaled.grid, scaled_params)
+    v = scaled.values
+    lhs = r**power * kern.energy(v, kern.grad_sq(v), 0.0, region=lhs_region)
+    kern = DiscreteEnergy(grid, params)
+    u = field.values
+    rhs = kern.energy(u, kern.grad_sq(u), 0.0, region=rhs_region)
     return float(lhs), float(rhs)
 
 

@@ -32,14 +32,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve as _superlu
 
 from .core import Grid, Params, ScalarField
-from .energy import (
-    NO_REG,
-    DiscreteEnergy,
-    Regularization,
-    grad_sq_nodes,
-    potential_curvature,
-    potential_value,
-)
+from .energy import DiscreteEnergy, potential_curvature, potential_value
 
 __all__ = [
     "SolverConfig",
@@ -335,7 +328,7 @@ def minimize(
     u = initial.values  # node values of the current iterate
     q = kern.grad_sq(u)  # its gradient-square, shared by every smoothing width
     if idx_f.size == 0:
-        return SolveResult(initial, kern.energy(u, q, NO_REG), 0.0, (), True, 0)
+        return SolveResult(initial, kern.energy(u, q, 0.0), 0.0, (), True, 0)
 
     precond = _box_preconditioner(kern, idx_f)
     tally: Counter = Counter()
@@ -343,15 +336,15 @@ def minimize(
     total_iters = 0
     res_rms = math.inf
 
-    def model(v: np.ndarray, qv: np.ndarray, reg: Regularization) -> tuple:
+    def model(v: np.ndarray, qv: np.ndarray, eps: float) -> tuple:
         """The edge conductances of v and its free-node energy gradient."""
-        kap = kern.conductances(qv, reg.eps_grad)
-        return kap, kern.gradient(v, kap, reg).ravel()[idx_f]
+        kap = kern.conductances(qv, eps)
+        return kap, kern.gradient(v, kap, eps).ravel()[idx_f]
 
     def result(converged: bool) -> SolveResult:
         return SolveResult(
             field=initial.with_values(u),
-            energy=kern.energy(u, q, NO_REG),
+            energy=kern.energy(u, q, 0.0),
             residual_rms=res_rms,
             stages=tuple(stages),
             converged=converged,
@@ -369,14 +362,13 @@ def minimize(
     # directions, which Armijo tolerates.
     stiff = max(params.p - 1.0, 1.0)
     for eps in config.eps_ladder:
-        reg = Regularization(eps_pot=eps, eps_grad=eps)
-        energy = kern.energy(u, q, reg)
+        energy = kern.energy(u, q, eps)
         trace = [energy]
         n_it = 0
         res_rms = math.inf
         n_flat = 0
         polishing = False
-        kappas, g_f = model(u, q, reg)  # kept current with every accepted step
+        kappas, g_f = model(u, q, eps)  # kept current with every accepted step
         for _ in range(config.max_iters):
             res_rms = _rms(g_f / w_f)
             if res_rms <= config.tol_residual:
@@ -395,7 +387,7 @@ def minimize(
                 trial = u.copy()
                 trial.flat[idx_f] -= d
                 q_t = kern.grad_sq(trial)
-                kap_t, g_t = model(trial, q_t, reg)
+                kap_t, g_t = model(trial, q_t, eps)
                 r2 = _rms(g_t / w_f)
                 if not (math.isfinite(r2) and r2 < 0.95 * res_rms):
                     break
@@ -416,7 +408,7 @@ def minimize(
                 trial = u.copy()
                 trial.flat[idx_f] -= t * d
                 q_t = kern.grad_sq(trial)
-                e_t = kern.energy(trial, q_t, reg)
+                e_t = kern.energy(trial, q_t, eps)
                 if e_t <= energy - config.armijo_c1 * t * slope:
                     accepted = (trial, q_t, e_t)
                     break
@@ -436,7 +428,7 @@ def minimize(
                     result(False),
                 )
             u, q, energy = accepted
-            kappas, g_f = model(u, q, reg)
+            kappas, g_f = model(u, q, eps)
             trace.append(energy)
             n_it += 1
             total_iters += 1
@@ -498,7 +490,6 @@ def p_harmonic_replacement(
     if grid.ndim == 1:
         return field.with_values(_affine_fill_1d(np.array(field.values), relax))
     kern = DiscreteEnergy.dirichlet(grid, p)
-    reg = Regularization(eps_pot=0.0, eps_grad=eps_grad)
     u = field.values
     q = kern.grad_sq(u)
 
@@ -509,7 +500,7 @@ def p_harmonic_replacement(
     def lagged_step() -> np.ndarray:
         """Newton step of the Dirichlet form frozen at u, on the relaxed nodes."""
         kappas = kern.conductances(q, eps_grad)
-        g_f = kern.gradient(u, kappas, reg).ravel()[idx_f]
+        g_f = kern.gradient(u, kappas, eps_grad).ravel()[idx_f]
         return -_solve_spd(_free_block(kern, kappas, idx_f), g_f, precond, tally)
 
     if p == 2.0:
@@ -517,7 +508,7 @@ def p_harmonic_replacement(
         out.flat[idx_f] += lagged_step()
         return field.with_values(out)
 
-    energy = kern.energy(u, q, reg)
+    energy = kern.energy(u, q, eps_grad)
     for _ in range(max_iters):
         d = lagged_step()
         t = 1.0
@@ -526,7 +517,7 @@ def p_harmonic_replacement(
             trial = u.copy()
             trial.flat[idx_f] += t * d
             q_t = kern.grad_sq(trial)
-            e_t = kern.energy(trial, q_t, reg)
+            e_t = kern.energy(trial, q_t, eps_grad)
             if e_t < energy:
                 improved = (trial, q_t, e_t)
                 break
@@ -554,11 +545,11 @@ def comparison_gap(
     """
     if field.grid is not replaced.grid and field.grid != replaced.grid:
         raise ValueError("fields live on different grids")
-    grid = field.grid
-    w = grid.quadrature_weights
-    qu = grad_sq_nodes(field.values, grid)
-    qv = grad_sq_nodes(replaced.values, grid)
-    qd = grad_sq_nodes(field.values - replaced.values, grid)
+    kern = DiscreteEnergy.dirichlet(field.grid, p)
+    w = kern.weights
+    qu = kern.grad_sq(field.values)
+    qv = kern.grad_sq(replaced.values)
+    qd = kern.grad_sq(field.values - replaced.values)
     energy_gap = float(np.sum(w * (qu ** (0.5 * p) - qv ** (0.5 * p)))) / p
     if p >= 2.0:
         distance = float(np.sum(w * qd ** (0.5 * p)))

@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aplab.core import Params, ScalarField, build_grid, gradient_field
-from aplab.energy import energy_gradient, total_energy
+from aplab.core import Params, build_grid, gradient_field
+from aplab.energy import DiscreteEnergy
 from aplab.geometry import (
     BallSpec,
     minkowski_content,
@@ -248,8 +248,8 @@ def test_energy_gradient_matches_finite_differences():
         )
         # magnitudes bounded away from zero keep F' smooth at every node
         values = rng.uniform(0.2, 1.2, shape) * rng.choice([-1.0, 1.0], shape)
-        fld = ScalarField(grid, values, grid.boundary_face_mask, values.copy())
-        grad = energy_gradient(fld, params)
+        kern = DiscreteEnergy(grid, params)
+        grad = kern.gradient(values, kern.conductances(kern.grad_sq(values), 0.0), 0.0)
 
         fd = np.zeros_like(grad)
         step = 1e-6
@@ -259,12 +259,8 @@ def test_energy_gradient_matches_finite_differences():
             up, dn = values.copy(), values.copy()
             up[i] += step
             dn[i] -= step
-            e_up = total_energy(
-                ScalarField(grid, up, grid.boundary_face_mask, up), params
-            )
-            e_dn = total_energy(
-                ScalarField(grid, dn, grid.boundary_face_mask, dn), params
-            )
+            e_up = kern.energy(up, kern.grad_sq(up), 0.0)
+            e_dn = kern.energy(dn, kern.grad_sq(dn), 0.0)
             fd[i] = (e_up - e_dn) / (2.0 * step)
         worst = max(worst, float(np.max(np.abs(grad - fd)) / np.max(np.abs(fd))))
     assert worst <= 1e-5

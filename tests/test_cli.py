@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -122,6 +123,56 @@ def test_compare_detects_differences(bundle_a, tmp_path, capsys):
 
     # a generous tolerance downgrades the differences to exit 0
     assert main(["compare", str(bundle_a), str(other), "--tol", "100.0"]) == 0
+
+
+def _bundle_with_report(bundle, dest, report):
+    dest.mkdir()
+    shutil.copy(bundle / "field.apf", dest / "field.apf")
+    (dest / "report.json").write_text(json.dumps(report))
+    return dest
+
+
+def test_compare_nan_against_number_is_over_tolerance(bundle_a, tmp_path, capsys):
+    a = _bundle_with_report(bundle_a, tmp_path / "a", {"x": 1.0})
+    b = _bundle_with_report(bundle_a, tmp_path / "b", {"x": float("nan")})
+    assert main(["compare", str(a), str(b), "--tol", "100.0"]) == 1
+    summary = json.loads(capsys.readouterr().out)
+    assert list(summary["over_tolerance"]) == ["x"]
+    assert summary["max_delta"] == float("inf")
+
+
+def test_compare_nan_against_nan_is_equal(bundle_a, tmp_path, capsys):
+    report = {"x": float("nan"), "y": 2.0}
+    a = _bundle_with_report(bundle_a, tmp_path / "a", report)
+    b = _bundle_with_report(bundle_a, tmp_path / "b", report)
+    assert main(["compare", str(a), str(b)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["over_tolerance"] == {}
+    assert summary["max_delta"] == 0.0
+    assert summary["n_compared"] == 2
+
+
+def test_compare_reports_work_counters_apart(bundle_a, tmp_path, capsys):
+    report = json.loads((bundle_a / "report.json").read_text())
+    report["solve"]["cg_iterations"] += 5
+    counted = _bundle_with_report(bundle_a, tmp_path / "counted", report)
+    assert main(["compare", str(bundle_a), str(counted)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["counter_deltas"] == {
+        "solve/cg_iterations": 5.0,
+        "solve/linear_solves": 0.0,
+        "solve/superlu_solves": 0.0,
+    }
+    assert summary["over_tolerance"] == {}
+    assert summary["max_delta"] == 0.0
+
+    # every other leaf, the Newton iteration count included, still counts
+    report["solve"]["n_iterations"] += 1
+    moved = _bundle_with_report(bundle_a, tmp_path / "moved", report)
+    assert main(["compare", str(bundle_a), str(moved)]) == 1
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["over_tolerance"] == {"solve/n_iterations": 1.0}
+    assert summary["counter_deltas"]["solve/cg_iterations"] == 5.0
 
 
 def test_compare_invalid_bundle_is_exit_2(bundle_a, tmp_path, capsys):

@@ -1,10 +1,14 @@
-"""Grids, parameters, fields, and the text field format."""
+"""Grids, parameters, fields, the text field format, and package exports."""
+
+import importlib
+import pkgutil
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import aplab
 from aplab.core import (
     FieldFormatError,
     Grid,
@@ -210,3 +214,12 @@ def test_round_trip_preserves_arbitrary_values(vals):
     fld = ScalarField(grid, arr, grid.boundary_face_mask, arr)
     back = deserialize_field(serialize_field(fld))
     np.testing.assert_array_equal(back.values, fld.values)
+
+
+@pytest.mark.parametrize(
+    "module",
+    ["aplab"] + sorted(f"aplab.{m.name}" for m in pkgutil.iter_modules(aplab.__path__)),
+)
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    assert [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)] == []

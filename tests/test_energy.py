@@ -5,15 +5,10 @@ import pytest
 
 from aplab.core import Params, ScalarField, build_grid
 from aplab.energy import (
-    NO_REG,
-    Regularization,
-    default_activity_threshold,
+    DiscreteEnergy,
     el_residual,
-    energy_gradient,
-    grad_sq_nodes,
     potential_derivative,
     potential_value,
-    total_energy,
 )
 from aplab.oracle import one_phase_profile
 
@@ -21,6 +16,17 @@ from aplab.oracle import one_phase_profile
 def _two_phase(p=2.0, gamma=1.0, lp=1.0, lm=1.0, **kw):
     kw.setdefault("alpha_p", 1.0)
     return Params(p=p, gamma=gamma, lambda_plus=lp, lambda_minus=lm, **kw)
+
+
+def _energy(fld, prm, eps=0.0, region=None):
+    kern = DiscreteEnergy(fld.grid, prm)
+    return kern.energy(fld.values, kern.grad_sq(fld.values), eps, region)
+
+
+def _gradient(fld, prm, eps):
+    kern = DiscreteEnergy(fld.grid, prm)
+    u = fld.values
+    return kern.gradient(u, kern.conductances(kern.grad_sq(u), eps), eps)
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +92,7 @@ def test_linear_profile_energy_closed_form():
     grid = build_grid(((0.0, 1.0),), (1001,))
     x = grid.axes[0]
     fld = ScalarField(grid, x, grid.boundary_face_mask, x)
-    assert total_energy(fld, prm) == pytest.approx(1.0, abs=1e-6)
+    assert _energy(fld, prm) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_zero_field_has_zero_energy():
@@ -94,9 +100,9 @@ def test_zero_field_has_zero_energy():
     grid = build_grid(((-1.0, 1.0), (-1.0, 1.0)), (17, 17))
     z = np.zeros(grid.shape)
     fld = ScalarField(grid, z, grid.boundary_face_mask, z)
-    assert total_energy(fld, prm) == 0.0
+    assert _energy(fld, prm) == 0.0
     # anchored smoothing: the regularized density also vanishes at u = 0
-    assert total_energy(fld, prm, Regularization(0.1, 0.1)) == 0.0
+    assert _energy(fld, prm, 0.1) == 0.0
 
 
 def test_region_energy_restricts_quadrature():
@@ -104,19 +110,52 @@ def test_region_energy_restricts_quadrature():
     grid = build_grid(((0.0, 1.0),), (101,))
     x = grid.axes[0]
     fld = ScalarField(grid, x, grid.boundary_face_mask, x)
-    full = total_energy(fld, prm)
-    everywhere = total_energy(fld, prm, region=np.ones(grid.shape, dtype=bool))
-    half = total_energy(fld, prm, region=x <= 0.5)
+    full = _energy(fld, prm)
+    everywhere = _energy(fld, prm, region=np.ones(grid.shape, dtype=bool))
+    half = _energy(fld, prm, region=x <= 0.5)
     assert everywhere == pytest.approx(full)
     assert 0.0 < half < full
     with pytest.raises(ValueError):
-        total_energy(fld, prm, region=np.zeros(grid.shape, dtype=bool))
+        _energy(fld, prm, region=np.zeros(grid.shape, dtype=bool))
+
+
+@pytest.mark.parametrize(
+    "mask, match",
+    [
+        (np.ones(11, dtype=int), "bool node mask"),
+        (np.ones(10, dtype=bool), "bool node mask"),
+        (np.zeros(11, dtype=bool), "empty integration region"),
+    ],
+    ids=["non-bool", "wrong-shape", "empty"],
+)
+def test_kernel_rejects_malformed_region(mask, match):
+    prm = _two_phase()
+    grid = build_grid(((0.0, 1.0),), (11,))
+    kern = DiscreteEnergy(grid, prm)
+    u = grid.axes[0]
+    with pytest.raises(ValueError, match=match):
+        kern.energy(u, kern.grad_sq(u), 0.0, region=mask)
+
+
+def test_kernel_rejects_negative_width():
+    prm = _two_phase()
+    grid = build_grid(((0.0, 1.0),), (11,))
+    kern = DiscreteEnergy(grid, prm)
+    u = grid.axes[0]
+    q = kern.grad_sq(u)
+    kappas = kern.conductances(q, 0.1)
+    with pytest.raises(ValueError, match="smoothing width"):
+        kern.energy(u, q, -0.1)
+    with pytest.raises(ValueError, match="smoothing width"):
+        kern.conductances(q, -0.1)
+    with pytest.raises(ValueError, match="smoothing width"):
+        kern.gradient(u, kappas, -0.1)
 
 
 def test_grad_sq_exact_for_affine_any_dimension():
     grid = build_grid(((-1.0, 1.0), (0.0, 2.0)), (13, 9))
     X, Y = grid.coordinate_arrays()
-    q = grad_sq_nodes(1.5 * X - 2.0 * Y + 0.3, grid)
+    q = DiscreteEnergy.dirichlet(grid, 2.0).grad_sq(1.5 * X - 2.0 * Y + 0.3)
     np.testing.assert_allclose(q, 1.5**2 + 2.0**2, rtol=1e-13)
 
 
@@ -131,16 +170,14 @@ def test_energy_order_independent_under_relabeling():
     flipped = ScalarField(
         grid, vals[::-1, ::-1], grid.boundary_face_mask, vals[::-1, ::-1]
     )
-    assert total_energy(fld, prm) == pytest.approx(
-        total_energy(flipped, prm), rel=1e-14
-    )
+    assert _energy(fld, prm) == pytest.approx(_energy(flipped, prm), rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
 # First variation
 
 
-def _fd_gradient(fld, prm, reg, step=1e-6):
+def _fd_gradient(fld, prm, eps, step=1e-6):
     base = fld.values
     out = np.zeros_like(base)
     it = np.nditer(base, flags=["multi_index"])
@@ -150,8 +187,8 @@ def _fd_gradient(fld, prm, reg, step=1e-6):
         up[idx] += step
         dn = base.copy()
         dn[idx] -= step
-        e_up = total_energy(fld.with_values(up), prm, reg)
-        e_dn = total_energy(fld.with_values(dn), prm, reg)
+        e_up = _energy(fld.with_values(up), prm, eps)
+        e_dn = _energy(fld.with_values(dn), prm, eps)
         out[idx] = (e_up - e_dn) / (2 * step)
     return out
 
@@ -159,13 +196,13 @@ def _fd_gradient(fld, prm, reg, step=1e-6):
 @pytest.mark.parametrize("p,gamma", [(2.0, 1.0), (3.0, 0.5), (1.5, 0.8)])
 def test_energy_gradient_matches_finite_differences(p, gamma):
     prm = _two_phase(p=p, gamma=gamma, lp=1.0, lm=0.5)
-    reg = Regularization(0.1, 0.1)
+    eps = 0.1
     grid = build_grid(((-1.0, 1.0),), (33,))
     rng = np.random.default_rng(42)
     vals = rng.standard_normal(grid.shape)
     fld = ScalarField(grid, vals, grid.boundary_face_mask, vals)
-    g = energy_gradient(fld, prm, reg)
-    fd = _fd_gradient(fld, prm, reg)
+    g = _gradient(fld, prm, eps)
+    fd = _fd_gradient(fld, prm, eps)
     # free interior nodes only: with_values re-stamps pinned nodes, so the
     # probe cannot move them and their difference quotient is vacuous
     free = fld.free_mask
@@ -176,16 +213,14 @@ def test_energy_gradient_matches_finite_differences(p, gamma):
 
 def test_energy_gradient_is_descent_direction():
     prm = _two_phase(p=2.5, gamma=0.7)
-    reg = Regularization(0.05, 0.05)
+    eps = 0.05
     grid = build_grid(((-1.0, 1.0),), (65,))
     rng = np.random.default_rng(3)
     vals = rng.standard_normal(grid.shape)
     fld = ScalarField(grid, vals, grid.boundary_face_mask, vals)
-    g = energy_gradient(fld, prm, reg)
+    g = _gradient(fld, prm, eps)
     step = fld.values - 1e-6 * g
-    assert total_energy(fld.with_values(step), prm, reg) < total_energy(
-        fld, prm, reg
-    )
+    assert _energy(fld.with_values(step), prm, eps) < _energy(fld, prm, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -228,10 +263,16 @@ def test_el_residual_of_sampled_profile_refines_at_first_order():
 
 
 def test_activity_threshold_scales_with_spacing():
-    prm = _two_phase(gamma=1.0)
-    coarse = build_grid(((0.0, 1.0),), (11,))
-    fine = build_grid(((0.0, 1.0),), (101,))
-    t_c = default_activity_threshold(coarse, prm)
-    t_f = default_activity_threshold(fine, prm)
-    assert t_f < t_c
-    assert t_c == pytest.approx(10.0 * 0.1 ** (1 + prm.tau))
+    # el_residual's default threshold is 10 h^(1+tau): it matches that
+    # explicit threshold and differs from half of it, on two spacings
+    prm = _two_phase(p=3.0, gamma=1.0, lp=2.25, lm=2.25)
+    prof = one_phase_profile(prm)
+    for n in (11, 101):
+        grid = build_grid(((-1.0, 1.0),), (n,))
+        x = grid.axes[0]
+        vals = prof.coefficient * np.clip(x, 0.0, None) ** prof.beta
+        fld = ScalarField(grid, vals, grid.boundary_face_mask, vals)
+        t = 10.0 * grid.spacing[0] ** (1 + prm.tau)
+        default = el_residual(fld, prm)
+        assert default == el_residual(fld, prm, activity_threshold=t)
+        assert default != el_residual(fld, prm, activity_threshold=0.5 * t)

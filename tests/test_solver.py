@@ -8,7 +8,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from aplab.core import Grid, Params, ScalarField
-from aplab.energy import DiscreteEnergy, dirichlet_gradient
+from aplab.energy import DiscreteEnergy
 from aplab.oracle import one_phase_profile, radial_p_harmonic
 from aplab.solver import (
     SolverConfig,
@@ -81,7 +81,8 @@ def test_diffusion_operator_reproduces_dirichlet_gradient(extents, shape, p):
     grid = Grid(extents=extents, resolution=shape)
     u = np.random.default_rng(len(shape)).standard_normal(shape)
     a_u = assemble_diffusion(u, grid, p, 0.1) @ u.ravel()
-    g = dirichlet_gradient(u, grid, p, 0.1).ravel()
+    kern = DiscreteEnergy.dirichlet(grid, p)
+    g = kern.gradient(u, kern.conductances(kern.grad_sq(u), 0.1), 0.1).ravel()
     assert np.max(np.abs(a_u - g)) <= 1e-12 * np.max(np.abs(g))
 
 
