@@ -374,7 +374,10 @@ def _parse_header(line: str) -> Grid:
         raise FieldFormatError(f"corrupted header: {line!r}") from exc
     if not (len(n) == len(a) == len(b) == dim):
         raise FieldFormatError("header dim does not match per-axis lists")
-    return build_grid(tuple(zip(a, b)), n)
+    try:
+        return build_grid(tuple(zip(a, b)), n)
+    except ValueError as exc:
+        raise FieldFormatError(f"invalid grid in header: {exc}") from exc
 
 
 def deserialize_field(text: str) -> ScalarField:
@@ -408,9 +411,12 @@ def deserialize_field(text: str) -> ScalarField:
         raise FieldFormatError(f"bad MASK entries: {sorted(bad)}")
     mask = np.array([r == "1" for r in mask_rows], dtype=bool).reshape(grid.shape)
     bvals = _floats(body[2 * count + 2 :], "BVALS").reshape(grid.shape)
-    return ScalarField(
-        grid=grid, values=values, boundary_mask=mask, boundary_values=bvals
-    )
+    try:
+        return ScalarField(
+            grid=grid, values=values, boundary_mask=mask, boundary_values=bvals
+        )
+    except ValueError as exc:
+        raise FieldFormatError(f"invalid field data: {exc}") from exc
 
 
 def save_field(field: ScalarField, path) -> None:

@@ -78,7 +78,11 @@ def potential_derivative(v, params: Params, eps: float = 0.0):
 
 
 def potential_curvature(v, params: Params, eps: float) -> np.ndarray:
-    """d2F/dv2 of the smoothed potential (eps > 0 required)."""
+    """d2F/dv2 of the smoothed potential (eps > 0 required).
+
+    At v = 0 the two phases' one-sided limits differ when their weights
+    do; the value there is their mean, as a central difference gives.
+    """
     if eps <= 0.0:
         raise ValueError("potential_curvature needs eps > 0")
     v = np.asarray(v, dtype=float)
@@ -92,9 +96,7 @@ def potential_curvature(v, params: Params, eps: float) -> np.ndarray:
     cm = params.lambda_minus * g * (vm * vm + e2) ** (0.5 * g - 2.0) * (
         e2 + (g - 1.0) * vm * vm
     )
-    cp = np.where(v >= 0.0, cp, 0.0)
-    cm = np.where(v <= 0.0, cm, 0.0)
-    return cp + cm
+    return np.where(v > 0.0, cp, np.where(v < 0.0, cm, 0.5 * (cp + cm)))
 
 
 def _axis(grid: Grid, a: int) -> tuple:
@@ -118,10 +120,7 @@ def _axis(grid: Grid, a: int) -> tuple:
 
 
 def _phi(q: np.ndarray, p: float, eps: float) -> np.ndarray:
-    if eps == 0.0:
-        return q ** (0.5 * p) / p
-    e2 = eps * eps
-    return ((q + e2) ** (0.5 * p) - eps**p) / p
+    return ((q + eps * eps) ** (0.5 * p) - eps**p) / p
 
 
 def _psi(q: np.ndarray, p: float, eps: float) -> np.ndarray:

@@ -293,6 +293,7 @@ def config_digest(cfg: dict) -> str:
 # Boundary-data expressions: arithmetic over coordinates with pow/abs/max/min.
 
 _AXIS_NAMES = ("x", "y", "z")
+_TOO_DEEP = "boundary expression is nested too deeply"
 _BINOPS = {
     ast.Add: np.add,
     ast.Sub: np.subtract,
@@ -307,12 +308,16 @@ def eval_boundary_expression(expr: str, grid: Grid) -> np.ndarray:
 
     Grammar: numbers, the coordinate names x/y/z (up to the grid
     dimension), + - * / ** and unary -, and calls to pow, abs, max, min.
-    Anything else, and any non-finite result, is a ConfigError.
+    Anything else, a non-finite result, or nesting deeper than the parser
+    or the evaluator can follow raises ConfigError.
     """
     try:
         tree = ast.parse(expr, mode="eval")
     except SyntaxError as exc:
         raise ConfigError(f"boundary expression does not parse: {exc}") from exc
+    except (RecursionError, MemoryError) as exc:
+        # how the parser reports nesting deeper than its stack
+        raise ConfigError(_TOO_DEEP) from exc
     coords = grid.coordinate_arrays()
     env = {name: coords[i] for i, name in enumerate(_AXIS_NAMES[: grid.ndim])}
 
@@ -364,8 +369,11 @@ def eval_boundary_expression(expr: str, grid: Grid) -> np.ndarray:
             f"disallowed syntax in boundary expression: {type(node).__name__}"
         )
 
-    with np.errstate(all="ignore"):
-        out = ev(tree.body)
+    try:
+        with np.errstate(all="ignore"):
+            out = ev(tree.body)
+    except RecursionError as exc:
+        raise ConfigError(_TOO_DEEP) from exc
     out = np.broadcast_to(np.asarray(out, dtype=float), grid.shape).copy()
     if not np.all(np.isfinite(out)):
         raise ConfigError("boundary expression produced non-finite values")
@@ -688,7 +696,8 @@ def run_experiment(cfg: dict) -> ExperimentResult:
 
     A solver stall is not fatal here: diagnostics run on the partial
     iterate and the report is marked ``stalled``; the caller decides the
-    exit status.
+    exit status.  A diagnostic that cannot be computed, a replacement
+    that does not converge included, raises ConfigError.
     """
     field0, params, solver_cfg = build_problem(cfg)
     stalled = False
@@ -796,7 +805,7 @@ def run_experiment(cfg: dict) -> ExperimentResult:
             out["inequalities"] = _inequality_diag(
                 diag["inequalities"], cfg["seed"], rows
             )
-    except ValueError as exc:
+    except (ValueError, SolverStall) as exc:
         raise ConfigError(f"diagnostics request not satisfiable: {exc}") from exc
 
     manifest = {

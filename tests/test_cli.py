@@ -75,6 +75,18 @@ def test_run_invalid_config_is_exit_2(tmp_path, capsys):
     assert "config invalid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "boundary",
+    ["+".join(["x"] * 3000), "-" * 2000 + "x", "-" * 100_000 + "x"],
+    ids=["long_sum", "unary_chain", "parser_stack"],
+)
+def test_run_deeply_nested_boundary_is_exit_2(tmp_path, capsys, boundary):
+    cfg = tmp_path / "deep.json"
+    cfg.write_text(json.dumps(small_config(boundary=boundary)))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "nested too deeply" in capsys.readouterr().err
+
+
 def test_run_stall_is_exit_3_with_partial_bundle(tmp_path, capsys):
     cfg_dict = small_config()
     cfg_dict["solver"] = {"armijo_c1": 0.999, "step_floor": 0.5}
@@ -177,6 +189,26 @@ def test_compare_reports_work_counters_apart(bundle_a, tmp_path, capsys):
 
 def test_compare_invalid_bundle_is_exit_2(bundle_a, tmp_path, capsys):
     assert main(["compare", str(bundle_a), str(tmp_path / "empty")]) == 2
+    assert "invalid bundle" in capsys.readouterr().err
+
+
+def _one_node_axis(text):
+    return "APFIELD v1 dim=1 n=1 a=-1.0 b=1.0\n0.0\nMASK\n1\nBVALS\n0.0\n"
+
+
+def _nonfinite_free_value(text):
+    lines = text.splitlines()
+    lines[2] = "nan"  # node 1; node 0 is pinned and would be overwritten
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("corrupt", [_one_node_axis, _nonfinite_free_value])
+def test_compare_bad_field_is_exit_2(bundle_a, tmp_path, capsys, corrupt):
+    bad = tmp_path / "bad"
+    shutil.copytree(bundle_a, bad)
+    path = bad / "field.apf"
+    path.write_text(corrupt(path.read_text()))
+    assert main(["compare", str(bundle_a), str(bad)]) == 2
     assert "invalid bundle" in capsys.readouterr().err
 
 

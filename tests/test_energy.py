@@ -7,6 +7,7 @@ from aplab.core import Params, ScalarField, build_grid
 from aplab.energy import (
     DiscreteEnergy,
     el_residual,
+    potential_curvature,
     potential_derivative,
     potential_value,
 )
@@ -80,6 +81,25 @@ def test_potential_derivative_matches_value_slope():
         potential_value(v + step, prm, eps) - potential_value(v - step, prm, eps)
     ) / (2 * step)
     np.testing.assert_allclose(potential_derivative(v, prm, eps), fd, atol=1e-6)
+
+
+@pytest.mark.parametrize("lp, lm", [(1.0, 1.0), (1.0, 0.3)])
+def test_potential_curvature_matches_derivative_slope(lp, lm):
+    # at v = 0 the one-sided limits are lam+- * g * eps^(g-2); the central
+    # difference of F' there gives their mean, and so must F''
+    prm = _two_phase(gamma=0.5, lp=lp, lm=lm)
+    eps = 1e-3
+    v = np.linspace(-0.01, 0.01, 201)
+    assert np.count_nonzero(v == 0.0) == 1
+    step = 1e-9
+    fd = (
+        potential_derivative(v + step, prm, eps)
+        - potential_derivative(v - step, prm, eps)
+    ) / (2 * step)
+    curv = potential_curvature(v, prm, eps)
+    np.testing.assert_allclose(curv, fd, rtol=1e-6, atol=1e-6 * np.max(np.abs(fd)))
+    mean = 0.5 * (lp + lm) * 0.5 * eps**-1.5
+    assert potential_curvature(0.0, prm, eps) == pytest.approx(mean, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------

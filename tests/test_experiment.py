@@ -1,11 +1,13 @@
 """Config validation, boundary expressions, runs, and bundle writing."""
 
 import copy
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+import aplab.solver
 from aplab.core import build_grid
 from aplab.experiment import (
     CSV_COLUMNS,
@@ -273,6 +275,22 @@ def test_run_rejects_unsatisfiable_diagnostics():
     cfg = tiny_config()
     cfg["diagnostics"]["growth"]["radii"] = [0.001]  # below grid resolution
     with pytest.raises(ConfigError, match="not satisfiable"):
+        run_experiment(cfg)
+
+
+def test_run_rejects_unconverged_replacement(monkeypatch):
+    real = aplab.solver.minimize
+
+    def unconverged(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), converged=False)
+
+    # the replacement's solve goes through aplab.solver.minimize; the main
+    # solve uses the name experiment imported, which stays the real one
+    monkeypatch.setattr(aplab.solver, "minimize", unconverged)
+    cfg = tiny_config()
+    cfg["problem"].update(extents=[[-1.0, 1.0]] * 2, resolution=[17, 17])
+    cfg["diagnostics"] = {"replacement": {"center": [0.0, 0.0], "radius": 0.5}}
+    with pytest.raises(ConfigError, match="did not converge"):
         run_experiment(cfg)
 
 

@@ -1,5 +1,6 @@
 """Continuation solver, Dirichlet-term replacement, and comparison gaps."""
 
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import aplab.solver
 from aplab.core import Grid, Params, ScalarField
 from aplab.energy import DiscreteEnergy
 from aplab.oracle import one_phase_profile, radial_p_harmonic
@@ -16,7 +18,6 @@ from aplab.solver import (
     _box_preconditioner,
     _free_block,
     SolverStall,
-    assemble_diffusion,
     comparison_gap,
     minimize,
     nonlinearity_gap,
@@ -80,9 +81,10 @@ def test_diffusion_operator_reproduces_dirichlet_gradient(extents, shape, p):
     # the Newton model rests on A(u) @ u being the exact Dirichlet gradient
     grid = Grid(extents=extents, resolution=shape)
     u = np.random.default_rng(len(shape)).standard_normal(shape)
-    a_u = assemble_diffusion(u, grid, p, 0.1) @ u.ravel()
     kern = DiscreteEnergy.dirichlet(grid, p)
-    g = kern.gradient(u, kern.conductances(kern.grad_sq(u), 0.1), 0.1).ravel()
+    kappas = kern.conductances(kern.grad_sq(u), 0.1)
+    a_u = _free_block(kern, kappas, np.arange(u.size)) @ u.ravel()
+    g = kern.gradient(u, kappas, 0.1).ravel()
     assert np.max(np.abs(a_u - g)) <= 1e-12 * np.max(np.abs(g))
 
 
@@ -118,7 +120,7 @@ def test_free_block_equals_sliced_full_operator(extents, shape, p):
     shift = rng.random(idx.size)
     kern = DiscreteEnergy.dirichlet(grid, p)
     kappas = kern.conductances(kern.grad_sq(u), 0.1)
-    full = assemble_diffusion(u, grid, p, 0.1)
+    full = _free_block(kern, kappas, np.arange(u.size))
     _assert_same_csr(full, _coo_operator(kern, kappas))
     want = (scale * full[idx][:, idx] + sp.diags(shift)).tocsr()
     _assert_same_csr(_free_block(kern, kappas, idx, scale, shift), want)
@@ -402,14 +404,48 @@ def test_replacement_without_relaxed_nodes_is_identity():
 # comparison gaps
 
 
-def _bump_field_and_replacement(p):
-    grid = Grid(extents=((-1.0, 1.0), (-1.0, 1.0)), resolution=(65, 65))
-    X, Y = np.meshgrid(grid.axes[0], grid.axes[1], indexing="ij")
-    u = np.sin(2.1 * X) * np.cos(1.3 * Y) + 0.3 * X * Y
+def _bump_field(shape=(65, 65)):
+    # a smooth field pinned on the box faces, relaxed in the ball of radius 0.45
+    grid = Grid(extents=((-1.0, 1.0),) * len(shape), resolution=shape)
+    X = grid.coordinate_arrays()
+    u = np.sin(2.1 * X[0]) * np.cos(1.3 * X[1]) + 0.3 * X[0] * X[1]
+    if len(shape) == 3:
+        u = u + 0.2 * np.sin(1.7 * X[2])
     fld = ScalarField(grid=grid, values=u, boundary_mask=grid.boundary_face_mask,
                       boundary_values=u)
-    region = (X**2 + Y**2) < 0.45**2
+    return fld, sum(x**2 for x in X) < 0.45**2
+
+
+def _bump_field_and_replacement(p):
+    fld, region = _bump_field()
     return fld, p_harmonic_replacement(fld, p, region)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+@pytest.mark.parametrize("shape", [(65, 65), (17, 17, 17)], ids=["2d", "3d"])
+def test_replacement_meets_the_residual_tolerance(shape, p):
+    # the replaced field is a converged Dirichlet minimizer on the relaxed
+    # nodes, at the solver's residual tolerance, and untouched elsewhere
+    fld, region = _bump_field(shape)
+    v = p_harmonic_replacement(fld, p, region).values
+    kern = DiscreteEnergy.dirichlet(fld.grid, p)
+    g = kern.gradient(v, kern.conductances(kern.grad_sq(v), 1e-9), 1e-9)
+    r = (g / kern.weights)[region]
+    assert np.sqrt(np.mean(r * r)) <= SolverConfig().tol_residual
+    assert np.array_equal(v[~region], fld.values[~region])
+
+
+def test_unconverged_replacement_raises_stall(monkeypatch):
+    real = aplab.solver.minimize
+
+    def unconverged(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), converged=False)
+
+    monkeypatch.setattr(aplab.solver, "minimize", unconverged)
+    fld, region = _bump_field((17, 17))
+    with pytest.raises(SolverStall, match="did not converge") as info:
+        p_harmonic_replacement(fld, 3.0, region)
+    assert not info.value.result.converged
 
 
 def test_comparison_gap_identity_at_p_two():
