@@ -327,7 +327,10 @@ def eval_boundary_expression(expr: str, grid: Grid) -> np.ndarray:
                 node.value, (int, float)
             ):
                 raise ConfigError(f"non-numeric constant {node.value!r}")
-            return float(node.value)
+            try:
+                return float(node.value)
+            except OverflowError as exc:  # an integer literal past the float range
+                raise ConfigError("numeric constant out of float range") from exc
         if isinstance(node, ast.Name):
             if node.id not in env:
                 raise ConfigError(

@@ -103,20 +103,29 @@ def radial_p_harmonic(dim: int, p: float) -> ExactProfile:
 #   u' = sign(q) |q|^(1/(p-1)),   q' = delta * F_eps'(u),
 # integrated with classical fixed-step RK4 (reproducible; no adaptivity),
 # and the initial flux matched to the right boundary value by bracketed
-# root finding.  All bracketed matches are returned.
+# root finding.  Every bracketed match is returned.
+
+# smoothing width of F_eps' on the right-hand side
+_EPS_POT = 1e-8
+# a root is a match when its endpoint misses the right boundary value by at
+# most MATCH_TOL * (1 + |g_right - g_left|); anything larger is a jump of the
+# endpoint map that the root finder closed in on
+MATCH_TOL = 1e-8
 
 
-def _integrate(u0, q0, h, n_steps, p, gamma, lamp, lamm, delta, eps, rec_u, rec_q):
-    """Fixed-step RK4 from (u0, q0), recording every step in rec_u/rec_q."""
+def _integrate(u0, q0, h, n_steps, p, gamma, lamp, lamm, delta):
+    """Fixed-step RK4 from (u0, q0); returns the trajectory (u_k), (q_k)."""
     inv = 1.0 / (p - 1.0)
-    e2 = eps * eps
+    e2 = _EPS_POT * _EPS_POT
     ex = 0.5 * gamma - 1.0
+    rec_u = np.empty(n_steps + 1)
+    rec_q = np.empty(n_steps + 1)
     u = u0
     q = q0
     rec_u[0] = u
     rec_q[0] = q
     for k in range(n_steps):
-        # RK4 on f(u, q) = (sign(q)|q|^inv, delta * F'(u))
+        # RK4 on f(u, q) = (sign(q)|q|^inv, delta * F'(u)), stages unrolled
         du1 = abs(q) ** inv if q > 0 else (-(abs(q) ** inv) if q < 0 else 0.0)
         vp = u if u > 0 else 0.0
         vm = -u if u < 0 else 0.0
@@ -151,35 +160,7 @@ def _integrate(u0, q0, h, n_steps, p, gamma, lamp, lamm, delta, eps, rec_u, rec_
         q = q + h * (dq1 + 2.0 * dq2 + 2.0 * dq3 + dq4) / 6.0
         rec_u[k + 1] = u
         rec_q[k + 1] = q
-    return u
-
-
-def _coarse_endpoints(q0s, u0, h, n_steps, p, gamma, lamp, lamm, delta, eps):
-    """Vectorized RK4 endpoint values for a batch of initial fluxes."""
-    inv = 1.0 / (p - 1.0)
-    e2 = eps * eps
-    ex = 0.5 * gamma - 1.0
-
-    def fu(q):
-        return np.sign(q) * np.abs(q) ** inv
-
-    def fq(u):
-        vp = np.maximum(u, 0.0)
-        vm = np.maximum(-u, 0.0)
-        return delta * gamma * (
-            lamp * vp * (vp * vp + e2) ** ex - lamm * vm * (vm * vm + e2) ** ex
-        )
-
-    u = np.full_like(q0s, u0)
-    q = q0s.copy()
-    for _ in range(n_steps):
-        du1, dq1 = fu(q), fq(u)
-        du2, dq2 = fu(q + 0.5 * h * dq1), fq(u + 0.5 * h * du1)
-        du3, dq3 = fu(q + 0.5 * h * dq2), fq(u + 0.5 * h * du2)
-        du4, dq4 = fu(q + h * dq3), fq(u + h * du3)
-        u = u + h * (du1 + 2 * du2 + 2 * du3 + du4) / 6.0
-        q = q + h * (dq1 + 2 * dq2 + 2 * dq3 + dq4) / 6.0
-    return u
+    return rec_u, rec_q
 
 
 @dataclass(frozen=True)
@@ -193,9 +174,6 @@ class ShootingSolution:
     boundary_mismatch: float
     richardson_error: float
     energy: float
-    x_fine: np.ndarray
-    u_fine: np.ndarray
-    flux_fine: np.ndarray
 
     def field(self) -> ScalarField:
         grid = Grid(
@@ -226,18 +204,17 @@ def shoot_two_phase_1d(
     interval: tuple[float, float] = (-1.0, 1.0),
     n_out: int = 257,
     h_ode: float | None = None,
-    eps_pot: float = 1e-8,
     n_scan: int = 97,
     scan_span: float | None = None,
 ) -> ShootingResult:
     """Solve the 1D two-phase problem by shooting on the initial flux.
 
-    A coarse vectorized scan brackets the sign changes of the endpoint
-    mismatch over a window of initial fluxes; each bracket is polished by
-    bracketed root finding at the full step count (default step
-    1e-5 * interval length), and every matched trajectory is returned,
-    lowest energy first.  ``richardson_error`` is the endpoint shift
-    under step halving.
+    A coarse scan brackets the sign changes of the endpoint mismatch over a
+    window of initial fluxes; each bracket is polished by bracketed root
+    finding at the full step count (default step 1e-5 * interval length).
+    Every root that matches the right boundary value to ``MATCH_TOL`` is
+    returned, lowest energy first.  ``richardson_error`` is the endpoint
+    shift under step halving.
     """
     xa, xb = float(interval[0]), float(interval[1])
     if not xb > xa:
@@ -251,29 +228,28 @@ def shoot_two_phase_1d(
     steps_per_seg = max(1, math.ceil(length / h_ode / n_seg))
     n_steps = steps_per_seg * n_seg
     h = length / n_steps
-
-    p, g = params.p, params.gamma
-    lamp, lamm, delta = params.lambda_plus, params.lambda_minus, params.delta
+    rhs = (params.p, params.gamma, params.lambda_plus, params.lambda_minus,
+           params.delta)
 
     m0 = (g_right - g_left) / length
-    q_center = float(np.sign(m0) * abs(m0) ** (p - 1.0))
+    q_center = float(np.sign(m0) * abs(m0) ** (params.p - 1.0))
     if scan_span is None:
         scan_span = 8.0 * (1.0 + abs(q_center))
     q0s = q_center + np.linspace(-scan_span, scan_span, n_scan)
 
     n_coarse = max(2000, n_steps // 100)
-    ends = _coarse_endpoints(
-        q0s, g_left, length / n_coarse, n_coarse, p, g, lamp, lamm, delta, eps_pot
-    )
-    resid = ends - g_right
+    resid = np.empty(n_scan)
+    for i, q0 in enumerate(q0s):
+        try:
+            u_end = _integrate(g_left, float(q0), length / n_coarse, n_coarse,
+                               *rhs)[0][-1]
+        except OverflowError:  # a float power past the float range
+            u_end = math.nan
+        resid[i] = u_end - g_right
     ok = np.isfinite(resid)
 
     def endpoint(q0: float) -> float:
-        rec_u = np.empty(n_steps + 1)
-        rec_q = np.empty(n_steps + 1)
-        _integrate(g_left, q0, h, n_steps, p, g, lamp, lamm, delta, eps_pot,
-                   rec_u, rec_q)
-        return rec_u[-1] - g_right
+        return _integrate(g_left, q0, h, n_steps, *rhs)[0][-1] - g_right
 
     brackets = []
     for i in range(n_scan - 1):
@@ -287,58 +263,48 @@ def shoot_two_phase_1d(
             f"[{q0s[0]:.6g}, {q0s[-1]:.6g}] never match the right boundary value"
         )
 
+    tol = MATCH_TOL * (1.0 + abs(g_right - g_left))
     solutions = []
     seen = []
     for qa, qb in brackets:
-        ra, rb = endpoint(qa), endpoint(qb)
-        if ra == 0.0:
-            q_root = qa
-        elif rb == 0.0:
-            q_root = qb
-        elif ra * rb > 0:
-            continue  # coarse bracket not confirmed at full accuracy
-        else:
+        try:
             q_root = brentq(endpoint, qa, qb, xtol=1e-14, rtol=8.9e-16)
+        except ValueError:
+            continue  # no sign change at full accuracy
         if any(abs(q_root - s) <= 1e-10 * (1.0 + abs(q_root)) for s in seen):
             continue
         seen.append(q_root)
 
-        rec_u = np.empty(n_steps + 1)
-        rec_q = np.empty(n_steps + 1)
-        _integrate(g_left, q_root, h, n_steps, p, g, lamp, lamm, delta,
-                   eps_pot, rec_u, rec_q)
-        mismatch = abs(rec_u[-1] - g_right)
-
-        rec_u2 = np.empty(2 * n_steps + 1)
-        rec_q2 = np.empty(2 * n_steps + 1)
-        _integrate(g_left, q_root, 0.5 * h, 2 * n_steps, p, g, lamp, lamm,
-                   delta, eps_pot, rec_u2, rec_q2)
-        rich = abs(rec_u2[-1] - rec_u[-1])
+        u, q = _integrate(g_left, q_root, h, n_steps, *rhs)
+        mismatch = abs(u[-1] - g_right)
+        if not mismatch <= tol:
+            continue  # a jump of the endpoint map, not a root
+        u_half, _ = _integrate(g_left, q_root, 0.5 * h, 2 * n_steps, *rhs)
+        rich = abs(u_half[-1] - u[-1])
 
         x_fine = xa + h * np.arange(n_steps + 1)
-        dens = np.abs(rec_q) ** (p / (p - 1.0)) / p + delta * np.asarray(
-            potential_value_exact(rec_u, params)
+        dens = np.abs(q) ** (params.p / (params.p - 1.0)) / params.p + (
+            params.delta * potential_value_exact(u, params)
         )
         energy = float(np.trapezoid(dens, x_fine))
 
-        xs = x_fine[::steps_per_seg]
         solutions.append(
             ShootingSolution(
                 initial_flux=float(q_root),
-                x=xs.copy(),
-                u=rec_u[::steps_per_seg].copy(),
-                flux=rec_q[::steps_per_seg].copy(),
+                x=x_fine[::steps_per_seg].copy(),
+                u=u[::steps_per_seg].copy(),
+                flux=q[::steps_per_seg].copy(),
                 boundary_mismatch=float(mismatch),
                 richardson_error=float(rich),
                 energy=energy,
-                x_fine=x_fine,
-                u_fine=rec_u,
-                flux_fine=rec_q,
             )
         )
 
     if not solutions:
-        raise ValueError("all coarse brackets dissolved at full accuracy")
+        raise ValueError(
+            "no bracket holds a match at full accuracy: each one dissolved or "
+            f"closed on a jump of the endpoint map (tolerance {tol:.3g})"
+        )
     solutions.sort(key=lambda s: (s.energy, s.initial_flux))
     return ShootingResult(solutions=tuple(solutions))
 

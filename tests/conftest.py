@@ -8,13 +8,16 @@ exact nodal profile when a closed form exists.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+import aplab
 from aplab.core import Params, ScalarField, build_grid
 from aplab.oracle import one_phase_profile
 from aplab.solver import SolveResult, minimize
@@ -27,6 +30,13 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("ci")
+
+# pytest's `pythonpath` setting reaches this interpreter only; the child
+# interpreters of the CLI tests import aplab through PYTHONPATH
+_SRC = str(Path(aplab.__file__).parent.parent)
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, (_SRC, os.environ.get("PYTHONPATH")))
+)
 
 
 @dataclass(frozen=True)

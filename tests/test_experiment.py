@@ -164,6 +164,21 @@ def test_expression_rejections(expr):
         eval_boundary_expression(expr, grid)
 
 
+def test_integer_literal_past_float_range_is_config_error(tmp_path, capsys):
+    from aplab.cli import main
+
+    huge = "1" + "0" * 400
+    grid = build_grid(((-1.0, 1.0),), (9,))
+    with pytest.raises(ConfigError, match="out of float range"):
+        eval_boundary_expression(huge, grid)
+    cfg = tiny_config()
+    cfg["problem"]["boundary"] = huge
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "out of float range" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # problem building
 

@@ -8,6 +8,7 @@ two is a genuine cross-check.
 import numpy as np
 import pytest
 
+import aplab.oracle as oracle
 from aplab.core import Grid, Params, ScalarField
 from aplab.oracle import (
     one_phase_profile,
@@ -184,7 +185,6 @@ def test_shooter_output_grid(takeoff_shot):
     assert sol.x[0] == pytest.approx(0.0)
     assert sol.x[-1] == pytest.approx(1.0)
     np.testing.assert_allclose(np.diff(sol.x), sol.x[1] - sol.x[0], rtol=1e-12)
-    assert len(sol.u_fine) >= len(sol.u)
 
 
 def test_shooter_field_round_trip(takeoff_shot):
@@ -235,6 +235,56 @@ def test_shooter_agrees_with_grid_minimizer():
     assert out.energy == pytest.approx(shot.energy, rel=1e-4)
 
 
+def test_shooter_degenerate_takeoff_profile():
+    # p = 3, gamma = 1, lambda+ = 9/4: the exact minimizer is x^(3/2) on (0, 1)
+    par = Params(p=3.0, gamma=1.0, lambda_plus=2.25, lambda_minus=2.25, alpha_p=1.0)
+    sol = shoot_two_phase_1d(par, 0.0, 1.0, interval=(0.0, 1.0), n_out=33,
+                             h_ode=1e-3).primary
+    assert sol.boundary_mismatch <= 1e-12
+    assert np.max(np.abs(sol.u - sol.x**1.5)) <= 1e-5
+    # integral of |1.5 x^(1/2)|^3 / 3 + 2.25 x^(3/2) over (0, 1) is 1.35
+    assert sol.energy == pytest.approx(1.35, abs=1e-5)
+
+
+def test_shooter_rejects_a_jump_of_the_endpoint_map():
+    # the root finder closes in on an O(1) jump here; no flux matches g_right
+    par = Params(p=3.0, gamma=0.8, lambda_plus=1.0, lambda_minus=1.0, alpha_p=1.0)
+    with pytest.raises(ValueError, match="no bracket holds a match"):
+        shoot_two_phase_1d(par, -0.5, 0.5, interval=(-1.0, 1.0), n_out=17,
+                           h_ode=1e-3)
+
+
+def test_shooter_integrates_each_match_once_outside_root_finding(monkeypatch):
+    steps = []
+    evals = [0]
+    integrate, brentq = oracle._integrate, oracle.brentq
+
+    def counted_integrate(*args):
+        steps.append(args[3])
+        return integrate(*args)
+
+    def counted_brentq(f, *args, **kwargs):
+        def g(q0):
+            evals[0] += 1
+            return f(q0)
+
+        return brentq(g, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_integrate", counted_integrate)
+    monkeypatch.setattr(oracle, "brentq", counted_brentq)
+    par = Params(p=2.0, gamma=1.0, lambda_plus=0.5, lambda_minus=0.5, delta=1.0)
+    res = shoot_two_phase_1d(par, 0.0, 0.25, interval=(0.0, 1.0), n_out=17,
+                             h_ode=1e-3)
+    n_fine = 16 * 63  # 16 segments of ceil(1000 / 16) steps
+    n_sol = len(res.solutions)
+    assert steps.count(2000) == 97  # one coarse run per scanned flux
+    # beyond the root finder's evaluations: one recorded run per solution
+    # and one half-step Richardson run
+    assert steps.count(n_fine) == evals[0] + n_sol
+    assert steps.count(2 * n_fine) == n_sol
+    assert len(steps) == 97 + evals[0] + 2 * n_sol
+
+
 def test_shooter_rejects_bad_interval():
     par = Params(p=2.0, gamma=1.0, lambda_plus=0.5, lambda_minus=0.5, delta=1.0)
     with pytest.raises(ValueError):
@@ -249,6 +299,15 @@ def test_shooter_reports_unbracketed_scan():
     with pytest.raises(ValueError, match="no root bracketed"):
         shoot_two_phase_1d(par, 5.0, 5.0, interval=(0.0, 1.0), n_out=17,
                            h_ode=1e-3, n_scan=9, scan_span=0.1)
+
+
+def test_shooter_scan_skips_fluxes_past_the_float_range():
+    # at p = 1.5, u' = q^2 overflows a float for the outer scanned fluxes
+    par = Params(p=1.5, gamma=1.0, lambda_plus=0.5, lambda_minus=0.5, delta=1.0,
+                 alpha_p=1.0)
+    with pytest.raises(ValueError, match="no root bracketed"):
+        shoot_two_phase_1d(par, 0.0, 0.5, interval=(0.0, 1.0), n_out=17,
+                           h_ode=1e-3, n_scan=3, scan_span=1e200)
 
 
 def test_exact_potential_along_trajectory():
