@@ -102,7 +102,13 @@ def _walk_numeric(node, path, out):
 # Work counters record how a build solved, not what it computed; compare
 # reports them apart and they never fail a comparison.
 _WORK_COUNTERS = frozenset(
-    {"solve/linear_solves", "solve/cg_iterations", "solve/superlu_solves"}
+    {
+        "solve/linear_solves",
+        "solve/cg_iterations",
+        "solve/superlu_solves",
+        "solve/lift_retries",
+        "solve/gradient_fallbacks",
+    }
 )
 
 

@@ -744,6 +744,8 @@ def run_experiment(cfg: dict) -> ExperimentResult:
             "linear_solves": solve.linear_solves,
             "cg_iterations": solve.cg_iterations,
             "superlu_solves": solve.superlu_solves,
+            "lift_retries": solve.lift_retries,
+            "gradient_fallbacks": solve.gradient_fallbacks,
             "n_stages": len(solve.stages),
             "stage_energies": [s.energies[-1] for s in solve.stages],
         },

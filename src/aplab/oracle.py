@@ -237,7 +237,8 @@ def shoot_two_phase_1d(
         scan_span = 8.0 * (1.0 + abs(q_center))
     q0s = q_center + np.linspace(-scan_span, scan_span, n_scan)
 
-    n_coarse = max(2000, n_steps // 100)
+    # a fine run shorter than the scan's 2000 steps is scanned at full step
+    n_coarse = min(n_steps, max(2000, n_steps // 100))
     resid = np.empty(n_scan)
     for i, q0 in enumerate(q0s):
         try:

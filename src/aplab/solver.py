@@ -11,14 +11,17 @@ the true stage energy.  A line search that collapses below the step
 floor is a stall and raises, carrying the partial result.
 
 Every linear system is symmetric positive definite and goes through
-``spsolve``.  On a 2D or 3D grid whose nodes all lie strictly inside the
-box, it is solved by conjugate gradients preconditioned with a fast
-Poisson solve: the constant-coefficient Laplacian of the interior box,
-inverted by DST-I, with a diagonal scaling that matches the system's own
-diagonal (Concus & Golub, SIAM J. Numer. Anal. 10, 1973).  1D systems, and
-a system on which CG breaks down or reaches its iteration cap, go to
-SuperLU.  Inner products are plain ``np.sum`` reductions, not BLAS, so a
-solve does not depend on the number of BLAS threads.
+``spsolve``.  A 1D system is tridiagonal: it is built in band storage and
+solved by LAPACK's banded Cholesky (``scipy.linalg.solveh_banded``).  On a
+2D or 3D grid whose nodes all lie strictly inside the box, it is solved by
+conjugate gradients preconditioned with a fast Poisson solve: the
+constant-coefficient Laplacian of the interior box, inverted by DST-I,
+with a diagonal scaling that matches the system's own diagonal (Concus &
+Golub, SIAM J. Numer. Anal. 10, 1973).  SuperLU is the counted fallback:
+it takes a banded system found not positive definite, a system on which
+CG breaks down or reaches its iteration cap, and the diagonal-lift retry
+of a non-finite solve.  Inner products are plain ``np.sum`` reductions,
+not BLAS, so a solve does not depend on the number of BLAS threads.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import LinAlgError, solveh_banded
 from scipy.sparse.linalg import spsolve as _superlu
 
 from .core import Grid, Params, ScalarField
@@ -100,7 +104,9 @@ class SolveResult:
     n_iterations: int = 0
     linear_solves: int = 0  # systems solved, one per Newton step
     cg_iterations: int = 0  # preconditioned CG iterations over all of them
-    superlu_solves: int = 0  # 1D solves, CG misses and diagonal-lift retries
+    superlu_solves: int = 0  # fallback solves: CG misses, banded non-SPD, lifts
+    lift_retries: int = 0  # non-finite solves retried with a lifted diagonal
+    gradient_fallbacks: int = 0  # non-descent Newton directions replaced
 
 
 class SolverStall(RuntimeError):
@@ -121,32 +127,42 @@ class SolverStall(RuntimeError):
 
 def _free_block(
     kern: DiscreteEnergy, kappas, nodes: np.ndarray, scale: float = 1.0, shift=0.0
-) -> sp.csr_matrix:
+) -> sp.csr_matrix | sp.dia_matrix:
     """scale * A + diag(shift) restricted to the sorted flat node set ``nodes``.
 
     A is the diffusion operator (A v)_i = sum_edges kappa (v_i - v_j).  Its
     diagonal is summed over the whole grid, axis by axis and lower end
     first, the order in which COO->CSR would sum duplicate entries; only
-    edges with both ends in ``nodes`` give off-diagonal entries.
+    edges with both ends in ``nodes`` give off-diagonal entries.  In 1D the
+    block is tridiagonal and comes as DIA with offsets (1, 0, -1), whose
+    first two rows are LAPACK's upper band storage; else it is CSR.
     """
-    at = np.arange(nodes.size)
+    m = nodes.size
     pos = np.full(kern.weights.shape, -1)  # block index of each node, -1 if outside
-    pos.flat[nodes] = at
+    pos.flat[nodes] = np.arange(m)
     diag = np.zeros(kern.weights.shape)
-    rows, cols, data = [at], [at], []
+    pairs = []  # (row, column, value) of each off-diagonal above the diagonal
     for (lo, hi, *_), kap in zip(kern.axes, kappas):
         diag[lo] += kap
         diag[hi] += kap
         i, j = pos[lo], pos[hi]
         both = (i >= 0) & (j >= 0)
-        i, j, k = i[both], j[both], scale * -kap[both]
-        rows.extend((i, j))
-        cols.extend((j, i))
-        data.extend((k, k))
-    data.insert(0, scale * diag.ravel()[nodes] + shift)
+        pairs.append((i[both], j[both], scale * -kap[both]))
+    main = scale * diag.ravel()[nodes] + shift
+    if diag.ndim == 1:
+        # an edge joins block neighbours j = i + 1; across a gap the band is 0
+        ((_, j, k),) = pairs
+        bands = np.zeros((3, m))
+        bands[0, j] = k
+        bands[1] = main
+        bands[2, :-1] = bands[0, 1:]
+        return sp.dia_matrix((bands, (1, 0, -1)), shape=(m, m))
+    i, j, k = (np.concatenate(x) for x in zip(*pairs))
+    at = np.arange(m)
     M = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(at.size, at.size),
+        (np.concatenate((main, k, k)),
+         (np.concatenate((at, i, j)), np.concatenate((at, j, i)))),
+        shape=(m, m),
     )
     return M.tocsr()
 
@@ -161,7 +177,7 @@ def assemble_diffusion(
     """
     kern = DiscreteEnergy.dirichlet(grid, p)
     return _free_block(kern, kern.conductances(kern.grad_sq(values), eps),
-                       np.arange(kern.weights.size))
+                       np.arange(kern.weights.size)).tocsr()
 
 
 @dataclass(frozen=True)
@@ -195,8 +211,9 @@ def _box_preconditioner(
 ) -> _BoxPreconditioner | None:
     """The fast Poisson preconditioner of systems on ``nodes``, if one applies.
 
-    None in 1D, where SuperLU's tridiagonal solve is cheap, and when a node
-    lies on a box face, which the interior box does not hold.
+    None in 1D, where ``spsolve`` factors the tridiagonal band directly,
+    and when a node lies on a box face, which the interior box does not
+    hold.
     """
     shape = kern.weights.shape
     index = np.unravel_index(nodes, shape)
@@ -261,21 +278,30 @@ def _pcg(
 
 
 def spsolve(
-    M: sp.csr_matrix,
+    M: sp.csr_matrix | sp.dia_matrix,
     rhs: np.ndarray,
     precond: _BoxPreconditioner | None = None,
     tally: Counter | None = None,
 ) -> np.ndarray:
     """Solve the SPD system ``M x = rhs``.
 
-    By preconditioned CG when given a box preconditioner, else by SuperLU;
-    a CG breakdown or a CG run that reaches the iteration cap falls back to
-    SuperLU on the same system.  ``tally`` counts the CG iterations and the
-    SuperLU solves.
+    A banded ``M`` (DIA, offsets u..-u) is solved by LAPACK's banded
+    Cholesky on its upper band rows; a system with a box preconditioner by
+    preconditioned CG.  Everything else goes to SuperLU, and so does a
+    system that the banded factorization finds not positive definite or on
+    which CG breaks down or reaches its iteration cap.  ``tally`` counts
+    the CG iterations and the SuperLU solves.
     """
     if tally is None:
         tally = Counter()
-    if precond is not None:
+    if M.format == "dia":
+        try:
+            return solveh_banded(
+                M.data[: M.offsets.size // 2 + 1], rhs, check_finite=False
+            )
+        except LinAlgError:
+            M = M.tocsr()
+    elif precond is not None:
         x = _pcg(M, rhs, precond, tally)
         if x is not None:
             return x
@@ -284,7 +310,7 @@ def spsolve(
 
 
 def _solve_spd(
-    M: sp.csr_matrix,
+    M: sp.csr_matrix | sp.dia_matrix,
     rhs: np.ndarray,
     precond: _BoxPreconditioner | None,
     tally: Counter,
@@ -295,6 +321,7 @@ def _solve_spd(
         x = spsolve(M, rhs, precond, tally)
     if np.all(np.isfinite(x)):
         return x
+    tally["lift_retries"] += 1
     diag = M.diagonal()
     lift = 1e-12 * float(np.max(np.abs(diag))) + 1e-300
     x = spsolve(M + lift * sp.identity(M.shape[0], format="csr"), rhs, None, tally)
@@ -319,7 +346,9 @@ def minimize(
     """Descend the discrete energy from ``initial`` under its Dirichlet data.
 
     Raises SolverStall when the Armijo search cannot make progress above
-    the step floor; the exception carries the best iterate so far.  The
+    the step floor; the exception carries the best iterate so far, and its
+    message names the stage's smoothing width, the residual and the step
+    length of the last accepted Armijo step ("none" before the first).  The
     returned ``converged`` flag certifies that the scaled gradient rms at
     the final smoothing widths met ``tol_residual``.
     """
@@ -338,6 +367,7 @@ def minimize(
     stages: list[StageRecord] = []
     total_iters = 0
     res_rms = math.inf
+    t_last = None  # step length of the last accepted Armijo step
 
     def model(v: np.ndarray, qv: np.ndarray, eps: float) -> tuple:
         """The edge conductances of v and its free-node energy gradient."""
@@ -355,6 +385,8 @@ def minimize(
             linear_solves=tally["linear_solves"],
             cg_iterations=tally["cg_iterations"],
             superlu_solves=tally["superlu_solves"],
+            lift_retries=tally["lift_retries"],
+            gradient_fallbacks=tally["gradient_fallbacks"],
         )
 
     # The lagged operator carries |∇u|^{p-2}, but the curvature of
@@ -401,6 +433,7 @@ def minimize(
             slope = _dot(g_f, d)
             if not math.isfinite(slope) or slope <= 0.0:
                 # fall back to a diagonally preconditioned gradient step
+                tally["gradient_fallbacks"] += 1
                 dg = M.diagonal()
                 dg = np.where(dg > 0, dg, np.max(dg) if np.max(dg) > 0 else 1.0)
                 d = g_f / dg
@@ -425,12 +458,14 @@ def minimize(
                     polishing = True
                     continue
                 stages.append(StageRecord(eps, n_it, tuple(trace), res_rms))
+                last = "none" if t_last is None else f"t = {t_last:g}"
                 raise SolverStall(
                     f"line search stalled at smoothing width {eps:g} "
-                    f"(residual rms {res_rms:.3e})",
+                    f"(residual rms {res_rms:.3e}, last accepted step {last})",
                     result(False),
                 )
             u, q, energy = accepted
+            t_last = t
             kappas, g_f = model(u, q, eps)
             trace.append(energy)
             n_it += 1

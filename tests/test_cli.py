@@ -172,6 +172,8 @@ def test_compare_reports_work_counters_apart(bundle_a, tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out)
     assert summary["counter_deltas"] == {
         "solve/cg_iterations": 5.0,
+        "solve/gradient_fallbacks": 0.0,
+        "solve/lift_retries": 0.0,
         "solve/linear_solves": 0.0,
         "solve/superlu_solves": 0.0,
     }
@@ -345,15 +347,22 @@ def test_module_invocation_matches_entry_point():
     assert json.loads(proc.stdout)["beta"] == 0.0
 
 
-def test_bundle_does_not_depend_on_thread_count(tmp_path):
+@pytest.mark.parametrize(
+    "name, resolution",
     # 105x105 has more than 10 000 free nodes, the size above which
     # OpenBLAS splits a dot product over its threads; a smaller grid would
-    # pass even with BLAS inner products in the solver.
+    # pass even with BLAS inner products in the solver.  The 1D config runs
+    # at its bundled resolution through the LAPACK banded solve.
+    [("crossing_2d", [105, 105]), ("degenerate_1d", None)],
+    ids=["crossing_2d", "degenerate_1d"],
+)
+def test_bundle_does_not_depend_on_thread_count(tmp_path, name, resolution):
     cfg = json.loads(
-        (Path(__file__).resolve().parents[1] / "configs" / "crossing_2d.json").read_text()
+        (Path(__file__).resolve().parents[1] / "configs" / f"{name}.json").read_text()
     )
-    cfg["problem"]["resolution"] = [105, 105]
-    path = tmp_path / "crossing.json"
+    if resolution is not None:
+        cfg["problem"]["resolution"] = resolution
+    path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(cfg))
     bundles = []
     for threads in ("1", "2"):

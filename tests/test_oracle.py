@@ -277,10 +277,10 @@ def test_shooter_integrates_each_match_once_outside_root_finding(monkeypatch):
                              h_ode=1e-3)
     n_fine = 16 * 63  # 16 segments of ceil(1000 / 16) steps
     n_sol = len(res.solutions)
-    assert steps.count(2000) == 97  # one coarse run per scanned flux
-    # beyond the root finder's evaluations: one recorded run per solution
-    # and one half-step Richardson run
-    assert steps.count(n_fine) == evals[0] + n_sol
+    # a fine run under 2000 steps is also the scan's step count: one scan
+    # run per scanned flux, the root finder's evaluations, and one recorded
+    # run per solution, plus one half-step Richardson run per solution
+    assert steps.count(n_fine) == 97 + evals[0] + n_sol
     assert steps.count(2 * n_fine) == n_sol
     assert len(steps) == 97 + evals[0] + 2 * n_sol
 

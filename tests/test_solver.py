@@ -121,9 +121,12 @@ def test_free_block_equals_sliced_full_operator(extents, shape, p):
     kern = DiscreteEnergy.dirichlet(grid, p)
     kappas = kern.conductances(kern.grad_sq(u), 0.1)
     full = _free_block(kern, kappas, np.arange(u.size))
+    # 1D blocks come in band storage, the others as CSR
+    assert full.format == ("dia" if len(shape) == 1 else "csr")
+    full = full.tocsr()
     _assert_same_csr(full, _coo_operator(kern, kappas))
     want = (scale * full[idx][:, idx] + sp.diags(shift)).tocsr()
-    _assert_same_csr(_free_block(kern, kappas, idx, scale, shift), want)
+    _assert_same_csr(_free_block(kern, kappas, idx, scale, shift).tocsr(), want)
 
 
 def _interior(grid):
@@ -166,6 +169,45 @@ def test_preconditioned_solve_matches_superlu(shape, subset, p, shift):
     assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
     # solved by CG, not by the SuperLU fallback
     assert tally["cg_iterations"] > 0 and tally["superlu_solves"] == 0
+
+
+def _gapped(grid):
+    # interior nodes with two gaps: the band entries across a gap are zero
+    nodes = _interior(grid)
+    return np.setdiff1d(nodes, nodes[[3, 4, 10]])
+
+
+@pytest.mark.parametrize("shift", [0.0, 1.0, 1e3])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("subset", [_interior, _gapped], ids=["interior", "gapped"])
+def test_banded_solve_matches_superlu(subset, p, shift):
+    grid = Grid(extents=((-1.0, 1.0),), resolution=(33,))
+    nodes = subset(grid)
+    kern, M, b = _newton_system(grid, p, nodes, shift)
+    assert M.format == "dia" and _box_preconditioner(kern, nodes) is None
+    tally = Counter()
+    x = spsolve(M, b, None, tally)
+    want = spla.spsolve(M.tocsr(), b)
+    assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
+    assert tally["superlu_solves"] == 0
+
+
+def test_indefinite_banded_system_falls_back_to_superlu():
+    grid = Grid(extents=((-1.0, 1.0),), resolution=(33,))
+    nodes = _interior(grid)
+    _, M, b = _newton_system(grid, 2.0, nodes, 0.0)
+    # a positive diagonal, but eigenvalues of both signs
+    M.data[1] -= 0.5 * M.diagonal().min()
+    tally = Counter()
+    x = spsolve(M, b, None, tally)
+    assert tally["superlu_solves"] == 1
+    assert np.array_equal(x, spla.spsolve(M.tocsr(), b))
+
+
+def test_assemble_diffusion_returns_csr():
+    grid = Grid(extents=((0.0, 1.0),), resolution=(17,))
+    A = aplab.solver.assemble_diffusion(np.linspace(0.0, 1.0, 17) ** 2, grid, 2.0, 0.1)
+    assert A.format == "csr" and A.shape == (17, 17)
 
 
 def test_box_preconditioner_needs_strictly_interior_nodes_in_2d_or_3d():
@@ -248,11 +290,35 @@ def test_minimize_energy_traces_decrease(convex_1d):
         assert np.all(np.diff(trace) <= 0.0)
 
 
-def test_minimize_1d_solves_by_superlu(convex_1d):
+def test_minimize_1d_solves_by_banded_cholesky(convex_1d):
     res = convex_1d.result
     assert res.linear_solves >= res.n_iterations > 0
-    assert res.superlu_solves == res.linear_solves
+    assert res.superlu_solves == 0
     assert res.cg_iterations == 0
+    assert res.lift_retries == res.gradient_fallbacks == 0
+
+
+def test_minimize_counts_diagonal_lift_retries(monkeypatch):
+    # every banded solve comes back non-finite, so each Newton system is
+    # retried once with a lifted diagonal, which SuperLU solves
+    monkeypatch.setattr(aplab.solver, "solveh_banded",
+                        lambda ab, b, **kw: np.full_like(b, np.nan))
+    fld, par = _one_phase_start(n=65)
+    res = minimize(fld, par, SolverConfig(eps_ladder=(0.1,), max_iters=4))
+    assert res.n_iterations == res.linear_solves == 4
+    assert res.lift_retries == res.superlu_solves == 4
+    assert res.gradient_fallbacks == 0
+
+
+def test_minimize_counts_gradient_fallbacks(monkeypatch):
+    # a solve that returns the ascent direction forces the gradient step
+    real = aplab.solver.spsolve
+    monkeypatch.setattr(aplab.solver, "spsolve", lambda *a, **kw: -real(*a, **kw))
+    fld, par = _one_phase_start(n=65)
+    res = minimize(fld, par, SolverConfig(eps_ladder=(0.1,), max_iters=4))
+    assert res.n_iterations == res.linear_solves == 4
+    assert res.gradient_fallbacks == 4
+    assert res.lift_retries == res.superlu_solves == 0
 
 
 @pytest.mark.parametrize("fixture", ["crossing_2d", "branching_2d"])
@@ -277,7 +343,11 @@ def test_minimize_reports_stall_with_partial_state():
     # damped Newton step, and far from criticality that must surface
     fld, par = _one_phase_start(n=257)
     cfg = SolverConfig(armijo_c1=0.999, step_floor=0.5)
-    with pytest.raises(SolverStall) as info:
+    with pytest.raises(
+        SolverStall,
+        match=r"^line search stalled at smoothing width 0\.1 "
+        r"\(residual rms \d\.\d{3}e[+-]\d+, last accepted step none\)$",
+    ) as info:
         minimize(fld, par, cfg)
     partial = info.value.result
     assert not partial.converged
@@ -285,6 +355,29 @@ def test_minimize_reports_stall_with_partial_state():
     assert np.isfinite(partial.energy)
     assert len(partial.stages) >= 1
     assert partial.residual_rms > 1e3 * cfg.tol_residual
+
+
+def test_stall_message_names_the_last_accepted_step(monkeypatch):
+    # after one true Newton step every direction is 1e12 times too long, so
+    # the search falls through the step floor on the next step
+    real = aplab.solver.spsolve
+    calls = []
+
+    def overshooting(*args, **kwargs):
+        calls.append(None)
+        x = real(*args, **kwargs)
+        return x if len(calls) == 1 else 1e12 * x
+
+    monkeypatch.setattr(aplab.solver, "spsolve", overshooting)
+    fld, par = _one_phase_start(n=65)
+    with pytest.raises(SolverStall) as info:
+        minimize(fld, par, SolverConfig(step_floor=1e-3))
+    res = info.value.result
+    assert str(info.value) == (
+        "line search stalled at smoothing width 0.1 "
+        f"(residual rms {res.residual_rms:.3e}, last accepted step t = 1)"
+    )
+    assert res.n_iterations == 1 and len(calls) == 2
 
 
 # ---------------------------------------------------------------------------
