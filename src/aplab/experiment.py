@@ -479,8 +479,14 @@ def _growth_diag(field, params, spec, center, rows):
         "fits": {},
         "nondegeneracy": {},
     }
+    # a phase whose sups are rounding residue of max|u| does not exist, and
+    # gets no fit (the strip diagnostic's zero rule)
+    floor = 1e-12 * float(np.max(np.abs(field.values)))
     for name in ("sup_pos", "sup_neg", "sup_abs", "dirichlet"):
-        out["fits"][name] = _fit_dict(radii, getattr(prof, name), window)
+        values = getattr(prof, name)
+        if name in ("sup_pos", "sup_neg"):
+            values = [v if v > floor else 0.0 for v in values]
+        out["fits"][name] = _fit_dict(radii, values, window)
     for phase in ("positive", "negative", "max"):
         try:
             out["nondegeneracy"][phase] = nondegeneracy_ratio(prof, params, phase)

@@ -5,19 +5,22 @@ degenerate or singular in the gradient, so minimization runs over a
 ladder of smoothing widths: each stage minimizes the regularized energy
 starting from the previous stage's output.  Steps are damped Newton-type:
 the linearized diffusion operator (assembled from the same edge
-conductances that make up the exact gradient) plus the clipped potential
-curvature, solved sparsely, then an Armijo backtracking line search on
-the true stage energy.  A line search that collapses below the step
-floor is a stall and raises, carrying the partial result.
+conductances that make up the exact gradient) plus the convex part
+max(F'', 0) of the potential curvature, solved sparsely, then an Armijo
+backtracking line search on the true stage energy.  A line search that
+collapses below the step floor is a stall and raises, carrying the
+partial result.
 
 Every linear system is symmetric positive definite and goes through
-``spsolve``.  A 1D system is tridiagonal: it is built in band storage and
-solved by LAPACK's banded Cholesky (``scipy.linalg.solveh_banded``).  On a
-2D or 3D grid whose nodes all lie strictly inside the box, it is solved by
-conjugate gradients preconditioned with a fast Poisson solve: the
-constant-coefficient Laplacian of the interior box, inverted by DST-I,
-with a diagonal scaling that matches the system's own diagonal (Concus &
-Golub, SIAM J. Numer. Anal. 10, 1973).  SuperLU is the counted fallback:
+``spsolve``.  Its sparsity pattern is built once per problem; each
+Newton step refills only the values.  A 1D system is tridiagonal: it is
+built in band storage and solved by LAPACK's banded Cholesky
+(``scipy.linalg.solveh_banded``).  On a 2D or 3D grid whose nodes all lie
+strictly inside the box, it is solved by conjugate gradients
+preconditioned with a fast Poisson solve: the constant-coefficient
+Laplacian of the interior box, inverted by DST-I, with a diagonal scaling
+that matches the system's own diagonal (Concus & Golub, SIAM J. Numer.
+Anal. 10, 1973).  SuperLU is the counted fallback:
 it takes a banded system found not positive definite, a system on which
 CG breaks down or reaches its iteration cap, and the diagonal-lift retry
 of a non-finite solve.  Inner products are plain ``np.sum`` reductions,
@@ -125,46 +128,70 @@ class SolverStall(RuntimeError):
 # Linearized operator.
 
 
-def _free_block(
-    kern: DiscreteEnergy, kappas, nodes: np.ndarray, scale: float = 1.0, shift=0.0
-) -> sp.csr_matrix | sp.dia_matrix:
-    """scale * A + diag(shift) restricted to the sorted flat node set ``nodes``.
+class _FreeBlock:
+    """scale * A + diag(shift) restricted to a fixed sorted flat node set.
 
-    A is the diffusion operator (A v)_i = sum_edges kappa (v_i - v_j).  Its
-    diagonal is summed over the whole grid, axis by axis and lower end
-    first, the order in which COO->CSR would sum duplicate entries; only
-    edges with both ends in ``nodes`` give off-diagonal entries.  In 1D the
-    block is tridiagonal and comes as DIA with offsets (1, 0, -1), whose
-    first two rows are LAPACK's upper band storage; else it is CSR.
+    A is the diffusion operator (A v)_i = sum_edges kappa (v_i - v_j).  The
+    pattern is built once per node set: each axis's edges with both ends in
+    the set (flat positions in that axis's conductance array), which alone
+    give off-diagonal entries, and the block's sparse structure.  A call
+    refills only the values.  The diagonal is summed over the whole grid,
+    axis by axis and lower end first, the order in which COO->CSR would sum
+    duplicate entries.  In 1D the block is tridiagonal and comes as DIA with
+    offsets (1, 0, -1), whose first two rows are LAPACK's upper band
+    storage; else it is CSR, bit for bit the matrix COO->CSR makes of the
+    (main, upper, lower) entries.  Every CSR block of one pattern shares its
+    ``indices`` and ``indptr`` arrays.
     """
-    m = nodes.size
-    pos = np.full(kern.weights.shape, -1)  # block index of each node, -1 if outside
-    pos.flat[nodes] = np.arange(m)
-    diag = np.zeros(kern.weights.shape)
-    pairs = []  # (row, column, value) of each off-diagonal above the diagonal
-    for (lo, hi, *_), kap in zip(kern.axes, kappas):
-        diag[lo] += kap
-        diag[hi] += kap
-        i, j = pos[lo], pos[hi]
-        both = (i >= 0) & (j >= 0)
-        pairs.append((i[both], j[both], scale * -kap[both]))
-    main = scale * diag.ravel()[nodes] + shift
-    if diag.ndim == 1:
-        # an edge joins block neighbours j = i + 1; across a gap the band is 0
-        ((_, j, k),) = pairs
-        bands = np.zeros((3, m))
-        bands[0, j] = k
-        bands[1] = main
-        bands[2, :-1] = bands[0, 1:]
-        return sp.dia_matrix((bands, (1, 0, -1)), shape=(m, m))
-    i, j, k = (np.concatenate(x) for x in zip(*pairs))
-    at = np.arange(m)
-    M = sp.coo_matrix(
-        (np.concatenate((main, k, k)),
-         (np.concatenate((at, i, j)), np.concatenate((at, j, i)))),
-        shape=(m, m),
-    )
-    return M.tocsr()
+
+    def __init__(self, kern: DiscreteEnergy, nodes: np.ndarray):
+        m = nodes.size
+        self.nodes = nodes
+        self.shape = kern.weights.shape
+        self.ends = [(lo, hi) for lo, hi, *_ in kern.axes]
+        pos = np.full(self.shape, -1)  # block index of each node, -1 if outside
+        pos.flat[nodes] = np.arange(m)
+        self.edges, rows, cols = [], [], []
+        for lo, hi in self.ends:
+            i, j = pos[lo], pos[hi]
+            both = (i >= 0) & (j >= 0)
+            self.edges.append(np.flatnonzero(both))
+            rows.append(i[both])
+            cols.append(j[both])
+        if len(self.shape) == 1:
+            # an edge joins block neighbours j = i + 1; across a gap the band is 0
+            (self.upper,) = cols
+            return
+        i, j = np.concatenate(rows), np.concatenate(cols)
+        at = np.arange(m)
+        row = np.concatenate((at, i, j))
+        col = np.concatenate((at, j, i))
+        # (main, k, k) entry of each CSR slot: rows in order, columns sorted
+        self.order = np.lexsort((col, row))
+        self.indices = col[self.order].astype(np.int32)
+        self.indptr = np.zeros(m + 1, dtype=np.int32)
+        np.cumsum(np.bincount(row, minlength=m), out=self.indptr[1:])
+
+    def __call__(
+        self, kappas, scale: float = 1.0, shift=0.0
+    ) -> sp.csr_matrix | sp.dia_matrix:
+        m = self.nodes.size
+        diag = np.zeros(self.shape)
+        ks = []
+        for (lo, hi), kap, edges in zip(self.ends, kappas, self.edges):
+            diag[lo] += kap
+            diag[hi] += kap
+            ks.append(scale * -np.take(kap, edges))
+        main = scale * diag.ravel()[self.nodes] + shift
+        if diag.ndim == 1:
+            bands = np.zeros((3, m))
+            bands[0, self.upper] = ks[0]
+            bands[1] = main
+            bands[2, :-1] = bands[0, 1:]
+            return sp.dia_matrix((bands, (1, 0, -1)), shape=(m, m))
+        k = np.concatenate(ks)
+        data = np.concatenate((main, k, k))[self.order]
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=(m, m))
 
 
 def assemble_diffusion(
@@ -176,8 +203,8 @@ def assemble_diffusion(
     name, so it stays until the benchmark drops it.
     """
     kern = DiscreteEnergy.dirichlet(grid, p)
-    return _free_block(kern, kern.conductances(kern.grad_sq(values), eps),
-                       np.arange(kern.weights.size)).tocsr()
+    block = _FreeBlock(kern, np.arange(kern.weights.size))
+    return block(kern.conductances(kern.grad_sq(values), eps)).tocsr()
 
 
 @dataclass(frozen=True)
@@ -187,23 +214,26 @@ class _BoxPreconditioner:
     ``lam`` holds the eigenvalues, on the DST-I basis of every axis, of
     ``L0 = sum_a (vol / h_a^2) T_a`` with ``T_a`` the Dirichlet second
     difference along axis a; ``diag`` is L0's (constant) diagonal and
-    ``where`` each node's flat position in the box.
+    ``where`` each node's flat position in the box, None when the nodes
+    fill the whole box.
     """
 
     lam: np.ndarray
     diag: float
-    where: np.ndarray
+    where: np.ndarray | None
 
     def __call__(self, s: np.ndarray, r: np.ndarray) -> np.ndarray:
         """s * E^T L0^-1 E (s * r), E the zero extension into the box."""
         from scipy.fft import dstn, idstn
 
-        y = np.zeros(self.lam.size)
-        y[self.where] = s * r
+        y = s * r
+        if self.where is not None:
+            y = np.zeros(self.lam.size)
+            y[self.where] = s * r
         y = dstn(y.reshape(self.lam.shape), type=1)
         y /= self.lam
-        y = idstn(y, type=1, overwrite_x=True)
-        return s * y.reshape(-1)[self.where]
+        y = idstn(y, type=1, overwrite_x=True).reshape(-1)
+        return s * (y if self.where is None else y[self.where])
 
 
 def _box_preconditioner(
@@ -230,6 +260,8 @@ def _box_preconditioner(
         along = (1,) * a + (-1,) + (1,) * (len(box) - 1 - a)
         lam += (4.0 * vol / ha**2 * np.sin(theta) ** 2).reshape(along)
     where = np.ravel_multi_index(tuple(i - 1 for i in index), box)
+    if where.size == lam.size:  # sorted and distinct, so where == arange
+        where = None
     return _BoxPreconditioner(lam, sum(2.0 * vol / ha**2 for ha in h), where)
 
 
@@ -363,6 +395,7 @@ def minimize(
         return SolveResult(initial, kern.energy(u, q, 0.0), 0.0, (), True, 0)
 
     precond = _box_preconditioner(kern, idx_f)
+    block = _FreeBlock(kern, idx_f)
     tally: Counter = Counter()
     stages: list[StageRecord] = []
     total_iters = 0
@@ -408,12 +441,13 @@ def minimize(
             res_rms = _rms(g_f / w_f)
             if res_rms <= config.tol_residual:
                 break
-            # |F''|, not max(F'', 0): for gamma < 1 the potential is concave
-            # where it matters and a pure-diffusion model lets Newton overshoot
-            # there, throttling every stage; the absolute value keeps the model
-            # SPD and sized to the true local stiffness.
-            curv = params.delta * np.abs(potential_curvature(u, params, eps))
-            M = _free_block(kern, kappas, idx_f, stiff, w_f * curv.ravel()[idx_f])
+            # Only the convex part max(F'', 0) of the potential enters the
+            # model (Nocedal & Wright, Numerical Optimization, ch. 3), so it
+            # stays SPD where F is concave (gamma < 1, away from u = 0)
+            # without stiffening there: |F''| over-damps every step, and the
+            # signed F'' is indefinite and fails the (2, 0.5) restricted run.
+            curv = params.delta * np.maximum(potential_curvature(u, params, eps), 0.0)
+            M = block(kappas, stiff, w_f * curv.ravel()[idx_f])
             d = _solve_spd(M, g_f, precond, tally)
             if polishing:
                 # Energy decreases here are below float rounding, so Armijo

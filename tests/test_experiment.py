@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 import aplab.solver
-from aplab.core import build_grid
+from aplab.core import Params, ScalarField, build_grid
 from aplab.experiment import (
     CSV_COLUMNS,
     ConfigError,
+    _growth_diag,
     build_problem,
     config_digest,
     eval_boundary_expression,
@@ -233,6 +234,19 @@ def test_run_growth_section(tiny_result):
     assert fit is not None
     assert fit["exponent"] == pytest.approx(2.0, abs=0.1)
     assert growth["nondegeneracy"]["positive"] > 0.0
+
+
+def test_growth_fits_no_phase_of_rounding_residue():
+    # one phase, plus a negative side at 1e-18 that only rounding leaves
+    grid = build_grid(((-1.0, 1.0),), (129,))
+    x = grid.axes[0]
+    vals = 0.25 * np.maximum(x, 0.0) ** 2 - 1e-18 * (1.0 + np.abs(x))
+    fld = ScalarField(grid, vals, grid.boundary_face_mask, vals)
+    params = Params(p=2.0, gamma=1.0, lambda_plus=0.5, lambda_minus=0.5)
+    growth = _growth_diag(fld, params, {"radii": [0.125, 0.25, 0.5]}, (0.0,), [])
+    assert min(growth["sup_neg"]) > 0.0  # the readings are still reported
+    assert growth["fits"]["sup_neg"] is None
+    assert growth["fits"]["sup_pos"]["exponent"] == pytest.approx(2.0, abs=0.1)
 
 
 def test_run_scaling_section(tiny_result):

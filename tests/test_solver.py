@@ -16,7 +16,7 @@ from aplab.solver import (
     SolverConfig,
     _affine_fill_1d,
     _box_preconditioner,
-    _free_block,
+    _FreeBlock,
     SolverStall,
     comparison_gap,
     minimize,
@@ -83,7 +83,7 @@ def test_diffusion_operator_reproduces_dirichlet_gradient(extents, shape, p):
     u = np.random.default_rng(len(shape)).standard_normal(shape)
     kern = DiscreteEnergy.dirichlet(grid, p)
     kappas = kern.conductances(kern.grad_sq(u), 0.1)
-    a_u = _free_block(kern, kappas, np.arange(u.size)) @ u.ravel()
+    a_u = _FreeBlock(kern, np.arange(u.size))(kappas) @ u.ravel()
     g = kern.gradient(u, kappas, 0.1).ravel()
     assert np.max(np.abs(a_u - g)) <= 1e-12 * np.max(np.abs(g))
 
@@ -120,13 +120,42 @@ def test_free_block_equals_sliced_full_operator(extents, shape, p):
     shift = rng.random(idx.size)
     kern = DiscreteEnergy.dirichlet(grid, p)
     kappas = kern.conductances(kern.grad_sq(u), 0.1)
-    full = _free_block(kern, kappas, np.arange(u.size))
+    full = _FreeBlock(kern, np.arange(u.size))(kappas)
     # 1D blocks come in band storage, the others as CSR
     assert full.format == ("dia" if len(shape) == 1 else "csr")
     full = full.tocsr()
     _assert_same_csr(full, _coo_operator(kern, kappas))
     want = (scale * full[idx][:, idx] + sp.diags(shift)).tocsr()
-    _assert_same_csr(_free_block(kern, kappas, idx, scale, shift).tocsr(), want)
+    _assert_same_csr(_FreeBlock(kern, idx)(kappas, scale, shift).tocsr(), want)
+
+
+@pytest.mark.parametrize("shape", [(33,), (17, 13)], ids=["1d", "2d"])
+def test_fixed_pattern_refills_match_a_fresh_build(shape):
+    # one pattern, refilled twice with new values, against a fresh COO->CSR
+    # build each time: the CSR arrays bit for bit, the 1D bands entry by entry
+    grid = Grid(extents=((-1.0, 1.0), (0.0, 1.5))[: len(shape)], resolution=shape)
+    X = grid.coordinate_arrays()
+    hole = sum(x * x for x in X) < 0.3**2  # a masked hole in the node set
+    nodes = np.flatnonzero((~grid.boundary_face_mask & ~hole).ravel())
+    kern = DiscreteEnergy.dirichlet(grid, 1.5)
+    block = _FreeBlock(kern, nodes)
+    rng = np.random.default_rng(7)
+    for eps in (0.1, 0.01):
+        kappas = kern.conductances(kern.grad_sq(rng.standard_normal(shape)), eps)
+        scale, shift = 1.0 + rng.random(), rng.random(nodes.size)
+        got = block(kappas, scale, shift)
+        full = _coo_operator(kern, kappas)
+        want = (scale * full[nodes][:, nodes] + sp.diags(shift)).tocsr()
+        if len(shape) == 1:
+            assert got.format == "dia" and list(got.offsets) == [1, 0, -1]
+            bands = np.zeros((3, nodes.size))
+            bands[0, 1:] = want.diagonal(1)
+            bands[1] = want.diagonal()
+            bands[2, :-1] = want.diagonal(-1)
+            assert np.array_equal(got.data, bands)
+        else:
+            assert got.format == "csr"
+            _assert_same_csr(got, want)
 
 
 def _interior(grid):
@@ -139,7 +168,7 @@ def _newton_system(grid, p, nodes, shift, seed=0):
     rng = np.random.default_rng(seed)
     kern = DiscreteEnergy.dirichlet(grid, p)
     kappas = kern.conductances(kern.grad_sq(rng.standard_normal(grid.shape)), 0.1)
-    M = _free_block(kern, kappas, nodes, max(p - 1.0, 1.0), shift * rng.random(nodes.size))
+    M = _FreeBlock(kern, nodes)(kappas, max(p - 1.0, 1.0), shift * rng.random(nodes.size))
     return kern, M, rng.standard_normal(nodes.size)
 
 
@@ -327,6 +356,14 @@ def test_minimize_2d_solves_by_cg_without_misses(fixture, request):
     assert res.linear_solves >= res.n_iterations > 0
     assert res.cg_iterations >= res.linear_solves
     assert res.superlu_solves == 0
+
+
+def test_newton_model_step_count_on_the_restricted_run(restricted_cases):
+    # the convex-part curvature model max(F'', 0) takes 517 steps on this
+    # run; the stiffer |F''| model took 975
+    res = restricted_cases[(2.0, 0.5)].result
+    assert res.n_iterations <= 600
+    assert res.linear_solves == res.n_iterations
 
 
 def test_minimize_is_deterministic():
