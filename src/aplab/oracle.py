@@ -1,14 +1,13 @@
-"""Independent reference solutions: closed-form profiles and a 1D shooter.
+"""Independent reference solutions: closed forms and 1D two-phase profiles.
 
 These are deliberately built on a different discretization than the grid
-solver (exact formulas, or a fixed-step RK4 integration of the first-order
-system in (u, flux)), so grid minimizers can be checked against them
-without shared code paths.
+solver (exact formulas, or the inverse of a quadrature of the 1D first
+integral), so grid minimizers can be checked against them without shared
+code paths: the module imports nothing from aplab but ``core``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,95 +96,39 @@ def radial_p_harmonic(dim: int, p: float) -> ExactProfile:
 
 
 # ---------------------------------------------------------------------------
-# 1D two-phase shooting.
+# 1D two-phase profiles from the first integral.
 #
-# First-order system in (u, q) with the flux q = |u'|^(p-2) u':
-#   u' = sign(q) |q|^(1/(p-1)),   q' = delta * F_eps'(u),
-# integrated with classical fixed-step RK4 (reproducible; no adaptivity),
-# and the initial flux matched to the right boundary value by bracketed
-# root finding.  Every bracketed match is returned.
+# On an interval a minimizer of  int |u'|^p / p + delta F(u) dx  keeps
+#   (p-1)/p |u'|^p - delta F(u) = C
+# constant.  For data g_l <= 0 <= g_r it is nondecreasing and
+# dx/du = (k (C + delta F(u)))^(-1/p), k = p/(p-1), so the profile is the
+# inverse of a quadrature.  Each phase runs from its zero to its wall value
+# b in t, with u = b t^m and m = p/(p - gamma): at C = 0 the integrand in t
+# is constant, and for C > 0 it has a t^(m-1) cusp at t = 0, which a
+# composite Gauss-Legendre rule on panels graded geometrically toward t = 0
+# resolves.
 
-# smoothing width of F_eps' on the right-hand side
-_EPS_POT = 1e-8
-# a root is a match when its endpoint misses the right boundary value by at
-# most MATCH_TOL * (1 + |g_right - g_left|); anything larger is a jump of the
-# endpoint map that the root finder closed in on
-MATCH_TOL = 1e-8
-
-
-def _integrate(u0, q0, h, n_steps, p, gamma, lamp, lamm, delta):
-    """Fixed-step RK4 from (u0, q0); returns the trajectory (u_k), (q_k)."""
-    inv = 1.0 / (p - 1.0)
-    e2 = _EPS_POT * _EPS_POT
-    ex = 0.5 * gamma - 1.0
-    rec_u = np.empty(n_steps + 1)
-    rec_q = np.empty(n_steps + 1)
-    u = u0
-    q = q0
-    rec_u[0] = u
-    rec_q[0] = q
-    for k in range(n_steps):
-        # RK4 on f(u, q) = (sign(q)|q|^inv, delta * F'(u)), stages unrolled
-        du1 = abs(q) ** inv if q > 0 else (-(abs(q) ** inv) if q < 0 else 0.0)
-        vp = u if u > 0 else 0.0
-        vm = -u if u < 0 else 0.0
-        dq1 = delta * gamma * (
-            lamp * vp * (vp * vp + e2) ** ex - lamm * vm * (vm * vm + e2) ** ex
-        )
-        ua = u + 0.5 * h * du1
-        qa = q + 0.5 * h * dq1
-        du2 = abs(qa) ** inv if qa > 0 else (-(abs(qa) ** inv) if qa < 0 else 0.0)
-        vp = ua if ua > 0 else 0.0
-        vm = -ua if ua < 0 else 0.0
-        dq2 = delta * gamma * (
-            lamp * vp * (vp * vp + e2) ** ex - lamm * vm * (vm * vm + e2) ** ex
-        )
-        ub = u + 0.5 * h * du2
-        qb = q + 0.5 * h * dq2
-        du3 = abs(qb) ** inv if qb > 0 else (-(abs(qb) ** inv) if qb < 0 else 0.0)
-        vp = ub if ub > 0 else 0.0
-        vm = -ub if ub < 0 else 0.0
-        dq3 = delta * gamma * (
-            lamp * vp * (vp * vp + e2) ** ex - lamm * vm * (vm * vm + e2) ** ex
-        )
-        uc = u + h * du3
-        qc = q + h * dq3
-        du4 = abs(qc) ** inv if qc > 0 else (-(abs(qc) ** inv) if qc < 0 else 0.0)
-        vp = uc if uc > 0 else 0.0
-        vm = -uc if uc < 0 else 0.0
-        dq4 = delta * gamma * (
-            lamp * vp * (vp * vp + e2) ** ex - lamm * vm * (vm * vm + e2) ** ex
-        )
-        u = u + h * (du1 + 2.0 * du2 + 2.0 * du3 + du4) / 6.0
-        q = q + h * (dq1 + 2.0 * dq2 + 2.0 * dq3 + dq4) / 6.0
-        rec_u[k + 1] = u
-        rec_q[k + 1] = q
-    return rec_u, rec_q
+_PANEL_RATIO = 0.25
+_N_PANELS = 28  # the innermost panel, [0, 0.25^27], ends below 1e-16
+_N_GAUSS = 16
 
 
 @dataclass(frozen=True)
 class ShootingSolution:
-    """One matched trajectory of the two-phase boundary value problem."""
+    """The two-phase profile on ``n_out`` equispaced nodes."""
 
     initial_flux: float
     x: np.ndarray
     u: np.ndarray
     flux: np.ndarray
     boundary_mismatch: float
-    richardson_error: float
+    quadrature_error: float
     energy: float
 
     def field(self) -> ScalarField:
-        grid = Grid(
-            extents=((float(self.x[0]), float(self.x[-1])),),
-            resolution=(len(self.x),),
-        )
-        return ScalarField(
-            grid=grid,
-            values=self.u,
-            boundary_mask=grid.boundary_face_mask,
-            boundary_values=self.u,
-        )
+        grid = Grid(extents=((float(self.x[0]), float(self.x[-1])),),
+                    resolution=(len(self.x),))
+        return ScalarField(grid, self.u, grid.boundary_face_mask, self.u)
 
 
 @dataclass(frozen=True)
@@ -197,121 +140,111 @@ class ShootingResult:
         return self.solutions[0]
 
 
+def _rising_profile(x, walls, p, gamma, n_gauss):
+    """(u, C, energy) of the nondecreasing profile on the nodes ``x``.
+
+    ``walls`` holds (b, delta * lambda) of the left phase, u(x[0]) = -b,
+    and of the right phase, u(x[-1]) = b."""
+    m, k = p / (p - gamma), p / (p - 1.0)
+    length = x[-1] - x[0]
+    edges = np.append(0.0, _PANEL_RATIO ** np.arange(_N_PANELS - 1, -1, -1.0))
+    z, wz = np.polynomial.legendre.leggauss(n_gauss)
+    half = 0.5 * np.diff(edges)[:, None]
+    t, w = edges[:-1, None] + half * (1.0 + z), half * wz
+
+    def dxdt(c, t, b, dl):
+        if c == 0.0:  # constant after the substitution
+            return np.full_like(t, b * m * (k * dl * b**gamma) ** (-1.0 / p))
+        pot = dl * (b * t**m) ** gamma
+        return b * m * t ** (m - 1.0) * (k * (c + pot)) ** (-1.0 / p)
+
+    def travel(c):
+        return sum(np.sum(w * dxdt(c, t, b, dl)) for b, dl in walls if b > 0.0)
+
+    c = 0.0
+    if any(b > 0.0 and dl == 0.0 for b, dl in walls) or travel(c) > length:
+        # T(C) <= B (kC)^(-1/p), B the sum of the b, with equality for a
+        # phase without potential: so T(lo) > L > T(hi)
+        hi = 2.0 * (sum(b for b, _ in walls) / length) ** p / k
+        lo = max([0.5 * (b / length) ** p / k for b, dl in walls if dl == 0.0],
+                 default=0.0)
+        c = brentq(lambda c: travel(c) - length, lo, hi, xtol=1e-15 * hi)
+
+    u, energy = np.zeros_like(x), 0.0
+    for side, (b, dl) in zip((-1.0, 1.0), walls):
+        if b == 0.0:
+            continue
+        dx = w * dxdt(c, t, b, dl)
+        xe = np.append(0.0, np.cumsum(np.sum(dx, axis=1)))  # X at the panel edges
+        pot = dl * (b * t**m) ** gamma  # delta F = (p-1)/p |u'|^p - C
+        energy += float(np.sum(((c + pot) / (p - 1.0) + pot) * dx))
+        # Newton on X(t) = y, y the distance from the phase's zero, started
+        # at the right end of y's panel: X is convex, so the iterates fall
+        y = side * (x - (x[0] + xe[-1] if side < 0 else x[-1] - xe[-1]))
+        on = y > 0.0
+        j = np.clip(np.searchsorted(xe, y[on]), 1, _N_PANELS)
+        tt = edges[j]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(100):
+                span = 0.5 * (edges[j] - tt)
+                rest = dxdt(c, tt[:, None] + span[:, None] * (1.0 + z), b, dl) @ wz
+                step = (xe[j] - span * rest - y[on]) / dxdt(c, tt, b, dl)
+                new = np.fmax(np.fmin(tt - step, tt), edges[j - 1])
+                if np.array_equal(new, tt):
+                    break
+                tt = new
+        u[on] = side * b * tt**m
+    return u, c, energy
+
+
 def shoot_two_phase_1d(
     params: Params,
     g_left: float,
     g_right: float,
     interval: tuple[float, float] = (-1.0, 1.0),
     n_out: int = 257,
-    h_ode: float | None = None,
-    n_scan: int = 97,
-    scan_span: float | None = None,
 ) -> ShootingResult:
-    """Solve the 1D two-phase problem by shooting on the initial flux.
+    """Solve the 1D two-phase problem through its first integral.
 
-    A coarse scan brackets the sign changes of the endpoint mismatch over a
-    window of initial fluxes; each bracket is polished by bracketed root
-    finding at the full step count (default step 1e-5 * interval length).
-    Every root that matches the right boundary value to ``MATCH_TOL`` is
-    returned, lowest energy first.  ``richardson_error`` is the endpoint
-    shift under step halving.
+    Opposite-sign data (g_left <= 0 <= g_right, or its mirror image under
+    u -> -u with the phase weights swapped) has exactly one critical point:
+    a turning point u* would force C = -delta F(u*) <= 0, a zero crossing
+    C >= 0.  The travel length T(C), the integral of dx/du over both
+    phases, falls strictly in C >= 0: if T(0) <= L the profile has C = 0
+    and a dead core of length L - T(0), else ``brentq`` finds the C > 0
+    with T(C) = L.  ``quadrature_error`` is the largest change of ``u``
+    when the rule's Gauss points per panel are doubled.
     """
     xa, xb = float(interval[0]), float(interval[1])
     if not xb > xa:
         raise ValueError("interval must be increasing")
     if n_out < 2:
         raise ValueError("n_out must be >= 2")
-    length = xb - xa
-    if h_ode is None:
-        h_ode = 1e-5 * length
-    n_seg = n_out - 1
-    steps_per_seg = max(1, math.ceil(length / h_ode / n_seg))
-    n_steps = steps_per_seg * n_seg
-    h = length / n_steps
-    rhs = (params.p, params.gamma, params.lambda_plus, params.lambda_minus,
-           params.delta)
-
-    m0 = (g_right - g_left) / length
-    q_center = float(np.sign(m0) * abs(m0) ** (params.p - 1.0))
-    if scan_span is None:
-        scan_span = 8.0 * (1.0 + abs(q_center))
-    q0s = q_center + np.linspace(-scan_span, scan_span, n_scan)
-
-    # a fine run shorter than the scan's 2000 steps is scanned at full step
-    n_coarse = min(n_steps, max(2000, n_steps // 100))
-    resid = np.empty(n_scan)
-    for i, q0 in enumerate(q0s):
-        try:
-            u_end = _integrate(g_left, float(q0), length / n_coarse, n_coarse,
-                               *rhs)[0][-1]
-        except OverflowError:  # a float power past the float range
-            u_end = math.nan
-        resid[i] = u_end - g_right
-    ok = np.isfinite(resid)
-
-    def endpoint(q0: float) -> float:
-        return _integrate(g_left, q0, h, n_steps, *rhs)[0][-1] - g_right
-
-    brackets = []
-    for i in range(n_scan - 1):
-        if ok[i] and ok[i + 1] and resid[i] * resid[i + 1] <= 0.0:
-            if resid[i] == 0.0 and resid[i + 1] == 0.0:
-                continue
-            brackets.append((float(q0s[i]), float(q0s[i + 1])))
-    if not brackets:
-        raise ValueError(
-            "no root bracketed: scanned initial fluxes in "
-            f"[{q0s[0]:.6g}, {q0s[-1]:.6g}] never match the right boundary value"
-        )
-
-    tol = MATCH_TOL * (1.0 + abs(g_right - g_left))
-    solutions = []
-    seen = []
-    for qa, qb in brackets:
-        try:
-            q_root = brentq(endpoint, qa, qb, xtol=1e-14, rtol=8.9e-16)
-        except ValueError:
-            continue  # no sign change at full accuracy
-        if any(abs(q_root - s) <= 1e-10 * (1.0 + abs(q_root)) for s in seen):
-            continue
-        seen.append(q_root)
-
-        u, q = _integrate(g_left, q_root, h, n_steps, *rhs)
-        mismatch = abs(u[-1] - g_right)
-        if not mismatch <= tol:
-            continue  # a jump of the endpoint map, not a root
-        u_half, _ = _integrate(g_left, q_root, 0.5 * h, 2 * n_steps, *rhs)
-        rich = abs(u_half[-1] - u[-1])
-
-        x_fine = xa + h * np.arange(n_steps + 1)
-        dens = np.abs(q) ** (params.p / (params.p - 1.0)) / params.p + (
-            params.delta * potential_value_exact(u, params)
-        )
-        energy = float(np.trapezoid(dens, x_fine))
-
-        solutions.append(
-            ShootingSolution(
-                initial_flux=float(q_root),
-                x=x_fine[::steps_per_seg].copy(),
-                u=u[::steps_per_seg].copy(),
-                flux=q[::steps_per_seg].copy(),
-                boundary_mismatch=float(mismatch),
-                richardson_error=float(rich),
-                energy=energy,
-            )
-        )
-
-    if not solutions:
-        raise ValueError(
-            "no bracket holds a match at full accuracy: each one dissolved or "
-            f"closed on a jump of the endpoint map (tolerance {tol:.3g})"
-        )
-    solutions.sort(key=lambda s: (s.energy, s.initial_flux))
-    return ShootingResult(solutions=tuple(solutions))
+    if g_left * g_right > 0.0:
+        raise ValueError("same-sign data: the profile turns inside the interval, "
+                         "and the turning-point branch is not constructed")
+    p, delta = params.p, params.delta
+    sign, lam = 1.0, (params.lambda_minus, params.lambda_plus)
+    if g_left > g_right:  # u -> -u, which swaps the phase weights
+        sign, lam = -1.0, lam[::-1]
+    walls = [(abs(g_left), delta * lam[0]), (abs(g_right), delta * lam[1])]
+    x = np.linspace(xa, xb, n_out)
+    u, c, energy = _rising_profile(x, walls, p, params.gamma, _N_GAUSS)
+    u_fine = _rising_profile(x, walls, p, params.gamma, 2 * _N_GAUSS)[0]
+    u, u_fine = sign * u, sign * u_fine
+    # |u'|^(p-1) = (k (C + delta F(u)))^((p-1)/p) by the first integral
+    pot = delta * potential_value_exact(u, params)
+    flux = sign * (p / (p - 1.0) * (c + pot)) ** ((p - 1.0) / p)
+    sol = ShootingSolution(
+        initial_flux=float(flux[0]), x=x, u=u, flux=flux,
+        boundary_mismatch=float(abs(u[-1] - g_right)),
+        quadrature_error=float(np.max(np.abs(u_fine - u))), energy=energy,
+    )
+    return ShootingResult(solutions=(sol,))
 
 
 def potential_value_exact(u: np.ndarray, params: Params) -> np.ndarray:
-    """Unsmoothed potential along a trajectory (the shooter's energy uses it)."""
+    """Unsmoothed potential F(u) (the two-phase flux uses it)."""
     up = np.maximum(u, 0.0)
     um = np.maximum(-u, 0.0)
     return params.lambda_plus * up**params.gamma + params.lambda_minus * um**params.gamma

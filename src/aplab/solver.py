@@ -137,9 +137,10 @@ class _FreeBlock:
     give off-diagonal entries, and the block's sparse structure.  A call
     refills only the values.  The diagonal is summed over the whole grid,
     axis by axis and lower end first, the order in which COO->CSR would sum
-    duplicate entries.  In 1D the block is tridiagonal and comes as DIA with
-    offsets (1, 0, -1), whose first two rows are LAPACK's upper band
-    storage; else it is CSR, bit for bit the matrix COO->CSR makes of the
+    duplicate entries.  In 1D the block is tridiagonal and comes as its
+    LAPACK upper band storage, an array of shape (2, m) whose row 0 holds
+    the superdiagonal (entry j couples j - 1 and j) and row 1 the diagonal;
+    else it is CSR, bit for bit the matrix COO->CSR makes of the
     (main, upper, lower) entries.  Every CSR block of one pattern shares its
     ``indices`` and ``indptr`` arrays.
     """
@@ -174,7 +175,7 @@ class _FreeBlock:
 
     def __call__(
         self, kappas, scale: float = 1.0, shift=0.0
-    ) -> sp.csr_matrix | sp.dia_matrix:
+    ) -> sp.csr_matrix | np.ndarray:
         m = self.nodes.size
         diag = np.zeros(self.shape)
         ks = []
@@ -184,11 +185,10 @@ class _FreeBlock:
             ks.append(scale * -np.take(kap, edges))
         main = scale * diag.ravel()[self.nodes] + shift
         if diag.ndim == 1:
-            bands = np.zeros((3, m))
+            bands = np.zeros((2, m))
             bands[0, self.upper] = ks[0]
             bands[1] = main
-            bands[2, :-1] = bands[0, 1:]
-            return sp.dia_matrix((bands, (1, 0, -1)), shape=(m, m))
+            return bands
         k = np.concatenate(ks)
         data = np.concatenate((main, k, k))[self.order]
         return sp.csr_matrix((data, self.indices, self.indptr), shape=(m, m))
@@ -204,7 +204,16 @@ def assemble_diffusion(
     """
     kern = DiscreteEnergy.dirichlet(grid, p)
     block = _FreeBlock(kern, np.arange(kern.weights.size))
-    return block(kern.conductances(kern.grad_sq(values), eps)).tocsr()
+    return _csr(block(kern.conductances(kern.grad_sq(values), eps)))
+
+
+def _csr(M: sp.csr_matrix | np.ndarray) -> sp.csr_matrix:
+    """A block as CSR; 1D upper band rows are mirrored below the diagonal."""
+    if not isinstance(M, np.ndarray):
+        return M.tocsr()
+    m = M.shape[1]
+    bands = np.vstack((M, np.append(M[0, 1:], 0.0)))
+    return sp.dia_matrix((bands, (1, 0, -1)), shape=(m, m)).tocsr()
 
 
 @dataclass(frozen=True)
@@ -310,15 +319,15 @@ def _pcg(
 
 
 def spsolve(
-    M: sp.csr_matrix | sp.dia_matrix,
+    M: sp.csr_matrix | np.ndarray,
     rhs: np.ndarray,
     precond: _BoxPreconditioner | None = None,
     tally: Counter | None = None,
 ) -> np.ndarray:
     """Solve the SPD system ``M x = rhs``.
 
-    A banded ``M`` (DIA, offsets u..-u) is solved by LAPACK's banded
-    Cholesky on its upper band rows; a system with a box preconditioner by
+    A banded ``M`` (LAPACK upper band storage, an array) is solved by
+    banded Cholesky; a system with a box preconditioner by
     preconditioned CG.  Everything else goes to SuperLU, and so does a
     system that the banded factorization finds not positive definite or on
     which CG breaks down or reaches its iteration cap.  ``tally`` counts
@@ -326,13 +335,11 @@ def spsolve(
     """
     if tally is None:
         tally = Counter()
-    if M.format == "dia":
+    if isinstance(M, np.ndarray):
         try:
-            return solveh_banded(
-                M.data[: M.offsets.size // 2 + 1], rhs, check_finite=False
-            )
+            return solveh_banded(M, rhs, check_finite=False)
         except LinAlgError:
-            M = M.tocsr()
+            M = _csr(M)
     elif precond is not None:
         x = _pcg(M, rhs, precond, tally)
         if x is not None:
@@ -342,7 +349,7 @@ def spsolve(
 
 
 def _solve_spd(
-    M: sp.csr_matrix | sp.dia_matrix,
+    M: sp.csr_matrix | np.ndarray,
     rhs: np.ndarray,
     precond: _BoxPreconditioner | None,
     tally: Counter,
@@ -354,6 +361,7 @@ def _solve_spd(
     if np.all(np.isfinite(x)):
         return x
     tally["lift_retries"] += 1
+    M = _csr(M)
     diag = M.diagonal()
     lift = 1e-12 * float(np.max(np.abs(diag))) + 1e-300
     x = spsolve(M + lift * sp.identity(M.shape[0], format="csr"), rhs, None, tally)
@@ -468,7 +476,7 @@ def minimize(
             if not math.isfinite(slope) or slope <= 0.0:
                 # fall back to a diagonally preconditioned gradient step
                 tally["gradient_fallbacks"] += 1
-                dg = M.diagonal()
+                dg = M[-1] if isinstance(M, np.ndarray) else M.diagonal()
                 dg = np.where(dg > 0, dg, np.max(dg) if np.max(dg) > 0 else 1.0)
                 d = g_f / dg
                 slope = _dot(g_f, d)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aplab.core import Params, build_grid, gradient_field
+from aplab.core import Params, ScalarField, build_grid, gradient_field
 from aplab.energy import DiscreteEnergy
 from aplab.geometry import (
     BallSpec,
@@ -28,6 +28,7 @@ from aplab.geometry import (
     relative_perimeter,
 )
 from aplab.inequalities import monotonicity_constant, sweep_inequality
+from aplab.oracle import shoot_two_phase_1d
 from aplab.phases import (
     classify,
     decompose,
@@ -41,7 +42,7 @@ from aplab.scalelab import (
     nondegeneracy_ratio,
     scaling_identity_gap,
 )
-from aplab.solver import comparison_gap, p_harmonic_replacement
+from aplab.solver import comparison_gap, minimize, p_harmonic_replacement
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -95,6 +96,31 @@ def test_degenerate_profile_recovered_within_grid_error(degenerate_1d):
     err = np.max(np.abs(degenerate_1d.field.values - degenerate_1d.exact))
     assert degenerate_1d.result.converged
     assert err <= 5e-3
+
+
+# The grid minimizer from zero against the first-integral oracle, with wall
+# data -+0.5 and lambda+- = 1: every profile has a dead core.  Away from
+# (3, 0.8) the solve lands on a nearby critical point (ROADMAP item 1).
+@pytest.mark.parametrize(
+    "p, gamma, envelope",
+    [
+        (3.0, 0.8, 1e-4),
+        pytest.param(2.0, 0.5, 1e-3, marks=pytest.mark.xfail(
+            strict=True, reason="ROADMAP item 1")),
+        pytest.param(1.5, 0.3, 1e-3, marks=pytest.mark.xfail(
+            strict=True, reason="ROADMAP item 1")),
+    ],
+)
+def test_two_phase_profile_matches_first_integral_oracle(p, gamma, envelope):
+    params = Params(p=p, gamma=gamma, lambda_plus=1.0, lambda_minus=1.0, alpha_p=1.0)
+    n = 1025
+    grid = build_grid(((-1.0, 1.0),), (n,))
+    walls = np.where(grid.axes[0] < 0.0, -0.5, 0.5)
+    result = minimize(ScalarField(grid, np.zeros(n), grid.boundary_face_mask, walls),
+                      params)
+    exact = shoot_two_phase_1d(params, -0.5, 0.5, interval=(-1.0, 1.0), n_out=n)
+    assert result.converged
+    assert np.max(np.abs(result.field.values - exact.primary.u)) <= envelope
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
-"""Reference solutions: closed-form profiles and the 1D shooter.
+"""Reference solutions: closed-form profiles and the 1D two-phase oracle.
 
-The shooter integrates the (value, flux) system with fixed-step RK4 and
+The two-phase oracle inverts a quadrature of the first integral and
 shares no discretization with the grid solver, so agreement between the
 two is a genuine cross-check.
 """
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -146,7 +149,7 @@ def test_radial_profile_cannot_be_sampled_on_a_line():
 
 
 # ---------------------------------------------------------------------------
-# 1D shooting
+# 1D two-phase profiles
 
 
 @pytest.fixture(scope="module")
@@ -167,16 +170,16 @@ def branching_shot():
 
 def test_shooter_recovers_takeoff_profile(takeoff_shot):
     sol = takeoff_shot.primary
-    assert np.max(np.abs(sol.u - sol.x**2 / 4.0)) <= 1e-6
+    assert np.max(np.abs(sol.u - sol.x**2 / 4.0)) <= 1e-13
     assert sol.boundary_mismatch <= 1e-12
-    assert sol.richardson_error <= 1e-9
+    assert sol.quadrature_error <= 1e-12
     # the profile takes off with zero flux
-    assert abs(sol.initial_flux) <= 1e-3
+    assert abs(sol.initial_flux) <= 1e-12
 
 
 def test_shooter_takeoff_energy(takeoff_shot):
     # integral of (x/2)^2/2 + u/2 over (0, 1) is 1/12
-    assert takeoff_shot.primary.energy == pytest.approx(1.0 / 12.0, abs=1e-8)
+    assert takeoff_shot.primary.energy == pytest.approx(1.0 / 12.0, abs=1e-13)
 
 
 def test_shooter_output_grid(takeoff_shot):
@@ -198,23 +201,18 @@ def test_shooter_branching_profile(branching_shot):
     sol = branching_shot.primary
     amp = 0.45 ** (2.0 / 3.0)
     exact = amp * np.sign(sol.x) * np.abs(sol.x) ** (4.0 / 3.0)
-    assert np.max(np.abs(sol.u - exact)) <= 1e-5
+    assert np.max(np.abs(sol.u - exact)) <= 1e-13
     assert sol.boundary_mismatch <= 1e-10
     # odd data, odd solution
-    assert np.max(np.abs(sol.u + sol.u[::-1])) <= 1e-5
+    assert np.max(np.abs(sol.u + sol.u[::-1])) <= 1e-13
     # flux at the left face of the exact profile is (4/3) * amp
-    assert sol.initial_flux == pytest.approx(4.0 * amp / 3.0, abs=5e-3)
+    assert sol.initial_flux == pytest.approx(4.0 * amp / 3.0, abs=1e-12)
 
 
-def test_shooter_solutions_sorted_by_energy():
-    par = Params(p=2.0, gamma=0.5, lambda_plus=0.4, lambda_minus=0.4, delta=1.0,
-                 alpha_p=1.0)
-    amp = 0.45 ** (2.0 / 3.0)
-    res = shoot_two_phase_1d(par, -amp, amp, interval=(-1.0, 1.0), n_out=129,
-                             h_ode=1e-4)
-    energies = [s.energy for s in res.solutions]
-    assert energies == sorted(energies)
-    assert res.primary is res.solutions[0]
+def test_shooter_returns_exactly_one_solution(branching_shot):
+    # opposite-sign data has exactly one critical point
+    assert len(branching_shot.solutions) == 1
+    assert branching_shot.primary is branching_shot.solutions[0]
 
 
 def test_shooter_agrees_with_grid_minimizer():
@@ -223,6 +221,11 @@ def test_shooter_agrees_with_grid_minimizer():
                  alpha_p=1.0)
     n = 513
     shot = shoot_two_phase_1d(par, -0.5, 0.5, interval=(-1.0, 1.0), n_out=n).primary
+    # C = q0^2 / 2 - delta F(g_left) > 0: no dead core; the reference value
+    # solves T(C) = L with mpmath's quadrature at 40 digits
+    c = shot.initial_flux**2 / 2.0 - 0.05 * 0.5**0.5
+    assert c == pytest.approx(0.10186041769392035, rel=1e-13)
+    assert shot.quadrature_error <= 1e-12
 
     grid = Grid(extents=((-1.0, 1.0),), resolution=(n,))
     bvals = 0.5 * grid.axes[0]
@@ -238,51 +241,89 @@ def test_shooter_agrees_with_grid_minimizer():
 def test_shooter_degenerate_takeoff_profile():
     # p = 3, gamma = 1, lambda+ = 9/4: the exact minimizer is x^(3/2) on (0, 1)
     par = Params(p=3.0, gamma=1.0, lambda_plus=2.25, lambda_minus=2.25, alpha_p=1.0)
-    sol = shoot_two_phase_1d(par, 0.0, 1.0, interval=(0.0, 1.0), n_out=33,
-                             h_ode=1e-3).primary
+    sol = shoot_two_phase_1d(par, 0.0, 1.0, interval=(0.0, 1.0), n_out=33).primary
     assert sol.boundary_mismatch <= 1e-12
-    assert np.max(np.abs(sol.u - sol.x**1.5)) <= 1e-5
+    assert np.max(np.abs(sol.u - sol.x**1.5)) <= 1e-13
     # integral of |1.5 x^(1/2)|^3 / 3 + 2.25 x^(3/2) over (0, 1) is 1.35
-    assert sol.energy == pytest.approx(1.35, abs=1e-5)
+    assert sol.energy == pytest.approx(1.35, abs=1e-13)
 
 
-def test_shooter_rejects_a_jump_of_the_endpoint_map():
-    # the root finder closes in on an O(1) jump here; no flux matches g_right
-    par = Params(p=3.0, gamma=0.8, lambda_plus=1.0, lambda_minus=1.0, alpha_p=1.0)
-    with pytest.raises(ValueError, match="no bracket holds a match"):
-        shoot_two_phase_1d(par, -0.5, 0.5, interval=(-1.0, 1.0), n_out=17,
-                           h_ode=1e-3)
+def test_shooter_dead_core_matches_closed_form():
+    # T(0) <= L: C = 0, and each phase is the one-phase power profile
+    # A d^beta, d the distance from its free boundary, with travel length
+    # T = (k delta lambda)^(-1/p) |g|^(1 - gamma/p) / (1 - gamma/p)
+    for p, gamma, g_left, g_right, zeros in [
+        (3.0, 0.8, -0.5, 0.5, 145),
+        (3.0, 0.8, -0.2, 0.3, 292),
+        (1.5, 0.3, -0.5, 0.5, 335),
+    ]:
+        case = (p, gamma, g_left, g_right)
+        par = Params(p=p, gamma=gamma, lambda_plus=1.0, lambda_minus=1.0, alpha_p=1.0)
+        sol = shoot_two_phase_1d(par, g_left, g_right, interval=(-1.0, 1.0),
+                                 n_out=513).primary
+        k = p / (p - 1.0)
+        travel = [(k * 1.0) ** (-1.0 / p) * abs(g) ** (1.0 - gamma / p)
+                  / (1.0 - gamma / p) for g in (g_left, g_right)]
+        prof = one_phase_profile(par)
+        # the free boundaries as the output shows them: A d^beta inverted at
+        # the last negative and the first positive node
+        neg, pos = np.flatnonzero(sol.u < 0.0)[-1], np.flatnonzero(sol.u > 0.0)[0]
+        seen = [sol.x[neg] + (-sol.u[neg] / prof.coefficient) ** (1.0 / prof.beta),
+                sol.x[pos] - (sol.u[pos] / prof.coefficient) ** (1.0 / prof.beta)]
+        assert seen[1] - seen[0] == pytest.approx(2.0 - sum(travel), abs=1e-12), case
+        x_minus, x_plus = -1.0 + travel[0], 1.0 - travel[1]
+        exact = (prof.evaluate(sol.x - x_plus) - prof.evaluate(x_minus - sol.x))
+        assert np.max(np.abs(sol.u - exact)) <= 1e-12, case
+        # the core is exactly zero, and nothing outside it is
+        in_core = (sol.x >= x_minus) & (sol.x <= x_plus)
+        assert np.count_nonzero(sol.u == 0.0) == np.count_nonzero(in_core) == zeros, case
+        assert sol.boundary_mismatch <= 1e-12, case
+        # energy p/(p-1) delta lambda A^gamma T^(beta gamma + 1) / (beta gamma + 1)
+        bg = prof.beta * gamma
+        energy = sum(k * prof.coefficient**gamma * t ** (bg + 1.0) / (bg + 1.0)
+                     for t in travel)
+        assert sol.energy == pytest.approx(energy, rel=1e-12), case
 
 
-def test_shooter_integrates_each_match_once_outside_root_finding(monkeypatch):
-    steps = []
-    evals = [0]
-    integrate, brentq = oracle._integrate, oracle.brentq
+def test_shooter_parabola_crossing_with_positive_constant():
+    # p = 2, gamma = 1, lambda = 1/2, data -+1/2: C = 1/32 and
+    # u = sign(x) (x^2/4 + |x|/4), so u' = |x|/2 + 1/4
+    par = Params(p=2.0, gamma=1.0, lambda_plus=0.5, lambda_minus=0.5)
+    sol = shoot_two_phase_1d(par, -0.5, 0.5, interval=(-1.0, 1.0), n_out=257).primary
+    ax = np.abs(sol.x)
+    assert np.max(np.abs(sol.u - np.sign(sol.x) * (0.25 * ax**2 + 0.25 * ax))) <= 1e-13
+    assert np.max(np.abs(sol.flux - (0.5 * ax + 0.25))) <= 1e-13
+    assert sol.initial_flux == pytest.approx(0.75, abs=1e-13)
+    # twice the integral of (x/2 + 1/4)^2 / 2 + (x^2/4 + x/4) / 2 over (0, 1)
+    assert sol.energy == pytest.approx(23.0 / 48.0, abs=1e-13)
+    assert sol.boundary_mismatch <= 1e-12 and sol.quadrature_error <= 1e-12
 
-    def counted_integrate(*args):
-        steps.append(args[3])
-        return integrate(*args)
 
-    def counted_brentq(f, *args, **kwargs):
-        def g(q0):
-            evals[0] += 1
-            return f(q0)
+def test_shooter_parabola_dead_core():
+    # p = 2, gamma = 1, lambda = 1, data -+0.1: u = sign(x) (|x| - r)_+^2 / 2
+    # with core half-length r = 1 - sqrt(0.2)
+    par = Params(p=2.0, gamma=1.0, lambda_plus=1.0, lambda_minus=1.0)
+    sol = shoot_two_phase_1d(par, -0.1, 0.1, interval=(-1.0, 1.0), n_out=257).primary
+    r = 1.0 - np.sqrt(0.2)
+    exact = np.sign(sol.x) * 0.5 * np.maximum(np.abs(sol.x) - r, 0.0) ** 2
+    assert np.max(np.abs(sol.u - exact)) <= 1e-13
+    assert np.max(np.abs(sol.flux - np.maximum(np.abs(sol.x) - r, 0.0))) <= 1e-13
+    assert sol.boundary_mismatch <= 1e-12
 
-        return brentq(g, *args, **kwargs)
 
-    monkeypatch.setattr(oracle, "_integrate", counted_integrate)
-    monkeypatch.setattr(oracle, "brentq", counted_brentq)
-    par = Params(p=2.0, gamma=1.0, lambda_plus=0.5, lambda_minus=0.5, delta=1.0)
-    res = shoot_two_phase_1d(par, 0.0, 0.25, interval=(0.0, 1.0), n_out=17,
-                             h_ode=1e-3)
-    n_fine = 16 * 63  # 16 segments of ceil(1000 / 16) steps
-    n_sol = len(res.solutions)
-    # a fine run under 2000 steps is also the scan's step count: one scan
-    # run per scanned flux, the root finder's evaluations, and one recorded
-    # run per solution, plus one half-step Richardson run per solution
-    assert steps.count(n_fine) == 97 + evals[0] + n_sol
-    assert steps.count(2 * n_fine) == n_sol
-    assert len(steps) == 97 + evals[0] + 2 * n_sol
+def test_shooter_mirrored_data():
+    # u -> -u maps the data (g, -g) to (-g, g) and swaps the phase weights
+    direct = shoot_two_phase_1d(
+        Params(p=3.0, gamma=0.8, lambda_plus=1.0, lambda_minus=0.05, alpha_p=1.0),
+        -0.5, 0.3, n_out=129).primary
+    mirror = shoot_two_phase_1d(
+        Params(p=3.0, gamma=0.8, lambda_plus=0.05, lambda_minus=1.0, alpha_p=1.0),
+        0.5, -0.3, n_out=129).primary
+    assert np.max(np.abs(mirror.u + direct.u)) <= 1e-15
+    assert np.max(np.abs(mirror.flux + direct.flux)) <= 1e-15
+    assert mirror.energy == pytest.approx(direct.energy, rel=1e-15)
+    assert mirror.boundary_mismatch <= 1e-12
+    assert mirror.initial_flux < 0.0 < direct.initial_flux
 
 
 def test_shooter_rejects_bad_interval():
@@ -293,21 +334,24 @@ def test_shooter_rejects_bad_interval():
         shoot_two_phase_1d(par, 0.0, 1.0, n_out=1)
 
 
-def test_shooter_reports_unbracketed_scan():
-    # a scan window too narrow to reach the right boundary value
+def test_shooter_rejects_same_sign_data():
+    # same-sign data turns inside the interval: not this oracle's branch
     par = Params(p=2.0, gamma=1.0, lambda_plus=0.5, lambda_minus=0.5, delta=1.0)
-    with pytest.raises(ValueError, match="no root bracketed"):
-        shoot_two_phase_1d(par, 5.0, 5.0, interval=(0.0, 1.0), n_out=17,
-                           h_ode=1e-3, n_scan=9, scan_span=0.1)
+    for g_left, g_right in [(5.0, 5.0), (-0.1, -0.3)]:
+        with pytest.raises(ValueError, match="same-sign"):
+            shoot_two_phase_1d(par, g_left, g_right, interval=(0.0, 1.0), n_out=17)
 
 
-def test_shooter_scan_skips_fluxes_past_the_float_range():
-    # at p = 1.5, u' = q^2 overflows a float for the outer scanned fluxes
-    par = Params(p=1.5, gamma=1.0, lambda_plus=0.5, lambda_minus=0.5, delta=1.0,
-                 alpha_p=1.0)
-    with pytest.raises(ValueError, match="no root bracketed"):
-        shoot_two_phase_1d(par, 0.0, 0.5, interval=(0.0, 1.0), n_out=17,
-                           h_ode=1e-3, n_scan=3, scan_span=1e200)
+def test_oracle_imports_only_core_from_the_package():
+    # the oracle shares no code with the grid solver it checks
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    local = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or "aplab" in (node.module or "")):
+            local.add(("." * node.level) + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            local.update(a.name for a in node.names if a.name.startswith("aplab"))
+    assert local == {".core"}
 
 
 def test_exact_potential_along_trajectory():

@@ -16,6 +16,7 @@ from aplab.solver import (
     SolverConfig,
     _affine_fill_1d,
     _box_preconditioner,
+    _csr,
     _FreeBlock,
     SolverStall,
     comparison_gap,
@@ -83,7 +84,7 @@ def test_diffusion_operator_reproduces_dirichlet_gradient(extents, shape, p):
     u = np.random.default_rng(len(shape)).standard_normal(shape)
     kern = DiscreteEnergy.dirichlet(grid, p)
     kappas = kern.conductances(kern.grad_sq(u), 0.1)
-    a_u = _FreeBlock(kern, np.arange(u.size))(kappas) @ u.ravel()
+    a_u = _csr(_FreeBlock(kern, np.arange(u.size))(kappas)) @ u.ravel()
     g = kern.gradient(u, kappas, 0.1).ravel()
     assert np.max(np.abs(a_u - g)) <= 1e-12 * np.max(np.abs(g))
 
@@ -121,12 +122,15 @@ def test_free_block_equals_sliced_full_operator(extents, shape, p):
     kern = DiscreteEnergy.dirichlet(grid, p)
     kappas = kern.conductances(kern.grad_sq(u), 0.1)
     full = _FreeBlock(kern, np.arange(u.size))(kappas)
-    # 1D blocks come in band storage, the others as CSR
-    assert full.format == ("dia" if len(shape) == 1 else "csr")
-    full = full.tocsr()
+    # 1D blocks come as LAPACK upper band arrays, the others as CSR
+    if len(shape) == 1:
+        assert isinstance(full, np.ndarray) and full.shape == (2, u.size)
+    else:
+        assert full.format == "csr"
+    full = _csr(full)
     _assert_same_csr(full, _coo_operator(kern, kappas))
     want = (scale * full[idx][:, idx] + sp.diags(shift)).tocsr()
-    _assert_same_csr(_FreeBlock(kern, idx)(kappas, scale, shift).tocsr(), want)
+    _assert_same_csr(_csr(_FreeBlock(kern, idx)(kappas, scale, shift)), want)
 
 
 @pytest.mark.parametrize("shape", [(33,), (17, 13)], ids=["1d", "2d"])
@@ -147,12 +151,12 @@ def test_fixed_pattern_refills_match_a_fresh_build(shape):
         full = _coo_operator(kern, kappas)
         want = (scale * full[nodes][:, nodes] + sp.diags(shift)).tocsr()
         if len(shape) == 1:
-            assert got.format == "dia" and list(got.offsets) == [1, 0, -1]
-            bands = np.zeros((3, nodes.size))
+            # LAPACK upper band storage: superdiagonal, then diagonal
+            assert isinstance(got, np.ndarray)
+            bands = np.zeros((2, nodes.size))
             bands[0, 1:] = want.diagonal(1)
             bands[1] = want.diagonal()
-            bands[2, :-1] = want.diagonal(-1)
-            assert np.array_equal(got.data, bands)
+            assert np.array_equal(got, bands)
         else:
             assert got.format == "csr"
             _assert_same_csr(got, want)
@@ -213,10 +217,10 @@ def test_banded_solve_matches_superlu(subset, p, shift):
     grid = Grid(extents=((-1.0, 1.0),), resolution=(33,))
     nodes = subset(grid)
     kern, M, b = _newton_system(grid, p, nodes, shift)
-    assert M.format == "dia" and _box_preconditioner(kern, nodes) is None
+    assert isinstance(M, np.ndarray) and _box_preconditioner(kern, nodes) is None
     tally = Counter()
     x = spsolve(M, b, None, tally)
-    want = spla.spsolve(M.tocsr(), b)
+    want = spla.spsolve(_csr(M), b)
     assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
     assert tally["superlu_solves"] == 0
 
@@ -226,11 +230,11 @@ def test_indefinite_banded_system_falls_back_to_superlu():
     nodes = _interior(grid)
     _, M, b = _newton_system(grid, 2.0, nodes, 0.0)
     # a positive diagonal, but eigenvalues of both signs
-    M.data[1] -= 0.5 * M.diagonal().min()
+    M[1] -= 0.5 * M[1].min()
     tally = Counter()
     x = spsolve(M, b, None, tally)
     assert tally["superlu_solves"] == 1
-    assert np.array_equal(x, spla.spsolve(M.tocsr(), b))
+    assert np.array_equal(x, spla.spsolve(_csr(M), b))
 
 
 def test_assemble_diffusion_returns_csr():
