@@ -8,7 +8,7 @@ never mutate.  Updated fields are new objects (``ScalarField.with_values``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from functools import cached_property
 
 import numpy as np
@@ -60,9 +60,6 @@ class Params:
         value is a configuration input.  Defaults to 1.0 for p = 2
         (harmonic functions are smooth) and must be given explicitly
         otherwise.
-    eps_fit : float
-        Safety margin subtracted from ``alpha_p`` in the capped growth
-        exponent ``tau_star``.
     """
 
     p: float
@@ -71,7 +68,6 @@ class Params:
     lambda_minus: float = 0.0
     delta: float = 1.0
     alpha_p: float | None = None
-    eps_fit: float = 0.01
 
     def __post_init__(self) -> None:
         if not (1.0 < self.p < math.inf):
@@ -80,10 +76,12 @@ class Params:
             raise ValueError(
                 f"gamma must lie in (0, p) = (0, {self.p}), got {self.gamma}"
             )
-        if self.lambda_plus < 0 or self.lambda_minus < 0:
-            raise ValueError("phase weights lambda_plus/lambda_minus must be >= 0")
-        if self.delta < 0:
-            raise ValueError(f"delta must be >= 0, got {self.delta}")
+        if not all(0.0 <= w < math.inf for w in (self.lambda_plus, self.lambda_minus)):
+            raise ValueError(
+                "phase weights lambda_plus/lambda_minus must be finite and >= 0"
+            )
+        if not (0.0 <= self.delta < math.inf):
+            raise ValueError(f"delta must be finite and >= 0, got {self.delta}")
         if self.alpha_p is None:
             if self.p == 2.0:
                 object.__setattr__(self, "alpha_p", 1.0)
@@ -93,18 +91,11 @@ class Params:
                 )
         if not (0.0 < self.alpha_p <= 1.0):
             raise ValueError(f"alpha_p must lie in (0, 1], got {self.alpha_p}")
-        if not (0.0 < self.eps_fit < 1.0):
-            raise ValueError(f"eps_fit must lie in (0, 1), got {self.eps_fit}")
 
     @property
     def tau(self) -> float:
         """Scaling exponent gamma / (p - gamma); growth rate is 1 + tau."""
         return self.gamma / (self.p - self.gamma)
-
-    @property
-    def tau_star(self) -> float:
-        """Capped growth exponent min(tau, alpha_p - eps_fit)."""
-        return min(self.tau, self.alpha_p - self.eps_fit)
 
     @property
     def restricted_range(self) -> bool:
@@ -113,15 +104,7 @@ class Params:
         return self.gamma < min(1.0, self.p * self.alpha_p / (1.0 + self.alpha_p))
 
     def with_delta(self, delta: float) -> "Params":
-        return Params(
-            p=self.p,
-            gamma=self.gamma,
-            lambda_plus=self.lambda_plus,
-            lambda_minus=self.lambda_minus,
-            delta=delta,
-            alpha_p=self.alpha_p,
-            eps_fit=self.eps_fit,
-        )
+        return replace(self, delta=delta)
 
 
 @dataclass(frozen=True)

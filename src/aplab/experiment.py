@@ -20,6 +20,7 @@ import ast
 import csv
 import hashlib
 import json
+import math
 import platform
 from dataclasses import dataclass
 from pathlib import Path
@@ -118,7 +119,6 @@ CONFIG_SCHEMA = {
                 "lambda_minus": {"type": "number", "minimum": 0},
                 "delta": {"type": "number", "minimum": 0},
                 "alpha_p": _POSNUM,
-                "eps_fit": _POSNUM,
                 "extents": {
                     "type": "array",
                     "minItems": 1,
@@ -146,10 +146,6 @@ CONFIG_SCHEMA = {
                 "eps_ladder": _LADDER,
                 "max_iters": {"type": "integer", "minimum": 1},
                 "tol_residual": _POSNUM,
-                "tol_energy": _POSNUM,
-                "armijo_c1": _POSNUM,
-                "backtrack": _POSNUM,
-                "step_floor": _POSNUM,
             },
         },
         "diagnostics": {
@@ -269,13 +265,31 @@ def validate_config(cfg: dict) -> None:
         raise ConfigError("growth.fit_window must be increasing")
 
 
+def _finite_number(token: str) -> float:
+    """A JSON float, or ConfigError for NaN, Infinity and overflowing literals."""
+    x = float(token)
+    if not math.isfinite(x):
+        raise ConfigError(f"config holds the non-finite number {token}")
+    return x
+
+
+def _finite_int(token: str) -> int:
+    _finite_number(token)  # refuses an integer past the float range
+    return int(token)
+
+
 def load_config(path) -> dict:
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        cfg = json.loads(text)
+        cfg = json.loads(
+            text,
+            parse_float=_finite_number,
+            parse_int=_finite_int,
+            parse_constant=_finite_number,
+        )
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
@@ -394,7 +408,6 @@ def build_problem(cfg: dict) -> tuple[ScalarField, Params, SolverConfig]:
             lambda_minus=prob.get("lambda_minus", 0.0),
             delta=prob.get("delta", 1.0),
             alpha_p=prob.get("alpha_p"),
-            eps_fit=prob.get("eps_fit", 0.01),
         )
         grid = build_grid(prob["extents"], prob["resolution"])
         solver_kwargs = dict(cfg.get("solver", {}))

@@ -1,4 +1,11 @@
-"""Measure-theoretic diagnostics: perimeter, density, porosity, contents.
+"""Measure-theoretic diagnostics of the free boundary.
+
+Each of the three regularity properties probed has a reading here:
+finite perimeter (``relative_perimeter``), density bounds
+(``phase_density``, with ``porosity_constant`` for the null set), and
+codimension-one size, read off the slope of the tube measures in
+``minkowski_content``.
+``level_strip_energy`` measures the energy near the zero level.
 
 Ball membership is by node center.  Sup-type and counting estimators use
 the closed ball, quadrature-type estimators the open one; the O(h) bias
@@ -23,11 +30,8 @@ __all__ = [
     "phase_density",
     "porosity_constant",
     "level_strip_energy",
-    "coarea_average_perimeter",
     "MinkowskiResult",
     "minkowski_content",
-    "BoxCountResult",
-    "box_dimension",
 ]
 
 
@@ -181,21 +185,14 @@ def _perimeter_3d_facecount(g: np.ndarray, grid: Grid, ball: BallSpec) -> float:
     return float(total)
 
 
-def relative_perimeter(
-    field: ScalarField,
-    ball: BallSpec,
-    level: float = 0.0,
-    phase: str = "positive",
-) -> float:
-    """Perimeter of {u > level} (or {-u > level}) inside the open ball.
+def relative_perimeter(field: ScalarField, ball: BallSpec) -> float:
+    """Perimeter of {u > 0} inside the open ball.
 
     1D counts interpolated crossings, 2D sums marching-cell contour
     segments of the linear interpolant (midpoint-in-ball rule), 3D falls
     back to a staircase face count and should be read as approximate.
     """
-    if phase not in ("positive", "negative"):
-        raise ValueError("phase must be 'positive' or 'negative'")
-    g = field.values - level if phase == "positive" else -field.values - level
+    g = field.values
     grid = field.grid
     if grid.ndim == 1:
         return _perimeter_1d(g, grid, ball)
@@ -263,23 +260,9 @@ def level_strip_energy(
     return kern.energy(v, kern.grad_sq(v), 0.0, region=strip)
 
 
-def coarea_average_perimeter(
-    field: ScalarField, eps: float, ball: BallSpec, n_levels: int = 16
-) -> float:
-    """Average perimeter of {u > s} over a midpoint ladder of s in (0, eps)."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if n_levels < 1:
-        raise ValueError("need at least one level")
-    levels = (np.arange(n_levels) + 0.5) * (eps / n_levels)
-    total = 0.0
-    for s in levels:
-        total += relative_perimeter(field, ball, level=float(s), phase="positive")
-    return total / n_levels
-
 
 # ---------------------------------------------------------------------------
-# Minkowski content and box dimension.
+# Minkowski content.
 
 
 def _loglog_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
@@ -308,85 +291,26 @@ class MinkowskiResult:
     intercept: float
     r_squared: float
 
-    @property
-    def content(self) -> float:
-        return self.contents[-1]
 
-
-def minkowski_content(
-    set_mask: np.ndarray,
-    grid: Grid,
-    eps_ladder,
-    region: np.ndarray | None = None,
-) -> MinkowskiResult:
+def minkowski_content(set_mask: np.ndarray, grid: Grid, eps_ladder) -> MinkowskiResult:
     """Measure eps-tubes around a node set and fit their scaling in eps."""
-    eps = [float(e) for e in eps_ladder]
+    eps = sorted((float(e) for e in eps_ladder), reverse=True)
     if len(eps) < 2:
         raise ValueError("need at least two tube widths")
-    if min(eps) < 2.0 * max(grid.spacing):
+    if eps[-1] < 2.0 * max(grid.spacing):
         raise ValueError("tube widths below 2h are not resolvable")
     set_mask = np.asarray(set_mask)
     if not set_mask.any():
         raise ValueError("empty set")
-    if region is None:
-        region = np.ones(grid.shape, dtype=bool)
     dist = distance_to_set(grid, set_mask)
-    cellvol = grid.cell_volume
-    measures = []
-    for e in sorted(eps, reverse=True):
-        tube = (dist < e) & region
-        measures.append(cellvol * int(np.count_nonzero(tube)))
-    eps_sorted = sorted(eps, reverse=True)
-    slope, intercept, r2 = _loglog_fit(np.array(eps_sorted), np.array(measures))
-    contents = tuple(m / (2.0 * e) for m, e in zip(measures, eps_sorted))
+    measures = [grid.cell_volume * int(np.count_nonzero(dist < e)) for e in eps]
+    slope, intercept, r2 = _loglog_fit(np.array(eps), np.array(measures))
+    contents = tuple(m / (2.0 * e) for m, e in zip(measures, eps))
     return MinkowskiResult(
-        eps=tuple(eps_sorted),
+        eps=tuple(eps),
         tube_measures=tuple(measures),
         contents=contents,
         slope=slope,
         intercept=intercept,
-        r_squared=r2,
-    )
-
-
-@dataclass(frozen=True)
-class BoxCountResult:
-    scales: tuple[float, ...]
-    counts: tuple[int, ...]
-    dimension: float
-    r_squared: float
-
-
-def box_dimension(set_mask: np.ndarray, grid: Grid, scales) -> BoxCountResult:
-    """Box-counting dimension estimate of a node set.
-
-    Bins set nodes into boxes of each side length and fits
-    log(count) against log(1/side); needs at least three scales.
-    """
-    scales = [float(s) for s in scales]
-    if len(scales) < 3:
-        raise ValueError("need at least three box scales")
-    set_mask = np.asarray(set_mask)
-    idx = np.argwhere(set_mask)
-    if idx.size == 0:
-        raise ValueError("empty set")
-    coords = np.stack(
-        [grid.axes[a][idx[:, a]] for a in range(grid.ndim)], axis=1
-    )
-    origin = np.array([a for a, _ in grid.extents])
-    counts = []
-    for s in sorted(scales, reverse=True):
-        if s <= 0:
-            raise ValueError("box scales must be positive")
-        bins = np.floor((coords - origin) / s).astype(np.int64)
-        counts.append(len(np.unique(bins, axis=0)))
-    scales_sorted = sorted(scales, reverse=True)
-    slope, _, r2 = _loglog_fit(
-        1.0 / np.array(scales_sorted), np.array(counts, dtype=float)
-    )
-    return BoxCountResult(
-        scales=tuple(scales_sorted),
-        counts=tuple(counts),
-        dimension=float(slope),
         r_squared=r2,
     )

@@ -9,8 +9,9 @@ by maximizing the ratio over the scale- and rotation-reduced family of
 pairs.
 
 Pairs are arrays of shape (..., N); reductions run over the last axis.
-Computations preserve the input dtype, so sweeps can run in extended
-precision (np.longdouble) when roundoff at near-equality pairs matters.
+Computations preserve the input dtype; the randomized sweeps draw planar
+pairs in extended precision (np.longdouble), so that roundoff at
+near-equality pairs does not pass for a violated inequality.
 """
 
 from __future__ import annotations
@@ -166,7 +167,11 @@ def _v_ratio(t: np.ndarray, theta: np.ndarray, p: float) -> np.ndarray:
     return np.where(base > 0, r, 1.0)
 
 
-def calibrate_v_constant(p: float, resolution: int = 1500, zoom_rounds: int = 3) -> float:
+_SCAN_RESOLUTION = 1500  # samples per axis of each calibration scan
+_ZOOM_ROUNDS = 3
+
+
+def calibrate_v_constant(p: float) -> float:
     """Smallest safe two-sided constant for ``check_v_equivalence``.
 
     The ratio is scale and rotation invariant, so pairs reduce to
@@ -178,8 +183,8 @@ def calibrate_v_constant(p: float, resolution: int = 1500, zoom_rounds: int = 3)
         raise ValueError("calibration needs p > 1")
 
     def scan(tlo, thi, alo, ahi):
-        t = np.linspace(tlo, thi, resolution)
-        th = np.linspace(alo, ahi, resolution)
+        t = np.linspace(tlo, thi, _SCAN_RESOLUTION)
+        th = np.linspace(alo, ahi, _SCAN_RESOLUTION)
         tt, aa = np.meshgrid(t, th, indexing="ij")
         r = _v_ratio(tt, aa, p)
         imax = np.unravel_index(np.argmax(r), r.shape)
@@ -190,8 +195,8 @@ def calibrate_v_constant(p: float, resolution: int = 1500, zoom_rounds: int = 3)
         )
 
     hi, t_hi, a_hi, lo, t_lo, a_lo = scan(0.0, 4.0, 0.0, np.pi)
-    span_t, span_a = 4.0 / resolution, np.pi / resolution
-    for _ in range(zoom_rounds):
+    span_t, span_a = 4.0 / _SCAN_RESOLUTION, np.pi / _SCAN_RESOLUTION
+    for _ in range(_ZOOM_ROUNDS):
         h2, th2, ah2, _, _, _ = scan(
             max(t_hi - 2 * span_t, 0.0), t_hi + 2 * span_t,
             max(a_hi - 2 * span_a, 0.0), min(a_hi + 2 * span_a, np.pi),
@@ -202,8 +207,8 @@ def calibrate_v_constant(p: float, resolution: int = 1500, zoom_rounds: int = 3)
         )
         hi, t_hi, a_hi = max(hi, h2), th2, ah2
         lo, t_lo, a_lo = min(lo, l2), tl2, al2
-        span_t /= resolution / 4.0
-        span_a /= resolution / 4.0
+        span_t /= _SCAN_RESOLUTION / 4.0
+        span_a /= _SCAN_RESOLUTION / 4.0
     # analytic limit candidates: parallel, transverse/antipodal, b = 0
     par = (p * p / 4.0) * 2.0 ** ((2.0 - p) / 2.0)
     perp = 2.0 ** ((2.0 - p) / 2.0)
@@ -231,15 +236,16 @@ class InequalityReport:
     eps: float | None = None
 
 
-def _sweep_pairs(rng: np.random.Generator, n: int, dim: int, dtype):
-    """Uniform pairs in [-10, 10]^dim plus derived adversarial families:
+def _sweep_pairs(rng: np.random.Generator, n: int):
+    """Uniform pairs in [-10, 10]^2 plus derived adversarial families:
     near-parallel, near-antipodal, and near-zero rescalings."""
-    a = rng.uniform(-10.0, 10.0, size=(n, dim)).astype(dtype)
-    b = rng.uniform(-10.0, 10.0, size=(n, dim)).astype(dtype)
+    ld = np.longdouble
+    a = rng.uniform(-10.0, 10.0, size=(n, 2)).astype(ld)
+    b = rng.uniform(-10.0, 10.0, size=(n, 2)).astype(ld)
     m = max(n // 10, 1)
-    jitter = dtype(1.0) + dtype(1e-12)
-    aa = np.concatenate([a, a[:m], a[:m], a[:m] * dtype(1e-9)])
-    bb = np.concatenate([b, a[:m] * jitter, -a[:m] * jitter, b[:m] * dtype(1e-9)])
+    jitter = ld(1.0) + ld(1e-12)
+    aa = np.concatenate([a, a[:m], a[:m], a[:m] * ld(1e-9)])
+    bb = np.concatenate([b, a[:m] * jitter, -a[:m] * jitter, b[:m] * ld(1e-9)])
     return aa, bb
 
 
@@ -249,19 +255,16 @@ def sweep_inequality(
     n_pairs: int = 100_000,
     seed: int = 0,
     eps: float = 1.0,
-    c: float | None = None,
-    dim: int = 2,
-    dtype=np.longdouble,
 ) -> InequalityReport:
     """Run one margin check over a seeded randomized batch of vector pairs.
 
     ``name`` is one of sum / convexity / monotonicity / v_equivalence.
-    The sweep runs in extended precision by default so that genuinely
-    valid inequalities do not report spurious negative margins at the
+    The sweep runs in extended precision so that genuinely valid
+    inequalities do not report spurious negative margins at the
     adversarial near-equality pairs.
     """
     rng = np.random.default_rng(seed)
-    a, b = _sweep_pairs(rng, n_pairs, dim, dtype)
+    a, b = _sweep_pairs(rng, n_pairs)
     constant: float | None = None
     if name == "sum":
         margins = check_sum_inequality(a, b, p, eps)
@@ -273,7 +276,7 @@ def sweep_inequality(
         constant = monotonicity_constant(p)
         eps = None
     elif name == "v_equivalence":
-        constant = calibrate_v_constant(p) if c is None else c
+        constant = calibrate_v_constant(p)
         upper, lower = check_v_equivalence(a, b, p, constant)
         margins = np.minimum(upper, lower)
         eps = None

@@ -8,6 +8,7 @@ code paths: the module imports nothing from aplab but ``core``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,11 +52,11 @@ class ExactProfile:
                 return self.coefficient * x**self.beta
         raise ValueError(f"unknown profile kind {self.kind!r}")
 
-    def sample(self, grid: Grid, center: float = 0.0) -> ScalarField:
+    def sample(self, grid: Grid) -> ScalarField:
         """Sample on a 1D grid (one_phase profiles only)."""
         if self.kind != "one_phase" or grid.ndim != 1:
             raise ValueError("sampling is defined for one_phase profiles on 1D grids")
-        vals = self.evaluate(grid.axes[0] - center)
+        vals = self.evaluate(grid.axes[0])
         mask = grid.boundary_face_mask
         return ScalarField(
             grid=grid, values=vals, boundary_mask=mask, boundary_values=vals
@@ -87,8 +88,8 @@ def radial_p_harmonic(dim: int, p: float) -> ExactProfile:
     """Radial p-harmonic profile: |x|^((p-N)/(p-1)), or log|x| at p = N."""
     if dim < 2:
         raise ValueError("radial profile needs dimension >= 2")
-    if p <= 1.0:
-        raise ValueError("p must exceed 1")
+    if not (1.0 < p < math.inf):
+        raise ValueError(f"p must lie in (1, inf), got {p}")
     beta = (p - dim) / (p - 1.0)
     return ExactProfile(
         kind="radial_p_harmonic", beta=beta, coefficient=1.0, p=p, dim=dim

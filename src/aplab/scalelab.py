@@ -1,4 +1,4 @@
-"""Radius ladders, growth fits, and the dilation transport of the energy.
+"""Radius ladders, growth and nondegeneracy fits, and the dilation transport.
 
 The central object is the rescaling ``u -> u(center + r y) / s`` together
 with the induced change of the potential multiplier.  When the target
@@ -27,7 +27,6 @@ __all__ = [
     "nondegeneracy_ratio",
     "rescale",
     "scaling_identity_gap",
-    "caccioppoli_check",
     "default_radius_ladder",
 ]
 
@@ -52,10 +51,6 @@ class GrowthProfile:
     sup_abs: tuple[float, ...]
     dirichlet: tuple[float, ...]
     potential: tuple[float, ...]
-
-    @property
-    def total(self) -> tuple[float, ...]:
-        return tuple(d + v for d, v in zip(self.dirichlet, self.potential))
 
 
 def growth_profile(
@@ -162,11 +157,12 @@ def nondegeneracy_ratio(
     return min(s / r**rate for s, r in zip(sups, profile.radii))
 
 
-def default_radius_ladder(grid: Grid, center, count: int = 6) -> tuple[float, ...]:
+def default_radius_ladder(grid: Grid, center) -> tuple[float, ...]:
     """Halving ladder R0 * 2**-j anchored at a quarter of the box size.
 
     R0 = min(half the distance from center to the boundary, a quarter of
-    the shortest box side); rungs below twice the spacing are dropped.
+    the shortest box side) and j = 0, ..., 5; rungs below twice the
+    spacing are dropped.
     """
     center = tuple(float(c) for c in center)
     dist = min(
@@ -177,7 +173,7 @@ def default_radius_ladder(grid: Grid, center, count: int = 6) -> tuple[float, ..
     size = min(b - a for a, b in grid.extents)
     r0 = min(0.5 * dist, 0.25 * size)
     floor = 2.0 * max(grid.spacing)
-    radii = [r0 * 0.5**j for j in range(count)]
+    radii = [r0 * 0.5**j for j in range(6)]
     radii = [r for r in radii if r >= floor]
     if len(radii) < 2:
         raise ValueError("grid too coarse for a radius ladder at this center")
@@ -195,14 +191,13 @@ def rescale(
     r: float,
     s: float,
     radius: float,
-    resolution: tuple[int, ...] | None = None,
 ) -> tuple[ScalarField, Params]:
     """Transport ``u -> u(center + r y) / s`` onto the cube |y|_inf <= radius.
 
     The potential multiplier transforms as ``delta * r**p * s**(gamma - p)``,
     which is exactly the factor that makes the transported field a
-    minimizer again.  Default resolution matches the source spacing
-    (target spacing h/r), so aligned dyadic choices of r sample nodes
+    minimizer again.  The target spacing is h/r, matching the source
+    spacing after dilation, so aligned dyadic choices of r sample nodes
     exactly; nearly integer sample indices are snapped to kill round-off
     before interpolation.
     """
@@ -221,10 +216,7 @@ def rescale(
                 "rescale window leaves the source grid: "
                 f"need [{c - r * radius}, {c + r * radius}] inside [{a}, {b}]"
             )
-    if resolution is None:
-        resolution = tuple(
-            int(round(2.0 * radius * r / h)) + 1 for h in grid.spacing
-        )
+    resolution = tuple(int(round(2.0 * radius * r / h)) + 1 for h in grid.spacing)
     new_grid = build_grid([(-radius, radius)] * grid.ndim, resolution)
     index_axes = []
     for a in range(grid.ndim):
@@ -280,47 +272,3 @@ def scaling_identity_gap(
     u = field.values
     rhs = kern.energy(u, kern.grad_sq(u), 0.0, region=rhs_region)
     return float(lhs), float(rhs)
-
-
-def caccioppoli_check(
-    field: ScalarField,
-    params: Params,
-    center,
-    k: float,
-    r: float,
-    R: float,
-) -> tuple[float, float]:
-    """Weighted interior energy bound between concentric balls.
-
-    Returns (lhs, rhs) with
-
-        lhs = int_{B_r} |u|^k |grad u|^p
-        rhs = 2/(k+1) * (2(p-1)/(k+1))**(p-1) * (2/(R-r))**p
-              * int_{B_R} |u|^(k+p)
-
-    which minimizers satisfy with lhs <= rhs (cutoff test functions plus
-    Young's inequality; the sign of the reaction term only helps).
-    """
-    if k < 0:
-        raise ValueError("weight exponent k must be >= 0")
-    if not r < R:
-        raise ValueError("need r < R")
-    grid = field.grid
-    center = tuple(float(c) for c in center)
-    _validate_ball(grid, center, r)
-    _validate_ball(grid, center, R)
-    v = field.values
-    gmag = gradient_field(field).magnitude()
-    w = grid.quadrature_weights
-    inner = BallSpec(center, r).node_mask(grid, closed=False)
-    outer = BallSpec(center, R).node_mask(grid, closed=False)
-    p = params.p
-    lhs = float(np.sum(w[inner] * np.abs(v[inner]) ** k * gmag[inner] ** p))
-    const = (
-        2.0
-        / (k + 1.0)
-        * (2.0 * (p - 1.0) / (k + 1.0)) ** (p - 1.0)
-        * (2.0 / (R - r)) ** p
-    )
-    rhs = const * float(np.sum(w[outer] * np.abs(v[outer]) ** (k + p)))
-    return lhs, rhs

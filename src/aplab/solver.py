@@ -9,7 +9,7 @@ conductances that make up the exact gradient) plus the convex part
 max(F'', 0) of the potential curvature, solved sparsely, then an Armijo
 backtracking line search on the true stage energy.  A line search that
 collapses below the step floor is a stall and raises, carrying the
-partial result.
+partial result; so is a Newton system with no finite solution.
 
 Every linear system is symmetric positive definite and goes through
 ``spsolve``.  Its sparsity pattern is built once per problem; each
@@ -54,37 +54,34 @@ __all__ = [
 
 _DEFAULT_LADDER = tuple(10.0 ** (-1.0 - 0.5 * j) for j in range(9))  # 1e-1 .. 1e-5
 
+# Armijo line search: sufficient-decrease fraction, step shrink factor, and
+# the step length below which a search has stalled.
+_ARMIJO_C1 = 1e-4
+_BACKTRACK = 0.5
+_STEP_FLOOR = 1e-14
+# A relative energy change below this counts as flat to rounding.
+_TOL_ENERGY = 1e-15
+
 
 @dataclass(frozen=True)
 class SolverConfig:
     eps_ladder: tuple[float, ...] = _DEFAULT_LADDER
     max_iters: int = 400
     tol_residual: float = 1e-7
-    tol_energy: float = 1e-15
-    armijo_c1: float = 1e-4
-    backtrack: float = 0.5
-    step_floor: float = 1e-14
 
     def __post_init__(self) -> None:
         if not self.eps_ladder:
             raise ValueError("continuation ladder must not be empty")
-        if any(e <= 0 for e in self.eps_ladder):
-            raise ValueError("smoothing widths must be positive")
+        if not all(0.0 < e < math.inf for e in self.eps_ladder):
+            raise ValueError("smoothing widths must be positive and finite")
         if any(
             a < b for a, b in zip(self.eps_ladder, self.eps_ladder[1:])
         ):
             raise ValueError("continuation ladder must be nonincreasing")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if not (0.0 < self.armijo_c1 < 1.0):
-            raise ValueError("armijo_c1 must lie in (0, 1)")
-        if not (0.0 < self.backtrack < 1.0):
-            raise ValueError("backtrack factor must lie in (0, 1)")
-        if not (0.0 < self.step_floor < 1.0):
-            raise ValueError("step_floor must lie in (0, 1)")
-        for name in ("tol_residual", "tol_energy"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        if not 0.0 < self.tol_residual < math.inf:
+            raise ValueError("tol_residual must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -115,8 +112,9 @@ class SolveResult:
 class SolverStall(RuntimeError):
     """A solve stopped short of its tolerance; .result holds the partial state.
 
-    ``minimize`` raises it when the line search falls below the step floor,
-    ``p_harmonic_replacement`` also when the descent ends unconverged.
+    ``minimize`` raises it when the line search falls below the step floor
+    or a linear solve stays non-finite, ``p_harmonic_replacement`` also
+    when the descent ends unconverged.
     """
 
     def __init__(self, message: str, result: SolveResult):
@@ -353,8 +351,11 @@ def _solve_spd(
     rhs: np.ndarray,
     precond: _BoxPreconditioner | None,
     tally: Counter,
-) -> np.ndarray:
-    """Sparse SPD solve with a tiny diagonal lift retry for rank issues."""
+) -> np.ndarray | None:
+    """Sparse SPD solve with a tiny diagonal lift retry for rank issues.
+
+    None when the lifted solve is still non-finite.
+    """
     tally["linear_solves"] += 1
     with np.errstate(all="ignore"):
         x = spsolve(M, rhs, precond, tally)
@@ -365,9 +366,7 @@ def _solve_spd(
     diag = M.diagonal()
     lift = 1e-12 * float(np.max(np.abs(diag))) + 1e-300
     x = spsolve(M + lift * sp.identity(M.shape[0], format="csr"), rhs, None, tally)
-    if not np.all(np.isfinite(x)):
-        raise FloatingPointError("linearized solve produced non-finite values")
-    return x
+    return x if np.all(np.isfinite(x)) else None
 
 
 def _rms(x: np.ndarray) -> float:
@@ -386,9 +385,11 @@ def minimize(
     """Descend the discrete energy from ``initial`` under its Dirichlet data.
 
     Raises SolverStall when the Armijo search cannot make progress above
-    the step floor; the exception carries the best iterate so far, and its
-    message names the stage's smoothing width, the residual and the step
-    length of the last accepted Armijo step ("none" before the first).  The
+    the step floor, or when a Newton system has no finite solution even
+    after the diagonal lift.  The exception carries the best iterate so
+    far, and its message names the stage's smoothing width and the
+    residual; a line-search stall also names the step length of the last
+    accepted Armijo step ("none" before the first).  The
     returned ``converged`` flag certifies that the scaled gradient rms at
     the final smoothing widths met ``tol_residual``.
     """
@@ -457,6 +458,13 @@ def minimize(
             curv = params.delta * np.maximum(potential_curvature(u, params, eps), 0.0)
             M = block(kappas, stiff, w_f * curv.ravel()[idx_f])
             d = _solve_spd(M, g_f, precond, tally)
+            if d is None:
+                stages.append(StageRecord(eps, n_it, tuple(trace), res_rms))
+                raise SolverStall(
+                    f"linear solve non-finite at smoothing width {eps:g} "
+                    f"(residual rms {res_rms:.3e})",
+                    result(False),
+                )
             if polishing:
                 # Energy decreases here are below float rounding, so Armijo
                 # can no longer certify progress; full model steps still
@@ -482,15 +490,15 @@ def minimize(
                 slope = _dot(g_f, d)
             t = 1.0
             accepted = None
-            while t >= config.step_floor:
+            while t >= _STEP_FLOOR:
                 trial = u.copy()
                 trial.flat[idx_f] -= t * d
                 q_t = kern.grad_sq(trial)
                 e_t = kern.energy(trial, q_t, eps)
-                if e_t <= energy - config.armijo_c1 * t * slope:
+                if e_t <= energy - _ARMIJO_C1 * t * slope:
                     accepted = (trial, q_t, e_t)
                     break
-                t *= config.backtrack
+                t *= _BACKTRACK
             if accepted is None:
                 # A failed search close to criticality just means the
                 # available decrease sank under float rounding; switch to the
@@ -512,9 +520,7 @@ def minimize(
             trace.append(energy)
             n_it += 1
             total_iters += 1
-            if abs(trace[-2] - trace[-1]) <= config.tol_energy * max(
-                1.0, abs(trace[-1])
-            ):
+            if abs(trace[-2] - trace[-1]) <= _TOL_ENERGY * max(1.0, abs(trace[-1])):
                 n_flat += 1
             else:
                 n_flat = 0

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import aplab.solver
 from aplab.cli import main
 from aplab.core import load_field
 
@@ -87,16 +88,49 @@ def test_run_deeply_nested_boundary_is_exit_2(tmp_path, capsys, boundary):
     assert "nested too deeply" in capsys.readouterr().err
 
 
-def test_run_stall_is_exit_3_with_partial_bundle(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("problem", "lambda_plus", float("nan")),
+        ("solver", "tol_residual", float("inf")),
+        ("diagnostics", "zero_tol", float("nan")),
+    ],
+)
+def test_run_nonfinite_config_number_is_exit_2(tmp_path, capsys, section, key, value):
+    # json writes and reads NaN and Infinity, and no schema bound catches a NaN
     cfg_dict = small_config()
-    cfg_dict["solver"] = {"armijo_c1": 0.999, "step_floor": 0.5}
-    cfg = tmp_path / "stall.json"
+    cfg_dict.setdefault(section, {})[key] = value
+    cfg = tmp_path / "nonfinite.json"
     cfg.write_text(json.dumps(cfg_dict))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "non-finite number" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_stall_is_exit_3_with_partial_bundle(tmp_path, capsys, monkeypatch):
+    # an Armijo fraction near 1 with no backtracking room accepts no step
+    monkeypatch.setattr(aplab.solver, "_ARMIJO_C1", 0.999)
+    monkeypatch.setattr(aplab.solver, "_STEP_FLOOR", 0.5)
+    cfg = tmp_path / "stall.json"
+    cfg.write_text(json.dumps(small_config()))
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--out", str(out)]) == 3
     assert "stalled" in capsys.readouterr().err
     assert (out / "report.json").is_file()
     assert json.loads((out / "report.json").read_text())["stalled"] is True
+
+
+def test_run_nonfinite_linear_solve_is_exit_3_with_partial_bundle(tmp_path, capsys):
+    cfg_dict = small_config()
+    cfg_dict["solver"] = {"eps_ladder": [1e-300]}
+    cfg = tmp_path / "tiny_width.json"
+    cfg.write_text(json.dumps(cfg_dict))
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 3
+    assert "stalled" in capsys.readouterr().err
+    report = json.loads((out / "report.json").read_text())
+    assert report["stalled"] is True
+    assert report["solve"]["converged"] is False
 
 
 def test_run_unwritable_output_is_exit_4(tmp_path, capsys):
@@ -245,6 +279,14 @@ def test_oracle_radial_json(capsys):
     info = json.loads(capsys.readouterr().out)
     assert info["kind"] == "radial_p_harmonic"
     assert info["beta"] == 0.5
+
+
+@pytest.mark.parametrize("p", ["nan", "inf"])
+def test_oracle_radial_rejects_nonfinite_p(capsys, p):
+    assert main(["oracle", "--p", p, "--radial-dim", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "p must lie in (1, inf)" in captured.err
 
 
 def test_oracle_requires_gamma(capsys):

@@ -1,7 +1,10 @@
 """Grids, parameters, fields, the text field format, and package exports."""
 
 import importlib
+import io
 import pkgutil
+import tokenize
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +33,6 @@ from aplab.core import (
 def test_params_derived_exponents():
     prm = Params(p=3.0, gamma=1.0, lambda_plus=1.0, lambda_minus=0.5, alpha_p=1.0)
     assert prm.tau == pytest.approx(1.0 / 2.0)
-    assert prm.tau_star == pytest.approx(min(prm.tau, 1.0 - prm.eps_fit))
 
 
 def test_params_alpha_p_defaults_only_for_laplacian():
@@ -48,6 +50,8 @@ def test_params_alpha_p_defaults_only_for_laplacian():
         dict(p=2.0, gamma=2.5),
         dict(p=2.0, gamma=1.0, lambda_plus=-1.0),
         dict(p=2.0, gamma=1.0, delta=-0.5),
+        dict(p=2.0, gamma=1.0, lambda_minus=float("nan")),
+        dict(p=2.0, gamma=1.0, delta=float("inf")),
     ],
 )
 def test_params_rejects_out_of_range(kwargs):
@@ -216,10 +220,39 @@ def test_round_trip_preserves_arbitrary_values(vals):
     np.testing.assert_array_equal(back.values, fld.values)
 
 
-@pytest.mark.parametrize(
-    "module",
-    ["aplab"] + sorted(f"aplab.{m.name}" for m in pkgutil.iter_modules(aplab.__path__)),
+_MODULES = ["aplab"] + sorted(
+    f"aplab.{m.name}" for m in pkgutil.iter_modules(aplab.__path__)
 )
+
+
+@pytest.mark.parametrize("module", _MODULES)
 def test_every_exported_name_resolves(module):
     mod = importlib.import_module(module)
     assert [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)] == []
+
+
+def _code_names(root: Path) -> set[str]:
+    """Every name token in the .py files under root, except a def/class name."""
+    names = set()
+    for path in root.rglob("*.py"):
+        tokens = tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
+        previous = None
+        for tok in tokens:
+            if tok.type == tokenize.NAME and previous not in ("def", "class"):
+                names.add(tok.string)
+            if tok.type not in (tokenize.NL, tokenize.COMMENT):
+                previous = tok.string
+    return names
+
+
+def test_every_exported_name_has_a_caller():
+    # __all__ entries are string tokens, so only uses in code count
+    src = Path(aplab.__file__).parent
+    used = _code_names(src) | _code_names(src.parents[1] / "perfbench")
+    unused = [
+        f"{module}.{name}"
+        for module in _MODULES
+        for name in getattr(importlib.import_module(module), "__all__", ())
+        if name not in used
+    ]
+    assert unused == []

@@ -106,6 +106,20 @@ def test_load_config_errors(tmp_path):
         load_config(arr)
 
 
+@pytest.mark.parametrize(
+    "token",
+    ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400],
+    ids=["nan", "inf", "-inf", "float_overflow", "int_overflow"],
+)
+def test_load_config_rejects_nonfinite_numbers(tmp_path, token):
+    path = tmp_path / "cfg.json"
+    text = json.dumps(tiny_config()).replace('"delta": 1.0', f'"delta": {token}')
+    assert token in text
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=f"non-finite number {token}$"):
+        load_config(path)
+
+
 def test_load_config_round_trip(tmp_path):
     cfg = tiny_config()
     path = tmp_path / "run.json"
@@ -200,9 +214,26 @@ def test_build_problem_error_paths():
     with pytest.raises(ConfigError, match="alpha_p"):
         build_problem(cfg)
     cfg2 = tiny_config()
-    cfg2["solver"] = {"step_floor": 2.0}
-    with pytest.raises(ConfigError, match="step_floor"):
+    cfg2["solver"] = {"max_iters": 0}
+    with pytest.raises(ConfigError, match="max_iters"):
         build_problem(cfg2)
+
+
+@pytest.mark.parametrize(
+    "section, key",
+    [
+        ("problem", "eps_fit"),
+        ("solver", "tol_energy"),
+        ("solver", "armijo_c1"),
+        ("solver", "backtrack"),
+        ("solver", "step_floor"),
+    ],
+)
+def test_removed_config_keys_are_unknown(section, key):
+    cfg = tiny_config()
+    cfg.setdefault(section, {})[key] = 0.5
+    with pytest.raises(ConfigError, match=f"'{key}' was unexpected"):
+        validate_config(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -289,10 +320,11 @@ def test_run_is_deterministic(tiny_result):
     assert again.manifest == tiny_result.manifest
 
 
-def test_run_marks_stall_and_still_reports():
+def test_run_marks_stall_and_still_reports(monkeypatch):
+    monkeypatch.setattr(aplab.solver, "_ARMIJO_C1", 0.999)
+    monkeypatch.setattr(aplab.solver, "_STEP_FLOOR", 0.5)
     cfg = tiny_config()
     del cfg["diagnostics"]["scaling"]  # keep the partial-field pass fast
-    cfg["solver"] = {"armijo_c1": 0.999, "step_floor": 0.5}
     out = run_experiment(cfg)
     assert out.stalled
     assert out.report["stalled"] is True

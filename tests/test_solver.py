@@ -48,12 +48,12 @@ def _one_phase_start(n=257):
         {"eps_ladder": (0.1, -0.01)},
         {"eps_ladder": (0.01, 0.1)},
         {"max_iters": 0},
-        {"armijo_c1": 0.0},
-        {"armijo_c1": 1.0},
-        {"backtrack": 1.0},
-        {"step_floor": 0.0},
+        {"eps_ladder": (np.nan,)},
+        {"eps_ladder": (np.inf,)},
+        {"eps_ladder": (0.1, np.nan)},
+        {"tol_residual": np.nan},
         {"tol_residual": 0.0},
-        {"tol_energy": -1.0},
+        {"tol_residual": np.inf},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
@@ -343,6 +343,25 @@ def test_minimize_counts_diagonal_lift_retries(monkeypatch):
     assert res.gradient_fallbacks == 0
 
 
+def test_nonfinite_lifted_solve_is_a_stall(monkeypatch):
+    # the banded solve and its lifted SuperLU retry both come back non-finite
+    nan_solve = lambda M, b, **kw: np.full_like(b, np.nan)  # noqa: E731
+    monkeypatch.setattr(aplab.solver, "solveh_banded", nan_solve)
+    monkeypatch.setattr(aplab.solver, "_superlu", nan_solve)
+    fld, par = _one_phase_start(n=65)
+    with pytest.raises(SolverStall) as info:
+        minimize(fld, par, SolverConfig(eps_ladder=(0.1, 0.01)))
+    res = info.value.result
+    assert str(info.value) == (
+        "linear solve non-finite at smoothing width 0.1 "
+        f"(residual rms {res.residual_rms:.3e})"
+    )
+    assert not res.converged and np.isfinite(res.residual_rms)
+    assert res.n_iterations == 0 and res.lift_retries == res.linear_solves == 1
+    assert [s.eps for s in res.stages] == [0.1]
+    np.testing.assert_array_equal(res.field.values, fld.values)
+
+
 def test_minimize_counts_gradient_fallbacks(monkeypatch):
     # a solve that returns the ascent direction forces the gradient step
     real = aplab.solver.spsolve
@@ -379,11 +398,13 @@ def test_minimize_is_deterministic():
     assert a.n_iterations == b.n_iterations
 
 
-def test_minimize_reports_stall_with_partial_state():
+def test_minimize_reports_stall_with_partial_state(monkeypatch):
     # an Armijo fraction near 1 with no backtracking room cannot accept any
     # damped Newton step, and far from criticality that must surface
+    monkeypatch.setattr(aplab.solver, "_ARMIJO_C1", 0.999)
+    monkeypatch.setattr(aplab.solver, "_STEP_FLOOR", 0.5)
     fld, par = _one_phase_start(n=257)
-    cfg = SolverConfig(armijo_c1=0.999, step_floor=0.5)
+    cfg = SolverConfig()
     with pytest.raises(
         SolverStall,
         match=r"^line search stalled at smoothing width 0\.1 "
@@ -410,9 +431,10 @@ def test_stall_message_names_the_last_accepted_step(monkeypatch):
         return x if len(calls) == 1 else 1e12 * x
 
     monkeypatch.setattr(aplab.solver, "spsolve", overshooting)
+    monkeypatch.setattr(aplab.solver, "_STEP_FLOOR", 1e-3)
     fld, par = _one_phase_start(n=65)
     with pytest.raises(SolverStall) as info:
-        minimize(fld, par, SolverConfig(step_floor=1e-3))
+        minimize(fld, par)
     res = info.value.result
     assert str(info.value) == (
         "line search stalled at smoothing width 0.1 "
