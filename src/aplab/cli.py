@@ -70,9 +70,10 @@ def _cmd_run(args) -> int:
     except OSError as exc:
         print(f"apl run: cannot write bundle: {exc}", file=sys.stderr)
         return 4
-    if result.stalled:
+    if result.stall is not None:
         print(
-            f"apl run: solver stalled; partial bundle in {args.out}",
+            f"apl run: solver stalled: {result.stall}; "
+            f"partial bundle in {args.out}",
             file=sys.stderr,
         )
         return 3

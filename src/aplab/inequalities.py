@@ -3,10 +3,10 @@
 Each check evaluates both sides on arrays of vector pairs and returns the
 margins (rhs - lhs, oriented so that nonnegative means the inequality
 holds).  The constants are the provable ones where a clean closed form
-exists; the two-sided equivalence constant for the half-power map V has
-no convenient closed form, so it is calibrated numerically per exponent
-by maximizing the ratio over the scale- and rotation-reduced family of
-pairs.
+exists.  The two-sided equivalence constant for the half-power map V is
+the largest ratio (or reciprocal ratio) of its two sides; the ratio
+reduces exactly to two curves in one parameter, which are sampled per
+exponent (see ``calibrate_v_constant``).
 
 Pairs are arrays of shape (..., N); reductions run over the last axis.
 Computations preserve the input dtype; the randomized sweeps draw planar
@@ -41,13 +41,15 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sum(a * b, axis=-1)
 
 
+def _power(n: np.ndarray, e: float) -> np.ndarray:
+    """n^e for n > 0 and 0 where n = 0, also for negative e."""
+    return np.where(n > 0, np.where(n > 0, n, 1.0) ** e, 0.0)
+
+
 def v_map(a: np.ndarray, p: float) -> np.ndarray:
     """Half-power map V(a) = |a|^((p-2)/2) a, with V(0) = 0."""
     a = np.asarray(a)
-    na = _norm(a)
-    scale = np.where(na > 0, na, 1.0) ** ((p - 2.0) / 2.0)
-    scale = np.where(na > 0, scale, 0.0)
-    return a * scale[..., None]
+    return a * _power(_norm(a), (p - 2.0) / 2.0)[..., None]
 
 
 def check_sum_inequality(a, b, p: float, eps: float | None = None) -> np.ndarray:
@@ -67,7 +69,7 @@ def check_sum_inequality(a, b, p: float, eps: float | None = None) -> np.ndarray
     else:
         if eps is None or eps <= 0:
             raise ValueError("p > 1 requires eps > 0")
-        one = lhs.dtype.type(1.0) if hasattr(lhs, "dtype") else 1.0
+        one = lhs.dtype.type(1.0)
         rhs = (one + eps) ** (p - 1.0) * _norm(a) ** p + (
             one + one / eps
         ) ** (p - 1.0) * _norm(b) ** p
@@ -81,9 +83,7 @@ def check_convexity_inequality(a, b, p: float) -> np.ndarray:
     a = np.asarray(a)
     b = np.asarray(b)
     na = _norm(a)
-    coef = np.where(na > 0, na, 1.0) ** (p - 2.0)
-    coef = np.where(na > 0, coef, 0.0)
-    lhs = p * coef * _dot(a, b - a)
+    lhs = p * _power(na, p - 2.0) * _dot(a, b - a)
     return _norm(b) ** p - na**p - lhs
 
 
@@ -112,21 +112,16 @@ def check_monotonicity(a, b, p: float) -> np.ndarray:
     b = np.asarray(b)
     na = _norm(a)
     nb = _norm(b)
-
-    def flux(v, nv):
-        s = np.where(nv > 0, nv, 1.0) ** (p - 2.0)
-        s = np.where(nv > 0, s, 0.0)
-        return v * s[..., None]
-
-    lhs = _dot(flux(a, na) - flux(b, nb), a - b)
+    flux_a = a * _power(na, p - 2.0)[..., None]
+    flux_b = b * _power(nb, p - 2.0)[..., None]
+    lhs = _dot(flux_a - flux_b, a - b)
     d = _norm(a - b)
     c = monotonicity_constant(p)
     if p >= 2.0:
         rhs = c * d**p
     else:
-        s = na + nb
-        base = np.where(s > 0, s, 1.0) ** (p - 2.0)
-        rhs = np.where(d > 0, c * base * d * d, 0.0)
+        # d > 0 forces |a| + |b| > 0, so the zero base only meets d = 0
+        rhs = c * _power(na + nb, p - 2.0) * d * d
     return lhs - rhs
 
 
@@ -144,78 +139,39 @@ def check_v_equivalence(a, b, p: float, c: float) -> tuple[np.ndarray, np.ndarra
     diff = v_map(a, p) - v_map(b, p)
     diff2 = np.sum(diff * diff, axis=-1)
     s = _norm(a) ** 2 + _norm(b) ** 2
-    base = np.where(s > 0, s, 1.0) ** ((p - 2.0) / 2.0)
-    base = np.where(s > 0, base, 0.0)
-    base = base * _norm(a - b) ** 2
+    base = _power(s, (p - 2.0) / 2.0) * _norm(a - b) ** 2
     return c * base - diff2, diff2 - base / c
 
 
-def _v_ratio(t: np.ndarray, theta: np.ndarray, p: float) -> np.ndarray:
-    """Ratio |V(a)-V(b)|^2 / base on the reduced family a = e1, b = t e(theta)."""
-    bx = t * np.cos(theta)
-    by = t * np.sin(theta)
-    # V(a) = e1, V(b) = t^(p/2) e(theta)
-    tp = t ** (p / 2.0)
-    dx = 1.0 - tp * np.cos(theta)
-    dy = tp * np.sin(theta)
-    num = dx * dx + dy * dy
-    base = (1.0 + t * t) ** ((p - 2.0) / 2.0) * (
-        (1.0 - bx) ** 2 + by * by
-    )
-    with np.errstate(invalid="ignore", divide="ignore"):
-        r = num / base
-    return np.where(base > 0, r, 1.0)
-
-
-_SCAN_RESOLUTION = 1500  # samples per axis of each calibration scan
-_ZOOM_ROUNDS = 3
+_CURVE_SAMPLES = 100_000  # samples of t in (0, 1) on each extremal curve
 
 
 def calibrate_v_constant(p: float) -> float:
     """Smallest safe two-sided constant for ``check_v_equivalence``.
 
-    The ratio is scale and rotation invariant, so pairs reduce to
-    a = e1, b = t (cos th, sin th); the constant is the max of the ratio
-    and its reciprocal over that family, scanned on a grid and refined
-    around each extremum, with a small safety headroom.
+    The ratio |V(a)-V(b)|^2 / ((|a|^2+|b|^2)^((p-2)/2) |a-b|^2) is
+    invariant under scaling, rotation and swapping a and b, so pairs
+    reduce to a = e1, b = t (cos th, sin th) with 0 <= t <= 1.  For fixed
+    t the ratio is (A - B c) / (C - D c) in c = cos th, with A = 1 + t^p,
+    B = 2 t^(p/2), C = 1 + t^2, D = 2t and C - D c >= (1-t)^2 > 0: a
+    Moebius function of c, hence monotone, so its extremes lie on the
+    parallel curve (c = 1) and the antipodal curve (c = -1).  Both are
+    sampled on (0, 1) and joined by their end values: 1 at t = 0, and at
+    t = 1 the parallel limit p^2/4 2^((2-p)/2) and the antipodal value
+    2^((2-p)/2).  The constant is the max of the ratio and its
+    reciprocal, with a 1e-6 headroom.
     """
     if p <= 1.0:
         raise ValueError("calibration needs p > 1")
-
-    def scan(tlo, thi, alo, ahi):
-        t = np.linspace(tlo, thi, _SCAN_RESOLUTION)
-        th = np.linspace(alo, ahi, _SCAN_RESOLUTION)
-        tt, aa = np.meshgrid(t, th, indexing="ij")
-        r = _v_ratio(tt, aa, p)
-        imax = np.unravel_index(np.argmax(r), r.shape)
-        imin = np.unravel_index(np.argmin(np.where(r > 0, r, np.inf)), r.shape)
-        return (
-            float(r[imax]), float(t[imax[0]]), float(th[imax[1]]),
-            float(r[imin]), float(t[imin[0]]), float(th[imin[1]]),
-        )
-
-    hi, t_hi, a_hi, lo, t_lo, a_lo = scan(0.0, 4.0, 0.0, np.pi)
-    span_t, span_a = 4.0 / _SCAN_RESOLUTION, np.pi / _SCAN_RESOLUTION
-    for _ in range(_ZOOM_ROUNDS):
-        h2, th2, ah2, _, _, _ = scan(
-            max(t_hi - 2 * span_t, 0.0), t_hi + 2 * span_t,
-            max(a_hi - 2 * span_a, 0.0), min(a_hi + 2 * span_a, np.pi),
-        )
-        _, _, _, l2, tl2, al2 = scan(
-            max(t_lo - 2 * span_t, 0.0), t_lo + 2 * span_t,
-            max(a_lo - 2 * span_a, 0.0), min(a_lo + 2 * span_a, np.pi),
-        )
-        hi, t_hi, a_hi = max(hi, h2), th2, ah2
-        lo, t_lo, a_lo = min(lo, l2), tl2, al2
-        span_t /= _SCAN_RESOLUTION / 4.0
-        span_a /= _SCAN_RESOLUTION / 4.0
-    # analytic limit candidates: parallel, transverse/antipodal, b = 0
-    par = (p * p / 4.0) * 2.0 ** ((2.0 - p) / 2.0)
-    perp = 2.0 ** ((2.0 - p) / 2.0)
-    hi = max(hi, par, perp, 1.0)
-    lo = min(lo, par, perp, 1.0)
-    c = max(hi, 1.0 / lo)
-    return float(c * (1.0 + 1e-6))
+    t = np.arange(1, _CURVE_SAMPLES + 1) / (_CURVE_SAMPLES + 1.0)
+    half_log = 0.5 * p * np.log(t)  # log t^(p/2)
+    tail = (1.0 + t * t) ** ((2.0 - p) / 2.0)
+    # expm1 gives t^(p/2) - 1 without the cancellation of 1 - t^(p/2) at t -> 1
+    parallel = (np.expm1(half_log) / (1.0 - t)) ** 2 * tail
+    antipodal = ((1.0 + np.exp(half_log)) / (1.0 + t)) ** 2 * tail
+    edge = 2.0 ** ((2.0 - p) / 2.0)
+    ratio = np.concatenate([parallel, antipodal, [1.0, p * p / 4.0 * edge, edge]])
+    return float(max(ratio.max(), 1.0 / ratio.min()) * (1.0 + 1e-6))
 
 
 # ---------------------------------------------------------------------------

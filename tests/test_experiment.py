@@ -4,12 +4,14 @@ import copy
 import dataclasses
 import json
 
+import jsonschema
 import numpy as np
 import pytest
 
 import aplab.solver
 from aplab.core import Params, ScalarField, build_grid
 from aplab.experiment import (
+    CONFIG_SCHEMA,
     CSV_COLUMNS,
     ConfigError,
     _growth_diag,
@@ -57,6 +59,10 @@ def tiny_config():
 
 def test_valid_config_passes():
     validate_config(tiny_config())
+
+
+def test_config_schema_is_a_valid_schema():
+    jsonschema.validators.validator_for(CONFIG_SCHEMA).check_schema(CONFIG_SCHEMA)
 
 
 @pytest.mark.parametrize(
@@ -116,7 +122,7 @@ def test_load_config_rejects_nonfinite_numbers(tmp_path, token):
     text = json.dumps(tiny_config()).replace('"delta": 1.0', f'"delta": {token}')
     assert token in text
     path.write_text(text)
-    with pytest.raises(ConfigError, match=f"non-finite number {token}$"):
+    with pytest.raises(ConfigError, match="at problem/delta: non-finite number$"):
         load_config(path)
 
 
@@ -248,7 +254,7 @@ def tiny_result():
 def test_run_report_structure(tiny_result):
     rep = tiny_result.report
     assert rep["solve"]["converged"] is True
-    assert not tiny_result.stalled and rep["stalled"] is False
+    assert tiny_result.stall is None and rep["stalled"] is False
     assert rep["params"]["tau"] == 1.0
     assert rep["grid"]["resolution"] == [129]
     assert rep["solve"]["n_stages"] == 9
@@ -326,10 +332,18 @@ def test_run_marks_stall_and_still_reports(monkeypatch):
     cfg = tiny_config()
     del cfg["diagnostics"]["scaling"]  # keep the partial-field pass fast
     out = run_experiment(cfg)
-    assert out.stalled
+    assert out.stall.startswith("line search stalled at smoothing width")
     assert out.report["stalled"] is True
     assert out.report["solve"]["converged"] is False
     assert "growth" in out.report["diagnostics"]
+
+
+def test_run_rejects_nonfinite_config_built_in_python():
+    # a NaN zero tolerance would count every node as zero
+    cfg = tiny_config()
+    cfg["diagnostics"]["zero_tol"] = float("nan")
+    with pytest.raises(ConfigError, match="at diagnostics/zero_tol: non-finite"):
+        run_experiment(cfg)
 
 
 def test_run_rejects_unsatisfiable_diagnostics():

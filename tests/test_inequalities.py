@@ -133,13 +133,23 @@ def test_v_equivalence_rejects_constant_below_one():
         check_v_equivalence(np.zeros((1, 2)), np.zeros((1, 2)), 3.0, 0.5)
 
 
+@pytest.mark.parametrize("p", [1.2, 1.5, 2.0, 3.0, 4.0, 6.0])
+def test_calibrated_constant_is_the_endpoint_extremum(p):
+    # the parallel (b -> a) and antipodal (b = -a) limits carry the extremes
+    par = p * p / 4.0 * 2.0 ** ((2.0 - p) / 2.0)
+    perp = 2.0 ** ((2.0 - p) / 2.0)
+    expected = max(par, 1.0 / par, perp, 1.0 / perp) * (1.0 + 1e-6)
+    assert calibrate_v_constant(p) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
 def test_calibrated_constant_is_necessary():
     # deflating the calibrated constant must break one of the two sides
-    p = 3.0
-    c = calibrate_v_constant(p)
-    a, b = _pairs(9, n=200_000)
-    upper, lower = check_v_equivalence(a, b, p, c / 1.5)
-    assert min(upper.min(), lower.min()) < 0
+    a = np.array([[1.0, 0.0], [1.0, 0.0]])
+    b = np.array([[1.0 - 1e-6, 0.0], [-1.0, 0.0]])
+    for p in (1.5, 3.0, 4.0):
+        c = calibrate_v_constant(p)
+        upper, lower = check_v_equivalence(a, b, p, c / (1.0 + 1e-4))
+        assert min(upper.min(), lower.min()) < 0, p
 
 
 @given(vectors, vectors)
