@@ -40,10 +40,8 @@ from .core import (  # noqa: E402  (the thread cap must precede this import)
     Params,
     Grid,
     ScalarField,
-    VectorField,
     FieldFormatError,
     build_grid,
-    gradient_field,
     serialize_field,
     deserialize_field,
 )
@@ -54,10 +52,8 @@ __all__ = [
     "Params",
     "Grid",
     "ScalarField",
-    "VectorField",
     "FieldFormatError",
     "build_grid",
-    "gradient_field",
     "serialize_field",
     "deserialize_field",
     "__version__",

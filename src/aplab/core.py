@@ -17,10 +17,8 @@ __all__ = [
     "Params",
     "Grid",
     "ScalarField",
-    "VectorField",
     "FieldFormatError",
     "build_grid",
-    "gradient_field",
     "serialize_field",
     "deserialize_field",
     "save_field",
@@ -250,48 +248,6 @@ class ScalarField:
             boundary_mask=self.boundary_mask,
             boundary_values=self.boundary_values,
         )
-
-
-@dataclass(frozen=True)
-class VectorField:
-    """Per-axis component arrays on the nodes of a grid."""
-
-    grid: Grid
-    components: tuple[np.ndarray, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.components) != self.grid.ndim:
-            raise ValueError("need one component array per axis")
-        comps = []
-        for c in self.components:
-            c = np.asarray(c, dtype=float)
-            if c.shape != self.grid.shape:
-                raise ValueError("component shape does not match grid shape")
-            comps.append(_readonly(c))
-        object.__setattr__(self, "components", tuple(comps))
-
-    def magnitude(self) -> np.ndarray:
-        sq = np.zeros(self.grid.shape)
-        for c in self.components:
-            sq += c * c
-        return np.sqrt(sq)
-
-
-def gradient_field(field: ScalarField) -> VectorField:
-    """Node gradient by central differences, one-sided at grid faces.
-
-    Exact on affine fields and second order in the interior.  Where an
-    axis has at least three nodes the one-sided stencils are the
-    second-order ones, which keeps the gradient exact on per-axis
-    quadratics up to the faces.
-    """
-    g = field.grid
-    edge_order = 2 if min(g.resolution) >= 3 else 1
-    if g.ndim == 1:
-        grads = [np.gradient(field.values, g.spacing[0], edge_order=edge_order)]
-    else:
-        grads = np.gradient(field.values, *g.spacing, edge_order=edge_order)
-    return VectorField(grid=g, components=tuple(grads))
 
 
 # ---------------------------------------------------------------------------

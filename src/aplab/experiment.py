@@ -35,10 +35,9 @@ from .core import (
     Params,
     ScalarField,
     build_grid,
-    gradient_field,
     save_field,
 )
-from .energy import el_residual
+from .energy import DiscreteEnergy, el_residual
 from .geometry import (
     BallSpec,
     minkowski_content,
@@ -54,6 +53,7 @@ from .phases import (
     default_grad_tol,
     default_zero_tol,
     pick_interface_node,
+    residue_floor,
 )
 from .scalelab import (
     default_radius_ladder,
@@ -496,9 +496,8 @@ def _growth_diag(field, params, spec, center, rows):
         "fits": {},
         "nondegeneracy": {},
     }
-    # a phase whose sups are rounding residue of max|u| does not exist, and
-    # gets no fit (the strip diagnostic's zero rule)
-    floor = 1e-12 * float(np.max(np.abs(field.values)))
+    # a phase whose sups are rounding residue does not exist and gets no fit
+    floor = residue_floor(field.values)
     for name in ("sup_pos", "sup_neg", "sup_abs", "dirichlet"):
         values = getattr(prof, name)
         if name in ("sup_pos", "sup_neg"):
@@ -742,7 +741,8 @@ def run_experiment(cfg: dict) -> ExperimentResult:
     zero_tol = diag.get("zero_tol", default_zero_tol(grid, params))
     grad_tol = diag.get("grad_tol", default_grad_tol(grid, params))
     decomp = decompose(fld, zero_tol)
-    cls = classify(decomp, gradient_field(fld), grad_tol)
+    grad_norm = np.sqrt(DiscreteEnergy(grid, params).grad_sq(fld.values))
+    cls = classify(decomp, grad_norm, grad_tol)
 
     report = {
         "params": {

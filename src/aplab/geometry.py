@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import Grid, Params, ScalarField
 from .energy import DiscreteEnergy
-from .phases import distance_to_set
+from .phases import distance_to_set, residue_floor
 
 __all__ = [
     "BallSpec",
@@ -245,15 +245,14 @@ def level_strip_energy(
 ) -> float:
     """Exact-density energy over the strip {0 < |u| < eps} in the open ball.
 
-    Values within 1e-12 of max |u| count as zero, so the strip does not
-    depend on which solver rounding lands exactly on 0.0.
+    Rounding residue (``phases.residue_floor``) counts as zero.
     """
     if eps <= 0:
         raise ValueError("strip width must be positive")
     grid = field.grid
     v = field.values
     a = np.abs(v)
-    strip = (a > 1e-12 * np.max(a)) & (a < eps) & ball.node_mask(grid, closed=False)
+    strip = (a > residue_floor(v)) & (a < eps) & ball.node_mask(grid, closed=False)
     if not strip.any():
         return 0.0
     kern = DiscreteEnergy(grid, params)

@@ -159,19 +159,23 @@ def calibrate_v_constant(p: float) -> float:
     sampled on (0, 1) and joined by their end values: 1 at t = 0, and at
     t = 1 the parallel limit p^2/4 2^((2-p)/2) and the antipodal value
     2^((2-p)/2).  The constant is the max of the ratio and its
-    reciprocal, with a 1e-6 headroom.
+    reciprocal, with a 1e-6 headroom; past p = 2050 it overflows and raises.
     """
     if p <= 1.0:
         raise ValueError("calibration needs p > 1")
     t = np.arange(1, _CURVE_SAMPLES + 1) / (_CURVE_SAMPLES + 1.0)
-    half_log = 0.5 * p * np.log(t)  # log t^(p/2)
-    tail = (1.0 + t * t) ** ((2.0 - p) / 2.0)
-    # expm1 gives t^(p/2) - 1 without the cancellation of 1 - t^(p/2) at t -> 1
-    parallel = (np.expm1(half_log) / (1.0 - t)) ** 2 * tail
-    antipodal = ((1.0 + np.exp(half_log)) / (1.0 + t)) ** 2 * tail
-    edge = 2.0 ** ((2.0 - p) / 2.0)
-    ratio = np.concatenate([parallel, antipodal, [1.0, p * p / 4.0 * edge, edge]])
-    return float(max(ratio.max(), 1.0 / ratio.min()) * (1.0 + 1e-6))
+    with np.errstate(over="ignore", divide="ignore"):
+        half_log = 0.5 * p * np.log(t)  # log t^(p/2)
+        tail = (1.0 + t * t) ** ((2.0 - p) / 2.0)
+        # expm1 gives t^(p/2) - 1 without the cancellation of 1 - t^(p/2) at t -> 1
+        parallel = (np.expm1(half_log) / (1.0 - t)) ** 2 * tail
+        antipodal = ((1.0 + np.exp(half_log)) / (1.0 + t)) ** 2 * tail
+        edge = 2.0 ** ((2.0 - p) / 2.0)
+        ratio = np.concatenate([parallel, antipodal, [1.0, p * p / 4.0 * edge, edge]])
+        constant = float(max(ratio.max(), 1.0 / ratio.min()) * (1.0 + 1e-6))
+    if not np.isfinite(constant):
+        raise ValueError(f"the v-map constant at p = {p} exceeds the float range")
+    return constant
 
 
 # ---------------------------------------------------------------------------

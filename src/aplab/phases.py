@@ -14,13 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .core import Grid, Params, ScalarField, VectorField
+from .core import Grid, Params, ScalarField
 
 __all__ = [
     "PhaseDecomposition",
     "FreeBoundaryClassification",
     "default_zero_tol",
     "default_grad_tol",
+    "residue_floor",
     "decompose",
     "classify",
     "distance_to_set",
@@ -80,6 +81,11 @@ def default_grad_tol(grid: Grid, params: Params) -> float:
     return h**params.tau
 
 
+def residue_floor(values: np.ndarray) -> float:
+    """1e-12 max|u|: diagnostics count values at or below it as zero."""
+    return 1e-12 * float(np.max(np.abs(values)))
+
+
 def decompose(field: ScalarField, zero_tol: float) -> PhaseDecomposition:
     """Split nodes into positive / negative / zero band at |u| <= zero_tol."""
     if zero_tol < 0:
@@ -99,10 +105,10 @@ def _face_struct(ndim: int) -> np.ndarray:
 
 def classify(
     decomp: PhaseDecomposition,
-    grad: VectorField,
+    grad_norm: np.ndarray,
     grad_tol: float,
 ) -> FreeBoundaryClassification:
-    """Classify free-boundary nodes from a decomposition and a gradient."""
+    """Classify free-boundary nodes given sqrt(DiscreteEnergy.grad_sq(u))."""
     if grad_tol < 0:
         raise ValueError("grad_tol must be >= 0")
     pos, neg, zero = decomp.positive, decomp.negative, decomp.zero
@@ -121,7 +127,7 @@ def classify(
     neg2 = ndimage.binary_dilation(near_neg, st)
     two_phase = gamma_all & pos2 & neg2
 
-    low_grad = grad.magnitude() <= grad_tol
+    low_grad = grad_norm <= grad_tol
     gamma_zero = gamma_all & low_grad
     branching = two_phase & low_grad
     nonbranching = two_phase & ~low_grad

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import map_coordinates
 
-from .core import Grid, Params, ScalarField, build_grid, gradient_field
+from .core import Grid, Params, ScalarField, build_grid
 from .energy import DiscreteEnergy, potential_value
 from .geometry import BallSpec, _loglog_fit
 
@@ -69,10 +69,9 @@ def growth_profile(
     for r in radii:
         _validate_ball(grid, center, r)
     v = field.values
-    gmag = gradient_field(field).magnitude()
-    dens_d = gmag**params.p / params.p
-    dens_f = params.delta * potential_value(v, params)
-    w = grid.quadrature_weights
+    kern = DiscreteEnergy.dirichlet(grid, params.p)
+    q = kern.grad_sq(v)
+    pot = grid.quadrature_weights * (params.delta * potential_value(v, params))
     sup_pos, sup_neg, sup_abs, dirichlet, potential = [], [], [], [], []
     for r in radii:
         ball = BallSpec(center, r)
@@ -82,8 +81,8 @@ def growth_profile(
         sup_pos.append(float(np.max(np.maximum(vc, 0.0))))
         sup_neg.append(float(np.max(np.maximum(-vc, 0.0))))
         sup_abs.append(float(np.max(np.abs(vc))))
-        dirichlet.append(float(np.sum(w[opened] * dens_d[opened])))
-        potential.append(float(np.sum(w[opened] * dens_f[opened])))
+        dirichlet.append(kern.energy(v, q, 0.0, region=opened))
+        potential.append(float(np.sum(pot[opened])))
     return GrowthProfile(
         center=center,
         radii=radii,

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aplab.core import Params, ScalarField, build_grid, gradient_field
+from aplab.core import Params, ScalarField, build_grid
 from aplab.energy import DiscreteEnergy
 from aplab.geometry import (
     BallSpec,
@@ -53,9 +53,8 @@ LADDER_1D = tuple(8 * 2.0**-9 * 2.0**k for k in range(4))
 def classify_case(case):
     fld = case.field
     decomp = decompose(fld, default_zero_tol(fld.grid, case.params))
-    cls = classify(
-        decomp, gradient_field(fld), default_grad_tol(fld.grid, case.params)
-    )
+    grad_norm = np.sqrt(DiscreteEnergy(fld.grid, case.params).grad_sq(fld.values))
+    cls = classify(decomp, grad_norm, default_grad_tol(fld.grid, case.params))
     return decomp, cls
 
 
@@ -169,6 +168,21 @@ def test_rescaled_energy_matches_original(branching_2d):
             branching_2d.field, branching_2d.params, (0.0, 0.0), r, 0.25
         )
         assert abs(lhs - rhs) <= 1e-3 * abs(rhs), r
+
+
+@pytest.mark.parametrize("fixture", ["convex_1d", "degenerate_1d"])
+def test_growth_ball_energy_is_the_transport_identity_energy(fixture, request):
+    # one discrete gradient: the growth ladder reads the same open-ball
+    # energy as the original side of the transport identity
+    case = request.getfixturevalue(fixture)
+    center = interface_anchor(case)
+    radii = (0.125, 0.25)
+    prof = growth_profile(case.field, case.params, center, radii)
+    for radius, dirichlet, potential in zip(radii, prof.dirichlet, prof.potential):
+        _, original = scaling_identity_gap(
+            case.field, case.params, center, 0.5, radius
+        )
+        assert abs(dirichlet + potential - original) <= 1e-12 * original, radius
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from aplab.core import (
     ScalarField,
     build_grid,
     deserialize_field,
-    gradient_field,
     load_field,
     save_field,
     serialize_field,
@@ -139,18 +138,6 @@ def test_field_shape_mismatch_rejected():
     grid = build_grid(((0.0, 1.0),), (5,))
     with pytest.raises(ValueError):
         ScalarField(grid, np.zeros(6), grid.boundary_face_mask, np.zeros(5))
-
-
-def test_gradient_of_linear_field_is_exact():
-    grid = build_grid(((-1.0, 1.0), (0.0, 2.0)), (9, 9))
-    X, Y = grid.coordinate_arrays()
-    fld = ScalarField(
-        grid, 2.0 * X - 3.0 * Y, grid.boundary_face_mask, 2.0 * X - 3.0 * Y
-    )
-    grad = gradient_field(fld)
-    np.testing.assert_allclose(grad.components[0], 2.0, atol=1e-12)
-    np.testing.assert_allclose(grad.components[1], -3.0, atol=1e-12)
-    np.testing.assert_allclose(grad.magnitude(), np.hypot(2.0, 3.0), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

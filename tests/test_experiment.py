@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import json
+import warnings
 
 import jsonschema
 import numpy as np
@@ -351,6 +352,18 @@ def test_run_rejects_unsatisfiable_diagnostics():
     cfg["diagnostics"]["growth"]["radii"] = [0.001]  # below grid resolution
     with pytest.raises(ConfigError, match="not satisfiable"):
         run_experiment(cfg)
+
+
+def test_run_rejects_v_constant_past_the_float_range():
+    cfg = tiny_config()
+    cfg["diagnostics"] = {
+        "inequalities": {"names": ["v_equivalence"], "p_values": [2500.0],
+                         "n_pairs": 10}
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="not satisfiable: .* p = 2500.0"):
+            run_experiment(cfg)
 
 
 def test_run_rejects_unconverged_replacement(monkeypatch):

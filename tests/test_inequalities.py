@@ -5,6 +5,8 @@ sweeps randomize over pair families including the adversarial near-parallel,
 near-antipodal, and near-zero ones.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -140,6 +142,15 @@ def test_calibrated_constant_is_the_endpoint_extremum(p):
     perp = 2.0 ** ((2.0 - p) / 2.0)
     expected = max(par, 1.0 / par, perp, 1.0 / perp) * (1.0 + 1e-6)
     assert calibrate_v_constant(p) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("p", [2060.0, 2500.0])
+def test_calibrated_constant_past_the_float_range_raises(p):
+    # 2^((p-2)/2) overflows above p = 2050; say so instead of returning inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"at p = {p} exceeds the float range"):
+            calibrate_v_constant(p)
 
 
 def test_calibrated_constant_is_necessary():

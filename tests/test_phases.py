@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from aplab.core import Grid, Params, ScalarField, build_grid, gradient_field
+from aplab.core import Grid, Params, ScalarField, build_grid
+from aplab.energy import DiscreteEnergy
 from aplab.phases import (
     classify,
     decompose,
@@ -74,10 +75,15 @@ def test_default_tolerances_scale_with_spacing():
 # classification
 
 
+def _grad_norm(fld):
+    """|grad u| at nodes from the energy kernel (p does not enter it)."""
+    return np.sqrt(DiscreteEnergy.dirichlet(fld.grid, 2.0).grad_sq(fld.values))
+
+
 def _classified(values, zero_tol, grad_tol, ndim=1):
     fld = _field_1d(values) if ndim == 1 else _field_2d(values)
     dec = decompose(fld, zero_tol)
-    return classify(dec, gradient_field(fld), grad_tol)
+    return classify(dec, _grad_norm(fld), grad_tol)
 
 
 def test_classify_transversal_crossing_1d():
@@ -126,7 +132,7 @@ def test_classify_2d_vertical_interface():
         ScalarField(grid, 0.5 * X, grid.boundary_face_mask, 0.5 * X), 1e-12
     )
     fld = ScalarField(grid, 0.5 * X, grid.boundary_face_mask, 0.5 * X)
-    cls = classify(cls_in, gradient_field(fld), grad_tol=0.1)
+    cls = classify(cls_in, _grad_norm(fld), grad_tol=0.1)
     # the interface is the x1 = 0 column plus one signed column on each side
     cols = np.unique(np.argwhere(cls.gamma_all)[:, 0])
     assert set(cols) == {15, 16, 17}
@@ -138,7 +144,7 @@ def test_classify_rejects_negative_grad_tol():
     fld = _field_1d([-1.0, 0.0, 1.0])
     dec = decompose(fld, 0.1)
     with pytest.raises(ValueError):
-        classify(dec, gradient_field(fld), -0.5)
+        classify(dec, _grad_norm(fld), -0.5)
 
 
 def test_classification_thresholds_recorded():
