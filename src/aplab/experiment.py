@@ -22,7 +22,8 @@ import hashlib
 import json
 import math
 import platform
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import cached_property
 from pathlib import Path
 
 import jsonschema
@@ -48,6 +49,8 @@ from .geometry import (
 )
 from .inequalities import monotonicity_constant, sweep_inequality
 from .phases import (
+    FreeBoundaryClassification,
+    PhaseDecomposition,
     classify,
     decompose,
     default_grad_tol,
@@ -63,8 +66,8 @@ from .scalelab import (
     scaling_identity_gap,
 )
 from .solver import (
+    DEFAULT_LADDER,
     SolveResult,
-    SolverConfig,
     SolverStall,
     comparison_gap,
     minimize,
@@ -142,11 +145,7 @@ CONFIG_SCHEMA = {
         "solver": {
             "type": "object",
             "additionalProperties": False,
-            "properties": {
-                "eps_ladder": _LADDER,
-                "max_iters": {"type": "integer", "minimum": 1},
-                "tol_residual": _POSNUM,
-            },
+            "properties": {"eps_ladder": _LADDER},
         },
         "diagnostics": {
             "type": "object",
@@ -154,20 +153,7 @@ CONFIG_SCHEMA = {
             "properties": {
                 "zero_tol": _POSNUM,
                 "grad_tol": _POSNUM,
-                "growth": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "properties": {
-                        "center": _COORDS,
-                        "radii": _LADDER,
-                        "fit_window": {
-                            "type": "array",
-                            "minItems": 2,
-                            "maxItems": 2,
-                            "items": _POSNUM,
-                        },
-                    },
-                },
+                "growth": _BALL_DIAG,
                 "density": _BALL_DIAG,
                 "perimeter": _BALL_DIAG,
                 "porosity": _BALL_DIAG,
@@ -282,9 +268,6 @@ def validate_config(cfg: dict) -> None:
                 raise ConfigError(
                     f"diagnostics.{section}.center must have {ndim} coordinates"
                 )
-    window = diag.get("growth", {}).get("fit_window")
-    if window is not None and not window[0] < window[1]:
-        raise ConfigError("growth.fit_window must be increasing")
 
 
 def load_config(path) -> dict:
@@ -401,8 +384,8 @@ def eval_boundary_expression(expr: str, grid: Grid) -> np.ndarray:
     return out
 
 
-def build_problem(cfg: dict) -> tuple[ScalarField, Params, SolverConfig]:
-    """Field with pinned box faces, problem parameters, solver settings."""
+def build_problem(cfg: dict) -> tuple[ScalarField, Params, tuple[float, ...]]:
+    """Field with pinned box faces, problem parameters, continuation ladder."""
     prob = cfg["problem"]
     try:
         params = Params(
@@ -414,10 +397,6 @@ def build_problem(cfg: dict) -> tuple[ScalarField, Params, SolverConfig]:
             alpha_p=prob.get("alpha_p"),
         )
         grid = build_grid(prob["extents"], prob["resolution"])
-        solver_kwargs = dict(cfg.get("solver", {}))
-        if "eps_ladder" in solver_kwargs:
-            solver_kwargs["eps_ladder"] = tuple(solver_kwargs["eps_ladder"])
-        solver_cfg = SolverConfig(**solver_kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     bvals = eval_boundary_expression(prob["boundary"], grid)
@@ -427,7 +406,8 @@ def build_problem(cfg: dict) -> tuple[ScalarField, Params, SolverConfig]:
         boundary_mask=grid.boundary_face_mask,
         boundary_values=bvals,
     )
-    return field, params, solver_cfg
+    ladder = tuple(cfg.get("solver", {}).get("eps_ladder", DEFAULT_LADDER))
+    return field, params, ladder
 
 
 # ---------------------------------------------------------------------------
@@ -449,73 +429,87 @@ def _row(section, name, center="", scale="", value="", extra="") -> dict:
     }
 
 
-def _auto_center(field: ScalarField, cls) -> tuple[float, ...]:
-    """Deterministic anchor: a branching node if any, else a low-gradient
-    interface node, else any interface node, else the smallest-|u| node."""
-    for mask in (cls.branching, cls.gamma_zero, cls.gamma_all):
-        if mask.any():
-            break
-    else:
-        mask = np.abs(field.values) == np.min(np.abs(field.values))
-    idx = pick_interface_node(mask, field)
-    return tuple(
-        float(field.grid.axes[a][i]) for a, i in enumerate(idx)
-    )
+def _ladder_rows(rows, section, center, scales, series: dict) -> None:
+    """One row per rung and series, rung by rung, series in their order."""
+    for i, scale in enumerate(scales):
+        for name, values in series.items():
+            rows.append(_row(section, name, center, scale, values[i]))
 
 
-def _fit_dict(radii, values, window):
-    try:
-        f = fit_exponent(radii, values, window=window)
-    except ValueError:
-        return None
+def _section(result) -> dict:
+    """A result dataclass as a report section, tuples as JSON lists."""
     return {
-        "exponent": f.exponent,
-        "prefactor": f.prefactor,
-        "r_squared": f.r_squared,
-        "n_used": f.n_used,
-        "n_dropped": f.n_dropped,
+        k: list(v) if isinstance(v, tuple) else v for k, v in asdict(result).items()
     }
 
 
-def _growth_diag(field, params, spec, center, rows):
-    grid = field.grid
-    radii = tuple(spec.get("radii") or default_radius_ladder(grid, center))
-    window = spec.get("fit_window")
-    window = tuple(window) if window else None
-    prof = growth_profile(field, params, center, radii)
+def _fit(scales, values) -> dict | None:
+    try:
+        return _section(fit_exponent(scales, values))
+    except ValueError:
+        return None
+
+
+@dataclass(frozen=True)
+class _Solved:
+    """What the diagnostics read: the solved field and its phase analysis."""
+
+    field: ScalarField
+    params: Params
+    decomp: PhaseDecomposition
+    cls: FreeBoundaryClassification
+    seed: int | None
+
+    @cached_property
+    def auto_center(self) -> tuple[float, ...]:
+        """Deterministic anchor: a branching node if any, else a low-gradient
+        interface node, else any interface node, else the smallest-|u| node."""
+        fld, cls = self.field, self.cls
+        for mask in (cls.branching, cls.gamma_zero, cls.gamma_all):
+            if mask.any():
+                break
+        else:
+            mask = np.abs(fld.values) == np.min(np.abs(fld.values))
+        idx = pick_interface_node(mask, fld)
+        return tuple(float(fld.grid.axes[a][i]) for a, i in enumerate(idx))
+
+    def center(self, spec) -> tuple[float, ...]:
+        if "center" in spec:
+            return tuple(float(c) for c in spec["center"])
+        return self.auto_center
+
+    def ball_ladder(self, spec) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """The center and radii of a ball diagnostic; default radii if none."""
+        center = self.center(spec)
+        radii = spec.get("radii") or default_radius_ladder(self.field.grid, center)
+        return center, tuple(radii)
+
+
+def _growth_diag(solved: _Solved, spec, rows):
+    fld, params = solved.field, solved.params
+    center, radii = solved.ball_ladder(spec)
+    prof = growth_profile(fld, params, center, radii)
+    series = {
+        name: list(getattr(prof, name))
+        for name in ("sup_pos", "sup_neg", "sup_abs", "dirichlet")
+    }
     out = {
         "center": list(center),
         "radii": list(radii),
-        "sup_pos": list(prof.sup_pos),
-        "sup_neg": list(prof.sup_neg),
-        "sup_abs": list(prof.sup_abs),
-        "dirichlet": list(prof.dirichlet),
+        **series,
         "potential": list(prof.potential),
         "target_exponent": 1.0 + params.tau,
         "restricted_range": params.restricted_range,
         "fits": {},
         "nondegeneracy": {},
     }
+    _ladder_rows(rows, "growth", center, radii, series)
     # a phase whose sups are rounding residue does not exist and gets no fit
-    floor = residue_floor(field.values)
-    for name in ("sup_pos", "sup_neg", "sup_abs", "dirichlet"):
-        values = getattr(prof, name)
+    floor = residue_floor(fld.values)
+    for name, values in series.items():
         if name in ("sup_pos", "sup_neg"):
             values = [v if v > floor else 0.0 for v in values]
-        out["fits"][name] = _fit_dict(radii, values, window)
-    for phase in ("positive", "negative", "max"):
-        try:
-            out["nondegeneracy"][phase] = nondegeneracy_ratio(prof, params, phase)
-        except ValueError:
-            out["nondegeneracy"][phase] = None
-    for r, sp, sn, sa, di in zip(
-        radii, prof.sup_pos, prof.sup_neg, prof.sup_abs, prof.dirichlet
-    ):
-        rows.append(_row("growth", "sup_pos", center, r, sp))
-        rows.append(_row("growth", "sup_neg", center, r, sn))
-        rows.append(_row("growth", "sup_abs", center, r, sa))
-        rows.append(_row("growth", "dirichlet", center, r, di))
-    for name, f in out["fits"].items():
+        f = out["fits"][name] = _fit(radii, values)
         if f is not None:
             rows.append(
                 _row(
@@ -527,91 +521,76 @@ def _growth_diag(field, params, spec, center, rows):
                     extra=f"r_squared={f['r_squared']!r}",
                 )
             )
+    for phase in ("positive", "negative", "max"):
+        try:
+            out["nondegeneracy"][phase] = nondegeneracy_ratio(prof, params, phase)
+        except ValueError:
+            out["nondegeneracy"][phase] = None
     return out
 
 
-def _density_diag(field, decomp, spec, center, rows):
-    grid = field.grid
-    radii = tuple(spec.get("radii") or default_radius_ladder(grid, center))
-    out = {
-        "center": list(center),
-        "radii": list(radii),
-        "positive": [],
-        "negative": [],
-        "zero": [],
+def _density_diag(solved: _Solved, spec, rows):
+    center, radii = solved.ball_ladder(spec)
+    series = {
+        name: [
+            phase_density(getattr(solved.decomp, name), BallSpec(center, r),
+                          solved.field.grid)
+            for r in radii
+        ]
+        for name in ("positive", "negative", "zero")
     }
-    for r in radii:
-        ball = BallSpec(center, r)
-        for name, mask in (
-            ("positive", decomp.positive),
-            ("negative", decomp.negative),
-            ("zero", decomp.zero),
-        ):
-            d = phase_density(mask, ball, grid)
-            out[name].append(d)
-            rows.append(_row("density", name, center, r, d))
-    return out
+    _ladder_rows(rows, "density", center, radii, series)
+    return {"center": list(center), "radii": list(radii), **series}
 
 
-def _perimeter_diag(field, spec, center, rows):
-    grid = field.grid
-    radii = tuple(spec.get("radii") or default_radius_ladder(grid, center))
-    out = {"center": list(center), "radii": list(radii), "perimeter": [], "scaled": []}
-    for r in radii:
-        per = relative_perimeter(field, BallSpec(center, r))
-        scaled = per / r ** (grid.ndim - 1)
-        out["perimeter"].append(per)
-        out["scaled"].append(scaled)
-        rows.append(_row("perimeter", "perimeter", center, r, per))
-        rows.append(_row("perimeter", "scaled", center, r, scaled))
-    return out
+def _perimeter_diag(solved: _Solved, spec, rows):
+    center, radii = solved.ball_ladder(spec)
+    per = [relative_perimeter(solved.field, BallSpec(center, r)) for r in radii]
+    codim = solved.field.grid.ndim - 1
+    series = {"perimeter": per, "scaled": [x / r**codim for x, r in zip(per, radii)]}
+    _ladder_rows(rows, "perimeter", center, radii, series)
+    return {"center": list(center), "radii": list(radii), **series}
 
 
-def _porosity_diag(field, cls, spec, center, rows):
-    grid = field.grid
-    radii = tuple(spec.get("radii") or default_radius_ladder(grid, center))
-    out = {"center": list(center), "radii": list(radii), "values": [], "set": "gamma_zero"}
-    for r in radii:
-        kappa = porosity_constant(cls.gamma_zero, BallSpec(center, r), grid)
-        out["values"].append(kappa)
-        rows.append(_row("porosity", "kappa", center, r, kappa))
-    return out
+def _porosity_diag(solved: _Solved, spec, rows):
+    center, radii = solved.ball_ladder(spec)
+    kappas = [
+        porosity_constant(solved.cls.gamma_zero, BallSpec(center, r),
+                          solved.field.grid)
+        for r in radii
+    ]
+    _ladder_rows(rows, "porosity", center, radii, {"kappa": kappas})
+    return {"center": list(center), "radii": list(radii), "values": kappas,
+            "set": "gamma_zero"}
 
 
-def _strip_diag(field, params, spec, center, rows):
+def _strip_diag(solved: _Solved, spec, rows):
+    center = solved.center(spec)
     ladder = tuple(spec["eps_ladder"])
     radius = spec["radius"]
     ball = BallSpec(center, radius)
-    energies = [level_strip_energy(field, params, e, ball) for e in ladder]
+    energies = [
+        level_strip_energy(solved.field, solved.params, e, ball) for e in ladder
+    ]
     out = {
         "center": list(center),
         "radius": radius,
         "eps_ladder": list(ladder),
         "energies": energies,
-        "fit": _fit_dict(ladder, energies, None),
+        "fit": _fit(ladder, energies),
     }
-    for e, en in zip(ladder, energies):
-        rows.append(_row("strip", "energy", center, e, en))
+    _ladder_rows(rows, "strip", center, ladder, {"energy": energies})
     if out["fit"] is not None:
         rows.append(_row("strip", "fit_energy", center, "", out["fit"]["exponent"]))
     return out
 
 
-def _minkowski_diag(field, cls, spec, rows):
+def _minkowski_diag(solved: _Solved, spec, rows):
     name = spec.get("set", "gamma_zero")
-    mask = getattr(cls, name)
-    res = minkowski_content(mask, field.grid, spec["eps_ladder"])
-    out = {
-        "set": name,
-        "eps": list(res.eps),
-        "tube_measures": list(res.tube_measures),
-        "contents": list(res.contents),
-        "slope": res.slope,
-        "r_squared": res.r_squared,
-    }
-    for e, m, c in zip(res.eps, res.tube_measures, res.contents):
-        rows.append(_row("minkowski", "tube_measure", "", e, m))
-        rows.append(_row("minkowski", "content", "", e, c))
+    res = minkowski_content(getattr(solved.cls, name), solved.field.grid,
+                            spec["eps_ladder"])
+    series = {"tube_measure": res.tube_measures, "content": res.contents}
+    _ladder_rows(rows, "minkowski", "", res.eps, series)
     rows.append(
         _row(
             "minkowski",
@@ -622,72 +601,59 @@ def _minkowski_diag(field, cls, spec, rows):
             extra=f"r_squared={res.r_squared!r}",
         )
     )
-    return out
+    return {"set": name, **_section(res)}
 
 
-def _scaling_diag(field, params, spec, center, rows):
-    radius = spec["radius"]
-    out = {
+def _scaling_diag(solved: _Solved, spec, rows):
+    center = solved.center(spec)
+    radius, r_values = spec["radius"], spec["r_values"]
+    gaps = [
+        scaling_identity_gap(solved.field, solved.params, center, r, radius)
+        for r in r_values
+    ]
+    rel = [abs(lhs - rhs) / max(abs(rhs), 1e-300) for lhs, rhs in gaps]
+    _ladder_rows(rows, "scaling", center, r_values, {"rel_error": rel})
+    return {
         "center": list(center),
         "radius": radius,
-        "r_values": list(spec["r_values"]),
-        "transported": [],
-        "original": [],
-        "rel_error": [],
+        "r_values": list(r_values),
+        "transported": [lhs for lhs, _ in gaps],
+        "original": [rhs for _, rhs in gaps],
+        "rel_error": rel,
     }
-    for r in spec["r_values"]:
-        lhs, rhs = scaling_identity_gap(field, params, center, r, radius)
-        rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
-        out["transported"].append(lhs)
-        out["original"].append(rhs)
-        out["rel_error"].append(rel)
-        rows.append(_row("scaling", "rel_error", center, r, rel))
-    return out
 
 
-def _replacement_diag(field, params, spec, center, rows):
+def _replacement_diag(solved: _Solved, spec, rows):
+    fld, params = solved.field, solved.params
+    center = solved.center(spec)
     radius = spec["radius"]
-    region = BallSpec(center, radius).node_mask(field.grid, closed=False)
-    replaced = p_harmonic_replacement(field, params.p, region=region)
-    distance, energy_gap = comparison_gap(field, replaced, params.p)
-    nl_gap, nl_bound = nonlinearity_gap(field, replaced, params)
-    ratio = distance / energy_gap if energy_gap > 0 else None
+    region = BallSpec(center, radius).node_mask(fld.grid, closed=False)
+    replaced = p_harmonic_replacement(fld, params.p, region=region)
+    distance, energy_gap = comparison_gap(fld, replaced, params.p)
+    nl_gap, nl_bound = nonlinearity_gap(fld, replaced, params)
     out = {
         "center": list(center),
         "radius": radius,
         "distance": distance,
         "energy_gap": energy_gap,
-        "ratio": ratio,
+        "ratio": distance / energy_gap if energy_gap > 0 else None,
         "monotonicity_constant": monotonicity_constant(params.p),
         "nonlinearity_gap": nl_gap,
         "nonlinearity_bound": nl_bound,
     }
-    rows.append(_row("replacement", "distance", center, radius, distance))
-    rows.append(_row("replacement", "energy_gap", center, radius, energy_gap))
-    rows.append(_row("replacement", "nonlinearity_gap", center, radius, nl_gap))
-    rows.append(_row("replacement", "nonlinearity_bound", center, radius, nl_bound))
+    for name in ("distance", "energy_gap", "nonlinearity_gap", "nonlinearity_bound"):
+        rows.append(_row("replacement", name, center, radius, out[name]))
     return out
 
 
-def _inequality_diag(spec, seed, rows):
+def _inequality_diag(solved: _Solved, spec, rows):
     n_pairs = spec.get("n_pairs", 100_000)
     eps = spec.get("eps", 1.0)
     out = []
     for name in spec["names"]:
         for p in spec["p_values"]:
-            rep = sweep_inequality(name, p, n_pairs=n_pairs, seed=seed, eps=eps)
-            out.append(
-                {
-                    "name": rep.name,
-                    "p": rep.p,
-                    "n_pairs": rep.n_pairs,
-                    "min_margin": rep.min_margin,
-                    "constant": rep.constant,
-                    "eps": rep.eps,
-                    "witness_a": list(rep.witness_a),
-                    "witness_b": list(rep.witness_b),
-                }
-            )
+            rep = sweep_inequality(name, p, n_pairs=n_pairs, seed=solved.seed, eps=eps)
+            out.append(_section(rep))
             rows.append(
                 _row(
                     "inequalities",
@@ -699,6 +665,21 @@ def _inequality_diag(spec, seed, rows):
                 )
             )
     return out
+
+
+# Each requested ``diagnostics`` section, in this order, which is also the
+# row order of diagnostics.csv.
+_DIAGNOSTICS = {
+    "growth": _growth_diag,
+    "density": _density_diag,
+    "perimeter": _perimeter_diag,
+    "porosity": _porosity_diag,
+    "strip": _strip_diag,
+    "minkowski": _minkowski_diag,
+    "scaling": _scaling_diag,
+    "replacement": _replacement_diag,
+    "inequalities": _inequality_diag,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -723,19 +704,21 @@ def run_experiment(cfg: dict) -> ExperimentResult:
     iterate, the report is marked ``stalled`` and ``stall`` keeps the
     stall message; the caller decides the exit status.  A diagnostic that
     cannot be computed, a replacement that does not converge included,
-    raises ConfigError.
+    raises ConfigError, and so does a continuation ladder that ``minimize``
+    refuses.
     """
     validate_config(cfg)
-    field0, params, solver_cfg = build_problem(cfg)
+    field0, params, ladder = build_problem(cfg)
     stall = None
     try:
-        solve = minimize(field0, params, solver_cfg)
+        solve = minimize(field0, params, ladder)
     except SolverStall as exc:
         solve = exc.result
         stall = str(exc)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     fld = solve.field
     grid = fld.grid
-    eps_last = solver_cfg.eps_ladder[-1]
 
     diag = cfg.get("diagnostics", {})
     zero_tol = diag.get("zero_tol", default_zero_tol(grid, params))
@@ -763,7 +746,7 @@ def run_experiment(cfg: dict) -> ExperimentResult:
         "solve": {
             "energy": solve.energy,
             "residual_rms": solve.residual_rms,
-            "el_residual": el_residual(fld, params, eps_last),
+            "el_residual": el_residual(fld, params, ladder[-1]),
             "converged": solve.converged,
             "n_iterations": solve.n_iterations,
             "linear_solves": solve.linear_solves,
@@ -794,47 +777,11 @@ def run_experiment(cfg: dict) -> ExperimentResult:
         _row("solve", "el_residual", "", "", report["solve"]["el_residual"]),
     ]
 
-    default_center = None
-
-    def center_for(spec) -> tuple[float, ...]:
-        nonlocal default_center
-        if "center" in spec:
-            return tuple(float(c) for c in spec["center"])
-        if default_center is None:
-            default_center = _auto_center(fld, cls)
-        return default_center
-
-    out = report["diagnostics"]
+    solved = _Solved(fld, params, decomp, cls, cfg.get("seed"))
     try:
-        if "growth" in diag:
-            spec = diag["growth"]
-            out["growth"] = _growth_diag(fld, params, spec, center_for(spec), rows)
-        if "density" in diag:
-            spec = diag["density"]
-            out["density"] = _density_diag(fld, decomp, spec, center_for(spec), rows)
-        if "perimeter" in diag:
-            spec = diag["perimeter"]
-            out["perimeter"] = _perimeter_diag(fld, spec, center_for(spec), rows)
-        if "porosity" in diag:
-            spec = diag["porosity"]
-            out["porosity"] = _porosity_diag(fld, cls, spec, center_for(spec), rows)
-        if "strip" in diag:
-            spec = diag["strip"]
-            out["strip"] = _strip_diag(fld, params, spec, center_for(spec), rows)
-        if "minkowski" in diag:
-            out["minkowski"] = _minkowski_diag(fld, cls, diag["minkowski"], rows)
-        if "scaling" in diag:
-            spec = diag["scaling"]
-            out["scaling"] = _scaling_diag(fld, params, spec, center_for(spec), rows)
-        if "replacement" in diag:
-            spec = diag["replacement"]
-            out["replacement"] = _replacement_diag(
-                fld, params, spec, center_for(spec), rows
-            )
-        if "inequalities" in diag:
-            out["inequalities"] = _inequality_diag(
-                diag["inequalities"], cfg["seed"], rows
-            )
+        for key, measure in _DIAGNOSTICS.items():
+            if key in diag:
+                report["diagnostics"][key] = measure(solved, diag[key], rows)
     except (ValueError, SolverStall) as exc:
         raise ConfigError(f"diagnostics request not satisfiable: {exc}") from exc
 

@@ -287,7 +287,6 @@ class MinkowskiResult:
     tube_measures: tuple[float, ...]
     contents: tuple[float, ...]
     slope: float
-    intercept: float
     r_squared: float
 
 
@@ -303,13 +302,12 @@ def minkowski_content(set_mask: np.ndarray, grid: Grid, eps_ladder) -> Minkowski
         raise ValueError("empty set")
     dist = distance_to_set(grid, set_mask)
     measures = [grid.cell_volume * int(np.count_nonzero(dist < e)) for e in eps]
-    slope, intercept, r2 = _loglog_fit(np.array(eps), np.array(measures))
+    slope, _, r2 = _loglog_fit(np.array(eps), np.array(measures))
     contents = tuple(m / (2.0 * e) for m, e in zip(measures, eps))
     return MinkowskiResult(
         eps=tuple(eps),
         tube_measures=tuple(measures),
         contents=contents,
         slope=slope,
-        intercept=intercept,
         r_squared=r2,
     )

@@ -48,15 +48,14 @@ class FreeBoundaryClassification:
     ``gamma_all`` collects interface nodes (zero-band nodes touching a
     signed node, and signed nodes touching the zero band or the opposite
     sign).  ``gamma_zero`` is its low-gradient part.  ``two_phase`` keeps
-    the nodes with both signs within two face steps; it splits into
-    ``branching`` (gradient below tolerance) and ``nonbranching``.
+    the nodes with both signs within two face steps; ``branching`` is its
+    part with gradient below tolerance.
     """
 
     gamma_all: np.ndarray
     gamma_zero: np.ndarray
     two_phase: np.ndarray
     branching: np.ndarray
-    nonbranching: np.ndarray
     zero_tol: float
     grad_tol: float
 
@@ -66,7 +65,6 @@ class FreeBoundaryClassification:
             self.gamma_zero,
             self.two_phase,
             self.branching,
-            self.nonbranching,
         ):
             m.flags.writeable = False
 
@@ -130,13 +128,11 @@ def classify(
     low_grad = grad_norm <= grad_tol
     gamma_zero = gamma_all & low_grad
     branching = two_phase & low_grad
-    nonbranching = two_phase & ~low_grad
     return FreeBoundaryClassification(
         gamma_all=gamma_all,
         gamma_zero=gamma_zero,
         two_phase=two_phase,
         branching=branching,
-        nonbranching=nonbranching,
         zero_tol=decomp.zero_tol,
         grad_tol=float(grad_tol),
     )

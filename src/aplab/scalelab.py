@@ -105,22 +105,16 @@ class FitResult:
     n_dropped: int
 
 
-def fit_exponent(radii, values, window=None) -> FitResult:
+def fit_exponent(radii, values) -> FitResult:
     """Log-log OLS fit of a radius ladder, dropping nonpositive readings.
 
-    ``window = (lo, hi)`` restricts to radii in the closed interval.  At
-    least two usable points are required.
+    At least two usable points are required.
     """
     radii = np.asarray(radii, dtype=float)
     values = np.asarray(values, dtype=float)
     if radii.shape != values.shape:
         raise ValueError("radii and values must have equal length")
-    keep = np.ones(radii.shape, dtype=bool)
-    if window is not None:
-        lo, hi = window
-        keep &= (radii >= lo) & (radii <= hi)
-    n_in_window = int(np.count_nonzero(keep))
-    keep &= values > 0.0
+    keep = values > 0.0
     n_used = int(np.count_nonzero(keep))
     if n_used < 2:
         raise ValueError("fewer than two positive readings; cannot fit exponent")
@@ -130,7 +124,7 @@ def fit_exponent(radii, values, window=None) -> FitResult:
         prefactor=math.exp(intercept),
         r_squared=r2,
         n_used=n_used,
-        n_dropped=n_in_window - n_used,
+        n_dropped=radii.size - n_used,
     )
 
 

@@ -42,7 +42,7 @@ from .core import Grid, Params, ScalarField
 from .energy import DiscreteEnergy, potential_curvature, potential_value
 
 __all__ = [
-    "SolverConfig",
+    "DEFAULT_LADDER",
     "StageRecord",
     "SolveResult",
     "SolverStall",
@@ -52,7 +52,11 @@ __all__ = [
     "nonlinearity_gap",
 ]
 
-_DEFAULT_LADDER = tuple(10.0 ** (-1.0 - 0.5 * j) for j in range(9))  # 1e-1 .. 1e-5
+DEFAULT_LADDER = tuple(10.0 ** (-1.0 - 0.5 * j) for j in range(9))  # 1e-1 .. 1e-5
+
+# Scaled gradient rms at which a stage has converged, and Newton steps per stage.
+_TOL_RESIDUAL = 1e-7
+_MAX_ITERS = 400
 
 # Armijo line search: sufficient-decrease fraction, step shrink factor, and
 # the step length below which a search has stalled.
@@ -61,27 +65,6 @@ _BACKTRACK = 0.5
 _STEP_FLOOR = 1e-14
 # A relative energy change below this counts as flat to rounding.
 _TOL_ENERGY = 1e-15
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    eps_ladder: tuple[float, ...] = _DEFAULT_LADDER
-    max_iters: int = 400
-    tol_residual: float = 1e-7
-
-    def __post_init__(self) -> None:
-        if not self.eps_ladder:
-            raise ValueError("continuation ladder must not be empty")
-        if not all(0.0 < e < math.inf for e in self.eps_ladder):
-            raise ValueError("smoothing widths must be positive and finite")
-        if any(
-            a < b for a, b in zip(self.eps_ladder, self.eps_ladder[1:])
-        ):
-            raise ValueError("continuation ladder must be nonincreasing")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if not 0.0 < self.tol_residual < math.inf:
-            raise ValueError("tol_residual must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -377,13 +360,34 @@ def _rms(x: np.ndarray) -> float:
 # Main minimization loop.
 
 
+def _check_ladder(ladder: tuple[float, ...], kern: DiscreteEnergy) -> None:
+    """ValueError unless the ladder is nonempty and nonincreasing and each
+    width is positive and finite, with a finite potential curvature at u = 0
+    and finite Dirichlet conductances at zero gradient."""
+    if not ladder:
+        raise ValueError("continuation ladder must not be empty")
+    if not all(0.0 < e < math.inf for e in ladder):
+        raise ValueError("smoothing widths must be positive and finite")
+    if any(a < b for a, b in zip(ladder, ladder[1:])):
+        raise ValueError("continuation ladder must be nonincreasing")
+    flat = np.zeros(kern.grid.shape)
+    for eps in ladder:
+        with np.errstate(all="ignore"):
+            curv = potential_curvature(0.0, kern.params, eps)
+            kappas = kern.conductances(flat, eps)
+        if not (np.isfinite(curv) and all(np.isfinite(k).all() for k in kappas)):
+            raise ValueError(f"smoothing width {eps:g} is out of the kernel's range")
+
+
 def minimize(
     initial: ScalarField,
     params: Params,
-    config: SolverConfig | None = None,
+    eps_ladder: tuple[float, ...] = DEFAULT_LADDER,
 ) -> SolveResult:
     """Descend the discrete energy from ``initial`` under its Dirichlet data.
 
+    Each width of ``eps_ladder`` is a stage of at most ``_MAX_ITERS`` steps;
+    a ladder that ``_check_ladder`` refuses raises ValueError.
     Raises SolverStall when the Armijo search cannot make progress above
     the step floor, or when a Newton system has no finite solution even
     after the diagonal lift.  The exception carries the best iterate so
@@ -391,11 +395,10 @@ def minimize(
     residual; a line-search stall also names the step length of the last
     accepted Armijo step ("none" before the first).  The
     returned ``converged`` flag certifies that the scaled gradient rms at
-    the final smoothing widths met ``tol_residual``.
+    the final smoothing width met ``_TOL_RESIDUAL``.
     """
-    if config is None:
-        config = SolverConfig()
     kern = DiscreteEnergy(initial.grid, params)
+    _check_ladder(eps_ladder, kern)
     idx_f = np.flatnonzero(initial.free_mask.ravel())
     w_f = kern.weights.ravel()[idx_f]
     u = initial.values  # node values of the current iterate
@@ -438,7 +441,7 @@ def minimize(
     # one-dimensional Hessian exactly and only over-damps transverse
     # directions, which Armijo tolerates.
     stiff = max(params.p - 1.0, 1.0)
-    for eps in config.eps_ladder:
+    for eps in eps_ladder:
         energy = kern.energy(u, q, eps)
         trace = [energy]
         n_it = 0
@@ -446,9 +449,9 @@ def minimize(
         n_flat = 0
         polishing = False
         kappas, g_f = model(u, q, eps)  # kept current with every accepted step
-        for _ in range(config.max_iters):
+        for _ in range(_MAX_ITERS):
             res_rms = _rms(g_f / w_f)
-            if res_rms <= config.tol_residual:
+            if res_rms <= _TOL_RESIDUAL:
                 break
             # Only the convex part max(F'', 0) of the potential enters the
             # model (Nocedal & Wright, Numerical Optimization, ch. 3), so it
@@ -504,7 +507,7 @@ def minimize(
                 # available decrease sank under float rounding; switch to the
                 # residual-monotone polish.  Far from criticality it is a
                 # genuine stall and must surface, not pass as success.
-                if res_rms <= 1e3 * config.tol_residual:
+                if res_rms <= 1e3 * _TOL_RESIDUAL:
                     polishing = True
                     continue
                 stages.append(StageRecord(eps, n_it, tuple(trace), res_rms))
@@ -530,7 +533,7 @@ def minimize(
                 polishing = True
         stages.append(StageRecord(eps, n_it, tuple(trace), res_rms))
 
-    return result(res_rms <= config.tol_residual)
+    return result(res_rms <= _TOL_RESIDUAL)
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +575,7 @@ def p_harmonic_replacement(
         return field.with_values(_affine_fill_1d(np.array(field.values), relax))
     pinned = ScalarField(grid, field.values, ~relax, field.values)
     params = DiscreteEnergy.dirichlet(grid, p).params
-    res = minimize(pinned, params, SolverConfig(eps_ladder=(1e-9,)))
+    res = minimize(pinned, params, (1e-9,))
     if not res.converged:
         raise SolverStall(
             "p-harmonic replacement did not converge "

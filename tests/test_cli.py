@@ -121,22 +121,36 @@ def test_run_stall_is_exit_3_with_partial_bundle(tmp_path, capsys, monkeypatch):
     assert json.loads((out / "report.json").read_text())["stalled"] is True
 
 
-# the width's square underflows, so the energy kernel overflows and the
-# counted SuperLU fallback meets a singular system, on purpose
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
-def test_run_nonfinite_linear_solve_is_exit_3_with_partial_bundle(tmp_path, capsys):
-    cfg_dict = small_config()
-    cfg_dict["solver"] = {"eps_ladder": [1e-300]}
-    cfg = tmp_path / "tiny_width.json"
-    cfg.write_text(json.dumps(cfg_dict))
+def test_run_nonfinite_linear_solve_is_exit_3_with_partial_bundle(
+    tmp_path, capsys, monkeypatch
+):
+    # every linear solve, the diagonal-lift retry included, comes back NaN
+    monkeypatch.setattr(
+        aplab.solver, "spsolve", lambda M, rhs, *a, **kw: np.full_like(rhs, np.nan)
+    )
+    cfg = tmp_path / "nan_solve.json"
+    cfg.write_text(json.dumps(small_config()))
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--out", str(out)]) == 3
     err = capsys.readouterr().err
-    assert "stalled: linear solve non-finite at smoothing width 1e-300" in err
+    assert "stalled: linear solve non-finite at smoothing width 0.1" in err
     report = json.loads((out / "report.json").read_text())
     assert report["stalled"] is True
     assert report["solve"]["converged"] is False
+
+
+@pytest.mark.parametrize("width, code", [(1e-100, 0), (1e-110, 2), (1e-300, 2)])
+def test_run_refuses_widths_the_kernel_cannot_evaluate(tmp_path, capsys, width, code):
+    # at 1e-110 the potential curvature at u = 0 overflows, at 1e-300 the
+    # width's square underflows; any warning fails the test
+    cfg_dict = small_config()
+    cfg_dict["solver"] = {"eps_ladder": [width]}
+    cfg = tmp_path / "width.json"
+    cfg.write_text(json.dumps(cfg_dict))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == code
+    if code == 2:
+        assert f"smoothing width {width:g} is out of" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 def test_run_unwritable_output_is_exit_4(tmp_path, capsys):

@@ -3,7 +3,9 @@
 import copy
 import dataclasses
 import json
+import re
 import warnings
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -15,7 +17,9 @@ from aplab.experiment import (
     CONFIG_SCHEMA,
     CSV_COLUMNS,
     ConfigError,
+    _DIAGNOSTICS,
     _growth_diag,
+    _Solved,
     build_problem,
     config_digest,
     eval_boundary_expression,
@@ -66,6 +70,17 @@ def test_config_schema_is_a_valid_schema():
     jsonschema.validators.validator_for(CONFIG_SCHEMA).check_schema(CONFIG_SCHEMA)
 
 
+def test_schema_diagnostics_are_the_table_keys_and_thresholds():
+    keys = CONFIG_SCHEMA["properties"]["diagnostics"]["properties"]
+    assert set(keys) == set(_DIAGNOSTICS) | {"zero_tol", "grad_tol"}
+
+
+def test_readme_config_example_is_valid():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    example = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
+    validate_config(json.loads(example))
+
+
 @pytest.mark.parametrize(
     "mutate,fragment",
     [
@@ -78,10 +93,6 @@ def test_config_schema_is_a_valid_schema():
         (
             lambda c: c["diagnostics"]["growth"].update(center=[0.0, 0.0]),
             "center",
-        ),
-        (
-            lambda c: c["diagnostics"]["growth"].update(fit_window=[0.5, 0.25]),
-            "fit_window",
         ),
         (
             lambda c: c["diagnostics"].update(minkowski={"eps_ladder": []}),
@@ -206,13 +217,13 @@ def test_integer_literal_past_float_range_is_config_error(tmp_path, capsys):
 
 
 def test_build_problem_pins_faces_and_keeps_expression_values():
-    fld, params, solver_cfg = build_problem(tiny_config())
+    fld, params, ladder = build_problem(tiny_config())
     grid = fld.grid
     expected = 0.25 * np.clip(grid.axes[0], 0, None) ** 2
     np.testing.assert_allclose(fld.values, expected)
     np.testing.assert_array_equal(fld.boundary_mask, grid.boundary_face_mask)
     assert params.p == 2.0
-    assert solver_cfg.max_iters == 400
+    assert ladder == aplab.solver.DEFAULT_LADDER
 
 
 def test_build_problem_error_paths():
@@ -221,9 +232,9 @@ def test_build_problem_error_paths():
     with pytest.raises(ConfigError, match="alpha_p"):
         build_problem(cfg)
     cfg2 = tiny_config()
-    cfg2["solver"] = {"max_iters": 0}
-    with pytest.raises(ConfigError, match="max_iters"):
-        build_problem(cfg2)
+    cfg2["solver"] = {"eps_ladder": [0.01, 0.1]}  # refused by the solve
+    with pytest.raises(ConfigError, match="nonincreasing"):
+        run_experiment(cfg2)
 
 
 @pytest.mark.parametrize(
@@ -234,11 +245,17 @@ def test_build_problem_error_paths():
         ("solver", "armijo_c1"),
         ("solver", "backtrack"),
         ("solver", "step_floor"),
+        ("solver", "max_iters"),
+        ("solver", "tol_residual"),
+        ("diagnostics.growth", "fit_window"),
     ],
 )
 def test_removed_config_keys_are_unknown(section, key):
     cfg = tiny_config()
-    cfg.setdefault(section, {})[key] = 0.5
+    node = cfg
+    for name in section.split("."):
+        node = node.setdefault(name, {})
+    node[key] = 0.5
     with pytest.raises(ConfigError, match=f"'{key}' was unexpected"):
         validate_config(cfg)
 
@@ -281,7 +298,8 @@ def test_growth_fits_no_phase_of_rounding_residue():
     vals = 0.25 * np.maximum(x, 0.0) ** 2 - 1e-18 * (1.0 + np.abs(x))
     fld = ScalarField(grid, vals, grid.boundary_face_mask, vals)
     params = Params(p=2.0, gamma=1.0, lambda_plus=0.5, lambda_minus=0.5)
-    growth = _growth_diag(fld, params, {"radii": [0.125, 0.25, 0.5]}, (0.0,), [])
+    spec = {"center": [0.0], "radii": [0.125, 0.25, 0.5]}
+    growth = _growth_diag(_Solved(fld, params, None, None, None), spec, [])
     assert min(growth["sup_neg"]) > 0.0  # the readings are still reported
     assert growth["fits"]["sup_neg"] is None
     assert growth["fits"]["sup_pos"]["exponent"] == pytest.approx(2.0, abs=0.1)

@@ -19,7 +19,7 @@ from aplab.oracle import (
     radial_p_harmonic,
     shoot_two_phase_1d,
 )
-from aplab.solver import SolverConfig, minimize
+from aplab.solver import minimize
 
 # ---------------------------------------------------------------------------
 # closed-form profiles
@@ -231,7 +231,7 @@ def test_shooter_agrees_with_grid_minimizer():
     bvals = 0.5 * grid.axes[0]
     fld = ScalarField(grid=grid, values=bvals, boundary_mask=grid.boundary_face_mask,
                       boundary_values=bvals)
-    out = minimize(fld, par, SolverConfig())
+    out = minimize(fld, par)
 
     assert out.converged
     assert np.max(np.abs(out.field.values - shot.u)) <= 5e-5

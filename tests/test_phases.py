@@ -97,7 +97,6 @@ def test_classify_transversal_crossing_1d():
     assert cls.two_phase.sum() == 3
     assert not cls.gamma_zero.any()
     assert not cls.branching.any()
-    np.testing.assert_array_equal(cls.nonbranching, cls.two_phase)
 
 
 def test_classify_dead_core_1d():

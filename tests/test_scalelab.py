@@ -76,15 +76,6 @@ def test_fit_exponent_recovers_exact_power_law():
     assert fit.n_dropped == 0
 
 
-def test_fit_exponent_window_excludes_contaminated_rungs():
-    radii = np.array([0.5, 1.0, 2.0, 4.0])
-    values = 2.0 * radii**1.25
-    values[0] = 100.0  # corrupted outside the window
-    fit = fit_exponent(radii, values, window=(1.0, 4.0))
-    assert fit.exponent == pytest.approx(1.25, abs=1e-12)
-    assert fit.n_used == 3
-
-
 def test_fit_exponent_drops_nonpositive_readings():
     radii = np.array([1.0, 2.0, 4.0])
     fit = fit_exponent(radii, np.array([1.0, 0.0, 16.0]))

@@ -13,7 +13,7 @@ from aplab.core import Grid, Params, ScalarField
 from aplab.energy import DiscreteEnergy
 from aplab.oracle import one_phase_profile, radial_p_harmonic
 from aplab.solver import (
-    SolverConfig,
+    DEFAULT_LADDER,
     _affine_fill_1d,
     _box_preconditioner,
     _csr,
@@ -38,7 +38,7 @@ def _one_phase_start(n=257):
 
 
 # ---------------------------------------------------------------------------
-# configuration validation
+# continuation ladder validation
 
 
 @pytest.mark.parametrize(
@@ -47,18 +47,19 @@ def _one_phase_start(n=257):
         {"eps_ladder": ()},
         {"eps_ladder": (0.1, -0.01)},
         {"eps_ladder": (0.01, 0.1)},
-        {"max_iters": 0},
         {"eps_ladder": (np.nan,)},
         {"eps_ladder": (np.inf,)},
         {"eps_ladder": (0.1, np.nan)},
-        {"tol_residual": np.nan},
-        {"tol_residual": 0.0},
-        {"tol_residual": np.inf},
+        # the potential curvature at u = 0 overflows, or the width's square
+        # underflows to 0, so the kernel cannot evaluate the stage
+        {"eps_ladder": (0.1, 1e-110)},
+        {"eps_ladder": (1e-300,)},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
+    fld, par = _one_phase_start(n=65)
     with pytest.raises(ValueError):
-        SolverConfig(**kwargs)
+        minimize(fld, par, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -309,12 +310,11 @@ def test_minimize_degenerate_exponent(degenerate_1d):
 
 def test_minimize_stage_accounting(convex_1d):
     res = convex_1d.result
-    cfg = SolverConfig()
-    assert len(res.stages) == len(cfg.eps_ladder)
-    assert [s.eps for s in res.stages] == list(cfg.eps_ladder)
+    assert len(res.stages) == len(DEFAULT_LADDER)
+    assert [s.eps for s in res.stages] == list(DEFAULT_LADDER)
     assert res.n_iterations == sum(s.n_iters for s in res.stages)
     assert res.residual_rms == res.stages[-1].residual_rms
-    assert res.residual_rms <= cfg.tol_residual
+    assert res.residual_rms <= aplab.solver._TOL_RESIDUAL
 
 
 def test_minimize_energy_traces_decrease(convex_1d):
@@ -336,8 +336,9 @@ def test_minimize_counts_diagonal_lift_retries(monkeypatch):
     # retried once with a lifted diagonal, which SuperLU solves
     monkeypatch.setattr(aplab.solver, "solveh_banded",
                         lambda ab, b, **kw: np.full_like(b, np.nan))
+    monkeypatch.setattr(aplab.solver, "_MAX_ITERS", 4)
     fld, par = _one_phase_start(n=65)
-    res = minimize(fld, par, SolverConfig(eps_ladder=(0.1,), max_iters=4))
+    res = minimize(fld, par, (0.1,))
     assert res.n_iterations == res.linear_solves == 4
     assert res.lift_retries == res.superlu_solves == 4
     assert res.gradient_fallbacks == 0
@@ -350,7 +351,7 @@ def test_nonfinite_lifted_solve_is_a_stall(monkeypatch):
     monkeypatch.setattr(aplab.solver, "_superlu", nan_solve)
     fld, par = _one_phase_start(n=65)
     with pytest.raises(SolverStall) as info:
-        minimize(fld, par, SolverConfig(eps_ladder=(0.1, 0.01)))
+        minimize(fld, par, (0.1, 0.01))
     res = info.value.result
     assert str(info.value) == (
         "linear solve non-finite at smoothing width 0.1 "
@@ -366,8 +367,9 @@ def test_minimize_counts_gradient_fallbacks(monkeypatch):
     # a solve that returns the ascent direction forces the gradient step
     real = aplab.solver.spsolve
     monkeypatch.setattr(aplab.solver, "spsolve", lambda *a, **kw: -real(*a, **kw))
+    monkeypatch.setattr(aplab.solver, "_MAX_ITERS", 4)
     fld, par = _one_phase_start(n=65)
-    res = minimize(fld, par, SolverConfig(eps_ladder=(0.1,), max_iters=4))
+    res = minimize(fld, par, (0.1,))
     assert res.n_iterations == res.linear_solves == 4
     assert res.gradient_fallbacks == 4
     assert res.lift_retries == res.superlu_solves == 0
@@ -404,19 +406,18 @@ def test_minimize_reports_stall_with_partial_state(monkeypatch):
     monkeypatch.setattr(aplab.solver, "_ARMIJO_C1", 0.999)
     monkeypatch.setattr(aplab.solver, "_STEP_FLOOR", 0.5)
     fld, par = _one_phase_start(n=257)
-    cfg = SolverConfig()
     with pytest.raises(
         SolverStall,
         match=r"^line search stalled at smoothing width 0\.1 "
         r"\(residual rms \d\.\d{3}e[+-]\d+, last accepted step none\)$",
     ) as info:
-        minimize(fld, par, cfg)
+        minimize(fld, par)
     partial = info.value.result
     assert not partial.converged
     assert partial.field.values.shape == fld.values.shape
     assert np.isfinite(partial.energy)
     assert len(partial.stages) >= 1
-    assert partial.residual_rms > 1e3 * cfg.tol_residual
+    assert partial.residual_rms > 1e3 * aplab.solver._TOL_RESIDUAL
 
 
 def test_stall_message_names_the_last_accepted_step(monkeypatch):
@@ -587,7 +588,7 @@ def test_replacement_meets_the_residual_tolerance(shape, p):
     kern = DiscreteEnergy.dirichlet(fld.grid, p)
     g = kern.gradient(v, kern.conductances(kern.grad_sq(v), 1e-9), 1e-9)
     r = (g / kern.weights)[region]
-    assert np.sqrt(np.mean(r * r)) <= SolverConfig().tol_residual
+    assert np.sqrt(np.mean(r * r)) <= aplab.solver._TOL_RESIDUAL
     assert np.array_equal(v[~region], fld.values[~region])
 
 
