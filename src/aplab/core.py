@@ -279,12 +279,14 @@ def serialize_field(field: ScalarField) -> str:
         f" a={_fmt_floats(a for a, _ in g.extents)}"
         f" b={_fmt_floats(b for _, b in g.extents)}"
     )
-    lines = [header]
-    lines.extend(repr(float(v)) for v in field.values.ravel(order="C"))
-    lines.append("MASK")
-    lines.extend("1" if m else "0" for m in field.boundary_mask.ravel(order="C"))
-    lines.append("BVALS")
-    lines.extend(repr(float(v)) for v in field.boundary_values.ravel(order="C"))
+    lines = [
+        header,
+        *map(repr, field.values.ravel(order="C").tolist()),
+        "MASK",
+        *np.where(field.boundary_mask.ravel(order="C"), "1", "0").tolist(),
+        "BVALS",
+        *map(repr, field.boundary_values.ravel(order="C").tolist()),
+    ]
     return "\n".join(lines) + "\n"
 
 

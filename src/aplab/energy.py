@@ -21,10 +21,19 @@ smooths both the potential and the gradient norm; both smoothings are
 anchored so that the density vanishes where grad u = 0 and u = 0, for any
 eps, and eps = 0 gives the exact density.
 
-``DiscreteEnergy`` evaluates all of this from one q per iterate.
+A node lies in one phase, the plus phase where v > 0 and the minus phase
+elsewhere, so F and its derivatives take one fractional power per node,
+that of the node's own phase; the other phase's term has argument 0 and
+is a constant of the width.  ``DiscreteEnergy.at(u, eps)`` is the state
+of one iterate: it computes q, q + eps^2, |u|, the phase mask, the phase
+weight lambda(u) and u^2 + eps^2 once, and its energy, conductances,
+gradient and potential curvature all read them.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,11 +41,105 @@ from .core import Grid, Params, ScalarField
 
 __all__ = [
     "DiscreteEnergy",
+    "Iterate",
     "potential_value",
     "potential_derivative",
-    "potential_curvature",
     "el_residual",
 ]
+
+
+class _Phases(NamedTuple):
+    """A field v split by phase, node by node."""
+
+    a: np.ndarray  # |v|
+    pos: np.ndarray  # v > 0: the plus phase; the minus phase elsewhere
+    lam: np.ndarray  # the phase weight lambda(v)
+    s: np.ndarray  # |v|^2 + eps^2
+
+
+class _Potential:
+    """F, F' and F'' of one parameter set at one smoothing width.
+
+    Each node's own phase is evaluated per node; the idle phase's term and
+    the curvature at v = 0 (the mean of both one-sided limits) are
+    constants.  They are the same array expressions on one zero node per
+    phase, since numpy's vectorized power can round differently from its
+    scalar one, and they stay float64: a width out of the kernel's range
+    gives inf or nan there, where Python floats would raise.
+    """
+
+    def __init__(self, params: Params, eps: float):
+        self.params = params
+        self.eps = eps
+        self.e2 = eps * eps
+
+    def phases(self, v: np.ndarray) -> _Phases:
+        a = np.abs(v)
+        pos = v > 0.0
+        lam = np.where(pos, self.params.lambda_plus, self.params.lambda_minus)
+        return _Phases(a, pos, lam, a * a + self.e2)
+
+    @cached_property
+    def _zero(self) -> _Phases:
+        """v = 0, once in each phase: plus, then minus."""
+        zero = np.zeros(2)
+        lam = np.array([self.params.lambda_plus, self.params.lambda_minus])
+        return _Phases(zero, np.array([True, False]), lam, zero * zero + self.e2)
+
+    @cached_property
+    def _idle_value(self) -> np.ndarray:
+        return self._value(self._zero)
+
+    @cached_property
+    def _idle_slope(self) -> np.ndarray:
+        return self._slope(self._zero)
+
+    @cached_property
+    def _zero_curvature(self) -> np.float64:
+        cp, cm = self._curvature(self._zero)
+        return 0.5 * (cp + cm)
+
+    # Each node's own phase: its term, its slope in |v| and its curvature.
+
+    def _value(self, ph: _Phases) -> np.ndarray:
+        g = self.params.gamma
+        if self.eps == 0.0:
+            return ph.lam * ph.a**g
+        return ph.lam * (ph.s ** (0.5 * g) - self.eps**g)
+
+    def _slope(self, ph: _Phases) -> np.ndarray:
+        g = self.params.gamma
+        return ph.lam * g * ph.a * ph.s ** (0.5 * g - 1.0)
+
+    def _curvature(self, ph: _Phases) -> np.ndarray:
+        g = self.params.gamma
+        bend = self.e2 + (g - 1.0) * ph.a * ph.a
+        return ph.lam * g * ph.s ** (0.5 * g - 2.0) * bend
+
+    # Both phases: the terms add as F = F+ + F-, and F' = F+' - F-'.
+
+    def value(self, ph: _Phases) -> np.ndarray:
+        t = self._value(ph)
+        plus_idle, minus_idle = self._idle_value
+        return np.where(ph.pos, t + minus_idle, plus_idle + t)
+
+    def slope(self, ph: _Phases) -> np.ndarray:
+        g = self.params.gamma
+        if self.eps == 0.0:
+            # the exact slope, set to 0 at v = 0 where it is not defined
+            out = np.zeros_like(ph.a)
+            on = ph.a > 0.0
+            lam_g = np.where(ph.pos, ph.lam * g, -ph.lam * g)
+            out[on] = lam_g[on] * ph.a[on] ** (g - 1.0)
+            return out
+        d = self._slope(ph)
+        plus_idle, minus_idle = self._idle_slope
+        return np.where(ph.pos, d - minus_idle, plus_idle - d)
+
+    def curvature(self, ph: _Phases) -> np.ndarray:
+        if self.eps <= 0.0:
+            raise ValueError("potential_curvature needs eps > 0")
+        return np.where(ph.a == 0.0, self._zero_curvature, self._curvature(ph))
 
 
 def potential_value(v, params: Params, eps: float = 0.0):
@@ -45,36 +148,14 @@ def potential_value(v, params: Params, eps: float = 0.0):
     Vectorized over arrays.  F(0) = 0 for every eps, and the smoothed
     value decreases to the exact one as eps -> 0.
     """
-    v = np.asarray(v, dtype=float)
-    g = params.gamma
-    vp = np.maximum(v, 0.0)
-    vm = np.maximum(-v, 0.0)
-    if eps == 0.0:
-        return params.lambda_plus * vp**g + params.lambda_minus * vm**g
-    e2 = eps * eps
-    eg = eps**g
-    return params.lambda_plus * ((vp * vp + e2) ** (0.5 * g) - eg) + (
-        params.lambda_minus * ((vm * vm + e2) ** (0.5 * g) - eg)
-    )
+    pot = _Potential(params, eps)
+    return pot.value(pot.phases(np.asarray(v, dtype=float)))
 
 
 def potential_derivative(v, params: Params, eps: float = 0.0):
     """dF/dv, the two-phase reaction term; zero at v = 0 by definition."""
-    v = np.asarray(v, dtype=float)
-    g = params.gamma
-    vp = np.maximum(v, 0.0)
-    vm = np.maximum(-v, 0.0)
-    if eps == 0.0:
-        out = np.zeros_like(v)
-        pos = v > 0.0
-        neg = v < 0.0
-        out[pos] = params.lambda_plus * g * vp[pos] ** (g - 1.0)
-        out[neg] = -params.lambda_minus * g * vm[neg] ** (g - 1.0)
-        return out
-    e2 = eps * eps
-    dplus = params.lambda_plus * g * vp * (vp * vp + e2) ** (0.5 * g - 1.0)
-    dminus = params.lambda_minus * g * vm * (vm * vm + e2) ** (0.5 * g - 1.0)
-    return dplus - dminus
+    pot = _Potential(params, eps)
+    return pot.slope(pot.phases(np.asarray(v, dtype=float)))
 
 
 def potential_curvature(v, params: Params, eps: float) -> np.ndarray:
@@ -83,20 +164,8 @@ def potential_curvature(v, params: Params, eps: float) -> np.ndarray:
     At v = 0 the two phases' one-sided limits differ when their weights
     do; the value there is their mean, as a central difference gives.
     """
-    if eps <= 0.0:
-        raise ValueError("potential_curvature needs eps > 0")
-    v = np.asarray(v, dtype=float)
-    g = params.gamma
-    e2 = eps * eps
-    vp = np.maximum(v, 0.0)
-    vm = np.maximum(-v, 0.0)
-    cp = params.lambda_plus * g * (vp * vp + e2) ** (0.5 * g - 2.0) * (
-        e2 + (g - 1.0) * vp * vp
-    )
-    cm = params.lambda_minus * g * (vm * vm + e2) ** (0.5 * g - 2.0) * (
-        e2 + (g - 1.0) * vm * vm
-    )
-    return np.where(v > 0.0, cp, np.where(v < 0.0, cm, 0.5 * (cp + cm)))
+    pot = _Potential(params, eps)
+    return pot.curvature(pot.phases(np.asarray(v, dtype=float)))
 
 
 def _axis(grid: Grid, a: int) -> tuple:
@@ -119,20 +188,14 @@ def _axis(grid: Grid, a: int) -> tuple:
     )
 
 
-def _phi(q: np.ndarray, p: float, eps: float) -> np.ndarray:
-    return ((q + eps * eps) ** (0.5 * p) - eps**p) / p
-
-
-def _psi(q: np.ndarray, p: float, eps: float) -> np.ndarray:
-    """phi'(q) = (q + eps^2)^((p-2)/2) / 2."""
-    if eps == 0.0:
-        if p < 2.0 and np.any(q == 0.0):
-            raise ValueError(
-                "p < 2 with eps = 0 hits a zero-gradient node; "
-                "use a positive smoothing width"
-            )
-        return 0.5 * q ** (0.5 * p - 1.0)
-    return 0.5 * (q + eps * eps) ** (0.5 * p - 1.0)
+def _psi(qe: np.ndarray, p: float, eps: float) -> np.ndarray:
+    """phi'(q) = (q + eps^2)^((p-2)/2) / 2, given qe = q + eps^2."""
+    if eps == 0.0 and p < 2.0 and np.any(qe == 0.0):
+        raise ValueError(
+            "p < 2 with eps = 0 hits a zero-gradient node; "
+            "use a positive smoothing width"
+        )
+    return 0.5 * qe ** (0.5 * p - 1.0)
 
 
 def _width(eps: float) -> float:
@@ -144,12 +207,14 @@ def _width(eps: float) -> float:
 class DiscreteEnergy:
     """The discrete energy of one grid and parameter set.
 
-    Built once per problem, it holds the quadrature weights and each
-    axis's edge slices and one-sided weights.  The energy, its gradient
-    and the edge conductances of an iterate u all derive from one node
-    gradient-square ``q = grad_sq(u)``, which does not depend on the
-    smoothing width ``eps``.  Node arrays are grid-shaped, and every sum
-    runs over the full grid.
+    Built once per problem, it holds the quadrature weights, each axis's
+    edge slices and one-sided weights, and the potential's constants per
+    smoothing width.  The energy, its gradient and the edge conductances
+    of an iterate u all derive from one node gradient-square
+    ``q = grad_sq(u)``, which does not depend on the smoothing width
+    ``eps``; ``at(u, eps)`` evaluates them together, and ``energy``,
+    ``conductances`` and ``gradient`` are its one-quantity forms.  Node
+    arrays are grid-shaped, and every sum runs over the full grid.
     """
 
     def __init__(self, grid: Grid, params: Params):
@@ -157,6 +222,7 @@ class DiscreteEnergy:
         self.params = params
         self.weights = grid.quadrature_weights
         self.axes = tuple(_axis(grid, a) for a in range(grid.ndim))
+        self._potentials: dict[float, _Potential] = {}
 
     @classmethod
     def dirichlet(cls, grid: Grid, p: float) -> "DiscreteEnergy":
@@ -177,6 +243,17 @@ class DiscreteEnergy:
             q[hi] += cminus * dsq
         return q
 
+    def at(self, u: np.ndarray, eps: float, q: np.ndarray | None = None) -> "Iterate":
+        """The state of iterate ``u`` at smoothing width ``eps``.
+
+        ``q`` is ``grad_sq(u)`` when the caller already has it.
+        """
+        eps = _width(eps)
+        pot = self._potentials.get(eps)
+        if pot is None:
+            pot = self._potentials[eps] = _Potential(self.params, eps)
+        return Iterate(self, pot, u, q)
+
     def energy(self, u: np.ndarray, q: np.ndarray, eps: float,
                region: np.ndarray | None = None) -> float:
         """Quadrature value of the energy smoothed with width ``eps``.
@@ -185,17 +262,15 @@ class DiscreteEnergy:
         restricts the trapezoidal weights to its nodes; None means the
         whole grid.
         """
-        prm = self.params
-        eps = _width(eps)
-        dens = _phi(q, prm.p, eps) + prm.delta * potential_value(u, prm, eps)
+        it = self.at(u, eps, q)
         if region is None:
-            return float(np.sum(self.weights * dens))
+            return it.energy
         region = np.asarray(region)
         if region.dtype != bool or region.shape != self.grid.shape:
             raise ValueError("region must be a bool node mask of grid shape")
         if not region.any():
             raise ValueError("empty integration region")
-        return float(np.sum(self.weights[region] * dens[region]))
+        return float(np.sum(self.weights[region] * it.density()[region]))
 
     def conductances(self, q: np.ndarray, eps: float) -> tuple:
         """Per-axis edge conductances of the linearized Dirichlet form.
@@ -205,7 +280,11 @@ class DiscreteEnergy:
         returned here (frozen at the current field).  The solver reuses them
         as its lagged-coefficient matrix.
         """
-        psi_w = self.weights * _psi(q, self.params.p, _width(eps))
+        eps = _width(eps)
+        return self._conductances(q + eps * eps, eps)
+
+    def _conductances(self, qe: np.ndarray, eps: float) -> tuple:
+        psi_w = self.weights * _psi(qe, self.params.p, eps)
         return tuple(
             2.0 * (psi_w[lo] * cplus + psi_w[hi] * cminus) / h**2
             for lo, hi, cplus, cminus, h in self.axes
@@ -217,18 +296,66 @@ class DiscreteEnergy:
         Masked nodes still get their partials (the solver projects them
         out).
         """
-        prm = self.params
-        eps = _width(eps)
-        grad = np.zeros(self.grid.shape)
-        for (lo, hi, *_), kappa in zip(self.axes, kappas):
-            t = kappa * (u[hi] - u[lo])  # one entry per edge
+        return self.at(u, eps).gradient(kappas)
+
+
+class Iterate:
+    """One field u of a ``DiscreteEnergy`` at one smoothing width.
+
+    q, q + eps^2 and the phase split of u (|u|, u > 0, lambda(u),
+    u^2 + eps^2) are computed once, on construction; the energy and the
+    conductances on first use, and then kept.  The field must not change
+    while its state is in use.
+    """
+
+    def __init__(self, kern: DiscreteEnergy, pot: _Potential, u: np.ndarray,
+                 q: np.ndarray | None = None):
+        self.kern = kern
+        self.pot = pot
+        self.eps = pot.eps
+        self.u = u
+        self.q = kern.grad_sq(u) if q is None else q
+        self.qe = self.q + pot.e2
+        self.phases = pot.phases(u)
+        self._energy: float | None = None
+        self._conductances: tuple | None = None
+
+    def density(self) -> np.ndarray:
+        """The energy density at every node."""
+        p = self.kern.params.p
+        phi = (self.qe ** (0.5 * p) - self.eps**p) / p
+        return phi + self.kern.params.delta * self.pot.value(self.phases)
+
+    @property
+    def energy(self) -> float:
+        if self._energy is None:
+            self._energy = float(np.sum(self.kern.weights * self.density()))
+        return self._energy
+
+    @property
+    def conductances(self) -> tuple:
+        if self._conductances is None:
+            self._conductances = self.kern._conductances(self.qe, self.eps)
+        return self._conductances
+
+    def gradient(self, kappas=None) -> np.ndarray:
+        """First variation at u; ``kappas`` default to u's own conductances."""
+        kern = self.kern
+        if kappas is None:
+            kappas = self.conductances
+        grad = np.zeros(kern.grid.shape)
+        for (lo, hi, *_), kappa in zip(kern.axes, kappas):
+            t = kappa * (self.u[hi] - self.u[lo])  # one entry per edge
             grad[lo] -= t
             grad[hi] += t
-        if prm.delta != 0.0:
-            grad = grad + self.weights * (
-                prm.delta * potential_derivative(u, prm, eps)
-            )
+        delta = kern.params.delta
+        if delta != 0.0:
+            grad = grad + kern.weights * (delta * self.pot.slope(self.phases))
         return grad
+
+    def curvature(self) -> np.ndarray:
+        """d2F/du2 at every node (eps > 0 required)."""
+        return self.pot.curvature(self.phases)
 
 
 def el_residual(
@@ -251,9 +378,8 @@ def el_residual(
     g = field.grid
     if activity_threshold is None:
         activity_threshold = 10.0 * max(g.spacing) ** (1.0 + params.tau)
-    kern = DiscreteEnergy.dirichlet(g, params.p)
     u = field.values
-    lap = -kern.gradient(u, kern.conductances(kern.grad_sq(u), eps), eps)
+    lap = -DiscreteEnergy.dirichlet(g, params.p).at(u, eps).gradient()
     lap /= g.quadrature_weights
     rhs = params.delta * potential_derivative(u, params, eps)
     interior = np.zeros(g.shape, dtype=bool)

@@ -688,8 +688,6 @@ _DIAGNOSTICS = {
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    config: dict
-    field: ScalarField
     solve: SolveResult
     report: dict
     rows: list
@@ -797,8 +795,6 @@ def run_experiment(cfg: dict) -> ExperimentResult:
         "outputs": ["field.apf", "report.json", "diagnostics.csv"],
     }
     return ExperimentResult(
-        config=cfg,
-        field=fld,
         solve=solve,
         report=report,
         rows=rows,
@@ -811,7 +807,7 @@ def write_bundle(result: ExperimentResult, outdir) -> None:
     """Write field.apf, report.json, diagnostics.csv, manifest.json."""
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    save_field(result.field, out / "field.apf")
+    save_field(result.solve.field, out / "field.apf")
     with open(out / "report.json", "w") as fh:
         json.dump(result.report, fh, sort_keys=True, indent=2)
         fh.write("\n")

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .core import Grid, Params, ScalarField
 
@@ -97,20 +96,18 @@ def decompose(field: ScalarField, zero_tol: float) -> PhaseDecomposition:
     )
 
 
-def _face_struct(ndim: int) -> np.ndarray:
-    return ndimage.generate_binary_structure(ndim, 1)
-
-
 def classify(
     decomp: PhaseDecomposition,
     grad_norm: np.ndarray,
     grad_tol: float,
 ) -> FreeBoundaryClassification:
     """Classify free-boundary nodes given sqrt(DiscreteEnergy.grad_sq(u))."""
+    from scipy import ndimage
+
     if grad_tol < 0:
         raise ValueError("grad_tol must be >= 0")
     pos, neg, zero = decomp.positive, decomp.negative, decomp.zero
-    st = _face_struct(pos.ndim)
+    st = ndimage.generate_binary_structure(pos.ndim, 1)
     signed = pos | neg
     near_signed = ndimage.binary_dilation(signed, st)
     near_pos = ndimage.binary_dilation(pos, st)
@@ -149,6 +146,8 @@ def distance_to_set(grid: Grid, set_mask: np.ndarray) -> np.ndarray:
         raise ValueError("set_mask must be a bool array of grid shape")
     if not set_mask.any():
         return np.full(grid.shape, np.inf)
+    from scipy import ndimage
+
     return ndimage.distance_transform_edt(~set_mask, sampling=grid.spacing)
 
 

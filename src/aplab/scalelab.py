@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import map_coordinates
 
 from .core import Grid, Params, ScalarField, build_grid
 from .energy import DiscreteEnergy, potential_value
@@ -219,6 +218,8 @@ def rescale(
         snap = np.round(idx)
         idx = np.where(np.abs(idx - snap) < 1e-9, snap, idx)
         index_axes.append(idx)
+    from scipy.ndimage import map_coordinates
+
     mesh = np.meshgrid(*index_axes, indexing="ij")
     sampled = map_coordinates(
         field.values,

@@ -11,6 +11,11 @@ backtracking line search on the true stage energy.  A line search that
 collapses below the step floor is a stall and raises, carrying the
 partial result; so is a Newton system with no finite solution.
 
+Each line-search trial is one ``DiscreteEnergy.at`` state.  The trial
+Armijo accepts becomes the next iterate, and the gradient, conductances
+and curvature of the next Newton step come from that same state, so
+nothing is evaluated twice for one field.
+
 Every linear system is symmetric positive definite and goes through
 ``spsolve``.  Its sparsity pattern is built once per problem; each
 Newton step refills only the values.  A 1D system is tridiagonal: it is
@@ -39,7 +44,7 @@ from scipy.linalg import LinAlgError, solveh_banded
 from scipy.sparse.linalg import spsolve as _superlu
 
 from .core import Grid, Params, ScalarField
-from .energy import DiscreteEnergy, potential_curvature, potential_value
+from .energy import DiscreteEnergy, potential_value
 
 __all__ = [
     "DEFAULT_LADDER",
@@ -373,9 +378,10 @@ def _check_ladder(ladder: tuple[float, ...], kern: DiscreteEnergy) -> None:
     flat = np.zeros(kern.grid.shape)
     for eps in ladder:
         with np.errstate(all="ignore"):
-            curv = potential_curvature(0.0, kern.params, eps)
-            kappas = kern.conductances(flat, eps)
-        if not (np.isfinite(curv) and all(np.isfinite(k).all() for k in kappas)):
+            at_rest = kern.at(flat, eps, q=flat)
+            curv = at_rest.curvature()
+            kappas = at_rest.conductances
+        if not (np.isfinite(curv).all() and all(np.isfinite(k).all() for k in kappas)):
             raise ValueError(f"smoothing width {eps:g} is out of the kernel's range")
 
 
@@ -401,10 +407,9 @@ def minimize(
     _check_ladder(eps_ladder, kern)
     idx_f = np.flatnonzero(initial.free_mask.ravel())
     w_f = kern.weights.ravel()[idx_f]
-    u = initial.values  # node values of the current iterate
-    q = kern.grad_sq(u)  # its gradient-square, shared by every smoothing width
+    it = kern.at(initial.values, 0.0)  # the current iterate; its q serves every width
     if idx_f.size == 0:
-        return SolveResult(initial, kern.energy(u, q, 0.0), 0.0, (), True, 0)
+        return SolveResult(initial, it.energy, 0.0, (), True, 0)
 
     precond = _box_preconditioner(kern, idx_f)
     block = _FreeBlock(kern, idx_f)
@@ -414,15 +419,10 @@ def minimize(
     res_rms = math.inf
     t_last = None  # step length of the last accepted Armijo step
 
-    def model(v: np.ndarray, qv: np.ndarray, eps: float) -> tuple:
-        """The edge conductances of v and its free-node energy gradient."""
-        kap = kern.conductances(qv, eps)
-        return kap, kern.gradient(v, kap, eps).ravel()[idx_f]
-
     def result(converged: bool) -> SolveResult:
         return SolveResult(
-            field=initial.with_values(u),
-            energy=kern.energy(u, q, 0.0),
+            field=initial.with_values(it.u),
+            energy=kern.at(it.u, 0.0, it.q).energy,
             residual_rms=res_rms,
             stages=tuple(stages),
             converged=converged,
@@ -442,13 +442,13 @@ def minimize(
     # directions, which Armijo tolerates.
     stiff = max(params.p - 1.0, 1.0)
     for eps in eps_ladder:
-        energy = kern.energy(u, q, eps)
-        trace = [energy]
+        it = kern.at(it.u, eps, it.q)
+        trace = [it.energy]
         n_it = 0
         res_rms = math.inf
         n_flat = 0
         polishing = False
-        kappas, g_f = model(u, q, eps)  # kept current with every accepted step
+        g_f = it.gradient().ravel()[idx_f]  # kept current with every accepted step
         for _ in range(_MAX_ITERS):
             res_rms = _rms(g_f / w_f)
             if res_rms <= _TOL_RESIDUAL:
@@ -458,8 +458,8 @@ def minimize(
             # stays SPD where F is concave (gamma < 1, away from u = 0)
             # without stiffening there: |F''| over-damps every step, and the
             # signed F'' is indefinite and fails the (2, 0.5) restricted run.
-            curv = params.delta * np.maximum(potential_curvature(u, params, eps), 0.0)
-            M = block(kappas, stiff, w_f * curv.ravel()[idx_f])
+            curv = params.delta * np.maximum(it.curvature(), 0.0)
+            M = block(it.conductances, stiff, w_f * curv.ravel()[idx_f])
             d = _solve_spd(M, g_f, precond, tally)
             if d is None:
                 stages.append(StageRecord(eps, n_it, tuple(trace), res_rms))
@@ -472,14 +472,14 @@ def minimize(
                 # Energy decreases here are below float rounding, so Armijo
                 # can no longer certify progress; full model steps still
                 # contract the residual, which we watch directly instead.
-                trial = u.copy()
-                trial.flat[idx_f] -= d
-                q_t = kern.grad_sq(trial)
-                kap_t, g_t = model(trial, q_t, eps)
+                trial = it.u.copy()
+                trial.reshape(-1)[idx_f] -= d
+                nxt = kern.at(trial, eps)
+                g_t = nxt.gradient().ravel()[idx_f]
                 r2 = _rms(g_t / w_f)
                 if not (math.isfinite(r2) and r2 < 0.95 * res_rms):
                     break
-                u, q, res_rms, kappas, g_f = trial, q_t, r2, kap_t, g_t
+                it, res_rms, g_f = nxt, r2, g_t
                 n_it += 1
                 total_iters += 1
                 continue
@@ -494,12 +494,11 @@ def minimize(
             t = 1.0
             accepted = None
             while t >= _STEP_FLOOR:
-                trial = u.copy()
-                trial.flat[idx_f] -= t * d
-                q_t = kern.grad_sq(trial)
-                e_t = kern.energy(trial, q_t, eps)
-                if e_t <= energy - _ARMIJO_C1 * t * slope:
-                    accepted = (trial, q_t, e_t)
+                trial = it.u.copy()
+                trial.reshape(-1)[idx_f] -= t * d  # a view: .flat indexing is slower
+                nxt = kern.at(trial, eps)
+                if nxt.energy <= it.energy - _ARMIJO_C1 * t * slope:
+                    accepted = nxt
                     break
                 t *= _BACKTRACK
             if accepted is None:
@@ -517,10 +516,10 @@ def minimize(
                     f"(residual rms {res_rms:.3e}, last accepted step {last})",
                     result(False),
                 )
-            u, q, energy = accepted
+            it = accepted
             t_last = t
-            kappas, g_f = model(u, q, eps)
-            trace.append(energy)
+            g_f = it.gradient().ravel()[idx_f]
+            trace.append(it.energy)
             n_it += 1
             total_iters += 1
             if abs(trace[-2] - trace[-1]) <= _TOL_ENERGY * max(1.0, abs(trace[-1])):

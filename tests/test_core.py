@@ -175,6 +175,23 @@ def test_serialization_is_deterministic():
     assert serialize_field(_demo_field()) == serialize_field(_demo_field())
 
 
+def test_serialization_matches_per_element_repr():
+    # the text format is repr(float(v)) per node, one value per line
+    grid = build_grid(((0.0, 1.0), (0.0, 1.0)), (3, 3))
+    vals = np.array([[-0.0, 5e-324, 1e308], [-1.7976931348623157e308, -0.0, -2.5e-310],
+                     [1e22, -1e-5, 0.0]])
+    fld = ScalarField(grid, vals, grid.boundary_face_mask, vals)
+    header, _ = serialize_field(fld).split("\n", 1)
+    lines = [header]
+    lines.extend(repr(float(v)) for v in fld.values.ravel())
+    lines.append("MASK")
+    lines.extend("1" if m else "0" for m in fld.boundary_mask.ravel())
+    lines.append("BVALS")
+    lines.extend(repr(float(v)) for v in fld.boundary_values.ravel())
+    assert "-0.0" in lines and "5e-324" in lines and "1e+308" in lines
+    assert serialize_field(fld) == "\n".join(lines) + "\n"
+
+
 @pytest.mark.parametrize(
     "mangle",
     [

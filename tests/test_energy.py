@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from aplab.core import Params, ScalarField, build_grid
 from aplab.energy import (
@@ -100,6 +102,93 @@ def test_potential_curvature_matches_derivative_slope(lp, lm):
     np.testing.assert_allclose(curv, fd, rtol=1e-6, atol=1e-6 * np.max(np.abs(fd)))
     mean = 0.5 * (lp + lm) * 0.5 * eps**-1.5
     assert potential_curvature(0.0, prm, eps) == pytest.approx(mean, rel=1e-14)
+
+
+def _two_phase_sum(v, prm, eps):
+    """(F, F', F'') with both phases' powers taken at every node.
+
+    F'' is None at eps = 0.
+    """
+    g, lp, lm = prm.gamma, prm.lambda_plus, prm.lambda_minus
+    vp = np.maximum(v, 0.0)
+    vm = np.maximum(-v, 0.0)
+    if eps == 0.0:
+        slope = np.zeros_like(v)
+        pos, neg = v > 0.0, v < 0.0
+        slope[pos] = lp * g * vp[pos] ** (g - 1.0)
+        slope[neg] = -lm * g * vm[neg] ** (g - 1.0)
+        return lp * vp**g + lm * vm**g, slope, None
+    e2 = eps * eps
+    eg = eps**g
+    value = lp * ((vp * vp + e2) ** (0.5 * g) - eg) + (
+        lm * ((vm * vm + e2) ** (0.5 * g) - eg)
+    )
+    slope = lp * g * vp * (vp * vp + e2) ** (0.5 * g - 1.0) - (
+        lm * g * vm * (vm * vm + e2) ** (0.5 * g - 1.0)
+    )
+    cp = lp * g * (vp * vp + e2) ** (0.5 * g - 2.0) * (e2 + (g - 1.0) * vp * vp)
+    cm = lm * g * (vm * vm + e2) ** (0.5 * g - 2.0) * (e2 + (g - 1.0) * vm * vm)
+    curv = np.where(v > 0.0, cp, np.where(v < 0.0, cm, 0.5 * (cp + cm)))
+    return value, slope, curv
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+_NODE_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e3, -1e3]),
+    st.floats(-2.2e-308, 2.2e-308),  # subnormals
+    st.floats(-1e3, 1e3),
+)
+
+
+@given(
+    v=st.lists(_NODE_VALUES, min_size=1, max_size=40),
+    gamma=st.floats(0.05, 3.0),
+    lp=st.floats(0.0, 5.0),
+    lm=st.floats(0.0, 5.0),
+    eps=st.sampled_from([0.0, 1e-1, 1e-5, 1e-110, 1e-300]),
+)
+def test_one_power_potential_is_the_two_phase_sum_bit_for_bit(v, gamma, lp, lm, eps):
+    # one power per node, the idle phase a constant: no bit may move, not
+    # even a zero's sign or an inf/nan at widths out of the kernel's range
+    assume(lp != lm)
+    prm = _two_phase(p=4.0, gamma=gamma, lp=lp, lm=lm)
+    v = np.array(v)
+    with np.errstate(all="ignore"):
+        value, slope, curv = _two_phase_sum(v, prm, eps)
+        assert _same_bits(potential_value(v, prm, eps), value)
+        assert _same_bits(potential_derivative(v, prm, eps), slope)
+        if eps > 0.0:
+            assert _same_bits(potential_curvature(v, prm, eps), curv)
+
+
+@pytest.mark.parametrize("shape", [(65,), (17, 13)])
+def test_iterate_state_matches_the_public_functions(shape):
+    prm = _two_phase(p=2.5, gamma=0.6, lp=1.3, lm=0.4, delta=0.7)
+    grid = build_grid(tuple((-1.0, 1.0) for _ in shape), shape)
+    kern = DiscreteEnergy(grid, prm)
+    rng = np.random.default_rng(5)
+    u = rng.standard_normal(shape)
+    u[rng.random(shape) < 0.2] = 0.0
+    eps = 1e-2
+    it = kern.at(u, eps)
+    q = kern.grad_sq(u)
+    kappas = kern.conductances(q, eps)
+    assert _same_bits(it.q, q)
+    assert it.energy == kern.energy(u, q, eps)
+    assert all(_same_bits(a, b) for a, b in zip(it.conductances, kappas))
+    assert _same_bits(it.gradient(), kern.gradient(u, kappas, eps))
+    assert _same_bits(it.curvature(), potential_curvature(u, prm, eps))
+    # and the potential terms inside them are the two-phase sum
+    value, slope, _ = _two_phase_sum(u, prm, eps)
+    phi = ((q + eps * eps) ** (0.5 * prm.p) - eps**prm.p) / prm.p
+    w = grid.quadrature_weights
+    assert it.energy == float(np.sum(w * (phi + prm.delta * value)))
+    dirichlet = DiscreteEnergy.dirichlet(grid, prm.p).gradient(u, kappas, eps)
+    assert _same_bits(it.gradient(), dirichlet + w * (prm.delta * slope))
 
 
 # ---------------------------------------------------------------------------
