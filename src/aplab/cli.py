@@ -14,6 +14,16 @@ import sys
 from pathlib import Path
 
 
+def tolerance(text: str) -> float:
+    """A compare tolerance: a float >= 0 (inf allowed); NaN would pass
+    every delta, since no comparison with NaN is true.  argparse reports
+    unparsable text as an "invalid tolerance value", after this name."""
+    tol = float(text)
+    if not tol >= 0.0:
+        raise argparse.ArgumentTypeError(f"tolerance must be >= 0, got {text!r}")
+    return tol
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="apl",
@@ -30,7 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("dir_b")
     cmp_.add_argument(
         "--tol",
-        type=float,
+        type=tolerance,
         default=0.0,
         help="max allowed |delta| per diagnostic (default: exact match)",
     )

@@ -24,10 +24,11 @@ eps, and eps = 0 gives the exact density.
 A node lies in one phase, the plus phase where v > 0 and the minus phase
 elsewhere, so F and its derivatives take one fractional power per node,
 that of the node's own phase; the other phase's term has argument 0 and
-is a constant of the width.  ``DiscreteEnergy.at(u, eps)`` is the state
-of one iterate: it computes q, q + eps^2, |u|, the phase mask, the phase
-weight lambda(u) and u^2 + eps^2 once, and its energy, conductances,
-gradient and potential curvature all read them.
+is a constant of the width.  ``DiscreteEnergy.at(u, eps)`` is the one
+way into the kernel: the state of one iterate, which computes q,
+q + eps^2, |u|, the phase mask, the phase weight lambda(u) and
+u^2 + eps^2 once, and whose energy (over the grid or a node region),
+conductances, gradient and potential curvature all read them.
 """
 
 from __future__ import annotations
@@ -188,33 +189,16 @@ def _axis(grid: Grid, a: int) -> tuple:
     )
 
 
-def _psi(qe: np.ndarray, p: float, eps: float) -> np.ndarray:
-    """phi'(q) = (q + eps^2)^((p-2)/2) / 2, given qe = q + eps^2."""
-    if eps == 0.0 and p < 2.0 and np.any(qe == 0.0):
-        raise ValueError(
-            "p < 2 with eps = 0 hits a zero-gradient node; "
-            "use a positive smoothing width"
-        )
-    return 0.5 * qe ** (0.5 * p - 1.0)
-
-
-def _width(eps: float) -> float:
-    if eps < 0:
-        raise ValueError("smoothing width must be >= 0")
-    return eps
-
-
 class DiscreteEnergy:
     """The discrete energy of one grid and parameter set.
 
     Built once per problem, it holds the quadrature weights, each axis's
     edge slices and one-sided weights, and the potential's constants per
-    smoothing width.  The energy, its gradient and the edge conductances
-    of an iterate u all derive from one node gradient-square
-    ``q = grad_sq(u)``, which does not depend on the smoothing width
-    ``eps``; ``at(u, eps)`` evaluates them together, and ``energy``,
-    ``conductances`` and ``gradient`` are its one-quantity forms.  Node
-    arrays are grid-shaped, and every sum runs over the full grid.
+    smoothing width.  ``at(u, eps)`` is the one way to evaluate it: the
+    state of iterate u at width ``eps``, whose energy, conductances,
+    gradient and potential curvature derive from one node gradient-square
+    ``q = grad_sq(u)``.  Node arrays are grid-shaped, and every sum runs
+    over the full grid unless ``Iterate.energy_in`` restricts it.
     """
 
     def __init__(self, grid: Grid, params: Params):
@@ -243,78 +227,31 @@ class DiscreteEnergy:
             q[hi] += cminus * dsq
         return q
 
-    def at(self, u: np.ndarray, eps: float, q: np.ndarray | None = None) -> "Iterate":
-        """The state of iterate ``u`` at smoothing width ``eps``.
-
-        ``q`` is ``grad_sq(u)`` when the caller already has it.
-        """
-        eps = _width(eps)
+    def at(self, u: np.ndarray, eps: float) -> "Iterate":
+        """The state of iterate ``u`` at smoothing width ``eps >= 0``."""
+        if eps < 0:
+            raise ValueError("smoothing width must be >= 0")
         pot = self._potentials.get(eps)
         if pot is None:
             pot = self._potentials[eps] = _Potential(self.params, eps)
-        return Iterate(self, pot, u, q)
-
-    def energy(self, u: np.ndarray, q: np.ndarray, eps: float,
-               region: np.ndarray | None = None) -> float:
-        """Quadrature value of the energy smoothed with width ``eps``.
-
-        ``region`` is a non-empty boolean node mask of grid shape that
-        restricts the trapezoidal weights to its nodes; None means the
-        whole grid.
-        """
-        it = self.at(u, eps, q)
-        if region is None:
-            return it.energy
-        region = np.asarray(region)
-        if region.dtype != bool or region.shape != self.grid.shape:
-            raise ValueError("region must be a bool node mask of grid shape")
-        if not region.any():
-            raise ValueError("empty integration region")
-        return float(np.sum(self.weights[region] * it.density()[region]))
-
-    def conductances(self, q: np.ndarray, eps: float) -> tuple:
-        """Per-axis edge conductances of the linearized Dirichlet form.
-
-        The exact first variation of the Dirichlet part is the graph
-        operator  g_i = sum_edges kappa_e (u_i - u_j)  with the conductances
-        returned here (frozen at the current field).  The solver reuses them
-        as its lagged-coefficient matrix.
-        """
-        eps = _width(eps)
-        return self._conductances(q + eps * eps, eps)
-
-    def _conductances(self, qe: np.ndarray, eps: float) -> tuple:
-        psi_w = self.weights * _psi(qe, self.params.p, eps)
-        return tuple(
-            2.0 * (psi_w[lo] * cplus + psi_w[hi] * cminus) / h**2
-            for lo, hi, cplus, cminus, h in self.axes
-        )
-
-    def gradient(self, u: np.ndarray, kappas, eps: float) -> np.ndarray:
-        """First variation of the energy at u, given the conductances of u.
-
-        Masked nodes still get their partials (the solver projects them
-        out).
-        """
-        return self.at(u, eps).gradient(kappas)
+        return Iterate(self, pot, u)
 
 
 class Iterate:
     """One field u of a ``DiscreteEnergy`` at one smoothing width.
 
-    q, q + eps^2 and the phase split of u (|u|, u > 0, lambda(u),
-    u^2 + eps^2) are computed once, on construction; the energy and the
-    conductances on first use, and then kept.  The field must not change
-    while its state is in use.
+    q = ``grad_sq(u)``, q + eps^2 and the phase split of u (|u|, u > 0,
+    lambda(u), u^2 + eps^2) are computed once, on construction; the energy
+    and the conductances on first use, and then kept.  The field must not
+    change while its state is in use.
     """
 
-    def __init__(self, kern: DiscreteEnergy, pot: _Potential, u: np.ndarray,
-                 q: np.ndarray | None = None):
+    def __init__(self, kern: DiscreteEnergy, pot: _Potential, u: np.ndarray):
         self.kern = kern
         self.pot = pot
         self.eps = pot.eps
         self.u = u
-        self.q = kern.grad_sq(u) if q is None else q
+        self.q = kern.grad_sq(u)
         self.qe = self.q + pot.e2
         self.phases = pot.phases(u)
         self._energy: float | None = None
@@ -332,19 +269,49 @@ class Iterate:
             self._energy = float(np.sum(self.kern.weights * self.density()))
         return self._energy
 
+    def energy_in(self, region: np.ndarray) -> float:
+        """The energy with the quadrature restricted to ``region``, a
+        non-empty boolean node mask of grid shape."""
+        region = np.asarray(region)
+        if region.dtype != bool or region.shape != self.kern.grid.shape:
+            raise ValueError("region must be a bool node mask of grid shape")
+        if not region.any():
+            raise ValueError("empty integration region")
+        return float(np.sum(self.kern.weights[region] * self.density()[region]))
+
     @property
     def conductances(self) -> tuple:
+        """Per-axis edge conductances of the linearized Dirichlet form.
+
+        The exact first variation of the Dirichlet part is the graph
+        operator  g_i = sum_edges kappa_e (u_i - u_j)  with these
+        conductances, frozen at u.  The solver reuses them as its
+        lagged-coefficient matrix.
+        """
         if self._conductances is None:
-            self._conductances = self.kern._conductances(self.qe, self.eps)
+            kern, p = self.kern, self.kern.params.p
+            if self.eps == 0.0 and p < 2.0 and np.any(self.qe == 0.0):
+                raise ValueError(
+                    "p < 2 with eps = 0 hits a zero-gradient node; "
+                    "use a positive smoothing width"
+                )
+            # phi'(q) = (q + eps^2)^((p-2)/2) / 2
+            psi_w = kern.weights * (0.5 * self.qe ** (0.5 * p - 1.0))
+            self._conductances = tuple(
+                2.0 * (psi_w[lo] * cplus + psi_w[hi] * cminus) / h**2
+                for lo, hi, cplus, cminus, h in kern.axes
+            )
         return self._conductances
 
-    def gradient(self, kappas=None) -> np.ndarray:
-        """First variation at u; ``kappas`` default to u's own conductances."""
+    def gradient(self) -> np.ndarray:
+        """First variation of the energy at u.
+
+        Masked nodes still get their partials (the solver projects them
+        out).
+        """
         kern = self.kern
-        if kappas is None:
-            kappas = self.conductances
         grad = np.zeros(kern.grid.shape)
-        for (lo, hi, *_), kappa in zip(kern.axes, kappas):
+        for (lo, hi, *_), kappa in zip(kern.axes, self.conductances):
             t = kappa * (self.u[hi] - self.u[lo])  # one entry per edge
             grad[lo] -= t
             grad[hi] += t

@@ -255,8 +255,7 @@ def level_strip_energy(
     strip = (a > residue_floor(v)) & (a < eps) & ball.node_mask(grid, closed=False)
     if not strip.any():
         return 0.0
-    kern = DiscreteEnergy(grid, params)
-    return kern.energy(v, kern.grad_sq(v), 0.0, region=strip)
+    return DiscreteEnergy(grid, params).at(v, 0.0).energy_in(strip)
 
 
 
@@ -265,6 +264,13 @@ def level_strip_energy(
 
 
 def _loglog_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+    """(slope, intercept, r^2) of the OLS line through (log x, log y).
+
+    A line through fewer than two distinct abscissae has no slope: that
+    raises ValueError instead of reporting the rank-deficient solution.
+    """
+    if np.unique(x).size < 2:
+        raise ValueError("fewer than two distinct abscissae; cannot fit a power law")
     lx, ly = np.log(x), np.log(y)
     slope, intercept = np.polyfit(lx, ly, 1)
     pred = slope * lx + intercept

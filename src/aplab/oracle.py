@@ -126,11 +126,6 @@ class ShootingSolution:
     quadrature_error: float
     energy: float
 
-    def field(self) -> ScalarField:
-        grid = Grid(extents=((float(self.x[0]), float(self.x[-1])),),
-                    resolution=(len(self.x),))
-        return ScalarField(grid, self.u, grid.boundary_face_mask, self.u)
-
 
 @dataclass(frozen=True)
 class ShootingResult:

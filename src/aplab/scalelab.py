@@ -68,8 +68,7 @@ def growth_profile(
     for r in radii:
         _validate_ball(grid, center, r)
     v = field.values
-    kern = DiscreteEnergy.dirichlet(grid, params.p)
-    q = kern.grad_sq(v)
+    dirichlet_state = DiscreteEnergy.dirichlet(grid, params.p).at(v, 0.0)
     pot = grid.quadrature_weights * (params.delta * potential_value(v, params))
     sup_pos, sup_neg, sup_abs, dirichlet, potential = [], [], [], [], []
     for r in radii:
@@ -80,7 +79,7 @@ def growth_profile(
         sup_pos.append(float(np.max(np.maximum(vc, 0.0))))
         sup_neg.append(float(np.max(np.maximum(-vc, 0.0))))
         sup_abs.append(float(np.max(np.abs(vc))))
-        dirichlet.append(kern.energy(v, q, 0.0, region=opened))
+        dirichlet.append(dirichlet_state.energy_in(opened))
         potential.append(float(np.sum(pot[opened])))
     return GrowthProfile(
         center=center,
@@ -259,10 +258,7 @@ def scaling_identity_gap(
     lhs_region = inner.node_mask(scaled.grid, closed=False)
     rhs_region = BallSpec(center, radius).node_mask(grid, closed=False)
     power = grid.ndim + params.p * params.tau
-    kern = DiscreteEnergy(scaled.grid, scaled_params)
-    v = scaled.values
-    lhs = r**power * kern.energy(v, kern.grad_sq(v), 0.0, region=lhs_region)
-    kern = DiscreteEnergy(grid, params)
-    u = field.values
-    rhs = kern.energy(u, kern.grad_sq(u), 0.0, region=rhs_region)
+    scaled_state = DiscreteEnergy(scaled.grid, scaled_params).at(scaled.values, 0.0)
+    lhs = r**power * scaled_state.energy_in(lhs_region)
+    rhs = DiscreteEnergy(grid, params).at(field.values, 0.0).energy_in(rhs_region)
     return float(lhs), float(rhs)

@@ -190,7 +190,7 @@ def assemble_diffusion(
     """
     kern = DiscreteEnergy.dirichlet(grid, p)
     block = _FreeBlock(kern, np.arange(kern.weights.size))
-    return _csr(block(kern.conductances(kern.grad_sq(values), eps)))
+    return _csr(block(kern.at(values, eps).conductances))
 
 
 def _csr(M: sp.csr_matrix | np.ndarray) -> sp.csr_matrix:
@@ -378,7 +378,7 @@ def _check_ladder(ladder: tuple[float, ...], kern: DiscreteEnergy) -> None:
     flat = np.zeros(kern.grid.shape)
     for eps in ladder:
         with np.errstate(all="ignore"):
-            at_rest = kern.at(flat, eps, q=flat)
+            at_rest = kern.at(flat, eps)
             curv = at_rest.curvature()
             kappas = at_rest.conductances
         if not (np.isfinite(curv).all() and all(np.isfinite(k).all() for k in kappas)):
@@ -407,7 +407,7 @@ def minimize(
     _check_ladder(eps_ladder, kern)
     idx_f = np.flatnonzero(initial.free_mask.ravel())
     w_f = kern.weights.ravel()[idx_f]
-    it = kern.at(initial.values, 0.0)  # the current iterate; its q serves every width
+    it = kern.at(initial.values, 0.0)  # the current iterate
     if idx_f.size == 0:
         return SolveResult(initial, it.energy, 0.0, (), True, 0)
 
@@ -422,7 +422,7 @@ def minimize(
     def result(converged: bool) -> SolveResult:
         return SolveResult(
             field=initial.with_values(it.u),
-            energy=kern.at(it.u, 0.0, it.q).energy,
+            energy=kern.at(it.u, 0.0).energy,
             residual_rms=res_rms,
             stages=tuple(stages),
             converged=converged,
@@ -442,7 +442,7 @@ def minimize(
     # directions, which Armijo tolerates.
     stiff = max(params.p - 1.0, 1.0)
     for eps in eps_ladder:
-        it = kern.at(it.u, eps, it.q)
+        it = kern.at(it.u, eps)
         trace = [it.energy]
         n_it = 0
         res_rms = math.inf

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import os
 import time
+import warnings
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,6 +32,18 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("ci")
+
+# When a property test fails, hypothesis's plugin imports its patch writer,
+# whose libcst import warns that mypy_extensions.TypedDict is deprecated;
+# under `filterwarnings = ["error"]` that warning, raised in a hook, ends the
+# session with INTERNALERROR and hides every later result.  Imported here
+# once, with only that warning ignored, it has nothing left to warn about.
+# Without libcst the plugin skips the patch, and so does this.
+with warnings.catch_warnings(), suppress(ImportError):
+    warnings.filterwarnings(
+        "ignore", "mypy_extensions.TypedDict is deprecated", DeprecationWarning
+    )
+    import hypothesis.extra._patching  # noqa: F401
 
 # pytest's `pythonpath` setting reaches this interpreter only; the child
 # interpreters of the CLI tests import aplab through PYTHONPATH

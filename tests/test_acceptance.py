@@ -293,7 +293,7 @@ def test_energy_gradient_matches_finite_differences():
         # magnitudes bounded away from zero keep F' smooth at every node
         values = rng.uniform(0.2, 1.2, shape) * rng.choice([-1.0, 1.0], shape)
         kern = DiscreteEnergy(grid, params)
-        grad = kern.gradient(values, kern.conductances(kern.grad_sq(values), 0.0), 0.0)
+        grad = kern.at(values, 0.0).gradient()
 
         fd = np.zeros_like(grad)
         step = 1e-6
@@ -303,8 +303,8 @@ def test_energy_gradient_matches_finite_differences():
             up, dn = values.copy(), values.copy()
             up[i] += step
             dn[i] -= step
-            e_up = kern.energy(up, kern.grad_sq(up), 0.0)
-            e_dn = kern.energy(dn, kern.grad_sq(dn), 0.0)
+            e_up = kern.at(up, 0.0).energy
+            e_dn = kern.at(dn, 0.0).energy
             fd[i] = (e_up - e_dn) / (2.0 * step)
         worst = max(worst, float(np.max(np.abs(grad - fd)) / np.max(np.abs(fd))))
     assert worst <= 1e-5

@@ -207,6 +207,18 @@ def test_compare_nan_against_number_is_over_tolerance(bundle_a, tmp_path, capsys
     assert summary["max_delta"] == float("inf")
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_compare_refuses_a_tolerance_no_delta_can_exceed(bundle_a, tmp_path, capsys, tol):
+    # every d > nan is false, so a NaN tolerance would pass any two bundles
+    a = _bundle_with_report(bundle_a, tmp_path / "a", {"x": 1.0})
+    b = _bundle_with_report(bundle_a, tmp_path / "b", {"x": 2.0})
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", str(a), str(b), "--tol", tol])
+    assert exc.value.code == 2
+    assert "tolerance must be >= 0" in capsys.readouterr().err
+    assert main(["compare", str(a), str(b), "--tol", "inf"]) == 0
+
+
 def test_compare_nan_against_nan_is_equal(bundle_a, tmp_path, capsys):
     report = {"x": float("nan"), "y": 2.0}
     a = _bundle_with_report(bundle_a, tmp_path / "a", report)

@@ -22,14 +22,12 @@ def _two_phase(p=2.0, gamma=1.0, lp=1.0, lm=1.0, **kw):
 
 
 def _energy(fld, prm, eps=0.0, region=None):
-    kern = DiscreteEnergy(fld.grid, prm)
-    return kern.energy(fld.values, kern.grad_sq(fld.values), eps, region)
+    it = DiscreteEnergy(fld.grid, prm).at(fld.values, eps)
+    return it.energy if region is None else it.energy_in(region)
 
 
 def _gradient(fld, prm, eps):
-    kern = DiscreteEnergy(fld.grid, prm)
-    u = fld.values
-    return kern.gradient(u, kern.conductances(kern.grad_sq(u), eps), eps)
+    return DiscreteEnergy(fld.grid, prm).at(fld.values, eps).gradient()
 
 
 # ---------------------------------------------------------------------------
@@ -176,18 +174,15 @@ def test_iterate_state_matches_the_public_functions(shape):
     eps = 1e-2
     it = kern.at(u, eps)
     q = kern.grad_sq(u)
-    kappas = kern.conductances(q, eps)
     assert _same_bits(it.q, q)
-    assert it.energy == kern.energy(u, q, eps)
-    assert all(_same_bits(a, b) for a, b in zip(it.conductances, kappas))
-    assert _same_bits(it.gradient(), kern.gradient(u, kappas, eps))
     assert _same_bits(it.curvature(), potential_curvature(u, prm, eps))
     # and the potential terms inside them are the two-phase sum
     value, slope, _ = _two_phase_sum(u, prm, eps)
     phi = ((q + eps * eps) ** (0.5 * prm.p) - eps**prm.p) / prm.p
     w = grid.quadrature_weights
     assert it.energy == float(np.sum(w * (phi + prm.delta * value)))
-    dirichlet = DiscreteEnergy.dirichlet(grid, prm.p).gradient(u, kappas, eps)
+    assert _same_bits(it.energy_in(np.ones(shape, dtype=bool)), it.energy)
+    dirichlet = DiscreteEnergy.dirichlet(grid, prm.p).at(u, eps).gradient()
     assert _same_bits(it.gradient(), dirichlet + w * (prm.delta * slope))
 
 
@@ -243,22 +238,16 @@ def test_kernel_rejects_malformed_region(mask, match):
     kern = DiscreteEnergy(grid, prm)
     u = grid.axes[0]
     with pytest.raises(ValueError, match=match):
-        kern.energy(u, kern.grad_sq(u), 0.0, region=mask)
+        kern.at(u, 0.0).energy_in(mask)
 
 
 def test_kernel_rejects_negative_width():
     prm = _two_phase()
     grid = build_grid(((0.0, 1.0),), (11,))
     kern = DiscreteEnergy(grid, prm)
-    u = grid.axes[0]
-    q = kern.grad_sq(u)
-    kappas = kern.conductances(q, 0.1)
     with pytest.raises(ValueError, match="smoothing width"):
-        kern.energy(u, q, -0.1)
-    with pytest.raises(ValueError, match="smoothing width"):
-        kern.conductances(q, -0.1)
-    with pytest.raises(ValueError, match="smoothing width"):
-        kern.gradient(u, kappas, -0.1)
+        kern.at(grid.axes[0], -0.1)
+
 
 
 def test_grad_sq_exact_for_affine_any_dimension():

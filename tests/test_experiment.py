@@ -372,6 +372,24 @@ def test_run_rejects_unsatisfiable_diagnostics():
         run_experiment(cfg)
 
 
+def test_run_fits_nothing_on_one_repeated_rung():
+    # a ladder of one distinct rung has no log-log slope: growth and strip
+    # fits are null, and a Minkowski slope cannot be reported at all
+    cfg = tiny_config()
+    cfg["diagnostics"] = {
+        "growth": {"center": [0.0], "radii": [0.25, 0.25]},
+        "strip": {"center": [0.0], "radius": 0.5, "eps_ladder": [0.1, 0.1]},
+    }
+    report = run_experiment(cfg).report["diagnostics"]
+    fits = report["growth"]["fits"]
+    assert {"sup_pos", "dirichlet"} <= fits.keys() and set(fits.values()) == {None}
+    assert min(report["strip"]["energies"]) > 0.0
+    assert report["strip"]["fit"] is None
+    cfg["diagnostics"] = {"minkowski": {"eps_ladder": [0.25, 0.25]}}
+    with pytest.raises(ConfigError, match="not satisfiable: fewer than two distinct"):
+        run_experiment(cfg)
+
+
 def test_run_rejects_v_constant_past_the_float_range():
     cfg = tiny_config()
     cfg["diagnostics"] = {

@@ -242,6 +242,8 @@ def test_minkowski_validation(grid_2d):
     mask[32, :] = True
     with pytest.raises(ValueError, match="at least two"):
         minkowski_content(mask, grid_2d, [0.25])
+    with pytest.raises(ValueError, match="fewer than two distinct"):
+        minkowski_content(mask, grid_2d, [0.25, 0.25])
     with pytest.raises(ValueError, match="not resolvable"):
         minkowski_content(mask, grid_2d, [0.01, 0.25])
     with pytest.raises(ValueError, match="empty set"):

@@ -190,13 +190,6 @@ def test_shooter_output_grid(takeoff_shot):
     np.testing.assert_allclose(np.diff(sol.x), sol.x[1] - sol.x[0], rtol=1e-12)
 
 
-def test_shooter_field_round_trip(takeoff_shot):
-    fld = takeoff_shot.primary.field()
-    assert fld.grid.extents == ((0.0, 1.0),)
-    np.testing.assert_allclose(fld.values, takeoff_shot.primary.u)
-    assert fld.boundary_mask[0] and fld.boundary_mask[-1]
-
-
 def test_shooter_branching_profile(branching_shot):
     sol = branching_shot.primary
     amp = 0.45 ** (2.0 / 3.0)

@@ -87,6 +87,11 @@ def test_fit_exponent_drops_nonpositive_readings():
 def test_fit_exponent_needs_two_points():
     with pytest.raises(ValueError, match="fewer than two"):
         fit_exponent([1.0, 2.0], [1.0, -1.0])
+    # one radius twice has no log-log slope (numpy would make one up)
+    with pytest.raises(ValueError, match="fewer than two distinct"):
+        fit_exponent([0.125, 0.125], [1.0, 2.0])
+    with pytest.raises(ValueError, match="fewer than two distinct"):
+        fit_exponent([0.125, 0.125, 0.25], [1.0, 2.0, 0.0])
     with pytest.raises(ValueError, match="equal length"):
         fit_exponent([1.0, 2.0], [1.0])
 

@@ -84,9 +84,9 @@ def test_diffusion_operator_reproduces_dirichlet_gradient(extents, shape, p):
     grid = Grid(extents=extents, resolution=shape)
     u = np.random.default_rng(len(shape)).standard_normal(shape)
     kern = DiscreteEnergy.dirichlet(grid, p)
-    kappas = kern.conductances(kern.grad_sq(u), 0.1)
-    a_u = _csr(_FreeBlock(kern, np.arange(u.size))(kappas)) @ u.ravel()
-    g = kern.gradient(u, kappas, 0.1).ravel()
+    it = kern.at(u, 0.1)
+    a_u = _csr(_FreeBlock(kern, np.arange(u.size))(it.conductances)) @ u.ravel()
+    g = it.gradient().ravel()
     assert np.max(np.abs(a_u - g)) <= 1e-12 * np.max(np.abs(g))
 
 
@@ -121,7 +121,7 @@ def test_free_block_equals_sliced_full_operator(extents, shape, p):
     scale = 1.0 + rng.random()
     shift = rng.random(idx.size)
     kern = DiscreteEnergy.dirichlet(grid, p)
-    kappas = kern.conductances(kern.grad_sq(u), 0.1)
+    kappas = kern.at(u, 0.1).conductances
     full = _FreeBlock(kern, np.arange(u.size))(kappas)
     # 1D blocks come as LAPACK upper band arrays, the others as CSR
     if len(shape) == 1:
@@ -146,7 +146,7 @@ def test_fixed_pattern_refills_match_a_fresh_build(shape):
     block = _FreeBlock(kern, nodes)
     rng = np.random.default_rng(7)
     for eps in (0.1, 0.01):
-        kappas = kern.conductances(kern.grad_sq(rng.standard_normal(shape)), eps)
+        kappas = kern.at(rng.standard_normal(shape), eps).conductances
         scale, shift = 1.0 + rng.random(), rng.random(nodes.size)
         got = block(kappas, scale, shift)
         full = _coo_operator(kern, kappas)
@@ -172,7 +172,7 @@ def _newton_system(grid, p, nodes, shift, seed=0):
     # random field plus a nonnegative diagonal shift of size up to ``shift``
     rng = np.random.default_rng(seed)
     kern = DiscreteEnergy.dirichlet(grid, p)
-    kappas = kern.conductances(kern.grad_sq(rng.standard_normal(grid.shape)), 0.1)
+    kappas = kern.at(rng.standard_normal(grid.shape), 0.1).conductances
     M = _FreeBlock(kern, nodes)(kappas, max(p - 1.0, 1.0), shift * rng.random(nodes.size))
     return kern, M, rng.standard_normal(nodes.size)
 
@@ -586,7 +586,7 @@ def test_replacement_meets_the_residual_tolerance(shape, p):
     fld, region = _bump_field(shape)
     v = p_harmonic_replacement(fld, p, region).values
     kern = DiscreteEnergy.dirichlet(fld.grid, p)
-    g = kern.gradient(v, kern.conductances(kern.grad_sq(v), 1e-9), 1e-9)
+    g = kern.at(v, 1e-9).gradient()
     r = (g / kern.weights)[region]
     assert np.sqrt(np.mean(r * r)) <= aplab.solver._TOL_RESIDUAL
     assert np.array_equal(v[~region], fld.values[~region])
