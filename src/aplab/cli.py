@@ -111,7 +111,8 @@ def _walk_numeric(node, path, out):
 
 
 # Work counters record how a build solved, not what it computed; compare
-# reports them apart and they never fail a comparison.
+# reports them apart and they never fail a comparison.  These are
+# solver.WORK_COUNTERS, written out so that compare does not import scipy.
 _WORK_COUNTERS = frozenset(
     {
         "solve/linear_solves",

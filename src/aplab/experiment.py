@@ -67,6 +67,7 @@ from .scalelab import (
 )
 from .solver import (
     DEFAULT_LADDER,
+    WORK_COUNTERS,
     SolveResult,
     SolverStall,
     comparison_gap,
@@ -747,11 +748,7 @@ def run_experiment(cfg: dict) -> ExperimentResult:
             "el_residual": el_residual(fld, params, ladder[-1]),
             "converged": solve.converged,
             "n_iterations": solve.n_iterations,
-            "linear_solves": solve.linear_solves,
-            "cg_iterations": solve.cg_iterations,
-            "superlu_solves": solve.superlu_solves,
-            "lift_retries": solve.lift_retries,
-            "gradient_fallbacks": solve.gradient_fallbacks,
+            **{k: getattr(solve, k) for k in WORK_COUNTERS},
             "n_stages": len(solve.stages),
             "stage_energies": [s.energies[-1] for s in solve.stages],
         },

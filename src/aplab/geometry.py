@@ -82,26 +82,14 @@ def _crossing(p0, p1, v0, v1):
     return (p0[0] + t * (p1[0] - p0[0]), p0[1] + t * (p1[1] - p0[1]))
 
 
-_SEGMENT_TABLE = {
-    1: [("ab", "da")],
-    2: [("ab", "bc")],
-    3: [("da", "bc")],
-    4: [("bc", "cd")],
-    6: [("ab", "cd")],
-    7: [("cd", "da")],
-    8: [("cd", "da")],
-    9: [("ab", "cd")],
-    11: [("bc", "cd")],
-    12: [("bc", "da")],
-    13: [("ab", "bc")],
-    14: [("ab", "da")],
-}
-
-
 def _perimeter_2d(g: np.ndarray, grid: Grid, ball: BallSpec) -> float:
-    """Length of the zero contour of g inside the open ball (marching cells)."""
-    nx, ny = grid.shape
-    hx, hy = grid.spacing
+    """Length of the zero contour of g inside the open ball (marching cells).
+
+    A cell whose corners a, b, c, d are not all one sign has a crossing on
+    each edge ab, bc, cd, da that changes sign: two, joined by one segment,
+    or four in a saddle.  A saddle's segments cut off b and d when a has
+    the sign of the corner sum (a is joined to the center), else a and c.
+    """
     xs, ys = grid.axes
     pos = g > 0.0
     # cells whose four corners are not all one sign
@@ -111,38 +99,17 @@ def _perimeter_2d(g: np.ndarray, grid: Grid, ball: BallSpec) -> float:
     r2 = ball.radius**2
     total = 0.0
     for i, j in np.argwhere(mixed):
-        va, vb = g[i, j], g[i + 1, j]
-        vc, vd = g[i + 1, j + 1], g[i, j + 1]
-        pa = (xs[i], ys[j])
-        pb = (xs[i + 1], ys[j])
-        pc = (xs[i + 1], ys[j + 1])
-        pd = (xs[i], ys[j + 1])
-        case = (va > 0) + 2 * (vb > 0) + 4 * (vc > 0) + 8 * (vd > 0)
-        pts = {}
-        if (va > 0) != (vb > 0):
-            pts["ab"] = _crossing(pa, pb, va, vb)
-        if (vb > 0) != (vc > 0):
-            pts["bc"] = _crossing(pb, pc, vb, vc)
-        if (vc > 0) != (vd > 0):
-            pts["cd"] = _crossing(pc, pd, vc, vd)
-        if (vd > 0) != (va > 0):
-            pts["da"] = _crossing(pd, pa, vd, va)
-        if case in (5, 10):
-            center_pos = (va + vb + vc + vd) > 0.0
-            if case == 5:  # a, c positive
-                segs = [("ab", "bc"), ("cd", "da")] if center_pos else [
-                    ("ab", "da"),
-                    ("bc", "cd"),
-                ]
-            else:  # b, d positive
-                segs = [("ab", "da"), ("bc", "cd")] if center_pos else [
-                    ("ab", "bc"),
-                    ("cd", "da"),
-                ]
-        else:
-            segs = _SEGMENT_TABLE[case]
-        for e1, e2 in segs:
-            q1, q2 = pts[e1], pts[e2]
+        corners = ((i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1))
+        ends = [((xs[k], ys[m]), g[k, m]) for k, m in corners]
+        cuts = [
+            _crossing(p0, p1, v0, v1)
+            for (p0, v0), (p1, v1) in zip(ends, ends[1:] + ends[:1])
+            if (v0 > 0) != (v1 > 0)
+        ]
+        va, vb, vc, vd = (v for _, v in ends)
+        if len(cuts) == 4 and (va > 0) != ((va + vb + vc + vd) > 0.0):
+            cuts = cuts[3:] + cuts[:3]  # pair (da, ab) and (bc, cd)
+        for q1, q2 in zip(cuts[::2], cuts[1::2]):
             mx, my = 0.5 * (q1[0] + q2[0]), 0.5 * (q1[1] + q2[1])
             if (mx - cx) ** 2 + (my - cy) ** 2 < r2:
                 total += math.hypot(q2[0] - q1[0], q2[1] - q1[1])
@@ -151,15 +118,10 @@ def _perimeter_2d(g: np.ndarray, grid: Grid, ball: BallSpec) -> float:
 
 def _perimeter_1d(g: np.ndarray, grid: Grid, ball: BallSpec) -> float:
     xs = grid.axes[0]
-    c, r = ball.center[0], ball.radius
-    pos = g > 0.0
-    count = 0
-    for i in np.nonzero(pos[:-1] != pos[1:])[0]:
-        t = g[i] / (g[i] - g[i + 1])
-        x = xs[i] + t * (xs[i + 1] - xs[i])
-        if abs(x - c) < r:
-            count += 1
-    return float(count)
+    i = np.flatnonzero((g[:-1] > 0.0) != (g[1:] > 0.0))
+    t = g[i] / (g[i] - g[i + 1])
+    x = xs[i] + t * (xs[i + 1] - xs[i])
+    return float(np.count_nonzero(np.abs(x - ball.center[0]) < ball.radius))
 
 
 def _perimeter_3d_facecount(g: np.ndarray, grid: Grid, ball: BallSpec) -> float:

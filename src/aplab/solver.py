@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -48,6 +48,7 @@ from .energy import DiscreteEnergy, potential_value
 
 __all__ = [
     "DEFAULT_LADDER",
+    "WORK_COUNTERS",
     "StageRecord",
     "SolveResult",
     "SolverStall",
@@ -82,19 +83,45 @@ class StageRecord:
     residual_rms: float
 
 
+# The work counters of a solve: fields of SolveResult and keys of its tally.
+WORK_COUNTERS = (
+    "linear_solves",  # systems solved, one per Newton step
+    "cg_iterations",  # preconditioned CG iterations over all of them
+    "superlu_solves",  # fallback solves: CG misses, banded non-SPD, lifts
+    "lift_retries",  # non-finite solves retried with a lifted diagonal
+    "gradient_fallbacks",  # non-descent Newton directions replaced
+)
+
+
 @dataclass(frozen=True)
 class SolveResult:
+    """A solve's final field, its stages and its ``WORK_COUNTERS``.
+
+    The totals derive from the stages; ``converged`` means that the last
+    stage's exit residual meets ``_TOL_RESIDUAL`` (no stages: no free node).
+    """
+
     field: ScalarField
     energy: float  # exact-potential energy of the final iterate
-    residual_rms: float  # scaled gradient rms at the last stage's widths
-    stages: tuple[StageRecord, ...] = dc_field(default=())
-    converged: bool = False
-    n_iterations: int = 0
-    linear_solves: int = 0  # systems solved, one per Newton step
-    cg_iterations: int = 0  # preconditioned CG iterations over all of them
-    superlu_solves: int = 0  # fallback solves: CG misses, banded non-SPD, lifts
-    lift_retries: int = 0  # non-finite solves retried with a lifted diagonal
-    gradient_fallbacks: int = 0  # non-descent Newton directions replaced
+    stages: tuple[StageRecord, ...] = ()
+    linear_solves: int = 0
+    cg_iterations: int = 0
+    superlu_solves: int = 0
+    lift_retries: int = 0
+    gradient_fallbacks: int = 0
+
+    @property
+    def n_iterations(self) -> int:
+        return sum(s.n_iters for s in self.stages)
+
+    @property
+    def residual_rms(self) -> float:
+        """Scaled gradient rms of the final field at the last stage's width."""
+        return self.stages[-1].residual_rms if self.stages else 0.0
+
+    @property
+    def converged(self) -> bool:
+        return self.residual_rms <= _TOL_RESIDUAL
 
 
 class SolverStall(RuntimeError):
@@ -392,16 +419,16 @@ def minimize(
 ) -> SolveResult:
     """Descend the discrete energy from ``initial`` under its Dirichlet data.
 
-    Each width of ``eps_ladder`` is a stage of at most ``_MAX_ITERS`` steps;
-    a ladder that ``_check_ladder`` refuses raises ValueError.
-    Raises SolverStall when the Armijo search cannot make progress above
-    the step floor, or when a Newton system has no finite solution even
-    after the diagonal lift.  The exception carries the best iterate so
-    far, and its message names the stage's smoothing width and the
-    residual; a line-search stall also names the step length of the last
-    accepted Armijo step ("none" before the first).  The
-    returned ``converged`` flag certifies that the scaled gradient rms at
-    the final smoothing width met ``_TOL_RESIDUAL``.
+    Each width of ``eps_ladder`` is a stage of at most ``_MAX_ITERS`` Newton
+    steps; a ladder that ``_check_ladder`` refuses raises ValueError.  A
+    stage ends when its residual meets ``_TOL_RESIDUAL``, at the step cap,
+    when the polish stops contracting the residual, or in a stall, and is
+    recorded once, with the residual of the iterate it leaves.  A stall then
+    raises SolverStall carrying the best iterate so far: the Armijo search
+    fell below the step floor, or a Newton system had no finite solution
+    even after the diagonal lift.  Its message names the stage's smoothing
+    width and the residual; a line-search stall also names the step length
+    of the last accepted Armijo step ("none" before the first).
     """
     kern = DiscreteEnergy(initial.grid, params)
     _check_ladder(eps_ladder, kern)
@@ -409,30 +436,23 @@ def minimize(
     w_f = kern.weights.ravel()[idx_f]
     it = kern.at(initial.values, 0.0)  # the current iterate
     if idx_f.size == 0:
-        return SolveResult(initial, it.energy, 0.0, (), True, 0)
+        return SolveResult(initial, it.energy)
 
     precond = _box_preconditioner(kern, idx_f)
     block = _FreeBlock(kern, idx_f)
     tally: Counter = Counter()
     stages: list[StageRecord] = []
-    total_iters = 0
-    res_rms = math.inf
     t_last = None  # step length of the last accepted Armijo step
+    stall = None  # the message of a stall, which ends the solve
 
-    def result(converged: bool) -> SolveResult:
-        return SolveResult(
-            field=initial.with_values(it.u),
-            energy=kern.at(it.u, 0.0).energy,
-            residual_rms=res_rms,
-            stages=tuple(stages),
-            converged=converged,
-            n_iterations=total_iters,
-            linear_solves=tally["linear_solves"],
-            cg_iterations=tally["cg_iterations"],
-            superlu_solves=tally["superlu_solves"],
-            lift_retries=tally["lift_retries"],
-            gradient_fallbacks=tally["gradient_fallbacks"],
-        )
+    def free_gradient(state) -> np.ndarray:
+        return state.gradient().ravel()[idx_f]
+
+    def trial(d: np.ndarray, t: float):
+        # the state at u - t d on the free nodes, u the current iterate
+        u = it.u.copy()
+        u.reshape(-1)[idx_f] -= t * d  # a view: .flat indexing is slower
+        return kern.at(u, it.eps)
 
     # The lagged operator carries |∇u|^{p-2}, but the curvature of
     # t ↦ |t|^{p-2} t along the gradient is (p-1)|t|^{p-2}; for p > 2
@@ -445,14 +465,10 @@ def minimize(
         it = kern.at(it.u, eps)
         trace = [it.energy]
         n_it = 0
-        res_rms = math.inf
         n_flat = 0
         polishing = False
-        g_f = it.gradient().ravel()[idx_f]  # kept current with every accepted step
-        for _ in range(_MAX_ITERS):
-            res_rms = _rms(g_f / w_f)
-            if res_rms <= _TOL_RESIDUAL:
-                break
+        g_f = free_gradient(it)  # kept current with every accepted step
+        while (res_rms := _rms(g_f / w_f)) > _TOL_RESIDUAL and n_it < _MAX_ITERS:
             # Only the convex part max(F'', 0) of the potential enters the
             # model (Nocedal & Wright, Numerical Optimization, ch. 3), so it
             # stays SPD where F is concave (gamma < 1, away from u = 0)
@@ -462,26 +478,21 @@ def minimize(
             M = block(it.conductances, stiff, w_f * curv.ravel()[idx_f])
             d = _solve_spd(M, g_f, precond, tally)
             if d is None:
-                stages.append(StageRecord(eps, n_it, tuple(trace), res_rms))
-                raise SolverStall(
+                stall = (
                     f"linear solve non-finite at smoothing width {eps:g} "
-                    f"(residual rms {res_rms:.3e})",
-                    result(False),
+                    f"(residual rms {res_rms:.3e})"
                 )
+                break
             if polishing:
                 # Energy decreases here are below float rounding, so Armijo
                 # can no longer certify progress; full model steps still
                 # contract the residual, which we watch directly instead.
-                trial = it.u.copy()
-                trial.reshape(-1)[idx_f] -= d
-                nxt = kern.at(trial, eps)
-                g_t = nxt.gradient().ravel()[idx_f]
-                r2 = _rms(g_t / w_f)
-                if not (math.isfinite(r2) and r2 < 0.95 * res_rms):
+                nxt = trial(d, 1.0)
+                g_t = free_gradient(nxt)
+                if not _rms(g_t / w_f) < 0.95 * res_rms:
                     break
-                it, res_rms, g_f = nxt, r2, g_t
+                it, g_f = nxt, g_t
                 n_it += 1
-                total_iters += 1
                 continue
             slope = _dot(g_f, d)
             if not math.isfinite(slope) or slope <= 0.0:
@@ -492,16 +503,12 @@ def minimize(
                 d = g_f / dg
                 slope = _dot(g_f, d)
             t = 1.0
-            accepted = None
             while t >= _STEP_FLOOR:
-                trial = it.u.copy()
-                trial.reshape(-1)[idx_f] -= t * d  # a view: .flat indexing is slower
-                nxt = kern.at(trial, eps)
+                nxt = trial(d, t)
                 if nxt.energy <= it.energy - _ARMIJO_C1 * t * slope:
-                    accepted = nxt
                     break
                 t *= _BACKTRACK
-            if accepted is None:
+            if t < _STEP_FLOOR:
                 # A failed search close to criticality just means the
                 # available decrease sank under float rounding; switch to the
                 # residual-monotone polish.  Far from criticality it is a
@@ -509,19 +516,17 @@ def minimize(
                 if res_rms <= 1e3 * _TOL_RESIDUAL:
                     polishing = True
                     continue
-                stages.append(StageRecord(eps, n_it, tuple(trace), res_rms))
                 last = "none" if t_last is None else f"t = {t_last:g}"
-                raise SolverStall(
+                stall = (
                     f"line search stalled at smoothing width {eps:g} "
-                    f"(residual rms {res_rms:.3e}, last accepted step {last})",
-                    result(False),
+                    f"(residual rms {res_rms:.3e}, last accepted step {last})"
                 )
-            it = accepted
+                break
+            it = nxt
             t_last = t
-            g_f = it.gradient().ravel()[idx_f]
+            g_f = free_gradient(it)
             trace.append(it.energy)
             n_it += 1
-            total_iters += 1
             if abs(trace[-2] - trace[-1]) <= _TOL_ENERGY * max(1.0, abs(trace[-1])):
                 n_flat += 1
             else:
@@ -531,8 +536,18 @@ def minimize(
                 # means the energy is flat to rounding at this smoothing level
                 polishing = True
         stages.append(StageRecord(eps, n_it, tuple(trace), res_rms))
+        if stall is not None:
+            break
 
-    return result(res_rms <= _TOL_RESIDUAL)
+    result = SolveResult(
+        initial.with_values(it.u),
+        kern.at(it.u, 0.0).energy,
+        tuple(stages),
+        **{k: tally[k] for k in WORK_COUNTERS},
+    )
+    if stall is not None:
+        raise SolverStall(stall, result)
+    return result
 
 
 # ---------------------------------------------------------------------------

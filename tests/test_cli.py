@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import aplab.cli
 import aplab.solver
 from aplab.cli import main
 from aplab.core import load_field
@@ -253,6 +254,11 @@ def test_compare_reports_work_counters_apart(bundle_a, tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out)
     assert summary["over_tolerance"] == {"solve/n_iterations": 1.0}
     assert summary["counter_deltas"]["solve/cg_iterations"] == 5.0
+
+
+def test_compare_knows_every_work_counter_of_the_solver():
+    # compare keeps its own list so that it need not import the solver
+    assert aplab.cli._WORK_COUNTERS == {f"solve/{k}" for k in aplab.solver.WORK_COUNTERS}
 
 
 def test_compare_invalid_bundle_is_exit_2(bundle_a, tmp_path, capsys):

@@ -406,7 +406,10 @@ def test_run_rejects_unconverged_replacement(monkeypatch):
     real = aplab.solver.minimize
 
     def unconverged(*args, **kwargs):
-        return dataclasses.replace(real(*args, **kwargs), converged=False)
+        # a last stage above the tolerance is what makes a result unconverged
+        res = real(*args, **kwargs)
+        last = dataclasses.replace(res.stages[-1], residual_rms=1.0)
+        return dataclasses.replace(res, stages=res.stages[:-1] + (last,))
 
     # the replacement's solve goes through aplab.solver.minimize; the main
     # solve uses the name experiment imported, which stays the real one

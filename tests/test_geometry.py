@@ -78,6 +78,20 @@ def test_perimeter_1d_counts_crossings():
     assert relative_perimeter(fld, BallSpec((0.0,), 0.6)) == 5.0
 
 
+def test_perimeter_1d_matches_a_crossing_by_crossing_count():
+    grid = build_grid(((-1.0, 1.0),), (257,))
+    xs = grid.axes[0]
+    g = np.random.default_rng(3).standard_normal(xs.size)
+    fld = ScalarField(grid, g, grid.boundary_face_mask, g)
+    for c, r in ((0.0, 0.5), (0.3, 0.2), (-0.9, 1.5)):
+        count = 0
+        for i in range(xs.size - 1):
+            if (g[i] > 0.0) != (g[i + 1] > 0.0):
+                x = xs[i] + g[i] / (g[i] - g[i + 1]) * (xs[i + 1] - xs[i])
+                count += abs(x - c) < r
+        assert relative_perimeter(fld, BallSpec((c,), r)) == count
+
+
 def test_perimeter_2d_circle():
     fld = _disk_field(n=129, r0=0.5)
     per = relative_perimeter(fld, BallSpec((0.0, 0.0), 0.9))
@@ -89,6 +103,22 @@ def test_perimeter_2d_straight_interface_is_exact(halfplane):
     assert relative_perimeter(halfplane, BallSpec((0.0, 0.0), 0.5)) == pytest.approx(
         1.0, abs=1e-12
     )
+
+
+@pytest.mark.parametrize(
+    "corners", [(1.5, -1.0, 1.5, -1.0), (1.0, -1.5, 1.0, -1.5)]
+)
+def test_perimeter_2d_saddle_pairs_by_the_corner_sum(corners):
+    # corners a, b, c, d of one unit cell; a positive sum joins a and c
+    # through the center, a negative one b and d.  Either way each segment
+    # cuts a corner off at length sqrt(0.32); the other pairing gives
+    # sqrt(0.72) in both cases
+    grid = build_grid(((0.0, 1.0), (0.0, 1.0)), (2, 2))
+    a, b, c, d = corners
+    u = np.array([[a, d], [b, c]])
+    fld = ScalarField(grid, u, grid.boundary_face_mask, u)
+    per = relative_perimeter(fld, BallSpec((0.5, 0.5), 1.0))
+    assert per == pytest.approx(2.0 * np.sqrt(0.32), rel=1e-12)
 
 
 def test_perimeter_3d_staircase_is_approximate():

@@ -18,7 +18,9 @@ from aplab.solver import (
     _box_preconditioner,
     _csr,
     _FreeBlock,
+    SolveResult,
     SolverStall,
+    StageRecord,
     comparison_gap,
     minimize,
     nonlinearity_gap,
@@ -317,6 +319,32 @@ def test_minimize_stage_accounting(convex_1d):
     assert res.residual_rms <= aplab.solver._TOL_RESIDUAL
 
 
+def test_capped_stage_reports_the_residual_of_its_last_step(monkeypatch):
+    # the stage stops at the step cap; its residual is that of the field
+    # it returns, not of the iterate before the last step
+    monkeypatch.setattr(aplab.solver, "_MAX_ITERS", 3)
+    fld, par = _one_phase_start(n=65)
+    res = minimize(fld, par, (0.1,))
+    assert res.n_iterations == 3
+    kern = DiscreteEnergy(fld.grid, par)
+    r = (kern.at(res.field.values, 0.1).gradient() / kern.weights)[fld.free_mask]
+    assert res.residual_rms == np.sqrt(np.mean(r * r))
+
+
+def test_solve_result_derives_its_totals_from_its_stages():
+    fld, _ = _one_phase_start(n=9)
+    tol = aplab.solver._TOL_RESIDUAL
+    stages = (StageRecord(0.1, 3, (2.0, 1.0), 0.5 * tol),
+              StageRecord(0.01, 4, (1.0, 0.5), 2.0 * tol))
+    res = SolveResult(fld, 0.5, stages)
+    assert res.n_iterations == 7
+    assert res.residual_rms == 2.0 * tol
+    assert not res.converged
+    assert SolveResult(fld, 0.5, stages[:1]).converged
+    empty = SolveResult(fld, 0.5)
+    assert empty.converged and empty.residual_rms == 0.0 and empty.n_iterations == 0
+
+
 def test_minimize_energy_traces_decrease(convex_1d):
     for stage in convex_1d.result.stages:
         trace = np.asarray(stage.energies)
@@ -596,7 +624,10 @@ def test_unconverged_replacement_raises_stall(monkeypatch):
     real = aplab.solver.minimize
 
     def unconverged(*args, **kwargs):
-        return dataclasses.replace(real(*args, **kwargs), converged=False)
+        # a last stage above the tolerance is what makes a result unconverged
+        res = real(*args, **kwargs)
+        last = dataclasses.replace(res.stages[-1], residual_rms=1.0)
+        return dataclasses.replace(res, stages=res.stages[:-1] + (last,))
 
     monkeypatch.setattr(aplab.solver, "minimize", unconverged)
     fld, region = _bump_field((17, 17))
