@@ -120,6 +120,7 @@ _WORK_COUNTERS = frozenset(
         "solve/superlu_solves",
         "solve/lift_retries",
         "solve/gradient_fallbacks",
+        "solve/backtracks",
     }
 )
 

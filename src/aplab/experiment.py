@@ -23,10 +23,9 @@ import json
 import math
 import platform
 from dataclasses import asdict, dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 import scipy
 
@@ -222,9 +221,18 @@ CONFIG_SCHEMA = {
     },
 }
 
-# Built once, without the schema self-check that jsonschema.validate repeats
-# on every call (about 40 ms); a test checks the schema instead.
-_CONFIG_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+
+@cache
+def _config_validator():
+    """The schema's validator, built on the first validation and only once.
+
+    jsonschema.validate would repeat the schema self-check on every call
+    (about 40 ms); a test checks the schema instead.
+    """
+    import jsonschema
+
+    return jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+
 
 CSV_COLUMNS = ("section", "name", "center", "scale", "value", "extra")
 
@@ -249,7 +257,9 @@ def _refuse_nonfinite(node, path: str) -> None:
 def validate_config(cfg: dict) -> None:
     # NaN passes every schema bound and inf most, so they are refused first
     _refuse_nonfinite(cfg, "")
-    exc = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(cfg))
+    from jsonschema.exceptions import best_match
+
+    exc = best_match(_config_validator().iter_errors(cfg))
     if exc is not None:
         path = "/".join(str(k) for k in exc.absolute_path) or "<root>"
         raise ConfigError(f"config invalid at {path}: {exc.message}") from exc

@@ -30,6 +30,10 @@ it takes a banded system found not positive definite, a system on which
 CG breaks down or reaches its iteration cap, and the diagonal-lift retry
 of a non-finite solve.  Inner products are plain ``np.sum`` reductions,
 not BLAS, so a solve does not depend on the number of BLAS threads.
+
+Importing the module loads ``scipy.sparse`` only: ``scipy.linalg`` (the
+banded Cholesky) and ``scipy.sparse.linalg`` (SuperLU) load on the first
+solve that calls them, so a 2D or 3D solve that CG finishes needs neither.
 """
 
 from __future__ import annotations
@@ -40,8 +44,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import LinAlgError, solveh_banded
-from scipy.sparse.linalg import spsolve as _superlu
 
 from .core import Grid, Params, ScalarField
 from .energy import DiscreteEnergy, potential_value
@@ -90,6 +92,7 @@ WORK_COUNTERS = (
     "superlu_solves",  # fallback solves: CG misses, banded non-SPD, lifts
     "lift_retries",  # non-finite solves retried with a lifted diagonal
     "gradient_fallbacks",  # non-descent Newton directions replaced
+    "backtracks",  # Armijo trials rejected, those of a failed search included
 )
 
 
@@ -109,6 +112,7 @@ class SolveResult:
     superlu_solves: int = 0
     lift_retries: int = 0
     gradient_fallbacks: int = 0
+    backtracks: int = 0
 
     @property
     def n_iterations(self) -> int:
@@ -331,6 +335,19 @@ def _pcg(
     return x if rr <= stop else None
 
 
+# scipy's two direct solvers, imported on their first call.
+def solveh_banded(ab: np.ndarray, b: np.ndarray, **kwargs) -> np.ndarray:
+    from scipy import linalg
+
+    return linalg.solveh_banded(ab, b, **kwargs)
+
+
+def _superlu(M: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
+    from scipy.sparse import linalg
+
+    return linalg.spsolve(M, rhs)
+
+
 def spsolve(
     M: sp.csr_matrix | np.ndarray,
     rhs: np.ndarray,
@@ -351,7 +368,7 @@ def spsolve(
     if isinstance(M, np.ndarray):
         try:
             return solveh_banded(M, rhs, check_finite=False)
-        except LinAlgError:
+        except np.linalg.LinAlgError:  # scipy.linalg raises numpy's class
             M = _csr(M)
     elif precond is not None:
         x = _pcg(M, rhs, precond, tally)
@@ -483,6 +500,35 @@ def minimize(
                     f"(residual rms {res_rms:.3e})"
                 )
                 break
+            if not polishing:
+                step, slope = d, _dot(g_f, d)
+                if not math.isfinite(slope) or slope <= 0.0:
+                    # fall back to a diagonally preconditioned gradient step
+                    tally["gradient_fallbacks"] += 1
+                    dg = M[-1] if isinstance(M, np.ndarray) else M.diagonal()
+                    dg = np.where(dg > 0, dg, np.max(dg) if np.max(dg) > 0 else 1.0)
+                    step = g_f / dg
+                    slope = _dot(g_f, step)
+                t = 1.0
+                while t >= _STEP_FLOOR:
+                    nxt = trial(step, t)
+                    if nxt.energy <= it.energy - _ARMIJO_C1 * t * slope:
+                        break
+                    tally["backtracks"] += 1
+                    t *= _BACKTRACK
+                # A failed search close to criticality just means the
+                # available decrease sank under float rounding; switch to the
+                # residual-monotone polish, whose first step is the Newton
+                # direction just solved.  Far from criticality it is a
+                # genuine stall and must surface, not pass as success.
+                polishing = t < _STEP_FLOOR
+                if polishing and res_rms > 1e3 * _TOL_RESIDUAL:
+                    last = "none" if t_last is None else f"t = {t_last:g}"
+                    stall = (
+                        f"line search stalled at smoothing width {eps:g} "
+                        f"(residual rms {res_rms:.3e}, last accepted step {last})"
+                    )
+                    break
             if polishing:
                 # Energy decreases here are below float rounding, so Armijo
                 # can no longer certify progress; full model steps still
@@ -494,34 +540,6 @@ def minimize(
                 it, g_f = nxt, g_t
                 n_it += 1
                 continue
-            slope = _dot(g_f, d)
-            if not math.isfinite(slope) or slope <= 0.0:
-                # fall back to a diagonally preconditioned gradient step
-                tally["gradient_fallbacks"] += 1
-                dg = M[-1] if isinstance(M, np.ndarray) else M.diagonal()
-                dg = np.where(dg > 0, dg, np.max(dg) if np.max(dg) > 0 else 1.0)
-                d = g_f / dg
-                slope = _dot(g_f, d)
-            t = 1.0
-            while t >= _STEP_FLOOR:
-                nxt = trial(d, t)
-                if nxt.energy <= it.energy - _ARMIJO_C1 * t * slope:
-                    break
-                t *= _BACKTRACK
-            if t < _STEP_FLOOR:
-                # A failed search close to criticality just means the
-                # available decrease sank under float rounding; switch to the
-                # residual-monotone polish.  Far from criticality it is a
-                # genuine stall and must surface, not pass as success.
-                if res_rms <= 1e3 * _TOL_RESIDUAL:
-                    polishing = True
-                    continue
-                last = "none" if t_last is None else f"t = {t_last:g}"
-                stall = (
-                    f"line search stalled at smoothing width {eps:g} "
-                    f"(residual rms {res_rms:.3e}, last accepted step {last})"
-                )
-                break
             it = nxt
             t_last = t
             g_f = free_gradient(it)

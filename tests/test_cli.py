@@ -238,6 +238,7 @@ def test_compare_reports_work_counters_apart(bundle_a, tmp_path, capsys):
     assert main(["compare", str(bundle_a), str(counted)]) == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary["counter_deltas"] == {
+        "solve/backtracks": 0.0,
         "solve/cg_iterations": 5.0,
         "solve/gradient_fallbacks": 0.0,
         "solve/lift_retries": 0.0,

@@ -1,6 +1,7 @@
 """Continuation solver, Dirichlet-term replacement, and comparison gaps."""
 
 import dataclasses
+import math
 from collections import Counter
 
 import numpy as np
@@ -446,6 +447,46 @@ def test_minimize_reports_stall_with_partial_state(monkeypatch):
     assert np.isfinite(partial.energy)
     assert len(partial.stages) >= 1
     assert partial.residual_rms > 1e3 * aplab.solver._TOL_RESIDUAL
+    assert partial.backtracks == 2  # t = 1 and t = 1/2 were tried
+
+
+def test_minimize_counts_rejected_armijo_trials(monkeypatch):
+    # no trial meets an infinite decrease fraction, so the first search
+    # rejects t = 1, 1/2, ..., 2^-46 (the last step length above the 1e-14
+    # floor) and stalls far from criticality
+    monkeypatch.setattr(aplab.solver, "_ARMIJO_C1", math.inf)
+    fld, par = _one_phase_start(n=65)
+    with pytest.raises(SolverStall) as info:
+        minimize(fld, par, (0.1,))
+    res = info.value.result
+    assert res.backtracks == 47
+    assert res.n_iterations == 0 and res.linear_solves == 1
+
+
+def test_polish_after_a_failed_search_steps_along_the_solved_direction(monkeypatch):
+    # a converged field nudged by 1e-7: with a step floor above 1 every
+    # Armijo search fails at once, close enough to criticality to polish
+    fld, par = _one_phase_start(n=65)
+    start = minimize(fld, par, (0.1,)).field
+    free = fld.free_mask
+    u = start.values.copy()
+    u[free] += 1e-7 * np.sin(np.arange(u.size))[free]
+    # the polish step is one full Newton step, solved once
+    kern = DiscreteEnergy(fld.grid, par)
+    state = kern.at(u, 0.1)
+    nodes = np.flatnonzero(free)
+    curv = np.maximum(state.curvature(), 0.0).ravel()[nodes]
+    shift = kern.weights.ravel()[nodes] * curv
+    M = _FreeBlock(kern, nodes)(state.conductances, 1.0, shift)
+    want = u.copy()
+    want[free] -= spsolve(M, state.gradient().ravel()[nodes])
+
+    monkeypatch.setattr(aplab.solver, "_STEP_FLOOR", 2.0)
+    res = minimize(start.with_values(u), par, (0.1,))
+    assert res.n_iterations == 1 and res.linear_solves == 1
+    assert res.backtracks == 0  # no trial fits above the floor
+    assert np.array_equal(res.field.values, want)
+    assert res.converged
 
 
 def test_stall_message_names_the_last_accepted_step(monkeypatch):
