@@ -49,9 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
     orc.add_argument("--p", type=float, required=True)
     orc.add_argument("--gamma", type=float, default=None)
     orc.add_argument("--lambda-plus", type=float, default=1.0)
-    orc.add_argument("--lambda-minus", type=float, default=0.0)
     orc.add_argument("--delta", type=float, default=1.0)
-    orc.add_argument("--alpha-p", type=float, default=None)
     orc.add_argument(
         "--radial-dim",
         type=int,
@@ -97,34 +95,6 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _walk_numeric(node, path, out):
-    if isinstance(node, bool):
-        return
-    if isinstance(node, (int, float)):
-        out[path] = float(node)
-    elif isinstance(node, dict):
-        for k in sorted(node):
-            _walk_numeric(node[k], f"{path}/{k}" if path else str(k), out)
-    elif isinstance(node, list):
-        for i, v in enumerate(node):
-            _walk_numeric(v, f"{path}[{i}]", out)
-
-
-# Work counters record how a build solved, not what it computed; compare
-# reports them apart and they never fail a comparison.  These are
-# solver.WORK_COUNTERS, written out so that compare does not import scipy.
-_WORK_COUNTERS = frozenset(
-    {
-        "solve/linear_solves",
-        "solve/cg_iterations",
-        "solve/superlu_solves",
-        "solve/lift_retries",
-        "solve/gradient_fallbacks",
-        "solve/backtracks",
-    }
-)
-
-
 def _delta(a: float, b: float) -> float:
     """|a - b|; NaN against NaN is 0, NaN against anything else is inf."""
     if a == b or (math.isnan(a) and math.isnan(b)):
@@ -134,7 +104,8 @@ def _delta(a: float, b: float) -> float:
 
 
 def _cmd_compare(args) -> int:
-    from .core import FieldFormatError, load_field
+    from .core import FieldFormatError, load_field, report_leaves
+    from .solver import WORK_COUNTERS
 
     reports = []
     fields = []
@@ -154,11 +125,19 @@ def _cmd_compare(args) -> int:
     import numpy as np
 
     sup_diff = float(np.max(np.abs(fa.values - fb.values)))
-    na, nb = {}, {}
-    _walk_numeric(reports[0], "", na)
-    _walk_numeric(reports[1], "", nb)
+    na, nb = (
+        {
+            path: float(leaf)
+            for path, leaf in report_leaves(report).items()
+            if isinstance(leaf, (int, float)) and not isinstance(leaf, bool)
+        }
+        for report in reports
+    )
     deltas = {k: _delta(na[k], nb[k]) for k in na if k in nb}
-    counters = {k: deltas.pop(k) for k in sorted(_WORK_COUNTERS & deltas.keys())}
+    # Work counters record how a build solved, not what it computed; they
+    # are reported apart and never fail a comparison.
+    work = {f"solve/{k}" for k in WORK_COUNTERS}
+    counters = {k: deltas.pop(k) for k in sorted(work & deltas.keys())}
     unmatched = sorted(set(na) ^ set(nb))
     worst = max(deltas.values(), default=0.0)
     summary = {
@@ -194,9 +173,8 @@ def _cmd_oracle(args) -> int:
                 p=args.p,
                 gamma=args.gamma,
                 lambda_plus=args.lambda_plus,
-                lambda_minus=args.lambda_minus,
                 delta=args.delta,
-                alpha_p=args.alpha_p,
+                alpha_p=1.0,  # the profile does not read it
             )
             prof = one_phase_profile(params)
     except ValueError as exc:

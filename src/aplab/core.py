@@ -1,4 +1,4 @@
-"""Problem parameters, grids, fields, and the text field format.
+"""Problem parameters, grids, fields, the text field format, report paths.
 
 Everything downstream (energy, solver, diagnostics) is built on the three
 value types defined here.  All of them are frozen: construct, validate,
@@ -23,6 +23,7 @@ __all__ = [
     "deserialize_field",
     "save_field",
     "load_field",
+    "report_leaves",
 ]
 
 
@@ -371,3 +372,27 @@ def load_field(path) -> ScalarField:
             return deserialize_field(fh.read())
     except OSError as exc:
         raise FieldFormatError(f"cannot read field file {path}: {exc}") from exc
+
+
+def report_leaves(report) -> dict:
+    """Every scalar leaf of a JSON report, keyed by its flat path.
+
+    Dict keys join with "/" in sorted order and list items read "[i]", as
+    in ``diagnostics/growth/radii[0]``; the leaves come in that order.
+    ``diagnostics.csv`` holds one row per leaf and ``apl compare`` diffs the
+    numeric ones, so both name a reading the same way.
+    """
+    out = {}
+
+    def walk(node, path):
+        if isinstance(node, dict):
+            for key in sorted(node):
+                walk(node[key], f"{path}/{key}" if path else str(key))
+        elif isinstance(node, list):
+            for i, item in enumerate(node):
+                walk(item, f"{path}[{i}]")
+        else:
+            out[path] = node
+
+    walk(report, "")
+    return out

@@ -6,7 +6,7 @@ bundle written to the output directory is
 
     field.apf        final field in the text field format
     report.json      nested summary (sorted keys, no timestamps)
-    diagnostics.csv  one row per scalar measurement
+    diagnostics.csv  report.json flattened: one path,value row per leaf
     manifest.json    config hash, package/library versions, seed
 
 Reruns of the same config produce byte-identical bundles: every float is
@@ -35,6 +35,7 @@ from .core import (
     Params,
     ScalarField,
     build_grid,
+    report_leaves,
     save_field,
 )
 from .energy import DiscreteEnergy, el_residual
@@ -79,7 +80,6 @@ __all__ = [
     "ConfigError",
     "ExperimentResult",
     "CONFIG_SCHEMA",
-    "CSV_COLUMNS",
     "load_config",
     "validate_config",
     "eval_boundary_expression",
@@ -232,9 +232,6 @@ def _config_validator():
     import jsonschema
 
     return jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
-
-
-CSV_COLUMNS = ("section", "name", "center", "scale", "value", "extra")
 
 
 def _refuse_nonfinite(node, path: str) -> None:
@@ -425,28 +422,6 @@ def build_problem(cfg: dict) -> tuple[ScalarField, Params, tuple[float, ...]]:
 # Diagnostics.
 
 
-def _center_str(center) -> str:
-    return ";".join(repr(float(c)) for c in center)
-
-
-def _row(section, name, center="", scale="", value="", extra="") -> dict:
-    return {
-        "section": section,
-        "name": name,
-        "center": _center_str(center) if not isinstance(center, str) else center,
-        "scale": repr(float(scale)) if not isinstance(scale, str) else scale,
-        "value": repr(float(value)) if not isinstance(value, str) else value,
-        "extra": extra,
-    }
-
-
-def _ladder_rows(rows, section, center, scales, series: dict) -> None:
-    """One row per rung and series, rung by rung, series in their order."""
-    for i, scale in enumerate(scales):
-        for name, values in series.items():
-            rows.append(_row(section, name, center, scale, values[i]))
-
-
 def _section(result) -> dict:
     """A result dataclass as a report section, tuples as JSON lists."""
     return {
@@ -496,7 +471,7 @@ class _Solved:
         return center, tuple(radii)
 
 
-def _growth_diag(solved: _Solved, spec, rows):
+def _growth_diag(solved: _Solved, spec):
     fld, params = solved.field, solved.params
     center, radii = solved.ball_ladder(spec)
     prof = growth_profile(fld, params, center, radii)
@@ -514,24 +489,12 @@ def _growth_diag(solved: _Solved, spec, rows):
         "fits": {},
         "nondegeneracy": {},
     }
-    _ladder_rows(rows, "growth", center, radii, series)
     # a phase whose sups are rounding residue does not exist and gets no fit
     floor = residue_floor(fld.values)
     for name, values in series.items():
         if name in ("sup_pos", "sup_neg"):
             values = [v if v > floor else 0.0 for v in values]
-        f = out["fits"][name] = _fit(radii, values)
-        if f is not None:
-            rows.append(
-                _row(
-                    "growth",
-                    f"fit_{name}",
-                    center,
-                    "",
-                    f["exponent"],
-                    extra=f"r_squared={f['r_squared']!r}",
-                )
-            )
+        out["fits"][name] = _fit(radii, values)
     for phase in ("positive", "negative", "max"):
         try:
             out["nondegeneracy"][phase] = nondegeneracy_ratio(prof, params, phase)
@@ -540,7 +503,7 @@ def _growth_diag(solved: _Solved, spec, rows):
     return out
 
 
-def _density_diag(solved: _Solved, spec, rows):
+def _density_diag(solved: _Solved, spec):
     center, radii = solved.ball_ladder(spec)
     series = {
         name: [
@@ -550,32 +513,29 @@ def _density_diag(solved: _Solved, spec, rows):
         ]
         for name in ("positive", "negative", "zero")
     }
-    _ladder_rows(rows, "density", center, radii, series)
     return {"center": list(center), "radii": list(radii), **series}
 
 
-def _perimeter_diag(solved: _Solved, spec, rows):
+def _perimeter_diag(solved: _Solved, spec):
     center, radii = solved.ball_ladder(spec)
     per = [relative_perimeter(solved.field, BallSpec(center, r)) for r in radii]
     codim = solved.field.grid.ndim - 1
     series = {"perimeter": per, "scaled": [x / r**codim for x, r in zip(per, radii)]}
-    _ladder_rows(rows, "perimeter", center, radii, series)
     return {"center": list(center), "radii": list(radii), **series}
 
 
-def _porosity_diag(solved: _Solved, spec, rows):
+def _porosity_diag(solved: _Solved, spec):
     center, radii = solved.ball_ladder(spec)
     kappas = [
         porosity_constant(solved.cls.gamma_zero, BallSpec(center, r),
                           solved.field.grid)
         for r in radii
     ]
-    _ladder_rows(rows, "porosity", center, radii, {"kappa": kappas})
     return {"center": list(center), "radii": list(radii), "values": kappas,
             "set": "gamma_zero"}
 
 
-def _strip_diag(solved: _Solved, spec, rows):
+def _strip_diag(solved: _Solved, spec):
     center = solved.center(spec)
     ladder = tuple(spec["eps_ladder"])
     radius = spec["radius"]
@@ -583,39 +543,23 @@ def _strip_diag(solved: _Solved, spec, rows):
     energies = [
         level_strip_energy(solved.field, solved.params, e, ball) for e in ladder
     ]
-    out = {
+    return {
         "center": list(center),
         "radius": radius,
         "eps_ladder": list(ladder),
         "energies": energies,
         "fit": _fit(ladder, energies),
     }
-    _ladder_rows(rows, "strip", center, ladder, {"energy": energies})
-    if out["fit"] is not None:
-        rows.append(_row("strip", "fit_energy", center, "", out["fit"]["exponent"]))
-    return out
 
 
-def _minkowski_diag(solved: _Solved, spec, rows):
+def _minkowski_diag(solved: _Solved, spec):
     name = spec.get("set", "gamma_zero")
     res = minkowski_content(getattr(solved.cls, name), solved.field.grid,
                             spec["eps_ladder"])
-    series = {"tube_measure": res.tube_measures, "content": res.contents}
-    _ladder_rows(rows, "minkowski", "", res.eps, series)
-    rows.append(
-        _row(
-            "minkowski",
-            "slope",
-            "",
-            "",
-            res.slope,
-            extra=f"r_squared={res.r_squared!r}",
-        )
-    )
     return {"set": name, **_section(res)}
 
 
-def _scaling_diag(solved: _Solved, spec, rows):
+def _scaling_diag(solved: _Solved, spec):
     center = solved.center(spec)
     radius, r_values = spec["radius"], spec["r_values"]
     gaps = [
@@ -623,7 +567,6 @@ def _scaling_diag(solved: _Solved, spec, rows):
         for r in r_values
     ]
     rel = [abs(lhs - rhs) / max(abs(rhs), 1e-300) for lhs, rhs in gaps]
-    _ladder_rows(rows, "scaling", center, r_values, {"rel_error": rel})
     return {
         "center": list(center),
         "radius": radius,
@@ -634,7 +577,7 @@ def _scaling_diag(solved: _Solved, spec, rows):
     }
 
 
-def _replacement_diag(solved: _Solved, spec, rows):
+def _replacement_diag(solved: _Solved, spec):
     fld, params = solved.field, solved.params
     center = solved.center(spec)
     radius = spec["radius"]
@@ -642,7 +585,7 @@ def _replacement_diag(solved: _Solved, spec, rows):
     replaced = p_harmonic_replacement(fld, params.p, region=region)
     distance, energy_gap = comparison_gap(fld, replaced, params.p)
     nl_gap, nl_bound = nonlinearity_gap(fld, replaced, params)
-    out = {
+    return {
         "center": list(center),
         "radius": radius,
         "distance": distance,
@@ -652,34 +595,22 @@ def _replacement_diag(solved: _Solved, spec, rows):
         "nonlinearity_gap": nl_gap,
         "nonlinearity_bound": nl_bound,
     }
-    for name in ("distance", "energy_gap", "nonlinearity_gap", "nonlinearity_bound"):
-        rows.append(_row("replacement", name, center, radius, out[name]))
-    return out
 
 
-def _inequality_diag(solved: _Solved, spec, rows):
+def _inequality_diag(solved: _Solved, spec):
     n_pairs = spec.get("n_pairs", 100_000)
     eps = spec.get("eps", 1.0)
-    out = []
-    for name in spec["names"]:
-        for p in spec["p_values"]:
-            rep = sweep_inequality(name, p, n_pairs=n_pairs, seed=solved.seed, eps=eps)
-            out.append(_section(rep))
-            rows.append(
-                _row(
-                    "inequalities",
-                    rep.name,
-                    "",
-                    p,
-                    rep.min_margin,
-                    extra=f"n_pairs={rep.n_pairs}",
-                )
-            )
-    return out
+    return [
+        _section(
+            sweep_inequality(name, p, n_pairs=n_pairs, seed=solved.seed, eps=eps)
+        )
+        for name in spec["names"]
+        for p in spec["p_values"]
+    ]
 
 
-# Each requested ``diagnostics`` section, in this order, which is also the
-# row order of diagnostics.csv.
+# Each requested ``diagnostics`` section, run in this order, which decides
+# whose error surfaces first.
 _DIAGNOSTICS = {
     "growth": _growth_diag,
     "density": _density_diag,
@@ -699,9 +630,11 @@ _DIAGNOSTICS = {
 
 @dataclass(frozen=True)
 class ExperimentResult:
+    """A run: its solve, the report that holds every reading (diagnostics.csv
+    is its flat view), and the manifest that says what produced it."""
+
     solve: SolveResult
     report: dict
-    rows: list
     manifest: dict
     stall: str | None  # the SolverStall message when the solve stalled
 
@@ -776,17 +709,11 @@ def run_experiment(cfg: dict) -> ExperimentResult:
         "stalled": stall is not None,
         "diagnostics": {},
     }
-    rows: list[dict] = [
-        _row("solve", "energy", "", "", solve.energy),
-        _row("solve", "residual_rms", "", "", solve.residual_rms),
-        _row("solve", "el_residual", "", "", report["solve"]["el_residual"]),
-    ]
-
     solved = _Solved(fld, params, decomp, cls, cfg.get("seed"))
     try:
         for key, measure in _DIAGNOSTICS.items():
             if key in diag:
-                report["diagnostics"][key] = measure(solved, diag[key], rows)
+                report["diagnostics"][key] = measure(solved, diag[key])
     except (ValueError, SolverStall) as exc:
         raise ConfigError(f"diagnostics request not satisfiable: {exc}") from exc
 
@@ -801,17 +728,16 @@ def run_experiment(cfg: dict) -> ExperimentResult:
         "seed": cfg.get("seed"),
         "outputs": ["field.apf", "report.json", "diagnostics.csv"],
     }
-    return ExperimentResult(
-        solve=solve,
-        report=report,
-        rows=rows,
-        manifest=manifest,
-        stall=stall,
-    )
+    return ExperimentResult(solve=solve, report=report, manifest=manifest, stall=stall)
 
 
 def write_bundle(result: ExperimentResult, outdir) -> None:
-    """Write field.apf, report.json, diagnostics.csv, manifest.json."""
+    """Write field.apf, report.json, diagnostics.csv, manifest.json.
+
+    diagnostics.csv is report.json flattened: a ``path,value`` header, then
+    one row per scalar leaf in ``core.report_leaves`` order, its value the
+    leaf's JSON text, so ``json.loads(value)`` gives back the report's value.
+    """
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     save_field(result.solve.field, out / "field.apf")
@@ -819,9 +745,12 @@ def write_bundle(result: ExperimentResult, outdir) -> None:
         json.dump(result.report, fh, sort_keys=True, indent=2)
         fh.write("\n")
     with open(out / "diagnostics.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(result.rows)
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("path", "value"))
+        writer.writerows(
+            (path, json.dumps(leaf))
+            for path, leaf in report_leaves(result.report).items()
+        )
     with open(out / "manifest.json", "w") as fh:
         json.dump(result.manifest, fh, sort_keys=True, indent=2)
         fh.write("\n")

@@ -31,9 +31,11 @@ CG breaks down or reaches its iteration cap, and the diagonal-lift retry
 of a non-finite solve.  Inner products are plain ``np.sum`` reductions,
 not BLAS, so a solve does not depend on the number of BLAS threads.
 
-Importing the module loads ``scipy.sparse`` only: ``scipy.linalg`` (the
-banded Cholesky) and ``scipy.sparse.linalg`` (SuperLU) load on the first
-solve that calls them, so a 2D or 3D solve that CG finishes needs neither.
+Importing the module loads no scipy module: ``scipy.sparse`` loads with
+the first CSR system, ``scipy.linalg`` (the banded Cholesky) and
+``scipy.sparse.linalg`` (SuperLU) on the first solve that calls them, so a
+2D or 3D solve that CG finishes needs neither and a 1D solve needs no
+``scipy.sparse``.
 """
 
 from __future__ import annotations
@@ -41,12 +43,15 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .core import Grid, Params, ScalarField
 from .energy import DiscreteEnergy, potential_value
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "DEFAULT_LADDER",
@@ -206,6 +211,8 @@ class _FreeBlock:
             bands[0, self.upper] = ks[0]
             bands[1] = main
             return bands
+        import scipy.sparse as sp
+
         k = np.concatenate(ks)
         data = np.concatenate((main, k, k))[self.order]
         return sp.csr_matrix((data, self.indices, self.indptr), shape=(m, m))
@@ -228,6 +235,8 @@ def _csr(M: sp.csr_matrix | np.ndarray) -> sp.csr_matrix:
     """A block as CSR; 1D upper band rows are mirrored below the diagonal."""
     if not isinstance(M, np.ndarray):
         return M.tocsr()
+    import scipy.sparse as sp
+
     m = M.shape[1]
     bands = np.vstack((M, np.append(M[0, 1:], 0.0)))
     return sp.dia_matrix((bands, (1, 0, -1)), shape=(m, m)).tocsr()
@@ -393,6 +402,8 @@ def _solve_spd(
         x = spsolve(M, rhs, precond, tally)
     if np.all(np.isfinite(x)):
         return x
+    import scipy.sparse as sp
+
     tally["lift_retries"] += 1
     M = _csr(M)
     diag = M.diagonal()

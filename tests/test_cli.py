@@ -1,5 +1,6 @@
 """Command-line interface: run, compare, oracle, and exit codes."""
 
+import csv
 import json
 import os
 import re
@@ -11,7 +12,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import aplab.cli
 import aplab.solver
 from aplab.cli import main
 from aplab.core import load_field
@@ -257,9 +257,18 @@ def test_compare_reports_work_counters_apart(bundle_a, tmp_path, capsys):
     assert summary["counter_deltas"]["solve/cg_iterations"] == 5.0
 
 
-def test_compare_knows_every_work_counter_of_the_solver():
-    # compare keeps its own list so that it need not import the solver
-    assert aplab.cli._WORK_COUNTERS == {f"solve/{k}" for k in aplab.solver.WORK_COUNTERS}
+def test_compare_reads_the_numeric_rows_of_diagnostics_csv(bundle_a, capsys):
+    # one walk names the CSV rows and the compared leaves; booleans, strings
+    # and nulls are rows but not compared
+    with open(bundle_a / "diagnostics.csv", newline="") as fh:
+        values = [json.loads(row["value"]) for row in csv.DictReader(fh)]
+    numeric = [
+        v for v in values if isinstance(v, (int, float)) and not isinstance(v, bool)
+    ]
+    assert 0 < len(numeric) < len(values)
+    assert main(["compare", str(bundle_a), str(bundle_a)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["n_compared"] + len(summary["counter_deltas"]) == len(numeric)
 
 
 def test_compare_invalid_bundle_is_exit_2(bundle_a, tmp_path, capsys):
@@ -302,15 +311,21 @@ def test_compare_grid_mismatch_is_exit_2(bundle_a, tmp_path, capsys):
 
 
 def test_oracle_one_phase_json(capsys):
-    code = main(
-        ["oracle", "--p", "2", "--gamma", "1", "--lambda-plus", "0.5",
-         "--lambda-minus", "0.5"]
-    )
+    code = main(["oracle", "--p", "2", "--gamma", "1", "--lambda-plus", "0.5"])
     assert code == 0
     info = json.loads(capsys.readouterr().out)
     assert info["kind"] == "one_phase"
     assert info["beta"] == 2.0
     assert info["coefficient"] == 0.25
+
+
+def test_oracle_one_phase_away_from_p_2(capsys):
+    # the profile needs no alpha_p, so p != 2 runs on the defaults
+    assert main(["oracle", "--p", "3", "--gamma", "1"]) == 0
+    info = json.loads(capsys.readouterr().out)
+    assert info["beta"] == 1.5
+    # A^(p-gamma) beta^(p-1) (beta-1) (p-1) = gamma delta lambda_plus: A^2 = 4/9
+    assert info["coefficient"] == pytest.approx(2.0 / 3.0, rel=1e-15)
 
 
 def test_oracle_radial_json(capsys):
@@ -342,7 +357,7 @@ def test_oracle_export_round_trip(tmp_path, capsys):
     target = tmp_path / "profile.apf"
     code = main(
         ["oracle", "--p", "2", "--gamma", "1", "--lambda-plus", "0.5",
-         "--lambda-minus", "0.5", "--export", str(target),
+         "--export", str(target),
          "--interval", "-1", "1", "--resolution", "129"]
     )
     assert code == 0

@@ -1,6 +1,7 @@
 """Config validation, boundary expressions, runs, and bundle writing."""
 
 import copy
+import csv
 import dataclasses
 import json
 import re
@@ -12,10 +13,9 @@ import numpy as np
 import pytest
 
 import aplab.solver
-from aplab.core import Params, ScalarField, build_grid
+from aplab.core import Params, ScalarField, build_grid, report_leaves
 from aplab.experiment import (
     CONFIG_SCHEMA,
-    CSV_COLUMNS,
     ConfigError,
     _DIAGNOSTICS,
     _growth_diag,
@@ -299,7 +299,7 @@ def test_growth_fits_no_phase_of_rounding_residue():
     fld = ScalarField(grid, vals, grid.boundary_face_mask, vals)
     params = Params(p=2.0, gamma=1.0, lambda_plus=0.5, lambda_minus=0.5)
     spec = {"center": [0.0], "radii": [0.125, 0.25, 0.5]}
-    growth = _growth_diag(_Solved(fld, params, None, None, None), spec, [])
+    growth = _growth_diag(_Solved(fld, params, None, None, None), spec)
     assert min(growth["sup_neg"]) > 0.0  # the readings are still reported
     assert growth["fits"]["sup_neg"] is None
     assert growth["fits"]["sup_pos"]["exponent"] == pytest.approx(2.0, abs=0.1)
@@ -325,14 +325,11 @@ def test_run_inequality_section(tiny_result):
 
 
 def test_run_rows_are_csv_ready(tiny_result):
-    assert tiny_result.rows, "diagnostics produced no rows"
-    sections = set()
-    for row in tiny_result.rows:
-        assert tuple(row.keys()) == CSV_COLUMNS
-        sections.add(row["section"])
-        assert all(isinstance(v, str) for v in row.values())
-        if row["value"]:
-            float(row["value"])  # repr round-trip
+    # diagnostics.csv has one row per report leaf: each must be a JSON scalar
+    leaves = report_leaves(tiny_result.report)
+    for leaf in leaves.values():
+        assert leaf is None or isinstance(leaf, (bool, int, float, str))
+    sections = {re.match(r"(diagnostics/)?([a-z]+)", path)[2] for path in leaves}
     assert {"solve", "growth", "density", "replacement", "scaling"} <= sections
 
 
@@ -341,7 +338,6 @@ def test_run_is_deterministic(tiny_result):
     assert json.dumps(again.report, sort_keys=True) == json.dumps(
         tiny_result.report, sort_keys=True
     )
-    assert again.rows == tiny_result.rows
     assert again.manifest == tiny_result.manifest
 
 
@@ -447,8 +443,18 @@ def test_write_bundle_files_and_determinism(tmp_path, tiny_result):
     report = json.loads((one / "report.json").read_text())
     assert report == tiny_result.report
     header = (one / "diagnostics.csv").read_text().splitlines()[0]
-    assert header == ",".join(CSV_COLUMNS)
+    assert header == "path,value"
     manifest = json.loads((one / "manifest.json").read_text())
     assert manifest["config_sha256"] == config_digest(tiny_config())
     assert manifest["seed"] == 0
     assert manifest["outputs"] == ["field.apf", "report.json", "diagnostics.csv"]
+
+
+def test_diagnostics_csv_is_report_json_flattened(tmp_path, tiny_result):
+    write_bundle(tiny_result, tmp_path)
+    leaves = report_leaves(json.loads((tmp_path / "report.json").read_text()))
+    with open(tmp_path / "diagnostics.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(leaves)
+    assert {row["path"]: json.loads(row["value"]) for row in rows} == leaves
+    assert [row["path"] for row in rows] == list(leaves)
