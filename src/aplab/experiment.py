@@ -38,7 +38,7 @@ from .core import (
     report_leaves,
     save_field,
 )
-from .energy import DiscreteEnergy, el_residual
+from .energy import el_residual
 from .geometry import (
     BallSpec,
     minkowski_content,
@@ -50,11 +50,7 @@ from .geometry import (
 from .inequalities import monotonicity_constant, sweep_inequality
 from .phases import (
     FreeBoundaryClassification,
-    PhaseDecomposition,
     classify,
-    decompose,
-    default_grad_tol,
-    default_zero_tol,
     pick_interface_node,
     residue_floor,
 )
@@ -442,7 +438,6 @@ class _Solved:
 
     field: ScalarField
     params: Params
-    decomp: PhaseDecomposition
     cls: FreeBoundaryClassification
     seed: int | None
 
@@ -507,7 +502,7 @@ def _density_diag(solved: _Solved, spec):
     center, radii = solved.ball_ladder(spec)
     series = {
         name: [
-            phase_density(getattr(solved.decomp, name), BallSpec(center, r),
+            phase_density(getattr(solved.cls, name), BallSpec(center, r),
                           solved.field.grid)
             for r in radii
         ]
@@ -663,11 +658,7 @@ def run_experiment(cfg: dict) -> ExperimentResult:
     grid = fld.grid
 
     diag = cfg.get("diagnostics", {})
-    zero_tol = diag.get("zero_tol", default_zero_tol(grid, params))
-    grad_tol = diag.get("grad_tol", default_grad_tol(grid, params))
-    decomp = decompose(fld, zero_tol)
-    grad_norm = np.sqrt(DiscreteEnergy(grid, params).grad_sq(fld.values))
-    cls = classify(decomp, grad_norm, grad_tol)
+    cls = classify(fld, params, diag.get("zero_tol"), diag.get("grad_tol"))
 
     report = {
         "params": {
@@ -696,20 +687,15 @@ def run_experiment(cfg: dict) -> ExperimentResult:
             "stage_energies": [s.energies[-1] for s in solve.stages],
         },
         "phases": {
-            "zero_tol": zero_tol,
-            "grad_tol": grad_tol,
-            "n_positive": int(np.count_nonzero(decomp.positive)),
-            "n_negative": int(np.count_nonzero(decomp.negative)),
-            "n_zero": int(np.count_nonzero(decomp.zero)),
-            "n_gamma_all": int(np.count_nonzero(cls.gamma_all)),
-            "n_gamma_zero": int(np.count_nonzero(cls.gamma_zero)),
-            "n_two_phase": int(np.count_nonzero(cls.two_phase)),
-            "n_branching": int(np.count_nonzero(cls.branching)),
+            "zero_tol": cls.zero_tol,
+            "grad_tol": cls.grad_tol,
+            **{f"n_{name}": int(np.count_nonzero(mask))
+               for name, mask in cls.masks().items()},
         },
         "stalled": stall is not None,
         "diagnostics": {},
     }
-    solved = _Solved(fld, params, decomp, cls, cfg.get("seed"))
+    solved = _Solved(fld, params, cls, cfg.get("seed"))
     try:
         for key, measure in _DIAGNOSTICS.items():
             if key in diag:

@@ -1,27 +1,24 @@
-"""Sign decomposition and free-boundary node classification.
+"""Phase split and free-boundary node classification of a solved field.
 
 On a grid the zero set is a tolerance band, not a level set, so every
-classification here carries the thresholds it was computed with.  The
-default thresholds track the natural scales of a minimizer: values below
-h^(1+tau) are indistinguishable from zero at resolution h, gradients
-below h^tau likewise.
+classification carries the thresholds it was computed with.  ``classify``
+is the one place that knows them: by default values below h^(1+tau) are
+indistinguishable from zero at resolution h, and gradients below h^tau
+likewise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .core import Grid, Params, ScalarField
+from .energy import DiscreteEnergy
 
 __all__ = [
-    "PhaseDecomposition",
     "FreeBoundaryClassification",
-    "default_zero_tol",
-    "default_grad_tol",
     "residue_floor",
-    "decompose",
     "classify",
     "distance_to_set",
     "pick_interface_node",
@@ -29,28 +26,20 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class PhaseDecomposition:
-    positive: np.ndarray
-    negative: np.ndarray
-    zero: np.ndarray
-    zero_tol: float
-
-    def __post_init__(self) -> None:
-        for m in (self.positive, self.negative, self.zero):
-            m.flags.writeable = False
-
-
-@dataclass(frozen=True)
 class FreeBoundaryClassification:
-    """Node sets of the free boundary, with the thresholds used.
+    """The phase split and the free-boundary node sets, with the thresholds.
 
+    ``positive``, ``negative`` and ``zero`` tile the grid at |u| <= zero_tol.
     ``gamma_all`` collects interface nodes (zero-band nodes touching a
     signed node, and signed nodes touching the zero band or the opposite
     sign).  ``gamma_zero`` is its low-gradient part.  ``two_phase`` keeps
     the nodes with both signs within two face steps; ``branching`` is its
-    part with gradient below tolerance.
+    part with gradient below tolerance.  Every mask is read-only.
     """
 
+    positive: np.ndarray
+    negative: np.ndarray
+    zero: np.ndarray
     gamma_all: np.ndarray
     gamma_zero: np.ndarray
     two_phase: np.ndarray
@@ -59,23 +48,13 @@ class FreeBoundaryClassification:
     grad_tol: float
 
     def __post_init__(self) -> None:
-        for m in (
-            self.gamma_all,
-            self.gamma_zero,
-            self.two_phase,
-            self.branching,
-        ):
-            m.flags.writeable = False
+        for mask in self.masks().values():
+            mask.flags.writeable = False
 
-
-def default_zero_tol(grid: Grid, params: Params) -> float:
-    h = max(grid.spacing)
-    return h ** (1.0 + params.tau)
-
-
-def default_grad_tol(grid: Grid, params: Params) -> float:
-    h = max(grid.spacing)
-    return h**params.tau
+    def masks(self) -> dict[str, np.ndarray]:
+        """The seven node sets by name, in field order."""
+        named = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: v for k, v in named.items() if isinstance(v, np.ndarray)}
 
 
 def residue_floor(values: np.ndarray) -> float:
@@ -83,55 +62,52 @@ def residue_floor(values: np.ndarray) -> float:
     return 1e-12 * float(np.max(np.abs(values)))
 
 
-def decompose(field: ScalarField, zero_tol: float) -> PhaseDecomposition:
-    """Split nodes into positive / negative / zero band at |u| <= zero_tol."""
-    if zero_tol < 0:
-        raise ValueError("zero_tol must be >= 0")
+def classify(
+    field: ScalarField,
+    params: Params,
+    zero_tol: float | None = None,
+    grad_tol: float | None = None,
+) -> FreeBoundaryClassification:
+    """Split the nodes by sign and classify the free boundary.
+
+    The zero band is |u| <= zero_tol; the low-gradient sets keep the nodes
+    with sqrt(DiscreteEnergy.grad_sq(u)) <= grad_tol.  With h the largest
+    spacing, the defaults are zero_tol = h^(1+tau) and grad_tol = h^tau.
+    """
+    from scipy import ndimage
+
+    h = max(field.grid.spacing)
+    zero_tol = h ** (1.0 + params.tau) if zero_tol is None else float(zero_tol)
+    grad_tol = h**params.tau if grad_tol is None else float(grad_tol)
+    if zero_tol < 0 or grad_tol < 0:
+        raise ValueError(f"zero_tol {zero_tol} and grad_tol {grad_tol} must be >= 0")
     v = field.values
     pos = v > zero_tol
     neg = v < -zero_tol
     zero = ~(pos | neg)
-    return PhaseDecomposition(
-        positive=pos, negative=neg, zero=zero, zero_tol=float(zero_tol)
-    )
-
-
-def classify(
-    decomp: PhaseDecomposition,
-    grad_norm: np.ndarray,
-    grad_tol: float,
-) -> FreeBoundaryClassification:
-    """Classify free-boundary nodes given sqrt(DiscreteEnergy.grad_sq(u))."""
-    from scipy import ndimage
-
-    if grad_tol < 0:
-        raise ValueError("grad_tol must be >= 0")
-    pos, neg, zero = decomp.positive, decomp.negative, decomp.zero
-    st = ndimage.generate_binary_structure(pos.ndim, 1)
-    signed = pos | neg
-    near_signed = ndimage.binary_dilation(signed, st)
+    st = ndimage.generate_binary_structure(v.ndim, 1)
     near_pos = ndimage.binary_dilation(pos, st)
     near_neg = ndimage.binary_dilation(neg, st)
     near_zero = ndimage.binary_dilation(zero, st)
 
-    gamma_all = (zero & near_signed) | (pos & (near_neg | near_zero)) | (
+    gamma_all = (zero & (near_pos | near_neg)) | (pos & (near_neg | near_zero)) | (
         neg & (near_pos | near_zero)
     )
-
     pos2 = ndimage.binary_dilation(near_pos, st)
     neg2 = ndimage.binary_dilation(near_neg, st)
     two_phase = gamma_all & pos2 & neg2
 
-    low_grad = grad_norm <= grad_tol
-    gamma_zero = gamma_all & low_grad
-    branching = two_phase & low_grad
+    low_grad = np.sqrt(DiscreteEnergy(field.grid, params).grad_sq(v)) <= grad_tol
     return FreeBoundaryClassification(
+        positive=pos,
+        negative=neg,
+        zero=zero,
         gamma_all=gamma_all,
-        gamma_zero=gamma_zero,
+        gamma_zero=gamma_all & low_grad,
         two_phase=two_phase,
-        branching=branching,
-        zero_tol=decomp.zero_tol,
-        grad_tol=float(grad_tol),
+        branching=two_phase & low_grad,
+        zero_tol=zero_tol,
+        grad_tol=grad_tol,
     )
 
 

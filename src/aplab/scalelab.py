@@ -1,10 +1,11 @@
 """Radius ladders, growth and nondegeneracy fits, and the dilation transport.
 
 The central object is the rescaling ``u -> u(center + r y) / s`` together
-with the induced change of the potential multiplier.  When the target
-spacing divides the source spacing the transported node values are exact
-(no interpolation), which is what lets the transport identity for
-``s = r**(1 + tau)`` be checked to round-off rather than to grid accuracy.
+with the induced change of the potential multiplier.  The target spacing
+is h/r, so the transported nodes are source nodes of a window on the
+lattice, renamed: no interpolation enters, which is what lets the
+transport identity for ``s = r**(1 + tau)`` be checked to round-off
+rather than to grid accuracy, for any r.
 """
 
 from __future__ import annotations
@@ -188,9 +189,10 @@ def rescale(
     The potential multiplier transforms as ``delta * r**p * s**(gamma - p)``,
     which is exactly the factor that makes the transported field a
     minimizer again.  The target spacing is h/r, matching the source
-    spacing after dilation, so aligned dyadic choices of r sample nodes
-    exactly; nearly integer sample indices are snapped to kill round-off
-    before interpolation.
+    spacing after dilation, so the target nodes are the source nodes of the
+    window ``center +- r * radius``, read off the lattice.  The window's low
+    corner and width must therefore be whole numbers of spacings (to 1e-9
+    of a spacing), or ``ValueError`` is raised.
     """
     grid = field.grid
     if r <= 0 or s <= 0:
@@ -200,39 +202,24 @@ def rescale(
     center = tuple(float(c) for c in center)
     if len(center) != grid.ndim:
         raise ValueError("center dimension does not match grid")
-    for (a, b), c in zip(grid.extents, center):
+    window = []
+    for (a, b), c, h in zip(grid.extents, center, grid.spacing):
         pad = 1e-12 * (b - a)
         if c - r * radius < a - pad or c + r * radius > b + pad:
             raise ValueError(
                 "rescale window leaves the source grid: "
                 f"need [{c - r * radius}, {c + r * radius}] inside [{a}, {b}]"
             )
-    resolution = tuple(int(round(2.0 * radius * r / h)) + 1 for h in grid.spacing)
-    new_grid = build_grid([(-radius, radius)] * grid.ndim, resolution)
-    index_axes = []
-    for a in range(grid.ndim):
-        x = center[a] + r * new_grid.axes[a]
-        idx = (x - grid.extents[a][0]) / grid.spacing[a]
-        idx = np.clip(idx, 0.0, grid.resolution[a] - 1.0)
-        snap = np.round(idx)
-        idx = np.where(np.abs(idx - snap) < 1e-9, snap, idx)
-        index_axes.append(idx)
-    from scipy.ndimage import map_coordinates
-
-    mesh = np.meshgrid(*index_axes, indexing="ij")
-    sampled = map_coordinates(
-        field.values,
-        np.stack([m.ravel() for m in mesh]),
-        order=1,
-        mode="nearest",
-    ).reshape(new_grid.shape)
-    vals = sampled / s
-    scaled = ScalarField(
-        grid=new_grid,
-        values=vals,
-        boundary_mask=new_grid.boundary_face_mask,
-        boundary_values=vals,
-    )
+        lo, width = (c - r * radius - a) / h, 2.0 * r * radius / h
+        if max(abs(lo - round(lo)), abs(width - round(width))) > 1e-9:
+            raise ValueError(
+                f"rescale window [{c - r * radius}, {c + r * radius}] is off the "
+                f"source lattice: its ends must be whole spacings {h} from {a}"
+            )
+        window.append(slice(round(lo), round(lo) + round(width) + 1))
+    vals = field.values[tuple(window)] / s
+    new_grid = build_grid([(-radius, radius)] * grid.ndim, vals.shape)
+    scaled = ScalarField(new_grid, vals, new_grid.boundary_face_mask, vals)
     factor = params.delta * r**params.p * s ** (params.gamma - params.p)
     return scaled, params.with_delta(factor)
 

@@ -29,13 +29,7 @@ from aplab.geometry import (
 )
 from aplab.inequalities import monotonicity_constant, sweep_inequality
 from aplab.oracle import shoot_two_phase_1d
-from aplab.phases import (
-    classify,
-    decompose,
-    default_grad_tol,
-    default_zero_tol,
-    pick_interface_node,
-)
+from aplab.phases import classify, pick_interface_node
 from aplab.scalelab import (
     fit_exponent,
     growth_profile,
@@ -50,17 +44,9 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 LADDER_1D = tuple(8 * 2.0**-9 * 2.0**k for k in range(4))
 
 
-def classify_case(case):
-    fld = case.field
-    decomp = decompose(fld, default_zero_tol(fld.grid, case.params))
-    grad_norm = np.sqrt(DiscreteEnergy(fld.grid, case.params).grad_sq(fld.values))
-    cls = classify(decomp, grad_norm, default_grad_tol(fld.grid, case.params))
-    return decomp, cls
-
-
 def interface_anchor(case) -> tuple[float, ...]:
     """Detected free-boundary node: degenerate (low-gradient) points win."""
-    _, cls = classify_case(case)
+    cls = classify(case.field, case.params)
     mask = cls.gamma_zero if cls.gamma_zero.any() else cls.gamma_all
     idx = pick_interface_node(mask, case.field)
     grid = case.grid
@@ -69,7 +55,7 @@ def interface_anchor(case) -> tuple[float, ...]:
 
 def central_two_phase_anchor(case) -> tuple[float, ...]:
     """Two-phase interface node nearest the domain center, ties by index."""
-    _, cls = classify_case(case)
+    cls = classify(case.field, case.params)
     grid = case.grid
     idx = np.argwhere(cls.two_phase)
     coords = np.stack([grid.axes[a][idx[:, a]] for a in range(grid.ndim)], axis=1)
@@ -167,7 +153,7 @@ def test_rescaled_energy_matches_original(branching_2d):
         lhs, rhs = scaling_identity_gap(
             branching_2d.field, branching_2d.params, (0.0, 0.0), r, 0.25
         )
-        assert abs(lhs - rhs) <= 1e-3 * abs(rhs), r
+        assert abs(lhs - rhs) <= 1e-12 * abs(rhs), r
 
 
 @pytest.mark.parametrize("fixture", ["convex_1d", "degenerate_1d"])
@@ -207,24 +193,24 @@ def test_strip_energy_scales_linearly(fixture, request):
 
 
 def test_phase_densities_balanced_with_perimeter_bound(crossing_2d):
-    decomp, _ = classify_case(crossing_2d)
+    cls = classify(crossing_2d.field, crossing_2d.params)
     center = central_two_phase_anchor(crossing_2d)
     h = max(crossing_2d.grid.spacing)
     for r in (8 * h, 16 * h, 32 * h, 64 * h):
         ball = BallSpec(center, r)
-        assert 0.45 <= phase_density(decomp.positive, ball, crossing_2d.grid) <= 0.55
-        assert 0.45 <= phase_density(decomp.negative, ball, crossing_2d.grid) <= 0.55
+        assert 0.45 <= phase_density(cls.positive, ball, crossing_2d.grid) <= 0.55
+        assert 0.45 <= phase_density(cls.negative, ball, crossing_2d.grid) <= 0.55
         assert relative_perimeter(crossing_2d.field, ball) / r >= 0.5
 
 
 def test_null_set_porous_and_interface_codimension_one(crossing_2d):
-    decomp, cls = classify_case(crossing_2d)
+    cls = classify(crossing_2d.field, crossing_2d.params)
     grid = crossing_2d.grid
     center = central_two_phase_anchor(crossing_2d)
     h = max(grid.spacing)
     ladder = (8 * h, 16 * h, 32 * h, 64 * h)
     for r in ladder:
-        assert porosity_constant(decomp.zero, BallSpec(center, r), grid) >= 0.2
+        assert porosity_constant(cls.zero, BallSpec(center, r), grid) >= 0.2
     mink = minkowski_content(cls.two_phase, grid, ladder)
     assert abs(mink.slope - 1.0) <= 0.15
     assert mink.r_squared > 0.99

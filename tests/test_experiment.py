@@ -299,7 +299,7 @@ def test_growth_fits_no_phase_of_rounding_residue():
     fld = ScalarField(grid, vals, grid.boundary_face_mask, vals)
     params = Params(p=2.0, gamma=1.0, lambda_plus=0.5, lambda_minus=0.5)
     spec = {"center": [0.0], "radii": [0.125, 0.25, 0.5]}
-    growth = _growth_diag(_Solved(fld, params, None, None, None), spec)
+    growth = _growth_diag(_Solved(fld, params, None, None), spec)
     assert min(growth["sup_neg"]) > 0.0  # the readings are still reported
     assert growth["fits"]["sup_neg"] is None
     assert growth["fits"]["sup_pos"]["exponent"] == pytest.approx(2.0, abs=0.1)
@@ -307,7 +307,20 @@ def test_growth_fits_no_phase_of_rounding_residue():
 
 def test_run_scaling_section(tiny_result):
     scaling = tiny_result.report["diagnostics"]["scaling"]
-    assert scaling["rel_error"][0] <= 1e-3
+    assert scaling["rel_error"][0] <= 1e-12
+
+
+def test_run_refuses_an_off_lattice_scaling_window(tmp_path, capsys):
+    from aplab.cli import main
+
+    cfg = tiny_config()
+    cfg["diagnostics"] = {
+        "scaling": {"center": [1.0 / 384], "r_values": [0.5], "radius": 0.25}
+    }
+    path = tmp_path / "off.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "off the source lattice" in capsys.readouterr().err
 
 
 def test_run_replacement_section(tiny_result):

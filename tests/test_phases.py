@@ -1,18 +1,13 @@
-"""Sign decomposition and free-boundary node classification."""
+"""Phase split and free-boundary node classification."""
 
 import numpy as np
 import pytest
 
-from aplab.core import Grid, Params, ScalarField, build_grid
-from aplab.energy import DiscreteEnergy
-from aplab.phases import (
-    classify,
-    decompose,
-    default_grad_tol,
-    default_zero_tol,
-    distance_to_set,
-    pick_interface_node,
-)
+from aplab.core import Params, ScalarField, build_grid
+from aplab.phases import classify, distance_to_set, pick_interface_node
+
+# the classification reads the node gradient only, so the weights do not enter
+PAR = Params(p=2.0, gamma=1.0, lambda_plus=0.5, lambda_minus=0.5, delta=1.0)
 
 
 def _field_1d(values):
@@ -28,69 +23,63 @@ def _field_2d(values):
 
 
 # ---------------------------------------------------------------------------
-# decomposition
+# phase split
 
 
-def test_decompose_partitions_nodes():
+def test_classify_partitions_nodes():
     fld = _field_1d([-2.0, -0.5, -0.01, 0.0, 0.01, 0.5, 2.0])
-    dec = decompose(fld, zero_tol=0.1)
-    np.testing.assert_array_equal(dec.positive, [0, 0, 0, 0, 0, 1, 1])
-    np.testing.assert_array_equal(dec.negative, [1, 1, 0, 0, 0, 0, 0])
-    np.testing.assert_array_equal(dec.zero, [0, 0, 1, 1, 1, 0, 0])
+    cls = classify(fld, PAR, zero_tol=0.1)
+    np.testing.assert_array_equal(cls.positive, [0, 0, 0, 0, 0, 1, 1])
+    np.testing.assert_array_equal(cls.negative, [1, 1, 0, 0, 0, 0, 0])
+    np.testing.assert_array_equal(cls.zero, [0, 0, 1, 1, 1, 0, 0])
     # the three sets tile the grid
-    total = dec.positive.astype(int) + dec.negative.astype(int) + dec.zero.astype(int)
+    total = cls.positive.astype(int) + cls.negative.astype(int) + cls.zero.astype(int)
     np.testing.assert_array_equal(total, 1)
 
 
-def test_decompose_band_is_closed():
+def test_classify_zero_band_is_closed():
     # |u| exactly at the tolerance counts as zero
-    fld = _field_1d([-0.1, 0.1, 0.2])
-    dec = decompose(fld, zero_tol=0.1)
-    np.testing.assert_array_equal(dec.zero, [1, 1, 0])
+    cls = classify(_field_1d([-0.1, 0.1, 0.2]), PAR, zero_tol=0.1)
+    np.testing.assert_array_equal(cls.zero, [1, 1, 0])
 
 
-def test_decompose_rejects_negative_tolerance():
-    with pytest.raises(ValueError):
-        decompose(_field_1d([0.0, 1.0]), zero_tol=-1e-3)
+def test_classify_rejects_negative_zero_tol():
+    with pytest.raises(ValueError, match="zero_tol"):
+        classify(_field_1d([0.0, 1.0]), PAR, zero_tol=-1e-3)
 
 
-def test_decomposition_masks_are_frozen():
-    dec = decompose(_field_1d([-1.0, 0.0, 1.0]), zero_tol=0.5)
-    with pytest.raises(ValueError):
-        dec.positive[0] = True
+def test_classification_masks_are_frozen():
+    cls = classify(_field_1d([-1.0, 0.0, 1.0]), PAR, zero_tol=0.5)
+    masks = cls.masks()
+    assert list(masks) == [
+        "positive", "negative", "zero", "gamma_all", "gamma_zero",
+        "two_phase", "branching",
+    ]
+    for name, mask in masks.items():
+        with pytest.raises(ValueError):
+            mask[0] = True
+        assert mask is getattr(cls, name)
 
 
 def test_default_tolerances_scale_with_spacing():
-    par = Params(p=2.0, gamma=1.0, lambda_plus=0.5, lambda_minus=0.5, delta=1.0)
-    coarse = build_grid(((0.0, 1.0),), (11,))
-    fine = build_grid(((0.0, 1.0),), (101,))
+    coarse = _field_1d(np.zeros(11))
+    fine = _field_1d(np.zeros(101))
     # tau = 1 here, so zero_tol ~ h^2 and grad_tol ~ h
-    assert default_zero_tol(coarse, par) == pytest.approx(0.1**2)
-    assert default_zero_tol(fine, par) == pytest.approx(0.01**2)
-    assert default_grad_tol(coarse, par) == pytest.approx(0.1)
-    assert default_grad_tol(fine, par) == pytest.approx(0.01)
+    assert classify(coarse, PAR).zero_tol == pytest.approx(0.1**2)
+    assert classify(fine, PAR).zero_tol == pytest.approx(0.01**2)
+    assert classify(coarse, PAR).grad_tol == pytest.approx(0.1)
+    assert classify(fine, PAR).grad_tol == pytest.approx(0.01)
 
 
 # ---------------------------------------------------------------------------
-# classification
-
-
-def _grad_norm(fld):
-    """|grad u| at nodes from the energy kernel (p does not enter it)."""
-    return np.sqrt(DiscreteEnergy.dirichlet(fld.grid, 2.0).grad_sq(fld.values))
-
-
-def _classified(values, zero_tol, grad_tol, ndim=1):
-    fld = _field_1d(values) if ndim == 1 else _field_2d(values)
-    dec = decompose(fld, zero_tol)
-    return classify(dec, _grad_norm(fld), grad_tol)
+# free boundary
 
 
 def test_classify_transversal_crossing_1d():
     # a straight crossing: interface nodes carry gradient, nothing branches
     n = 21
     x = np.linspace(-1.0, 1.0, n)
-    cls = _classified(x, zero_tol=1e-12, grad_tol=0.5)
+    cls = classify(_field_1d(x), PAR, zero_tol=1e-12, grad_tol=0.5)
     # only the sign change at x = 0 and its signed neighbors are interface
     assert cls.gamma_all.sum() == 3
     assert cls.gamma_all[9] and cls.gamma_all[10] and cls.gamma_all[11]
@@ -104,7 +93,7 @@ def test_classify_dead_core_1d():
     # two-phase set is empty and the takeoff node has low gradient
     x = np.linspace(-1.0, 1.0, 41)
     u = np.clip(x, 0.0, None) ** 2
-    cls = _classified(u, zero_tol=1e-9, grad_tol=0.2)
+    cls = classify(_field_1d(u), PAR, zero_tol=1e-9, grad_tol=0.2)
     assert cls.gamma_all.any()
     assert not cls.two_phase.any()
     assert cls.gamma_zero.any()
@@ -117,7 +106,7 @@ def test_classify_branching_interface_1d():
     # node, which is exactly the branching configuration
     x = np.linspace(-1.0, 1.0, 41)
     u = np.sign(x) * np.abs(x) ** 2
-    cls = _classified(u, zero_tol=1e-9, grad_tol=0.2)
+    cls = classify(_field_1d(u), PAR, zero_tol=1e-9, grad_tol=0.2)
     assert cls.two_phase.any()
     assert cls.branching.any()
     mid = len(x) // 2
@@ -127,11 +116,8 @@ def test_classify_branching_interface_1d():
 def test_classify_2d_vertical_interface():
     grid = build_grid(((-1.0, 1.0), (-1.0, 1.0)), (33, 33))
     X = grid.coordinate_arrays()[0]
-    cls_in = decompose(
-        ScalarField(grid, 0.5 * X, grid.boundary_face_mask, 0.5 * X), 1e-12
-    )
     fld = ScalarField(grid, 0.5 * X, grid.boundary_face_mask, 0.5 * X)
-    cls = classify(cls_in, _grad_norm(fld), grad_tol=0.1)
+    cls = classify(fld, PAR, zero_tol=1e-12, grad_tol=0.1)
     # the interface is the x1 = 0 column plus one signed column on each side
     cols = np.unique(np.argwhere(cls.gamma_all)[:, 0])
     assert set(cols) == {15, 16, 17}
@@ -140,14 +126,12 @@ def test_classify_2d_vertical_interface():
 
 
 def test_classify_rejects_negative_grad_tol():
-    fld = _field_1d([-1.0, 0.0, 1.0])
-    dec = decompose(fld, 0.1)
-    with pytest.raises(ValueError):
-        classify(dec, _grad_norm(fld), -0.5)
+    with pytest.raises(ValueError, match="grad_tol"):
+        classify(_field_1d([-1.0, 0.0, 1.0]), PAR, zero_tol=0.1, grad_tol=-0.5)
 
 
 def test_classification_thresholds_recorded():
-    cls = _classified([-1.0, 0.0, 1.0], zero_tol=0.25, grad_tol=0.125)
+    cls = classify(_field_1d([-1.0, 0.0, 1.0]), PAR, zero_tol=0.25, grad_tol=0.125)
     assert cls.zero_tol == 0.25
     assert cls.grad_tol == 0.125
 

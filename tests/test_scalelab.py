@@ -157,6 +157,23 @@ def test_rescale_samples_aligned_nodes_exactly():
     assert scaled.grid.shape == (129,)
 
 
+def test_rescale_reads_the_lattice_at_any_r():
+    # the window, not a dyadic r, makes the transport exact: at r = 0.3 the
+    # target nodes are the source nodes of [0, 0.5], renamed
+    fld, _ = _square_field()
+    scaled, _ = rescale(fld, PAR2, (0.25,), 0.3, 1.0, 0.25 / 0.3)
+    np.testing.assert_array_equal(scaled.values, fld.values[512:769])
+
+
+def test_rescale_refuses_an_off_lattice_window():
+    fld, grid = _square_field(n=65)
+    h = grid.spacing[0]
+    with pytest.raises(ValueError, match="off the source lattice"):
+        rescale(fld, PAR2, (h / 3,), 0.5, 1.0, 0.25)
+    with pytest.raises(ValueError, match="off the source lattice"):
+        scaling_identity_gap(fld, PAR2, (0.0,), 0.5, 0.25 + h / 2)
+
+
 def test_rescale_validation():
     fld, _ = _square_field(n=65)
     with pytest.raises(ValueError, match="positive"):
@@ -182,12 +199,15 @@ def test_transport_identity_on_exact_branching_profile():
 
 
 def test_transport_identity_on_generic_smooth_field():
-    # dyadic r samples nodes exactly, so the identity holds for any field
+    # the window is on the lattice, so the identity holds for any field and
+    # any r, dyadic or not
     grid = build_grid(((-1.0, 1.0), (-1.0, 1.0)), (129, 129))
     X, Y = np.meshgrid(grid.axes[0], grid.axes[1], indexing="ij")
     v = np.sin(1.7 * X) * np.cos(0.9 * Y) + 0.2 * X
     fld = ScalarField(grid, v, grid.boundary_face_mask, v)
     par = Params(p=3.0, gamma=0.8, lambda_plus=0.7, lambda_minus=0.3, delta=1.0,
                  alpha_p=0.5)
-    lhs, rhs = scaling_identity_gap(fld, par, (0.0, 0.0), 0.5, 0.25)
-    assert lhs == pytest.approx(rhs, rel=1e-12)
+    for r in (0.5, 0.3):
+        lhs, rhs = scaling_identity_gap(fld, par, (0.0, 0.0), r, 0.25)
+        assert lhs == pytest.approx(rhs, rel=1e-12), r
+
