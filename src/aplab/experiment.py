@@ -685,6 +685,7 @@ def run_experiment(cfg: dict) -> ExperimentResult:
             **{k: getattr(solve, k) for k in WORK_COUNTERS},
             "n_stages": len(solve.stages),
             "stage_energies": [s.energies[-1] for s in solve.stages],
+            "stage_exits": [s.exit for s in solve.stages],
         },
         "phases": {
             "zero_tol": cls.zero_tol,

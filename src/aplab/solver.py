@@ -55,6 +55,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "DEFAULT_LADDER",
+    "STAGE_EXITS",
     "WORK_COUNTERS",
     "StageRecord",
     "SolveResult",
@@ -82,12 +83,22 @@ _TOL_ENERGY = 1e-15
 
 @dataclass(frozen=True)
 class StageRecord:
-    """One continuation stage: smoothing width, trace, exit residual."""
+    """One continuation stage: smoothing width, trace, exit residual and why."""
 
     eps: float  # width of both the potential and the gradient smoothing
     n_iters: int
     energies: tuple[float, ...]
     residual_rms: float
+    exit: str  # one of STAGE_EXITS
+
+
+# Why a stage ended: the value of StageRecord.exit.
+STAGE_EXITS = (
+    "tolerance",  # the residual met _TOL_RESIDUAL
+    "step_cap",  # _MAX_ITERS Newton steps were taken
+    "polish",  # the residual-monotone polish stopped contracting
+    "stall",  # a failed line search far from criticality, or no finite solve
+)
 
 
 # The work counters of a solve: fields of SolveResult and keys of its tally.
@@ -451,10 +462,11 @@ def minimize(
     steps; a ladder that ``_check_ladder`` refuses raises ValueError.  A
     stage ends when its residual meets ``_TOL_RESIDUAL``, at the step cap,
     when the polish stops contracting the residual, or in a stall, and is
-    recorded once, with the residual of the iterate it leaves.  A stall then
-    raises SolverStall carrying the best iterate so far: the Armijo search
-    fell below the step floor, or a Newton system had no finite solution
-    even after the diagonal lift.  Its message names the stage's smoothing
+    recorded once, with the residual of the iterate it leaves and which of
+    these ``STAGE_EXITS`` it took.  A stall then raises SolverStall
+    carrying the best iterate so far: the Armijo search fell below the
+    step floor, or a Newton system had no finite solution even after the
+    diagonal lift.  Its message names the stage's smoothing
     width and the residual; a line-search stall also names the step length
     of the last accepted Armijo step ("none" before the first).
     """
@@ -495,6 +507,7 @@ def minimize(
         n_it = 0
         n_flat = 0
         polishing = False
+        stage_exit = None  # set by a break; else the loop condition decides
         g_f = free_gradient(it)  # kept current with every accepted step
         while (res_rms := _rms(g_f / w_f)) > _TOL_RESIDUAL and n_it < _MAX_ITERS:
             # Only the convex part max(F'', 0) of the potential enters the
@@ -510,6 +523,7 @@ def minimize(
                     f"linear solve non-finite at smoothing width {eps:g} "
                     f"(residual rms {res_rms:.3e})"
                 )
+                stage_exit = "stall"
                 break
             if not polishing:
                 step, slope = d, _dot(g_f, d)
@@ -539,6 +553,7 @@ def minimize(
                         f"line search stalled at smoothing width {eps:g} "
                         f"(residual rms {res_rms:.3e}, last accepted step {last})"
                     )
+                    stage_exit = "stall"
                     break
             if polishing:
                 # Energy decreases here are below float rounding, so Armijo
@@ -547,6 +562,7 @@ def minimize(
                 nxt = trial(d, 1.0)
                 g_t = free_gradient(nxt)
                 if not _rms(g_t / w_f) < 0.95 * res_rms:
+                    stage_exit = "polish"
                     break
                 it, g_f = nxt, g_t
                 n_it += 1
@@ -564,7 +580,9 @@ def minimize(
                 # a one-off tiny decrease happens mid-descent; five in a row
                 # means the energy is flat to rounding at this smoothing level
                 polishing = True
-        stages.append(StageRecord(eps, n_it, tuple(trace), res_rms))
+        if stage_exit is None:
+            stage_exit = "tolerance" if res_rms <= _TOL_RESIDUAL else "step_cap"
+        stages.append(StageRecord(eps, n_it, tuple(trace), res_rms, stage_exit))
         if stall is not None:
             break
 

@@ -257,6 +257,18 @@ def test_compare_reports_work_counters_apart(bundle_a, tmp_path, capsys):
     assert summary["counter_deltas"]["solve/cg_iterations"] == 5.0
 
 
+def test_compare_passes_over_the_stage_exits(bundle_a, tmp_path, capsys):
+    # the exits are string leaves: listed in the report, never diffed
+    report = json.loads((bundle_a / "report.json").read_text())
+    exits = report["solve"]["stage_exits"]
+    assert exits and all(isinstance(x, str) for x in exits)
+    report["solve"]["stage_exits"] = ["stall"] * len(exits)
+    moved = _bundle_with_report(bundle_a, tmp_path / "moved", report)
+    assert main(["compare", str(bundle_a), str(moved), "--tol", "0"]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["over_tolerance"] == {} and summary["unmatched_paths"] == []
+
+
 def test_compare_reads_the_numeric_rows_of_diagnostics_csv(bundle_a, capsys):
     # one walk names the CSV rows and the compared leaves; booleans, strings
     # and nulls are rows but not compared

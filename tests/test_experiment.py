@@ -277,6 +277,8 @@ def test_run_report_structure(tiny_result):
     assert rep["grid"]["resolution"] == [129]
     assert rep["solve"]["n_stages"] == 9
     assert len(rep["solve"]["stage_energies"]) == 9
+    assert len(rep["solve"]["stage_exits"]) == 9
+    assert rep["solve"]["stage_exits"][-1] == "tolerance"
     for key in ("growth", "density", "replacement", "scaling", "inequalities"):
         assert key in rep["diagnostics"]
 

@@ -21,6 +21,7 @@ from aplab.solver import (
     _FreeBlock,
     SolveResult,
     SolverStall,
+    STAGE_EXITS,
     StageRecord,
     comparison_gap,
     minimize,
@@ -318,6 +319,8 @@ def test_minimize_stage_accounting(convex_1d):
     assert res.n_iterations == sum(s.n_iters for s in res.stages)
     assert res.residual_rms == res.stages[-1].residual_rms
     assert res.residual_rms <= aplab.solver._TOL_RESIDUAL
+    assert all(s.exit in STAGE_EXITS for s in res.stages)
+    assert res.stages[-1].exit == "tolerance"
 
 
 def test_capped_stage_reports_the_residual_of_its_last_step(monkeypatch):
@@ -327,6 +330,7 @@ def test_capped_stage_reports_the_residual_of_its_last_step(monkeypatch):
     fld, par = _one_phase_start(n=65)
     res = minimize(fld, par, (0.1,))
     assert res.n_iterations == 3
+    assert [s.exit for s in res.stages] == ["step_cap"]
     kern = DiscreteEnergy(fld.grid, par)
     r = (kern.at(res.field.values, 0.1).gradient() / kern.weights)[fld.free_mask]
     assert res.residual_rms == np.sqrt(np.mean(r * r))
@@ -335,8 +339,8 @@ def test_capped_stage_reports_the_residual_of_its_last_step(monkeypatch):
 def test_solve_result_derives_its_totals_from_its_stages():
     fld, _ = _one_phase_start(n=9)
     tol = aplab.solver._TOL_RESIDUAL
-    stages = (StageRecord(0.1, 3, (2.0, 1.0), 0.5 * tol),
-              StageRecord(0.01, 4, (1.0, 0.5), 2.0 * tol))
+    stages = (StageRecord(0.1, 3, (2.0, 1.0), 0.5 * tol, "tolerance"),
+              StageRecord(0.01, 4, (1.0, 0.5), 2.0 * tol, "step_cap"))
     res = SolveResult(fld, 0.5, stages)
     assert res.n_iterations == 7
     assert res.residual_rms == 2.0 * tol
@@ -388,7 +392,7 @@ def test_nonfinite_lifted_solve_is_a_stall(monkeypatch):
     )
     assert not res.converged and np.isfinite(res.residual_rms)
     assert res.n_iterations == 0 and res.lift_retries == res.linear_solves == 1
-    assert [s.eps for s in res.stages] == [0.1]
+    assert [(s.eps, s.exit) for s in res.stages] == [(0.1, "stall")]
     np.testing.assert_array_equal(res.field.values, fld.values)
 
 
@@ -420,6 +424,20 @@ def test_newton_model_step_count_on_the_restricted_run(restricted_cases):
     assert res.linear_solves == res.n_iterations
 
 
+def test_restricted_run_records_polish_and_capped_stages(
+    restricted_cases, restricted_cases_fine
+):
+    # (1.5, 0.3) leaves a middle stage by the polish exit; at n = 2049 its
+    # last stage runs out of Newton steps, which is why it stops short of
+    # the residual tolerance
+    coarse = restricted_cases[(1.5, 0.3)].result
+    assert "polish" in [s.exit for s in coarse.stages]
+    fine = restricted_cases_fine[(1.5, 0.3)].result
+    assert fine.stages[-1].exit == "step_cap" and not fine.converged
+    capped = [s for s in coarse.stages + fine.stages if s.exit == "step_cap"]
+    assert all(s.n_iters == aplab.solver._MAX_ITERS for s in capped)
+
+
 def test_minimize_is_deterministic():
     fld, par = _one_phase_start(n=129)
     a = minimize(fld, par)
@@ -446,6 +464,7 @@ def test_minimize_reports_stall_with_partial_state(monkeypatch):
     assert partial.field.values.shape == fld.values.shape
     assert np.isfinite(partial.energy)
     assert len(partial.stages) >= 1
+    assert partial.stages[-1].exit == "stall"
     assert partial.residual_rms > 1e3 * aplab.solver._TOL_RESIDUAL
     assert partial.backtracks == 2  # t = 1 and t = 1/2 were tried
 
