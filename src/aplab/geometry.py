@@ -43,8 +43,8 @@ class BallSpec:
     radius: float
 
     def __post_init__(self) -> None:
-        if self.radius <= 0:
-            raise ValueError("ball radius must be positive")
+        if not (math.isfinite(self.radius) and self.radius > 0):
+            raise ValueError("ball radius must be positive and finite")
         if not all(math.isfinite(c) for c in self.center):
             raise ValueError("ball center must be finite")
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))

@@ -9,16 +9,19 @@ reduces exactly to two curves in one parameter, which are sampled per
 exponent (see ``calibrate_v_constant``).
 
 Pairs are arrays of shape (..., N); reductions run over the last axis.
-Computations preserve the input dtype; the randomized sweeps draw planar
-pairs in extended precision (np.longdouble), so that roundoff at
-near-equality pairs does not pass for a violated inequality.
+Computations preserve the input dtype.
 
-Every array power goes through ``_power``, which builds n^e from
-squarings, one sqrt and at most one exp-log remainder.  numpy's long
-double ``**`` calls the C library's x87 ``powl``: on 130k elements a
-generic exponent costs about 60 ms, a squaring 3 ms, a sqrt 0.7 ms and
-an exp-log 15 ms, so ``powl`` was most of a sweep's time at p = 1.5
-and 4.
+The randomized sweeps report scale-free margins in float64.  Every check
+is homogeneous of degree p in (a, b), so a sweep scales each pair to
+max(|a|, |b|) = 1 before evaluating it, which keeps the sign of every
+margin, and the sum margin is further divided by its weighted right-hand
+side.  Rounding is then relative to 1 and grows only like p ulps
+(about -3e-15 at p = 4 and -7e-13 at p = 1000), whereas absolute margins
+of pairs with |a| near 14 carry rounding of order 14^p and overflow at
+p = 1000.  Extended precision is therefore not needed: it only held that
+absolute rounding under the gate at small p.  Past the float range
+(monotonicity and the sum from p = 1025) a sweep raises instead of
+reporting a non-finite margin.
 """
 
 from __future__ import annotations
@@ -49,58 +52,27 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _power(n: np.ndarray, e: float) -> np.ndarray:
-    """n^e for n > 0 and 0 where n = 0, also for negative e.
-
-    Every array power of the checks goes through here, in the dtype of n.
-    With 2e rounded to the nearest integer, e = k + h/2 + f where h is 0
-    or 1 and |f| <= 1/4: n^|k| is taken by repeated squaring (and divided
-    by when k < 0), times sqrt(n) when h = 1, times exp(f log n) only when
-    f != 0.  That avoids the x87 ``powl`` behind a long double ``n ** e``
-    (see the module docstring).  Each squaring doubles the relative error
-    it inherits, so the error grows like log2|e| squarings, roughly |e|
-    ulps: a few for the sweeps' exponents, 400 (4e-17 relative) at
-    e = 1000 in long double.  The exp-log remainder adds about |f log n|
-    ulps.  At e = 0.5, 1 and 2 the result is numpy's sqrt, identity and
-    square bit for bit.
-    """
+    """n ** e, and 0 where n = 0 for every e, negative e included."""
     n = np.asarray(n)
-    zero = np.atleast_1d(n <= 0)  # a ufunc would turn a 0-d x into a scalar
-    x = np.where(zero, 1, n)
-    twice = round(2.0 * e)
-    k, h = divmod(twice, 2)
-    f = e - 0.5 * twice
-    part = np.sqrt(x) if h else None  # n^(h/2 + f)
-    if f:
-        rest = np.log(x)
-        rest *= f
-        np.exp(rest, out=rest)
-        part = rest if part is None else np.multiply(part, rest, out=part)
-    whole = None  # n^|k|, squaring x in place
-    m = abs(k)
-    while m:
-        if m & 1:
-            if whole is None:
-                whole = x if m == 1 else x.copy()
-            else:
-                np.multiply(whole, x, out=whole)
-        m >>= 1
-        if m:
-            np.multiply(x, x, out=x)
-    if whole is None:  # k = 0: n^0 = 1, in x's storage
-        x.fill(1)
-        whole = x
-    if k < 0:
-        np.divide(1 if part is None else part, whole, out=whole)
-    elif part is not None:
-        whole *= part
-    whole[zero] = 0
-    return whole.reshape(n.shape)
+    with np.errstate(divide="ignore"):
+        return np.where(n == 0, 0, n**e)
 
 
 def v_map(a: np.ndarray, p: float) -> np.ndarray:
     """Half-power map V(a) = |a|^((p-2)/2) a, with V(0) = 0."""
     a = np.asarray(a)
     return a * _power(_norm(a), (p - 2.0) / 2.0)[..., None]
+
+
+def _sum_rhs(a: np.ndarray, b: np.ndarray, p: float, eps: float | None) -> np.ndarray:
+    """Right-hand side of the sum split: |a|^p + |b|^p, weighted for p > 1."""
+    na = _power(_norm(a), p)
+    nb = _power(_norm(b), p)
+    if p <= 1.0:
+        return na + nb
+    # numpy scalars: past the float range a weight is inf, not OverflowError
+    one = na.dtype.type(1.0)
+    return (one + eps) ** (p - 1.0) * na + (one + one / eps) ** (p - 1.0) * nb
 
 
 def check_sum_inequality(a, b, p: float, eps: float | None = None) -> np.ndarray:
@@ -114,17 +86,9 @@ def check_sum_inequality(a, b, p: float, eps: float | None = None) -> np.ndarray
     b = np.asarray(b)
     if p <= 0:
         raise ValueError("p must be positive")
-    lhs = _power(_norm(a + b), p)
-    if p <= 1.0:
-        rhs = _power(_norm(a), p) + _power(_norm(b), p)
-    else:
-        if eps is None or eps <= 0:
-            raise ValueError("p > 1 requires eps > 0")
-        one = lhs.dtype.type(1.0)
-        rhs = (one + eps) ** (p - 1.0) * _power(_norm(a), p) + (
-            one + one / eps
-        ) ** (p - 1.0) * _power(_norm(b), p)
-    return rhs - lhs
+    if p > 1.0 and (eps is None or eps <= 0):
+        raise ValueError("p > 1 requires eps > 0")
+    return _sum_rhs(a, b, p, eps) - _power(_norm(a + b), p)
 
 
 def check_convexity_inequality(a, b, p: float) -> np.ndarray:
@@ -235,7 +199,15 @@ def calibrate_v_constant(p: float) -> float:
 
 @dataclass(frozen=True)
 class InequalityReport:
-    """Worst case of a randomized margin sweep: min margin plus witness."""
+    """Worst case of a randomized margin sweep: min margin plus witness.
+
+    ``min_margin`` is scale-free: the margin of the witness pair scaled to
+    max(|a|, |b|) = 1, and for ``sum`` also divided by the split's
+    right-hand side at that scaled pair.  ``witness_a`` and ``witness_b``
+    are the pair as drawn, unscaled.  ``eps`` is the sum split's weight
+    parameter, and None where the check does not read it (every other
+    check, and the sum at p <= 1).
+    """
 
     name: str
     p: float
@@ -250,13 +222,12 @@ class InequalityReport:
 def _sweep_pairs(rng: np.random.Generator, n: int):
     """Uniform pairs in [-10, 10]^2 plus derived adversarial families:
     near-parallel, near-antipodal, and near-zero rescalings."""
-    ld = np.longdouble
-    a = rng.uniform(-10.0, 10.0, size=(n, 2)).astype(ld)
-    b = rng.uniform(-10.0, 10.0, size=(n, 2)).astype(ld)
+    a = rng.uniform(-10.0, 10.0, size=(n, 2))
+    b = rng.uniform(-10.0, 10.0, size=(n, 2))
     m = max(n // 10, 1)
-    jitter = ld(1.0) + ld(1e-12)
-    aa = np.concatenate([a, a[:m], a[:m], a[:m] * ld(1e-9)])
-    bb = np.concatenate([b, a[:m] * jitter, -a[:m] * jitter, b[:m] * ld(1e-9)])
+    jitter = 1.0 + 1e-12
+    aa = np.concatenate([a, a[:m], a[:m], a[:m] * 1e-9])
+    bb = np.concatenate([b, a[:m] * jitter, -a[:m] * jitter, b[:m] * 1e-9])
     return aa, bb
 
 
@@ -270,29 +241,34 @@ def sweep_inequality(
     """Run one margin check over a seeded randomized batch of vector pairs.
 
     ``name`` is one of sum / convexity / monotonicity / v_equivalence.
-    The sweep runs in extended precision so that genuinely valid
-    inequalities do not report spurious negative margins at the
-    adversarial near-equality pairs.
+    Each pair is divided by max(|a|, |b|) before the check: every check
+    is homogeneous of degree p, so this keeps the sign of each margin and
+    makes it scale-free.  The sum margin is also divided by its right-hand
+    side, (1+eps)^(p-1)|a|^p + (1+1/eps)^(p-1)|b|^p for p > 1 and
+    |a|^p + |b|^p for p <= 1, since its weights grow like 2^(p-1).  A
+    margin that is not finite (p past the float range, or a non-finite p
+    or eps) raises ValueError.
     """
     rng = np.random.default_rng(seed)
     a, b = _sweep_pairs(rng, n_pairs)
+    scale = np.maximum(_norm(a), _norm(b))[:, None]
+    ua, ub = a / scale, b / scale
     constant: float | None = None
-    if name == "sum":
-        margins = check_sum_inequality(a, b, p, eps)
-    elif name == "convexity":
-        margins = check_convexity_inequality(a, b, p)
-        eps = None
-    elif name == "monotonicity":
-        margins = check_monotonicity(a, b, p)
-        constant = monotonicity_constant(p)
-        eps = None
-    elif name == "v_equivalence":
-        constant = calibrate_v_constant(p)
-        upper, lower = check_v_equivalence(a, b, p, constant)
-        margins = np.minimum(upper, lower)
-        eps = None
-    else:
-        raise ValueError(f"unknown inequality sweep {name!r}")
+    with np.errstate(all="ignore"):
+        if name == "sum":
+            margins = check_sum_inequality(ua, ub, p, eps) / _sum_rhs(ua, ub, p, eps)
+        elif name == "convexity":
+            margins = check_convexity_inequality(ua, ub, p)
+        elif name == "monotonicity":
+            margins = check_monotonicity(ua, ub, p)
+            constant = monotonicity_constant(p)
+        elif name == "v_equivalence":
+            constant = calibrate_v_constant(p)
+            margins = np.minimum(*check_v_equivalence(ua, ub, p, constant))
+        else:
+            raise ValueError(f"unknown inequality sweep {name!r}")
+    if not np.isfinite(margins).all():
+        raise ValueError(f"the {name} margins at p = {p} are not finite")
     i = int(np.argmin(margins))
     return InequalityReport(
         name=name,
@@ -302,5 +278,5 @@ def sweep_inequality(
         witness_a=tuple(float(x) for x in a[i]),
         witness_b=tuple(float(x) for x in b[i]),
         constant=constant,
-        eps=eps,
+        eps=eps if name == "sum" and p > 1.0 else None,
     )

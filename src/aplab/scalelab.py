@@ -139,12 +139,10 @@ def nondegeneracy_ratio(
         sups = profile.sup_pos
     elif phase == "negative":
         sups = profile.sup_neg
-    elif phase == "abs":
-        sups = profile.sup_abs
     elif phase == "max":
         sups = tuple(max(a, b) for a, b in zip(profile.sup_pos, profile.sup_neg))
     else:
-        raise ValueError("phase must be positive/negative/abs/max")
+        raise ValueError("phase must be positive/negative/max")
     rate = 1.0 + params.tau
     return min(s / r**rate for s, r in zip(sups, profile.radii))
 

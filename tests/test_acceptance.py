@@ -257,7 +257,7 @@ def test_inequality_sweep_margins_nonnegative(name, p):
     report = sweep_inequality(name, p, n_pairs=100_000, seed=7)
     # the sweep tops the requested batch up with near-equality pairs
     assert report.n_pairs >= 100_000
-    assert report.min_margin >= -1e-12
+    assert report.min_margin >= -1e-13
 
 
 def test_energy_gradient_matches_finite_differences():

@@ -108,6 +108,18 @@ def test_run_nonfinite_config_number_is_exit_2(tmp_path, capsys, section, key, v
     assert not (tmp_path / "o").exists()
 
 
+def test_run_inequality_sweep_past_the_float_range_is_exit_2(tmp_path, capsys):
+    cfg_dict = small_config()
+    cfg_dict["seed"] = 0
+    cfg_dict["diagnostics"]["inequalities"] = {
+        "names": ["monotonicity"], "p_values": [1100], "n_pairs": 100
+    }
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(cfg_dict))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "monotonicity margins at p = 1100" in capsys.readouterr().err
+
+
 def test_run_stall_is_exit_3_with_partial_bundle(tmp_path, capsys, monkeypatch):
     # an Armijo fraction near 1 with no backtracking room accepts no step
     monkeypatch.setattr(aplab.solver, "_ARMIJO_C1", 0.999)

@@ -43,6 +43,13 @@ def test_ball_validation():
         BallSpec((np.nan,), 0.5)
 
 
+@pytest.mark.parametrize("radius", [np.nan, np.inf, -np.inf, -1.0])
+def test_ball_refuses_a_radius_not_positive_and_finite(radius):
+    # a nan radius would read perimeter 0 and an infinite one the whole contour
+    with pytest.raises(ValueError, match="positive and finite"):
+        BallSpec((0.0, 0.0), radius)
+
+
 def test_ball_node_mask_closed_vs_open():
     # dyadic nodes, so the on-sphere distances are float-exact
     grid = build_grid(((0.0, 1.0),), (5,))

@@ -104,7 +104,6 @@ def test_nondegeneracy_ratio_of_invariant_profile():
     # tau = 1 at these parameters, so u = x^2 has sup = r^(1+tau) exactly
     fld, _ = _square_field()
     prof = growth_profile(fld, PAR2, (0.0,), (0.125, 0.25, 0.5))
-    assert nondegeneracy_ratio(prof, PAR2, "abs") == 1.0
     assert nondegeneracy_ratio(prof, PAR2, "positive") == 1.0
     assert nondegeneracy_ratio(prof, PAR2, "max") == 1.0
     # the negative phase is empty
@@ -117,7 +116,7 @@ def test_nondegeneracy_ratio_scales_with_amplitude():
     u = 0.3 * x * x
     fld = ScalarField(grid, u, grid.boundary_face_mask, u)
     prof = growth_profile(fld, PAR2, (0.0,), (0.125, 0.25))
-    assert nondegeneracy_ratio(prof, PAR2, "abs") == pytest.approx(0.3, rel=1e-12)
+    assert nondegeneracy_ratio(prof, PAR2, "max") == pytest.approx(0.3, rel=1e-12)
 
 
 def test_nondegeneracy_ratio_rejects_unknown_phase():
@@ -125,6 +124,8 @@ def test_nondegeneracy_ratio_rejects_unknown_phase():
     prof = growth_profile(fld, PAR2, (0.0,), (0.25,))
     with pytest.raises(ValueError):
         nondegeneracy_ratio(prof, PAR2, "total")
+    with pytest.raises(ValueError):
+        nondegeneracy_ratio(prof, PAR2, "abs")
 
 
 def test_default_radius_ladder_halves_from_quarter_box():
