@@ -8,7 +8,7 @@ never mutate.  Updated fields are new objects (``ScalarField.with_values``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -204,8 +204,8 @@ class ScalarField:
 
     grid: Grid
     values: np.ndarray
-    boundary_mask: np.ndarray = dc_field(default=None)  # type: ignore[assignment]
-    boundary_values: np.ndarray = dc_field(default=None)  # type: ignore[assignment]
+    boundary_mask: np.ndarray
+    boundary_values: np.ndarray
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=float)
@@ -213,16 +213,10 @@ class ScalarField:
             raise ValueError(
                 f"values shape {vals.shape} does not match grid shape {self.grid.shape}"
             )
-        mask = self.boundary_mask
-        if mask is None:
-            mask = np.zeros(self.grid.shape, dtype=bool)
-        mask = np.asarray(mask)
+        mask = np.asarray(self.boundary_mask)
         if mask.dtype != bool or mask.shape != self.grid.shape:
             raise ValueError("boundary_mask must be a bool array of grid shape")
-        bvals = self.boundary_values
-        if bvals is None:
-            bvals = np.zeros(self.grid.shape, dtype=float)
-        bvals = np.asarray(bvals, dtype=float)
+        bvals = np.asarray(self.boundary_values, dtype=float)
         if bvals.shape != self.grid.shape:
             raise ValueError("boundary_values must have grid shape")
         if not np.all(np.isfinite(bvals[mask])):

@@ -44,7 +44,6 @@ __all__ = [
     "DiscreteEnergy",
     "Iterate",
     "potential_value",
-    "potential_derivative",
     "el_residual",
 ]
 
@@ -333,25 +332,23 @@ def el_residual(
 ) -> float:
     """Max Euler-Lagrange defect over active interior nodes.
 
-    The discrete p-Laplacian is read off the first variation of the
-    Dirichlet sum (divided by the node weight), and compared with the
-    exact reaction term delta * F'(u), both smoothed with width ``eps``.
-    Excluded: nodes with |u| at or below the activity threshold (default
-    10 h^(1+tau), h the largest grid spacing), and nodes within two layers
-    of a grid face -- at the face-adjacent layer the variational stencil
-    encodes the natural boundary flux, not the operator, and differs from
-    it by O(1) for p != 2.  If nothing is active the residual is 0.
+    The defect is the kernel's first variation at width ``eps`` divided by
+    the node weight, -Delta_p,h u + delta * F'(u): the array ``minimize``
+    drives to zero.  Excluded: nodes with |u| at or below the activity
+    threshold (default 10 h^(1+tau), h the largest grid spacing), and
+    nodes within two layers of a grid face -- at the face-adjacent layer
+    the variational stencil encodes the natural boundary flux, not the
+    operator, and differs from it by O(1) for p != 2.  If nothing is
+    active the residual is 0.
     """
     g = field.grid
     if activity_threshold is None:
         activity_threshold = 10.0 * max(g.spacing) ** (1.0 + params.tau)
     u = field.values
-    lap = -DiscreteEnergy.dirichlet(g, params.p).at(u, eps).gradient()
-    lap /= g.quadrature_weights
-    rhs = params.delta * potential_derivative(u, params, eps)
+    defect = DiscreteEnergy(g, params).at(u, eps).gradient() / g.quadrature_weights
     interior = np.zeros(g.shape, dtype=bool)
     interior[(slice(2, -2),) * g.ndim] = True
     active = interior & (np.abs(u) > activity_threshold)
     if not active.any():
         return 0.0
-    return float(np.max(np.abs(lap[active] - rhs[active])))
+    return float(np.max(np.abs(defect[active])))

@@ -31,6 +31,17 @@ __all__ = [
 ]
 
 
+def _scale(r: float, k: float, reading: str) -> float:
+    """r**k, or ValueError naming ``reading`` if it is not a positive float."""
+    try:
+        out = r**k
+    except OverflowError:
+        out = math.inf
+    if not 0.0 < out < math.inf:
+        raise ValueError(f"{reading}: r**{k:g} at r = {r:g} leaves the float range")
+    return out
+
+
 def _validate_ball(grid: Grid, center, radius: float) -> None:
     if radius < 2.0 * max(grid.spacing):
         raise ValueError(
@@ -134,6 +145,7 @@ def nondegeneracy_ratio(
 
     A ratio bounded away from zero under refinement is the quantitative
     signature that the solution does not degenerate near its null set.
+    An r**(1 + tau) out of the float range (gamma near p) raises ValueError.
     """
     if phase == "positive":
         sups = profile.sup_pos
@@ -144,7 +156,9 @@ def nondegeneracy_ratio(
     else:
         raise ValueError("phase must be positive/negative/max")
     rate = 1.0 + params.tau
-    return min(s / r**rate for s, r in zip(sups, profile.radii))
+    return min(
+        s / _scale(r, rate, "nondegeneracy ratio") for s, r in zip(sups, profile.radii)
+    )
 
 
 def default_radius_ladder(grid: Grid, center) -> tuple[float, ...]:
@@ -230,20 +244,21 @@ def scaling_identity_gap(
     For s = r**(1 + tau) the rescaled field on the ball of radius
     ``radius / r`` carries, after multiplication by r**(N + p tau), the
     same energy as the original on the ball of radius ``radius``.
-    Returns (transported, original).
+    Returns (transported, original).  An r**(1 + tau) or r**(N + p tau)
+    out of the float range (gamma near p) raises ValueError.
     """
     grid = field.grid
     center = tuple(float(c) for c in center)
     _validate_ball(grid, center, radius)
-    s = r ** (1.0 + params.tau)
+    s = _scale(r, 1.0 + params.tau, "scaling identity")
+    weight = _scale(r, grid.ndim + params.p * params.tau, "scaling identity")
     scaled, scaled_params = rescale(
         field, params, center, r, s, radius=radius / r
     )
     inner = BallSpec((0.0,) * grid.ndim, radius / r)
     lhs_region = inner.node_mask(scaled.grid, closed=False)
     rhs_region = BallSpec(center, radius).node_mask(grid, closed=False)
-    power = grid.ndim + params.p * params.tau
     scaled_state = DiscreteEnergy(scaled.grid, scaled_params).at(scaled.values, 0.0)
-    lhs = r**power * scaled_state.energy_in(lhs_region)
+    lhs = weight * scaled_state.energy_in(lhs_region)
     rhs = DiscreteEnergy(grid, params).at(field.values, 0.0).energy_in(rhs_region)
     return float(lhs), float(rhs)

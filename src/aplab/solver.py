@@ -601,39 +601,23 @@ def minimize(
 # Dirichlet-term replacement and comparison gaps.
 
 
-def _affine_fill_1d(values: np.ndarray, relax: np.ndarray) -> np.ndarray:
-    """Interpolate every relaxed run linearly between its pinned neighbours."""
-    if relax[0] or relax[-1]:
-        raise ValueError("replacement region must be bounded by pinned nodes")
-    n = len(values)
-    k = np.arange(n)
-    left = np.maximum.accumulate(np.where(relax, 0, k))
-    right = np.minimum.accumulate(np.where(relax, n, k)[::-1])[::-1]
-    r = np.flatnonzero(relax)
-    lo, hi = left[r], right[r]
-    out = values.copy()
-    out[r] = values[lo] + (values[hi] - values[lo]) * (r - lo) / (hi - lo)
-    return out
-
-
 def p_harmonic_replacement(
     field: ScalarField, p: float, region: np.ndarray | None = None
 ) -> ScalarField:
     """Minimize the Dirichlet term alone over ``region``, boundary data kept.
 
-    In 1D the minimizer is affine on each relaxed run for every p, so it
-    is filled in exactly.  In 2D and 3D every node outside the relaxed set
-    is pinned at its current value and ``minimize`` descends the Dirichlet
-    energy at the single smoothing width 1e-9 (which does not enter the
-    conductances at p = 2).  A result that misses the residual tolerance
-    raises SolverStall carrying it, as does a stall inside ``minimize``.
+    Every node outside the relaxed set is pinned at its current value and
+    ``minimize`` descends the discrete Dirichlet energy at the single
+    smoothing width 1e-9 (which does not enter the conductances at p = 2),
+    so the result is a critical point of the same discrete energy that
+    ``comparison_gap`` reads, in every dimension.  A result that misses
+    the residual tolerance raises SolverStall carrying it, as does a stall
+    inside ``minimize``.
     """
     grid = field.grid
     relax = field.free_mask if region is None else (np.asarray(region) & field.free_mask)
     if not relax.any():
         return field
-    if grid.ndim == 1:
-        return field.with_values(_affine_fill_1d(np.array(field.values), relax))
     pinned = ScalarField(grid, field.values, ~relax, field.values)
     params = DiscreteEnergy.dirichlet(grid, p).params
     res = minimize(pinned, params, (1e-9,))

@@ -134,6 +134,20 @@ def test_run_stall_is_exit_3_with_partial_bundle(tmp_path, capsys, monkeypatch):
     assert json.loads((out / "report.json").read_text())["stalled"] is True
 
 
+def test_run_unconverged_without_stall_is_exit_3(tmp_path, capsys, monkeypatch):
+    # one Newton step per stage cannot reach the residual tolerance
+    monkeypatch.setattr(aplab.solver, "_MAX_ITERS", 1)
+    cfg = tmp_path / "capped.json"
+    cfg.write_text(json.dumps(small_config()))
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 3
+    assert "residual tolerance not reached; bundle in" in capsys.readouterr().err
+    report = json.loads((out / "report.json").read_text())
+    assert report["stalled"] is False
+    assert report["solve"]["converged"] is False
+    assert report["solve"]["stage_exits"][-1] == "step_cap"
+
+
 def test_run_nonfinite_linear_solve_is_exit_3_with_partial_bundle(
     tmp_path, capsys, monkeypatch
 ):

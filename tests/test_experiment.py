@@ -361,6 +361,8 @@ def test_run_marks_stall_and_still_reports(monkeypatch):
     monkeypatch.setattr(aplab.solver, "_STEP_FLOOR", 0.5)
     cfg = tiny_config()
     del cfg["diagnostics"]["scaling"]  # keep the partial-field pass fast
+    # the patched line search would stall the replacement's solve as well
+    del cfg["diagnostics"]["replacement"]
     out = run_experiment(cfg)
     assert out.stall.startswith("line search stalled at smoothing width")
     assert out.report["stalled"] is True
@@ -411,6 +413,42 @@ def test_run_rejects_v_constant_past_the_float_range():
         warnings.simplefilter("error")
         with pytest.raises(ConfigError, match="not satisfiable: .* p = 2500.0"):
             run_experiment(cfg)
+
+
+def _near_critical_config():
+    # gamma = 1.99 against p = 2 puts the growth rate 1 + tau at 200
+    path = Path(__file__).parents[1] / "configs" / "one_phase_1d.json"
+    cfg = json.loads(path.read_text())
+    cfg["problem"]["gamma"] = 1.99
+    return cfg
+
+
+def test_growth_nondegeneracy_is_null_where_the_rate_underflows():
+    # the default ladder at the origin reaches r = 1/64, and r**200 is 0
+    cfg = _near_critical_config()
+    cfg["diagnostics"] = {"growth": {"center": [0.0]}}
+    growth = run_experiment(cfg).report["diagnostics"]["growth"]
+    assert growth["radii"][-1] == 0.015625
+    assert growth["nondegeneracy"] == {"positive": None, "negative": None, "max": None}
+
+
+def test_growth_nondegeneracy_is_null_where_the_rate_overflows():
+    cfg = _near_critical_config()
+    cfg["problem"]["extents"] = [[-100.0, 100.0]]
+    cfg["diagnostics"] = {"growth": {"center": [0.0], "radii": [10, 20, 40]}}
+    growth = run_experiment(cfg).report["diagnostics"]["growth"]
+    assert growth["nondegeneracy"] == {"positive": None, "negative": None, "max": None}
+
+
+def test_run_rejects_scaling_past_the_float_range():
+    cfg = _near_critical_config()
+    cfg["problem"]["extents"] = [[-100.0, 100.0]]
+    cfg["diagnostics"] = {"scaling": {"center": [0.0], "r_values": [50], "radius": 1}}
+    with pytest.raises(
+        ConfigError,
+        match=r"not satisfiable: scaling identity: r\*\*200 at r = 50 leaves the float range",
+    ):
+        run_experiment(cfg)
 
 
 def test_run_rejects_unconverged_replacement(monkeypatch):
