@@ -25,10 +25,12 @@ A node lies in one phase, the plus phase where v > 0 and the minus phase
 elsewhere, so F and its derivatives take one fractional power per node,
 that of the node's own phase; the other phase's term has argument 0 and
 is a constant of the width.  ``DiscreteEnergy.at(u, eps)`` is the one
-way into the kernel: the state of one iterate, which computes q,
-q + eps^2, |u|, the phase mask, the phase weight lambda(u) and
-u^2 + eps^2 once, and whose energy (over the grid or a node region),
-conductances, gradient and potential curvature all read them.
+way into the kernel and the one place that evaluates phi and F: the
+state of one iterate, which computes q, q + eps^2, |u|, the phase mask,
+the phase weight lambda(u) and u^2 + eps^2 once.  Its two halves of the
+density, phi(q) (``dirichlet``) and F(u) without delta (``potential``),
+its energy (over the grid or a node region), conductances, gradient,
+F' (``slope()``) and F'' (``curvature()``) all read them.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from .core import Grid, Params, ScalarField
 __all__ = [
     "DiscreteEnergy",
     "Iterate",
-    "potential_value",
     "el_residual",
 ]
 
@@ -138,34 +139,8 @@ class _Potential:
 
     def curvature(self, ph: _Phases) -> np.ndarray:
         if self.eps <= 0.0:
-            raise ValueError("potential_curvature needs eps > 0")
+            raise ValueError("the potential curvature needs eps > 0")
         return np.where(ph.a == 0.0, self._zero_curvature, self._curvature(ph))
-
-
-def potential_value(v, params: Params, eps: float = 0.0):
-    """Two-phase potential F(v), optionally smoothed with width eps.
-
-    Vectorized over arrays.  F(0) = 0 for every eps, and the smoothed
-    value decreases to the exact one as eps -> 0.
-    """
-    pot = _Potential(params, eps)
-    return pot.value(pot.phases(np.asarray(v, dtype=float)))
-
-
-def potential_derivative(v, params: Params, eps: float = 0.0):
-    """dF/dv, the two-phase reaction term; zero at v = 0 by definition."""
-    pot = _Potential(params, eps)
-    return pot.slope(pot.phases(np.asarray(v, dtype=float)))
-
-
-def potential_curvature(v, params: Params, eps: float) -> np.ndarray:
-    """d2F/dv2 of the smoothed potential (eps > 0 required).
-
-    At v = 0 the two phases' one-sided limits differ when their weights
-    do; the value there is their mean, as a central difference gives.
-    """
-    pot = _Potential(params, eps)
-    return pot.curvature(pot.phases(np.asarray(v, dtype=float)))
 
 
 def _axis(grid: Grid, a: int) -> tuple:
@@ -240,9 +215,9 @@ class Iterate:
     """One field u of a ``DiscreteEnergy`` at one smoothing width.
 
     q = ``grad_sq(u)``, q + eps^2 and the phase split of u (|u|, u > 0,
-    lambda(u), u^2 + eps^2) are computed once, on construction; the energy
-    and the conductances on first use, and then kept.  The field must not
-    change while its state is in use.
+    lambda(u), u^2 + eps^2) are computed once, on construction; the two
+    halves of the density, the energy and the conductances on first use,
+    and then kept.  The field must not change while its state is in use.
     """
 
     def __init__(self, kern: DiscreteEnergy, pot: _Potential, u: np.ndarray):
@@ -253,20 +228,25 @@ class Iterate:
         self.q = kern.grad_sq(u)
         self.qe = self.q + pot.e2
         self.phases = pot.phases(u)
-        self._energy: float | None = None
-        self._conductances: tuple | None = None
+
+    @cached_property
+    def dirichlet(self) -> np.ndarray:
+        """phi(q) at every node."""
+        p = self.kern.params.p
+        return (self.qe ** (0.5 * p) - self.eps**p) / p
+
+    @cached_property
+    def potential(self) -> np.ndarray:
+        """F(u) at every node, without the multiplier delta."""
+        return self.pot.value(self.phases)
 
     def density(self) -> np.ndarray:
-        """The energy density at every node."""
-        p = self.kern.params.p
-        phi = (self.qe ** (0.5 * p) - self.eps**p) / p
-        return phi + self.kern.params.delta * self.pot.value(self.phases)
+        """The energy density phi(q) + delta * F(u) at every node."""
+        return self.dirichlet + self.kern.params.delta * self.potential
 
-    @property
+    @cached_property
     def energy(self) -> float:
-        if self._energy is None:
-            self._energy = float(np.sum(self.kern.weights * self.density()))
-        return self._energy
+        return float(np.sum(self.kern.weights * self.density()))
 
     def energy_in(self, region: np.ndarray) -> float:
         """The energy with the quadrature restricted to ``region``, a
@@ -278,7 +258,7 @@ class Iterate:
             raise ValueError("empty integration region")
         return float(np.sum(self.kern.weights[region] * self.density()[region]))
 
-    @property
+    @cached_property
     def conductances(self) -> tuple:
         """Per-axis edge conductances of the linearized Dirichlet form.
 
@@ -287,20 +267,18 @@ class Iterate:
         conductances, frozen at u.  The solver reuses them as its
         lagged-coefficient matrix.
         """
-        if self._conductances is None:
-            kern, p = self.kern, self.kern.params.p
-            if self.eps == 0.0 and p < 2.0 and np.any(self.qe == 0.0):
-                raise ValueError(
-                    "p < 2 with eps = 0 hits a zero-gradient node; "
-                    "use a positive smoothing width"
-                )
-            # phi'(q) = (q + eps^2)^((p-2)/2) / 2
-            psi_w = kern.weights * (0.5 * self.qe ** (0.5 * p - 1.0))
-            self._conductances = tuple(
-                2.0 * (psi_w[lo] * cplus + psi_w[hi] * cminus) / h**2
-                for lo, hi, cplus, cminus, h in kern.axes
+        kern, p = self.kern, self.kern.params.p
+        if self.eps == 0.0 and p < 2.0 and np.any(self.qe == 0.0):
+            raise ValueError(
+                "p < 2 with eps = 0 hits a zero-gradient node; "
+                "use a positive smoothing width"
             )
-        return self._conductances
+        # phi'(q) = (q + eps^2)^((p-2)/2) / 2
+        psi_w = kern.weights * (0.5 * self.qe ** (0.5 * p - 1.0))
+        return tuple(
+            2.0 * (psi_w[lo] * cplus + psi_w[hi] * cminus) / h**2
+            for lo, hi, cplus, cminus, h in kern.axes
+        )
 
     def gradient(self) -> np.ndarray:
         """First variation of the energy at u.
@@ -316,11 +294,20 @@ class Iterate:
             grad[hi] += t
         delta = kern.params.delta
         if delta != 0.0:
-            grad = grad + kern.weights * (delta * self.pot.slope(self.phases))
+            grad = grad + kern.weights * (delta * self.slope())
         return grad
 
+    def slope(self) -> np.ndarray:
+        """dF/du at every node; at eps = 0 it is 0 where u = 0."""
+        return self.pot.slope(self.phases)
+
     def curvature(self) -> np.ndarray:
-        """d2F/du2 at every node (eps > 0 required)."""
+        """d2F/du2 at every node (eps > 0 required).
+
+        At u = 0 the two phases' one-sided limits differ when their
+        weights do; the value there is their mean, as a central
+        difference gives.
+        """
         return self.pot.curvature(self.phases)
 
 

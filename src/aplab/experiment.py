@@ -459,6 +459,10 @@ class _Solved:
             return tuple(float(c) for c in spec["center"])
         return self.auto_center
 
+    def ball(self, center, radius) -> BallSpec:
+        """A ball of a diagnostic; ValueError unless the grid resolves it."""
+        return BallSpec(center, radius).within(self.field.grid)
+
     def ball_ladder(self, spec) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """The center and radii of a ball diagnostic; default radii if none."""
         center = self.center(spec)
@@ -502,7 +506,7 @@ def _density_diag(solved: _Solved, spec):
     center, radii = solved.ball_ladder(spec)
     series = {
         name: [
-            phase_density(getattr(solved.cls, name), BallSpec(center, r),
+            phase_density(getattr(solved.cls, name), solved.ball(center, r),
                           solved.field.grid)
             for r in radii
         ]
@@ -513,7 +517,7 @@ def _density_diag(solved: _Solved, spec):
 
 def _perimeter_diag(solved: _Solved, spec):
     center, radii = solved.ball_ladder(spec)
-    per = [relative_perimeter(solved.field, BallSpec(center, r)) for r in radii]
+    per = [relative_perimeter(solved.field, solved.ball(center, r)) for r in radii]
     codim = solved.field.grid.ndim - 1
     series = {"perimeter": per, "scaled": [x / r**codim for x, r in zip(per, radii)]}
     return {"center": list(center), "radii": list(radii), **series}
@@ -522,7 +526,7 @@ def _perimeter_diag(solved: _Solved, spec):
 def _porosity_diag(solved: _Solved, spec):
     center, radii = solved.ball_ladder(spec)
     kappas = [
-        porosity_constant(solved.cls.gamma_zero, BallSpec(center, r),
+        porosity_constant(solved.cls.gamma_zero, solved.ball(center, r),
                           solved.field.grid)
         for r in radii
     ]
@@ -534,7 +538,7 @@ def _strip_diag(solved: _Solved, spec):
     center = solved.center(spec)
     ladder = tuple(spec["eps_ladder"])
     radius = spec["radius"]
-    ball = BallSpec(center, radius)
+    ball = solved.ball(center, radius)
     energies = [
         level_strip_energy(solved.field, solved.params, e, ball) for e in ladder
     ]
@@ -576,7 +580,7 @@ def _replacement_diag(solved: _Solved, spec):
     fld, params = solved.field, solved.params
     center = solved.center(spec)
     radius = spec["radius"]
-    region = BallSpec(center, radius).node_mask(fld.grid, closed=False)
+    region = solved.ball(center, radius).node_mask(fld.grid, closed=False)
     replaced = p_harmonic_replacement(fld, params.p, region=region)
     distance, energy_gap = comparison_gap(fld, replaced, params.p)
     nl_gap, nl_bound = nonlinearity_gap(fld, replaced, params)
@@ -682,7 +686,7 @@ def run_experiment(cfg: dict) -> ExperimentResult:
             "el_residual": el_residual(fld, params, ladder[-1]),
             "converged": solve.converged,
             "n_iterations": solve.n_iterations,
-            **{k: getattr(solve, k) for k in WORK_COUNTERS},
+            **solve.work,
             "n_stages": len(solve.stages),
             "stage_energies": [s.energies[-1] for s in solve.stages],
             "stage_exits": [s.exit for s in solve.stages],

@@ -65,12 +65,23 @@ class BallSpec:
         r2 = self.radius * self.radius
         return d2 <= r2 if closed else d2 < r2
 
-    def inside_grid(self, grid: Grid) -> bool:
-        """True when the closed cube of the same radius fits in the box."""
-        return all(
+    def within(self, grid: Grid) -> "BallSpec":
+        """This ball, or ValueError unless the grid resolves it: its radius
+        is at least twice the largest spacing, and the closed cube of the
+        same radius fits in the box."""
+        if self.radius < 2.0 * max(grid.spacing):
+            raise ValueError(
+                f"radius {self.radius} is below twice the grid spacing; "
+                "not resolvable"
+            )
+        if not all(
             a <= c - self.radius and c + self.radius <= b
             for (a, b), c in zip(grid.extents, self.center)
-        )
+        ):
+            raise ValueError(
+                f"ball of radius {self.radius} at {self.center} leaves the grid"
+            )
+        return self
 
 
 # ---------------------------------------------------------------------------

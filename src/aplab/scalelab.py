@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Grid, Params, ScalarField, build_grid
-from .energy import DiscreteEnergy, potential_value
+from .energy import DiscreteEnergy
 from .geometry import BallSpec, _loglog_fit
 
 __all__ = [
@@ -40,15 +40,6 @@ def _scale(r: float, k: float, reading: str) -> float:
     if not 0.0 < out < math.inf:
         raise ValueError(f"{reading}: r**{k:g} at r = {r:g} leaves the float range")
     return out
-
-
-def _validate_ball(grid: Grid, center, radius: float) -> None:
-    if radius < 2.0 * max(grid.spacing):
-        raise ValueError(
-            f"radius {radius} is below twice the grid spacing; not resolvable"
-        )
-    if not BallSpec(tuple(center), radius).inside_grid(grid):
-        raise ValueError(f"ball of radius {radius} at {tuple(center)} leaves the grid")
 
 
 @dataclass(frozen=True)
@@ -77,22 +68,22 @@ def growth_profile(
     radii = tuple(float(r) for r in radii)
     if not radii:
         raise ValueError("empty radius ladder")
-    for r in radii:
-        _validate_ball(grid, center, r)
+    balls = [BallSpec(center, r).within(grid) for r in radii]
     v = field.values
-    dirichlet_state = DiscreteEnergy.dirichlet(grid, params.p).at(v, 0.0)
-    pot = grid.quadrature_weights * (params.delta * potential_value(v, params))
+    state = DiscreteEnergy(grid, params).at(v, 0.0)
+    w = grid.quadrature_weights
+    dir_w = w * state.dirichlet
+    pot_w = w * (params.delta * state.potential)
     sup_pos, sup_neg, sup_abs, dirichlet, potential = [], [], [], [], []
-    for r in radii:
-        ball = BallSpec(center, r)
+    for ball in balls:
         closed = ball.node_mask(grid, closed=True)
         opened = ball.node_mask(grid, closed=False)
         vc = v[closed]
         sup_pos.append(float(np.max(np.maximum(vc, 0.0))))
         sup_neg.append(float(np.max(np.maximum(-vc, 0.0))))
         sup_abs.append(float(np.max(np.abs(vc))))
-        dirichlet.append(dirichlet_state.energy_in(opened))
-        potential.append(float(np.sum(pot[opened])))
+        dirichlet.append(float(np.sum(dir_w[opened])))
+        potential.append(float(np.sum(pot_w[opened])))
     return GrowthProfile(
         center=center,
         radii=radii,
@@ -249,7 +240,7 @@ def scaling_identity_gap(
     """
     grid = field.grid
     center = tuple(float(c) for c in center)
-    _validate_ball(grid, center, radius)
+    ball = BallSpec(center, radius).within(grid)
     s = _scale(r, 1.0 + params.tau, "scaling identity")
     weight = _scale(r, grid.ndim + params.p * params.tau, "scaling identity")
     scaled, scaled_params = rescale(
@@ -257,7 +248,7 @@ def scaling_identity_gap(
     )
     inner = BallSpec((0.0,) * grid.ndim, radius / r)
     lhs_region = inner.node_mask(scaled.grid, closed=False)
-    rhs_region = BallSpec(center, radius).node_mask(grid, closed=False)
+    rhs_region = ball.node_mask(grid, closed=False)
     scaled_state = DiscreteEnergy(scaled.grid, scaled_params).at(scaled.values, 0.0)
     lhs = weight * scaled_state.energy_in(lhs_region)
     rhs = DiscreteEnergy(grid, params).at(field.values, 0.0).energy_in(rhs_region)

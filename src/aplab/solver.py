@@ -42,13 +42,15 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import Grid, Params, ScalarField
-from .energy import DiscreteEnergy, potential_value
+from .energy import DiscreteEnergy
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -101,7 +103,7 @@ STAGE_EXITS = (
 )
 
 
-# The work counters of a solve: fields of SolveResult and keys of its tally.
+# The work counters of a solve: keys of its tally and of SolveResult.work.
 WORK_COUNTERS = (
     "linear_solves",  # systems solved, one per Newton step
     "cg_iterations",  # preconditioned CG iterations over all of them
@@ -112,9 +114,16 @@ WORK_COUNTERS = (
 )
 
 
+def _work(tally: Mapping[str, int] = MappingProxyType({})) -> Mapping[str, int]:
+    """A tally's ``WORK_COUNTERS``, in that order, as a read-only mapping."""
+    return MappingProxyType({k: tally.get(k, 0) for k in WORK_COUNTERS})
+
+
 @dataclass(frozen=True)
 class SolveResult:
-    """A solve's final field, its stages and its ``WORK_COUNTERS``.
+    """A solve's final field, its stages and its work counters.
+
+    ``work`` maps each of ``WORK_COUNTERS`` to its count, read-only.
 
     The totals derive from the stages; ``converged`` means that the last
     stage's exit residual meets ``_TOL_RESIDUAL`` (no stages: no free node).
@@ -123,12 +132,7 @@ class SolveResult:
     field: ScalarField
     energy: float  # exact-potential energy of the final iterate
     stages: tuple[StageRecord, ...] = ()
-    linear_solves: int = 0
-    cg_iterations: int = 0
-    superlu_solves: int = 0
-    lift_retries: int = 0
-    gradient_fallbacks: int = 0
-    backtracks: int = 0
+    work: Mapping[str, int] = field(default_factory=_work)  # WORK_COUNTERS
 
     @property
     def n_iterations(self) -> int:
@@ -590,7 +594,7 @@ def minimize(
         initial.with_values(it.u),
         kern.at(it.u, 0.0).energy,
         tuple(stages),
-        **{k: tally[k] for k in WORK_COUNTERS},
+        _work(tally),
     )
     if stall is not None:
         raise SolverStall(stall, result)
@@ -646,14 +650,13 @@ def comparison_gap(
         raise ValueError("fields live on different grids")
     kern = DiscreteEnergy.dirichlet(field.grid, p)
     w = kern.weights
-    qu = kern.grad_sq(field.values)
-    qv = kern.grad_sq(replaced.values)
+    su, sv = kern.at(field.values, 0.0), kern.at(replaced.values, 0.0)
     qd = kern.grad_sq(field.values - replaced.values)
-    energy_gap = float(np.sum(w * (qu ** (0.5 * p) - qv ** (0.5 * p)))) / p
+    energy_gap = float(np.sum(w * (su.dirichlet - sv.dirichlet)))
     if p >= 2.0:
         distance = float(np.sum(w * qd ** (0.5 * p)))
     else:
-        base = np.sqrt(qu) + np.sqrt(qv)
+        base = np.sqrt(su.q) + np.sqrt(sv.q)
         integrand = np.zeros_like(base)
         nz = base > 0.0
         integrand[nz] = base[nz] ** (p - 2.0) * qd[nz]
@@ -670,12 +673,12 @@ def nonlinearity_gap(
     valid for the exact potential: gamma-Hoelder in u for gamma <= 1,
     Lipschitz with slope gamma * M**(gamma-1) on |u| <= M for gamma >= 1.
     """
-    grid = field.grid
-    w = grid.quadrature_weights
+    kern = DiscreteEnergy(field.grid, params)
+    w = kern.weights
     u = field.values
     v = replaced.values
     gap = params.delta * float(
-        np.sum(w * (potential_value(v, params) - potential_value(u, params)))
+        np.sum(w * (kern.at(v, 0.0).potential - kern.at(u, 0.0).potential))
     )
     lam = params.lambda_plus + params.lambda_minus
     g = params.gamma

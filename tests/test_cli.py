@@ -120,6 +120,32 @@ def test_run_inequality_sweep_past_the_float_range_is_exit_2(tmp_path, capsys):
     assert "monotonicity margins at p = 1100" in capsys.readouterr().err
 
 
+_LADDER = {"center": [0.9], "radii": [0.0625, 0.5]}  # twice the spacing fits
+_BALL = {"center": [0.9], "radius": 0.5}  # reaches x = 1.4 on [-1, 1]
+_OFF_GRID_BALLS = {
+    "growth": _LADDER,
+    "density": _LADDER,
+    "perimeter": _LADDER,
+    "porosity": _LADDER,
+    "strip": {**_BALL, "eps_ladder": [0.1, 0.05]},
+    "scaling": {**_BALL, "r_values": [0.5]},
+    "replacement": _BALL,
+}
+
+
+@pytest.mark.parametrize("section", list(_OFF_GRID_BALLS))
+def test_run_ball_leaving_the_grid_is_exit_2(tmp_path, capsys, section):
+    # a ball diagnostic measures inside the box or not at all: clipped to
+    # the box, it would read the whole grid without a word
+    cfg_dict = small_config()
+    cfg_dict["diagnostics"] = {section: _OFF_GRID_BALLS[section]}
+    cfg = tmp_path / "ball.json"
+    cfg.write_text(json.dumps(cfg_dict))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "ball of radius 0.5 at (0.9,) leaves the grid" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_stall_is_exit_3_with_partial_bundle(tmp_path, capsys, monkeypatch):
     # an Armijo fraction near 1 with no backtracking room accepts no step
     monkeypatch.setattr(aplab.solver, "_ARMIJO_C1", 0.999)

@@ -1,6 +1,7 @@
 """Grids, parameters, fields, the text field format, and package exports."""
 
 import importlib
+import inspect
 import io
 import pkgutil
 import tokenize
@@ -258,5 +259,23 @@ def test_every_exported_name_has_a_caller():
         for module in _MODULES
         for name in getattr(importlib.import_module(module), "__all__", ())
         if name not in used
+    ]
+    assert unused == []
+
+
+def test_every_public_definition_has_a_caller():
+    # every public module-level function and class, exported or not, is
+    # called somewhere in the package or the benchmark: a string naming it
+    # does not count
+    src = Path(aplab.__file__).parent
+    used = _code_names(src) | _code_names(src.parents[1] / "perfbench")
+    unused = [
+        f"{module}.{name}"
+        for module in _MODULES
+        for name, obj in vars(importlib.import_module(module)).items()
+        if not name.startswith("_")
+        and (inspect.isfunction(obj) or inspect.isclass(obj))
+        and obj.__module__ == module
+        and name not in used
     ]
     assert unused == []

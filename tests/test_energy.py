@@ -6,13 +6,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from aplab.core import Params, ScalarField, build_grid
-from aplab.energy import (
-    DiscreteEnergy,
-    el_residual,
-    potential_curvature,
-    potential_derivative,
-    potential_value,
-)
+from aplab.energy import DiscreteEnergy, el_residual
 from aplab.oracle import one_phase_profile
 
 
@@ -31,45 +25,57 @@ def _gradient(fld, prm, eps):
 
 
 # ---------------------------------------------------------------------------
-# Potential
+# Potential: the kernel states of a 1D grid whose nodes carry the samples
+
+
+def _at_nodes(v, prm, eps=0.0):
+    """The state at width ``eps`` of a 1D grid whose nodes carry the values
+    ``v``; a single value is carried by two nodes, the fewest a grid has."""
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    v = np.resize(v, max(v.size, 2))
+    grid = build_grid(((0.0, 1.0),), v.shape)
+    return DiscreteEnergy(grid, prm).at(v, eps)
 
 
 def test_potential_one_sided_values():
     prm = _two_phase(gamma=1.0, lp=3.0, lm=5.0)
-    assert potential_value(2.0, prm) == pytest.approx(6.0)
-    assert potential_value(-2.0, prm) == pytest.approx(10.0)
-    assert potential_value(0.0, prm) == 0.0
+    f = _at_nodes([2.0, -2.0, 0.0], prm).potential
+    assert f[0] == pytest.approx(6.0)
+    assert f[1] == pytest.approx(10.0)
+    assert f[2] == 0.0
 
 
 def test_potential_symmetric_under_sign_flip_when_weights_match():
     prm = _two_phase(gamma=0.7, lp=1.3, lm=1.3)
     v = np.linspace(-2, 2, 41)
     np.testing.assert_allclose(
-        potential_value(v, prm), potential_value(-v, prm), rtol=1e-14
+        _at_nodes(v, prm).potential, _at_nodes(-v, prm).potential, rtol=1e-14
     )
 
 
 def test_potential_nonnegative():
     prm = _two_phase(gamma=0.5, lp=0.3, lm=2.0)
     v = np.linspace(-5, 5, 101)
-    assert (potential_value(v, prm, eps=0.0) >= 0).all()
-    assert (potential_value(v, prm, eps=0.3) >= 0).all()
+    assert (_at_nodes(v, prm, eps=0.0).potential >= 0).all()
+    assert (_at_nodes(v, prm, eps=0.3).potential >= 0).all()
 
 
 def test_smoothed_potential_error_bound():
     # smoothing changes the value by at most (lam+ + lam-) * eps^gamma
     prm = _two_phase(gamma=0.6, lp=1.1, lm=0.4)
     v = np.linspace(-3, 3, 601)
+    exact = _at_nodes(v, prm).potential
     for eps in (1e-1, 1e-2, 1e-3):
-        gap = np.abs(potential_value(v, prm, eps) - potential_value(v, prm))
+        gap = np.abs(_at_nodes(v, prm, eps).potential - exact)
         assert gap.max() <= (1.1 + 0.4) * eps**0.6 + 1e-15
 
 
 def test_potential_derivative_piecewise_constant_at_gamma_one():
     prm = _two_phase(gamma=1.0, lp=2.0, lm=3.0)
-    assert potential_derivative(1.5, prm) == pytest.approx(2.0)
-    assert potential_derivative(-1.5, prm) == pytest.approx(-3.0)
-    assert potential_derivative(0.0, prm) == 0.0
+    d = _at_nodes([1.5, -1.5, 0.0], prm).slope()
+    assert d[0] == pytest.approx(2.0)
+    assert d[1] == pytest.approx(-3.0)
+    assert d[2] == 0.0
 
 
 def test_potential_derivative_matches_value_slope():
@@ -78,9 +84,10 @@ def test_potential_derivative_matches_value_slope():
     v = np.linspace(-2, 2, 41)
     step = 1e-7
     fd = (
-        potential_value(v + step, prm, eps) - potential_value(v - step, prm, eps)
+        _at_nodes(v + step, prm, eps).potential
+        - _at_nodes(v - step, prm, eps).potential
     ) / (2 * step)
-    np.testing.assert_allclose(potential_derivative(v, prm, eps), fd, atol=1e-6)
+    np.testing.assert_allclose(_at_nodes(v, prm, eps).slope(), fd, atol=1e-6)
 
 
 @pytest.mark.parametrize("lp, lm", [(1.0, 1.0), (1.0, 0.3)])
@@ -93,13 +100,12 @@ def test_potential_curvature_matches_derivative_slope(lp, lm):
     assert np.count_nonzero(v == 0.0) == 1
     step = 1e-9
     fd = (
-        potential_derivative(v + step, prm, eps)
-        - potential_derivative(v - step, prm, eps)
+        _at_nodes(v + step, prm, eps).slope() - _at_nodes(v - step, prm, eps).slope()
     ) / (2 * step)
-    curv = potential_curvature(v, prm, eps)
+    curv = _at_nodes(v, prm, eps).curvature()
     np.testing.assert_allclose(curv, fd, rtol=1e-6, atol=1e-6 * np.max(np.abs(fd)))
     mean = 0.5 * (lp + lm) * 0.5 * eps**-1.5
-    assert potential_curvature(0.0, prm, eps) == pytest.approx(mean, rel=1e-14)
+    assert _at_nodes(0.0, prm, eps).curvature()[0] == pytest.approx(mean, rel=1e-14)
 
 
 def _two_phase_sum(v, prm, eps):
@@ -154,17 +160,17 @@ def test_one_power_potential_is_the_two_phase_sum_bit_for_bit(v, gamma, lp, lm, 
     # even a zero's sign or an inf/nan at widths out of the kernel's range
     assume(lp != lm)
     prm = _two_phase(p=4.0, gamma=gamma, lp=lp, lm=lm)
-    v = np.array(v)
     with np.errstate(all="ignore"):
-        value, slope, curv = _two_phase_sum(v, prm, eps)
-        assert _same_bits(potential_value(v, prm, eps), value)
-        assert _same_bits(potential_derivative(v, prm, eps), slope)
+        it = _at_nodes(v, prm, eps)
+        value, slope, curv = _two_phase_sum(it.u, prm, eps)
+        assert _same_bits(it.potential, value)
+        assert _same_bits(it.slope(), slope)
         if eps > 0.0:
-            assert _same_bits(potential_curvature(v, prm, eps), curv)
+            assert _same_bits(it.curvature(), curv)
 
 
 @pytest.mark.parametrize("shape", [(65,), (17, 13)])
-def test_iterate_state_matches_the_public_functions(shape):
+def test_iterate_state_is_the_two_phase_sum(shape):
     prm = _two_phase(p=2.5, gamma=0.6, lp=1.3, lm=0.4, delta=0.7)
     grid = build_grid(tuple((-1.0, 1.0) for _ in shape), shape)
     kern = DiscreteEnergy(grid, prm)
@@ -175,10 +181,13 @@ def test_iterate_state_matches_the_public_functions(shape):
     it = kern.at(u, eps)
     q = kern.grad_sq(u)
     assert _same_bits(it.q, q)
-    assert _same_bits(it.curvature(), potential_curvature(u, prm, eps))
-    # and the potential terms inside them are the two-phase sum
-    value, slope, _ = _two_phase_sum(u, prm, eps)
+    # the potential terms inside the state are the two-phase sum
+    value, slope, curv = _two_phase_sum(u, prm, eps)
     phi = ((q + eps * eps) ** (0.5 * prm.p) - eps**prm.p) / prm.p
+    assert _same_bits(it.curvature(), curv)
+    assert _same_bits(it.dirichlet, phi)
+    assert _same_bits(it.potential, value)
+    assert _same_bits(it.slope(), slope)
     w = grid.quadrature_weights
     assert it.energy == float(np.sum(w * (phi + prm.delta * value)))
     assert _same_bits(it.energy_in(np.ones(shape, dtype=bool)), it.energy)

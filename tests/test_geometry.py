@@ -69,8 +69,14 @@ def test_ball_center_dimension_checked():
 
 def test_ball_inside_grid():
     grid = build_grid(((-1.0, 1.0), (-1.0, 1.0)), (9, 9))
-    assert BallSpec((0.0, 0.0), 0.9).inside_grid(grid)
-    assert not BallSpec((0.5, 0.0), 0.6).inside_grid(grid)
+    ball = BallSpec((0.0, 0.0), 0.9)
+    assert ball.within(grid) is ball
+    with pytest.raises(ValueError, match="leaves the grid"):
+        BallSpec((0.5, 0.0), 0.6).within(grid)
+    # twice the spacing 0.25 is the smallest radius the grid resolves
+    assert BallSpec((0.0, 0.0), 0.5).within(grid)
+    with pytest.raises(ValueError, match="not resolvable"):
+        BallSpec((0.0, 0.0), 0.49).within(grid)
 
 
 # ---------------------------------------------------------------------------

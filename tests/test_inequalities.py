@@ -155,13 +155,36 @@ def test_v_equivalence_rejects_constant_below_one():
         check_v_equivalence(np.zeros((1, 2)), np.zeros((1, 2)), 3.0, 0.5)
 
 
-@pytest.mark.parametrize("p", [1.2, 1.5, 2.0, 3.0, 4.0, 6.0])
+def _sampled_v_constant(p, samples=100_000):
+    """The v-map constant from 100k samples of t in (0, 1) on the parallel
+    and the antipodal curve, joined by their end values."""
+    t = np.arange(1, samples + 1) / (samples + 1.0)
+    with np.errstate(over="ignore", divide="ignore"):
+        half_log = 0.5 * p * np.log(t)  # log t^(p/2)
+        tail = (1.0 + t * t) ** ((2.0 - p) / 2.0)
+        # expm1 gives t^(p/2) - 1 without the cancellation of 1 - t^(p/2) at t -> 1
+        parallel = (np.expm1(half_log) / (1.0 - t)) ** 2 * tail
+        antipodal = ((1.0 + np.exp(half_log)) / (1.0 + t)) ** 2 * tail
+        edge = 2.0 ** ((2.0 - p) / 2.0)
+        ratio = np.concatenate([parallel, antipodal, [1.0, p * p / 4.0 * edge, edge]])
+        return float(max(ratio.max(), 1.0 / ratio.min()) * (1.0 + 1e-6))
+
+
+@pytest.mark.parametrize(
+    "p", [1.2, 1.5, 2.0, 3.0, 4.0, 6.0, *np.geomspace(1.01, 2049.0, 13).round(6)]
+)
 def test_calibrated_constant_is_the_endpoint_extremum(p):
     # the parallel (b -> a) and antipodal (b = -a) limits carry the extremes
     par = p * p / 4.0 * 2.0 ** ((2.0 - p) / 2.0)
     perp = 2.0 ** ((2.0 - p) / 2.0)
     expected = max(par, 1.0 / par, perp, 1.0 / perp) * (1.0 + 1e-6)
-    assert calibrate_v_constant(p) == pytest.approx(expected, rel=1e-12, abs=0.0)
+    c = calibrate_v_constant(p)
+    assert c == pytest.approx(expected, rel=1e-12, abs=0.0)
+    # no sample inside either curve lies beyond the end values, to rounding
+    # (at p = 2 the sampled constant reads 1.0000010000000004)
+    sampled = _sampled_v_constant(p)
+    assert c <= sampled
+    assert sampled == pytest.approx(c, rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("p", [2060.0, 2500.0])

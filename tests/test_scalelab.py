@@ -50,6 +50,10 @@ def test_growth_profile_ball_energies_closed_form():
     assert prof.dirichlet[0] == pytest.approx(63.5 * h, abs=1e-15)
     # potential density |x|/2 sums to (2 * sum_{k<64} k) * h^2 / 2
     assert prof.potential[0] == pytest.approx(2016.0 * h * h, abs=1e-15)
+    # the potential series carries delta, the Dirichlet series does not
+    tripled = growth_profile(fld, PAR2.with_delta(3.0), (0.0,), (0.125,))
+    assert tripled.dirichlet == prof.dirichlet
+    assert tripled.potential[0] == pytest.approx(3.0 * 2016.0 * h * h, abs=1e-15)
 
 
 def test_growth_profile_validation():

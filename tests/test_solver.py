@@ -22,6 +22,7 @@ from aplab.solver import (
     SolverStall,
     STAGE_EXITS,
     StageRecord,
+    WORK_COUNTERS,
     comparison_gap,
     minimize,
     nonlinearity_gap,
@@ -347,6 +348,10 @@ def test_solve_result_derives_its_totals_from_its_stages():
     assert SolveResult(fld, 0.5, stages[:1]).converged
     empty = SolveResult(fld, 0.5)
     assert empty.converged and empty.residual_rms == 0.0 and empty.n_iterations == 0
+    # the work counters are one read-only mapping keyed by WORK_COUNTERS
+    assert tuple(empty.work) == WORK_COUNTERS and not any(empty.work.values())
+    with pytest.raises(TypeError):
+        empty.work["backtracks"] = 1
 
 
 def test_minimize_energy_traces_decrease(convex_1d):
@@ -357,10 +362,10 @@ def test_minimize_energy_traces_decrease(convex_1d):
 
 def test_minimize_1d_solves_by_banded_cholesky(convex_1d):
     res = convex_1d.result
-    assert res.linear_solves >= res.n_iterations > 0
-    assert res.superlu_solves == 0
-    assert res.cg_iterations == 0
-    assert res.lift_retries == res.gradient_fallbacks == 0
+    assert res.work["linear_solves"] >= res.n_iterations > 0
+    assert res.work["superlu_solves"] == 0
+    assert res.work["cg_iterations"] == 0
+    assert res.work["lift_retries"] == res.work["gradient_fallbacks"] == 0
 
 
 def test_minimize_counts_diagonal_lift_retries(monkeypatch):
@@ -371,9 +376,9 @@ def test_minimize_counts_diagonal_lift_retries(monkeypatch):
     monkeypatch.setattr(aplab.solver, "_MAX_ITERS", 4)
     fld, par = _one_phase_start(n=65)
     res = minimize(fld, par, (0.1,))
-    assert res.n_iterations == res.linear_solves == 4
-    assert res.lift_retries == res.superlu_solves == 4
-    assert res.gradient_fallbacks == 0
+    assert res.n_iterations == res.work["linear_solves"] == 4
+    assert res.work["lift_retries"] == res.work["superlu_solves"] == 4
+    assert res.work["gradient_fallbacks"] == 0
 
 
 def test_nonfinite_lifted_solve_is_a_stall(monkeypatch):
@@ -390,7 +395,8 @@ def test_nonfinite_lifted_solve_is_a_stall(monkeypatch):
         f"(residual rms {res.residual_rms:.3e})"
     )
     assert not res.converged and np.isfinite(res.residual_rms)
-    assert res.n_iterations == 0 and res.lift_retries == res.linear_solves == 1
+    assert res.n_iterations == 0
+    assert res.work["lift_retries"] == res.work["linear_solves"] == 1
     assert [(s.eps, s.exit) for s in res.stages] == [(0.1, "stall")]
     np.testing.assert_array_equal(res.field.values, fld.values)
 
@@ -402,17 +408,17 @@ def test_minimize_counts_gradient_fallbacks(monkeypatch):
     monkeypatch.setattr(aplab.solver, "_MAX_ITERS", 4)
     fld, par = _one_phase_start(n=65)
     res = minimize(fld, par, (0.1,))
-    assert res.n_iterations == res.linear_solves == 4
-    assert res.gradient_fallbacks == 4
-    assert res.lift_retries == res.superlu_solves == 0
+    assert res.n_iterations == res.work["linear_solves"] == 4
+    assert res.work["gradient_fallbacks"] == 4
+    assert res.work["lift_retries"] == res.work["superlu_solves"] == 0
 
 
 @pytest.mark.parametrize("fixture", ["crossing_2d", "branching_2d"])
 def test_minimize_2d_solves_by_cg_without_misses(fixture, request):
     res = request.getfixturevalue(fixture).result
-    assert res.linear_solves >= res.n_iterations > 0
-    assert res.cg_iterations >= res.linear_solves
-    assert res.superlu_solves == 0
+    assert res.work["linear_solves"] >= res.n_iterations > 0
+    assert res.work["cg_iterations"] >= res.work["linear_solves"]
+    assert res.work["superlu_solves"] == 0
 
 
 def test_newton_model_step_count_on_the_restricted_run(restricted_cases):
@@ -420,7 +426,7 @@ def test_newton_model_step_count_on_the_restricted_run(restricted_cases):
     # run; the stiffer |F''| model took 975
     res = restricted_cases[(2.0, 0.5)].result
     assert res.n_iterations <= 600
-    assert res.linear_solves == res.n_iterations
+    assert res.work["linear_solves"] == res.n_iterations
 
 
 def test_restricted_run_records_polish_and_capped_stages(
@@ -465,7 +471,7 @@ def test_minimize_reports_stall_with_partial_state(monkeypatch):
     assert len(partial.stages) >= 1
     assert partial.stages[-1].exit == "stall"
     assert partial.residual_rms > 1e3 * aplab.solver._TOL_RESIDUAL
-    assert partial.backtracks == 2  # t = 1 and t = 1/2 were tried
+    assert partial.work["backtracks"] == 2  # t = 1 and t = 1/2 were tried
 
 
 def test_minimize_counts_rejected_armijo_trials(monkeypatch):
@@ -477,8 +483,8 @@ def test_minimize_counts_rejected_armijo_trials(monkeypatch):
     with pytest.raises(SolverStall) as info:
         minimize(fld, par, (0.1,))
     res = info.value.result
-    assert res.backtracks == 47
-    assert res.n_iterations == 0 and res.linear_solves == 1
+    assert res.work["backtracks"] == 47
+    assert res.n_iterations == 0 and res.work["linear_solves"] == 1
 
 
 def test_polish_after_a_failed_search_steps_along_the_solved_direction(monkeypatch):
@@ -501,8 +507,8 @@ def test_polish_after_a_failed_search_steps_along_the_solved_direction(monkeypat
 
     monkeypatch.setattr(aplab.solver, "_STEP_FLOOR", 2.0)
     res = minimize(start.with_values(u), par, (0.1,))
-    assert res.n_iterations == 1 and res.linear_solves == 1
-    assert res.backtracks == 0  # no trial fits above the floor
+    assert res.n_iterations == 1 and res.work["linear_solves"] == 1
+    assert res.work["backtracks"] == 0  # no trial fits above the floor
     assert np.array_equal(res.field.values, want)
     assert res.converged
 
