@@ -1,8 +1,8 @@
 """``apl``: run experiment configs, diff report bundles, print oracles.
 
 Exit codes: 0 success, 1 compare deltas above tolerance, 2 invalid
-config/arguments, 3 solver stall (partial bundle is still written),
-4 failure writing outputs.
+config/arguments, 3 solve stopped short of its tolerance (the partial
+bundle is still written), 4 failure writing outputs.
 """
 
 from __future__ import annotations
@@ -78,16 +78,10 @@ def _cmd_run(args) -> int:
     except OSError as exc:
         print(f"apl run: cannot write bundle: {exc}", file=sys.stderr)
         return 4
-    if result.stall is not None:
-        print(
-            f"apl run: solver stalled: {result.stall}; "
-            f"partial bundle in {args.out}",
-            file=sys.stderr,
-        )
-        return 3
     if not result.solve.converged:
         print(
-            f"apl run: residual tolerance not reached; bundle in {args.out}",
+            f"apl run: residual tolerance not reached: {result.solve.shortfall}; "
+            f"partial bundle in {args.out}",
             file=sys.stderr,
         )
         return 3

@@ -40,12 +40,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Grid, Params, ScalarField
+from .core import Grid, Params
 
 __all__ = [
     "DiscreteEnergy",
     "Iterate",
-    "el_residual",
 ]
 
 
@@ -310,32 +309,3 @@ class Iterate:
         """
         return self.pot.curvature(self.phases)
 
-
-def el_residual(
-    field: ScalarField,
-    params: Params,
-    eps: float = 0.0,
-    activity_threshold: float | None = None,
-) -> float:
-    """Max Euler-Lagrange defect over active interior nodes.
-
-    The defect is the kernel's first variation at width ``eps`` divided by
-    the node weight, -Delta_p,h u + delta * F'(u): the array ``minimize``
-    drives to zero.  Excluded: nodes with |u| at or below the activity
-    threshold (default 10 h^(1+tau), h the largest grid spacing), and
-    nodes within two layers of a grid face -- at the face-adjacent layer
-    the variational stencil encodes the natural boundary flux, not the
-    operator, and differs from it by O(1) for p != 2.  If nothing is
-    active the residual is 0.
-    """
-    g = field.grid
-    if activity_threshold is None:
-        activity_threshold = 10.0 * max(g.spacing) ** (1.0 + params.tau)
-    u = field.values
-    defect = DiscreteEnergy(g, params).at(u, eps).gradient() / g.quadrature_weights
-    interior = np.zeros(g.shape, dtype=bool)
-    interior[(slice(2, -2),) * g.ndim] = True
-    active = interior & (np.abs(u) > activity_threshold)
-    if not active.any():
-        return 0.0
-    return float(np.max(np.abs(defect[active])))

@@ -38,7 +38,6 @@ from .core import (
     report_leaves,
     save_field,
 )
-from .energy import el_residual
 from .geometry import (
     BallSpec,
     minkowski_content,
@@ -148,7 +147,6 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "zero_tol": _POSNUM,
-                "grad_tol": _POSNUM,
                 "growth": _BALL_DIAG,
                 "density": _BALL_DIAG,
                 "perimeter": _BALL_DIAG,
@@ -635,34 +633,29 @@ class ExperimentResult:
     solve: SolveResult
     report: dict
     manifest: dict
-    stall: str | None  # the SolverStall message when the solve stalled
 
 
 def run_experiment(cfg: dict) -> ExperimentResult:
     """Validate the config, solve the problem and collect requested diagnostics.
 
-    A solver stall is not fatal here: diagnostics run on the partial
-    iterate, the report is marked ``stalled`` and ``stall`` keeps the
-    stall message; the caller decides the exit status.  A diagnostic that
-    cannot be computed, a replacement that does not converge included,
-    raises ConfigError, and so does a continuation ladder that ``minimize``
-    refuses.
+    A solve that stops short is not fatal here: diagnostics run on the
+    partial iterate, the report is marked ``stalled`` when its last stage
+    stalled, and ``solve.shortfall`` says how it ended; the caller decides
+    the exit status.  A diagnostic that cannot be computed, a replacement
+    that does not converge included, raises ConfigError, and so does a
+    continuation ladder that ``minimize`` refuses.
     """
     validate_config(cfg)
     field0, params, ladder = build_problem(cfg)
-    stall = None
     try:
         solve = minimize(field0, params, ladder)
-    except SolverStall as exc:
-        solve = exc.result
-        stall = str(exc)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     fld = solve.field
     grid = fld.grid
 
     diag = cfg.get("diagnostics", {})
-    cls = classify(fld, params, diag.get("zero_tol"), diag.get("grad_tol"))
+    cls = classify(fld, params, diag.get("zero_tol"))
 
     report = {
         "params": {
@@ -683,13 +676,14 @@ def run_experiment(cfg: dict) -> ExperimentResult:
         "solve": {
             "energy": solve.energy,
             "residual_rms": solve.residual_rms,
-            "el_residual": el_residual(fld, params, ladder[-1]),
+            "residual_max": solve.residual_max,
             "converged": solve.converged,
             "n_iterations": solve.n_iterations,
             **solve.work,
             "n_stages": len(solve.stages),
             "stage_energies": [s.energies[-1] for s in solve.stages],
             "stage_exits": [s.exit for s in solve.stages],
+            "stage_residuals": [s.residual_rms for s in solve.stages],
         },
         "phases": {
             "zero_tol": cls.zero_tol,
@@ -697,7 +691,7 @@ def run_experiment(cfg: dict) -> ExperimentResult:
             **{f"n_{name}": int(np.count_nonzero(mask))
                for name, mask in cls.masks().items()},
         },
-        "stalled": stall is not None,
+        "stalled": bool(solve.stages) and solve.stages[-1].exit == "stall",
         "diagnostics": {},
     }
     solved = _Solved(fld, params, cls, cfg.get("seed"))
@@ -719,7 +713,7 @@ def run_experiment(cfg: dict) -> ExperimentResult:
         "seed": cfg.get("seed"),
         "outputs": ["field.apf", "report.json", "diagnostics.csv"],
     }
-    return ExperimentResult(solve=solve, report=report, manifest=manifest, stall=stall)
+    return ExperimentResult(solve=solve, report=report, manifest=manifest)
 
 
 def write_bundle(result: ExperimentResult, outdir) -> None:

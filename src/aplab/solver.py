@@ -8,8 +8,9 @@ the linearized diffusion operator (assembled from the same edge
 conductances that make up the exact gradient) plus the convex part
 max(F'', 0) of the potential curvature, solved sparsely, then an Armijo
 backtracking line search on the true stage energy.  A line search that
-collapses below the step floor is a stall and raises, carrying the
-partial result; so is a Newton system with no finite solution.
+collapses below the step floor is a stall, and so is a Newton system with
+no finite solution; a stall ends the ladder, and the solve returns its
+partial result with a message that says where it stopped.
 
 Each line-search trial is one ``DiscreteEnergy.at`` state.  The trial
 Armijo accepts becomes the next iterate, and the gradient, conductances
@@ -85,12 +86,17 @@ _TOL_ENERGY = 1e-15
 
 @dataclass(frozen=True)
 class StageRecord:
-    """One continuation stage: smoothing width, trace, exit residual and why."""
+    """One continuation stage: smoothing width, trace, exit residual and why.
+
+    The residual is the scaled gradient |g / w| over the free nodes of the
+    field the stage leaves, at the stage's width: its rms and its max.
+    """
 
     eps: float  # width of both the potential and the gradient smoothing
     n_iters: int
     energies: tuple[float, ...]
     residual_rms: float
+    residual_max: float
     exit: str  # one of STAGE_EXITS
 
 
@@ -121,18 +127,22 @@ def _work(tally: Mapping[str, int] = MappingProxyType({})) -> Mapping[str, int]:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """A solve's final field, its stages and its work counters.
+    """A solve's final field, its stages, its work counters and how it ended.
 
     ``work`` maps each of ``WORK_COUNTERS`` to its count, read-only.
 
     The totals derive from the stages; ``converged`` means that the last
     stage's exit residual meets ``_TOL_RESIDUAL`` (no stages: no free node).
+    ``shortfall`` is None for a converged solve; otherwise it names the
+    last stage's exit, its smoothing width and the residual, and a
+    line-search stall also the last accepted step.
     """
 
     field: ScalarField
     energy: float  # exact-potential energy of the final iterate
     stages: tuple[StageRecord, ...] = ()
     work: Mapping[str, int] = field(default_factory=_work)  # WORK_COUNTERS
+    shortfall: str | None = None
 
     @property
     def n_iterations(self) -> int:
@@ -144,16 +154,20 @@ class SolveResult:
         return self.stages[-1].residual_rms if self.stages else 0.0
 
     @property
+    def residual_max(self) -> float:
+        """Scaled gradient max of the final field at the last stage's width."""
+        return self.stages[-1].residual_max if self.stages else 0.0
+
+    @property
     def converged(self) -> bool:
         return self.residual_rms <= _TOL_RESIDUAL
 
 
 class SolverStall(RuntimeError):
-    """A solve stopped short of its tolerance; .result holds the partial state.
+    """A replacement stopped short of its tolerance; .result holds its solve.
 
-    ``minimize`` raises it when the line search falls below the step floor
-    or a linear solve stays non-finite, ``p_harmonic_replacement`` also
-    when the descent ends unconverged.
+    ``p_harmonic_replacement`` raises it when its descent ends unconverged,
+    a stall included; ``minimize`` itself returns every solve.
     """
 
     def __init__(self, message: str, result: SolveResult):
@@ -467,12 +481,13 @@ def minimize(
     stage ends when its residual meets ``_TOL_RESIDUAL``, at the step cap,
     when the polish stops contracting the residual, or in a stall, and is
     recorded once, with the residual of the iterate it leaves and which of
-    these ``STAGE_EXITS`` it took.  A stall then raises SolverStall
-    carrying the best iterate so far: the Armijo search fell below the
-    step floor, or a Newton system had no finite solution even after the
-    diagonal lift.  Its message names the stage's smoothing
-    width and the residual; a line-search stall also names the step length
-    of the last accepted Armijo step ("none" before the first).
+    these ``STAGE_EXITS`` it took.  A stall (the Armijo search fell below
+    the step floor, or a Newton system had no finite solution even after
+    the diagonal lift) ends the ladder, and the solve returns the best
+    iterate so far.  A solve whose last stage misses the tolerance carries
+    a ``shortfall`` message naming that stage's exit, smoothing width and
+    residual; a line-search stall also names the step length of the last
+    accepted Armijo step ("none" before the first).
     """
     kern = DiscreteEnergy(initial.grid, params)
     _check_ladder(eps_ladder, kern)
@@ -487,7 +502,7 @@ def minimize(
     tally: Counter = Counter()
     stages: list[StageRecord] = []
     t_last = None  # step length of the last accepted Armijo step
-    stall = None  # the message of a stall, which ends the solve
+    shortfall = None  # why the solve stopped short: a stall ends the ladder
 
     def free_gradient(state) -> np.ndarray:
         return state.gradient().ravel()[idx_f]
@@ -523,7 +538,7 @@ def minimize(
             M = block(it.conductances, stiff, w_f * curv.ravel()[idx_f])
             d = _solve_spd(M, g_f, precond, tally)
             if d is None:
-                stall = (
+                shortfall = (
                     f"linear solve non-finite at smoothing width {eps:g} "
                     f"(residual rms {res_rms:.3e})"
                 )
@@ -553,7 +568,7 @@ def minimize(
                 polishing = t < _STEP_FLOOR
                 if polishing and res_rms > 1e3 * _TOL_RESIDUAL:
                     last = "none" if t_last is None else f"t = {t_last:g}"
-                    stall = (
+                    shortfall = (
                         f"line search stalled at smoothing width {eps:g} "
                         f"(residual rms {res_rms:.3e}, last accepted step {last})"
                     )
@@ -586,19 +601,24 @@ def minimize(
                 polishing = True
         if stage_exit is None:
             stage_exit = "tolerance" if res_rms <= _TOL_RESIDUAL else "step_cap"
-        stages.append(StageRecord(eps, n_it, tuple(trace), res_rms, stage_exit))
-        if stall is not None:
+        res_max = float(np.max(np.abs(g_f / w_f)))
+        stages.append(
+            StageRecord(eps, n_it, tuple(trace), res_rms, res_max, stage_exit)
+        )
+        if shortfall is not None:
             break
-
-    result = SolveResult(
+    if shortfall is None and stage_exit != "tolerance":
+        shortfall = (
+            f"{stage_exit} exit at smoothing width {eps:g} "
+            f"(residual rms {res_rms:.3e})"
+        )
+    return SolveResult(
         initial.with_values(it.u),
         kern.at(it.u, 0.0).energy,
         tuple(stages),
         _work(tally),
+        shortfall,
     )
-    if stall is not None:
-        raise SolverStall(stall, result)
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -615,8 +635,8 @@ def p_harmonic_replacement(
     smoothing width 1e-9 (which does not enter the conductances at p = 2),
     so the result is a critical point of the same discrete energy that
     ``comparison_gap`` reads, in every dimension.  A result that misses
-    the residual tolerance raises SolverStall carrying it, as does a stall
-    inside ``minimize``.
+    the residual tolerance, a stall of that descent included, raises
+    SolverStall carrying it.
     """
     grid = field.grid
     relax = field.free_mask if region is None else (np.asarray(region) & field.free_mask)

@@ -22,7 +22,7 @@ from hypothesis import HealthCheck, settings
 import aplab
 from aplab.core import Params, ScalarField, build_grid
 from aplab.oracle import one_phase_profile
-from aplab.solver import SolveResult, minimize
+from aplab.solver import DEFAULT_LADDER, SolveResult, minimize
 
 settings.register_profile(
     "ci",
@@ -70,7 +70,11 @@ class SolvedCase:
 
 
 def solve_one_phase_1d(
-    p: float, gamma: float, lam: float, n: int = 1025
+    p: float,
+    gamma: float,
+    lam: float,
+    n: int = 1025,
+    ladder: tuple[float, ...] = DEFAULT_LADDER,
 ) -> SolvedCase:
     """Solve on [-1, 1] with the exact power profile as boundary data and
     zero interior start; the minimizer should recover the profile."""
@@ -85,7 +89,7 @@ def solve_one_phase_1d(
         grid, np.zeros_like(x), grid.boundary_face_mask, exact.copy()
     )
     t0 = time.perf_counter()
-    result = minimize(init, params)
+    result = minimize(init, params, ladder)
     return SolvedCase(params, result, exact, time.perf_counter() - t0)
 
 
@@ -108,6 +112,10 @@ def solve_crossing(resolution, lam: float = 0.05) -> SolvedCase:
 
 BRANCHING_AMPLITUDE = 0.45 ** (2.0 / 3.0)
 
+# The default ladder continued to 1e-9, close enough to the exact problem
+# that the gamma >= 1 solves become the discrete minimizers (ROADMAP item 11)
+LADDER_TO_1E9 = DEFAULT_LADDER + (1e-7, 1e-9)
+
 # (p, gamma) -> lambda for the restricted-range growth runs
 RESTRICTED_RUNS = {
     (2.0, 0.5): 1.0,
@@ -124,6 +132,16 @@ def convex_1d() -> SolvedCase:
 @pytest.fixture(scope="session")
 def degenerate_1d() -> SolvedCase:
     return solve_one_phase_1d(3.0, 1.0, 2.25)
+
+
+@pytest.fixture(scope="session")
+def convex_1d_to_1e9() -> SolvedCase:
+    return solve_one_phase_1d(2.0, 1.0, 0.5, ladder=LADDER_TO_1E9)
+
+
+@pytest.fixture(scope="session")
+def degenerate_1d_to_1e9() -> SolvedCase:
+    return solve_one_phase_1d(3.0, 1.0, 2.25, ladder=LADDER_TO_1E9)
 
 
 @pytest.fixture(scope="session")

@@ -155,7 +155,12 @@ def test_run_stall_is_exit_3_with_partial_bundle(tmp_path, capsys, monkeypatch):
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--out", str(out)]) == 3
     err = capsys.readouterr().err
-    assert "solver stalled: line search stalled at smoothing width" in err
+    assert re.search(
+        r"residual tolerance not reached: line search stalled at smoothing "
+        r"width 0\.1 \(residual rms \S+, last accepted step none\); "
+        "partial bundle in ",
+        err,
+    )
     assert (out / "report.json").is_file()
     assert json.loads((out / "report.json").read_text())["stalled"] is True
 
@@ -167,8 +172,11 @@ def test_run_unconverged_without_stall_is_exit_3(tmp_path, capsys, monkeypatch):
     cfg.write_text(json.dumps(small_config()))
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--out", str(out)]) == 3
-    assert "residual tolerance not reached; bundle in" in capsys.readouterr().err
     report = json.loads((out / "report.json").read_text())
+    assert (
+        "residual tolerance not reached: step_cap exit at smoothing width 1e-05 "
+        f"(residual rms {report['solve']['residual_rms']:.3e}); partial bundle in "
+    ) in capsys.readouterr().err
     assert report["stalled"] is False
     assert report["solve"]["converged"] is False
     assert report["solve"]["stage_exits"][-1] == "step_cap"
@@ -186,7 +194,10 @@ def test_run_nonfinite_linear_solve_is_exit_3_with_partial_bundle(
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--out", str(out)]) == 3
     err = capsys.readouterr().err
-    assert "stalled: linear solve non-finite at smoothing width 0.1" in err
+    assert (
+        "residual tolerance not reached: linear solve non-finite at smoothing "
+        "width 0.1 (residual rms "
+    ) in err
     report = json.loads((out / "report.json").read_text())
     assert report["stalled"] is True
     assert report["solve"]["converged"] is False

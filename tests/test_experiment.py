@@ -72,7 +72,7 @@ def test_config_schema_is_a_valid_schema():
 
 def test_schema_diagnostics_are_the_table_keys_and_thresholds():
     keys = CONFIG_SCHEMA["properties"]["diagnostics"]["properties"]
-    assert set(keys) == set(_DIAGNOSTICS) | {"zero_tol", "grad_tol"}
+    assert set(keys) == set(_DIAGNOSTICS) | {"zero_tol"}
 
 
 def test_readme_config_example_is_valid():
@@ -272,13 +272,16 @@ def tiny_result():
 def test_run_report_structure(tiny_result):
     rep = tiny_result.report
     assert rep["solve"]["converged"] is True
-    assert tiny_result.stall is None and rep["stalled"] is False
+    assert tiny_result.solve.shortfall is None and rep["stalled"] is False
     assert rep["params"]["tau"] == 1.0
     assert rep["grid"]["resolution"] == [129]
     assert rep["solve"]["n_stages"] == 9
     assert len(rep["solve"]["stage_energies"]) == 9
     assert len(rep["solve"]["stage_exits"]) == 9
     assert rep["solve"]["stage_exits"][-1] == "tolerance"
+    stages = tiny_result.solve.stages
+    assert rep["solve"]["stage_residuals"] == [s.residual_rms for s in stages]
+    assert rep["solve"]["residual_max"] == stages[-1].residual_max
     for key in ("growth", "density", "replacement", "scaling", "inequalities"):
         assert key in rep["diagnostics"]
 
@@ -364,7 +367,7 @@ def test_run_marks_stall_and_still_reports(monkeypatch):
     # the patched line search would stall the replacement's solve as well
     del cfg["diagnostics"]["replacement"]
     out = run_experiment(cfg)
-    assert out.stall.startswith("line search stalled at smoothing width")
+    assert out.solve.shortfall.startswith("line search stalled at smoothing width")
     assert out.report["stalled"] is True
     assert out.report["solve"]["converged"] is False
     assert "growth" in out.report["diagnostics"]

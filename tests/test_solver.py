@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -334,20 +335,61 @@ def test_capped_stage_reports_the_residual_of_its_last_step(monkeypatch):
     kern = DiscreteEnergy(fld.grid, par)
     r = (kern.at(res.field.values, 0.1).gradient() / kern.weights)[fld.free_mask]
     assert res.residual_rms == np.sqrt(np.mean(r * r))
+    assert res.residual_max == np.max(np.abs(r))
+    assert not res.converged
+    assert res.shortfall == (
+        f"step_cap exit at smoothing width 0.1 (residual rms {res.residual_rms:.3e})"
+    )
+
+
+_SESSION_SOLVES = [
+    "convex_1d",
+    "degenerate_1d",
+    "crossing_1d",
+    "crossing_2d",
+    "branching_2d",
+    "restricted_cases",
+    "restricted_cases_fine",
+]
+
+
+def _session_solves(name, request) -> list:
+    cases = request.getfixturevalue(name)
+    return list(cases.values()) if isinstance(cases, dict) else [cases]
+
+
+@pytest.mark.parametrize("fixture", _SESSION_SOLVES)
+def test_shortfall_is_set_exactly_when_the_solve_is_unconverged(fixture, request):
+    for case in _session_solves(fixture, request):
+        res = case.result
+        assert (res.shortfall is None) == res.converged
+        assert (res.stages[-1].exit == "tolerance") == res.converged
+
+
+@pytest.mark.parametrize("fixture", _SESSION_SOLVES)
+def test_residual_max_is_the_scaled_gradient_max_over_free_nodes(fixture, request):
+    for case in _session_solves(fixture, request):
+        res = case.result
+        kern = DiscreteEnergy(case.grid, case.params)
+        g = kern.at(res.field.values, DEFAULT_LADDER[-1]).gradient()
+        free = res.field.free_mask
+        assert res.residual_max == np.max(np.abs(g / kern.weights)[free])
 
 
 def test_solve_result_derives_its_totals_from_its_stages():
     fld, _ = _one_phase_start(n=9)
     tol = aplab.solver._TOL_RESIDUAL
-    stages = (StageRecord(0.1, 3, (2.0, 1.0), 0.5 * tol, "tolerance"),
-              StageRecord(0.01, 4, (1.0, 0.5), 2.0 * tol, "step_cap"))
+    stages = (StageRecord(0.1, 3, (2.0, 1.0), 0.5 * tol, tol, "tolerance"),
+              StageRecord(0.01, 4, (1.0, 0.5), 2.0 * tol, 5.0 * tol, "step_cap"))
     res = SolveResult(fld, 0.5, stages)
     assert res.n_iterations == 7
     assert res.residual_rms == 2.0 * tol
+    assert res.residual_max == 5.0 * tol
     assert not res.converged
     assert SolveResult(fld, 0.5, stages[:1]).converged
     empty = SolveResult(fld, 0.5)
     assert empty.converged and empty.residual_rms == 0.0 and empty.n_iterations == 0
+    assert empty.residual_max == 0.0 and empty.shortfall is None
     # the work counters are one read-only mapping keyed by WORK_COUNTERS
     assert tuple(empty.work) == WORK_COUNTERS and not any(empty.work.values())
     with pytest.raises(TypeError):
@@ -387,10 +429,8 @@ def test_nonfinite_lifted_solve_is_a_stall(monkeypatch):
     monkeypatch.setattr(aplab.solver, "solveh_banded", nan_solve)
     monkeypatch.setattr(aplab.solver, "_superlu", nan_solve)
     fld, par = _one_phase_start(n=65)
-    with pytest.raises(SolverStall) as info:
-        minimize(fld, par, (0.1, 0.01))
-    res = info.value.result
-    assert str(info.value) == (
+    res = minimize(fld, par, (0.1, 0.01))
+    assert res.shortfall == (
         "linear solve non-finite at smoothing width 0.1 "
         f"(residual rms {res.residual_rms:.3e})"
     )
@@ -439,6 +479,9 @@ def test_restricted_run_records_polish_and_capped_stages(
     assert "polish" in [s.exit for s in coarse.stages]
     fine = restricted_cases_fine[(1.5, 0.3)].result
     assert fine.stages[-1].exit == "step_cap" and not fine.converged
+    assert fine.shortfall == (
+        f"step_cap exit at smoothing width 1e-05 (residual rms {fine.residual_rms:.3e})"
+    )
     capped = [s for s in coarse.stages + fine.stages if s.exit == "step_cap"]
     assert all(s.n_iters == aplab.solver._MAX_ITERS for s in capped)
 
@@ -458,13 +501,12 @@ def test_minimize_reports_stall_with_partial_state(monkeypatch):
     monkeypatch.setattr(aplab.solver, "_ARMIJO_C1", 0.999)
     monkeypatch.setattr(aplab.solver, "_STEP_FLOOR", 0.5)
     fld, par = _one_phase_start(n=257)
-    with pytest.raises(
-        SolverStall,
-        match=r"^line search stalled at smoothing width 0\.1 "
-        r"\(residual rms \d\.\d{3}e[+-]\d+, last accepted step none\)$",
-    ) as info:
-        minimize(fld, par)
-    partial = info.value.result
+    partial = minimize(fld, par)
+    assert re.fullmatch(
+        r"line search stalled at smoothing width 0\.1 "
+        r"\(residual rms \d\.\d{3}e[+-]\d+, last accepted step none\)",
+        partial.shortfall,
+    )
     assert not partial.converged
     assert partial.field.values.shape == fld.values.shape
     assert np.isfinite(partial.energy)
@@ -480,9 +522,8 @@ def test_minimize_counts_rejected_armijo_trials(monkeypatch):
     # floor) and stalls far from criticality
     monkeypatch.setattr(aplab.solver, "_ARMIJO_C1", math.inf)
     fld, par = _one_phase_start(n=65)
-    with pytest.raises(SolverStall) as info:
-        minimize(fld, par, (0.1,))
-    res = info.value.result
+    res = minimize(fld, par, (0.1,))
+    assert res.stages[-1].exit == "stall"
     assert res.work["backtracks"] == 47
     assert res.n_iterations == 0 and res.work["linear_solves"] == 1
 
@@ -527,10 +568,8 @@ def test_stall_message_names_the_last_accepted_step(monkeypatch):
     monkeypatch.setattr(aplab.solver, "spsolve", overshooting)
     monkeypatch.setattr(aplab.solver, "_STEP_FLOOR", 1e-3)
     fld, par = _one_phase_start(n=65)
-    with pytest.raises(SolverStall) as info:
-        minimize(fld, par)
-    res = info.value.result
-    assert str(info.value) == (
+    res = minimize(fld, par)
+    assert res.shortfall == (
         "line search stalled at smoothing width 0.1 "
         f"(residual rms {res.residual_rms:.3e}, last accepted step t = 1)"
     )
@@ -668,6 +707,17 @@ def test_unconverged_replacement_raises_stall(monkeypatch):
     with pytest.raises(SolverStall, match="did not converge") as info:
         p_harmonic_replacement(fld, 3.0, region)
     assert not info.value.result.converged
+
+
+def test_stalled_replacement_raises_stall(monkeypatch):
+    # minimize returns the stalled descent, and the replacement's own
+    # convergence check turns it into SolverStall
+    monkeypatch.setattr(aplab.solver, "_ARMIJO_C1", math.inf)
+    fld, region = _bump_field((17, 17))
+    with pytest.raises(SolverStall, match="did not converge") as info:
+        p_harmonic_replacement(fld, 3.0, region)
+    assert info.value.result.stages[-1].exit == "stall"
+    assert info.value.result.shortfall.startswith("line search stalled")
 
 
 def test_comparison_gap_identity_at_p_two():
