@@ -20,13 +20,18 @@ nothing is evaluated twice for one field.
 Every linear system is symmetric positive definite and goes through
 ``spsolve``.  Its sparsity pattern is built once per problem; each
 Newton step refills only the values.  A 1D system is tridiagonal: it is
-built in band storage and solved by LAPACK's banded Cholesky
-(``scipy.linalg.solveh_banded``).  On a 2D or 3D grid whose nodes all lie
-strictly inside the box, it is solved by conjugate gradients
-preconditioned with a fast Poisson solve: the constant-coefficient
-Laplacian of the interior box, inverted by DST-I, with a diagonal scaling
-that matches the system's own diagonal (Concus & Golub, SIAM J. Numer.
-Anal. 10, 1973).  SuperLU is the counted fallback:
+built in band storage and solved by LAPACK's tridiagonal Cholesky
+(``dptsv``, the routine ``scipy.linalg.solveh_banded`` calls for two
+bands).  On a 2D or 3D grid whose nodes all lie strictly inside the box,
+it is solved by conjugate gradients preconditioned with a fast Poisson
+solve: the constant-coefficient Laplacian of the interior box, inverted by
+DST-I, with a diagonal scaling that matches the system's own diagonal
+(Concus & Golub, SIAM J. Numer. Anal. 10, 1973).  CG stops at a residual
+of 1e-12 relative to the right-hand side, or at the representation floor
+of the Newton system, whichever is larger: rounding the iterate u to
+float64 already moves the right-hand side by up to eps |M| |u| per entry,
+so a smaller residual solves rounding noise (Arioli, Numer. Math. 97,
+2004).  SuperLU is the counted fallback:
 it takes a banded system found not positive definite, a system on which
 CG breaks down or reaches its iteration cap, and the diagonal-lift retry
 of a non-finite solve.  Inner products are plain ``np.sum`` reductions,
@@ -113,10 +118,12 @@ STAGE_EXITS = (
 WORK_COUNTERS = (
     "linear_solves",  # systems solved, one per Newton step
     "cg_iterations",  # preconditioned CG iterations over all of them
+    "cg_floor_stops",  # CG solves stopped by the representation floor
     "superlu_solves",  # fallback solves: CG misses, banded non-SPD, lifts
     "lift_retries",  # non-finite solves retried with a lifted diagonal
     "gradient_fallbacks",  # non-descent Newton directions replaced
     "backtracks",  # Armijo trials rejected, those of a failed search included
+    "polish_steps",  # accepted residual-monotone polish steps
 )
 
 
@@ -330,8 +337,9 @@ def _box_preconditioner(
 
 
 _CG_RTOL = 1e-12
-# The Newton systems of the bundled 2D configs and of the test fixtures
-# take at most 47 iterations; a miss costs at most a few SuperLU solves.
+# A Newton system of the bundled 2D configs or the 2D session fixtures takes
+# at most 9 iterations, and one of any tier-1 test at most 41; a miss costs
+# at most a few SuperLU solves.
 _CG_MAX_ITERS = 200
 
 
@@ -341,13 +349,22 @@ def _dot(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def _pcg(
-    M: sp.csr_matrix, b: np.ndarray, precond: _BoxPreconditioner, tally: Counter
+    M: sp.csr_matrix,
+    b: np.ndarray,
+    precond: _BoxPreconditioner,
+    tally: Counter,
+    floor: float,
 ) -> np.ndarray | None:
-    """Preconditioned CG from zero; None on breakdown or at the iteration cap."""
+    """Preconditioned CG from zero; None on breakdown or at the iteration cap.
+
+    It stops once the residual norm is at most ``_CG_RTOL`` times that of
+    ``b`` or at most ``floor``, whichever bound is larger.
+    """
     x = np.zeros_like(b)
     if not b.any():
         return x
-    stop = _CG_RTOL**2 * _dot(b, b)
+    rel = _CG_RTOL**2 * _dot(b, b)
+    stop = max(rel, floor * floor)
     rr = math.inf
     with np.errstate(all="ignore"):
         s = np.sqrt(precond.diag / M.diagonal())
@@ -370,14 +387,25 @@ def _pcg(
             rz, rz_prev = _dot(r, z), rz
             d = z + (rz / rz_prev) * d
     tally["cg_iterations"] += k
-    return x if rr <= stop else None
+    if rr > stop:
+        return None
+    if stop > rel:
+        tally["cg_floor_stops"] += 1
+    return x
 
 
-# scipy's two direct solvers, imported on their first call.
-def solveh_banded(ab: np.ndarray, b: np.ndarray, **kwargs) -> np.ndarray:
-    from scipy import linalg
+# The two direct solvers, imported on their first call.
+def solveh_banded(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve with a tridiagonal SPD band ``ab`` (LAPACK upper band storage).
 
-    return linalg.solveh_banded(ab, b, **kwargs)
+    LinAlgError when the factorization finds it not positive definite.
+    """
+    from scipy.linalg import lapack
+
+    _, _, x, info = lapack.dptsv(ab[1], ab[0, 1:], b)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"leading minor {info} not positive definite")
+    return x
 
 
 def _superlu(M: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
@@ -391,25 +419,28 @@ def spsolve(
     rhs: np.ndarray,
     precond: _BoxPreconditioner | None = None,
     tally: Counter | None = None,
+    floor: float = 0.0,
 ) -> np.ndarray:
     """Solve the SPD system ``M x = rhs``.
 
     A banded ``M`` (LAPACK upper band storage, an array) is solved by
     banded Cholesky; a system with a box preconditioner by
-    preconditioned CG.  Everything else goes to SuperLU, and so does a
-    system that the banded factorization finds not positive definite or on
-    which CG breaks down or reaches its iteration cap.  ``tally`` counts
-    the CG iterations and the SuperLU solves.
+    preconditioned CG, which stops at a residual norm of ``_CG_RTOL``
+    times that of ``rhs`` or of ``floor``, whichever is larger.
+    Everything else goes to SuperLU, and so does a system that the banded
+    factorization finds not positive definite or on which CG breaks down
+    or reaches its iteration cap.  ``tally`` counts the CG iterations, the
+    CG solves that the floor stopped, and the SuperLU solves.
     """
     if tally is None:
         tally = Counter()
     if isinstance(M, np.ndarray):
         try:
-            return solveh_banded(M, rhs, check_finite=False)
-        except np.linalg.LinAlgError:  # scipy.linalg raises numpy's class
+            return solveh_banded(M, rhs)
+        except np.linalg.LinAlgError:
             M = _csr(M)
     elif precond is not None:
-        x = _pcg(M, rhs, precond, tally)
+        x = _pcg(M, rhs, precond, tally, floor)
         if x is not None:
             return x
     tally["superlu_solves"] += 1
@@ -421,14 +452,16 @@ def _solve_spd(
     rhs: np.ndarray,
     precond: _BoxPreconditioner | None,
     tally: Counter,
+    floor: float,
 ) -> np.ndarray | None:
     """Sparse SPD solve with a tiny diagonal lift retry for rank issues.
 
+    ``floor`` goes to CG (see ``spsolve``); the retry goes to SuperLU.
     None when the lifted solve is still non-finite.
     """
     tally["linear_solves"] += 1
     with np.errstate(all="ignore"):
-        x = spsolve(M, rhs, precond, tally)
+        x = spsolve(M, rhs, precond, tally, floor)
     if np.all(np.isfinite(x)):
         return x
     import scipy.sparse as sp
@@ -536,7 +569,14 @@ def minimize(
             # signed F'' is indefinite and fails the (2, 0.5) restricted run.
             curv = params.delta * np.maximum(it.curvature(), 0.0)
             M = block(it.conductances, stiff, w_f * curv.ravel()[idx_f])
-            d = _solve_spd(M, g_f, precond, tally)
+            floor = 0.0
+            if precond is not None:
+                # rounding u to float64 moves g_f by up to eps |M| |u_f|
+                # per entry, so CG need not resolve a smaller residual;
+                # 0 at a zero iterate
+                blur = abs(M) @ np.abs(it.u.ravel()[idx_f])
+                floor = np.finfo(float).eps * math.sqrt(_dot(blur, blur))
+            d = _solve_spd(M, g_f, precond, tally, floor)
             if d is None:
                 shortfall = (
                     f"linear solve non-finite at smoothing width {eps:g} "
@@ -585,6 +625,7 @@ def minimize(
                     break
                 it, g_f = nxt, g_t
                 n_it += 1
+                tally["polish_steps"] += 1
                 continue
             it = nxt
             t_last = t
@@ -636,7 +677,8 @@ def p_harmonic_replacement(
     so the result is a critical point of the same discrete energy that
     ``comparison_gap`` reads, in every dimension.  A result that misses
     the residual tolerance, a stall of that descent included, raises
-    SolverStall carrying it.
+    SolverStall carrying it, with the descent's ``shortfall`` in its
+    message.
     """
     grid = field.grid
     relax = field.free_mask if region is None else (np.asarray(region) & field.free_mask)
@@ -647,9 +689,7 @@ def p_harmonic_replacement(
     res = minimize(pinned, params, (1e-9,))
     if not res.converged:
         raise SolverStall(
-            "p-harmonic replacement did not converge "
-            f"(residual rms {res.residual_rms:.3e})",
-            res,
+            f"p-harmonic replacement did not converge: {res.shortfall}", res
         )
     return field.with_values(res.field.values)
 

@@ -302,10 +302,12 @@ def test_compare_reports_work_counters_apart(bundle_a, tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out)
     assert summary["counter_deltas"] == {
         "solve/backtracks": 0.0,
+        "solve/cg_floor_stops": 0.0,
         "solve/cg_iterations": 5.0,
         "solve/gradient_fallbacks": 0.0,
         "solve/lift_retries": 0.0,
         "solve/linear_solves": 0.0,
+        "solve/polish_steps": 0.0,
         "solve/superlu_solves": 0.0,
     }
     assert summary["over_tolerance"] == {}

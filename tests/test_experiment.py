@@ -458,10 +458,15 @@ def test_run_rejects_unconverged_replacement(monkeypatch):
     real = aplab.solver.minimize
 
     def unconverged(*args, **kwargs):
-        # a last stage above the tolerance is what makes a result unconverged
+        # a last stage above the tolerance is what makes a result
+        # unconverged, and such a result always carries a shortfall
         res = real(*args, **kwargs)
         last = dataclasses.replace(res.stages[-1], residual_rms=1.0)
-        return dataclasses.replace(res, stages=res.stages[:-1] + (last,))
+        return dataclasses.replace(
+            res,
+            stages=res.stages[:-1] + (last,),
+            shortfall="step_cap exit at smoothing width 1e-09 (residual rms 1.000e+00)",
+        )
 
     # the replacement's solve goes through aplab.solver.minimize; the main
     # solve uses the name experiment imported, which stays the real one
@@ -469,7 +474,7 @@ def test_run_rejects_unconverged_replacement(monkeypatch):
     cfg = tiny_config()
     cfg["problem"].update(extents=[[-1.0, 1.0]] * 2, resolution=[17, 17])
     cfg["diagnostics"] = {"replacement": {"center": [0.0, 0.0], "radius": 0.5}}
-    with pytest.raises(ConfigError, match="did not converge"):
+    with pytest.raises(ConfigError, match="did not converge: step_cap exit"):
         run_experiment(cfg)
 
 

@@ -19,6 +19,7 @@ from aplab.solver import (
     _box_preconditioner,
     _csr,
     _FreeBlock,
+    _pcg,
     SolveResult,
     SolverStall,
     STAGE_EXITS,
@@ -208,6 +209,44 @@ def test_preconditioned_solve_matches_superlu(shape, subset, p, shift):
     assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
     # solved by CG, not by the SuperLU fallback
     assert tally["cg_iterations"] > 0 and tally["superlu_solves"] == 0
+
+
+def _cg_system(seed=0):
+    grid = Grid(extents=((-1.0, 1.0), (0.0, 1.5)), resolution=(17, 13))
+    nodes = _interior(grid)
+    kern, M, b = _newton_system(grid, 3.0, nodes, 1.0, seed)
+    return M, b, _box_preconditioner(kern, nodes)
+
+
+def test_pcg_stops_once_the_residual_meets_the_floor(monkeypatch):
+    M, b, precond = _cg_system()
+    floor = 1e-6 * np.linalg.norm(b)
+    tally = Counter()
+    x = _pcg(M, b, precond, tally, floor)
+    assert np.linalg.norm(M @ x - b) <= floor
+    assert tally["cg_floor_stops"] == 1
+    # one iteration fewer misses the floor: CG stopped at the first chance
+    k = tally["cg_iterations"]
+    monkeypatch.setattr(aplab.solver, "_CG_MAX_ITERS", k - 1)
+    assert _pcg(M, b, precond, Counter(), floor) is None
+    monkeypatch.undo()
+    # the floor stops CG before the relative tolerance would
+    full = Counter()
+    _pcg(M, b, precond, full, 0.0)
+    assert full["cg_iterations"] > k and full["cg_floor_stops"] == 0
+
+
+def test_spsolve_without_a_floor_meets_the_relative_tolerance():
+    M, b, precond = _cg_system(seed=1)
+    tally = Counter()
+    x = spsolve(M, b, precond, tally)
+    assert np.linalg.norm(M @ x - b) <= 1e-12 * np.linalg.norm(b)
+    assert tally["cg_floor_stops"] == 0 and tally["superlu_solves"] == 0
+    # a floor under the relative bound changes nothing and is not counted
+    below = Counter()
+    floor = 1e-3 * aplab.solver._CG_RTOL * np.linalg.norm(b)
+    assert np.array_equal(spsolve(M, b, precond, below, floor), x)
+    assert below == tally
 
 
 def _gapped(grid):
@@ -453,12 +492,45 @@ def test_minimize_counts_gradient_fallbacks(monkeypatch):
     assert res.work["lift_retries"] == res.work["superlu_solves"] == 0
 
 
-@pytest.mark.parametrize("fixture", ["crossing_2d", "branching_2d"])
-def test_minimize_2d_solves_by_cg_without_misses(fixture, request):
+# Newton steps of each fixture, and its CG iterations when every CG solve
+# ran to the relative tolerance alone
+@pytest.mark.parametrize(
+    "fixture, steps, cg_relative_only",
+    [("crossing_2d", 22, 144), ("branching_2d", 92, 748)],
+    ids=["crossing_2d", "branching_2d"],
+)
+def test_minimize_2d_solves_by_cg_without_misses(
+    fixture, steps, cg_relative_only, request
+):
     res = request.getfixturevalue(fixture).result
     assert res.work["linear_solves"] >= res.n_iterations > 0
     assert res.work["cg_iterations"] >= res.work["linear_solves"]
     assert res.work["superlu_solves"] == 0
+    # the representation floor stops most solves early, and the Newton
+    # steps are the same
+    assert res.n_iterations == steps
+    assert res.work["cg_iterations"] < cg_relative_only
+    assert 0 < res.work["cg_floor_stops"] <= res.work["linear_solves"]
+
+
+def test_cg_floor_is_zero_at_a_zero_iterate(monkeypatch):
+    # the first Newton system of a zero start gets no floor, so CG solves it
+    # to the relative tolerance; later ones, at a nonzero iterate, get one
+    floors = []
+    real = aplab.solver.spsolve
+
+    def spy(M, rhs, precond=None, tally=None, floor=0.0):
+        floors.append(floor)
+        return real(M, rhs, precond, tally, floor)
+
+    monkeypatch.setattr(aplab.solver, "spsolve", spy)
+    monkeypatch.setattr(aplab.solver, "_MAX_ITERS", 3)
+    fld, _ = _bump_field((17, 17))
+    zero = fld.with_values(np.where(fld.free_mask, 0.0, fld.values))
+    par = DiscreteEnergy.dirichlet(fld.grid, 3.0).params
+    res = minimize(zero, par, (0.1,))
+    assert res.work["linear_solves"] == len(floors) == 3
+    assert floors[0] == 0.0 and all(f > 0.0 for f in floors[1:])
 
 
 def test_newton_model_step_count_on_the_restricted_run(restricted_cases):
@@ -550,6 +622,7 @@ def test_polish_after_a_failed_search_steps_along_the_solved_direction(monkeypat
     res = minimize(start.with_values(u), par, (0.1,))
     assert res.n_iterations == 1 and res.work["linear_solves"] == 1
     assert res.work["backtracks"] == 0  # no trial fits above the floor
+    assert res.work["polish_steps"] == 1
     assert np.array_equal(res.field.values, want)
     assert res.converged
 
@@ -697,14 +770,19 @@ def test_unconverged_replacement_raises_stall(monkeypatch):
     real = aplab.solver.minimize
 
     def unconverged(*args, **kwargs):
-        # a last stage above the tolerance is what makes a result unconverged
+        # a last stage above the tolerance is what makes a result
+        # unconverged, and such a result always carries a shortfall
         res = real(*args, **kwargs)
         last = dataclasses.replace(res.stages[-1], residual_rms=1.0)
-        return dataclasses.replace(res, stages=res.stages[:-1] + (last,))
+        return dataclasses.replace(
+            res,
+            stages=res.stages[:-1] + (last,),
+            shortfall="step_cap exit at smoothing width 1e-09 (residual rms 1.000e+00)",
+        )
 
     monkeypatch.setattr(aplab.solver, "minimize", unconverged)
     fld, region = _bump_field((17, 17))
-    with pytest.raises(SolverStall, match="did not converge") as info:
+    with pytest.raises(SolverStall, match="did not converge: step_cap exit") as info:
         p_harmonic_replacement(fld, 3.0, region)
     assert not info.value.result.converged
 
@@ -716,8 +794,16 @@ def test_stalled_replacement_raises_stall(monkeypatch):
     fld, region = _bump_field((17, 17))
     with pytest.raises(SolverStall, match="did not converge") as info:
         p_harmonic_replacement(fld, 3.0, region)
-    assert info.value.result.stages[-1].exit == "stall"
-    assert info.value.result.shortfall.startswith("line search stalled")
+    res = info.value.result
+    assert res.stages[-1].exit == "stall"
+    # the message carries the descent's shortfall: exit, width, residual
+    # and the last accepted step
+    assert str(info.value) == f"p-harmonic replacement did not converge: {res.shortfall}"
+    assert re.fullmatch(
+        r"line search stalled at smoothing width 1e-09 "
+        r"\(residual rms \d\.\d{3}e[+-]\d+, last accepted step none\)",
+        res.shortfall,
+    )
 
 
 def test_comparison_gap_identity_at_p_two():
