@@ -26,16 +26,18 @@ elsewhere, so F and its derivatives take one fractional power per node,
 that of the node's own phase; the other phase's term has argument 0 and
 is a constant of the width.  ``DiscreteEnergy.at(u, eps)`` is the one
 way into the kernel and the one place that evaluates phi and F: the
-state of one iterate, which computes q, q + eps^2, |u|, the phase mask,
-the phase weight lambda(u) and u^2 + eps^2 once.  Its two halves of the
-density, phi(q) (``dirichlet``) and F(u) without delta (``potential``),
-its energy (over the grid or a node region), conductances, gradient,
-F' (``slope()``) and F'' (``curvature()``) all read them.
+state of one iterate.  On construction it takes u's edge differences,
+q, q + eps^2, |u|, the phase mask, the phase weight lambda(u) (also times
+gamma) and u^2 + eps^2, once.  The two halves of the density, phi(q)
+(``dirichlet``) and F(u) without delta (``potential``), the energy and
+the conductances are computed on first use and then kept; the density,
+the energy over a node region, the gradient, F' (``slope()``) and F''
+(``curvature()``) on every call, as new arrays.  All of them read the
+construction's arrays, and two states share no array.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -48,12 +50,32 @@ __all__ = [
 ]
 
 
+class _lazy:
+    """An attribute computed on first read and then stored on the instance.
+
+    ``functools.cached_property`` without its lock, which on Python 3.11
+    costs more than most of the node-array operations it guards.
+    """
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.name = fn.__name__
+        self.__doc__ = fn.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 class _Phases(NamedTuple):
     """A field v split by phase, node by node."""
 
     a: np.ndarray  # |v|
     pos: np.ndarray  # v > 0: the plus phase; the minus phase elsewhere
     lam: np.ndarray  # the phase weight lambda(v)
+    lam_g: np.ndarray  # lambda(v) * gamma
     s: np.ndarray  # |v|^2 + eps^2
 
 
@@ -61,11 +83,13 @@ class _Potential:
     """F, F' and F'' of one parameter set at one smoothing width.
 
     Each node's own phase is evaluated per node; the idle phase's term and
-    the curvature at v = 0 (the mean of both one-sided limits) are
-    constants.  They are the same array expressions on one zero node per
-    phase, since numpy's vectorized power can round differently from its
-    scalar one, and they stay float64: a width out of the kernel's range
-    gives inf or nan there, where Python floats would raise.
+    slope and the curvature at v = 0 (the mean of both one-sided limits)
+    are constants.  They are the same array expressions on one zero node
+    per phase, since numpy's vectorized power can round differently from
+    its scalar one, and a width out of the kernel's range gives inf or nan
+    there where Python float arithmetic would raise.  They are kept as
+    Python floats, the same values, which numpy mixes into array
+    expressions faster than its own scalars.
     """
 
     def __init__(self, params: Params, eps: float):
@@ -77,51 +101,72 @@ class _Potential:
         a = np.abs(v)
         pos = v > 0.0
         lam = np.where(pos, self.params.lambda_plus, self.params.lambda_minus)
-        return _Phases(a, pos, lam, a * a + self.e2)
+        s = a * a
+        s += self.e2
+        return _Phases(a, pos, lam, lam * self.params.gamma, s)
 
-    @cached_property
+    @_lazy
     def _zero(self) -> _Phases:
         """v = 0, once in each phase: plus, then minus."""
         zero = np.zeros(2)
         lam = np.array([self.params.lambda_plus, self.params.lambda_minus])
-        return _Phases(zero, np.array([True, False]), lam, zero * zero + self.e2)
+        return _Phases(
+            zero, np.array([True, False]), lam, lam * self.params.gamma,
+            zero * zero + self.e2,
+        )
 
-    @cached_property
-    def _idle_value(self) -> np.ndarray:
-        return self._value(self._zero)
+    @_lazy
+    def _idle_value(self) -> tuple[float, float]:
+        plus, minus = self._value(self._zero)
+        return float(plus), float(minus)
 
-    @cached_property
-    def _idle_slope(self) -> np.ndarray:
-        return self._slope(self._zero)
+    @_lazy
+    def _idle_slope(self) -> tuple[float, float]:
+        plus, minus = self._slope(self._zero)
+        return float(plus), float(minus)
 
-    @cached_property
-    def _zero_curvature(self) -> np.float64:
+    @_lazy
+    def _zero_curvature(self) -> float:
         cp, cm = self._curvature(self._zero)
-        return 0.5 * (cp + cm)
+        return float(0.5 * (cp + cm))
 
     # Each node's own phase: its term, its slope in |v| and its curvature.
+    # Here and in ``Iterate`` a product or sum is often taken in place on
+    # a fresh temporary (``t *= x`` for ``x * t``): the same operations on
+    # the same operands, without a new array per step.
 
     def _value(self, ph: _Phases) -> np.ndarray:
         g = self.params.gamma
         if self.eps == 0.0:
-            return ph.lam * ph.a**g
-        return ph.lam * (ph.s ** (0.5 * g) - self.eps**g)
+            t = ph.a**g
+        else:
+            t = ph.s ** (0.5 * g)
+            t -= self.eps**g
+        t *= ph.lam
+        return t
 
     def _slope(self, ph: _Phases) -> np.ndarray:
-        g = self.params.gamma
-        return ph.lam * g * ph.a * ph.s ** (0.5 * g - 1.0)
+        t = ph.lam_g * ph.a
+        t *= ph.s ** (0.5 * self.params.gamma - 1.0)
+        return t
 
     def _curvature(self, ph: _Phases) -> np.ndarray:
         g = self.params.gamma
-        bend = self.e2 + (g - 1.0) * ph.a * ph.a
-        return ph.lam * g * ph.s ** (0.5 * g - 2.0) * bend
+        bend = (g - 1.0) * ph.a
+        bend *= ph.a
+        bend += self.e2
+        t = ph.s ** (0.5 * g - 2.0)
+        t *= ph.lam_g
+        t *= bend
+        return t
 
     # Both phases: the terms add as F = F+ + F-, and F' = F+' - F-'.
 
     def value(self, ph: _Phases) -> np.ndarray:
-        t = self._value(ph)
         plus_idle, minus_idle = self._idle_value
-        return np.where(ph.pos, t + minus_idle, plus_idle + t)
+        t = self._value(ph)
+        t += np.where(ph.pos, minus_idle, plus_idle)
+        return t
 
     def slope(self, ph: _Phases) -> np.ndarray:
         g = self.params.gamma
@@ -129,12 +174,14 @@ class _Potential:
             # the exact slope, set to 0 at v = 0 where it is not defined
             out = np.zeros_like(ph.a)
             on = ph.a > 0.0
-            lam_g = np.where(ph.pos, ph.lam * g, -ph.lam * g)
+            lam_g = np.where(ph.pos, ph.lam_g, -ph.lam_g)
             out[on] = lam_g[on] * ph.a[on] ** (g - 1.0)
             return out
         d = self._slope(ph)
         plus_idle, minus_idle = self._idle_slope
-        return np.where(ph.pos, d - minus_idle, plus_idle - d)
+        minus = plus_idle - d
+        d -= minus_idle
+        return np.where(ph.pos, d, minus)
 
     def curvature(self, ph: _Phases) -> np.ndarray:
         if self.eps <= 0.0:
@@ -192,10 +239,17 @@ class DiscreteEnergy:
 
     def grad_sq(self, u: np.ndarray) -> np.ndarray:
         """|grad u|^2 at nodes from averaged one-sided differences."""
-        q = np.zeros(self.grid.shape)
-        for lo, hi, cplus, cminus, h in self.axes:
-            d = (u[hi] - u[lo]) / h
-            dsq = d * d
+        return self._grad_sq(self._differences(u))
+
+    def _differences(self, u: np.ndarray) -> tuple:
+        """u[hi] - u[lo] on every edge, one array per axis."""
+        return tuple(u[hi] - u[lo] for lo, hi, *_ in self.axes)
+
+    def _grad_sq(self, du: tuple) -> np.ndarray:
+        q = np.zeros(self.weights.shape)
+        for (lo, hi, cplus, cminus, h), diff in zip(self.axes, du):
+            dsq = diff / h
+            dsq *= dsq
             q[lo] += cplus * dsq
             q[hi] += cminus * dsq
         return q
@@ -213,10 +267,15 @@ class DiscreteEnergy:
 class Iterate:
     """One field u of a ``DiscreteEnergy`` at one smoothing width.
 
-    q = ``grad_sq(u)``, q + eps^2 and the phase split of u (|u|, u > 0,
-    lambda(u), u^2 + eps^2) are computed once, on construction; the two
-    halves of the density, the energy and the conductances on first use,
-    and then kept.  The field must not change while its state is in use.
+    On construction: u's edge differences u[hi] - u[lo] per axis (``du``),
+    q = ``grad_sq(u)`` from them, q + eps^2 (``qe``) and the phase split of
+    u (|u|, u > 0, lambda(u), lambda(u) * gamma, u^2 + eps^2).  On first
+    use, and then kept: the two halves of the density (``dirichlet``,
+    ``potential``), the energy and the conductances.  On every call, as a
+    new array the caller may keep or change: ``density()``, ``gradient()``,
+    ``slope()`` and ``curvature()``; the gradient takes its edge
+    differences from ``du``.  The field must not change while its state is
+    in use.
     """
 
     def __init__(self, kern: DiscreteEnergy, pot: _Potential, u: np.ndarray):
@@ -224,28 +283,37 @@ class Iterate:
         self.pot = pot
         self.eps = pot.eps
         self.u = u
-        self.q = kern.grad_sq(u)
+        self.du = kern._differences(u)
+        self.q = kern._grad_sq(self.du)
         self.qe = self.q + pot.e2
         self.phases = pot.phases(u)
 
-    @cached_property
+    @_lazy
     def dirichlet(self) -> np.ndarray:
         """phi(q) at every node."""
         p = self.kern.params.p
-        return (self.qe ** (0.5 * p) - self.eps**p) / p
+        t = self.qe ** (0.5 * p)
+        t -= self.eps**p
+        t /= p
+        return t
 
-    @cached_property
+    @_lazy
     def potential(self) -> np.ndarray:
         """F(u) at every node, without the multiplier delta."""
         return self.pot.value(self.phases)
 
     def density(self) -> np.ndarray:
         """The energy density phi(q) + delta * F(u) at every node."""
-        return self.dirichlet + self.kern.params.delta * self.potential
+        t = self.kern.params.delta * self.potential
+        t += self.dirichlet
+        return t
 
-    @cached_property
+    @_lazy
     def energy(self) -> float:
-        return float(np.sum(self.kern.weights * self.density()))
+        t = self.density()
+        t *= self.kern.weights
+        # np.sum's reduction, without its Python wrapper
+        return float(np.add.reduce(t, axis=None))
 
     def energy_in(self, region: np.ndarray) -> float:
         """The energy with the quadrature restricted to ``region``, a
@@ -257,7 +325,7 @@ class Iterate:
             raise ValueError("empty integration region")
         return float(np.sum(self.kern.weights[region] * self.density()[region]))
 
-    @cached_property
+    @_lazy
     def conductances(self) -> tuple:
         """Per-axis edge conductances of the linearized Dirichlet form.
 
@@ -272,12 +340,18 @@ class Iterate:
                 "p < 2 with eps = 0 hits a zero-gradient node; "
                 "use a positive smoothing width"
             )
-        # phi'(q) = (q + eps^2)^((p-2)/2) / 2
-        psi_w = kern.weights * (0.5 * self.qe ** (0.5 * p - 1.0))
-        return tuple(
-            2.0 * (psi_w[lo] * cplus + psi_w[hi] * cminus) / h**2
-            for lo, hi, cplus, cminus, h in kern.axes
-        )
+        # phi'(q) = (q + eps^2)^((p-2)/2) / 2, times the node weight
+        psi_w = self.qe ** (0.5 * p - 1.0)
+        psi_w *= 0.5
+        psi_w *= kern.weights
+        kappas = []
+        for lo, hi, cplus, cminus, h in kern.axes:
+            kappa = psi_w[lo] * cplus
+            kappa += psi_w[hi] * cminus
+            kappa *= 2.0
+            kappa /= h**2
+            kappas.append(kappa)
+        return tuple(kappas)
 
     def gradient(self) -> np.ndarray:
         """First variation of the energy at u.
@@ -286,14 +360,17 @@ class Iterate:
         out).
         """
         kern = self.kern
-        grad = np.zeros(kern.grid.shape)
-        for (lo, hi, *_), kappa in zip(kern.axes, self.conductances):
-            t = kappa * (self.u[hi] - self.u[lo])  # one entry per edge
+        grad = np.zeros(kern.weights.shape)
+        for (lo, hi, *_), kappa, du in zip(kern.axes, self.conductances, self.du):
+            t = kappa * du  # one entry per edge
             grad[lo] -= t
             grad[hi] += t
         delta = kern.params.delta
         if delta != 0.0:
-            grad = grad + kern.weights * (delta * self.slope())
+            t = self.slope()
+            t *= delta
+            t *= kern.weights
+            grad += t
         return grad
 
     def slope(self) -> np.ndarray:

@@ -681,8 +681,9 @@ def run_experiment(cfg: dict) -> ExperimentResult:
             "n_iterations": solve.n_iterations,
             **solve.work,
             "n_stages": len(solve.stages),
-            "stage_energies": [s.energies[-1] for s in solve.stages],
+            "stage_energies": [s.energy for s in solve.stages],
             "stage_exits": [s.exit for s in solve.stages],
+            "stage_iterations": [s.n_iters for s in solve.stages],
             "stage_residuals": [s.residual_rms for s in solve.stages],
         },
         "phases": {

@@ -19,14 +19,17 @@ nothing is evaluated twice for one field.
 
 Every linear system is symmetric positive definite and goes through
 ``spsolve``.  Its sparsity pattern is built once per problem; each
-Newton step refills only the values.  A 1D system is tridiagonal: it is
-built in band storage and solved by LAPACK's tridiagonal Cholesky
-(``dptsv``, the routine ``scipy.linalg.solveh_banded`` calls for two
-bands).  On a 2D or 3D grid whose nodes all lie strictly inside the box,
-it is solved by conjugate gradients preconditioned with a fast Poisson
-solve: the constant-coefficient Laplacian of the interior box, inverted by
-DST-I, with a diagonal scaling that matches the system's own diagonal
-(Concus & Golub, SIAM J. Numer. Anal. 10, 1973).  CG stops at a residual
+Newton step refills only the values.  A 1D system is tridiagonal: its
+band storage is three gathers of the conductances padded with zeros at
+both grid ends (a node's diagonal is the sum of its two edges, its
+coupling to the previous free node the edge between them, or 0 across a
+gap), and it is solved by LAPACK's tridiagonal Cholesky (``dptsv``, the
+routine ``scipy.linalg.solveh_banded`` calls for two bands).  On a 2D or
+3D grid whose nodes all lie strictly inside the box, it is solved by
+conjugate gradients preconditioned with a fast Poisson solve: the
+constant-coefficient Laplacian of the interior box, inverted by DST-I,
+with a diagonal scaling that matches the system's own diagonal (Concus &
+Golub, SIAM J. Numer. Anal. 10, 1973).  CG stops at a residual
 of 1e-12 relative to the right-hand side, or at the representation floor
 of the Newton system, whichever is larger: rounding the iterate u to
 float64 already moves the right-hand side by up to eps |M| |u| per entry,
@@ -91,15 +94,19 @@ _TOL_ENERGY = 1e-15
 
 @dataclass(frozen=True)
 class StageRecord:
-    """One continuation stage: smoothing width, trace, exit residual and why.
+    """One continuation stage: smoothing width, trace, exit state and why.
 
-    The residual is the scaled gradient |g / w| over the free nodes of the
-    field the stage leaves, at the stage's width: its rms and its max.
+    ``energies`` is the Armijo trace: the stage's start, then each
+    accepted line-search step, so it never increases; polish steps do
+    not extend it.  ``energy`` and the residual belong to the field the
+    stage leaves, at the stage's width: its energy, and the rms and max
+    of its scaled gradient |g / w| over the free nodes.
     """
 
     eps: float  # width of both the potential and the gradient smoothing
-    n_iters: int
+    n_iters: int  # Newton steps: accepted line-search steps and polish steps
     energies: tuple[float, ...]
+    energy: float
     residual_rms: float
     residual_max: float
     exit: str  # one of STAGE_EXITS
@@ -190,23 +197,42 @@ class _FreeBlock:
     """scale * A + diag(shift) restricted to a fixed sorted flat node set.
 
     A is the diffusion operator (A v)_i = sum_edges kappa (v_i - v_j).  The
-    pattern is built once per node set: each axis's edges with both ends in
-    the set (flat positions in that axis's conductance array), which alone
-    give off-diagonal entries, and the block's sparse structure.  A call
-    refills only the values.  The diagonal is summed over the whole grid,
-    axis by axis and lower end first, the order in which COO->CSR would sum
-    duplicate entries.  In 1D the block is tridiagonal and comes as its
-    LAPACK upper band storage, an array of shape (2, m) whose row 0 holds
-    the superdiagonal (entry j couples j - 1 and j) and row 1 the diagonal;
-    else it is CSR, bit for bit the matrix COO->CSR makes of the
-    (main, upper, lower) entries.  Every CSR block of one pattern shares its
-    ``indices`` and ``indptr`` arrays.
+    pattern is built once per node set, and a call refills only the values.
+
+    In 1D the block is tridiagonal and comes as its LAPACK upper band
+    storage, a new array of shape (2, m) whose row 0 holds the
+    superdiagonal (entry j couples j - 1 and j) and row 1 the diagonal.
+    The pattern is three index rows into the conductances padded as
+    k = [0, kappa, 0, -0]: node i's edges are k[i + 1] and k[i], so its
+    diagonal entry is scale * (k[i + 1] + k[i]) + shift, and the coupling
+    of entry j to j - 1 is -scale * k[nodes[j]] when they are grid
+    neighbours, else -scale * k[-1] = +0.  For any sorted node set these
+    are the sums and products, in the same order, that summing the
+    diagonal over the grid (as below) would take.
+
+    In 2D and 3D the pattern is each axis's edges with both ends in the set
+    (flat positions in that axis's conductance array), which alone give
+    off-diagonal entries, and the CSR structure; the diagonal is summed over
+    the whole grid, axis by axis and lower end first, the order in which
+    COO->CSR would sum duplicate entries.  The block is CSR, bit for bit
+    the matrix COO->CSR makes of the (main, upper, lower) entries, and every
+    block of one pattern shares its ``indices`` and ``indptr`` arrays.
     """
 
     def __init__(self, kern: DiscreteEnergy, nodes: np.ndarray):
         m = nodes.size
         self.nodes = nodes
         self.shape = kern.weights.shape
+        if len(self.shape) == 1:
+            # k, refilled by each call; the taps of entry j are its coupling
+            # edge (the -0 slot across a gap or at j = 0), then its two edges
+            n = self.shape[0]
+            self.padded = np.zeros(n + 2)
+            self.padded[-1] = -0.0
+            linked = np.diff(nodes, prepend=nodes[:1] - 2) == 1
+            self.taps = np.stack((np.where(linked, nodes, n + 1), nodes + 1, nodes))
+            return
+        self.padded = None
         self.ends = [(lo, hi) for lo, hi, *_ in kern.axes]
         pos = np.full(self.shape, -1)  # block index of each node, -1 if outside
         pos.flat[nodes] = np.arange(m)
@@ -217,10 +243,6 @@ class _FreeBlock:
             self.edges.append(np.flatnonzero(both))
             rows.append(i[both])
             cols.append(j[both])
-        if len(self.shape) == 1:
-            # an edge joins block neighbours j = i + 1; across a gap the band is 0
-            (self.upper,) = cols
-            return
         i, j = np.concatenate(rows), np.concatenate(cols)
         at = np.arange(m)
         row = np.concatenate((at, i, j))
@@ -234,7 +256,16 @@ class _FreeBlock:
     def __call__(
         self, kappas, scale: float = 1.0, shift=0.0
     ) -> sp.csr_matrix | np.ndarray:
-        m = self.nodes.size
+        padded = self.padded
+        if padded is not None:
+            padded[1:-2] = kappas[0]
+            rows = padded[self.taps]  # a new array: the band rows are made in place
+            rows[0] *= -scale
+            main = rows[1]
+            main += rows[2]
+            main *= scale
+            main += shift
+            return rows[:2]
         diag = np.zeros(self.shape)
         ks = []
         for (lo, hi), kap, edges in zip(self.ends, kappas, self.edges):
@@ -242,15 +273,11 @@ class _FreeBlock:
             diag[hi] += kap
             ks.append(scale * -np.take(kap, edges))
         main = scale * diag.ravel()[self.nodes] + shift
-        if diag.ndim == 1:
-            bands = np.zeros((2, m))
-            bands[0, self.upper] = ks[0]
-            bands[1] = main
-            return bands
         import scipy.sparse as sp
 
         k = np.concatenate(ks)
         data = np.concatenate((main, k, k))[self.order]
+        m = self.nodes.size
         return sp.csr_matrix((data, self.indices, self.indptr), shape=(m, m))
 
 
@@ -344,8 +371,9 @@ _CG_MAX_ITERS = 200
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> float:
-    # np.sum's pairwise reduction, unlike BLAS, does not depend on threads
-    return float(np.sum(x * y))
+    # np.sum's pairwise reduction (without its Python wrapper), unlike
+    # BLAS, does not depend on threads
+    return float(np.add.reduce(x * y))
 
 
 def _pcg(
@@ -460,9 +488,8 @@ def _solve_spd(
     None when the lifted solve is still non-finite.
     """
     tally["linear_solves"] += 1
-    with np.errstate(all="ignore"):
-        x = spsolve(M, rhs, precond, tally, floor)
-    if np.all(np.isfinite(x)):
+    x = spsolve(M, rhs, precond, tally, floor)
+    if np.isfinite(x).all():
         return x
     import scipy.sparse as sp
 
@@ -471,11 +498,11 @@ def _solve_spd(
     diag = M.diagonal()
     lift = 1e-12 * float(np.max(np.abs(diag))) + 1e-300
     x = spsolve(M + lift * sp.identity(M.shape[0], format="csr"), rhs, None, tally)
-    return x if np.all(np.isfinite(x)) else None
+    return x if np.isfinite(x).all() else None
 
 
 def _rms(x: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(x * x))) if x.size else 0.0
+    return math.sqrt(_dot(x, x) / x.size) if x.size else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -567,8 +594,12 @@ def minimize(
             # stays SPD where F is concave (gamma < 1, away from u = 0)
             # without stiffening there: |F''| over-damps every step, and the
             # signed F'' is indefinite and fails the (2, 0.5) restricted run.
-            curv = params.delta * np.maximum(it.curvature(), 0.0)
-            M = block(it.conductances, stiff, w_f * curv.ravel()[idx_f])
+            curv = it.curvature()
+            np.maximum(curv, 0.0, out=curv)
+            curv *= params.delta
+            shift = curv.ravel()[idx_f]
+            shift *= w_f
+            M = block(it.conductances, stiff, shift)
             floor = 0.0
             if precond is not None:
                 # rounding u to float64 moves g_f by up to eps |M| |u_f|
@@ -644,7 +675,9 @@ def minimize(
             stage_exit = "tolerance" if res_rms <= _TOL_RESIDUAL else "step_cap"
         res_max = float(np.max(np.abs(g_f / w_f)))
         stages.append(
-            StageRecord(eps, n_it, tuple(trace), res_rms, res_max, stage_exit)
+            StageRecord(
+                eps, n_it, tuple(trace), it.energy, res_rms, res_max, stage_exit
+            )
         )
         if shortfall is not None:
             break

@@ -195,6 +195,33 @@ def test_iterate_state_is_the_two_phase_sum(shape):
     assert _same_bits(it.gradient(), dirichlet + w * (prm.delta * slope))
 
 
+@pytest.mark.parametrize("shape", [(65,), (17, 13)])
+def test_two_live_states_share_no_storage(shape):
+    # the line search evaluates a trial state next to the current iterate
+    # and drops it when Armijo rejects it: evaluating the trial must leave
+    # every array and number of the iterate as it was, bit for bit
+    prm = _two_phase(p=1.5, gamma=0.3, lp=0.4, lm=0.7, delta=0.7)
+    grid = build_grid(tuple((-1.0, 1.0) for _ in shape), shape)
+    kern = DiscreteEnergy(grid, prm)
+    rng = np.random.default_rng(11)
+    u = rng.standard_normal(shape)
+    u[rng.random(shape) < 0.2] = 0.0
+
+    def evaluate(state):
+        return [
+            state.energy, state.dirichlet, state.potential, state.density(),
+            state.gradient(), state.slope(), state.curvature(),
+            *state.conductances, state.q, state.qe, state.u,
+        ]
+
+    current = kern.at(u, 0.01)
+    before = [np.array(x, copy=True) for x in evaluate(current)]
+    trial = kern.at(u - 0.5 * rng.standard_normal(shape), 0.01)
+    evaluate(trial)
+    for was, now in zip(before, evaluate(current), strict=True):
+        assert _same_bits(np.asarray(now), was)
+
+
 # ---------------------------------------------------------------------------
 # Energy
 

@@ -14,6 +14,7 @@ import pytest
 
 import aplab.solver
 from aplab.core import Params, ScalarField, build_grid, report_leaves
+from aplab.energy import DiscreteEnergy
 from aplab.experiment import (
     CONFIG_SCHEMA,
     ConfigError,
@@ -284,6 +285,24 @@ def test_run_report_structure(tiny_result):
     assert rep["solve"]["residual_max"] == stages[-1].residual_max
     for key in ("growth", "density", "replacement", "scaling", "inequalities"):
         assert key in rep["diagnostics"]
+
+
+def test_report_stage_records_follow_the_polish_steps():
+    # configs/degenerate_1d.json leaves its last stage by polish steps after
+    # the last Armijo step: the reported stage energy is still the returned
+    # field's, and the per-stage step counts add up to the total
+    cfg = load_config(Path(__file__).parents[1] / "configs" / "degenerate_1d.json")
+    result = run_experiment(cfg)
+    solve = result.report["solve"]
+    stages = result.solve.stages
+    assert solve["polish_steps"] > 0
+    assert stages[-1].n_iters + 1 > len(stages[-1].energies)  # a polish step
+    _, params, ladder = build_problem(cfg)
+    fld = result.solve.field
+    kern = DiscreteEnergy(fld.grid, params)
+    assert solve["stage_energies"][-1] == kern.at(fld.values, ladder[-1]).energy
+    assert solve["stage_iterations"] == [s.n_iters for s in stages]
+    assert sum(solve["stage_iterations"]) == solve["n_iterations"]
 
 
 def test_run_growth_section(tiny_result):

@@ -169,6 +169,21 @@ def test_fixed_pattern_refills_match_a_fresh_build(shape):
             _assert_same_csr(got, want)
 
 
+@pytest.mark.parametrize("shape", [(33,), (17, 13)], ids=["1d", "2d"])
+def test_a_refill_leaves_the_blocks_made_before_it(shape):
+    # a 1D refill goes through the block's scratch conductances; the band it
+    # returns must not share them, or the next Newton step would overwrite it
+    grid = Grid(extents=((-1.0, 1.0), (0.0, 1.5))[: len(shape)], resolution=shape)
+    nodes = np.flatnonzero(~grid.boundary_face_mask.ravel())
+    kern = DiscreteEnergy.dirichlet(grid, 1.5)
+    block = _FreeBlock(kern, nodes)
+    rng = np.random.default_rng(3)
+    first = block(kern.at(rng.standard_normal(shape), 0.1).conductances, 2.0, 1.0)
+    kept = _csr(first).toarray()
+    block(kern.at(rng.standard_normal(shape), 0.1).conductances, 2.0, 1.0)
+    assert np.array_equal(_csr(first).toarray(), kept)
+
+
 def _interior(grid):
     return np.flatnonzero(~grid.boundary_face_mask.ravel())
 
@@ -415,11 +430,22 @@ def test_residual_max_is_the_scaled_gradient_max_over_free_nodes(fixture, reques
         assert res.residual_max == np.max(np.abs(g / kern.weights)[free])
 
 
+@pytest.mark.parametrize("fixture", _SESSION_SOLVES)
+def test_stage_energy_is_the_energy_of_the_field_it_leaves(fixture, request):
+    # polish steps move the field after the last Armijo step, so the trace's
+    # last entry can be stale; the record's energy is the returned field's
+    for case in _session_solves(fixture, request):
+        res = case.result
+        last = res.stages[-1]
+        kern = DiscreteEnergy(case.grid, case.params)
+        assert last.energy == kern.at(res.field.values, last.eps).energy
+
+
 def test_solve_result_derives_its_totals_from_its_stages():
     fld, _ = _one_phase_start(n=9)
     tol = aplab.solver._TOL_RESIDUAL
-    stages = (StageRecord(0.1, 3, (2.0, 1.0), 0.5 * tol, tol, "tolerance"),
-              StageRecord(0.01, 4, (1.0, 0.5), 2.0 * tol, 5.0 * tol, "step_cap"))
+    stages = (StageRecord(0.1, 3, (2.0, 1.0), 1.0, 0.5 * tol, tol, "tolerance"),
+              StageRecord(0.01, 4, (1.0, 0.5), 0.5, 2.0 * tol, 5.0 * tol, "step_cap"))
     res = SolveResult(fld, 0.5, stages)
     assert res.n_iterations == 7
     assert res.residual_rms == 2.0 * tol
