@@ -303,6 +303,7 @@ def test_compare_reports_work_counters_apart(bundle_a, tmp_path, capsys):
     assert summary["counter_deltas"] == {
         "solve/backtracks": 0.0,
         "solve/cg_floor_stops": 0.0,
+        "solve/cg_forcing_stops": 0.0,
         "solve/cg_iterations": 5.0,
         "solve/gradient_fallbacks": 0.0,
         "solve/lift_retries": 0.0,

@@ -519,44 +519,101 @@ def test_minimize_counts_gradient_fallbacks(monkeypatch):
 
 
 # Newton steps of each fixture, and its CG iterations when every CG solve
-# ran to the relative tolerance alone
+# ran to the relative tolerance or the representation floor
 @pytest.mark.parametrize(
-    "fixture, steps, cg_relative_only",
-    [("crossing_2d", 22, 144), ("branching_2d", 92, 748)],
+    "fixture, steps, cg_exact_only",
+    [("crossing_2d", 22, 58), ("branching_2d", 93, 503)],
     ids=["crossing_2d", "branching_2d"],
 )
 def test_minimize_2d_solves_by_cg_without_misses(
-    fixture, steps, cg_relative_only, request
+    fixture, steps, cg_exact_only, request
 ):
     res = request.getfixturevalue(fixture).result
     assert res.work["linear_solves"] >= res.n_iterations > 0
     assert res.work["cg_iterations"] >= res.work["linear_solves"]
     assert res.work["superlu_solves"] == 0
-    # the representation floor stops most solves early, and the Newton
-    # steps are the same
     assert res.n_iterations == steps
-    assert res.work["cg_iterations"] < cg_relative_only
-    assert 0 < res.work["cg_floor_stops"] <= res.work["linear_solves"]
+    # the zero start's model is the Hessian, solved exactly; every later one
+    # clips the concave potential (gamma = 1/2) and stops at the forcing term
+    assert res.work["cg_forcing_stops"] == res.work["linear_solves"] - 1
+    assert res.work["cg_floor_stops"] == 0
+    assert res.work["cg_iterations"] < cg_exact_only
+
+
+def _spy_on_solves(monkeypatch) -> list:
+    # (arguments, solution) of every spsolve call
+    solves = []
+    real = aplab.solver.spsolve
+
+    def spy(*args):
+        x = real(*args)
+        solves.append((args, x))
+        return x
+
+    monkeypatch.setattr(aplab.solver, "spsolve", spy)
+    return solves
+
+
+def _zero_bump(shape):
+    fld, _ = _bump_field(shape)
+    return fld.with_values(np.where(fld.free_mask, 0.0, fld.values))
 
 
 def test_cg_floor_is_zero_at_a_zero_iterate(monkeypatch):
-    # the first Newton system of a zero start gets no floor, so CG solves it
-    # to the relative tolerance; later ones, at a nonzero iterate, get one
-    floors = []
-    real = aplab.solver.spsolve
-
-    def spy(M, rhs, precond=None, tally=None, floor=0.0):
-        floors.append(floor)
-        return real(M, rhs, precond, tally, floor)
-
-    monkeypatch.setattr(aplab.solver, "spsolve", spy)
+    # an exact-model system (p = 2, convex potential) at the zero start gets
+    # no floor, so CG solves it to the relative tolerance; later ones, at a
+    # nonzero iterate, get one, and no solve stops at the forcing term
+    solves = _spy_on_solves(monkeypatch)
     monkeypatch.setattr(aplab.solver, "_MAX_ITERS", 3)
-    fld, _ = _bump_field((17, 17))
-    zero = fld.with_values(np.where(fld.free_mask, 0.0, fld.values))
-    par = DiscreteEnergy.dirichlet(fld.grid, 3.0).params
+    zero = _zero_bump((17, 17))
+    par = Params(p=2.0, gamma=1.0, lambda_plus=0.5, lambda_minus=0.5)
     res = minimize(zero, par, (0.1,))
+    floors = [args[4] for args, _ in solves]
     assert res.work["linear_solves"] == len(floors) == 3
     assert floors[0] == 0.0 and all(f > 0.0 for f in floors[1:])
+    assert res.work["cg_forcing_stops"] == 0
+    # at p = 3 the model is not the Hessian: no floor, and every CG solve
+    # stops at the forcing term
+    solves.clear()
+    res = minimize(zero, DiscreteEnergy.dirichlet(zero.grid, 3.0).params, (0.1,))
+    assert res.work["linear_solves"] == len(solves) == 3
+    assert all(args[4] == 0.0 for args, _ in solves)
+    assert res.work["cg_forcing_stops"] == 3 and res.work["cg_floor_stops"] == 0
+
+
+@pytest.mark.parametrize(
+    "par",
+    [Params(p=3.0, gamma=1.0, lambda_plus=0.5, lambda_minus=0.5, alpha_p=1.0),
+     Params(p=2.0, gamma=0.5, lambda_plus=0.4, lambda_minus=0.4)],
+    ids=["p3", "concave"],
+)
+def test_forcing_stops_meet_the_forcing_term(par, monkeypatch):
+    # every solve that the forcing term stopped leaves a linear residual of
+    # at most eta |g|, and at least one of them stops well short of 1e-12
+    solves = _spy_on_solves(monkeypatch)
+    res = minimize(_zero_bump((33, 33)), par, (0.1, 0.01))
+    forced = [(args, d) for args, d in solves
+              if args[5] == aplab.solver._CG_FORCING]
+    assert res.converged and res.work["superlu_solves"] == 0
+    assert len(forced) == res.work["cg_forcing_stops"] > 0
+    ratios = [np.linalg.norm(M @ d - g) / np.linalg.norm(g)
+              for (M, g, *_), d in forced]
+    assert max(ratios) <= aplab.solver._CG_FORCING
+    assert max(ratios) > 1e-6
+
+
+def test_exact_models_take_no_forcing_stops(monkeypatch):
+    # a p = 2, gamma = 1 run clips no curvature, and the p = 2 replacement
+    # has no potential: both models are the Hessian, solved exactly
+    fld, region = _bump_field((33, 33))
+    par = Params(p=2.0, gamma=1.0, lambda_plus=0.5, lambda_minus=0.5)
+    res = minimize(_zero_bump((33, 33)), par, (0.1, 0.01))
+    assert res.converged and res.work["cg_iterations"] > 0
+    assert res.work["cg_forcing_stops"] == 0
+    solves = _spy_on_solves(monkeypatch)
+    p_harmonic_replacement(fld, 2.0, region)
+    assert solves and all(args[5] == aplab.solver._CG_RTOL for args, _ in solves)
+    assert solves[-1][0][3]["cg_forcing_stops"] == 0
 
 
 def test_newton_model_step_count_on_the_restricted_run(restricted_cases):
