@@ -96,12 +96,19 @@ def _masked_power(n, e):
         return np.where(n == 0, 0, n**e)
 
 
-def _unit_margins(name, p):
+def _fresh_unit_pairs(seed):
+    """A 2000-pair sweep's pairs, drawn anew and scaled as a sweep scales
+    them, in C order: the reference for the held, Fortran-ordered pairs."""
+    a, b = inequalities._draw_pairs(2000, seed)[:2]
+    assert a.flags.c_contiguous and b.flags.c_contiguous
+    scale = np.maximum(inequalities._norm(a), inequalities._norm(b))[:, None]
+    return a, b, a / scale, b / scale
+
+
+def _unit_margins(name, p, seed=1):
     """Every margin array a sweep reads, on 2000 of its pairs, scaled as it
     scales them."""
-    a, b = inequalities._sweep_pairs(np.random.default_rng(1), 2000)
-    scale = np.maximum(inequalities._norm(a), inequalities._norm(b))[:, None]
-    a, b = a / scale, b / scale
+    a, b = _fresh_unit_pairs(seed)[2:]
     if name == "sum":
         return check_sum_inequality(a, b, p, 1.0), inequalities._sum_rhs(a, b, p, 1.0)
     if name == "convexity":
@@ -111,12 +118,14 @@ def _unit_margins(name, p):
     return check_v_equivalence(a, b, p, calibrate_v_constant(p))
 
 
-@pytest.mark.parametrize(
-    "name, p",
-    [("sum", 0.5), ("sum", 3.0), ("convexity", 2.0), ("convexity", 4.0),
-     ("monotonicity", 1.5), ("monotonicity", 3.0), ("v_equivalence", 1.5),
-     ("v_equivalence", 3.0)],
-)
+UNIT_CASES = [
+    ("sum", 0.5), ("sum", 3.0), ("convexity", 2.0), ("convexity", 4.0),
+    ("monotonicity", 1.5), ("monotonicity", 3.0), ("v_equivalence", 1.5),
+    ("v_equivalence", 3.0),
+]
+
+
+@pytest.mark.parametrize("name, p", UNIT_CASES)
 def test_margins_keep_their_bits_under_np_sum_reductions(name, p, monkeypatch):
     # the reference: numpy's reductions, and the zero mask at every exponent
     got = _unit_margins(name, p)
@@ -379,17 +388,20 @@ def test_sweep_refuses_fewer_than_one_pair(n_pairs):
         sweep_inequality("sum", 2.0, n_pairs=n_pairs, seed=0)
 
 
+def _uniform_pairs(n, seed):
+    # uniform pairs only: near-equality pairs have margins that are all rounding
+    a, b = np.random.default_rng(seed).uniform(-10.0, 10.0, size=(2, n, 2))
+    scale = np.maximum(np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1))
+    return a, b, a / scale[:, None], b / scale[:, None]
+
+
 @pytest.mark.parametrize(
     "name, p, eps",
     [("sum", 3.0, 0.5), ("sum", 0.5, 1.0), ("convexity", 3.0, 1.0),
      ("monotonicity", 1.5, 1.0), ("v_equivalence", 3.0, 1.0)],
 )
 def test_sweep_margin_is_the_witness_margin_in_unit_scale(name, p, eps, monkeypatch):
-    # uniform pairs only: near-equality pairs have margins that are all rounding
-    monkeypatch.setattr(
-        "aplab.inequalities._sweep_pairs",
-        lambda rng, n: tuple(rng.uniform(-10.0, 10.0, size=(2, n, 2))),
-    )
+    monkeypatch.setattr("aplab.inequalities._sweep_pairs", _uniform_pairs)
     rep = sweep_inequality(name, p, n_pairs=2000, seed=3, eps=eps)
     a = np.array([rep.witness_a])
     b = np.array([rep.witness_b])
@@ -409,6 +421,85 @@ def test_sweep_margin_is_the_witness_margin_in_unit_scale(name, p, eps, monkeypa
         margin = np.minimum(*check_v_equivalence(a, b, p, rep.constant))
     assert rep.min_margin > 1e-6
     assert margin[0] / scale == pytest.approx(rep.min_margin, rel=1e-9)
+
+
+def test_a_patched_draw_leaves_no_pairs_behind(monkeypatch):
+    # the patch replaces the memo itself, so the pairs it hands out are
+    # never held for the next sweep at its (n_pairs, seed)
+    with monkeypatch.context() as patch:
+        patch.setattr("aplab.inequalities._sweep_pairs", _uniform_pairs)
+        patched = sweep_inequality("convexity", 3.0, n_pairs=2000, seed=3)
+    after = sweep_inequality("convexity", 3.0, n_pairs=2000, seed=3)
+    monkeypatch.setattr(inequalities, "_held", {})
+    fresh = sweep_inequality("convexity", 3.0, n_pairs=2000, seed=3)
+    assert repr(after) == repr(fresh)
+    assert patched.n_pairs == 2000 and after.n_pairs == 2600
+
+
+def _counted_draws(monkeypatch):
+    """Empty the memo and record every (n, seed) drawn from here on."""
+    calls = []
+    draw = inequalities._draw_pairs
+
+    def counted(n, seed):
+        calls.append((n, seed))
+        return draw(n, seed)
+
+    monkeypatch.setattr(inequalities, "_held", {})
+    monkeypatch.setattr(inequalities, "_draw_pairs", counted)
+    return calls
+
+
+def test_sweeps_at_one_seed_draw_their_pairs_once(monkeypatch):
+    calls = _counted_draws(monkeypatch)
+    for name, p in UNIT_CASES:
+        sweep_inequality(name, p, n_pairs=2000, seed=4)
+    assert calls == [(2000, 4)]
+    assert list(inequalities._held) == [(2000, 4)]
+
+
+def test_held_pairs_are_read_only_and_column_contiguous():
+    a, b, ua, ub = inequalities._sweep_pairs(2000, 4)
+    assert ua.flags.f_contiguous and ub.flags.f_contiguous
+    for x in (a, b, ua, ub):
+        with pytest.raises(ValueError, match="read-only"):
+            x[0, 0] = 1.0
+
+
+def test_an_evicted_draw_gives_the_held_report_again(monkeypatch):
+    # repr spells every float exactly, signed zeros included
+    calls = _counted_draws(monkeypatch)
+    drawn = repr(sweep_inequality("monotonicity", 3.0, n_pairs=2000, seed=4))
+    held = repr(sweep_inequality("monotonicity", 3.0, n_pairs=2000, seed=4))
+    sweep_inequality("monotonicity", 3.0, n_pairs=2000, seed=5)
+    sweep_inequality("monotonicity", 3.0, n_pairs=100, seed=5)
+    again = repr(sweep_inequality("monotonicity", 3.0, n_pairs=2000, seed=4))
+    assert calls == [(2000, 4), (2000, 5), (100, 5), (2000, 4)]
+    assert list(inequalities._held) == [(2000, 4)]
+    assert drawn == held == again
+
+
+def test_fresh_entropy_is_never_held(monkeypatch):
+    calls = _counted_draws(monkeypatch)
+    one = sweep_inequality("sum", 3.0, n_pairs=2000, seed=None)
+    two = sweep_inequality("sum", 3.0, n_pairs=2000, seed=None)
+    assert calls == [(2000, None), (2000, None)]
+    assert inequalities._held == {}
+    assert one.witness_a != two.witness_a
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("name, p", UNIT_CASES)
+def test_sweep_is_bit_for_bit_its_margins_on_fresh_c_ordered_pairs(name, p, seed):
+    margins = _unit_margins(name, p, seed)
+    if name == "sum":
+        margins = (margins[0] / margins[1],)
+    margins = np.minimum.reduce(margins)  # v_equivalence: the worse side
+    i = int(np.argmin(margins))
+    a, b = _fresh_unit_pairs(seed)[:2]
+    rep = sweep_inequality(name, p, n_pairs=2000, seed=seed)
+    assert rep.min_margin.hex() == float(margins[i]).hex()
+    assert rep.witness_a == tuple(a[i]) and rep.witness_b == tuple(b[i])
 
 
 @pytest.mark.parametrize("name", ["sum", "monotonicity"])
