@@ -18,15 +18,18 @@ and curvature of the next Newton step come from that same state, so
 nothing is evaluated twice for one field.
 
 Every linear system is symmetric positive definite and goes through
-``spsolve``.  Its sparsity pattern is built once per problem; each
-Newton step refills only the values.  A 1D system is tridiagonal: its
+``spsolve``.  Its pattern is built once per problem; each Newton step
+refills only the values.  A 1D system is tridiagonal: its
 band storage is three gathers of the conductances padded with zeros at
 both grid ends (a node's diagonal is the sum of its two edges, its
 coupling to the previous free node the edge between them, or 0 across a
 gap), and it is solved by LAPACK's tridiagonal Cholesky (``dptsv``, the
-routine ``scipy.linalg.solveh_banded`` calls for two bands).  On a 2D or
-3D grid whose nodes all lie strictly inside the box, it is solved by
-conjugate gradients preconditioned with a fast Poisson solve: the
+routine ``scipy.linalg.solveh_banded`` calls for two bands).  A 2D or 3D
+system is a stencil, never a matrix: its diagonal and one coupling per
+edge, which CG applies on grid-shaped arrays in the order of a CSR
+product, bit for bit.  On a grid whose nodes all lie strictly inside the
+box, it is solved by conjugate gradients preconditioned with a fast
+Poisson solve: the
 constant-coefficient Laplacian of the interior box, inverted by DST-I,
 with a diagonal scaling that matches the system's own diagonal (Concus &
 Golub, SIAM J. Numer. Anal. 10, 1973).  How far CG goes depends on
@@ -41,17 +44,18 @@ Hessian, and CG stops at the forcing term, a residual of 0.1 relative to
 the gradient, the inexact Newton step that keeps the descent's
 convergence (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982;
 Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996).  SuperLU is the
-counted fallback:
-it takes a banded system found not positive definite, a system on which
-CG breaks down or reaches its iteration cap, and the diagonal-lift retry
-of a non-finite solve.  Inner products are plain ``np.sum`` reductions,
-not BLAS, so a solve does not depend on the number of BLAS threads.
+counted fallback, and the only consumer of a CSR matrix, assembled from
+the block by ``_csr``: it takes a 2D or 3D system with a node on a box
+face, a banded system found not positive definite, a system on which CG
+breaks down or reaches its iteration cap, and the diagonal-lift retry of
+a non-finite solve.  Inner products are plain ``np.sum`` reductions, not
+BLAS, so a solve does not depend on the number of BLAS threads.
 
-Importing the module loads no scipy module: ``scipy.sparse`` loads with
-the first CSR system, ``scipy.linalg`` (the banded Cholesky) and
-``scipy.sparse.linalg`` (SuperLU) on the first solve that calls them, so a
-2D or 3D solve that CG finishes needs neither and a 1D solve needs no
-``scipy.sparse``.
+Importing the module loads no scipy module: ``scipy.linalg`` (the banded
+Cholesky) loads on the first banded solve, and ``scipy.sparse`` and
+``scipy.sparse.linalg`` (SuperLU) on the first SuperLU solve, so a 2D or
+3D solve that CG finishes and a 1D solve that the banded Cholesky
+finishes load no ``scipy.sparse``.
 """
 
 from __future__ import annotations
@@ -218,20 +222,21 @@ class _FreeBlock:
     are the sums and products, in the same order, that summing the
     diagonal over the grid (as below) would take.
 
-    In 2D and 3D the pattern is each axis's edges with both ends in the set
-    (flat positions in that axis's conductance array), which alone give
-    off-diagonal entries, and the CSR structure; the diagonal is summed over
-    the whole grid, axis by axis and lower end first, the order in which
-    COO->CSR would sum duplicate entries.  The block is CSR, bit for bit
-    the matrix COO->CSR makes of the (main, upper, lower) entries, and every
-    block of one pattern shares its ``indices`` and ``indptr`` arrays.
+    In 2D and 3D the block is a ``_Stencil``, applied without a matrix.
+    Its diagonal is summed over the whole grid, axis by axis and lower end
+    first, the order in which COO->CSR would sum duplicate entries, and its
+    couplings are -scale * kappa, so its ``_csr`` is bit for bit the matrix
+    COO->CSR makes of the (main, upper, lower) entries.  When the nodes
+    fill the interior box the stencil works on the box; otherwise it works
+    on the whole grid, with the couplings of edges that leave the node set
+    zeroed (the pattern is each axis's mask of edges with both ends in the
+    set).
 
     After a call, ``diagonal`` is the main diagonal of the block it made
     (the band's row 1 in 1D), so no caller has to extract it again.
     """
 
     def __init__(self, kern: DiscreteEnergy, nodes: np.ndarray):
-        m = nodes.size
         self.nodes = nodes
         self.shape = kern.weights.shape
         if len(self.shape) == 1:
@@ -245,28 +250,17 @@ class _FreeBlock:
             return
         self.padded = None
         self.ends = [(lo, hi) for lo, hi, *_ in kern.axes]
-        pos = np.full(self.shape, -1)  # block index of each node, -1 if outside
-        pos.flat[nodes] = np.arange(m)
-        self.edges, rows, cols = [], [], []
-        for lo, hi in self.ends:
-            i, j = pos[lo], pos[hi]
-            both = (i >= 0) & (j >= 0)
-            self.edges.append(np.flatnonzero(both))
-            rows.append(i[both])
-            cols.append(j[both])
-        i, j = np.concatenate(rows), np.concatenate(cols)
-        at = np.arange(m)
-        row = np.concatenate((at, i, j))
-        col = np.concatenate((at, j, i))
-        # (main, k, k) entry of each CSR slot: rows in order, columns sorted
-        self.order = np.lexsort((col, row))
-        self.indices = col[self.order].astype(np.int32)
-        self.indptr = np.zeros(m + 1, dtype=np.int32)
-        np.cumsum(np.bincount(row, minlength=m), out=self.indptr[1:])
+        inside = np.zeros(self.shape, dtype=bool)
+        inside.reshape(-1)[nodes] = True
+        self.inner = (slice(1, -1),) * len(self.shape)  # the box, in nodes and edges
+        box = inside[self.inner]
+        if nodes.size == box.size and box.all():
+            self.where, self.grid = None, box.shape
+        else:
+            self.where, self.grid = nodes, self.shape
+            self.keep = [inside[lo] & inside[hi] for lo, hi in self.ends]
 
-    def __call__(
-        self, kappas, scale: float = 1.0, shift=0.0
-    ) -> sp.csr_matrix | np.ndarray:
+    def __call__(self, kappas, scale: float = 1.0, shift=0.0) -> _Stencil | np.ndarray:
         padded = self.padded
         if padded is not None:
             padded[1:-2] = kappas[0]
@@ -279,19 +273,108 @@ class _FreeBlock:
             self.diagonal = main
             return rows[:2]
         diag = np.zeros(self.shape)
-        ks = []
-        for (lo, hi), kap, edges in zip(self.ends, kappas, self.edges):
+        for (lo, hi), kap in zip(self.ends, kappas):
             diag[lo] += kap
             diag[hi] += kap
-            ks.append(scale * -np.take(kap, edges))
-        main = scale * diag.ravel()[self.nodes] + shift
+        if self.where is None:
+            main = (scale * diag[self.inner]).reshape(-1)
+            couplings = [scale * -kap[self.inner] for kap in kappas]
+        else:
+            main = scale * diag.reshape(-1)[self.nodes]
+            couplings = [
+                np.where(keep, scale * -kap, 0.0) for keep, kap in zip(self.keep, kappas)
+            ]
+        main += shift
         self.diagonal = main
+        return _Stencil(main, couplings, self.grid, self.where)
+
+
+def _ends(shape: tuple[int, ...]) -> list[tuple[tuple, tuple]]:
+    """Each axis's (lower, upper) edge-end slices on a grid of ``shape``."""
+    ends = []
+    for a, n in enumerate(shape):
+        lead = (slice(None),) * a
+        ends.append((lead + (slice(0, n - 1),), lead + (slice(1, n),)))
+    return ends
+
+
+class _Stencil:
+    """A 2D or 3D Newton block, applied as a stencil on a grid array.
+
+    ``main`` is the block's diagonal and ``couplings`` holds one array per
+    axis, the off-diagonal entry of each edge of the grid array of shape
+    ``grid`` that the block works on, 0 on an edge with an end outside the
+    node set; ``where`` is each node's flat position in that array, None
+    when the nodes fill it.
+
+    ``M @ x`` adds to +0.0, node by node, the lower neighbours' terms from
+    axis 0 to the last, the diagonal term, then the upper neighbours' terms
+    from the last axis to axis 0: the ascending-column order in which
+    scipy's CSR product adds a row, so the product equals ``M.tocsr() @ x``
+    bit for bit.  ``abs(M)`` has the absolute entries, ``M.tocsr()``
+    assembles the CSR block for the direct solver.
+    """
+
+    def __init__(self, main, couplings, grid, where):
+        self.main = main
+        self.couplings = couplings
+        self.grid = grid
+        self.ends = _ends(grid)
+        self.where = where
+        self.shape = (main.size, main.size)
+        if where is None:
+            self.on_grid = main.reshape(self.grid)
+        else:
+            self.on_grid = np.zeros(self.grid)
+            self.on_grid.reshape(-1)[where] = main
+
+    def diagonal(self) -> np.ndarray:
+        return self.main
+
+    def __abs__(self) -> _Stencil:
+        return _Stencil(
+            np.abs(self.main), [np.abs(c) for c in self.couplings], self.grid, self.where
+        )
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        if self.where is None:
+            v = x.reshape(self.grid)
+        else:
+            v = np.zeros(self.grid)
+            v.reshape(-1)[self.where] = x
+        y = np.zeros(self.grid)
+        for (lo, hi), c in zip(self.ends, self.couplings):
+            y[hi] += c * v[lo]
+        y += self.on_grid * v
+        for (lo, hi), c in zip(self.ends[::-1], self.couplings[::-1]):
+            y[lo] += c * v[hi]
+        y = y.reshape(-1)
+        return y if self.where is None else y[self.where]
+
+    def tocsr(self) -> sp.csr_matrix:
+        """The block as CSR: rows in order, columns sorted, every edge of
+        the node set stored, a zero coupling included."""
         import scipy.sparse as sp
 
-        k = np.concatenate(ks)
-        data = np.concatenate((main, k, k))[self.order]
-        m = self.nodes.size
-        return sp.csr_matrix((data, self.indices, self.indptr), shape=(m, m))
+        m = self.main.size
+        at = np.arange(m)
+        pos = np.full(self.grid, -1)  # block index of each grid node, -1 if outside
+        pos.reshape(-1)[at if self.where is None else self.where] = at
+        rows, cols, ks = [], [], []
+        for (lo, hi), c in zip(self.ends, self.couplings):
+            i, j = pos[lo], pos[hi]
+            both = (i >= 0) & (j >= 0)
+            rows.append(i[both])
+            cols.append(j[both])
+            ks.append(c[both])
+        i, j, k = np.concatenate(rows), np.concatenate(cols), np.concatenate(ks)
+        row = np.concatenate((at, i, j))
+        col = np.concatenate((at, j, i))
+        order = np.lexsort((col, row))
+        indptr = np.zeros(m + 1, dtype=np.int32)
+        np.cumsum(np.bincount(row, minlength=m), out=indptr[1:])
+        data = np.concatenate((self.main, k, k))[order]
+        return sp.csr_matrix((data, col[order].astype(np.int32), indptr), shape=(m, m))
 
 
 def assemble_diffusion(
@@ -307,7 +390,7 @@ def assemble_diffusion(
     return _csr(block(kern.at(values, eps).conductances))
 
 
-def _csr(M: sp.csr_matrix | np.ndarray) -> sp.csr_matrix:
+def _csr(M: _Stencil | sp.csr_matrix | np.ndarray) -> sp.csr_matrix:
     """A block as CSR; 1D upper band rows are mirrored below the diagonal."""
     if not isinstance(M, np.ndarray):
         return M.tocsr()
@@ -394,21 +477,21 @@ def _dot(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def _pcg(
-    M: sp.csr_matrix,
+    M: _Stencil | sp.csr_matrix,
     b: np.ndarray,
     precond: _BoxPreconditioner,
     tally: Counter,
     floor: float,
     rtol: float = _CG_RTOL,
-    diag: np.ndarray | None = None,
 ) -> np.ndarray | None:
     """Preconditioned CG from zero; None on breakdown or at the iteration cap.
 
-    It stops once the residual norm is at most ``rtol`` times that of ``b``
-    or at most ``floor``, whichever bound is larger.  ``diag`` is M's
-    diagonal, read off M when not given.  A solve that the floor stopped
-    counts as a floor stop, one that a relative tolerance looser than
-    ``_CG_RTOL`` stopped as a forcing stop.
+    ``M`` is anything with ``M @ x`` and ``M.diagonal()``: the stencil of a
+    Newton block, or a CSR matrix.  CG stops once the residual norm is at
+    most ``rtol`` times that of ``b`` or at most ``floor``, whichever bound
+    is larger.  A solve that the floor stopped counts as a floor stop, one
+    that a relative tolerance looser than ``_CG_RTOL`` stopped as a forcing
+    stop.
     """
     x = np.zeros_like(b)
     if not b.any():
@@ -417,7 +500,7 @@ def _pcg(
     stop = max(rel, floor * floor)
     rr = math.inf
     with np.errstate(all="ignore"):
-        s = np.sqrt(precond.diag / (M.diagonal() if diag is None else diag))
+        s = np.sqrt(precond.diag / M.diagonal())
         r = b.copy()
         z = precond(s, r)
         rz = _dot(r, z)
@@ -467,13 +550,12 @@ def _superlu(M: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
 
 
 def spsolve(
-    M: sp.csr_matrix | np.ndarray,
+    M: _Stencil | sp.csr_matrix | np.ndarray,
     rhs: np.ndarray,
     precond: _BoxPreconditioner | None = None,
     tally: Counter | None = None,
     floor: float = 0.0,
     rtol: float = _CG_RTOL,
-    diag: np.ndarray | None = None,
 ) -> np.ndarray:
     """Solve the SPD system ``M x = rhs``.
 
@@ -481,12 +563,11 @@ def spsolve(
     banded Cholesky; a system with a box preconditioner by
     preconditioned CG, which stops at a residual norm of ``rtol`` (by
     default ``_CG_RTOL``) times that of ``rhs`` or of ``floor``, whichever
-    is larger, and reads M's diagonal from ``diag`` when given.
-    Everything else goes to SuperLU, and so does a system that the banded
-    factorization finds not positive definite or on which CG breaks down
-    or reaches its iteration cap.  ``tally`` counts the CG iterations, the
-    CG solves that the floor stopped, those that a looser ``rtol`` stopped,
-    and the SuperLU solves.
+    is larger.  Everything else goes to SuperLU as CSR (``_csr``), and so
+    does a system that the banded factorization finds not positive definite
+    or on which CG breaks down or reaches its iteration cap.  ``tally``
+    counts the CG iterations, the CG solves that the floor stopped, those
+    that a looser ``rtol`` stopped, and the SuperLU solves.
     """
     if tally is None:
         tally = Counter()
@@ -494,32 +575,30 @@ def spsolve(
         try:
             return solveh_banded(M, rhs)
         except np.linalg.LinAlgError:
-            M = _csr(M)
+            pass
     elif precond is not None:
-        x = _pcg(M, rhs, precond, tally, floor, rtol, diag)
+        x = _pcg(M, rhs, precond, tally, floor, rtol)
         if x is not None:
             return x
     tally["superlu_solves"] += 1
-    return _superlu(M, rhs)
+    return _superlu(_csr(M), rhs)
 
 
 def _solve_spd(
-    M: sp.csr_matrix | np.ndarray,
+    M: _Stencil | np.ndarray,
     rhs: np.ndarray,
     precond: _BoxPreconditioner | None,
     tally: Counter,
     floor: float,
     rtol: float,
-    diag: np.ndarray,
 ) -> np.ndarray | None:
     """Sparse SPD solve with a tiny diagonal lift retry for rank issues.
 
-    ``floor``, ``rtol`` and the diagonal ``diag`` go to CG (see
-    ``spsolve``); the retry goes to SuperLU.  None when the lifted solve is
-    still non-finite.
+    ``floor`` and ``rtol`` go to CG (see ``spsolve``); the retry goes to
+    SuperLU.  None when the lifted solve is still non-finite.
     """
     tally["linear_solves"] += 1
-    x = spsolve(M, rhs, precond, tally, floor, rtol, diag)
+    x = spsolve(M, rhs, precond, tally, floor, rtol)
     if np.isfinite(x).all():
         return x
     import scipy.sparse as sp
@@ -543,14 +622,28 @@ def _rms(x: np.ndarray) -> float:
 def _check_ladder(ladder: tuple[float, ...], kern: DiscreteEnergy) -> None:
     """ValueError unless the ladder is nonempty and nonincreasing and each
     width is positive and finite, with a finite potential curvature at u = 0
-    and finite Dirichlet conductances at zero gradient."""
+    and finite Dirichlet conductances at zero gradient.
+
+    At u = 0 the curvature is one constant, and an edge's conductance
+    depends only on the spacing and its ends' weights, which a grid of at
+    most 3 nodes per axis at the same spacing has all of.  It lacks edges
+    between two interior nodes, but in float64 their sum w/2 + w/2 equals
+    that of a first or last edge, w/2 * 1 + w * 1/2, so the check runs on
+    that grid.
+    """
     if not ladder:
         raise ValueError("continuation ladder must not be empty")
     if not all(0.0 < e < math.inf for e in ladder):
         raise ValueError("smoothing widths must be positive and finite")
     if any(a < b for a, b in zip(ladder, ladder[1:])):
         raise ValueError("continuation ladder must be nonincreasing")
-    flat = np.zeros(kern.grid.shape)
+    grid = kern.grid
+    small = tuple(min(n, 3) for n in grid.shape)
+    if small != grid.shape and all(math.isfinite(h) for h in grid.spacing):
+        # extents (0, (m - 1) h) with m - 1 = 1 or 2: the spacing is h exactly
+        grid = Grid(tuple((0.0, (m - 1) * h) for m, h in zip(small, grid.spacing)), small)
+        kern = DiscreteEnergy(grid, kern.params)
+    flat = np.zeros(grid.shape)
     for eps in ladder:
         with np.errstate(all="ignore"):
             at_rest = kern.at(flat, eps)
@@ -644,7 +737,7 @@ def minimize(
                 floor = np.finfo(float).eps * math.sqrt(_dot(blur, blur))
             elif precond is not None:
                 rtol = _CG_FORCING
-            d = _solve_spd(M, g_f, precond, tally, floor, rtol, block.diagonal)
+            d = _solve_spd(M, g_f, precond, tally, floor, rtol)
             if d is None:
                 shortfall = (
                     f"linear solve non-finite at smoothing width {eps:g} "

@@ -17,9 +17,11 @@ from aplab.oracle import one_phase_profile, radial_p_harmonic
 from aplab.solver import (
     DEFAULT_LADDER,
     _box_preconditioner,
+    _check_ladder,
     _csr,
     _FreeBlock,
     _pcg,
+    _Stencil,
     SolveResult,
     SolverStall,
     STAGE_EXITS,
@@ -66,6 +68,48 @@ def test_config_rejects_bad_values(kwargs):
     fld, par = _one_phase_start(n=65)
     with pytest.raises(ValueError):
         minimize(fld, par, **kwargs)
+
+
+def _refused_on_the_whole_grid(kern, eps):
+    # the reference check: curvature and conductances of the zero field at
+    # every node and edge of the kernel's own grid
+    with np.errstate(all="ignore"):
+        at_rest = kern.at(np.zeros(kern.grid.shape), eps)
+        curv, kappas = at_rest.curvature(), at_rest.conductances
+    return not (np.isfinite(curv).all() and all(np.isfinite(k).all() for k in kappas))
+
+
+@pytest.mark.parametrize(
+    "p, gamma", [(1.2, 0.3), (1.5, 0.3), (2.0, 0.5), (3.0, 1.0), (8.0, 0.5)]
+)
+@pytest.mark.parametrize(
+    "extents, shape",
+    [
+        (((0.0, 1.0),), (17,)),
+        (((-1.0, 1.0), (0.0, 1.5)), (9, 7)),
+        (((0.0, 1e-3), (-2.0, 3.0)), (2, 6)),
+        (((0.0, 1.0), (-0.5, 1.0), (0.0, 2.0)), (5, 6, 4)),
+    ],
+    ids=["1d", "2d", "2d-two-nodes", "3d"],
+)
+def test_ladder_check_refuses_the_widths_the_whole_grid_refuses(
+    extents, shape, p, gamma
+):
+    # widths 1e-1 .. 1e-320 in half decades, one ladder each: the check on
+    # a few nodes accepts and refuses exactly what the whole grid would
+    grid = Grid(extents=extents, resolution=shape)
+    par = Params(p=p, gamma=gamma, lambda_plus=0.5, lambda_minus=0.3, alpha_p=1.0)
+    kern = DiscreteEnergy(grid, par)
+    refused = []
+    for eps in (10.0 ** (-0.5 * j) for j in range(2, 641)):
+        if _refused_on_the_whole_grid(kern, eps):
+            message = f"smoothing width {eps:g} is out of the kernel's range"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                _check_ladder((eps,), kern)
+            refused.append(eps)
+        else:
+            _check_ladder((eps,), kern)
+    assert 0 < len(refused) < 639
 
 
 # ---------------------------------------------------------------------------
@@ -129,11 +173,12 @@ def test_free_block_equals_sliced_full_operator(extents, shape, p):
     kern = DiscreteEnergy.dirichlet(grid, p)
     kappas = kern.at(u, 0.1).conductances
     full = _FreeBlock(kern, np.arange(u.size))(kappas)
-    # 1D blocks come as LAPACK upper band arrays, the others as CSR
+    # 1D blocks come as LAPACK upper band arrays, the others as stencils
+    # that _csr assembles as CSR
     if len(shape) == 1:
         assert isinstance(full, np.ndarray) and full.shape == (2, u.size)
     else:
-        assert full.format == "csr"
+        assert isinstance(full, _Stencil) and _csr(full).format == "csr"
     full = _csr(full)
     _assert_same_csr(full, _coo_operator(kern, kappas))
     want = (scale * full[idx][:, idx] + sp.diags(shift)).tocsr()
@@ -143,7 +188,8 @@ def test_free_block_equals_sliced_full_operator(extents, shape, p):
 @pytest.mark.parametrize("shape", [(33,), (17, 13)], ids=["1d", "2d"])
 def test_fixed_pattern_refills_match_a_fresh_build(shape):
     # one pattern, refilled twice with new values, against a fresh COO->CSR
-    # build each time: the CSR arrays bit for bit, the 1D bands entry by entry
+    # build each time: the CSR arrays of the 2D stencil's assembly bit for
+    # bit, the 1D bands entry by entry
     grid = Grid(extents=((-1.0, 1.0), (0.0, 1.5))[: len(shape)], resolution=shape)
     X = grid.coordinate_arrays()
     hole = sum(x * x for x in X) < 0.3**2  # a masked hole in the node set
@@ -165,6 +211,7 @@ def test_fixed_pattern_refills_match_a_fresh_build(shape):
             bands[1] = want.diagonal()
             assert np.array_equal(got, bands)
         else:
+            got = _csr(got)
             assert got.format == "csr"
             _assert_same_csr(got, want)
 
@@ -204,6 +251,50 @@ def _ball(grid):
     return np.flatnonzero((sum((x - c) ** 2 for x, c in zip(X, mid)) < 0.6**2).ravel())
 
 
+def _box_minus_ball(grid):
+    return np.setdiff1d(_interior(grid), _ball(grid))
+
+
+def _random_subset(grid):
+    return np.flatnonzero(np.random.default_rng(9).random(grid.shape).ravel() < 0.6)
+
+
+@pytest.mark.parametrize(
+    "subset",
+    [lambda grid: np.arange(np.prod(grid.shape)), _interior, _box_minus_ball,
+     _random_subset],
+    ids=["grid", "box", "box-minus-ball", "random"],
+)
+@pytest.mark.parametrize("shape", [(17, 13), (9, 7, 6)], ids=["2d", "3d"])
+def test_stencil_products_equal_the_csr_products_bit_for_bit(shape, subset):
+    # CG's M @ d and the floor's |M| @ |u| on the stencil are the products
+    # on the CSR block, to the last bit and the sign of every zero; some
+    # conductances are 0 and x holds both zeros
+    grid = Grid(extents=((-1.0, 1.0), (0.0, 1.5), (0.0, 1.0))[: len(shape)],
+                resolution=shape)
+    rng = np.random.default_rng(len(shape))
+    nodes = subset(grid)
+    kern = DiscreteEnergy.dirichlet(grid, 1.5)
+    kappas = [k.copy() for k in kern.at(rng.standard_normal(shape), 0.1).conductances]
+    for k in kappas:
+        k[rng.random(k.shape) < 0.1] = 0.0
+    scale, shift = 1.0 + rng.random(), rng.random(nodes.size)
+    M = _FreeBlock(kern, nodes)(kappas, scale, shift)
+    assert isinstance(M, _Stencil) and (M.where is None) == (subset is _interior)
+    csr = _csr(M)
+    # the sliced full-grid operator; a sparse sum would drop its zero entries
+    want = (scale * _coo_operator(kern, kappas)[nodes][:, nodes]).tocsr()
+    want.setdiag(want.diagonal() + shift)
+    _assert_same_csr(csr, want)
+    assert np.array_equal(M.diagonal(), csr.diagonal())
+    x = rng.standard_normal(nodes.size)
+    x[rng.random(nodes.size) < 0.3] = 0.0
+    x[rng.random(nodes.size) < 0.3] = -0.0
+    for got, want in ((M @ x, csr @ x), (abs(M) @ x, abs(csr) @ x)):
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 @pytest.mark.parametrize("shift", [0.0, 1.0, 1e3])
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 @pytest.mark.parametrize(
@@ -220,7 +311,7 @@ def test_preconditioned_solve_matches_superlu(shape, subset, p, shift):
     assert precond is not None
     tally = Counter()
     x = spsolve(M, b, precond, tally)
-    want = spla.spsolve(M, b)
+    want = spla.spsolve(_csr(M), b)
     assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
     # solved by CG, not by the SuperLU fallback
     assert tally["cg_iterations"] > 0 and tally["superlu_solves"] == 0
@@ -320,7 +411,7 @@ def test_indefinite_system_falls_back_to_superlu():
     nodes = _interior(grid)
     kern, M, b = _newton_system(grid, 2.0, nodes, 0.0)
     # a positive diagonal, but eigenvalues of both signs
-    M = (M - 0.5 * M.diagonal().min() * sp.identity(nodes.size)).tocsr()
+    M = (_csr(M) - 0.5 * M.diagonal().min() * sp.identity(nodes.size)).tocsr()
     tally = Counter()
     x = spsolve(M, b, _box_preconditioner(kern, nodes), tally)
     assert tally["superlu_solves"] == 1
@@ -538,6 +629,21 @@ def test_minimize_2d_solves_by_cg_without_misses(
     assert res.work["cg_forcing_stops"] == res.work["linear_solves"] - 1
     assert res.work["cg_floor_stops"] == 0
     assert res.work["cg_iterations"] < cg_exact_only
+
+
+def test_a_free_set_on_a_box_face_goes_to_superlu_and_converges():
+    # free nodes on a face of the box rule out the interior-box
+    # preconditioner, so every Newton system is assembled as CSR for SuperLU
+    fld, _ = _bump_field((17, 13))
+    free = ~fld.grid.boundary_face_mask
+    free[1:-1, -1] = True
+    start = ScalarField(fld.grid, np.where(free, 0.0, fld.values), ~free, fld.values)
+    par = Params(p=1.5, gamma=0.5, lambda_plus=0.5, lambda_minus=0.5, alpha_p=1.0)
+    res = minimize(start, par)
+    assert res.converged
+    assert res.work["superlu_solves"] == res.work["linear_solves"] > 0
+    assert res.work["cg_iterations"] == 0
+    assert res.n_iterations == 407
 
 
 def _spy_on_solves(monkeypatch) -> list:

@@ -1,10 +1,11 @@
 """What a fresh interpreter loads: heavy modules wait for their first use.
 
-scipy.optimize, scipy.linalg, scipy.sparse.linalg and jsonschema are
-imported by the first call that needs them, so the closed-form oracles,
-the inequality sweeps, ``apl oracle`` and ``apl compare`` run on numpy
-alone.  Each check runs in a child interpreter, because this process has
-long since loaded all of them.
+scipy.optimize, scipy.linalg, scipy.sparse, scipy.sparse.linalg and
+jsonschema are imported by the first call that needs them, so the
+closed-form oracles, the inequality sweeps, ``apl oracle`` and ``apl
+compare`` run on numpy alone, and a 2D or 3D solve that CG finishes needs
+no scipy.sparse.  Each check runs in a child interpreter, because this
+process has long since loaded all of them.
 """
 
 import json
@@ -14,7 +15,8 @@ import textwrap
 
 from aplab.core import ScalarField, build_grid, save_field
 
-LAZY = ("scipy.optimize", "scipy.sparse.linalg", "scipy.linalg", "jsonschema")
+LAZY = ("scipy.optimize", "scipy.sparse", "scipy.sparse.linalg", "scipy.linalg",
+        "jsonschema")
 
 
 def _child(code: str) -> dict:
@@ -80,6 +82,33 @@ def test_apl_compare_loads_no_scipy_module(tmp_path):
     assert out == {"rc": 0, "n": 1, "scipy": []}
 
 
+def test_a_2d_solve_that_cg_finishes_loads_no_scipy_sparse():
+    # the Newton blocks are stencils; CSR is assembled only for SuperLU
+    out = _child(
+        """
+        import json, sys
+        import numpy as np
+        from aplab.core import Grid, Params, ScalarField
+        from aplab.solver import minimize
+
+        grid = Grid(extents=((-1.0, 1.0), (0.0, 1.5)), resolution=(17, 13))
+        x, y = grid.coordinate_arrays()
+        u = np.sin(2.1 * x) * np.cos(1.3 * y) + 0.3 * x * y
+        face = grid.boundary_face_mask
+        start = ScalarField(grid, np.where(face, u, 0.0), face, u)
+        par = Params(p=1.5, gamma=0.5, lambda_plus=0.5, lambda_minus=0.5,
+                     alpha_p=1.0)
+        res = minimize(start, par)
+        print(json.dumps({"converged": res.converged, "work": dict(res.work),
+                          "sparse": "scipy.sparse" in sys.modules}))
+        """
+    )
+    assert out["converged"] and not out["sparse"]
+    work = out["work"]
+    assert work["cg_iterations"] >= work["linear_solves"] > 0
+    assert work["superlu_solves"] == 0
+
+
 def test_first_use_imports_each_lazy_module_and_works():
     # ordered so that no step loads a later step's module: scipy.sparse.linalg
     # pulls in scipy.linalg, and scipy.optimize pulls in both
@@ -118,7 +147,7 @@ def test_first_use_imports_each_lazy_module_and_works():
         def superlu():
             # a positive diagonal, but eigenvalues of both signs: CG breaks down
             kern, nodes, M, b = newton_system((17, 17))
-            M = (M - 0.5 * M.diagonal().min() * sp.identity(nodes.size)).tocsr()
+            M = (_csr(M) - 0.5 * M.diagonal().min() * sp.identity(nodes.size)).tocsr()
             tally = Counter()
             x = spsolve(M, b, _box_preconditioner(kern, nodes), tally)
             return [tally["superlu_solves"], float(np.max(np.abs(M @ x - b)))]
