@@ -282,7 +282,8 @@ class _FreeBlock:
         else:
             main = scale * diag.reshape(-1)[self.nodes]
             couplings = [
-                np.where(keep, scale * -kap, 0.0) for keep, kap in zip(self.keep, kappas)
+                np.where(keep, scale * -kap, 0.0)
+                for keep, kap in zip(self.keep, kappas)
             ]
         main += shift
         self.diagonal = main
@@ -332,9 +333,8 @@ class _Stencil:
         return self.main
 
     def __abs__(self) -> _Stencil:
-        return _Stencil(
-            np.abs(self.main), [np.abs(c) for c in self.couplings], self.grid, self.where
-        )
+        couplings = [np.abs(c) for c in self.couplings]
+        return _Stencil(np.abs(self.main), couplings, self.grid, self.where)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         if self.where is None:
@@ -370,7 +370,9 @@ class _Stencil:
         i, j, k = np.concatenate(rows), np.concatenate(cols), np.concatenate(ks)
         row = np.concatenate((at, i, j))
         col = np.concatenate((at, j, i))
-        order = np.lexsort((col, row))
+        # rows in turn, columns sorted; the keys are distinct, and a stable
+        # sort takes the runs they already come in
+        order = np.argsort(row * m + col, kind="stable")
         indptr = np.zeros(m + 1, dtype=np.int32)
         np.cumsum(np.bincount(row, minlength=m), out=indptr[1:])
         data = np.concatenate((self.main, k, k))[order]
@@ -641,7 +643,8 @@ def _check_ladder(ladder: tuple[float, ...], kern: DiscreteEnergy) -> None:
     small = tuple(min(n, 3) for n in grid.shape)
     if small != grid.shape and all(math.isfinite(h) for h in grid.spacing):
         # extents (0, (m - 1) h) with m - 1 = 1 or 2: the spacing is h exactly
-        grid = Grid(tuple((0.0, (m - 1) * h) for m, h in zip(small, grid.spacing)), small)
+        extents = tuple((0.0, (m - 1) * h) for m, h in zip(small, grid.spacing))
+        grid = Grid(extents, small)
         kern = DiscreteEnergy(grid, kern.params)
     flat = np.zeros(grid.shape)
     for eps in ladder:
