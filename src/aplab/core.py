@@ -256,7 +256,9 @@ class ScalarField:
 #   one value per line, row-major
 #
 # Floats are written with repr (shortest round-trip form), so a
-# serialize/deserialize cycle is bit-exact.
+# serialize/deserialize cycle is bit-exact.  Each distinct bit pattern is
+# formatted once: a solved field repeats many values, and its boundary
+# values more.
 
 _MAGIC = "APFIELD"
 _VERSION = "v1"
@@ -264,6 +266,16 @@ _VERSION = "v1"
 
 def _fmt_floats(xs) -> str:
     return ",".join(repr(float(x)) for x in xs)
+
+
+def _reprs(values: np.ndarray) -> list[str]:
+    """repr of every value in C order, each distinct bit pattern formatted
+    once.  Distinct as uint64, not as float: a float ``np.unique`` would
+    merge -0.0 with 0.0 and NaNs of different payloads."""
+    bits = np.ascontiguousarray(values, dtype=np.float64).reshape(-1).view(np.uint64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    text = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
+    return text[inverse].tolist()
 
 
 def serialize_field(field: ScalarField) -> str:
@@ -276,11 +288,11 @@ def serialize_field(field: ScalarField) -> str:
     )
     lines = [
         header,
-        *map(repr, field.values.ravel(order="C").tolist()),
+        *_reprs(field.values),
         "MASK",
         *np.where(field.boundary_mask.ravel(order="C"), "1", "0").tolist(),
         "BVALS",
-        *map(repr, field.boundary_values.ravel(order="C").tolist()),
+        *_reprs(field.boundary_values),
     ]
     return "\n".join(lines) + "\n"
 

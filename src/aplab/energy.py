@@ -33,7 +33,9 @@ gamma) and u^2 + eps^2, once.  The two halves of the density, phi(q)
 the conductances are computed on first use and then kept; the density,
 the energy over a node region, the gradient, F' (``slope()``) and F''
 (``curvature()``) on every call, as new arrays.  All of them read the
-construction's arrays, and two states share no array.
+construction's arrays, and two states share no writable array.  At p = 2
+phi'(q) is 1/2 at every node, so the conductances do not depend on u:
+the kernel builds them once and every state returns that read-only tuple.
 """
 
 from __future__ import annotations
@@ -218,7 +220,9 @@ class DiscreteEnergy:
     state of iterate u at width ``eps``, whose energy, conductances,
     gradient and potential curvature derive from one node gradient-square
     ``q = grad_sq(u)``.  Node arrays are grid-shaped, and every sum runs
-    over the full grid unless ``Iterate.energy_in`` restricts it.
+    over the full grid unless ``Iterate.energy_in`` restricts it.  At
+    p = 2 it also holds the conductances, which there depend on the grid
+    alone.
     """
 
     def __init__(self, grid: Grid, params: Params):
@@ -254,6 +258,30 @@ class DiscreteEnergy:
             q[hi] += cminus * dsq
         return q
 
+    def _conductances(self, psi_w: np.ndarray) -> tuple:
+        """Per-axis edge conductances from (q + eps^2)^((p-2)/2) at every
+        node, which they take over as scratch."""
+        # phi'(q) = (q + eps^2)^((p-2)/2) / 2, times the node weight
+        psi_w *= 0.5
+        psi_w *= self.weights
+        kappas = []
+        for lo, hi, cplus, cminus, h in self.axes:
+            kappa = psi_w[lo] * cplus
+            kappa += psi_w[hi] * cminus
+            kappa *= 2.0
+            kappa /= h**2
+            kappas.append(kappa)
+        return tuple(kappas)
+
+    @_lazy
+    def quadratic_conductances(self) -> tuple:
+        """The conductances at p = 2, read-only: (q + eps^2)^0 is 1 at every
+        node, whatever u and eps, so they are a constant of the problem."""
+        kappas = self._conductances(np.ones(self.weights.shape))
+        for kappa in kappas:
+            kappa.flags.writeable = False
+        return kappas
+
     def at(self, u: np.ndarray, eps: float) -> "Iterate":
         """The state of iterate ``u`` at smoothing width ``eps >= 0``."""
         if eps < 0:
@@ -274,8 +302,9 @@ class Iterate:
     ``potential``), the energy and the conductances.  On every call, as a
     new array the caller may keep or change: ``density()``, ``gradient()``,
     ``slope()`` and ``curvature()``; the gradient takes its edge
-    differences from ``du``.  The field must not change while its state is
-    in use.
+    differences from ``du``.  At p = 2 the conductances are the kernel's
+    ``quadratic_conductances``, shared and read-only.  The field must not
+    change while its state is in use.
     """
 
     def __init__(self, kern: DiscreteEnergy, pot: _Potential, u: np.ndarray):
@@ -332,26 +361,18 @@ class Iterate:
         The exact first variation of the Dirichlet part is the graph
         operator  g_i = sum_edges kappa_e (u_i - u_j)  with these
         conductances, frozen at u.  The solver reuses them as its
-        lagged-coefficient matrix.
+        lagged-coefficient matrix.  At p = 2 they are the kernel's
+        read-only ``quadratic_conductances``.
         """
         kern, p = self.kern, self.kern.params.p
+        if p == 2.0:
+            return kern.quadratic_conductances
         if self.eps == 0.0 and p < 2.0 and np.any(self.qe == 0.0):
             raise ValueError(
                 "p < 2 with eps = 0 hits a zero-gradient node; "
                 "use a positive smoothing width"
             )
-        # phi'(q) = (q + eps^2)^((p-2)/2) / 2, times the node weight
-        psi_w = self.qe ** (0.5 * p - 1.0)
-        psi_w *= 0.5
-        psi_w *= kern.weights
-        kappas = []
-        for lo, hi, cplus, cminus, h in kern.axes:
-            kappa = psi_w[lo] * cplus
-            kappa += psi_w[hi] * cminus
-            kappa *= 2.0
-            kappa /= h**2
-            kappas.append(kappa)
-        return tuple(kappas)
+        return kern._conductances(self.qe ** (0.5 * p - 1.0))
 
     def gradient(self) -> np.ndarray:
         """First variation of the energy at u.

@@ -19,7 +19,9 @@ nothing is evaluated twice for one field.
 
 Every linear system is symmetric positive definite and goes through
 ``spsolve``.  Its pattern is built once per problem; each Newton step
-refills only the values.  A 1D system is tridiagonal: its
+refills only the values, and only the shift when the conductances are
+those of the step before (at p = 2 they are the kernel's, the same
+for every iterate).  A 1D system is tridiagonal: its
 band storage is three gathers of the conductances padded with zeros at
 both grid ends (a node's diagonal is the sum of its two edges, its
 coupling to the previous free node the edge between them, or 0 across a
@@ -44,12 +46,13 @@ Hessian, and CG stops at the forcing term, a residual of 0.1 relative to
 the gradient, the inexact Newton step that keeps the descent's
 convergence (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982;
 Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996).  SuperLU is the
-counted fallback, and the only consumer of a CSR matrix, assembled from
-the block by ``_csr``: it takes a 2D or 3D system with a node on a box
-face, a banded system found not positive definite, a system on which CG
-breaks down or reaches its iteration cap, and the diagonal-lift retry of
-a non-finite solve.  Inner products are plain ``np.sum`` reductions, not
-BLAS, so a solve does not depend on the number of BLAS threads.
+counted fallback, and the only consumer of a CSR matrix, gathered from
+the block through its pattern by ``_csr``: it takes a 2D or 3D system
+with a node on a box face, a banded system found not positive definite,
+a system on which CG breaks down or reaches its iteration cap, and the
+diagonal-lift retry of a non-finite solve.  Inner products are plain
+``np.sum`` reductions, not BLAS, so a solve does not depend on the number
+of BLAS threads.
 
 Importing the module loads no scipy module: ``scipy.linalg`` (the banded
 Cholesky) loads on the first banded solve, and ``scipy.sparse`` and
@@ -209,7 +212,21 @@ class _FreeBlock:
     """scale * A + diag(shift) restricted to a fixed sorted flat node set.
 
     A is the diffusion operator (A v)_i = sum_edges kappa (v_i - v_j).  The
-    pattern is built once per node set, and a call refills only the values.
+    pattern is built once per node set.  A call splits the block into its
+    Dirichlet part, the diagonal scale * diag(A) and the couplings, which
+    depend only on the conductances and ``scale``, and the shift.  The
+    block keeps the Dirichlet part of its last call, keyed by the identity
+    of the conductance tuple and by ``scale``, so a call with the same
+    conductances (the kernel's at p = 2) only adds the shift to the kept
+    diagonal: the same addition on the same operands, so the same block,
+    bit for bit.  The conductances must not change in place between calls,
+    and the kept couplings are read-only.
+
+    ``box`` is the decision, made once here, whether the nodes fill the
+    interior box of the grid (every node not on a face of the grid):
+    then it holds the slices that cut the box out of a grid array, whose
+    C order is the nodes' order; otherwise it is None.  ``minimize`` and
+    ``_box_preconditioner`` read it.
 
     In 1D the block is tridiagonal and comes as its LAPACK upper band
     storage, a new array of shape (2, m) whose row 0 holds the
@@ -230,7 +247,8 @@ class _FreeBlock:
     fill the interior box the stencil works on the box; otherwise it works
     on the whole grid, with the couplings of edges that leave the node set
     zeroed (the pattern is each axis's mask of edges with both ends in the
-    set).
+    set).  The CSR pattern ``_csr`` gathers through is built on its first
+    use, once per node set.
 
     After a call, ``diagonal`` is the main diagonal of the block it made
     (the band's row 1 in 1D), so no caller has to extract it again.
@@ -239,9 +257,16 @@ class _FreeBlock:
     def __init__(self, kern: DiscreteEnergy, nodes: np.ndarray):
         self.nodes = nodes
         self.shape = kern.weights.shape
+        self._kept = None  # (conductances, scale, diagonal, couplings)
+        inside = np.zeros(self.shape, dtype=bool)
+        inside.reshape(-1)[nodes] = True
+        inner = (slice(1, -1),) * len(self.shape)  # the box, in nodes and edges
+        fills = inside[inner]
+        self.box = inner if nodes.size == fills.size and fills.all() else None
         if len(self.shape) == 1:
-            # k, refilled by each call; the taps of entry j are its coupling
-            # edge (the -0 slot across a gap or at j = 0), then its two edges
+            # k, refilled by each new set of conductances; the taps of entry
+            # j are its coupling edge (the -0 slot across a gap or at j = 0),
+            # then its two edges
             n = self.shape[0]
             self.padded = np.zeros(n + 2)
             self.padded[-1] = -0.0
@@ -249,45 +274,89 @@ class _FreeBlock:
             self.taps = np.stack((np.where(linked, nodes, n + 1), nodes + 1, nodes))
             return
         self.padded = None
-        self.ends = [(lo, hi) for lo, hi, *_ in kern.axes]
-        inside = np.zeros(self.shape, dtype=bool)
-        inside.reshape(-1)[nodes] = True
-        self.inner = (slice(1, -1),) * len(self.shape)  # the box, in nodes and edges
-        box = inside[self.inner]
-        if nodes.size == box.size and box.all():
-            self.where, self.grid = None, box.shape
-        else:
+        self.edges = _ends(self.shape)  # the whole grid's, for the diagonal
+        if self.box is None:
             self.where, self.grid = nodes, self.shape
-            self.keep = [inside[lo] & inside[hi] for lo, hi in self.ends]
+            self.keep = [inside[lo] & inside[hi] for lo, hi in self.edges]
+        else:
+            self.where, self.grid = None, fills.shape
+        self.ends = _ends(self.grid)  # the stencil's
+        self._pattern = None
 
-    def __call__(self, kappas, scale: float = 1.0, shift=0.0) -> _Stencil | np.ndarray:
+    def _dirichlet(self, kappas, scale: float) -> tuple[np.ndarray, list]:
+        """The diagonal scale * diag(A) on the nodes and the couplings."""
         padded = self.padded
         if padded is not None:
             padded[1:-2] = kappas[0]
-            rows = padded[self.taps]  # a new array: the band rows are made in place
+            rows = padded[self.taps]
             rows[0] *= -scale
             main = rows[1]
             main += rows[2]
             main *= scale
-            main += shift
-            self.diagonal = main
-            return rows[:2]
+            return main, [rows[0]]
         diag = np.zeros(self.shape)
-        for (lo, hi), kap in zip(self.ends, kappas):
+        for (lo, hi), kap in zip(self.edges, kappas):
             diag[lo] += kap
             diag[hi] += kap
         if self.where is None:
-            main = (scale * diag[self.inner]).reshape(-1)
-            couplings = [scale * -kap[self.inner] for kap in kappas]
-        else:
-            main = scale * diag.reshape(-1)[self.nodes]
-            couplings = [
-                np.where(keep, scale * -kap, 0.0)
-                for keep, kap in zip(self.keep, kappas)
-            ]
-        main += shift
-        self.diagonal = main
-        return _Stencil(main, couplings, self.grid, self.where)
+            inner = self.box
+            main = (scale * diag[inner]).reshape(-1)
+            return main, [scale * -kap[inner] for kap in kappas]
+        main = scale * diag.reshape(-1)[self.nodes]
+        return main, [
+            np.where(keep, scale * -kap, 0.0) for keep, kap in zip(self.keep, kappas)
+        ]
+
+    def __call__(self, kappas, scale: float = 1.0, shift=0.0) -> _Stencil | np.ndarray:
+        kept = self._kept
+        if kept is None or kept[0] is not kappas or kept[1] != scale:
+            base, couplings = self._dirichlet(kappas, scale)
+            for c in couplings:
+                c.flags.writeable = False
+            kept = self._kept = (kappas, scale, base, couplings)
+        _, _, base, couplings = kept
+        if self.padded is not None:
+            band = np.empty((2, base.size))  # a new band, every call
+            band[0] = couplings[0]
+            self.diagonal = np.add(base, shift, out=band[1])
+            return band
+        self.diagonal = main = base + shift
+        return _Stencil(main, couplings, self)
+
+    def csr_pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(source, indices, indptr) of the block as CSR, built once.
+
+        Row by row with columns sorted, every edge of the node set stored
+        (a zero coupling included); entry e of the CSR data is entry
+        ``source[e]`` of the block's diagonal followed by its raveled
+        couplings.
+        """
+        if self._pattern is None:
+            m = self.nodes.size
+            at = np.arange(m)
+            pos = np.full(self.grid, -1)  # block index of each grid node, -1 if outside
+            pos.reshape(-1)[at if self.where is None else self.where] = at
+            rows, cols, taps = [], [], []
+            offset = m  # where the axis's couplings start after the diagonal
+            for lo, hi in self.ends:
+                i, j = pos[lo], pos[hi]
+                both = (i >= 0) & (j >= 0)
+                rows.append(i[both])
+                cols.append(j[both])
+                taps.append(offset + np.flatnonzero(both))
+                offset += both.size
+            i, j, k = np.concatenate(rows), np.concatenate(cols), np.concatenate(taps)
+            row = np.concatenate((at, i, j))
+            col = np.concatenate((at, j, i))
+            # rows in turn, columns sorted; the keys are distinct, and a stable
+            # sort takes the runs they already come in
+            order = np.argsort(row * m + col, kind="stable")
+            indptr = np.zeros(m + 1, dtype=np.int32)
+            np.cumsum(np.bincount(row, minlength=m), out=indptr[1:])
+            self._pattern = (
+                np.concatenate((at, k, k))[order], col[order].astype(np.int32), indptr
+            )
+        return self._pattern
 
 
 def _ends(shape: tuple[int, ...]) -> list[tuple[tuple, tuple]]:
@@ -306,35 +375,37 @@ class _Stencil:
     axis, the off-diagonal entry of each edge of the grid array of shape
     ``grid`` that the block works on, 0 on an edge with an end outside the
     node set; ``where`` is each node's flat position in that array, None
-    when the nodes fill it.
+    when the nodes fill it.  The grid, the edge slices and the CSR pattern
+    are the ``_FreeBlock``'s that made it.
 
     ``M @ x`` adds to +0.0, node by node, the lower neighbours' terms from
     axis 0 to the last, the diagonal term, then the upper neighbours' terms
     from the last axis to axis 0: the ascending-column order in which
     scipy's CSR product adds a row, so the product equals ``M.tocsr() @ x``
     bit for bit.  ``abs(M)`` has the absolute entries, ``M.tocsr()``
-    assembles the CSR block for the direct solver.
+    gathers the CSR block for the direct solver.
     """
 
-    def __init__(self, main, couplings, grid, where):
+    def __init__(self, main, couplings, block: _FreeBlock):
         self.main = main
         self.couplings = couplings
-        self.grid = grid
-        self.ends = _ends(grid)
-        self.where = where
+        self.block = block
+        self.grid = block.grid
+        self.ends = block.ends
+        self.where = block.where
         self.shape = (main.size, main.size)
-        if where is None:
+        if self.where is None:
             self.on_grid = main.reshape(self.grid)
         else:
             self.on_grid = np.zeros(self.grid)
-            self.on_grid.reshape(-1)[where] = main
+            self.on_grid.reshape(-1)[self.where] = main
 
     def diagonal(self) -> np.ndarray:
         return self.main
 
     def __abs__(self) -> _Stencil:
         couplings = [np.abs(c) for c in self.couplings]
-        return _Stencil(np.abs(self.main), couplings, self.grid, self.where)
+        return _Stencil(np.abs(self.main), couplings, self.block)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         if self.where is None:
@@ -352,31 +423,15 @@ class _Stencil:
         return y if self.where is None else y[self.where]
 
     def tocsr(self) -> sp.csr_matrix:
-        """The block as CSR: rows in order, columns sorted, every edge of
-        the node set stored, a zero coupling included."""
+        """The block as CSR, one gather through the block's pattern."""
         import scipy.sparse as sp
 
-        m = self.main.size
-        at = np.arange(m)
-        pos = np.full(self.grid, -1)  # block index of each grid node, -1 if outside
-        pos.reshape(-1)[at if self.where is None else self.where] = at
-        rows, cols, ks = [], [], []
-        for (lo, hi), c in zip(self.ends, self.couplings):
-            i, j = pos[lo], pos[hi]
-            both = (i >= 0) & (j >= 0)
-            rows.append(i[both])
-            cols.append(j[both])
-            ks.append(c[both])
-        i, j, k = np.concatenate(rows), np.concatenate(cols), np.concatenate(ks)
-        row = np.concatenate((at, i, j))
-        col = np.concatenate((at, j, i))
-        # rows in turn, columns sorted; the keys are distinct, and a stable
-        # sort takes the runs they already come in
-        order = np.argsort(row * m + col, kind="stable")
-        indptr = np.zeros(m + 1, dtype=np.int32)
-        np.cumsum(np.bincount(row, minlength=m), out=indptr[1:])
-        data = np.concatenate((self.main, k, k))[order]
-        return sp.csr_matrix((data, col[order].astype(np.int32), indptr), shape=(m, m))
+        source, indices, indptr = self.block.csr_pattern()
+        values = np.concatenate((self.main, *(c.reshape(-1) for c in self.couplings)))
+        # the matrix gets its own index arrays: scipy may sort or sum in place
+        return sp.csr_matrix(
+            (values[source], indices.copy(), indptr.copy()), shape=self.shape
+        )
 
 
 def assemble_diffusion(
@@ -433,16 +488,17 @@ class _BoxPreconditioner:
 
 
 def _box_preconditioner(
-    kern: DiscreteEnergy, nodes: np.ndarray
+    kern: DiscreteEnergy, block: _FreeBlock
 ) -> _BoxPreconditioner | None:
-    """The fast Poisson preconditioner of systems on ``nodes``, if one applies.
+    """The fast Poisson preconditioner of the systems ``block`` makes, if
+    one applies.
 
     None in 1D, where ``spsolve`` factors the tridiagonal band directly,
     and when a node lies on a box face, which the interior box does not
     hold.
     """
     shape = kern.weights.shape
-    index = np.unravel_index(nodes, shape)
+    index = np.unravel_index(block.nodes, shape)
     if len(shape) == 1 or any(
         np.any((i == 0) | (i == n - 1)) for i, n in zip(index, shape)
     ):
@@ -455,9 +511,9 @@ def _box_preconditioner(
         theta = 0.5 * np.pi * np.arange(1, m + 1) / (m + 1)
         along = (1,) * a + (-1,) + (1,) * (len(box) - 1 - a)
         lam += (4.0 * vol / ha**2 * np.sin(theta) ** 2).reshape(along)
-    where = np.ravel_multi_index(tuple(i - 1 for i in index), box)
-    if where.size == lam.size:  # sorted and distinct, so where == arange
-        where = None
+    where = None
+    if block.box is None:
+        where = np.ravel_multi_index(tuple(i - 1 for i in index), box)
     return _BoxPreconditioner(lam, sum(2.0 * vol / ha**2 for ha in h), where)
 
 
@@ -679,25 +735,45 @@ def minimize(
     kern = DiscreteEnergy(initial.grid, params)
     _check_ladder(eps_ladder, kern)
     idx_f = np.flatnonzero(initial.free_mask.ravel())
-    w_f = kern.weights.ravel()[idx_f]
     it = kern.at(initial.values, 0.0)  # the current iterate
     if idx_f.size == 0:
         return SolveResult(initial, it.energy)
 
-    precond = _box_preconditioner(kern, idx_f)
     block = _FreeBlock(kern, idx_f)
+    precond = _box_preconditioner(kern, block)
+    box = block.box
     tally: Counter = Counter()
     stages: list[StageRecord] = []
     t_last = None  # step length of the last accepted Armijo step
     shortfall = None  # why the solve stopped short: a stall ends the ladder
 
+    # The free nodes of a node array, in order, and u - t d on them: through
+    # the box's slices when the free nodes fill it, which is cheaper than
+    # indexing by idx_f and the same values.
+    if box is None:
+        def free(a: np.ndarray) -> np.ndarray:
+            return a.reshape(-1)[idx_f]
+
+        def step_free(u: np.ndarray, td: np.ndarray) -> None:
+            u.reshape(-1)[idx_f] -= td  # a view: .flat indexing is slower
+    else:
+        box_shape = kern.weights[box].shape
+
+        def free(a: np.ndarray) -> np.ndarray:
+            return a[box].reshape(-1)
+
+        def step_free(u: np.ndarray, td: np.ndarray) -> None:
+            u[box] -= td.reshape(box_shape)
+
+    w_f = free(kern.weights)
+
     def free_gradient(state) -> np.ndarray:
-        return state.gradient().ravel()[idx_f]
+        return free(state.gradient())
 
     def trial(d: np.ndarray, t: float):
         # the state at u - t d on the free nodes, u the current iterate
         u = it.u.copy()
-        u.reshape(-1)[idx_f] -= t * d  # a view: .flat indexing is slower
+        step_free(u, t * d)
         return kern.at(u, it.eps)
 
     # The lagged operator carries |∇u|^{p-2}, but the curvature of
@@ -716,7 +792,7 @@ def minimize(
         stage_exit = None  # set by a break; else the loop condition decides
         g_f = free_gradient(it)  # kept current with every accepted step
         while (res_rms := _rms(g_f / w_f)) > _TOL_RESIDUAL and n_it < _MAX_ITERS:
-            shift = it.curvature().ravel()[idx_f]
+            shift = free(it.curvature())
             # The model is the Hessian of the stage energy only at p = 2
             # (constant conductances, stiff = 1) with no curvature clipped
             # below: CG solves such a system exactly and stops any other at
@@ -736,7 +812,7 @@ def minimize(
                 # rounding u to float64 moves g_f by up to eps |M| |u_f|
                 # per entry, so CG need not resolve a smaller residual;
                 # 0 at a zero iterate
-                blur = abs(M) @ np.abs(it.u.ravel()[idx_f])
+                blur = abs(M) @ np.abs(free(it.u))
                 floor = np.finfo(float).eps * math.sqrt(_dot(blur, blur))
             elif precond is not None:
                 rtol = _CG_FORCING

@@ -176,12 +176,8 @@ def test_serialization_is_deterministic():
     assert serialize_field(_demo_field()) == serialize_field(_demo_field())
 
 
-def test_serialization_matches_per_element_repr():
-    # the text format is repr(float(v)) per node, one value per line
-    grid = build_grid(((0.0, 1.0), (0.0, 1.0)), (3, 3))
-    vals = np.array([[-0.0, 5e-324, 1e308], [-1.7976931348623157e308, -0.0, -2.5e-310],
-                     [1e22, -1e-5, 0.0]])
-    fld = ScalarField(grid, vals, grid.boundary_face_mask, vals)
+def _per_element_lines(fld: ScalarField) -> list[str]:
+    # the reference writer: repr(float(v)) per node, one value per line
     header, _ = serialize_field(fld).split("\n", 1)
     lines = [header]
     lines.extend(repr(float(v)) for v in fld.values.ravel())
@@ -189,8 +185,72 @@ def test_serialization_matches_per_element_repr():
     lines.extend("1" if m else "0" for m in fld.boundary_mask.ravel())
     lines.append("BVALS")
     lines.extend(repr(float(v)) for v in fld.boundary_values.ravel())
+    return lines
+
+
+def test_serialization_matches_per_element_repr():
+    grid = build_grid(((0.0, 1.0), (0.0, 1.0)), (3, 3))
+    vals = np.array([[-0.0, 5e-324, 1e308], [-1.7976931348623157e308, -0.0, -2.5e-310],
+                     [1e22, -1e-5, 0.0]])
+    fld = ScalarField(grid, vals, grid.boundary_face_mask, vals)
+    lines = _per_element_lines(fld)
     assert "-0.0" in lines and "5e-324" in lines and "1e+308" in lines
     assert serialize_field(fld) == "\n".join(lines) + "\n"
+
+
+def _nans() -> np.ndarray:
+    # quiet NaNs with two payloads, and one with the sign bit set
+    bits = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000],
+                    dtype=np.uint64)
+    return bits.view(np.float64)
+
+
+def test_serialization_of_repeated_values_matches_per_element_repr():
+    # the writer formats each distinct bit pattern once: -0.0 and 0.0, and
+    # NaNs of different payloads, are different patterns but may not be
+    # told apart by a float comparison
+    grid = build_grid(((0.0, 1.0), (-1.0, 1.0)), (9, 8))
+    pool = np.array([0.0, -0.0, 5e-324, -5e-324, -2.5e-310, 0.1, 0.1 + 2**-56, -7.0])
+    rng = np.random.default_rng(2)
+    vals = rng.choice(pool, size=grid.shape)
+    free = ~grid.boundary_face_mask
+    bvals = vals.copy()
+    extra = np.concatenate((_nans(), [np.inf, -np.inf], pool))
+    bvals[free] = rng.choice(extra, size=int(free.sum()))
+    fld = ScalarField(grid, vals, grid.boundary_face_mask, bvals)
+    assert np.array_equal(fld.boundary_values.view(np.uint64), bvals.view(np.uint64))
+    lines = _per_element_lines(fld)
+    for token in ("0.0", "-0.0", "5e-324", "-2.5e-310", "nan", "inf", "-inf"):
+        assert token in lines, token
+    assert serialize_field(fld) == "\n".join(lines) + "\n"
+
+
+_BIT_PATTERNS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@given(
+    pool=st.lists(_BIT_PATTERNS, min_size=1, max_size=4),
+    picks=st.lists(st.integers(0, 7), min_size=12, max_size=12),
+    free_picks=st.lists(st.integers(0, 12), min_size=2, max_size=2),
+)
+def test_serialization_of_drawn_duplicates_matches_per_element_repr(
+    pool, picks, free_picks
+):
+    # every node's value is drawn from a pool of at most four values and
+    # their negations, so values repeat and a zero comes with both signs;
+    # the two free nodes' boundary values may also be nan or inf
+    grid = build_grid(((0.0, 1.0), (0.0, 1.0)), (3, 4))
+    signed = pool + [-x for x in pool]
+    vals = np.array([signed[i % len(signed)] for i in picks]).reshape(grid.shape)
+    extra = np.concatenate((signed, _nans(), [np.inf, -np.inf]))
+    bvals = vals.copy()
+    free = ~grid.boundary_face_mask
+    bvals[free] = [extra[i % extra.size] for i in free_picks]
+    fld = ScalarField(grid, vals, grid.boundary_face_mask, bvals)
+    assert serialize_field(fld) == "\n".join(_per_element_lines(fld)) + "\n"
 
 
 @pytest.mark.parametrize(

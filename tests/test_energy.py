@@ -195,12 +195,14 @@ def test_iterate_state_is_the_two_phase_sum(shape):
     assert _same_bits(it.gradient(), dirichlet + w * (prm.delta * slope))
 
 
+@pytest.mark.parametrize("p", [1.5, 2.0])
 @pytest.mark.parametrize("shape", [(65,), (17, 13)])
-def test_two_live_states_share_no_storage(shape):
+def test_two_live_states_share_no_storage(shape, p):
     # the line search evaluates a trial state next to the current iterate
     # and drops it when Armijo rejects it: evaluating the trial must leave
-    # every array and number of the iterate as it was, bit for bit
-    prm = _two_phase(p=1.5, gamma=0.3, lp=0.4, lm=0.7, delta=0.7)
+    # every array and number of the iterate as it was, bit for bit, and an
+    # array both hold (the p = 2 conductances) must be read-only
+    prm = _two_phase(p=p, gamma=0.3, lp=0.4, lm=0.7, delta=0.7)
     grid = build_grid(tuple((-1.0, 1.0) for _ in shape), shape)
     kern = DiscreteEnergy(grid, prm)
     rng = np.random.default_rng(11)
@@ -217,9 +219,42 @@ def test_two_live_states_share_no_storage(shape):
     current = kern.at(u, 0.01)
     before = [np.array(x, copy=True) for x in evaluate(current)]
     trial = kern.at(u - 0.5 * rng.standard_normal(shape), 0.01)
-    evaluate(trial)
-    for was, now in zip(before, evaluate(current), strict=True):
-        assert _same_bits(np.asarray(now), was)
+    held = [x for x in evaluate(trial) if isinstance(x, np.ndarray)]
+    now = evaluate(current)
+    for was, x in zip(before, now, strict=True):
+        assert _same_bits(np.asarray(x), was)
+    shared = 0
+    for x in now:
+        for y in held:
+            if isinstance(x, np.ndarray) and np.shares_memory(x, y):
+                assert not x.flags.writeable and not y.flags.writeable
+                shared += 1
+    assert shared == (len(shape) if p == 2.0 else 0)
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.01])
+@pytest.mark.parametrize("shape", [(65,), (17, 13), (9, 7, 6)])
+def test_quadratic_conductances_are_the_general_formula(shape, eps):
+    # at p = 2 the kernel's conductances are those the general formula
+    # gives with (q + eps^2)^0, bit for bit, at any u, and read-only
+    grid = build_grid(tuple((-1.0, 0.5 + a) for a in range(len(shape))), shape)
+    kern = DiscreteEnergy(grid, _two_phase(p=2.0, gamma=0.5, delta=0.7))
+    rng = np.random.default_rng(len(shape))
+    for _ in range(2):
+        it = kern.at(rng.standard_normal(shape), eps)
+        psi_w = it.qe ** 0.0
+        psi_w *= 0.5
+        psi_w *= grid.quadrature_weights
+        kappas = it.conductances
+        assert kappas is kern.quadratic_conductances
+        for (lo, hi, cplus, cminus, h), kappa in zip(kern.axes, kappas, strict=True):
+            want = psi_w[lo] * cplus
+            want += psi_w[hi] * cminus
+            want *= 2.0
+            want /= h**2
+            assert _same_bits(kappa, want)
+            with pytest.raises(ValueError, match="read-only"):
+                kappa[(0,) * kappa.ndim] = 1.0
 
 
 # ---------------------------------------------------------------------------

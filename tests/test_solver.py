@@ -295,6 +295,113 @@ def test_stencil_products_equal_the_csr_products_bit_for_bit(shape, subset):
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _face_touching(grid):
+    # the interior box and the inner nodes of the last face of the last axis
+    free = ~grid.boundary_face_mask
+    free[(slice(1, -1),) * (grid.ndim - 1) + (-1,)] = True
+    return np.flatnonzero(free.ravel())
+
+
+@pytest.mark.parametrize(
+    "shape, subset",
+    [((33,), _interior), ((17, 13), _interior), ((17, 13), _box_minus_ball),
+     ((9, 7, 6), _interior), ((9, 7, 6), _face_touching)],
+    ids=["1d", "2d-box", "2d-non-box", "3d-box", "3d-non-box"],
+)
+def test_a_kept_dirichlet_part_gives_a_fresh_block_bit_for_bit(shape, subset):
+    # consecutive calls with the same conductances (the kernel's, at p = 2)
+    # reuse the block's Dirichlet part and only add the new shift; each
+    # block must be the one a fresh _FreeBlock makes, to the last bit, and
+    # new conductances must replace the kept part
+    grid = Grid(extents=((-1.0, 1.0), (0.0, 1.5), (0.0, 1.0))[: len(shape)],
+                resolution=shape)
+    nodes = subset(grid)
+    kern = DiscreteEnergy.dirichlet(grid, 2.0)
+    other = DiscreteEnergy.dirichlet(grid, 1.5)
+    rng = np.random.default_rng(len(shape))
+    block = _FreeBlock(kern, nodes)
+    kappas = kern.at(rng.standard_normal(shape), 0.1).conductances
+    calls = [(kappas, 2.0, rng.random(nodes.size)), (kappas, 2.0, 0.0),
+             (kappas, 2.0, rng.random(nodes.size)),
+             (other.at(rng.standard_normal(shape), 0.1).conductances, 2.0, 1.0),
+             (kappas, 1.0, rng.random(nodes.size))]
+    kept = []
+    for args in calls:
+        got = block(*args)
+        want = _FreeBlock(kern, nodes)(*args)
+        kept.append(block._kept[3])
+        if len(shape) == 1:
+            assert _same_bits(got, want) and got.flags.writeable
+        else:
+            assert _same_bits(got.main, want.main) and got.where is want.where
+            for c, w in zip(got.couplings, want.couplings, strict=True):
+                assert _same_bits(c, w) and not c.flags.writeable
+        assert _same_bits(block.diagonal, got[1] if len(shape) == 1 else got.main)
+    # the second and third calls reused the first call's couplings
+    assert kept[0] is kept[1] is kept[2]
+    assert kept[3] is not kept[2] and kept[4] is not kept[3]
+
+
+def _per_call_csr(M):
+    # reference: the CSR block assembled from scratch on every call, with
+    # the block-index grid, the edge masks and the argsort built anew
+    m = M.main.size
+    at = np.arange(m)
+    pos = np.full(M.grid, -1)
+    pos.reshape(-1)[at if M.where is None else M.where] = at
+    rows, cols, ks = [], [], []
+    for (lo, hi), c in zip(M.ends, M.couplings):
+        i, j = pos[lo], pos[hi]
+        both = (i >= 0) & (j >= 0)
+        rows.append(i[both])
+        cols.append(j[both])
+        ks.append(c[both])
+    i, j, k = np.concatenate(rows), np.concatenate(cols), np.concatenate(ks)
+    row = np.concatenate((at, i, j))
+    col = np.concatenate((at, j, i))
+    order = np.argsort(row * m + col, kind="stable")
+    indptr = np.zeros(m + 1, dtype=np.int32)
+    np.cumsum(np.bincount(row, minlength=m), out=indptr[1:])
+    data = np.concatenate((M.main, k, k))[order]
+    return sp.csr_matrix((data, col[order].astype(np.int32), indptr), shape=(m, m))
+
+
+@pytest.mark.parametrize(
+    "shape, subset",
+    [((17, 13), _face_touching), ((9, 7, 6), _face_touching),
+     ((9, 7, 6), _interior), ((17, 13), _random_subset)],
+    ids=["2d-face", "3d-face", "3d-box", "2d-random"],
+)
+def test_the_held_csr_pattern_gives_the_per_call_assembly(shape, subset):
+    # the block builds its CSR pattern once; over calls with different
+    # conductances, its one gather must give the arrays a per-call assembly
+    # gives, bit for bit, the signs of zero couplings included
+    grid = Grid(extents=((-1.0, 1.0), (0.0, 1.5), (0.0, 1.0))[: len(shape)],
+                resolution=shape)
+    nodes = subset(grid)
+    kern = DiscreteEnergy.dirichlet(grid, 1.5)
+    block = _FreeBlock(kern, nodes)
+    rng = np.random.default_rng(5)
+    patterns = []
+    for eps in (0.1, 0.01):
+        kappas = [k.copy() for k in kern.at(rng.standard_normal(shape), eps).conductances]
+        for k in kappas:
+            k[rng.random(k.shape) < 0.1] = 0.0
+        M = block(kappas, 1.0 + rng.random(), rng.random(nodes.size))
+        got, want = _csr(M), _per_call_csr(M)
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert np.array_equal(np.signbit(got.data), np.signbit(want.data))
+        patterns.append(block.csr_pattern())
+    assert patterns[0] is patterns[1]
+
+
 @pytest.mark.parametrize("shift", [0.0, 1.0, 1e3])
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 @pytest.mark.parametrize(
@@ -307,7 +414,7 @@ def test_preconditioned_solve_matches_superlu(shape, subset, p, shift):
                 resolution=shape)
     nodes = subset(grid)
     kern, M, b = _newton_system(grid, p, nodes, shift)
-    precond = _box_preconditioner(kern, nodes)
+    precond = _box_preconditioner(kern, _FreeBlock(kern, nodes))
     assert precond is not None
     tally = Counter()
     x = spsolve(M, b, precond, tally)
@@ -321,7 +428,7 @@ def _cg_system(seed=0):
     grid = Grid(extents=((-1.0, 1.0), (0.0, 1.5)), resolution=(17, 13))
     nodes = _interior(grid)
     kern, M, b = _newton_system(grid, 3.0, nodes, 1.0, seed)
-    return M, b, _box_preconditioner(kern, nodes)
+    return M, b, _box_preconditioner(kern, _FreeBlock(kern, nodes))
 
 
 def test_pcg_stops_once_the_residual_meets_the_floor(monkeypatch):
@@ -368,7 +475,8 @@ def test_banded_solve_matches_superlu(subset, p, shift):
     grid = Grid(extents=((-1.0, 1.0),), resolution=(33,))
     nodes = subset(grid)
     kern, M, b = _newton_system(grid, p, nodes, shift)
-    assert isinstance(M, np.ndarray) and _box_preconditioner(kern, nodes) is None
+    assert isinstance(M, np.ndarray)
+    assert _box_preconditioner(kern, _FreeBlock(kern, nodes)) is None
     tally = Counter()
     x = spsolve(M, b, None, tally)
     want = spla.spsolve(_csr(M), b)
@@ -394,16 +502,20 @@ def test_assemble_diffusion_returns_csr():
     assert A.format == "csr" and A.shape == (17, 17)
 
 
+def _precond(kern, nodes):
+    return _box_preconditioner(kern, _FreeBlock(kern, nodes))
+
+
 def test_box_preconditioner_needs_strictly_interior_nodes_in_2d_or_3d():
     line = Grid(extents=((0.0, 1.0),), resolution=(17,))
-    assert _box_preconditioner(DiscreteEnergy.dirichlet(line, 2.0), _interior(line)) is None
+    assert _precond(DiscreteEnergy.dirichlet(line, 2.0), _interior(line)) is None
     grid = Grid(extents=((0.0, 1.0), (0.0, 1.0)), resolution=(9, 9))
     kern = DiscreteEnergy.dirichlet(grid, 2.0)
-    assert _box_preconditioner(kern, _interior(grid)) is not None
-    assert _box_preconditioner(kern, np.arange(grid.shape[0] * grid.shape[1])) is None
+    assert _precond(kern, _interior(grid)) is not None
+    assert _precond(kern, np.arange(grid.shape[0] * grid.shape[1])) is None
     # one node on the last face of axis 1 is enough to rule the DST-I out
     touching = np.union1d(_interior(grid), [np.ravel_multi_index((4, 8), grid.shape)])
-    assert _box_preconditioner(kern, touching) is None
+    assert _precond(kern, touching) is None
 
 
 def test_indefinite_system_falls_back_to_superlu():
@@ -413,7 +525,7 @@ def test_indefinite_system_falls_back_to_superlu():
     # a positive diagonal, but eigenvalues of both signs
     M = (_csr(M) - 0.5 * M.diagonal().min() * sp.identity(nodes.size)).tocsr()
     tally = Counter()
-    x = spsolve(M, b, _box_preconditioner(kern, nodes), tally)
+    x = spsolve(M, b, _precond(kern, nodes), tally)
     assert tally["superlu_solves"] == 1
     assert np.array_equal(x, spla.spsolve(M, b))
 

@@ -149,7 +149,7 @@ def test_first_use_imports_each_lazy_module_and_works():
             kern, nodes, M, b = newton_system((17, 17))
             M = (_csr(M) - 0.5 * M.diagonal().min() * sp.identity(nodes.size)).tocsr()
             tally = Counter()
-            x = spsolve(M, b, _box_preconditioner(kern, nodes), tally)
+            x = spsolve(M, b, _box_preconditioner(kern, _FreeBlock(kern, nodes)), tally)
             return [tally["superlu_solves"], float(np.max(np.abs(M @ x - b)))]
 
         def root_search():
