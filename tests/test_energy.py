@@ -195,8 +195,11 @@ def test_iterate_state_is_the_two_phase_sum(shape):
     assert _same_bits(it.gradient(), dirichlet + w * (prm.delta * slope))
 
 
-@pytest.mark.parametrize("p", [1.5, 2.0])
-@pytest.mark.parametrize("shape", [(65,), (17, 13)])
+@pytest.mark.parametrize(
+    "shape, p",
+    [((65,), 1.5), ((17, 13), 1.5), ((65,), 2.0), ((17, 13), 2.0)],
+    ids=["shape0", "shape1", "shape0-p2", "shape1-p2"],
+)
 def test_two_live_states_share_no_storage(shape, p):
     # the line search evaluates a trial state next to the current iterate
     # and drops it when Armijo rejects it: evaluating the trial must leave
