@@ -21,17 +21,13 @@ Every linear system is symmetric positive definite and goes through
 ``spsolve``.  Its pattern is built once per problem; each Newton step
 refills only the values, and only the shift when the conductances are
 those of the step before (at p = 2 they are the kernel's, the same
-for every iterate).  A 1D system is tridiagonal: its
-band storage is three gathers of the conductances padded with zeros at
-both grid ends (a node's diagonal is the sum of its two edges, its
-coupling to the previous free node the edge between them, or 0 across a
-gap), and it is solved by LAPACK's tridiagonal Cholesky (``dptsv``, the
-routine ``scipy.linalg.solveh_banded`` calls for two bands).  A 2D or 3D
-system is a stencil, never a matrix: its diagonal and one coupling per
-edge, which CG applies on grid-shaped arrays in the order of a CSR
-product, bit for bit.  On a grid whose nodes all lie strictly inside the
-box, it is solved by conjugate gradients preconditioned with a fast
-Poisson solve: the
+for every iterate).  In every dimension the system is a stencil, never a
+matrix: its diagonal and one coupling per edge, which CG applies on
+grid-shaped arrays in the order of a CSR product, bit for bit.  A 1D
+system is tridiagonal: its diagonal and its couplings between consecutive
+nodes (+0 across a gap) go to LAPACK's tridiagonal Cholesky (``dptsv``).
+A 2D or 3D system whose nodes all lie strictly inside the box is solved
+by conjugate gradients preconditioned with a fast Poisson solve: the
 constant-coefficient Laplacian of the interior box, inverted by DST-I,
 with a diagonal scaling that matches the system's own diagonal (Concus &
 Golub, SIAM J. Numer. Anal. 10, 1973).  How far CG goes depends on
@@ -47,18 +43,18 @@ the gradient, the inexact Newton step that keeps the descent's
 convergence (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982;
 Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996).  SuperLU is the
 counted fallback, and the only consumer of a CSR matrix, gathered from
-the block through its pattern by ``_csr``: it takes a 2D or 3D system
-with a node on a box face, a banded system found not positive definite,
-a system on which CG breaks down or reaches its iteration cap, and the
-diagonal-lift retry of a non-finite solve.  Inner products are plain
-``np.sum`` reductions, not BLAS, so a solve does not depend on the number
-of BLAS threads.
+the stencil through its pattern by ``tocsr()``: it takes a 2D or 3D
+system with a node on a box face, a 1D system that ``dptsv`` finds not
+positive definite, a system on which CG breaks down or reaches its
+iteration cap, and the diagonal-lift retry of a non-finite solve.  Inner
+products are plain ``np.sum`` reductions, not BLAS, so a solve does not
+depend on the number of BLAS threads.
 
-Importing the module loads no scipy module: ``scipy.linalg`` (the banded
-Cholesky) loads on the first banded solve, and ``scipy.sparse`` and
+Importing the module loads no scipy module: ``scipy.linalg`` (``dptsv``)
+loads on the first 1D solve, and ``scipy.sparse`` and
 ``scipy.sparse.linalg`` (SuperLU) on the first SuperLU solve, so a 2D or
-3D solve that CG finishes and a 1D solve that the banded Cholesky
-finishes load no ``scipy.sparse``.
+3D solve that CG finishes and a 1D solve that ``dptsv`` finishes load no
+``scipy.sparse``.
 """
 
 from __future__ import annotations
@@ -141,7 +137,7 @@ WORK_COUNTERS = (
     "cg_iterations",  # preconditioned CG iterations over all of them
     "cg_floor_stops",  # CG solves stopped by the representation floor
     "cg_forcing_stops",  # CG solves stopped by the inexact-Newton forcing term
-    "superlu_solves",  # fallback solves: CG misses, banded non-SPD, lifts
+    "superlu_solves",  # fallback solves: CG misses, 1D non-SPD, lifts
     "lift_retries",  # non-finite solves retried with a lifted diagonal
     "gradient_fallbacks",  # non-descent Newton directions replaced
     "backtracks",  # Armijo trials rejected, those of a failed search included
@@ -209,7 +205,8 @@ class SolverStall(RuntimeError):
 
 
 class _FreeBlock:
-    """scale * A + diag(shift) restricted to a fixed sorted flat node set.
+    """scale * A + diag(shift) restricted to a fixed sorted flat node set,
+    as a ``_Stencil``, in every dimension.
 
     A is the diffusion operator (A v)_i = sum_edges kappa (v_i - v_j).  The
     pattern is built once per node set.  A call splits the block into its
@@ -222,59 +219,37 @@ class _FreeBlock:
     bit for bit.  The conductances must not change in place between calls,
     and the kept couplings are read-only.
 
-    ``box`` is the decision, made once here, whether the nodes fill the
-    interior box of the grid (every node not on a face of the grid):
-    then it holds the slices that cut the box out of a grid array, whose
-    C order is the nodes' order; otherwise it is None.  ``minimize`` and
-    ``_box_preconditioner`` read it.
+    ``in_box`` and ``box`` are decided once here.  ``in_box`` holds each
+    node's flat position in the interior box of the grid, in the nodes'
+    order, or is None when a node lies on a face of the grid.  ``box`` is
+    set when the nodes fill the interior box: then it holds the slices
+    that cut the box out of a grid array, whose C order is the nodes'
+    order; otherwise it is None.  ``minimize`` and ``_box_preconditioner``
+    read them.
 
-    In 1D the block is tridiagonal and comes as its LAPACK upper band
-    storage, a new array of shape (2, m) whose row 0 holds the
-    superdiagonal (entry j couples j - 1 and j) and row 1 the diagonal.
-    The pattern is three index rows into the conductances padded as
-    k = [0, kappa, 0, -0]: node i's edges are k[i + 1] and k[i], so its
-    diagonal entry is scale * (k[i + 1] + k[i]) + shift, and the coupling
-    of entry j to j - 1 is -scale * k[nodes[j]] when they are grid
-    neighbours, else -scale * k[-1] = +0.  For any sorted node set these
-    are the sums and products, in the same order, that summing the
-    diagonal over the grid (as below) would take.
-
-    In 2D and 3D the block is a ``_Stencil``, applied without a matrix.
-    Its diagonal is summed over the whole grid, axis by axis and lower end
-    first, the order in which COO->CSR would sum duplicate entries, and its
-    couplings are -scale * kappa, so its ``_csr`` is bit for bit the matrix
-    COO->CSR makes of the (main, upper, lower) entries.  When the nodes
-    fill the interior box the stencil works on the box; otherwise it works
-    on the whole grid, with the couplings of edges that leave the node set
-    zeroed (the pattern is each axis's mask of edges with both ends in the
-    set).  The CSR pattern ``_csr`` gathers through is built on its first
-    use, once per node set.
-
-    After a call, ``diagonal`` is the main diagonal of the block it made
-    (the band's row 1 in 1D), so no caller has to extract it again.
+    The diagonal is summed over the whole grid, axis by axis and lower end
+    first, the order in which COO->CSR would sum duplicate entries, and the
+    couplings are -scale * kappa, so the stencil's ``tocsr()`` is bit for
+    bit the matrix COO->CSR makes of the (main, upper, lower) entries.
+    When the nodes fill the interior box the stencil works on the box;
+    otherwise it works on the whole grid, with the couplings of edges that
+    leave the node set zeroed (the pattern is each axis's mask of edges
+    with both ends in the set).  The CSR pattern ``tocsr()`` gathers
+    through is built on its first use, once per node set.
     """
 
     def __init__(self, kern: DiscreteEnergy, nodes: np.ndarray):
         self.nodes = nodes
         self.shape = kern.weights.shape
+        self.edges = [axis[:2] for axis in kern.axes]  # the whole grid's (lo, hi)
         self._kept = None  # (conductances, scale, diagonal, couplings)
         inside = np.zeros(self.shape, dtype=bool)
         inside.reshape(-1)[nodes] = True
         inner = (slice(1, -1),) * len(self.shape)  # the box, in nodes and edges
         fills = inside[inner]
-        self.box = inner if nodes.size == fills.size and fills.all() else None
-        if len(self.shape) == 1:
-            # k, refilled by each new set of conductances; the taps of entry
-            # j are its coupling edge (the -0 slot across a gap or at j = 0),
-            # then its two edges
-            n = self.shape[0]
-            self.padded = np.zeros(n + 2)
-            self.padded[-1] = -0.0
-            linked = np.diff(nodes, prepend=nodes[:1] - 2) == 1
-            self.taps = np.stack((np.where(linked, nodes, n + 1), nodes + 1, nodes))
-            return
-        self.padded = None
-        self.edges = _ends(self.shape)  # the whole grid's, for the diagonal
+        in_box = np.flatnonzero(fills)
+        self.in_box = in_box if in_box.size == nodes.size else None
+        self.box = inner if self.in_box is not None and fills.all() else None
         if self.box is None:
             self.where, self.grid = nodes, self.shape
             self.keep = [inside[lo] & inside[hi] for lo, hi in self.edges]
@@ -285,15 +260,6 @@ class _FreeBlock:
 
     def _dirichlet(self, kappas, scale: float) -> tuple[np.ndarray, list]:
         """The diagonal scale * diag(A) on the nodes and the couplings."""
-        padded = self.padded
-        if padded is not None:
-            padded[1:-2] = kappas[0]
-            rows = padded[self.taps]
-            rows[0] *= -scale
-            main = rows[1]
-            main += rows[2]
-            main *= scale
-            return main, [rows[0]]
         diag = np.zeros(self.shape)
         for (lo, hi), kap in zip(self.edges, kappas):
             diag[lo] += kap
@@ -307,7 +273,7 @@ class _FreeBlock:
             np.where(keep, scale * -kap, 0.0) for keep, kap in zip(self.keep, kappas)
         ]
 
-    def __call__(self, kappas, scale: float = 1.0, shift=0.0) -> _Stencil | np.ndarray:
+    def __call__(self, kappas, scale: float = 1.0, shift=0.0) -> _Stencil:
         kept = self._kept
         if kept is None or kept[0] is not kappas or kept[1] != scale:
             base, couplings = self._dirichlet(kappas, scale)
@@ -315,13 +281,7 @@ class _FreeBlock:
                 c.flags.writeable = False
             kept = self._kept = (kappas, scale, base, couplings)
         _, _, base, couplings = kept
-        if self.padded is not None:
-            band = np.empty((2, base.size))  # a new band, every call
-            band[0] = couplings[0]
-            self.diagonal = np.add(base, shift, out=band[1])
-            return band
-        self.diagonal = main = base + shift
-        return _Stencil(main, couplings, self)
+        return _Stencil(base + shift, couplings, self)
 
     def csr_pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(source, indices, indptr) of the block as CSR, built once.
@@ -369,11 +329,11 @@ def _ends(shape: tuple[int, ...]) -> list[tuple[tuple, tuple]]:
 
 
 class _Stencil:
-    """A 2D or 3D Newton block, applied as a stencil on a grid array.
+    """A Newton block, applied as a stencil on a grid array.
 
     ``main`` is the block's diagonal and ``couplings`` holds one array per
     axis, the off-diagonal entry of each edge of the grid array of shape
-    ``grid`` that the block works on, 0 on an edge with an end outside the
+    ``grid`` that the block works on, +0 on an edge with an end outside the
     node set; ``where`` is each node's flat position in that array, None
     when the nodes fill it.  The grid, the edge slices and the CSR pattern
     are the ``_FreeBlock``'s that made it.
@@ -383,7 +343,8 @@ class _Stencil:
     from the last axis to axis 0: the ascending-column order in which
     scipy's CSR product adds a row, so the product equals ``M.tocsr() @ x``
     bit for bit.  ``abs(M)`` has the absolute entries, ``M.tocsr()``
-    gathers the CSR block for the direct solver.
+    gathers the CSR block for SuperLU, and in 1D ``M.tridiagonal()`` reads
+    the block's two bands for LAPACK.
     """
 
     def __init__(self, main, couplings, block: _FreeBlock):
@@ -402,6 +363,15 @@ class _Stencil:
 
     def diagonal(self) -> np.ndarray:
         return self.main
+
+    def tridiagonal(self) -> tuple[np.ndarray, np.ndarray]:
+        """A 1D block's diagonal and the coupling of each node to the next.
+
+        Consecutive nodes j, j + 1 meet on the edge that leaves node j,
+        whose coupling is +0 across a gap.
+        """
+        (c,) = self.couplings
+        return self.main, c if self.where is None else c[self.where[:-1]]
 
     def __abs__(self) -> _Stencil:
         couplings = [np.abs(c) for c in self.couplings]
@@ -444,18 +414,7 @@ def assemble_diffusion(
     """
     kern = DiscreteEnergy.dirichlet(grid, p)
     block = _FreeBlock(kern, np.arange(kern.weights.size))
-    return _csr(block(kern.at(values, eps).conductances))
-
-
-def _csr(M: _Stencil | sp.csr_matrix | np.ndarray) -> sp.csr_matrix:
-    """A block as CSR; 1D upper band rows are mirrored below the diagonal."""
-    if not isinstance(M, np.ndarray):
-        return M.tocsr()
-    import scipy.sparse as sp
-
-    m = M.shape[1]
-    bands = np.vstack((M, np.append(M[0, 1:], 0.0)))
-    return sp.dia_matrix((bands, (1, 0, -1)), shape=(m, m)).tocsr()
+    return block(kern.at(values, eps).conductances).tocsr()
 
 
 @dataclass(frozen=True)
@@ -493,15 +452,12 @@ def _box_preconditioner(
     """The fast Poisson preconditioner of the systems ``block`` makes, if
     one applies.
 
-    None in 1D, where ``spsolve`` factors the tridiagonal band directly,
+    None in 1D, where ``spsolve`` factors the tridiagonal system directly,
     and when a node lies on a box face, which the interior box does not
     hold.
     """
     shape = kern.weights.shape
-    index = np.unravel_index(block.nodes, shape)
-    if len(shape) == 1 or any(
-        np.any((i == 0) | (i == n - 1)) for i, n in zip(index, shape)
-    ):
+    if len(shape) == 1 or block.in_box is None:
         return None
     box = tuple(n - 2 for n in shape)
     h = kern.grid.spacing
@@ -511,9 +467,7 @@ def _box_preconditioner(
         theta = 0.5 * np.pi * np.arange(1, m + 1) / (m + 1)
         along = (1,) * a + (-1,) + (1,) * (len(box) - 1 - a)
         lam += (4.0 * vol / ha**2 * np.sin(theta) ** 2).reshape(along)
-    where = None
-    if block.box is None:
-        where = np.ravel_multi_index(tuple(i - 1 for i in index), box)
+    where = None if block.box is not None else block.in_box
     return _BoxPreconditioner(lam, sum(2.0 * vol / ha**2 for ha in h), where)
 
 
@@ -535,7 +489,7 @@ def _dot(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def _pcg(
-    M: _Stencil | sp.csr_matrix,
+    M: _Stencil,
     b: np.ndarray,
     precond: _BoxPreconditioner,
     tally: Counter,
@@ -544,12 +498,11 @@ def _pcg(
 ) -> np.ndarray | None:
     """Preconditioned CG from zero; None on breakdown or at the iteration cap.
 
-    ``M`` is anything with ``M @ x`` and ``M.diagonal()``: the stencil of a
-    Newton block, or a CSR matrix.  CG stops once the residual norm is at
-    most ``rtol`` times that of ``b`` or at most ``floor``, whichever bound
-    is larger.  A solve that the floor stopped counts as a floor stop, one
-    that a relative tolerance looser than ``_CG_RTOL`` stopped as a forcing
-    stop.
+    ``M`` is the stencil of a Newton block.  CG stops once the residual
+    norm is at most ``rtol`` times that of ``b`` or at most ``floor``,
+    whichever bound is larger.  A solve that the floor stopped counts as a
+    floor stop, one that a relative tolerance looser than ``_CG_RTOL``
+    stopped as a forcing stop.
     """
     x = np.zeros_like(b)
     if not b.any():
@@ -588,14 +541,14 @@ def _pcg(
 
 
 # The two direct solvers, imported on their first call.
-def solveh_banded(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve with a tridiagonal SPD band ``ab`` (LAPACK upper band storage).
+def solveh_banded(d: np.ndarray, e: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve the SPD tridiagonal system of diagonal ``d`` and off-diagonal ``e``.
 
     LinAlgError when the factorization finds it not positive definite.
     """
     from scipy.linalg import lapack
 
-    _, _, x, info = lapack.dptsv(ab[1], ab[0, 1:], b)
+    _, _, x, info = lapack.dptsv(d, e, b)
     if info > 0:
         raise np.linalg.LinAlgError(f"leading minor {info} not positive definite")
     return x
@@ -608,7 +561,7 @@ def _superlu(M: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
 
 
 def spsolve(
-    M: _Stencil | sp.csr_matrix | np.ndarray,
+    M: _Stencil | sp.csr_matrix,
     rhs: np.ndarray,
     precond: _BoxPreconditioner | None = None,
     tally: Counter | None = None,
@@ -617,33 +570,33 @@ def spsolve(
 ) -> np.ndarray:
     """Solve the SPD system ``M x = rhs``.
 
-    A banded ``M`` (LAPACK upper band storage, an array) is solved by
-    banded Cholesky; a system with a box preconditioner by
-    preconditioned CG, which stops at a residual norm of ``rtol`` (by
-    default ``_CG_RTOL``) times that of ``rhs`` or of ``floor``, whichever
-    is larger.  Everything else goes to SuperLU as CSR (``_csr``), and so
-    does a system that the banded factorization finds not positive definite
-    or on which CG breaks down or reaches its iteration cap.  ``tally``
-    counts the CG iterations, the CG solves that the floor stopped, those
-    that a looser ``rtol`` stopped, and the SuperLU solves.
+    A 1D block is solved by LAPACK's tridiagonal Cholesky; a block with a
+    box preconditioner by preconditioned CG, which stops at a residual
+    norm of ``rtol`` (by default ``_CG_RTOL``) times that of ``rhs`` or of
+    ``floor``, whichever is larger.  Everything else goes to SuperLU as
+    CSR, and so does a 1D block that the factorization finds not positive
+    definite and a block on which CG breaks down or reaches its iteration
+    cap.  ``tally`` counts the CG iterations, the CG solves that the floor
+    stopped, those that a looser ``rtol`` stopped, and the SuperLU solves.
     """
     if tally is None:
         tally = Counter()
-    if isinstance(M, np.ndarray):
-        try:
-            return solveh_banded(M, rhs)
-        except np.linalg.LinAlgError:
-            pass
-    elif precond is not None:
+    if precond is not None:
         x = _pcg(M, rhs, precond, tally, floor, rtol)
         if x is not None:
             return x
+    elif isinstance(M, _Stencil) and len(M.grid) == 1:
+        # a CSR matrix, the lifted retry's, goes straight to SuperLU
+        try:
+            return solveh_banded(*M.tridiagonal(), rhs)
+        except np.linalg.LinAlgError:
+            pass
     tally["superlu_solves"] += 1
-    return _superlu(_csr(M), rhs)
+    return _superlu(M.tocsr(), rhs)
 
 
 def _solve_spd(
-    M: _Stencil | np.ndarray,
+    M: _Stencil,
     rhs: np.ndarray,
     precond: _BoxPreconditioner | None,
     tally: Counter,
@@ -662,10 +615,9 @@ def _solve_spd(
     import scipy.sparse as sp
 
     tally["lift_retries"] += 1
-    M = _csr(M)
-    diag = M.diagonal()
-    lift = 1e-12 * float(np.max(np.abs(diag))) + 1e-300
-    x = spsolve(M + lift * sp.identity(M.shape[0], format="csr"), rhs, None, tally)
+    lift = 1e-12 * float(np.max(np.abs(M.diagonal()))) + 1e-300
+    lifted = M.tocsr() + lift * sp.identity(M.shape[0], format="csr")
+    x = spsolve(lifted, rhs, None, tally)
     return x if np.isfinite(x).all() else None
 
 
@@ -829,7 +781,7 @@ def minimize(
                 if not math.isfinite(slope) or slope <= 0.0:
                     # fall back to a diagonally preconditioned gradient step
                     tally["gradient_fallbacks"] += 1
-                    dg = block.diagonal
+                    dg = M.diagonal()
                     dg = np.where(dg > 0, dg, np.max(dg) if np.max(dg) > 0 else 1.0)
                     step = g_f / dg
                     slope = _dot(g_f, step)

@@ -18,7 +18,6 @@ from aplab.solver import (
     DEFAULT_LADDER,
     _box_preconditioner,
     _check_ladder,
-    _csr,
     _FreeBlock,
     _pcg,
     _Stencil,
@@ -135,7 +134,7 @@ def test_diffusion_operator_reproduces_dirichlet_gradient(extents, shape, p):
     u = np.random.default_rng(len(shape)).standard_normal(shape)
     kern = DiscreteEnergy.dirichlet(grid, p)
     it = kern.at(u, 0.1)
-    a_u = _csr(_FreeBlock(kern, np.arange(u.size))(it.conductances)) @ u.ravel()
+    a_u = _FreeBlock(kern, np.arange(u.size))(it.conductances).tocsr() @ u.ravel()
     g = it.gradient().ravel()
     assert np.max(np.abs(a_u - g)) <= 1e-12 * np.max(np.abs(g))
 
@@ -173,23 +172,20 @@ def test_free_block_equals_sliced_full_operator(extents, shape, p):
     kern = DiscreteEnergy.dirichlet(grid, p)
     kappas = kern.at(u, 0.1).conductances
     full = _FreeBlock(kern, np.arange(u.size))(kappas)
-    # 1D blocks come as LAPACK upper band arrays, the others as stencils
-    # that _csr assembles as CSR
-    if len(shape) == 1:
-        assert isinstance(full, np.ndarray) and full.shape == (2, u.size)
-    else:
-        assert isinstance(full, _Stencil) and _csr(full).format == "csr"
-    full = _csr(full)
+    # blocks come as stencils in every dimension, assembled as CSR on demand
+    assert isinstance(full, _Stencil)
+    full = full.tocsr()
+    assert full.format == "csr"
     _assert_same_csr(full, _coo_operator(kern, kappas))
     want = (scale * full[idx][:, idx] + sp.diags(shift)).tocsr()
-    _assert_same_csr(_csr(_FreeBlock(kern, idx)(kappas, scale, shift)), want)
+    _assert_same_csr(_FreeBlock(kern, idx)(kappas, scale, shift).tocsr(), want)
 
 
 @pytest.mark.parametrize("shape", [(33,), (17, 13)], ids=["1d", "2d"])
 def test_fixed_pattern_refills_match_a_fresh_build(shape):
     # one pattern, refilled twice with new values, against a fresh COO->CSR
-    # build each time: the CSR arrays of the 2D stencil's assembly bit for
-    # bit, the 1D bands entry by entry
+    # build each time: the CSR arrays of the stencil's assembly bit for bit,
+    # and the 1D stencil's two bands entry by entry
     grid = Grid(extents=((-1.0, 1.0), (0.0, 1.5))[: len(shape)], resolution=shape)
     X = grid.coordinate_arrays()
     hole = sum(x * x for x in X) < 0.3**2  # a masked hole in the node set
@@ -204,44 +200,48 @@ def test_fixed_pattern_refills_match_a_fresh_build(shape):
         full = _coo_operator(kern, kappas)
         want = (scale * full[nodes][:, nodes] + sp.diags(shift)).tocsr()
         if len(shape) == 1:
-            # LAPACK upper band storage: superdiagonal, then diagonal
-            assert isinstance(got, np.ndarray)
-            bands = np.zeros((2, nodes.size))
-            bands[0, 1:] = want.diagonal(1)
-            bands[1] = want.diagonal()
-            assert np.array_equal(got, bands)
-        else:
-            got = _csr(got)
-            assert got.format == "csr"
-            _assert_same_csr(got, want)
+            # the diagonal and the coupling of each node to the next
+            main, upper = got.tridiagonal()
+            assert np.array_equal(main, want.diagonal())
+            assert np.array_equal(upper, want.diagonal(1))
+        got = got.tocsr()
+        assert got.format == "csr"
+        _assert_same_csr(got, want)
 
 
 @pytest.mark.parametrize("shape", [(33,), (17, 13)], ids=["1d", "2d"])
 def test_a_refill_leaves_the_blocks_made_before_it(shape):
-    # a 1D refill goes through the block's scratch conductances; the band it
-    # returns must not share them, or the next Newton step would overwrite it
+    # a refill with new conductances makes new couplings and a new diagonal;
+    # the block returned before must keep its own, or the next Newton step
+    # would overwrite it
     grid = Grid(extents=((-1.0, 1.0), (0.0, 1.5))[: len(shape)], resolution=shape)
     nodes = np.flatnonzero(~grid.boundary_face_mask.ravel())
     kern = DiscreteEnergy.dirichlet(grid, 1.5)
     block = _FreeBlock(kern, nodes)
     rng = np.random.default_rng(3)
     first = block(kern.at(rng.standard_normal(shape), 0.1).conductances, 2.0, 1.0)
-    kept = _csr(first).toarray()
+    kept = first.tocsr().toarray()
     block(kern.at(rng.standard_normal(shape), 0.1).conductances, 2.0, 1.0)
-    assert np.array_equal(_csr(first).toarray(), kept)
+    assert np.array_equal(first.tocsr().toarray(), kept)
 
 
 def _interior(grid):
     return np.flatnonzero(~grid.boundary_face_mask.ravel())
 
 
-def _newton_system(grid, p, nodes, shift, seed=0):
+def _newton_system(grid, p, nodes, shift, seed=0, indefinite=False):
     # a Newton matrix of minimize's form: stiffened lagged operator at a
-    # random field plus a nonnegative diagonal shift of size up to ``shift``
+    # random field plus a nonnegative diagonal shift of size up to ``shift``;
+    # ``indefinite`` replaces that shift by -c, c half the smallest diagonal
+    # entry: with ``shift`` 0, the entries of M - c I, a positive diagonal
+    # but eigenvalues of both signs
     rng = np.random.default_rng(seed)
     kern = DiscreteEnergy.dirichlet(grid, p)
     kappas = kern.at(rng.standard_normal(grid.shape), 0.1).conductances
-    M = _FreeBlock(kern, nodes)(kappas, max(p - 1.0, 1.0), shift * rng.random(nodes.size))
+    block, scale = _FreeBlock(kern, nodes), max(p - 1.0, 1.0)
+    M = block(kappas, scale, shift * rng.random(nodes.size))
+    if indefinite:
+        M = block(kappas, scale, -0.5 * M.diagonal().min())
     return kern, M, rng.standard_normal(nodes.size)
 
 
@@ -281,7 +281,7 @@ def test_stencil_products_equal_the_csr_products_bit_for_bit(shape, subset):
     scale, shift = 1.0 + rng.random(), rng.random(nodes.size)
     M = _FreeBlock(kern, nodes)(kappas, scale, shift)
     assert isinstance(M, _Stencil) and (M.where is None) == (subset is _interior)
-    csr = _csr(M)
+    csr = M.tocsr()
     # the sliced full-grid operator; a sparse sum would drop its zero entries
     want = (scale * _coo_operator(kern, kappas)[nodes][:, nodes]).tocsr()
     want.setdiag(want.diagonal() + shift)
@@ -335,13 +335,9 @@ def test_a_kept_dirichlet_part_gives_a_fresh_block_bit_for_bit(shape, subset):
         got = block(*args)
         want = _FreeBlock(kern, nodes)(*args)
         kept.append(block._kept[3])
-        if len(shape) == 1:
-            assert _same_bits(got, want) and got.flags.writeable
-        else:
-            assert _same_bits(got.main, want.main) and got.where is want.where
-            for c, w in zip(got.couplings, want.couplings, strict=True):
-                assert _same_bits(c, w) and not c.flags.writeable
-        assert _same_bits(block.diagonal, got[1] if len(shape) == 1 else got.main)
+        assert _same_bits(got.main, want.main) and got.where is want.where
+        for c, w in zip(got.couplings, want.couplings, strict=True):
+            assert _same_bits(c, w) and not c.flags.writeable
     # the second and third calls reused the first call's couplings
     assert kept[0] is kept[1] is kept[2]
     assert kept[3] is not kept[2] and kept[4] is not kept[3]
@@ -393,7 +389,7 @@ def test_the_held_csr_pattern_gives_the_per_call_assembly(shape, subset):
         for k in kappas:
             k[rng.random(k.shape) < 0.1] = 0.0
         M = block(kappas, 1.0 + rng.random(), rng.random(nodes.size))
-        got, want = _csr(M), _per_call_csr(M)
+        got, want = M.tocsr(), _per_call_csr(M)
         for name in ("data", "indices", "indptr"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
@@ -418,7 +414,7 @@ def test_preconditioned_solve_matches_superlu(shape, subset, p, shift):
     assert precond is not None
     tally = Counter()
     x = spsolve(M, b, precond, tally)
-    want = spla.spsolve(_csr(M), b)
+    want = spla.spsolve(M.tocsr(), b)
     assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
     # solved by CG, not by the SuperLU fallback
     assert tally["cg_iterations"] > 0 and tally["superlu_solves"] == 0
@@ -463,7 +459,7 @@ def test_spsolve_without_a_floor_meets_the_relative_tolerance():
 
 
 def _gapped(grid):
-    # interior nodes with two gaps: the band entries across a gap are zero
+    # interior nodes with two gaps: the couplings across a gap are zero
     nodes = _interior(grid)
     return np.setdiff1d(nodes, nodes[[3, 4, 10]])
 
@@ -475,11 +471,18 @@ def test_banded_solve_matches_superlu(subset, p, shift):
     grid = Grid(extents=((-1.0, 1.0),), resolution=(33,))
     nodes = subset(grid)
     kern, M, b = _newton_system(grid, p, nodes, shift)
-    assert isinstance(M, np.ndarray)
+    assert isinstance(M, _Stencil)
     assert _box_preconditioner(kern, _FreeBlock(kern, nodes)) is None
+    # dptsv's two bands are the CSR block's, bit for bit, +0 across a gap
+    csr = M.tocsr()
+    main, upper = M.tridiagonal()
+    assert _same_bits(main, csr.diagonal()) and _same_bits(upper, csr.diagonal(1))
+    gaps = np.diff(nodes) > 1
+    assert gaps.any() == (subset is _gapped)
+    assert _same_bits(upper[gaps], np.zeros(np.count_nonzero(gaps)))
     tally = Counter()
     x = spsolve(M, b, None, tally)
-    want = spla.spsolve(_csr(M), b)
+    want = spla.spsolve(csr, b)
     assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
     assert tally["superlu_solves"] == 0
 
@@ -487,13 +490,11 @@ def test_banded_solve_matches_superlu(subset, p, shift):
 def test_indefinite_banded_system_falls_back_to_superlu():
     grid = Grid(extents=((-1.0, 1.0),), resolution=(33,))
     nodes = _interior(grid)
-    _, M, b = _newton_system(grid, 2.0, nodes, 0.0)
-    # a positive diagonal, but eigenvalues of both signs
-    M[1] -= 0.5 * M[1].min()
+    _, M, b = _newton_system(grid, 2.0, nodes, 0.0, indefinite=True)
     tally = Counter()
     x = spsolve(M, b, None, tally)
     assert tally["superlu_solves"] == 1
-    assert np.array_equal(x, spla.spsolve(_csr(M), b))
+    assert np.array_equal(x, spla.spsolve(M.tocsr(), b))
 
 
 def test_assemble_diffusion_returns_csr():
@@ -521,13 +522,11 @@ def test_box_preconditioner_needs_strictly_interior_nodes_in_2d_or_3d():
 def test_indefinite_system_falls_back_to_superlu():
     grid = Grid(extents=((-1.0, 1.0), (-1.0, 1.0)), resolution=(17, 17))
     nodes = _interior(grid)
-    kern, M, b = _newton_system(grid, 2.0, nodes, 0.0)
-    # a positive diagonal, but eigenvalues of both signs
-    M = (_csr(M) - 0.5 * M.diagonal().min() * sp.identity(nodes.size)).tocsr()
+    kern, M, b = _newton_system(grid, 2.0, nodes, 0.0, indefinite=True)
     tally = Counter()
     x = spsolve(M, b, _precond(kern, nodes), tally)
     assert tally["superlu_solves"] == 1
-    assert np.array_equal(x, spla.spsolve(M, b))
+    assert np.array_equal(x, spla.spsolve(M.tocsr(), b))
 
 
 # ---------------------------------------------------------------------------
@@ -679,10 +678,10 @@ def test_minimize_1d_solves_by_banded_cholesky(convex_1d):
 
 
 def test_minimize_counts_diagonal_lift_retries(monkeypatch):
-    # every banded solve comes back non-finite, so each Newton system is
+    # every tridiagonal solve comes back non-finite, so each Newton system is
     # retried once with a lifted diagonal, which SuperLU solves
     monkeypatch.setattr(aplab.solver, "solveh_banded",
-                        lambda ab, b, **kw: np.full_like(b, np.nan))
+                        lambda d, e, b: np.full_like(b, np.nan))
     monkeypatch.setattr(aplab.solver, "_MAX_ITERS", 4)
     fld, par = _one_phase_start(n=65)
     res = minimize(fld, par, (0.1,))
@@ -692,10 +691,11 @@ def test_minimize_counts_diagonal_lift_retries(monkeypatch):
 
 
 def test_nonfinite_lifted_solve_is_a_stall(monkeypatch):
-    # the banded solve and its lifted SuperLU retry both come back non-finite
-    nan_solve = lambda M, b, **kw: np.full_like(b, np.nan)  # noqa: E731
-    monkeypatch.setattr(aplab.solver, "solveh_banded", nan_solve)
-    monkeypatch.setattr(aplab.solver, "_superlu", nan_solve)
+    # the tridiagonal solve and its lifted SuperLU retry both come back
+    # non-finite
+    monkeypatch.setattr(aplab.solver, "solveh_banded",
+                        lambda d, e, b: np.full_like(b, np.nan))
+    monkeypatch.setattr(aplab.solver, "_superlu", lambda M, b: np.full_like(b, np.nan))
     fld, par = _one_phase_start(n=65)
     res = minimize(fld, par, (0.1, 0.01))
     assert res.shortfall == (

@@ -3,8 +3,9 @@
 scipy.optimize, scipy.linalg, scipy.sparse, scipy.sparse.linalg and
 jsonschema are imported by the first call that needs them, so the
 closed-form oracles, the inequality sweeps, ``apl oracle`` and ``apl
-compare`` run on numpy alone, and a 2D or 3D solve that CG finishes needs
-no scipy.sparse.  Each check runs in a child interpreter, because this
+compare`` run on numpy alone, and neither a 2D or 3D solve that CG
+finishes nor a 1D solve that LAPACK's tridiagonal Cholesky finishes needs
+scipy.sparse.  Each check runs in a child interpreter, because this
 process has long since loaded all of them.
 """
 
@@ -12,6 +13,8 @@ import json
 import subprocess
 import sys
 import textwrap
+
+import pytest
 
 from aplab.core import ScalarField, build_grid, save_field
 
@@ -82,31 +85,56 @@ def test_apl_compare_loads_no_scipy_module(tmp_path):
     assert out == {"rc": 0, "n": 1, "scipy": []}
 
 
-def test_a_2d_solve_that_cg_finishes_loads_no_scipy_sparse():
-    # the Newton blocks are stencils; CSR is assembled only for SuperLU
+# Solves whose Newton systems never reach SuperLU: CG finishes the 2D
+# ones, LAPACK's dptsv the 1D ones, on a node set with gaps at the pinned
+# nodes 40, 41 and 200
+_NO_SUPERLU = {
+    "2d-cg": """
+        grid = Grid(extents=((-1.0, 1.0), (0.0, 1.5)), resolution=(17, 13))
+        x, y = grid.coordinate_arrays()
+        u = np.sin(2.1 * x) * np.cos(1.3 * y) + 0.3 * x * y
+        fixed = grid.boundary_face_mask
+        par = Params(p=1.5, gamma=0.5, lambda_plus=0.5, lambda_minus=0.5,
+                     alpha_p=1.0)
+        """,
+    "1d-dptsv": """
+        grid = Grid(extents=((-1.0, 1.0),), resolution=(257,))
+        par = Params(p=3.0, gamma=0.8, lambda_plus=1.6905, lambda_minus=1.6905,
+                     alpha_p=1.0)
+        prof = one_phase_profile(par)
+        u = prof.coefficient * np.clip(grid.axes[0], 0.0, None) ** prof.beta
+        fixed = grid.boundary_face_mask.copy()
+        fixed[[40, 41, 200]] = True
+        """,
+}
+
+
+@pytest.mark.parametrize("case", _NO_SUPERLU)
+def test_a_solve_that_needs_no_superlu_loads_no_scipy_sparse(case):
+    # the Newton blocks are stencils in every dimension; CSR is assembled
+    # only for SuperLU
     out = _child(
         """
         import json, sys
         import numpy as np
         from aplab.core import Grid, Params, ScalarField
+        from aplab.oracle import one_phase_profile
         from aplab.solver import minimize
-
-        grid = Grid(extents=((-1.0, 1.0), (0.0, 1.5)), resolution=(17, 13))
-        x, y = grid.coordinate_arrays()
-        u = np.sin(2.1 * x) * np.cos(1.3 * y) + 0.3 * x * y
-        face = grid.boundary_face_mask
-        start = ScalarField(grid, np.where(face, u, 0.0), face, u)
-        par = Params(p=1.5, gamma=0.5, lambda_plus=0.5, lambda_minus=0.5,
-                     alpha_p=1.0)
-        res = minimize(start, par)
+        """
+        + _NO_SUPERLU[case]
+        + """
+        res = minimize(ScalarField(grid, np.where(fixed, u, 0.0), fixed, u), par)
         print(json.dumps({"converged": res.converged, "work": dict(res.work),
                           "sparse": "scipy.sparse" in sys.modules}))
         """
     )
     assert out["converged"] and not out["sparse"]
     work = out["work"]
-    assert work["cg_iterations"] >= work["linear_solves"] > 0
     assert work["superlu_solves"] == 0
+    if case == "2d-cg":
+        assert work["cg_iterations"] >= work["linear_solves"] > 0
+    else:
+        assert work["cg_iterations"] == 0 and work["linear_solves"] == 184
 
 
 def test_first_use_imports_each_lazy_module_and_works():
@@ -117,21 +145,26 @@ def test_first_use_imports_each_lazy_module_and_works():
         import json, sys
         from collections import Counter
         import numpy as np
-        import scipy.sparse as sp
         from aplab.core import Grid, Params
         from aplab.energy import DiscreteEnergy
         from aplab.experiment import ConfigError, validate_config
         from aplab.oracle import shoot_two_phase_1d
-        from aplab.solver import _box_preconditioner, _csr, _FreeBlock, spsolve
+        from aplab.solver import _box_preconditioner, _FreeBlock, spsolve
 
-        def newton_system(shape):
+        def newton_system(shape, indefinite=False):
             grid = Grid(extents=((-1.0, 1.0),) * len(shape), resolution=shape)
             kern = DiscreteEnergy.dirichlet(grid, 2.0)
             nodes = np.flatnonzero(~grid.boundary_face_mask.ravel())
             kappas = kern.at(np.random.default_rng(0).standard_normal(shape),
                              0.1).conductances
             b = np.random.default_rng(1).standard_normal(nodes.size)
-            return kern, nodes, _FreeBlock(kern, nodes)(kappas), b
+            block = _FreeBlock(kern, nodes)
+            M = block(kappas)
+            if indefinite:
+                # the entries of M - c I, c half the smallest diagonal entry:
+                # a positive diagonal, but eigenvalues of both signs
+                M = block(kappas, 1.0, -0.5 * M.diagonal().min())
+            return kern, block, M, b
 
         def config_error():
             try:
@@ -139,17 +172,16 @@ def test_first_use_imports_each_lazy_module_and_works():
             except ConfigError as exc:
                 return str(exc)
 
-        def banded():
+        def tridiagonal():
             _, _, M, b = newton_system((33,))
             x = spsolve(M, b)
-            return float(np.max(np.abs(_csr(M) @ x - b)))
+            return float(np.max(np.abs(M @ x - b)))
 
         def superlu():
-            # a positive diagonal, but eigenvalues of both signs: CG breaks down
-            kern, nodes, M, b = newton_system((17, 17))
-            M = (_csr(M) - 0.5 * M.diagonal().min() * sp.identity(nodes.size)).tocsr()
+            # an indefinite system: CG breaks down
+            kern, block, M, b = newton_system((17, 17), indefinite=True)
             tally = Counter()
-            x = spsolve(M, b, _box_preconditioner(kern, _FreeBlock(kern, nodes)), tally)
+            x = spsolve(M, b, _box_preconditioner(kern, block), tally)
             return [tally["superlu_solves"], float(np.max(np.abs(M @ x - b)))]
 
         def root_search():
@@ -159,7 +191,7 @@ def test_first_use_imports_each_lazy_module_and_works():
             ax = np.abs(sol.x)
             return float(np.max(np.abs(sol.u - np.sign(sol.x) * (ax**2 + ax) / 4)))
 
-        steps = [("jsonschema", config_error), ("scipy.linalg", banded),
+        steps = [("jsonschema", config_error), ("scipy.linalg", tridiagonal),
                  ("scipy.sparse.linalg", superlu), ("scipy.optimize", root_search)]
         out = {}
         for module, call in steps:
