@@ -19,6 +19,9 @@ __all__ = [
     "ScalarField",
     "FieldFormatError",
     "build_grid",
+    "coarse_grid",
+    "inject",
+    "prolong",
     "serialize_field",
     "deserialize_field",
     "save_field",
@@ -243,6 +246,57 @@ class ScalarField:
             boundary_mask=self.boundary_mask,
             boundary_values=self.boundary_values,
         )
+
+
+# ---------------------------------------------------------------------------
+# Lattice hierarchy: a grid's coarse grid is every other node per axis.
+
+# The fewest intervals per axis a coarse grid may keep.
+_MIN_COARSE_INTERVALS = 16
+
+
+def coarse_grid(grid: Grid) -> Grid | None:
+    """The grid of every other node of ``grid``, or None if it has none.
+
+    None when an axis has an even node count (its last node is no even
+    node) or when an axis of the coarse grid would keep fewer than 16
+    intervals.  The extents are the same, so the coarse spacing is twice
+    the fine one exactly and coarse node i sits at fine node 2i's
+    coordinate, bit for bit.
+    """
+    if any(n % 2 == 0 or n - 1 < 2 * _MIN_COARSE_INTERVALS for n in grid.resolution):
+        return None
+    return Grid(grid.extents, tuple((n + 1) // 2 for n in grid.resolution))
+
+
+def inject(field: ScalarField) -> ScalarField | None:
+    """``field`` on ``coarse_grid(field.grid)``: its values, mask and boundary
+    values at every other node; None when the grid has no coarse grid."""
+    coarse = coarse_grid(field.grid)
+    if coarse is None:
+        return None
+    even = (slice(None, None, 2),) * coarse.ndim
+    return ScalarField(
+        coarse, field.values[even], field.boundary_mask[even], field.boundary_values[even]
+    )
+
+
+def prolong(values: np.ndarray) -> np.ndarray:
+    """Linear interpolation of coarse node values onto the fine grid.
+
+    Axis by axis, a fine node between two coarse ones takes their mean, so
+    the result is bilinear in 2D and trilinear in 3D, and the coarse nodes
+    keep their values bit for bit.  An axis of m coarse nodes becomes one
+    of 2m - 1 fine nodes.
+    """
+    out = np.asarray(values, dtype=float)
+    for a in range(out.ndim):
+        c = np.moveaxis(out, a, 0)
+        f = np.empty((2 * c.shape[0] - 1,) + c.shape[1:])
+        f[::2] = c
+        f[1::2] = 0.5 * (c[:-1] + c[1:])
+        out = np.moveaxis(f, 0, a)
+    return np.ascontiguousarray(out)
 
 
 # ---------------------------------------------------------------------------

@@ -683,6 +683,7 @@ def run_experiment(cfg: dict) -> ExperimentResult:
             "n_stages": len(solve.stages),
             "stage_energies": [s.energy for s in solve.stages],
             "stage_exits": [s.exit for s in solve.stages],
+            "stage_resolutions": [list(s.resolution) for s in solve.stages],
             "stage_iterations": [s.n_iters for s in solve.stages],
             "stage_residuals": [s.residual_rms for s in solve.stages],
         },

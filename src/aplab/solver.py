@@ -1,16 +1,24 @@
-"""Energy descent with smoothing continuation.
+"""Energy descent with smoothing continuation, coarse grids first.
 
 The objective is nonsmooth at u = 0 (potential) and, away from p = 2,
 degenerate or singular in the gradient, so minimization runs over a
 ladder of smoothing widths: each stage minimizes the regularized energy
-starting from the previous stage's output.  Steps are damped Newton-type:
-the linearized diffusion operator (assembled from the same edge
-conductances that make up the exact gradient) plus the convex part
-max(F'', 0) of the potential curvature, solved sparsely, then an Armijo
-backtracking line search on the true stage energy.  A line search that
-collapses below the step floor is a stall, and so is a Newton system with
-no finite solution; a stall ends the ladder, and the solve returns its
-partial result with a message that says where it stopped.
+starting from the previous stage's output.  A grid that nests a coarse
+grid (every other node, ``core.coarse_grid``) is solved coarse first, by
+nested iteration (Brandt, Math. Comp. 31, 1977): the coarsest level runs
+the whole ladder from the injected start, and each finer level runs only
+the ladder's last width, from the linear prolongation of the level below
+with its own Dirichlet data.  The levels follow from the resolution alone.
+
+Steps are damped Newton-type: the linearized diffusion operator
+(assembled from the same edge conductances that make up the exact
+gradient) plus the convex part max(F'', 0) of the potential curvature,
+solved sparsely, then an Armijo backtracking line search on the true
+stage energy.  A line search that collapses below the step floor is a
+stall, and so is a Newton system with no finite solution; a stall ends
+its level's ladder.  A coarse level that stops short only supplies the
+start of the next; the finest level's partial result is returned with a
+message that says where it stopped.
 
 Each line-search trial is one ``DiscreteEnergy.at`` state.  The trial
 Armijo accepts becomes the next iterate, and the gradient, conductances
@@ -18,7 +26,7 @@ and curvature of the next Newton step come from that same state, so
 nothing is evaluated twice for one field.
 
 Every linear system is symmetric positive definite and goes through
-``spsolve``.  Its pattern is built once per problem; each Newton step
+``spsolve``.  Its pattern is built once per grid level; each Newton step
 refills only the values, and only the shift when the conductances are
 those of the step before (at p = 2 they are the kernel's, the same
 for every iterate).  In every dimension the system is a stencil, never a
@@ -68,7 +76,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import Grid, Params, ScalarField
+from .core import Grid, Params, ScalarField, inject, prolong
 from .energy import DiscreteEnergy
 
 if TYPE_CHECKING:
@@ -104,7 +112,8 @@ _TOL_ENERGY = 1e-15
 
 @dataclass(frozen=True)
 class StageRecord:
-    """One continuation stage: smoothing width, trace, exit state and why.
+    """One continuation stage: smoothing width, trace, exit state and why,
+    and the resolution of the grid level it ran on.
 
     ``energies`` is the Armijo trace: the stage's start, then each
     accepted line-search step, so it never increases; polish steps do
@@ -120,6 +129,7 @@ class StageRecord:
     residual_rms: float
     residual_max: float
     exit: str  # one of STAGE_EXITS
+    resolution: tuple[int, ...]  # node counts of the grid the stage ran on
 
 
 # Why a stage ended: the value of StageRecord.exit.
@@ -154,10 +164,13 @@ def _work(tally: Mapping[str, int] = MappingProxyType({})) -> Mapping[str, int]:
 class SolveResult:
     """A solve's final field, its stages, its work counters and how it ended.
 
-    ``work`` maps each of ``WORK_COUNTERS`` to its count, read-only.
+    ``stages`` lists every grid level's stages, coarsest first, and
+    ``work`` maps each of ``WORK_COUNTERS`` to its count over all levels,
+    read-only.
 
     The totals derive from the stages; ``converged`` means that the last
-    stage's exit residual meets ``_TOL_RESIDUAL`` (no stages: no free node).
+    stage, the finest level's, has an exit residual that meets
+    ``_TOL_RESIDUAL`` (no stages: no free node).
     ``shortfall`` is None for a converged solve; otherwise it names the
     last stage's exit, its smoothing width and the residual, and a
     line-search stall also the last accepted step.
@@ -669,23 +682,60 @@ def minimize(
     params: Params,
     eps_ladder: tuple[float, ...] = DEFAULT_LADDER,
 ) -> SolveResult:
-    """Descend the discrete energy from ``initial`` under its Dirichlet data.
+    """Descend the discrete energy from ``initial`` under its Dirichlet data,
+    coarse grids first.
 
-    Each width of ``eps_ladder`` is a stage of at most ``_MAX_ITERS`` Newton
-    steps; a ladder that ``_check_ladder`` refuses raises ValueError.  A
-    stage ends when its residual meets ``_TOL_RESIDUAL``, at the step cap,
-    when the polish stops contracting the residual, or in a stall, and is
-    recorded once, with the residual of the iterate it leaves and which of
-    these ``STAGE_EXITS`` it took.  A stall (the Armijo search fell below
-    the step floor, or a Newton system had no finite solution even after
-    the diagonal lift) ends the ladder, and the solve returns the best
-    iterate so far.  A solve whose last stage misses the tolerance carries
-    a ``shortfall`` message naming that stage's exit, smoothing width and
-    residual; a line-search stall also names the step length of the last
-    accepted Armijo step ("none" before the first).
+    A ladder that ``_check_ladder`` refuses on ``initial``'s grid raises
+    ValueError.  When the grid has a coarse grid (``core.coarse_grid``),
+    the field injected onto it is solved first, the same way, and the fine
+    level starts from the linear prolongation of that result, with its own
+    Dirichlet data, and runs only the ladder's last width: the coarsest
+    level runs the whole ladder.  A coarse level that stops short only
+    supplies the start.
+
+    Each width is a stage of at most ``_MAX_ITERS`` Newton steps.  A stage
+    ends when its residual meets ``_TOL_RESIDUAL``, at the step cap, when
+    the polish stops contracting the residual, or in a stall, and is
+    recorded once, with its grid's resolution, the residual of the iterate
+    it leaves and which of these ``STAGE_EXITS`` it took.  A stall (the
+    Armijo search fell below the step floor, or a Newton system had no
+    finite solution even after the diagonal lift) ends the level's ladder,
+    and the level returns the best iterate so far.  The result lists every
+    level's stages, coarsest first, and sums their work; its ``shortfall``
+    is the finest level's.  A level whose last stage misses the tolerance
+    carries a ``shortfall`` message naming that stage's exit, smoothing
+    width and residual; a line-search stall also names the step length of
+    the last accepted Armijo step ("none" before the first).
     """
     kern = DiscreteEnergy(initial.grid, params)
     _check_ladder(eps_ladder, kern)
+    return _nested(initial, kern, eps_ladder)
+
+
+def _nested(
+    initial: ScalarField, kern: DiscreteEnergy, eps_ladder: tuple[float, ...]
+) -> SolveResult:
+    """``minimize`` on a checked ladder: the coarse levels, then this one."""
+    coarse = inject(initial)
+    if coarse is None:
+        return _descend(initial, kern, eps_ladder)
+    below = _nested(coarse, DiscreteEnergy(coarse.grid, kern.params), eps_ladder)
+    start = initial.with_values(prolong(below.field.values))
+    fine = _descend(start, kern, eps_ladder[-1:])
+    return SolveResult(
+        fine.field,
+        fine.energy,
+        below.stages + fine.stages,
+        _work(Counter(below.work) + Counter(fine.work)),
+        fine.shortfall,
+    )
+
+
+def _descend(
+    initial: ScalarField, kern: DiscreteEnergy, eps_ladder: tuple[float, ...]
+) -> SolveResult:
+    """The ladder's stages on ``initial``'s grid alone (see ``minimize``)."""
+    params = kern.params
     idx_f = np.flatnonzero(initial.free_mask.ravel())
     it = kern.at(initial.values, 0.0)  # the current iterate
     if idx_f.size == 0:
@@ -837,7 +887,14 @@ def minimize(
         res_max = float(np.max(np.abs(g_f / w_f)))
         stages.append(
             StageRecord(
-                eps, n_it, tuple(trace), it.energy, res_rms, res_max, stage_exit
+                eps,
+                n_it,
+                tuple(trace),
+                it.energy,
+                res_rms,
+                res_max,
+                stage_exit,
+                initial.grid.resolution,
             )
         )
         if shortfall is not None:

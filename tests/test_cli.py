@@ -147,7 +147,8 @@ def test_run_ball_leaving_the_grid_is_exit_2(tmp_path, capsys, section):
 
 
 def test_run_stall_is_exit_3_with_partial_bundle(tmp_path, capsys, monkeypatch):
-    # an Armijo fraction near 1 with no backtracking room accepts no step
+    # an Armijo fraction near 1 with no backtracking room accepts no step,
+    # on n = 17 at the first width and on n = 33 and 65 at the last
     monkeypatch.setattr(aplab.solver, "_ARMIJO_C1", 0.999)
     monkeypatch.setattr(aplab.solver, "_STEP_FLOOR", 0.5)
     cfg = tmp_path / "stall.json"
@@ -157,7 +158,7 @@ def test_run_stall_is_exit_3_with_partial_bundle(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert re.search(
         r"residual tolerance not reached: line search stalled at smoothing "
-        r"width 0\.1 \(residual rms \S+, last accepted step none\); "
+        r"width 1e-05 \(residual rms \S+, last accepted step none\); "
         "partial bundle in ",
         err,
     )
@@ -185,7 +186,8 @@ def test_run_unconverged_without_stall_is_exit_3(tmp_path, capsys, monkeypatch):
 def test_run_nonfinite_linear_solve_is_exit_3_with_partial_bundle(
     tmp_path, capsys, monkeypatch
 ):
-    # every linear solve, the diagonal-lift retry included, comes back NaN
+    # every linear solve, the diagonal-lift retry included, comes back NaN,
+    # on n = 17 at the first width and on n = 33 and 65 at the last
     monkeypatch.setattr(
         aplab.solver, "spsolve", lambda M, rhs, *a, **kw: np.full_like(rhs, np.nan)
     )
@@ -196,7 +198,7 @@ def test_run_nonfinite_linear_solve_is_exit_3_with_partial_bundle(
     err = capsys.readouterr().err
     assert (
         "residual tolerance not reached: linear solve non-finite at smoothing "
-        "width 0.1 (residual rms "
+        "width 1e-05 (residual rms "
     ) in err
     report = json.loads((out / "report.json").read_text())
     assert report["stalled"] is True

@@ -19,8 +19,11 @@ from aplab.core import (
     Params,
     ScalarField,
     build_grid,
+    coarse_grid,
     deserialize_field,
+    inject,
     load_field,
+    prolong,
     save_field,
     serialize_field,
 )
@@ -139,6 +142,77 @@ def test_field_shape_mismatch_rejected():
     grid = build_grid(((0.0, 1.0),), (5,))
     with pytest.raises(ValueError):
         ScalarField(grid, np.zeros(6), grid.boundary_face_mask, np.zeros(5))
+
+
+# ---------------------------------------------------------------------------
+# Lattice hierarchy
+
+
+@given(
+    a=st.floats(-1e3, 1e3),
+    width=st.floats(1e-3, 1e3),
+    intervals=st.sampled_from([32, 64, 96, 128, 2048]),
+)
+def test_coarse_nodes_are_the_even_fine_nodes_bit_for_bit(a, width, intervals):
+    grid = build_grid(((a, a + width), (-1.0, 1.0)), (intervals + 1, 33))
+    coarse = coarse_grid(grid)
+    assert coarse.resolution == (intervals // 2 + 1, 17)
+    assert coarse.spacing == tuple(2.0 * h for h in grid.spacing)
+    for c, f in zip(coarse.axes, grid.axes):
+        assert np.array_equal(c, f[::2])
+
+
+@pytest.mark.parametrize("shape", [(9, 9), (17, 13), (33, 17), (31,), (64,), (65, 64)])
+def test_a_grid_with_an_even_axis_or_a_short_coarse_axis_has_no_coarse_grid(shape):
+    grid = build_grid([(0.0, 1.0)] * len(shape), shape)
+    assert coarse_grid(grid) is None
+    assert inject(ScalarField(grid, np.zeros(shape), grid.boundary_face_mask,
+                              np.zeros(shape))) is None
+
+
+def test_injection_keeps_values_mask_and_boundary_values_at_the_even_nodes():
+    grid = build_grid(((-1.0, 1.0), (0.0, 2.0)), (33, 65))
+    rng = np.random.default_rng(0)
+    vals, bvals = rng.standard_normal((2, *grid.shape))
+    fld = ScalarField(grid, vals, rng.random(grid.shape) < 0.3, bvals)
+    coarse = inject(fld)
+    even = np.s_[::2, ::2]
+    assert coarse.grid == coarse_grid(grid)
+    assert np.array_equal(coarse.values, fld.values[even])
+    assert np.array_equal(coarse.boundary_mask, fld.boundary_mask[even])
+    assert np.array_equal(coarse.boundary_values, fld.boundary_values[even])
+
+
+@pytest.mark.parametrize("shape", [(17,), (9, 17), (5, 9, 3)])
+def test_prolongation_keeps_the_coarse_nodes_bit_for_bit(shape):
+    coarse = np.random.default_rng(1).standard_normal(shape)
+    fine = prolong(coarse)
+    assert fine.shape == tuple(2 * n - 1 for n in shape)
+    assert np.array_equal(fine[(np.s_[::2],) * len(shape)], coarse)
+
+
+def _multilinear(*x):
+    # affine in each coordinate: 1D affine, 2D bilinear, 3D trilinear
+    out = 0.3 + np.zeros_like(x[0])
+    for k, xa in enumerate(x):
+        out = out * (1.0 + (0.7 - 0.2 * k) * xa) + (0.1 * k - 0.4) * xa
+    return out
+
+
+@pytest.mark.parametrize(
+    "extents, shape",
+    [
+        (((-1.0, 1.0),), (33,)),
+        (((-1.0, 1.0), (0.0, 3.0)), (65, 33)),
+        (((-1.0, 1.0), (0.0, 3.0), (-2.0, 0.5)), (33, 33, 65)),
+    ],
+)
+def test_prolongation_is_exact_on_multilinear_data(extents, shape):
+    fine = build_grid(extents, shape)
+    coarse = coarse_grid(fine)
+    want = _multilinear(*fine.coordinate_arrays())
+    got = prolong(_multilinear(*coarse.coordinate_arrays()))
+    assert np.max(np.abs(got - want)) <= 8 * np.finfo(float).eps * np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------------------

@@ -276,9 +276,14 @@ def test_run_report_structure(tiny_result):
     assert tiny_result.solve.shortfall is None and rep["stalled"] is False
     assert rep["params"]["tau"] == 1.0
     assert rep["grid"]["resolution"] == [129]
-    assert rep["solve"]["n_stages"] == 9
-    assert len(rep["solve"]["stage_energies"]) == 9
-    assert len(rep["solve"]["stage_exits"]) == 9
+    # n = 129 nests down to n = 17, which runs the nine widths; n = 33, 65
+    # and 129 run the last one
+    assert rep["solve"]["n_stages"] == 12
+    assert len(rep["solve"]["stage_energies"]) == 12
+    assert len(rep["solve"]["stage_exits"]) == 12
+    assert rep["solve"]["stage_resolutions"] == [
+        [n] for n in [17] * 9 + [33, 65, 129]
+    ]
     assert rep["solve"]["stage_exits"][-1] == "tolerance"
     stages = tiny_result.solve.stages
     assert rep["solve"]["stage_residuals"] == [s.residual_rms for s in stages]

@@ -11,13 +11,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import aplab.solver
-from aplab.core import Grid, Params, ScalarField
+from aplab.core import Grid, Params, ScalarField, prolong
 from aplab.energy import DiscreteEnergy
 from aplab.oracle import one_phase_profile, radial_p_harmonic
 from aplab.solver import (
     DEFAULT_LADDER,
     _box_preconditioner,
-    _check_ladder,
     _FreeBlock,
     _pcg,
     _Stencil,
@@ -78,36 +77,54 @@ def _refused_on_the_whole_grid(kern, eps):
     return not (np.isfinite(curv).all() and all(np.isfinite(k).all() for k in kappas))
 
 
+_LADDER_GRIDS = {
+    "1d": (((0.0, 1.0),), (17,)),
+    "2d": (((-1.0, 1.0), (0.0, 1.5)), (9, 7)),
+    "2d-two-nodes": (((0.0, 1e-3), (-2.0, 3.0)), (2, 6)),
+    "3d": (((0.0, 1.0), (-0.5, 1.0), (0.0, 2.0)), (5, 6, 4)),
+}
+# Grids with coarse levels, at one exponent pair: the whole-grid reference
+# costs 1-2 s per pair on 129^2 and 2-5 s on 33^3.
+_NESTED_LADDER_GRIDS = {
+    "1d-nested": (((0.0, 1.0),), (2049,)),
+    "2d-nested": (((-1.0, 1.0), (0.0, 1.5)), (129, 129)),
+    "3d-nested": (((0.0, 1.0), (-0.5, 1.0), (0.0, 2.0)), (33, 33, 33)),
+}
+
+
 @pytest.mark.parametrize(
-    "p, gamma", [(1.2, 0.3), (1.5, 0.3), (2.0, 0.5), (3.0, 1.0), (8.0, 0.5)]
-)
-@pytest.mark.parametrize(
-    "extents, shape",
+    "extents, shape, p, gamma",
     [
-        (((0.0, 1.0),), (17,)),
-        (((-1.0, 1.0), (0.0, 1.5)), (9, 7)),
-        (((0.0, 1e-3), (-2.0, 3.0)), (2, 6)),
-        (((0.0, 1.0), (-0.5, 1.0), (0.0, 2.0)), (5, 6, 4)),
+        pytest.param(*grid, p, gamma, id=f"{name}-{p}-{gamma}")
+        for name, grid in _LADDER_GRIDS.items()
+        for p, gamma in [(1.2, 0.3), (1.5, 0.3), (2.0, 0.5), (3.0, 1.0), (8.0, 0.5)]
+    ]
+    + [
+        pytest.param(*grid, 2.0, 0.5, id=f"{name}-2.0-0.5")
+        for name, grid in _NESTED_LADDER_GRIDS.items()
     ],
-    ids=["1d", "2d", "2d-two-nodes", "3d"],
 )
 def test_ladder_check_refuses_the_widths_the_whole_grid_refuses(
-    extents, shape, p, gamma
+    extents, shape, p, gamma, monkeypatch
 ):
-    # widths 1e-1 .. 1e-320 in half decades, one ladder each: the check on
-    # a few nodes accepts and refuses exactly what the whole grid would
+    # widths 1e-1 .. 1e-320 in half decades, one ladder each: minimize, whose
+    # check runs on a few nodes of the caller's grid, accepts and refuses
+    # exactly what the whole grid would, also on grids with coarse levels
+    # (an accepted ladder reaches the levels, stubbed out here)
     grid = Grid(extents=extents, resolution=shape)
     par = Params(p=p, gamma=gamma, lambda_plus=0.5, lambda_minus=0.3, alpha_p=1.0)
     kern = DiscreteEnergy(grid, par)
+    start = ScalarField(grid, np.zeros(shape), grid.boundary_face_mask, np.zeros(shape))
+    monkeypatch.setattr(aplab.solver, "_nested", lambda *args: "solved")
     refused = []
     for eps in (10.0 ** (-0.5 * j) for j in range(2, 641)):
         if _refused_on_the_whole_grid(kern, eps):
             message = f"smoothing width {eps:g} is out of the kernel's range"
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                _check_ladder((eps,), kern)
+                minimize(start, par, (eps,))
             refused.append(eps)
         else:
-            _check_ladder((eps,), kern)
+            assert minimize(start, par, (eps,)) == "solved"
     assert 0 < len(refused) < 639
 
 
@@ -570,9 +587,13 @@ def test_minimize_degenerate_exponent(degenerate_1d):
 
 
 def test_minimize_stage_accounting(convex_1d):
+    # n = 1025 nests down to n = 17, which runs the whole ladder; each of
+    # the six finer levels runs its last width
     res = convex_1d.result
-    assert len(res.stages) == len(DEFAULT_LADDER)
-    assert [s.eps for s in res.stages] == list(DEFAULT_LADDER)
+    levels = [17, 33, 65, 129, 257, 513, 1025]
+    assert len(res.stages) == len(DEFAULT_LADDER) + 6
+    assert [s.eps for s in res.stages] == list(DEFAULT_LADDER) + [1e-5] * 6
+    assert [s.resolution for s in res.stages] == [(n,) for n in [17] * 8 + levels]
     assert res.n_iterations == sum(s.n_iters for s in res.stages)
     assert res.residual_rms == res.stages[-1].residual_rms
     assert res.residual_rms <= aplab.solver._TOL_RESIDUAL
@@ -583,11 +604,11 @@ def test_minimize_stage_accounting(convex_1d):
 def test_capped_stage_reports_the_residual_of_its_last_step(monkeypatch):
     # the stage stops at the step cap; its residual is that of the field
     # it returns, not of the iterate before the last step
-    monkeypatch.setattr(aplab.solver, "_MAX_ITERS", 3)
+    monkeypatch.setattr(aplab.solver, "_MAX_ITERS", 1)
     fld, par = _one_phase_start(n=65)
     res = minimize(fld, par, (0.1,))
-    assert res.n_iterations == 3
-    assert [s.exit for s in res.stages] == ["step_cap"]
+    assert res.n_iterations == 3  # one step on each of n = 17, 33 and 65
+    assert [s.exit for s in res.stages] == ["step_cap"] * 3
     kern = DiscreteEnergy(fld.grid, par)
     r = (kern.at(res.field.values, 0.1).gradient() / kern.weights)[fld.free_mask]
     assert res.residual_rms == np.sqrt(np.mean(r * r))
@@ -646,8 +667,10 @@ def test_stage_energy_is_the_energy_of_the_field_it_leaves(fixture, request):
 def test_solve_result_derives_its_totals_from_its_stages():
     fld, _ = _one_phase_start(n=9)
     tol = aplab.solver._TOL_RESIDUAL
-    stages = (StageRecord(0.1, 3, (2.0, 1.0), 1.0, 0.5 * tol, tol, "tolerance"),
-              StageRecord(0.01, 4, (1.0, 0.5), 0.5, 2.0 * tol, 5.0 * tol, "step_cap"))
+    stages = (
+        StageRecord(0.1, 3, (2.0, 1.0), 1.0, 0.5 * tol, tol, "tolerance", (9,)),
+        StageRecord(0.01, 4, (1.0, 0.5), 0.5, 2.0 * tol, 5.0 * tol, "step_cap", (9,)),
+    )
     res = SolveResult(fld, 0.5, stages)
     assert res.n_iterations == 7
     assert res.residual_rms == 2.0 * tol
@@ -679,34 +702,40 @@ def test_minimize_1d_solves_by_banded_cholesky(convex_1d):
 
 def test_minimize_counts_diagonal_lift_retries(monkeypatch):
     # every tridiagonal solve comes back non-finite, so each Newton system is
-    # retried once with a lifted diagonal, which SuperLU solves
+    # retried once with a lifted diagonal, which SuperLU solves: four steps
+    # (the cap) on n = 17, then two on each of n = 33 and 65
     monkeypatch.setattr(aplab.solver, "solveh_banded",
                         lambda d, e, b: np.full_like(b, np.nan))
     monkeypatch.setattr(aplab.solver, "_MAX_ITERS", 4)
     fld, par = _one_phase_start(n=65)
     res = minimize(fld, par, (0.1,))
-    assert res.n_iterations == res.work["linear_solves"] == 4
-    assert res.work["lift_retries"] == res.work["superlu_solves"] == 4
+    assert res.n_iterations == res.work["linear_solves"] == 8
+    assert res.work["lift_retries"] == res.work["superlu_solves"] == 8
     assert res.work["gradient_fallbacks"] == 0
 
 
 def test_nonfinite_lifted_solve_is_a_stall(monkeypatch):
     # the tridiagonal solve and its lifted SuperLU retry both come back
-    # non-finite
+    # non-finite: the stall ends the ladder of n = 17 at its first width,
+    # and n = 33 and 65 each stall at once from the prolonged start
     monkeypatch.setattr(aplab.solver, "solveh_banded",
                         lambda d, e, b: np.full_like(b, np.nan))
     monkeypatch.setattr(aplab.solver, "_superlu", lambda M, b: np.full_like(b, np.nan))
     fld, par = _one_phase_start(n=65)
     res = minimize(fld, par, (0.1, 0.01))
     assert res.shortfall == (
-        "linear solve non-finite at smoothing width 0.1 "
+        "linear solve non-finite at smoothing width 0.01 "
         f"(residual rms {res.residual_rms:.3e})"
     )
     assert not res.converged and np.isfinite(res.residual_rms)
     assert res.n_iterations == 0
-    assert res.work["lift_retries"] == res.work["linear_solves"] == 1
-    assert [(s.eps, s.exit) for s in res.stages] == [(0.1, "stall")]
-    np.testing.assert_array_equal(res.field.values, fld.values)
+    assert res.work["lift_retries"] == res.work["linear_solves"] == 3
+    assert [(s.eps, s.exit, s.resolution) for s in res.stages] == [
+        (0.1, "stall", (17,)), (0.01, "stall", (33,)), (0.01, "stall", (65,))
+    ]
+    np.testing.assert_array_equal(
+        res.field.values, fld.with_values(prolong(prolong(fld.values[::4]))).values
+    )
 
 
 def test_minimize_counts_gradient_fallbacks(monkeypatch):
@@ -716,8 +745,8 @@ def test_minimize_counts_gradient_fallbacks(monkeypatch):
     monkeypatch.setattr(aplab.solver, "_MAX_ITERS", 4)
     fld, par = _one_phase_start(n=65)
     res = minimize(fld, par, (0.1,))
-    assert res.n_iterations == res.work["linear_solves"] == 4
-    assert res.work["gradient_fallbacks"] == 4
+    assert res.n_iterations == res.work["linear_solves"] == 12  # 4 per level
+    assert res.work["gradient_fallbacks"] == 12
     assert res.work["lift_retries"] == res.work["superlu_solves"] == 0
 
 
@@ -725,7 +754,7 @@ def test_minimize_counts_gradient_fallbacks(monkeypatch):
 # ran to the relative tolerance or the representation floor
 @pytest.mark.parametrize(
     "fixture, steps, cg_exact_only",
-    [("crossing_2d", 22, 58), ("branching_2d", 93, 503)],
+    [("crossing_2d", 30, 78), ("branching_2d", 101, 360)],
     ids=["crossing_2d", "branching_2d"],
 )
 def test_minimize_2d_solves_by_cg_without_misses(
@@ -870,41 +899,44 @@ def test_minimize_is_deterministic():
 
 def test_minimize_reports_stall_with_partial_state(monkeypatch):
     # an Armijo fraction near 1 with no backtracking room cannot accept any
-    # damped Newton step, and far from criticality that must surface
+    # damped Newton step, and far from criticality that must surface: on
+    # n = 17 at the first width, then on each finer level at the last
     monkeypatch.setattr(aplab.solver, "_ARMIJO_C1", 0.999)
     monkeypatch.setattr(aplab.solver, "_STEP_FLOOR", 0.5)
     fld, par = _one_phase_start(n=257)
     partial = minimize(fld, par)
     assert re.fullmatch(
-        r"line search stalled at smoothing width 0\.1 "
+        r"line search stalled at smoothing width 1e-05 "
         r"\(residual rms \d\.\d{3}e[+-]\d+, last accepted step none\)",
         partial.shortfall,
     )
     assert not partial.converged
     assert partial.field.values.shape == fld.values.shape
     assert np.isfinite(partial.energy)
-    assert len(partial.stages) >= 1
-    assert partial.stages[-1].exit == "stall"
+    assert [(s.eps, s.exit, s.resolution) for s in partial.stages] == [
+        (0.1, "stall", (17,))
+    ] + [(1e-5, "stall", (n,)) for n in (33, 65, 129, 257)]
     assert partial.residual_rms > 1e3 * aplab.solver._TOL_RESIDUAL
-    assert partial.work["backtracks"] == 2  # t = 1 and t = 1/2 were tried
+    assert partial.work["backtracks"] == 2 * 5  # t = 1 and t = 1/2 on each level
 
 
 def test_minimize_counts_rejected_armijo_trials(monkeypatch):
-    # no trial meets an infinite decrease fraction, so the first search
-    # rejects t = 1, 1/2, ..., 2^-46 (the last step length above the 1e-14
-    # floor) and stalls far from criticality
+    # no trial meets an infinite decrease fraction, so the first search of
+    # each of n = 17, 33 and 65 rejects t = 1, 1/2, ..., 2^-46 (the last
+    # step length above the 1e-14 floor) and stalls far from criticality
     monkeypatch.setattr(aplab.solver, "_ARMIJO_C1", math.inf)
     fld, par = _one_phase_start(n=65)
     res = minimize(fld, par, (0.1,))
-    assert res.stages[-1].exit == "stall"
-    assert res.work["backtracks"] == 47
-    assert res.n_iterations == 0 and res.work["linear_solves"] == 1
+    assert [s.exit for s in res.stages] == ["stall"] * 3
+    assert res.work["backtracks"] == 47 * 3
+    assert res.n_iterations == 0 and res.work["linear_solves"] == 3
 
 
 def test_polish_after_a_failed_search_steps_along_the_solved_direction(monkeypatch):
     # a converged field nudged by 1e-7: with a step floor above 1 every
-    # Armijo search fails at once, close enough to criticality to polish
-    fld, par = _one_phase_start(n=65)
+    # Armijo search fails at once, close enough to criticality to polish;
+    # n = 64 has no coarse grid, so the solve starts from that field
+    fld, par = _one_phase_start(n=64)
     start = minimize(fld, par, (0.1,)).field
     free = fld.free_mask
     u = start.values.copy()
@@ -929,25 +961,31 @@ def test_polish_after_a_failed_search_steps_along_the_solved_direction(monkeypat
 
 
 def test_stall_message_names_the_last_accepted_step(monkeypatch):
-    # after one true Newton step every direction is 1e12 times too long, so
-    # the search falls through the step floor on the next step
+    # after the first, true Newton step of each level every direction is
+    # 1e12 times too long, so the search falls through the step floor on
+    # the next step: on n = 17 at the first width, and on n = 33 and 65 at
+    # the last; n = 65 accepted its first step at t = 1/8
     real = aplab.solver.spsolve
     calls = []
 
-    def overshooting(*args, **kwargs):
-        calls.append(None)
-        x = real(*args, **kwargs)
-        return x if len(calls) == 1 else 1e12 * x
+    def overshooting(M, rhs, *args, **kwargs):
+        first = all(rhs.size != size for size in calls)
+        calls.append(rhs.size)
+        x = real(M, rhs, *args, **kwargs)
+        return x if first else 1e12 * x
 
     monkeypatch.setattr(aplab.solver, "spsolve", overshooting)
     monkeypatch.setattr(aplab.solver, "_STEP_FLOOR", 1e-3)
     fld, par = _one_phase_start(n=65)
     res = minimize(fld, par)
     assert res.shortfall == (
-        "line search stalled at smoothing width 0.1 "
-        f"(residual rms {res.residual_rms:.3e}, last accepted step t = 1)"
+        "line search stalled at smoothing width 1e-05 "
+        f"(residual rms {res.residual_rms:.3e}, last accepted step t = 0.125)"
     )
-    assert res.n_iterations == 1 and len(calls) == 2
+    assert [(s.eps, s.n_iters, s.exit) for s in res.stages] == [
+        (0.1, 1, "stall"), (1e-5, 1, "stall"), (1e-5, 1, "stall")
+    ]
+    assert res.n_iterations == 3 and len(calls) == 6
 
 
 # ---------------------------------------------------------------------------
