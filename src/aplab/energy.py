@@ -30,7 +30,8 @@ state of one iterate.  On construction it takes u's edge differences,
 q, q + eps^2, |u|, the phase mask, the phase weight lambda(u) (also times
 gamma) and u^2 + eps^2, once.  The two halves of the density, phi(q)
 (``dirichlet``) and F(u) without delta (``potential``), the energy and
-the conductances are computed on first use and then kept; the density,
+the conductances (and, away from p = 2, the rank-one part of the Dirichlet
+Hessian, ``hessian``) are computed on first use and then kept; the density,
 the energy over a node region, the gradient, F' (``slope()``) and F''
 (``curvature()``) on every call, as new arrays.  All of them read the
 construction's arrays, and two states share no writable array.  At p = 2
@@ -258,11 +259,11 @@ class DiscreteEnergy:
             q[hi] += cminus * dsq
         return q
 
-    def _conductances(self, psi_w: np.ndarray) -> tuple:
+    def _conductances(self, power: np.ndarray) -> tuple:
         """Per-axis edge conductances from (q + eps^2)^((p-2)/2) at every
-        node, which they take over as scratch."""
+        node."""
         # phi'(q) = (q + eps^2)^((p-2)/2) / 2, times the node weight
-        psi_w *= 0.5
+        psi_w = 0.5 * power
         psi_w *= self.weights
         kappas = []
         for lo, hi, cplus, cminus, h in self.axes:
@@ -299,7 +300,8 @@ class Iterate:
     q = ``grad_sq(u)`` from them, q + eps^2 (``qe``) and the phase split of
     u (|u|, u > 0, lambda(u), lambda(u) * gamma, u^2 + eps^2).  On first
     use, and then kept: the two halves of the density (``dirichlet``,
-    ``potential``), the energy and the conductances.  On every call, as a
+    ``potential``), the energy, the conductances and the rank-one part of
+    the Dirichlet Hessian (``hessian``).  On every call, as a
     new array the caller may keep or change: ``density()``, ``gradient()``,
     ``slope()`` and ``curvature()``; the gradient takes its edge
     differences from ``du``.  At p = 2 the conductances are the kernel's
@@ -372,7 +374,39 @@ class Iterate:
                 "p < 2 with eps = 0 hits a zero-gradient node; "
                 "use a positive smoothing width"
             )
-        return kern._conductances(self.qe ** (0.5 * p - 1.0))
+        return kern._conductances(self._power)
+
+    @_lazy
+    def _power(self) -> np.ndarray:
+        """(q + eps^2)^((p-2)/2) at every node, 2 phi'(q): the one power that
+        the conductances and the Hessian terms share."""
+        return self.qe ** (0.5 * self.kern.params.p - 1.0)
+
+    @_lazy
+    def hessian(self) -> tuple | None:
+        """The rank-one part of the Dirichlet Hessian; None at p = 2.
+
+        The Hessian of sum_i w_i phi(q_i) is the operator of the
+        conductances plus  sum_i psi_i grad q_i grad q_i^T  with
+        psi = w phi''(q) and phi''(q) = (p - 2)/4 (q + eps^2)^((p-4)/2),
+        identically 0 at p = 2.  Returns (psi, factors): psi at every node,
+        and per axis the edge arrays (alpha, beta), the partials of q at
+        the edge's lower and upper node in its difference u[hi] - u[lo],
+        2 c+- (u[hi] - u[lo]) / h^2, so that  grad q_i . x  sums the
+        factor at i of every edge at i times x[hi] - x[lo].  Read it at
+        eps > 0, where psi is finite for a width the solver accepts.
+        """
+        kern, p = self.kern, self.kern.params.p
+        if p == 2.0:
+            return None
+        psi = self._power / self.qe
+        psi *= 0.25 * (p - 2.0)
+        psi *= kern.weights
+        factors = []
+        for (_, _, cplus, cminus, h), du in zip(kern.axes, self.du):
+            t = du * (2.0 / h**2)
+            factors.append((t * cplus, t * cminus))
+        return psi, tuple(factors)
 
     def gradient(self) -> np.ndarray:
         """First variation of the energy at u.

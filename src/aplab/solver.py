@@ -10,58 +10,64 @@ the whole ladder from the injected start, and each finer level runs only
 the ladder's last width, from the linear prolongation of the level below
 with its own Dirichlet data.  The levels follow from the resolution alone.
 
-Steps are damped Newton-type: the linearized diffusion operator
-(assembled from the same edge conductances that make up the exact
-gradient) plus the convex part max(F'', 0) of the potential curvature,
-solved sparsely, then an Armijo backtracking line search on the true
-stage energy.  A line search that collapses below the step floor is a
-stall, and so is a Newton system with no finite solution; a stall ends
-its level's ladder.  A coarse level that stops short only supplies the
-start of the next; the finest level's partial result is returned with a
-message that says where it stopped.
+Steps are damped Newton steps: the Hessian of the Dirichlet energy (the
+linearized diffusion operator, assembled from the same edge conductances
+that make up the exact gradient, plus at p != 2 the rank-one terms
+w phi''(q) grad q grad q^T of each node; Huang, Li & Liu, J. Sci.
+Comput. 32, 2007) plus the convex part max(F'', 0) of the potential
+curvature, solved sparsely, then an Armijo backtracking line search on
+the true stage energy.  A line search that collapses below the step floor
+is a stall, and so is a Newton system with no finite solution; a stall
+ends its level's ladder.  A coarse level that stops short only supplies
+the start of the next; the finest level's partial result is returned
+with a message that says where it stopped.
 
 Each line-search trial is one ``DiscreteEnergy.at`` state.  The trial
-Armijo accepts becomes the next iterate, and the gradient, conductances
-and curvature of the next Newton step come from that same state, so
-nothing is evaluated twice for one field.
+Armijo accepts becomes the next iterate, and the gradient, conductances,
+Hessian terms and curvature of the next Newton step come from that same
+state, so nothing is evaluated twice for one field.
 
 Every linear system is symmetric positive definite and goes through
 ``spsolve``.  Its pattern is built once per grid level; each Newton step
 refills only the values, and only the shift when the conductances are
 those of the step before (at p = 2 they are the kernel's, the same
-for every iterate).  In every dimension the system is a stencil, never a
-matrix: its diagonal and one coupling per edge, which CG applies on
-grid-shaped arrays in the order of a CSR product, bit for bit.  A 1D
-system is tridiagonal: its diagonal and its couplings between consecutive
-nodes (+0 across a gap) go to LAPACK's tridiagonal Cholesky (``dptsv``).
-A 2D or 3D system whose nodes all lie strictly inside the box is solved
-by conjugate gradients preconditioned with a fast Poisson solve: the
-constant-coefficient Laplacian of the interior box, inverted by DST-I,
-with a diagonal scaling that matches the system's own diagonal (Concus &
-Golub, SIAM J. Numer. Anal. 10, 1973).  How far CG goes depends on
-whether the Newton model is the Hessian of the stage energy, which it is
-only at p = 2 with no curvature clipped.  Such a system CG solves to a
-residual of 1e-12 relative to the right-hand side, or to the
-representation floor of the Newton system, whichever is larger: rounding
-the iterate u to float64 already moves the right-hand side by up to
-eps |M| |u| per entry, so a smaller residual solves rounding noise
-(Arioli, Numer. Math. 97, 2004).  Any other system is only a model of the
-Hessian, and CG stops at the forcing term, a residual of 0.1 relative to
-the gradient, the inexact Newton step that keeps the descent's
-convergence (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982;
-Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996).  SuperLU is the
+for every iterate, and there are no rank-one terms).  In every dimension
+the system is a stencil, never a matrix: its diagonal and one coupling
+per edge, which CG applies on grid-shaped arrays in the order of a CSR
+product, bit for bit, and at p != 2 the node weights and edge factors of
+the rank-one terms, applied in two more passes over the edges.  A 1D
+system is pentadiagonal: its three bands (the rank-one terms couple
+nodes two apart, also across one node outside the set) go to LAPACK's
+banded Cholesky (``dpbsv``).  A 2D or 3D system whose nodes all lie
+strictly inside the box is solved by conjugate gradients preconditioned
+with a fast Poisson solve: the constant-coefficient Laplacian of the
+interior box, inverted by DST-I, with a diagonal scaling that matches the
+system's own diagonal (Concus & Golub, SIAM J. Numer. Anal. 10, 1973).
+The Newton model is the Hessian of the stage energy wherever no
+curvature is clipped, and how far CG goes depends on p.  Such a system at
+p = 2 CG solves to a residual of 1e-12 relative to the right-hand side,
+or to the representation floor of the Newton system, whichever is
+larger: rounding the iterate u to float64 already moves the right-hand
+side by up to eps |M| |u| per entry, so a smaller residual solves
+rounding noise (Arioli, Numer. Math. 97, 2004).  Any other system, at
+p != 2 or with curvature clipped, CG stops at the forcing term, a
+residual of 0.1 relative to the gradient, the inexact Newton step that
+keeps the descent's convergence (Dembo, Eisenstat & Steihaug, SIAM J.
+Numer. Anal. 19, 1982; Eisenstat & Walker, SIAM J. Sci. Comput. 17,
+1996); at p != 2 that was cheaper than the floor.  SuperLU is the
 counted fallback, and the only consumer of a CSR matrix, gathered from
-the stencil through its pattern by ``tocsr()``: it takes a 2D or 3D
-system with a node on a box face, a 1D system that ``dptsv`` finds not
-positive definite, a system on which CG breaks down or reaches its
-iteration cap, and the diagonal-lift retry of a non-finite solve.  Inner
-products are plain ``np.sum`` reductions, not BLAS, so a solve does not
-depend on the number of BLAS threads.
+the stencil through its pattern by ``tocsr()``, with the rank-one terms
+added as a sparse product: it takes a 2D or 3D system with a node on a
+box face, a 1D system that ``dpbsv`` finds not positive definite, a
+system on which CG breaks down or reaches its iteration cap, and the
+diagonal-lift retry of a non-finite solve.  Inner products are plain
+``np.sum`` reductions, not BLAS, so a solve does not depend on the
+number of BLAS threads.
 
-Importing the module loads no scipy module: ``scipy.linalg`` (``dptsv``)
+Importing the module loads no scipy module: ``scipy.linalg`` (``dpbsv``)
 loads on the first 1D solve, and ``scipy.sparse`` and
 ``scipy.sparse.linalg`` (SuperLU) on the first SuperLU solve, so a 2D or
-3D solve that CG finishes and a 1D solve that ``dptsv`` finishes load no
+3D solve that CG finishes and a 1D solve that ``dpbsv`` finishes load no
 ``scipy.sparse``.
 """
 
@@ -218,19 +224,22 @@ class SolverStall(RuntimeError):
 
 
 class _FreeBlock:
-    """scale * A + diag(shift) restricted to a fixed sorted flat node set,
-    as a ``_Stencil``, in every dimension.
+    """A + H + diag(shift) restricted to a fixed sorted flat node set, as a
+    ``_Stencil``, in every dimension.
 
-    A is the diffusion operator (A v)_i = sum_edges kappa (v_i - v_j).  The
-    pattern is built once per node set.  A call splits the block into its
-    Dirichlet part, the diagonal scale * diag(A) and the couplings, which
-    depend only on the conductances and ``scale``, and the shift.  The
-    block keeps the Dirichlet part of its last call, keyed by the identity
-    of the conductance tuple and by ``scale``, so a call with the same
-    conductances (the kernel's at p = 2) only adds the shift to the kept
-    diagonal: the same addition on the same operands, so the same block,
-    bit for bit.  The conductances must not change in place between calls,
-    and the kept couplings are read-only.
+    A is the diffusion operator (A v)_i = sum_edges kappa (v_i - v_j), and
+    H the rank-one part of the Dirichlet Hessian, sum_i psi_i grad q_i
+    grad q_i^T (``Iterate.hessian``; None at p = 2, where it vanishes), so
+    that A + H is the Hessian of the Dirichlet energy.  The pattern is built
+    once per node set.  A call splits the block into its Dirichlet part
+    (the diagonal diag(A) and the couplings, which depend only on the
+    conductances), the shift, and H, which the stencil takes as it comes.
+    The block keeps the Dirichlet part of its last call, keyed by the
+    identity of the conductance tuple, so a call with the same conductances
+    (the kernel's at p = 2) only adds the shift to the kept diagonal: the
+    same addition on the same operands, so the same block, bit for bit.  The
+    conductances must not change in place between calls, and the kept
+    couplings are read-only.
 
     ``in_box`` and ``box`` are decided once here.  ``in_box`` holds each
     node's flat position in the interior box of the grid, in the nodes'
@@ -242,20 +251,22 @@ class _FreeBlock:
 
     The diagonal is summed over the whole grid, axis by axis and lower end
     first, the order in which COO->CSR would sum duplicate entries, and the
-    couplings are -scale * kappa, so the stencil's ``tocsr()`` is bit for
-    bit the matrix COO->CSR makes of the (main, upper, lower) entries.
-    When the nodes fill the interior box the stencil works on the box;
-    otherwise it works on the whole grid, with the couplings of edges that
-    leave the node set zeroed (the pattern is each axis's mask of edges
-    with both ends in the set).  The CSR pattern ``tocsr()`` gathers
-    through is built on its first use, once per node set.
+    couplings are -kappa, so the stencil's ``tocsr()`` is bit for bit the
+    matrix COO->CSR makes of the (main, upper, lower) entries of A plus
+    the shift.  When the nodes fill the interior box the stencil works on
+    the box; otherwise it works on the whole grid, with the couplings of
+    edges that leave the node set zeroed (the pattern is each axis's mask
+    of edges with both ends in the set).  H always works on the whole grid,
+    whose every node has a q.  The CSR pattern ``tocsr()`` gathers through
+    is built on its first use, once per node set, and in 1D ``taps``
+    place the block's bands in the whole grid's.
     """
 
     def __init__(self, kern: DiscreteEnergy, nodes: np.ndarray):
         self.nodes = nodes
         self.shape = kern.weights.shape
         self.edges = [axis[:2] for axis in kern.axes]  # the whole grid's (lo, hi)
-        self._kept = None  # (conductances, scale, diagonal, couplings)
+        self._kept = None  # (conductances, diagonal, couplings)
         inside = np.zeros(self.shape, dtype=bool)
         inside.reshape(-1)[nodes] = True
         inner = (slice(1, -1),) * len(self.shape)  # the box, in nodes and edges
@@ -270,31 +281,65 @@ class _FreeBlock:
             self.where, self.grid = None, fills.shape
         self.ends = _ends(self.grid)  # the stencil's
         self._pattern = None
+        if len(self.shape) == 1:
+            self.taps = self._taps(self.shape[0])
 
-    def _dirichlet(self, kappas, scale: float) -> tuple[np.ndarray, list]:
-        """The diagonal scale * diag(A) on the nodes and the couplings."""
+    def _taps(self, n: int) -> tuple:
+        """Where a 1D block's three bands lie in the whole grid's.
+
+        The whole grid's bands are a (3, n) array whose row g holds each
+        node's coupling to the g-th next node and whose last entry is 0.
+        The taps are the flat positions of the nodes' diagonal entries, of
+        their couplings to the next node of the set and of those to the
+        one after, or the last entry where the two are more than two apart:
+        slices when the nodes fill the interior.
+        """
+        nodes = self.nodes
+        if self.box is not None:
+            return slice(1, n - 1), slice(n + 1, 2 * n - 2), slice(2 * n + 1, 3 * n - 3)
+        taps = [nodes]
+        for k in (1, 2):
+            gap = nodes[k:] - nodes[:-k]
+            taps.append(np.where(gap <= 2, gap * n + nodes[:-k], 3 * n - 1))
+        return tuple(taps)
+
+    def gather(self, a: np.ndarray) -> np.ndarray:
+        """A whole-grid array's values on the nodes, in order."""
+        if self.box is None:
+            return a.reshape(-1)[self.nodes]
+        return a[self.box].reshape(-1)
+
+    def scatter(self, x: np.ndarray) -> np.ndarray:
+        """Values on the nodes as a whole-grid array, 0 elsewhere."""
+        v = np.zeros(self.shape)
+        if self.box is None:
+            v.reshape(-1)[self.nodes] = x
+        else:
+            v[self.box] = x.reshape(self.grid)
+        return v
+
+    def _dirichlet(self, kappas) -> tuple[np.ndarray, list]:
+        """The diagonal diag(A) on the nodes and the couplings."""
         diag = np.zeros(self.shape)
         for (lo, hi), kap in zip(self.edges, kappas):
             diag[lo] += kap
             diag[hi] += kap
         if self.where is None:
             inner = self.box
-            main = (scale * diag[inner]).reshape(-1)
-            return main, [scale * -kap[inner] for kap in kappas]
-        main = scale * diag.reshape(-1)[self.nodes]
-        return main, [
-            np.where(keep, scale * -kap, 0.0) for keep, kap in zip(self.keep, kappas)
+            return diag[inner].reshape(-1), [-kap[inner] for kap in kappas]
+        return diag.reshape(-1)[self.nodes], [
+            np.where(keep, -kap, 0.0) for keep, kap in zip(self.keep, kappas)
         ]
 
-    def __call__(self, kappas, scale: float = 1.0, shift=0.0) -> _Stencil:
+    def __call__(self, kappas, shift=0.0, hessian=None) -> _Stencil:
         kept = self._kept
-        if kept is None or kept[0] is not kappas or kept[1] != scale:
-            base, couplings = self._dirichlet(kappas, scale)
+        if kept is None or kept[0] is not kappas:
+            base, couplings = self._dirichlet(kappas)
             for c in couplings:
                 c.flags.writeable = False
-            kept = self._kept = (kappas, scale, base, couplings)
-        _, _, base, couplings = kept
-        return _Stencil(base + shift, couplings, self)
+            kept = self._kept = (kappas, base, couplings)
+        _, base, couplings = kept
+        return _Stencil(base + shift, couplings, self, hessian)
 
     def csr_pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(source, indices, indptr) of the block as CSR, built once.
@@ -344,26 +389,31 @@ def _ends(shape: tuple[int, ...]) -> list[tuple[tuple, tuple]]:
 class _Stencil:
     """A Newton block, applied as a stencil on a grid array.
 
-    ``main`` is the block's diagonal and ``couplings`` holds one array per
-    axis, the off-diagonal entry of each edge of the grid array of shape
-    ``grid`` that the block works on, +0 on an edge with an end outside the
-    node set; ``where`` is each node's flat position in that array, None
-    when the nodes fill it.  The grid, the edge slices and the CSR pattern
-    are the ``_FreeBlock``'s that made it.
+    ``main`` is the diagonal of A plus the shift and ``couplings`` holds one
+    array per axis, the off-diagonal entry of A on each edge of the grid
+    array of shape ``grid`` that the block works on, +0 on an edge with an
+    end outside the node set; ``where`` is each node's flat position in
+    that array, None when the nodes fill it.  ``hessian`` is H's
+    (psi, factors) on the whole grid, or None.  The grid, the edge slices
+    and the CSR pattern are the ``_FreeBlock``'s that made it.
 
     ``M @ x`` adds to +0.0, node by node, the lower neighbours' terms from
     axis 0 to the last, the diagonal term, then the upper neighbours' terms
     from the last axis to axis 0: the ascending-column order in which
-    scipy's CSR product adds a row, so the product equals ``M.tocsr() @ x``
-    bit for bit.  ``abs(M)`` has the absolute entries, ``M.tocsr()``
-    gathers the CSR block for SuperLU, and in 1D ``M.tridiagonal()`` reads
-    the block's two bands for LAPACK.
+    scipy's CSR product adds a row, so without H the product equals
+    ``M.tocsr() @ x`` bit for bit.  H is applied without a matrix, in two
+    passes over the edges: grad q_i . x at every node, then the transpose.
+    ``diagonal()`` includes H's diagonal.  ``abs(M)`` has the absolute
+    entries of a block without H, ``M.tocsr()`` gathers the CSR block for
+    SuperLU and adds H as G^T diag(psi) G, G's row i being grad q_i on the
+    nodes, and in 1D ``M.banded()`` gives the block's three bands to LAPACK.
     """
 
-    def __init__(self, main, couplings, block: _FreeBlock):
+    def __init__(self, main, couplings, block: _FreeBlock, hessian=None):
         self.main = main
         self.couplings = couplings
         self.block = block
+        self.hessian = hessian
         self.grid = block.grid
         self.ends = block.ends
         self.where = block.where
@@ -375,16 +425,69 @@ class _Stencil:
             self.on_grid.reshape(-1)[self.where] = main
 
     def diagonal(self) -> np.ndarray:
-        return self.main
+        if self.hessian is None:
+            return self.main
+        return self.main + self.block.gather(self._hessian_diagonal())
 
-    def tridiagonal(self) -> tuple[np.ndarray, np.ndarray]:
-        """A 1D block's diagonal and the coupling of each node to the next.
+    def _hessian_diagonal(self) -> np.ndarray:
+        """H's diagonal on the whole grid: sum_i psi_i (d q_i / d u_j)^2."""
+        psi, factors = self.hessian
+        own = np.zeros(psi.shape)  # d q_j / d u_j
+        diag = np.zeros(psi.shape)
+        for (lo, hi), (alpha, beta) in zip(self.block.edges, factors):
+            own[lo] -= alpha
+            own[hi] += beta
+            diag[hi] += psi[lo] * alpha * alpha
+            diag[lo] += psi[hi] * beta * beta
+        own *= own
+        own *= psi
+        diag += own
+        return diag
 
-        Consecutive nodes j, j + 1 meet on the edge that leaves node j,
-        whose coupling is +0 across a gap.
+    def banded(self) -> np.ndarray:
+        """A 1D block in LAPACK's lower band storage, for ``dpbsv``.
+
+        Row k holds each node's coupling to the k-th next node of the set
+        (row 0 the diagonal), +0 where the two share no term; the rows'
+        unused tails are 0.  A's couplings join consecutive nodes j, j + 1
+        on the edge that leaves node j.  H joins nodes up to two apart: in
+        edge space it is D^T S D, D the edge differences and S tridiagonal,
+        s_e = psi_lo alpha_e^2 + psi_hi beta_e^2 on each edge and
+        o_j = psi_j alpha_j beta_(j-1) between the two edges at node j, so
+        its bands are s_(j-1) + s_j - 2 o_j, o_j + o_(j+1) - s_j and
+        -o_(j+1).  Nodes j and j + 2 couple across a node j + 1 outside the
+        set, in the block's first band.
         """
         (c,) = self.couplings
-        return self.main, c if self.where is None else c[self.where[:-1]]
+        ab = np.zeros((3, self.main.size), order="F")  # LAPACK's layout
+        ab[0] = self.main
+        ab[1, :-1] = c if self.where is None else c[self.where[:-1]]
+        if self.hessian is not None:
+            psi, ((alpha, beta),) = self.hessian
+            n = psi.size
+            pa = psi[:-1] * alpha
+            s = np.zeros(n + 1)  # s_e at e + 1, with 0 at both ends
+            np.multiply(pa, alpha, out=s[1:-1])
+            t = psi[1:] * beta
+            t *= beta
+            s[1:-1] += t
+            o = np.zeros(n)  # o_j at node j, 0 at both ends
+            np.multiply(pa[1:], beta[:-1], out=o[1:-1])
+            # the whole grid's bands, by distance; row 2's last entry is 0
+            bands = np.empty((3, n))
+            np.add(s[:-1], s[1:], out=bands[0])
+            bands[0] -= o
+            bands[0] -= o
+            np.add(o[:-1], o[1:], out=bands[1, :-1])
+            bands[1, :-1] -= s[1:-1]
+            np.negative(o[1:], out=bands[2, :-1])
+            bands[1:, -1] = 0.0
+            diag, near, after = self.block.taps
+            bands = bands.reshape(-1)
+            ab[0] += bands[diag]
+            ab[1, :-1] += bands[near]
+            ab[2, :-2] = bands[after]
+        return ab
 
     def __abs__(self) -> _Stencil:
         couplings = [np.abs(c) for c in self.couplings]
@@ -403,18 +506,62 @@ class _Stencil:
         for (lo, hi), c in zip(self.ends[::-1], self.couplings[::-1]):
             y[lo] += c * v[hi]
         y = y.reshape(-1)
-        return y if self.where is None else y[self.where]
+        if self.where is not None:
+            y = y[self.where]
+        if self.hessian is not None:
+            y += self._hessian_product(x)
+        return y
+
+    def _hessian_product(self, x: np.ndarray) -> np.ndarray:
+        """H @ x: s = psi (grad q_i . x) at every node, then G^T s."""
+        psi, factors = self.hessian
+        block = self.block
+        v = block.scatter(x)
+        s = np.zeros(psi.shape)
+        for (lo, hi), (alpha, beta) in zip(block.edges, factors):
+            dv = v[hi] - v[lo]
+            s[lo] += alpha * dv
+            s[hi] += beta * dv
+        s *= psi
+        y = np.zeros(psi.shape)
+        for (lo, hi), (alpha, beta) in zip(block.edges, factors):
+            t = alpha * s[lo]
+            t += beta * s[hi]
+            y[hi] += t
+            y[lo] -= t
+        return block.gather(y)
 
     def tocsr(self) -> sp.csr_matrix:
-        """The block as CSR, one gather through the block's pattern."""
+        """The block as CSR, one gather through the block's pattern, plus H."""
         import scipy.sparse as sp
 
         source, indices, indptr = self.block.csr_pattern()
         values = np.concatenate((self.main, *(c.reshape(-1) for c in self.couplings)))
         # the matrix gets its own index arrays: scipy may sort or sum in place
-        return sp.csr_matrix(
+        csr = sp.csr_matrix(
             (values[source], indices.copy(), indptr.copy()), shape=self.shape
         )
+        if self.hessian is None:
+            return csr
+        # G's row i is grad q_i on the nodes: the edge's factor at i times
+        # -1 at its lower and +1 at its upper node, duplicates summed
+        psi, factors = self.hessian
+        n, m = psi.size, self.main.size
+        col_of = np.full(n, -1)
+        col_of[self.block.nodes] = np.arange(m)
+        at = np.arange(n).reshape(psi.shape)
+        rows, cols, vals = [], [], []
+        for (lo, hi), (alpha, beta) in zip(self.block.edges, factors):
+            i, j = at[lo].reshape(-1), at[hi].reshape(-1)
+            a, b = alpha.reshape(-1), beta.reshape(-1)
+            rows += [i, i, j, j]
+            cols += [i, j, i, j]
+            vals += [-a, a, -b, b]
+        row, col, val = (np.concatenate(x) for x in (rows, cols, vals))
+        col = col_of[col]
+        on = col >= 0
+        G = sp.csr_matrix((val[on], (row[on], col[on])), shape=(n, m))
+        return (csr + G.T @ sp.diags(psi.reshape(-1)) @ G).tocsr()
 
 
 def assemble_diffusion(
@@ -465,7 +612,7 @@ def _box_preconditioner(
     """The fast Poisson preconditioner of the systems ``block`` makes, if
     one applies.
 
-    None in 1D, where ``spsolve`` factors the tridiagonal system directly,
+    None in 1D, where ``spsolve`` factors the banded system directly,
     and when a node lies on a box face, which the interior box does not
     hold.
     """
@@ -485,8 +632,8 @@ def _box_preconditioner(
 
 
 # CG's relative residual for a system solved exactly, and the forcing term
-# of an inexact Newton step: a system that is only a model of the Hessian
-# stops at that fraction of the gradient.
+# of an inexact Newton step: a system with clipped curvature, or at
+# p != 2, stops at that fraction of the gradient.
 _CG_RTOL = 1e-12
 _CG_FORCING = 0.1
 # A Newton system of the bundled 2D configs takes 1 iteration, one of the
@@ -554,14 +701,15 @@ def _pcg(
 
 
 # The two direct solvers, imported on their first call.
-def solveh_banded(d: np.ndarray, e: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve the SPD tridiagonal system of diagonal ``d`` and off-diagonal ``e``.
+def solveh_banded(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve the SPD banded system of lower band storage ``ab`` (``dpbsv``),
+    which the factorization overwrites.
 
     LinAlgError when the factorization finds it not positive definite.
     """
     from scipy.linalg import lapack
 
-    _, _, x, info = lapack.dptsv(d, e, b)
+    _, x, info = lapack.dpbsv(ab, b, lower=1, overwrite_ab=1)
     if info > 0:
         raise np.linalg.LinAlgError(f"leading minor {info} not positive definite")
     return x
@@ -583,7 +731,7 @@ def spsolve(
 ) -> np.ndarray:
     """Solve the SPD system ``M x = rhs``.
 
-    A 1D block is solved by LAPACK's tridiagonal Cholesky; a block with a
+    A 1D block is solved by LAPACK's banded Cholesky; a block with a
     box preconditioner by preconditioned CG, which stops at a residual
     norm of ``rtol`` (by default ``_CG_RTOL``) times that of ``rhs`` or of
     ``floor``, whichever is larger.  Everything else goes to SuperLU as
@@ -601,7 +749,7 @@ def spsolve(
     elif isinstance(M, _Stencil) and len(M.grid) == 1:
         # a CSR matrix, the lifted retry's, goes straight to SuperLU
         try:
-            return solveh_banded(*M.tridiagonal(), rhs)
+            return solveh_banded(M.banded(), rhs)
         except np.linalg.LinAlgError:
             pass
     tally["superlu_solves"] += 1
@@ -645,14 +793,16 @@ def _rms(x: np.ndarray) -> float:
 def _check_ladder(ladder: tuple[float, ...], kern: DiscreteEnergy) -> None:
     """ValueError unless the ladder is nonempty and nonincreasing and each
     width is positive and finite, with a finite potential curvature at u = 0
-    and finite Dirichlet conductances at zero gradient.
+    and finite Dirichlet conductances and Hessian weights psi at zero
+    gradient.
 
-    At u = 0 the curvature is one constant, and an edge's conductance
-    depends only on the spacing and its ends' weights, which a grid of at
-    most 3 nodes per axis at the same spacing has all of.  It lacks edges
-    between two interior nodes, but in float64 their sum w/2 + w/2 equals
-    that of a first or last edge, w/2 * 1 + w * 1/2, so the check runs on
-    that grid.
+    At u = 0 the curvature is one constant, psi at a node depends only on
+    its weight, and an edge's conductance only on the spacing and its ends'
+    weights, which a grid of at most 3 nodes per axis at the same spacing
+    has all of.  It lacks edges between two interior nodes, but in float64
+    their sum w/2 + w/2 equals that of a first or last edge,
+    w/2 * 1 + w * 1/2, so the check runs on that grid.  A psi that
+    overflows (p < 4 with eps^2 tiny) would make a NaN block of inf * 0.
     """
     if not ladder:
         raise ValueError("continuation ladder must not be empty")
@@ -671,9 +821,10 @@ def _check_ladder(ladder: tuple[float, ...], kern: DiscreteEnergy) -> None:
     for eps in ladder:
         with np.errstate(all="ignore"):
             at_rest = kern.at(flat, eps)
-            curv = at_rest.curvature()
-            kappas = at_rest.conductances
-        if not (np.isfinite(curv).all() and all(np.isfinite(k).all() for k in kappas)):
+            arrays = [at_rest.curvature(), *at_rest.conductances]
+            if at_rest.hessian is not None:
+                arrays.append(at_rest.hessian[0])
+        if not all(np.isfinite(a).all() for a in arrays):
             raise ValueError(f"smoothing width {eps:g} is out of the kernel's range")
 
 
@@ -752,20 +903,13 @@ def _descend(
     # The free nodes of a node array, in order, and u - t d on them: through
     # the box's slices when the free nodes fill it, which is cheaper than
     # indexing by idx_f and the same values.
+    free = block.gather
     if box is None:
-        def free(a: np.ndarray) -> np.ndarray:
-            return a.reshape(-1)[idx_f]
-
         def step_free(u: np.ndarray, td: np.ndarray) -> None:
             u.reshape(-1)[idx_f] -= td  # a view: .flat indexing is slower
     else:
-        box_shape = kern.weights[box].shape
-
-        def free(a: np.ndarray) -> np.ndarray:
-            return a[box].reshape(-1)
-
         def step_free(u: np.ndarray, td: np.ndarray) -> None:
-            u[box] -= td.reshape(box_shape)
+            u[box] -= td.reshape(block.grid)
 
     w_f = free(kern.weights)
 
@@ -778,13 +922,6 @@ def _descend(
         step_free(u, t * d)
         return kern.at(u, it.eps)
 
-    # The lagged operator carries |∇u|^{p-2}, but the curvature of
-    # t ↦ |t|^{p-2} t along the gradient is (p-1)|t|^{p-2}; for p > 2
-    # the unscaled model understates stiffness and every Newton step
-    # overshoots into a backtrack.  Scaling by p-1 restores the
-    # one-dimensional Hessian exactly and only over-damps transverse
-    # directions, which Armijo tolerates.
-    stiff = max(params.p - 1.0, 1.0)
     for eps in eps_ladder:
         it = kern.at(it.u, eps)
         trace = [it.energy]
@@ -795,11 +932,13 @@ def _descend(
         g_f = free_gradient(it)  # kept current with every accepted step
         while (res_rms := _rms(g_f / w_f)) > _TOL_RESIDUAL and n_it < _MAX_ITERS:
             shift = free(it.curvature())
-            # The model is the Hessian of the stage energy only at p = 2
-            # (constant conductances, stiff = 1) with no curvature clipped
-            # below: CG solves such a system exactly and stops any other at
-            # the forcing term.  A 1D system is solved directly, unasked.
-            exact = precond is not None and params.p == 2.0 and not (shift < 0).any()
+            # The model is the Hessian of the stage energy wherever no
+            # curvature is clipped below.  CG solves such a system to the
+            # floor at p = 2 and stops any other at the forcing term: at
+            # p != 2 the floor saved a quarter of the Newton steps but took
+            # up to four times the CG iterations and twice the time.  A 1D
+            # system is solved directly.
+            to_floor = precond is not None and params.p == 2.0 and not (shift < 0).any()
             # Only the convex part max(F'', 0) of the potential enters the
             # model (Nocedal & Wright, Numerical Optimization, ch. 3), so it
             # stays SPD where F is concave (gamma < 1, away from u = 0)
@@ -808,9 +947,9 @@ def _descend(
             np.maximum(shift, 0.0, out=shift)
             shift *= params.delta
             shift *= w_f
-            M = block(it.conductances, stiff, shift)
+            M = block(it.conductances, shift, it.hessian)
             floor, rtol = 0.0, _CG_RTOL
-            if exact:
+            if to_floor:
                 # rounding u to float64 moves g_f by up to eps |M| |u_f|
                 # per entry, so CG need not resolve a smaller residual;
                 # 0 at a zero iterate

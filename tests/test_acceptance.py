@@ -427,22 +427,23 @@ def _config_solve(name: str):
 
 
 @pytest.mark.parametrize(
-    "case, converged, energy, sup_error",
+    "case, converged, energy, sup_error, exit",
     [
-        ("branching_2d", True, 1.4710677523949869, 0.0004490510875173742),
-        ("crossing_2d", True, 0.5938334497844572, None),
-        ((2.0, 0.5), True, 1.2480595772511172, 0.0018258458795696875),
-        ((3.0, 0.8), True, 1.2127606246830382, 4.1576469313815007e-05),
-        ((1.5, 0.3), False, 1.0171741418554612, 0.019847817566688186),
+        ("branching_2d", True, 1.4710677523949869, 0.0004490510875173742, "tolerance"),
+        ("crossing_2d", True, 0.5938334497844572, None, "tolerance"),
+        ((2.0, 0.5), True, 1.2480595772511172, 0.0018258458795696875, "tolerance"),
+        ((3.0, 0.8), True, 1.2127606246830382, 4.1576469313815007e-05, "tolerance"),
+        ((1.5, 0.3), False, 1.0171741418554612, 0.019843888597947695, "polish"),
     ],
     ids=["branching_2d", "crossing_2d", "p2-g0.5", "p3-g0.8", "p1.5-g0.3"],
 )
 def test_nested_solve_keeps_the_single_level_readings(
-    case, converged, energy, sup_error, restricted_cases_fine
+    case, converged, energy, sup_error, exit, restricted_cases_fine
 ):
     # the 129^2 configs and the n = 2049 restricted runs; (1.5, 0.3) stops
-    # at the step cap, with its sup error kept to the 4 digits the
-    # benchmark reads (it moved by 2.3e-6)
+    # short at the polish exit, and its sup error is pinned to the 4 digits
+    # the benchmark reads (the exact Newton model at p != 2 moved it from
+    # the single-level 1.9848e-2 to 1.9844e-2)
     if isinstance(case, str):
         result, exact = _config_solve(case)
     else:
@@ -455,8 +456,7 @@ def test_nested_solve_keeps_the_single_level_readings(
             assert abs(err - sup_error) <= 1e-9
         else:
             assert f"{err:.3e}" == f"{sup_error:.3e}"
-    if not converged:
-        assert result.stages[-1].exit == "step_cap"
+    assert result.stages[-1].exit == exit
 
 
 # ---------------------------------------------------------------------------

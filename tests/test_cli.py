@@ -528,7 +528,7 @@ def test_module_invocation_matches_entry_point():
     # 105x105 has more than 10 000 free nodes, the size above which
     # OpenBLAS splits a dot product over its threads; a smaller grid would
     # pass even with BLAS inner products in the solver.  The 1D config runs
-    # at its bundled resolution through LAPACK's tridiagonal solve (dptsv).
+    # at its bundled resolution through LAPACK's banded Cholesky (dpbsv).
     [("crossing_2d", [105, 105]), ("degenerate_1d", None)],
     ids=["crossing_2d", "degenerate_1d"],
 )

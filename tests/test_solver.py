@@ -33,6 +33,14 @@ from aplab.solver import (
 )
 
 
+def _profile_start(params, n):
+    # the exact one-phase profile on the walls, zero inside (tests/conftest.py)
+    prof = one_phase_profile(params)
+    grid = Grid(extents=((-1.0, 1.0),), resolution=(n,))
+    wall = prof.coefficient * np.clip(grid.axes[0], 0.0, None) ** prof.beta
+    return ScalarField(grid, np.zeros_like(wall), grid.boundary_face_mask, wall)
+
+
 def _one_phase_start(n=257):
     par = Params(p=2.0, gamma=1.0, lambda_plus=0.5, lambda_minus=0.5, delta=1.0)
     grid = Grid(extents=((-1.0, 1.0),), resolution=(n,))
@@ -69,12 +77,14 @@ def test_config_rejects_bad_values(kwargs):
 
 
 def _refused_on_the_whole_grid(kern, eps):
-    # the reference check: curvature and conductances of the zero field at
-    # every node and edge of the kernel's own grid
+    # the reference check: curvature, conductances and Hessian weights of
+    # the zero field at every node and edge of the kernel's own grid
     with np.errstate(all="ignore"):
         at_rest = kern.at(np.zeros(kern.grid.shape), eps)
-        curv, kappas = at_rest.curvature(), at_rest.conductances
-    return not (np.isfinite(curv).all() and all(np.isfinite(k).all() for k in kappas))
+        arrays = [at_rest.curvature(), *at_rest.conductances]
+        if at_rest.hessian is not None:
+            arrays.append(at_rest.hessian[0])
+    return not all(np.isfinite(a).all() for a in arrays)
 
 
 _LADDER_GRIDS = {
@@ -128,6 +138,32 @@ def test_ladder_check_refuses_the_widths_the_whole_grid_refuses(
     assert 0 < len(refused) < 639
 
 
+def test_ladder_check_refuses_a_width_whose_hessian_weight_overflows(monkeypatch):
+    # p = 1.1 with gamma just below it, on a grid of node weight 1e14: at
+    # this width the potential curvature and the conductances at rest are
+    # finite, but w phi''(eps^2) ~ 1e14 * 1e300 overflows, and its product
+    # with the zero edge factors would make a NaN block
+    grid = Grid(extents=((0.0, 1.6e15),), resolution=(17,))
+    par = Params(p=1.1, gamma=1.0999, lambda_plus=0.5, lambda_minus=0.3, alpha_p=1.0)
+    eps = 10.0**-103.45
+    with np.errstate(all="ignore"):
+        at_rest = DiscreteEnergy(grid, par).at(np.zeros(17), eps)
+        assert np.isfinite(at_rest.curvature()).all()
+        assert all(np.isfinite(k).all() for k in at_rest.conductances)
+        psi, _ = at_rest.hessian
+        assert np.isinf(psi[1:-1]).all()
+        M = _FreeBlock(at_rest.kern, np.arange(1, 16))(
+            at_rest.conductances, 0.0, at_rest.hessian
+        )
+        assert np.isnan(M.banded()).any()
+    start = ScalarField(grid, np.zeros(17), grid.boundary_face_mask, np.zeros(17))
+    monkeypatch.setattr(aplab.solver, "_nested", lambda *args: "solved")
+    message = f"smoothing width {eps:g} is out of the kernel's range"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        minimize(start, par, (1e-3, eps))
+    assert minimize(start, par, (1e-3, 1e-100)) == "solved"
+
+
 # ---------------------------------------------------------------------------
 # linearized operator
 
@@ -154,6 +190,50 @@ def test_diffusion_operator_reproduces_dirichlet_gradient(extents, shape, p):
     a_u = _FreeBlock(kern, np.arange(u.size))(it.conductances).tocsr() @ u.ravel()
     g = it.gradient().ravel()
     assert np.max(np.abs(a_u - g)) <= 1e-12 * np.max(np.abs(g))
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+@_OPERATOR_GRIDS
+def test_newton_block_is_the_hessian_of_the_dirichlet_energy(extents, shape, p):
+    # the lagged operator plus the rank-one part, on every node, against
+    # central differences of the kernel's gradient; the matrix-free product
+    # and diagonal against the CSR block's
+    grid = Grid(extents=extents, resolution=shape)
+    rng = np.random.default_rng(len(shape))
+    u = rng.standard_normal(shape)
+    kern = DiscreteEnergy.dirichlet(grid, p)
+    it = kern.at(u, 0.1)
+    M = _FreeBlock(kern, np.arange(u.size))(it.conductances, 0.0, it.hessian)
+    hess = M.tocsr().toarray()
+    step = 1e-6
+    fd = np.empty_like(hess)
+    for k in range(u.size):
+        up, dn = u.copy().reshape(-1), u.copy().reshape(-1)
+        up[k] += step
+        dn[k] -= step
+        g_up = kern.at(up.reshape(shape), 0.1).gradient()
+        g_dn = kern.at(dn.reshape(shape), 0.1).gradient()
+        fd[:, k] = (g_up - g_dn).reshape(-1) / (2.0 * step)
+    scale = np.max(np.abs(hess))
+    assert np.max(np.abs(hess - fd)) <= 1e-8 * scale
+    assert np.max(np.abs(hess - hess.T)) <= 1e-14 * scale
+    x = rng.standard_normal(u.size)
+    assert np.max(np.abs(M @ x - hess @ x)) <= 1e-12 * np.max(np.abs(hess @ x))
+    assert np.max(np.abs(M.diagonal() - np.diag(hess))) <= 1e-12 * scale
+
+
+@_OPERATOR_GRIDS
+def test_newton_block_at_p_below_2_is_positive_definite(extents, shape):
+    # at p < 2 the rank-one part is negative semidefinite, yet each node's
+    # term of the Hessian stays PSD, so the block on the free nodes is SPD
+    grid = Grid(extents=extents, resolution=shape)
+    u = np.random.default_rng(len(shape)).standard_normal(shape)
+    kern = DiscreteEnergy.dirichlet(grid, 1.5)
+    it = kern.at(u, 0.01)
+    M = _FreeBlock(kern, _interior(grid))(it.conductances, 0.0, it.hessian)
+    assert it.hessian[0].max() < 0.0
+    lam = np.linalg.eigvalsh(M.tocsr().toarray())
+    assert lam[0] > 1e-12 * lam[-1]
 
 
 def _coo_operator(kern, kappas):
@@ -184,7 +264,6 @@ def test_free_block_equals_sliced_full_operator(extents, shape, p):
     rng = np.random.default_rng(len(shape))
     u = rng.standard_normal(shape)
     idx = np.flatnonzero(rng.random(u.size) < 0.6)
-    scale = 1.0 + rng.random()
     shift = rng.random(idx.size)
     kern = DiscreteEnergy.dirichlet(grid, p)
     kappas = kern.at(u, 0.1).conductances
@@ -194,15 +273,15 @@ def test_free_block_equals_sliced_full_operator(extents, shape, p):
     full = full.tocsr()
     assert full.format == "csr"
     _assert_same_csr(full, _coo_operator(kern, kappas))
-    want = (scale * full[idx][:, idx] + sp.diags(shift)).tocsr()
-    _assert_same_csr(_FreeBlock(kern, idx)(kappas, scale, shift).tocsr(), want)
+    want = (full[idx][:, idx] + sp.diags(shift)).tocsr()
+    _assert_same_csr(_FreeBlock(kern, idx)(kappas, shift).tocsr(), want)
 
 
 @pytest.mark.parametrize("shape", [(33,), (17, 13)], ids=["1d", "2d"])
 def test_fixed_pattern_refills_match_a_fresh_build(shape):
     # one pattern, refilled twice with new values, against a fresh COO->CSR
     # build each time: the CSR arrays of the stencil's assembly bit for bit,
-    # and the 1D stencil's two bands entry by entry
+    # and the 1D stencil's bands entry by entry
     grid = Grid(extents=((-1.0, 1.0), (0.0, 1.5))[: len(shape)], resolution=shape)
     X = grid.coordinate_arrays()
     hole = sum(x * x for x in X) < 0.3**2  # a masked hole in the node set
@@ -212,15 +291,17 @@ def test_fixed_pattern_refills_match_a_fresh_build(shape):
     rng = np.random.default_rng(7)
     for eps in (0.1, 0.01):
         kappas = kern.at(rng.standard_normal(shape), eps).conductances
-        scale, shift = 1.0 + rng.random(), rng.random(nodes.size)
-        got = block(kappas, scale, shift)
+        shift = rng.random(nodes.size)
+        got = block(kappas, shift)
         full = _coo_operator(kern, kappas)
-        want = (scale * full[nodes][:, nodes] + sp.diags(shift)).tocsr()
+        want = (full[nodes][:, nodes] + sp.diags(shift)).tocsr()
         if len(shape) == 1:
-            # the diagonal and the coupling of each node to the next
-            main, upper = got.tridiagonal()
-            assert np.array_equal(main, want.diagonal())
-            assert np.array_equal(upper, want.diagonal(1))
+            # the diagonal, the coupling of each node to the next, and none
+            # to the one after without the Hessian's rank-one part
+            ab = got.banded()
+            assert np.array_equal(ab[0], want.diagonal())
+            assert np.array_equal(ab[1, :-1], want.diagonal(1))
+            assert not ab[2].any()
         got = got.tocsr()
         assert got.format == "csr"
         _assert_same_csr(got, want)
@@ -236,9 +317,10 @@ def test_a_refill_leaves_the_blocks_made_before_it(shape):
     kern = DiscreteEnergy.dirichlet(grid, 1.5)
     block = _FreeBlock(kern, nodes)
     rng = np.random.default_rng(3)
-    first = block(kern.at(rng.standard_normal(shape), 0.1).conductances, 2.0, 1.0)
+    states = [kern.at(rng.standard_normal(shape), 0.1) for _ in range(2)]
+    first = block(states[0].conductances, 1.0, states[0].hessian)
     kept = first.tocsr().toarray()
-    block(kern.at(rng.standard_normal(shape), 0.1).conductances, 2.0, 1.0)
+    block(states[1].conductances, 1.0, states[1].hessian)
     assert np.array_equal(first.tocsr().toarray(), kept)
 
 
@@ -247,18 +329,20 @@ def _interior(grid):
 
 
 def _newton_system(grid, p, nodes, shift, seed=0, indefinite=False):
-    # a Newton matrix of minimize's form: stiffened lagged operator at a
-    # random field plus a nonnegative diagonal shift of size up to ``shift``;
-    # ``indefinite`` replaces that shift by -c, c half the smallest diagonal
-    # entry: with ``shift`` 0, the entries of M - c I, a positive diagonal
-    # but eigenvalues of both signs
+    # a Newton matrix of minimize's form: the Dirichlet Hessian at a random
+    # field (the lagged operator, plus its rank-one part at p != 2) plus a
+    # nonnegative diagonal shift of size up to ``shift``; ``indefinite``
+    # replaces that shift by -c, c half the smallest diagonal entry: with
+    # ``shift`` 0 at p = 2, the entries of M - c I, a positive diagonal but
+    # eigenvalues of both signs
     rng = np.random.default_rng(seed)
     kern = DiscreteEnergy.dirichlet(grid, p)
-    kappas = kern.at(rng.standard_normal(grid.shape), 0.1).conductances
-    block, scale = _FreeBlock(kern, nodes), max(p - 1.0, 1.0)
-    M = block(kappas, scale, shift * rng.random(nodes.size))
+    state = kern.at(rng.standard_normal(grid.shape), 0.1)
+    kappas, hessian = state.conductances, state.hessian
+    block = _FreeBlock(kern, nodes)
+    M = block(kappas, shift * rng.random(nodes.size), hessian)
     if indefinite:
-        M = block(kappas, scale, -0.5 * M.diagonal().min())
+        M = block(kappas, -0.5 * M.diagonal().min(), hessian)
     return kern, M, rng.standard_normal(nodes.size)
 
 
@@ -284,9 +368,10 @@ def _random_subset(grid):
 )
 @pytest.mark.parametrize("shape", [(17, 13), (9, 7, 6)], ids=["2d", "3d"])
 def test_stencil_products_equal_the_csr_products_bit_for_bit(shape, subset):
-    # CG's M @ d and the floor's |M| @ |u| on the stencil are the products
-    # on the CSR block, to the last bit and the sign of every zero; some
-    # conductances are 0 and x holds both zeros
+    # without the Hessian's rank-one part (p = 2), CG's M @ d and the
+    # floor's |M| @ |u| on the stencil are the products on the CSR block, to
+    # the last bit and the sign of every zero; some conductances are 0 and
+    # x holds both zeros
     grid = Grid(extents=((-1.0, 1.0), (0.0, 1.5), (0.0, 1.0))[: len(shape)],
                 resolution=shape)
     rng = np.random.default_rng(len(shape))
@@ -295,12 +380,12 @@ def test_stencil_products_equal_the_csr_products_bit_for_bit(shape, subset):
     kappas = [k.copy() for k in kern.at(rng.standard_normal(shape), 0.1).conductances]
     for k in kappas:
         k[rng.random(k.shape) < 0.1] = 0.0
-    scale, shift = 1.0 + rng.random(), rng.random(nodes.size)
-    M = _FreeBlock(kern, nodes)(kappas, scale, shift)
+    shift = rng.random(nodes.size)
+    M = _FreeBlock(kern, nodes)(kappas, shift)
     assert isinstance(M, _Stencil) and (M.where is None) == (subset is _interior)
     csr = M.tocsr()
     # the sliced full-grid operator; a sparse sum would drop its zero entries
-    want = (scale * _coo_operator(kern, kappas)[nodes][:, nodes]).tocsr()
+    want = _coo_operator(kern, kappas)[nodes][:, nodes].tocsr()
     want.setdiag(want.diagonal() + shift)
     _assert_same_csr(csr, want)
     assert np.array_equal(M.diagonal(), csr.diagonal())
@@ -310,6 +395,31 @@ def test_stencil_products_equal_the_csr_products_bit_for_bit(shape, subset):
     for got, want in ((M @ x, csr @ x), (abs(M) @ x, abs(csr) @ x)):
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize(
+    "subset", [_interior, _box_minus_ball, _random_subset],
+    ids=["box", "box-minus-ball", "random"],
+)
+@pytest.mark.parametrize("p", [1.5, 3.0])
+@pytest.mark.parametrize("shape", [(17, 13), (9, 7, 6)], ids=["2d", "3d"])
+def test_hessian_products_match_the_csr_block(shape, p, subset):
+    # at p != 2 the rank-one part is applied without a matrix, in two
+    # passes over the whole grid's edges; CSR adds it as G^T diag(psi) G
+    grid = Grid(extents=((-1.0, 1.0), (0.0, 1.5), (0.0, 1.0))[: len(shape)],
+                resolution=shape)
+    rng = np.random.default_rng(len(shape))
+    nodes = subset(grid)
+    kern = DiscreteEnergy.dirichlet(grid, p)
+    it = kern.at(rng.standard_normal(shape), 0.1)
+    M = _FreeBlock(kern, nodes)(it.conductances, rng.random(nodes.size), it.hessian)
+    csr = M.tocsr()
+    for _ in range(3):
+        x = rng.standard_normal(nodes.size)
+        want = csr @ x
+        assert np.max(np.abs(M @ x - want)) <= 1e-12 * np.max(np.abs(want))
+    diag = csr.diagonal()
+    assert np.max(np.abs(M.diagonal() - diag)) <= 1e-12 * np.max(np.abs(diag))
 
 
 def _same_bits(a, b):
@@ -343,15 +453,15 @@ def test_a_kept_dirichlet_part_gives_a_fresh_block_bit_for_bit(shape, subset):
     rng = np.random.default_rng(len(shape))
     block = _FreeBlock(kern, nodes)
     kappas = kern.at(rng.standard_normal(shape), 0.1).conductances
-    calls = [(kappas, 2.0, rng.random(nodes.size)), (kappas, 2.0, 0.0),
-             (kappas, 2.0, rng.random(nodes.size)),
-             (other.at(rng.standard_normal(shape), 0.1).conductances, 2.0, 1.0),
-             (kappas, 1.0, rng.random(nodes.size))]
+    calls = [(kappas, rng.random(nodes.size)), (kappas, 0.0),
+             (kappas, rng.random(nodes.size)),
+             (other.at(rng.standard_normal(shape), 0.1).conductances, 1.0),
+             (kappas, rng.random(nodes.size))]
     kept = []
     for args in calls:
         got = block(*args)
         want = _FreeBlock(kern, nodes)(*args)
-        kept.append(block._kept[3])
+        kept.append(block._kept[2])
         assert _same_bits(got.main, want.main) and got.where is want.where
         for c, w in zip(got.couplings, want.couplings, strict=True):
             assert _same_bits(c, w) and not c.flags.writeable
@@ -405,7 +515,7 @@ def test_the_held_csr_pattern_gives_the_per_call_assembly(shape, subset):
         kappas = [k.copy() for k in kern.at(rng.standard_normal(shape), eps).conductances]
         for k in kappas:
             k[rng.random(k.shape) < 0.1] = 0.0
-        M = block(kappas, 1.0 + rng.random(), rng.random(nodes.size))
+        M = block(kappas, rng.random(nodes.size))
         got, want = M.tocsr(), _per_call_csr(M)
         for name in ("data", "indices", "indptr"):
             a, b = getattr(got, name), getattr(want, name)
@@ -476,7 +586,7 @@ def test_spsolve_without_a_floor_meets_the_relative_tolerance():
 
 
 def _gapped(grid):
-    # interior nodes with two gaps: the couplings across a gap are zero
+    # interior nodes with two gaps: two pinned nodes, then one
     nodes = _interior(grid)
     return np.setdiff1d(nodes, nodes[[3, 4, 10]])
 
@@ -490,13 +600,27 @@ def test_banded_solve_matches_superlu(subset, p, shift):
     kern, M, b = _newton_system(grid, p, nodes, shift)
     assert isinstance(M, _Stencil)
     assert _box_preconditioner(kern, _FreeBlock(kern, nodes)) is None
-    # dptsv's two bands are the CSR block's, bit for bit, +0 across a gap
+    # dpbsv's three bands are the CSR block's: bit for bit without the
+    # Hessian's rank-one part (p = 2), whose CSR sums it in another order
     csr = M.tocsr()
-    main, upper = M.tridiagonal()
-    assert _same_bits(main, csr.diagonal()) and _same_bits(upper, csr.diagonal(1))
-    gaps = np.diff(nodes) > 1
-    assert gaps.any() == (subset is _gapped)
-    assert _same_bits(upper[gaps], np.zeros(np.count_nonzero(gaps)))
+    ab = M.banded()
+    bands = (ab[0], ab[1, :-1], ab[2, :-2])
+    want = tuple(csr.diagonal(k) for k in range(3))
+    if p == 2.0:
+        assert all(_same_bits(got, w) for got, w in zip(bands, want))
+    else:
+        scale = np.max(np.abs(want[0]))
+        assert all(np.max(np.abs(got - w), initial=0.0) <= 1e-13 * scale
+                   for got, w in zip(bands, want))
+    # across one pinned node only the rank-one part couples; across two,
+    # nothing does
+    gaps = np.diff(nodes)
+    assert (gaps > 1).any() == (subset is _gapped)
+    assert _same_bits(bands[1][gaps > 2], np.zeros(np.count_nonzero(gaps > 2)))
+    across = bands[1][gaps == 2]
+    assert across.size == (subset is _gapped)
+    assert (across != 0.0).all() if p != 2.0 else not across.any()
+    assert not bands[2][nodes[2:] - nodes[:-2] > 2].any()
     tally = Counter()
     x = spsolve(M, b, None, tally)
     want = spla.spsolve(csr, b)
@@ -701,11 +825,11 @@ def test_minimize_1d_solves_by_banded_cholesky(convex_1d):
 
 
 def test_minimize_counts_diagonal_lift_retries(monkeypatch):
-    # every tridiagonal solve comes back non-finite, so each Newton system is
+    # every banded solve comes back non-finite, so each Newton system is
     # retried once with a lifted diagonal, which SuperLU solves: four steps
     # (the cap) on n = 17, then two on each of n = 33 and 65
     monkeypatch.setattr(aplab.solver, "solveh_banded",
-                        lambda d, e, b: np.full_like(b, np.nan))
+                        lambda ab, b: np.full_like(b, np.nan))
     monkeypatch.setattr(aplab.solver, "_MAX_ITERS", 4)
     fld, par = _one_phase_start(n=65)
     res = minimize(fld, par, (0.1,))
@@ -715,11 +839,11 @@ def test_minimize_counts_diagonal_lift_retries(monkeypatch):
 
 
 def test_nonfinite_lifted_solve_is_a_stall(monkeypatch):
-    # the tridiagonal solve and its lifted SuperLU retry both come back
+    # the banded solve and its lifted SuperLU retry both come back
     # non-finite: the stall ends the ladder of n = 17 at its first width,
     # and n = 33 and 65 each stall at once from the prolonged start
     monkeypatch.setattr(aplab.solver, "solveh_banded",
-                        lambda d, e, b: np.full_like(b, np.nan))
+                        lambda ab, b: np.full_like(b, np.nan))
     monkeypatch.setattr(aplab.solver, "_superlu", lambda M, b: np.full_like(b, np.nan))
     fld, par = _one_phase_start(n=65)
     res = minimize(fld, par, (0.1, 0.01))
@@ -784,7 +908,7 @@ def test_a_free_set_on_a_box_face_goes_to_superlu_and_converges():
     assert res.converged
     assert res.work["superlu_solves"] == res.work["linear_solves"] > 0
     assert res.work["cg_iterations"] == 0
-    assert res.n_iterations == 407
+    assert res.n_iterations == 265
 
 
 def _spy_on_solves(monkeypatch) -> list:
@@ -863,6 +987,24 @@ def test_exact_models_take_no_forcing_stops(monkeypatch):
     assert solves[-1][0][3]["cg_forcing_stops"] == 0
 
 
+def test_exact_newton_model_converges_fast_on_every_finer_level(
+    degenerate_1d, restricted_cases_fine
+):
+    # the exact Hessian at p != 2: each finer level of the gamma >= 1
+    # one-phase runs at n = 1025 starts from the prolonged coarse result
+    # and takes at most 5 steps (the stiff-scaled model took 14-37)
+    assert degenerate_1d.result.n_iterations <= 80
+    runs = [degenerate_1d.result]
+    for p, gamma, lam in [(1.5, 1.0, 0.5), (1.5, 1.2, 0.5), (4.0, 1.0, 1.0)]:
+        par = Params(p=p, gamma=gamma, lambda_plus=lam, lambda_minus=lam, alpha_p=1.0)
+        runs.append(minimize(_profile_start(par, 1025), par))
+    for res in runs:
+        assert res.converged
+        finer = [s for s in res.stages if s.resolution != res.stages[0].resolution]
+        assert len(finer) == 6 and all(s.n_iters <= 5 for s in finer)
+    assert restricted_cases_fine[(3.0, 0.8)].result.n_iterations <= 160
+
+
 def test_newton_model_step_count_on_the_restricted_run(restricted_cases):
     # the convex-part curvature model max(F'', 0) takes 517 steps on this
     # run; the stiffer |F''| model took 975
@@ -872,20 +1014,26 @@ def test_newton_model_step_count_on_the_restricted_run(restricted_cases):
 
 
 def test_restricted_run_records_polish_and_capped_stages(
-    restricted_cases, restricted_cases_fine
+    restricted_cases_fine, monkeypatch
 ):
-    # (1.5, 0.3) leaves a middle stage by the polish exit; at n = 2049 its
-    # last stage runs out of Newton steps, which is why it stops short of
-    # the residual tolerance
-    coarse = restricted_cases[(1.5, 0.3)].result
-    assert "polish" in [s.exit for s in coarse.stages]
+    # (1.5, 0.3) at n = 2049 leaves its last stage by the polish exit, which
+    # is why it stops short of the residual tolerance; with the step cap
+    # cut to 150, the same run at n = 1025 runs out of Newton steps on its
+    # finer levels instead
     fine = restricted_cases_fine[(1.5, 0.3)].result
-    assert fine.stages[-1].exit == "step_cap" and not fine.converged
+    assert fine.stages[-1].exit == "polish" and not fine.converged
     assert fine.shortfall == (
-        f"step_cap exit at smoothing width 1e-05 (residual rms {fine.residual_rms:.3e})"
+        f"polish exit at smoothing width 1e-05 (residual rms {fine.residual_rms:.3e})"
     )
-    capped = [s for s in coarse.stages + fine.stages if s.exit == "step_cap"]
-    assert all(s.n_iters == aplab.solver._MAX_ITERS for s in capped)
+    par = restricted_cases_fine[(1.5, 0.3)].params
+    monkeypatch.setattr(aplab.solver, "_MAX_ITERS", 150)
+    short = minimize(_profile_start(par, 1025), par)
+    assert short.stages[-1].exit == "step_cap" and not short.converged
+    assert short.shortfall == (
+        f"step_cap exit at smoothing width 1e-05 (residual rms {short.residual_rms:.3e})"
+    )
+    capped = [s for s in fine.stages + short.stages if s.exit == "step_cap"]
+    assert len(capped) > 1 and all(s.n_iters == 150 for s in capped)
 
 
 def test_minimize_is_deterministic():
@@ -947,7 +1095,7 @@ def test_polish_after_a_failed_search_steps_along_the_solved_direction(monkeypat
     nodes = np.flatnonzero(free)
     curv = np.maximum(state.curvature(), 0.0).ravel()[nodes]
     shift = kern.weights.ravel()[nodes] * curv
-    M = _FreeBlock(kern, nodes)(state.conductances, 1.0, shift)
+    M = _FreeBlock(kern, nodes)(state.conductances, shift)
     want = u.copy()
     want[free] -= spsolve(M, state.gradient().ravel()[nodes])
 

@@ -4,7 +4,7 @@ scipy.optimize, scipy.linalg, scipy.sparse, scipy.sparse.linalg and
 jsonschema are imported by the first call that needs them, so the
 closed-form oracles, the inequality sweeps, ``apl oracle`` and ``apl
 compare`` run on numpy alone, and neither a 2D or 3D solve that CG
-finishes nor a 1D solve that LAPACK's tridiagonal Cholesky finishes needs
+finishes nor a 1D solve that LAPACK's banded Cholesky finishes needs
 scipy.sparse.  Each check runs in a child interpreter, because this
 process has long since loaded all of them.
 """
@@ -86,7 +86,7 @@ def test_apl_compare_loads_no_scipy_module(tmp_path):
 
 
 # Solves whose Newton systems never reach SuperLU: CG finishes the 2D
-# ones, LAPACK's dptsv the 1D ones, on a node set with gaps at the pinned
+# ones, LAPACK's dpbsv the 1D ones, on a node set with gaps at the pinned
 # nodes 40, 41 and 200
 _NO_SUPERLU = {
     "2d-cg": """
@@ -97,7 +97,7 @@ _NO_SUPERLU = {
         par = Params(p=1.5, gamma=0.5, lambda_plus=0.5, lambda_minus=0.5,
                      alpha_p=1.0)
         """,
-    "1d-dptsv": """
+    "1d-dpbsv": """
         grid = Grid(extents=((-1.0, 1.0),), resolution=(257,))
         par = Params(p=3.0, gamma=0.8, lambda_plus=1.6905, lambda_minus=1.6905,
                      alpha_p=1.0)
@@ -134,7 +134,7 @@ def test_a_solve_that_needs_no_superlu_loads_no_scipy_sparse(case):
     if case == "2d-cg":
         assert work["cg_iterations"] >= work["linear_solves"] > 0
     else:
-        assert work["cg_iterations"] == 0 and work["linear_solves"] == 218
+        assert work["cg_iterations"] == 0 and work["linear_solves"] == 98
 
 
 def test_first_use_imports_each_lazy_module_and_works():
@@ -163,7 +163,7 @@ def test_first_use_imports_each_lazy_module_and_works():
             if indefinite:
                 # the entries of M - c I, c half the smallest diagonal entry:
                 # a positive diagonal, but eigenvalues of both signs
-                M = block(kappas, 1.0, -0.5 * M.diagonal().min())
+                M = block(kappas, -0.5 * M.diagonal().min())
             return kern, block, M, b
 
         def config_error():
@@ -172,7 +172,7 @@ def test_first_use_imports_each_lazy_module_and_works():
             except ConfigError as exc:
                 return str(exc)
 
-        def tridiagonal():
+        def banded():
             _, _, M, b = newton_system((33,))
             x = spsolve(M, b)
             return float(np.max(np.abs(M @ x - b)))
@@ -191,7 +191,7 @@ def test_first_use_imports_each_lazy_module_and_works():
             ax = np.abs(sol.x)
             return float(np.max(np.abs(sol.u - np.sign(sol.x) * (ax**2 + ax) / 4)))
 
-        steps = [("jsonschema", config_error), ("scipy.linalg", tridiagonal),
+        steps = [("jsonschema", config_error), ("scipy.linalg", banded),
                  ("scipy.sparse.linalg", superlu), ("scipy.optimize", root_search)]
         out = {}
         for module, call in steps:
