@@ -10,43 +10,52 @@ the whole ladder from the injected start, and each finer level runs only
 the ladder's last width, from the linear prolongation of the level below
 with its own Dirichlet data.  The levels follow from the resolution alone.
 
-Steps are damped Newton steps: the Hessian of the Dirichlet energy (the
-linearized diffusion operator, assembled from the same edge conductances
-that make up the exact gradient, plus at p != 2 the rank-one terms
+Steps are damped Newton steps on a model of the stage energy, solved
+sparsely, then an Armijo backtracking line search on the true stage
+energy.  The model is the Hessian of the Dirichlet energy (the linearized
+diffusion operator, assembled from the same edge conductances that make
+up the exact gradient, plus at p != 2 the rank-one terms
 w phi''(q) grad q grad q^T of each node; Huang, Li & Liu, J. Sci.
-Comput. 32, 2007) plus the convex part max(F'', 0) of the potential
-curvature, solved sparsely, then an Armijo backtracking line search on
-the true stage energy.  A line search that collapses below the step floor
-is a stall, and so is a Newton system with no finite solution; a stall
-ends its level's ladder.  A coarse level that stops short only supplies
-the start of the next; the finest level's partial result is returned
-with a message that says where it stopped.
+Comput. 32, 2007) plus the potential curvature F''.  Where F is concave
+(gamma < 1, away from u = 0) F'' < 0 and the model may be indefinite, so
+it carries the signed F'' only where a Cholesky factorization certifies
+it positive definite, which in 1D is the factorization that solves it;
+otherwise, and always in 2D and 3D, where CG cannot certify it, it keeps
+the convex part max(F'', 0) (Newton with Hessian modification, Nocedal &
+Wright, Numerical Optimization, sec. 3.4).  The model is the Hessian of
+the stage energy on every step that clips no curvature.  A line search
+that collapses below the step floor is a stall, and so is a Newton system
+with no finite solution; a stall ends its level's ladder.  A coarse level
+that stops short only supplies the start of the next; the finest level's
+partial result is returned with a message that says where it stopped.
 
 Each line-search trial is one ``DiscreteEnergy.at`` state.  The trial
 Armijo accepts becomes the next iterate, and the gradient, conductances,
 Hessian terms and curvature of the next Newton step come from that same
 state, so nothing is evaluated twice for one field.
 
-Every linear system is symmetric positive definite and goes through
-``spsolve``.  Its pattern is built once per grid level; each Newton step
-refills only the values, and only the shift when the conductances are
-those of the step before (at p = 2 they are the kernel's, the same
-for every iterate, and there are no rank-one terms).  In every dimension
-the system is a stencil, never a matrix: its diagonal and one coupling
-per edge, which CG applies on grid-shaped arrays in the order of a CSR
-product, bit for bit, and at p != 2 the node weights and edge factors of
-the rank-one terms, applied in two more passes over the edges.  A 1D
-system is pentadiagonal: its three bands (the rank-one terms couple
-nodes two apart, also across one node outside the set) go to LAPACK's
-banded Cholesky (``dpbsv``).  A 2D or 3D system whose nodes all lie
-strictly inside the box is solved by conjugate gradients preconditioned
-with a fast Poisson solve: the constant-coefficient Laplacian of the
-interior box, inverted by DST-I, with a diagonal scaling that matches the
-system's own diagonal (Concus & Golub, SIAM J. Numer. Anal. 10, 1973).
-The Newton model is the Hessian of the stage energy wherever no
-curvature is clipped, and how far CG goes depends on p.  Such a system at
-p = 2 CG solves to a residual of 1e-12 relative to the right-hand side,
-or to the representation floor of the Newton system, whichever is
+Every linear system but the signed 1D model is symmetric positive
+definite and goes through ``spsolve``.  Its pattern is built once per
+grid level; each Newton step refills only the values, and only the shift
+when the conductances are those of the step before (at p = 2 they are
+the kernel's, the same for every iterate, and there are no rank-one
+terms).  In every dimension the system is a stencil, never a matrix: its
+diagonal and one coupling per edge, which CG applies on grid-shaped arrays
+in the order of a CSR product, bit for bit, and at p != 2 the node
+weights and edge factors of the rank-one terms, applied in two more
+passes over the edges.  A 1D system is tridiagonal at p = 2 and
+pentadiagonal otherwise (the rank-one terms couple nodes two apart, also
+across one node outside the set); its two or three bands go to LAPACK's
+banded Cholesky (``dpbsv``), the signed model's directly, and a signed
+model that ``dpbsv`` refuses is solved again on the clipped one.  A 2D
+or 3D system whose nodes all lie strictly inside the box is solved by
+conjugate gradients preconditioned with a fast Poisson solve: the
+constant-coefficient Laplacian of the interior box, inverted by DST-I,
+with a diagonal scaling that matches the system's own diagonal (Concus &
+Golub, SIAM J. Numer. Anal. 10, 1973).  How far CG goes depends on p and
+on the clipping.  A system at p = 2 with no curvature clipped, the
+Hessian, CG solves to a residual of 1e-12 relative to the right-hand
+side, or to the representation floor of the Newton system, whichever is
 larger: rounding the iterate u to float64 already moves the right-hand
 side by up to eps |M| |u| per entry, so a smaller residual solves
 rounding noise (Arioli, Numer. Math. 97, 2004).  Any other system, at
@@ -58,10 +67,10 @@ Numer. Anal. 19, 1982; Eisenstat & Walker, SIAM J. Sci. Comput. 17,
 counted fallback, and the only consumer of a CSR matrix, gathered from
 the stencil through its pattern by ``tocsr()``, with the rank-one terms
 added as a sparse product: it takes a 2D or 3D system with a node on a
-box face, a 1D system that ``dpbsv`` finds not positive definite, a
-system on which CG breaks down or reaches its iteration cap, and the
-diagonal-lift retry of a non-finite solve.  Inner products are plain
-``np.sum`` reductions, not BLAS, so a solve does not depend on the
+box face, a clipped 1D system that ``dpbsv`` finds not positive
+definite, a system on which CG breaks down or reaches its iteration cap,
+and the diagonal-lift retry of a non-finite solve.  Inner products are
+plain ``np.sum`` reductions, not BLAS, so a solve does not depend on the
 number of BLAS threads.
 
 Importing the module loads no scipy module: ``scipy.linalg`` (``dpbsv``)
@@ -158,6 +167,7 @@ WORK_COUNTERS = (
     "gradient_fallbacks",  # non-descent Newton directions replaced
     "backtracks",  # Armijo trials rejected, those of a failed search included
     "polish_steps",  # accepted residual-monotone polish steps
+    "clipped_models",  # Newton steps whose model dropped the concave part of F''
 )
 
 
@@ -259,7 +269,7 @@ class _FreeBlock:
     of edges with both ends in the set).  H always works on the whole grid,
     whose every node has a q.  The CSR pattern ``tocsr()`` gathers through
     is built on its first use, once per node set, and in 1D ``taps``
-    place the block's bands in the whole grid's.
+    pick the block's entries out of H's bands on the whole grid.
     """
 
     def __init__(self, kern: DiscreteEnergy, nodes: np.ndarray):
@@ -285,7 +295,7 @@ class _FreeBlock:
             self.taps = self._taps(self.shape[0])
 
     def _taps(self, n: int) -> tuple:
-        """Where a 1D block's three bands lie in the whole grid's.
+        """Where the three bands of a 1D block with H lie in the whole grid's.
 
         The whole grid's bands are a (3, n) array whose row g holds each
         node's coupling to the g-th next node and whose last entry is 0.
@@ -406,7 +416,7 @@ class _Stencil:
     ``diagonal()`` includes H's diagonal.  ``abs(M)`` has the absolute
     entries of a block without H, ``M.tocsr()`` gathers the CSR block for
     SuperLU and adds H as G^T diag(psi) G, G's row i being grad q_i on the
-    nodes, and in 1D ``M.banded()`` gives the block's three bands to LAPACK.
+    nodes, and in 1D ``M.banded()`` gives the block's bands to LAPACK.
     """
 
     def __init__(self, main, couplings, block: _FreeBlock, hessian=None):
@@ -449,17 +459,20 @@ class _Stencil:
 
         Row k holds each node's coupling to the k-th next node of the set
         (row 0 the diagonal), +0 where the two share no term; the rows'
-        unused tails are 0.  A's couplings join consecutive nodes j, j + 1
-        on the edge that leaves node j.  H joins nodes up to two apart: in
-        edge space it is D^T S D, D the edge differences and S tridiagonal,
-        s_e = psi_lo alpha_e^2 + psi_hi beta_e^2 on each edge and
-        o_j = psi_j alpha_j beta_(j-1) between the two edges at node j, so
-        its bands are s_(j-1) + s_j - 2 o_j, o_j + o_(j+1) - s_j and
-        -o_(j+1).  Nodes j and j + 2 couple across a node j + 1 outside the
-        set, in the block's first band.
+        unused tails are 0.  There are as many rows as the block has bands:
+        two without H (p = 2), three with it.  A's couplings join
+        consecutive nodes j, j + 1 on the edge that leaves node j.  H joins
+        nodes up to two apart: in edge space it is D^T S D, D the edge
+        differences and S tridiagonal, s_e = psi_lo alpha_e^2 +
+        psi_hi beta_e^2 on each edge and o_j = psi_j alpha_j beta_(j-1)
+        between the two edges at node j, so its bands are
+        s_(j-1) + s_j - 2 o_j, o_j + o_(j+1) - s_j and -o_(j+1).  Nodes j
+        and j + 2 couple across a node j + 1 outside the set, in the
+        block's first band.
         """
         (c,) = self.couplings
-        ab = np.zeros((3, self.main.size), order="F")  # LAPACK's layout
+        rows = 2 if self.hessian is None else 3
+        ab = np.zeros((rows, self.main.size), order="F")  # LAPACK's layout
         ab[0] = self.main
         ab[1, :-1] = c if self.where is None else c[self.where[:-1]]
         if self.hessian is not None:
@@ -894,6 +907,7 @@ def _descend(
 
     block = _FreeBlock(kern, idx_f)
     precond = _box_preconditioner(kern, block)
+    one_d = len(block.shape) == 1
     box = block.box
     tally: Counter = Counter()
     stages: list[StageRecord] = []
@@ -932,32 +946,48 @@ def _descend(
         g_f = free_gradient(it)  # kept current with every accepted step
         while (res_rms := _rms(g_f / w_f)) > _TOL_RESIDUAL and n_it < _MAX_ITERS:
             shift = free(it.curvature())
-            # The model is the Hessian of the stage energy wherever no
-            # curvature is clipped below.  CG solves such a system to the
-            # floor at p = 2 and stops any other at the forcing term: at
-            # p != 2 the floor saved a quarter of the Newton steps but took
-            # up to four times the CG iterations and twice the time.  A 1D
-            # system is solved directly.
-            to_floor = precond is not None and params.p == 2.0 and not (shift < 0).any()
-            # Only the convex part max(F'', 0) of the potential enters the
-            # model (Nocedal & Wright, Numerical Optimization, ch. 3), so it
-            # stays SPD where F is concave (gamma < 1, away from u = 0)
-            # without stiffening there: |F''| over-damps every step, and the
-            # signed F'' is indefinite and fails the (2, 0.5) restricted run.
-            np.maximum(shift, 0.0, out=shift)
-            shift *= params.delta
-            shift *= w_f
-            M = block(it.conductances, shift, it.hessian)
-            floor, rtol = 0.0, _CG_RTOL
-            if to_floor:
-                # rounding u to float64 moves g_f by up to eps |M| |u_f|
-                # per entry, so CG need not resolve a smaller residual;
-                # 0 at a zero iterate
-                blur = abs(M) @ np.abs(free(it.u))
-                floor = np.finfo(float).eps * math.sqrt(_dot(blur, blur))
-            elif precond is not None:
-                rtol = _CG_FORCING
-            d = _solve_spd(M, g_f, precond, tally, floor, rtol)
+            concave = (shift < 0).any()  # F is concave at a free node
+            d = None
+            if concave and one_d:
+                # The model is first the Hessian of the stage energy, the
+                # signed curvature included.  Where F is concave (gamma < 1,
+                # away from u = 0) it may be indefinite; a Cholesky
+                # factorization that succeeds certifies it positive definite
+                # (Nocedal & Wright, Numerical Optimization, sec. 3.4).
+                M = block(it.conductances, shift * params.delta * w_f, it.hessian)
+                try:
+                    d = solveh_banded(M.banded(), g_f)
+                except np.linalg.LinAlgError:
+                    pass
+                else:
+                    tally["linear_solves"] += 1
+            if d is None:
+                # Otherwise only the convex part max(F'', 0) of the potential
+                # enters the model, which keeps it positive definite without
+                # stiffening it: |F''| over-damps every step.  CG cannot
+                # certify the signed model, so a 2D or 3D model is always
+                # this one.  Without clipped curvature it is the Hessian,
+                # which CG solves to the floor at p = 2; any other system CG
+                # stops at the forcing term: at p != 2 the floor saved a
+                # quarter of the Newton steps but took up to four times the
+                # CG iterations and twice the time.
+                if concave:
+                    tally["clipped_models"] += 1
+                to_floor = precond is not None and params.p == 2.0 and not concave
+                np.maximum(shift, 0.0, out=shift)
+                shift *= params.delta
+                shift *= w_f
+                M = block(it.conductances, shift, it.hessian)
+                floor, rtol = 0.0, _CG_RTOL
+                if to_floor:
+                    # rounding u to float64 moves g_f by up to eps |M| |u_f|
+                    # per entry, so CG need not resolve a smaller residual;
+                    # 0 at a zero iterate
+                    blur = abs(M) @ np.abs(free(it.u))
+                    floor = np.finfo(float).eps * math.sqrt(_dot(blur, blur))
+                elif precond is not None:
+                    rtol = _CG_FORCING
+                d = _solve_spd(M, g_f, precond, tally, floor, rtol)
             if d is None:
                 shortfall = (
                     f"linear solve non-finite at smoothing width {eps:g} "

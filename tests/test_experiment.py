@@ -15,7 +15,6 @@ import pytest
 import aplab.solver
 from aplab.core import Params, ScalarField, build_grid, report_leaves
 from aplab.energy import DiscreteEnergy
-from aplab.oracle import one_phase_profile
 from aplab.experiment import (
     CONFIG_SCHEMA,
     ConfigError,
@@ -294,19 +293,16 @@ def test_run_report_structure(tiny_result):
 
 
 def test_report_stage_records_follow_the_polish_steps():
-    # configs/degenerate_1d.json recast as the restricted-range run
-    # (p, gamma) = (2, 1/2) at n = 257, the exact profile on the walls,
-    # leaves its last stage by polish steps after the last Armijo step: the
-    # reported stage energy is still the returned field's, and the
-    # per-stage step counts add up to the total
+    # configs/degenerate_1d.json on its coarsest level, n = 17, with the
+    # ladder cut after the width 10^-4.5, whose stage there ends by a polish
+    # step after the last Armijo step: the reported stage energy is still
+    # the returned field's, and the per-stage step counts add up to the
+    # total (the growth and porosity radii grow to fit the coarse grid)
     cfg = load_config(Path(__file__).parents[1] / "configs" / "degenerate_1d.json")
-    prof = one_phase_profile(
-        Params(p=2.0, gamma=0.5, lambda_plus=1.0, lambda_minus=1.0, alpha_p=1.0)
-    )
-    cfg["problem"].update(
-        p=2.0, gamma=0.5, lambda_plus=1.0, lambda_minus=1.0, resolution=[257],
-        boundary=f"{prof.coefficient!r} * pow(max(x, 0), {prof.beta!r})",
-    )
+    cfg["problem"]["resolution"] = [17]
+    cfg["solver"] = {"eps_ladder": list(aplab.solver.DEFAULT_LADDER[:8])}
+    for key in ("growth", "porosity"):
+        cfg["diagnostics"][key]["radii"] = [0.25, 0.5]
     result = run_experiment(cfg)
     solve = result.report["solve"]
     stages = result.solve.stages

@@ -296,12 +296,12 @@ def test_fixed_pattern_refills_match_a_fresh_build(shape):
         full = _coo_operator(kern, kappas)
         want = (full[nodes][:, nodes] + sp.diags(shift)).tocsr()
         if len(shape) == 1:
-            # the diagonal, the coupling of each node to the next, and none
-            # to the one after without the Hessian's rank-one part
+            # the diagonal and the coupling of each node to the next: no
+            # band to the one after without the Hessian's rank-one part
             ab = got.banded()
+            assert ab.shape == (2, nodes.size)
             assert np.array_equal(ab[0], want.diagonal())
             assert np.array_equal(ab[1, :-1], want.diagonal(1))
-            assert not ab[2].any()
         got = got.tocsr()
         assert got.format == "csr"
         _assert_same_csr(got, want)
@@ -600,13 +600,16 @@ def test_banded_solve_matches_superlu(subset, p, shift):
     kern, M, b = _newton_system(grid, p, nodes, shift)
     assert isinstance(M, _Stencil)
     assert _box_preconditioner(kern, _FreeBlock(kern, nodes)) is None
-    # dpbsv's three bands are the CSR block's: bit for bit without the
-    # Hessian's rank-one part (p = 2), whose CSR sums it in another order
+    # dpbsv's bands are the CSR block's: two, bit for bit, without the
+    # Hessian's rank-one part (p = 2), and three with it, whose CSR sums it
+    # in another order
     csr = M.tocsr()
     ab = M.banded()
-    bands = (ab[0], ab[1, :-1], ab[2, :-2])
+    assert ab.shape == (2 if p == 2.0 else 3, nodes.size)
+    bands = tuple(ab[k, : nodes.size - k] for k in range(ab.shape[0]))
     want = tuple(csr.diagonal(k) for k in range(3))
     if p == 2.0:
+        assert not want[2].any()
         assert all(_same_bits(got, w) for got, w in zip(bands, want))
     else:
         scale = np.max(np.abs(want[0]))
@@ -620,7 +623,8 @@ def test_banded_solve_matches_superlu(subset, p, shift):
     across = bands[1][gaps == 2]
     assert across.size == (subset is _gapped)
     assert (across != 0.0).all() if p != 2.0 else not across.any()
-    assert not bands[2][nodes[2:] - nodes[:-2] > 2].any()
+    if p != 2.0:
+        assert not bands[2][nodes[2:] - nodes[:-2] > 2].any()
     tally = Counter()
     x = spsolve(M, b, None, tally)
     want = spla.spsolve(csr, b)
@@ -1006,34 +1010,117 @@ def test_exact_newton_model_converges_fast_on_every_finer_level(
 
 
 def test_newton_model_step_count_on_the_restricted_run(restricted_cases):
-    # the convex-part curvature model max(F'', 0) takes 517 steps on this
-    # run; the stiffer |F''| model took 975
+    # the signed model, wherever the banded Cholesky accepts it, takes 126
+    # steps on this run; the convex-part model max(F'', 0) alone took 517,
+    # and the stiffer |F''| model 975
     res = restricted_cases[(2.0, 0.5)].result
-    assert res.n_iterations <= 600
+    assert res.n_iterations <= 150
     assert res.work["linear_solves"] == res.n_iterations
 
 
-def test_restricted_run_records_polish_and_capped_stages(
-    restricted_cases_fine, monkeypatch
+def test_signed_newton_model_gain_on_the_fine_restricted_runs(restricted_cases_fine):
+    # with the signed curvature wherever the banded Cholesky accepts it,
+    # (2, 0.5) at n = 2049 takes 137 steps over all levels (the clipped
+    # model alone took 627), and (1.5, 0.3) converges in 233 (it stopped
+    # at the polish exit after 1166)
+    gain = restricted_cases_fine[(2.0, 0.5)].result
+    assert gain.converged and gain.n_iterations <= 150
+    slow = restricted_cases_fine[(1.5, 0.3)].result
+    assert slow.converged and slow.stages[-1].exit == "tolerance"
+    for res in (gain, slow):
+        assert 0 < res.work["clipped_models"] < res.n_iterations
+        assert res.work["linear_solves"] == res.n_iterations
+        assert res.work["superlu_solves"] == 0
+
+
+def _refuse_signed_blocks(monkeypatch) -> list:
+    # dpbsv refuses every block whose shift has a negative entry, as it
+    # would an indefinite one; returns the sizes of the refused systems
+    made, refused = [], []
+    real_block, real_solve = _FreeBlock.__call__, aplab.solver.solveh_banded
+
+    def block(self, kappas, shift=0.0, hessian=None):
+        made.append(bool(np.any(np.asarray(shift) < 0.0)))
+        return real_block(self, kappas, shift, hessian)
+
+    def solve(ab, b):
+        if made[-1]:
+            refused.append(b.size)
+            raise np.linalg.LinAlgError("refused")
+        return real_solve(ab, b)
+
+    monkeypatch.setattr(_FreeBlock, "__call__", block)
+    monkeypatch.setattr(aplab.solver, "solveh_banded", solve)
+    return refused
+
+
+def test_a_refused_signed_block_falls_back_to_the_clipped_model(monkeypatch):
+    # every signed block refused: each such step is solved once more on the
+    # clipped block, by dpbsv and never by SuperLU, and the solve takes the
+    # clipped model's 306 steps on (2, 0.5) at n = 129
+    refused = _refuse_signed_blocks(monkeypatch)
+    par = Params(p=2.0, gamma=0.5, lambda_plus=1.0, lambda_minus=1.0, alpha_p=1.0)
+    res = minimize(_profile_start(par, 129), par)
+    assert res.converged and res.n_iterations == 306
+    assert res.work["clipped_models"] == len(refused) > 0
+    assert res.work["linear_solves"] == res.n_iterations
+    assert res.work["superlu_solves"] == 0
+
+
+def test_a_convex_potential_solve_is_the_clipped_models(
+    convex_1d, degenerate_1d, monkeypatch
 ):
-    # (1.5, 0.3) at n = 2049 leaves its last stage by the polish exit, which
-    # is why it stops short of the residual tolerance; with the step cap
-    # cut to 150, the same run at n = 1025 runs out of Newton steps on its
-    # finer levels instead
-    fine = restricted_cases_fine[(1.5, 0.3)].result
-    assert fine.stages[-1].exit == "polish" and not fine.converged
-    assert fine.shortfall == (
-        f"polish exit at smoothing width 1e-05 (residual rms {fine.residual_rms:.3e})"
+    # gamma >= 1: F'' >= 0 everywhere, so no step forms a signed block and
+    # the solve is the clipped-only model's, bit for bit
+    refused = _refuse_signed_blocks(monkeypatch)
+    for case in (convex_1d, degenerate_1d):
+        res = minimize(_profile_start(case.params, 1025), case.params)
+        assert np.array_equal(res.field.values, case.result.field.values)
+        assert res.n_iterations == case.result.n_iterations
+        assert res.work["clipped_models"] == case.result.work["clipped_models"] == 0
+    assert refused == []
+
+
+@pytest.mark.parametrize("n", [5, 33, 2047])
+def test_two_band_storage_solves_as_three_bands_with_a_zero_band(n):
+    # at p = 2 dpbsv factors the block at one band, not two: the same
+    # solution, bit for bit, on random SPD tridiagonal systems
+    rng = np.random.default_rng(n)
+    off = -rng.random(n)
+    ab = np.zeros((3, n), order="F")
+    ab[0] = 2.0 + rng.random(n)
+    ab[1, :-1] = off[:-1]
+    b = rng.standard_normal(n)
+    x = aplab.solver.solveh_banded(np.asfortranarray(ab[:2]), b)
+    assert np.array_equal(x, aplab.solver.solveh_banded(ab, b))
+
+
+def test_restricted_run_records_polish_and_capped_stages(degenerate_1d, monkeypatch):
+    # no bundled run leaves a stage by the polish exit, but a tolerance of 0,
+    # below float rounding, leaves every stage of degenerate_1d's problem
+    # (n = 65) there: once the energy is flat to rounding the polish runs
+    # until the residual stops contracting, and the solve stops short; with
+    # the step cap cut to 2, the same problem at n = 1025 runs out of Newton
+    # steps on most stages instead
+    par = degenerate_1d.params
+    with monkeypatch.context() as patch:
+        patch.setattr(aplab.solver, "_TOL_RESIDUAL", 0.0)
+        polished = minimize(_profile_start(par, 65), par)
+        assert not polished.converged
+    assert [s.exit for s in polished.stages] == ["polish"] * 11
+    assert polished.work["polish_steps"] > 0
+    assert polished.shortfall == (
+        f"polish exit at smoothing width 1e-05 "
+        f"(residual rms {polished.residual_rms:.3e})"
     )
-    par = restricted_cases_fine[(1.5, 0.3)].params
-    monkeypatch.setattr(aplab.solver, "_MAX_ITERS", 150)
+    monkeypatch.setattr(aplab.solver, "_MAX_ITERS", 2)
     short = minimize(_profile_start(par, 1025), par)
     assert short.stages[-1].exit == "step_cap" and not short.converged
     assert short.shortfall == (
         f"step_cap exit at smoothing width 1e-05 (residual rms {short.residual_rms:.3e})"
     )
-    capped = [s for s in fine.stages + short.stages if s.exit == "step_cap"]
-    assert len(capped) > 1 and all(s.n_iters == 150 for s in capped)
+    capped = [s for s in short.stages if s.exit == "step_cap"]
+    assert len(capped) > 1 and all(s.n_iters == 2 for s in capped)
 
 
 def test_minimize_is_deterministic():
