@@ -25,9 +25,10 @@ the convex part max(F'', 0) (Newton with Hessian modification, Nocedal &
 Wright, Numerical Optimization, sec. 3.4).  The model is the Hessian of
 the stage energy on every step that clips no curvature.  A line search
 that collapses below the step floor is a stall, and so is a Newton system
-with no finite solution; a stall ends its level's ladder.  A coarse level
-that stops short only supplies the start of the next; the finest level's
-partial result is returned with a message that says where it stopped.
+with no finite solution or whose solution is not a descent direction; a
+stall ends its level's ladder.  A coarse level that stops short only
+supplies the start of the next; the finest level's partial result is
+returned with a message that says where it stopped.
 
 Each line-search trial is one ``DiscreteEnergy.at`` state.  The trial
 Armijo accepts becomes the next iterate, and the gradient, conductances,
@@ -35,19 +36,19 @@ Hessian terms and curvature of the next Newton step come from that same
 state, so nothing is evaluated twice for one field.
 
 Every linear system but the signed 1D model is symmetric positive
-definite and goes through ``spsolve``.  Its pattern is built once per
-grid level; each Newton step refills only the values, and only the shift
-when the conductances are those of the step before (at p = 2 they are
-the kernel's, the same for every iterate, and there are no rank-one
-terms).  In every dimension the system is a stencil, never a matrix: its
-diagonal and one coupling per edge, which CG applies on grid-shaped arrays
-in the order of a CSR product, bit for bit, and at p != 2 the node
-weights and edge factors of the rank-one terms, applied in two more
-passes over the edges.  A 1D system is tridiagonal at p = 2 and
-pentadiagonal otherwise (the rank-one terms couple nodes two apart, also
-across one node outside the set); its two or three bands go to LAPACK's
-banded Cholesky (``dpbsv``), the signed model's directly, and a signed
-model that ``dpbsv`` refuses is solved again on the clipped one.  A 2D
+definite and goes through ``spsolve``.  In every dimension the system is
+a stencil, never a matrix: one coefficient array per offset between
+coupled nodes, the diagonal and each axis's unit at p = 2, and at p != 2
+also the offsets 2 e_a and e_a +- e_b of the rank-one terms, filled once
+per Newton step from the conductances and the Hessian terms (once per
+grid level at p = 2, where the conductances are the kernel's).  Its
+product, diagonal, bands and CSR form all read those arrays, and the
+product adds in the order of a CSR product, bit for bit.  A 1D system
+is tridiagonal at p = 2 and pentadiagonal otherwise (the rank-one terms
+couple nodes two apart, also across one node outside the set); its two
+or three bands go to LAPACK's banded Cholesky (``dpbsv``), the signed
+model's directly, and a signed model that ``dpbsv`` refuses is solved
+again on the clipped one, which differs only in its diagonal.  A 2D
 or 3D system whose nodes all lie strictly inside the box is solved by
 conjugate gradients preconditioned with a fast Poisson solve: the
 constant-coefficient Laplacian of the interior box, inverted by DST-I,
@@ -64,12 +65,11 @@ residual of 0.1 relative to the gradient, the inexact Newton step that
 keeps the descent's convergence (Dembo, Eisenstat & Steihaug, SIAM J.
 Numer. Anal. 19, 1982; Eisenstat & Walker, SIAM J. Sci. Comput. 17,
 1996); at p != 2 that was cheaper than the floor.  SuperLU is the
-counted fallback, and the only consumer of a CSR matrix, gathered from
-the stencil through its pattern by ``tocsr()``, with the rank-one terms
-added as a sparse product: it takes a 2D or 3D system with a node on a
-box face, a clipped 1D system that ``dpbsv`` finds not positive
-definite, a system on which CG breaks down or reaches its iteration cap,
-and the diagonal-lift retry of a non-finite solve.  Inner products are
+counted fallback, and the only consumer of a CSR matrix, converted from
+the stencil's coefficients by ``tocsr()``: it takes a 2D or 3D system
+with a node on a box face, a clipped 1D system that ``dpbsv`` finds not
+positive definite, a system on which CG breaks down or reaches its
+iteration cap, and the diagonal-lift retry of a non-finite solve.  Inner products are
 plain ``np.sum`` reductions, not BLAS, so a solve does not depend on the
 number of BLAS threads.
 
@@ -152,7 +152,8 @@ STAGE_EXITS = (
     "tolerance",  # the residual met _TOL_RESIDUAL
     "step_cap",  # _MAX_ITERS Newton steps were taken
     "polish",  # the residual-monotone polish stopped contracting
-    "stall",  # a failed line search far from criticality, or no finite solve
+    "stall",  # a failed line search far from criticality, no finite solve,
+    # or a Newton direction that is not a descent direction
 )
 
 
@@ -164,7 +165,6 @@ WORK_COUNTERS = (
     "cg_forcing_stops",  # CG solves stopped by the inexact-Newton forcing term
     "superlu_solves",  # fallback solves: CG misses, 1D non-SPD, lifts
     "lift_retries",  # non-finite solves retried with a lifted diagonal
-    "gradient_fallbacks",  # non-descent Newton directions replaced
     "backtracks",  # Armijo trials rejected, those of a failed search included
     "polish_steps",  # accepted residual-monotone polish steps
     "clipped_models",  # Newton steps whose model dropped the concave part of F''
@@ -238,18 +238,23 @@ class _FreeBlock:
     ``_Stencil``, in every dimension.
 
     A is the diffusion operator (A v)_i = sum_edges kappa (v_i - v_j), and
-    H the rank-one part of the Dirichlet Hessian, sum_i psi_i grad q_i
-    grad q_i^T (``Iterate.hessian``; None at p = 2, where it vanishes), so
-    that A + H is the Hessian of the Dirichlet energy.  The pattern is built
-    once per node set.  A call splits the block into its Dirichlet part
-    (the diagonal diag(A) and the couplings, which depend only on the
-    conductances), the shift, and H, which the stencil takes as it comes.
-    The block keeps the Dirichlet part of its last call, keyed by the
-    identity of the conductance tuple, so a call with the same conductances
-    (the kernel's at p = 2) only adds the shift to the kept diagonal: the
-    same addition on the same operands, so the same block, bit for bit.  The
-    conductances must not change in place between calls, and the kept
-    couplings are read-only.
+    H the rank-one part of the Dirichlet Hessian, sum_k psi_k g_k g_k^T
+    with g_k = grad q_k (``Iterate.hessian``; None at p = 2, where it
+    vanishes), so that A + H is the Hessian of the Dirichlet energy.  The
+    block is one coefficient array per upper offset d between coupled
+    nodes (d >= 0 in flat order): the diagonal d = 0 and each axis's unit
+    e_a for A, and for H also 2 e_a and e_a +- e_b.  g_k lives on k and
+    k +- e_a, so entry (k + s, k + t) gains psi_k g_k[s] g_k[t]: 6 pair
+    products in 1D, 15 in 2D and 28 in 3D, over slices planned here once.
+
+    A call splits the block into its Dirichlet part A + H, which depends
+    only on the conductances and the Hessian terms, and the shift.  The
+    block keeps the Dirichlet part of its last call, keyed by the identity
+    of both, so a call with the same ones (the kernel's conductances at
+    p = 2, or the same iterate's twice) only adds the shift to the kept
+    diagonal: the same addition on the same operands, so the same block,
+    bit for bit.  The conductances and Hessian terms must not change in
+    place between calls, and the kept coefficients are read-only.
 
     ``in_box`` and ``box`` are decided once here.  ``in_box`` holds each
     node's flat position in the interior box of the grid, in the nodes'
@@ -259,24 +264,20 @@ class _FreeBlock:
     order; otherwise it is None.  ``minimize`` and ``_box_preconditioner``
     read them.
 
-    The diagonal is summed over the whole grid, axis by axis and lower end
-    first, the order in which COO->CSR would sum duplicate entries, and the
-    couplings are -kappa, so the stencil's ``tocsr()`` is bit for bit the
-    matrix COO->CSR makes of the (main, upper, lower) entries of A plus
-    the shift.  When the nodes fill the interior box the stencil works on
-    the box; otherwise it works on the whole grid, with the couplings of
-    edges that leave the node set zeroed (the pattern is each axis's mask
-    of edges with both ends in the set).  H always works on the whole grid,
-    whose every node has a q.  The CSR pattern ``tocsr()`` gathers through
-    is built on its first use, once per node set, and in 1D ``taps``
-    pick the block's entries out of H's bands on the whole grid.
+    When the nodes fill the interior box the stencil works on the box;
+    otherwise it works on the whole grid, with each coefficient zeroed
+    where an end of its pair leaves the node set.  The diagonal of A is
+    summed on the whole grid, axis by axis and lower end first, the order
+    in which COO->CSR sums the duplicates of A's edge-by-edge assembly,
+    and A's couplings are -kappa.  H's pair products are added to them
+    over every k of the whole grid, whose every node has a q.
     """
 
     def __init__(self, kern: DiscreteEnergy, nodes: np.ndarray):
         self.nodes = nodes
         self.shape = kern.weights.shape
         self.edges = [axis[:2] for axis in kern.axes]  # the whole grid's (lo, hi)
-        self._kept = None  # (conductances, diagonal, couplings)
+        self._kept = None  # (conductances, Hessian terms, diagonal, coefficients)
         inside = np.zeros(self.shape, dtype=bool)
         inside.reshape(-1)[nodes] = True
         inner = (slice(1, -1),) * len(self.shape)  # the box, in nodes and edges
@@ -286,32 +287,45 @@ class _FreeBlock:
         self.box = inner if self.in_box is not None and fills.all() else None
         if self.box is None:
             self.where, self.grid = nodes, self.shape
-            self.keep = [inside[lo] & inside[hi] for lo, hi in self.edges]
         else:
             self.where, self.grid = None, fills.shape
-        self.ends = _ends(self.grid)  # the stencil's
-        self._pattern = None
-        if len(self.shape) == 1:
-            self.taps = self._taps(self.shape[0])
-
-    def _taps(self, n: int) -> tuple:
-        """Where the three bands of a 1D block with H lie in the whole grid's.
-
-        The whole grid's bands are a (3, n) array whose row g holds each
-        node's coupling to the g-th next node and whose last entry is 0.
-        The taps are the flat positions of the nodes' diagonal entries, of
-        their couplings to the next node of the set and of those to the
-        one after, or the last entry where the two are more than two apart:
-        slices when the nodes fill the interior.
-        """
-        nodes = self.nodes
-        if self.box is not None:
-            return slice(1, n - 1), slice(n + 1, 2 * n - 2), slice(2 * n + 1, 3 * n - 3)
-        taps = [nodes]
-        for k in (1, 2):
-            gap = nodes[k:] - nodes[:-k]
-            taps.append(np.where(gap <= 2, gap * n + nodes[:-k], 3 * n - 1))
-        return tuple(taps)
+        ndim = len(self.shape)
+        self.zero = (0,) * ndim
+        self.units = [tuple(int(b == a) for b in range(ndim)) for a in range(ndim)]
+        # g_k's entries sit at k + s for s in 0 and +-e_a, in flat order;
+        # g[s] is stored over the k with k + s on the grid
+        minus = [tuple(-x for x in e) for e in self.units]
+        steps = sorted([self.zero, *self.units, *minus])
+        self.support = {s: _ends(self.shape, s)[0] for s in steps}
+        # each pair's k: on the grid, with k + s and k + t on the stencil's
+        # grid, which starts at node o of the whole one
+        o = 0 if self.box is None else 1
+        self.pairs = []  # (s, t, d, slices of k in g[s], in g[t], k + s in C_d)
+        for i, s in enumerate(steps):
+            for t in steps[i:]:
+                d = tuple(b - a for a, b in zip(s, t))
+                cuts = ([], [], [])
+                for n, sa, ta, da in zip(self.shape, s, t, d):
+                    lo = max(0, o - sa, o - ta)
+                    hi = max(lo, n - max(0, o + sa, o + ta))
+                    # where each array starts; C_d at the stencil's max(0, -d)
+                    starts = (max(0, -sa), max(0, -ta), o + max(0, -da) - sa)
+                    for cut, at in zip(cuts, starts):
+                        cut.append(slice(lo - at, hi - at))
+                self.pairs.append((s, t, d, *map(tuple, cuts)))
+        offsets = sorted({d for _, _, d, *_ in self.pairs} - {self.zero})
+        self.ends = {d: _ends(self.grid, d) for d in offsets}  # the stencil's
+        if self.box is None:
+            self.keep = {d: inside[lo] & inside[hi]
+                         for d, (lo, hi) in self.ends.items()}
+        if ndim == 1 and self.box is None:
+            # where the bands' entries lie in C_1, C_2 and a trailing 0 laid
+            # end to end: nodes one apart couple in C_1, two apart in C_2
+            n, lo = self.shape[0], nodes[:-1]
+            gap, z = nodes[1:] - lo, 2 * n - 3
+            near = np.where(gap == 1, lo, np.where(gap == 2, n - 1 + lo, z))
+            after = np.where(nodes[2:] - nodes[:-2] == 2, n - 1 + nodes[:-2], z)
+            self.taps = (near, after)
 
     def gather(self, a: np.ndarray) -> np.ndarray:
         """A whole-grid array's values on the nodes, in order."""
@@ -319,113 +333,78 @@ class _FreeBlock:
             return a.reshape(-1)[self.nodes]
         return a[self.box].reshape(-1)
 
-    def scatter(self, x: np.ndarray) -> np.ndarray:
-        """Values on the nodes as a whole-grid array, 0 elsewhere."""
-        v = np.zeros(self.shape)
-        if self.box is None:
-            v.reshape(-1)[self.nodes] = x
-        else:
-            v[self.box] = x.reshape(self.grid)
-        return v
-
-    def _dirichlet(self, kappas) -> tuple[np.ndarray, list]:
-        """The diagonal diag(A) on the nodes and the couplings."""
+    def _coefficients(self, kappas, hessian) -> tuple[np.ndarray, dict]:
+        """The diagonal of A + H on the nodes and its upper coefficients."""
+        zero, box = self.zero, (... if self.box is None else self.box)
         diag = np.zeros(self.shape)
         for (lo, hi), kap in zip(self.edges, kappas):
             diag[lo] += kap
             diag[hi] += kap
-        if self.where is None:
-            inner = self.box
-            return diag[inner].reshape(-1), [-kap[inner] for kap in kappas]
-        return diag.reshape(-1)[self.nodes], [
-            np.where(keep, -kap, 0.0) for keep, kap in zip(self.keep, kappas)
-        ]
+        coef = {zero: diag[box], **{e: -kap[box] for kap, e in zip(kappas, self.units)}}
+        if hessian is not None:
+            psi, factors = hessian
+            g = {zero: np.zeros(self.shape)}
+            for (lo, hi), (alpha, beta), e in zip(self.edges, factors, self.units):
+                g[zero][lo] -= alpha
+                g[zero][hi] += beta
+                g[e], g[tuple(-x for x in e)] = alpha, np.negative(beta)
+            pg = {s: psi[self.support[s]] * gs for s, gs in g.items()}
+            for s, t, d, ks, kt, kd in self.pairs:
+                if d not in coef:
+                    size = [max(0, n - abs(a)) for n, a in zip(self.grid, d)]
+                    coef[d] = np.zeros(size)
+                coef[d][kd] += pg[s][ks] * g[t][kt]
+        main = coef.pop(zero).reshape(-1)
+        if self.box is None:
+            return main[self.nodes], {
+                d: np.where(self.keep[d], coef[d], 0.0) for d in self.ends if d in coef
+            }
+        return main, {d: coef[d] for d in self.ends if d in coef}
 
     def __call__(self, kappas, shift=0.0, hessian=None) -> _Stencil:
         kept = self._kept
-        if kept is None or kept[0] is not kappas:
-            base, couplings = self._dirichlet(kappas)
-            for c in couplings:
+        if kept is None or kept[0] is not kappas or kept[1] is not hessian:
+            base, coef = self._coefficients(kappas, hessian)
+            for c in coef.values():
                 c.flags.writeable = False
-            kept = self._kept = (kappas, base, couplings)
-        _, base, couplings = kept
-        return _Stencil(base + shift, couplings, self, hessian)
-
-    def csr_pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(source, indices, indptr) of the block as CSR, built once.
-
-        Row by row with columns sorted, every edge of the node set stored
-        (a zero coupling included); entry e of the CSR data is entry
-        ``source[e]`` of the block's diagonal followed by its raveled
-        couplings.
-        """
-        if self._pattern is None:
-            m = self.nodes.size
-            at = np.arange(m)
-            pos = np.full(self.grid, -1)  # block index of each grid node, -1 if outside
-            pos.reshape(-1)[at if self.where is None else self.where] = at
-            rows, cols, taps = [], [], []
-            offset = m  # where the axis's couplings start after the diagonal
-            for lo, hi in self.ends:
-                i, j = pos[lo], pos[hi]
-                both = (i >= 0) & (j >= 0)
-                rows.append(i[both])
-                cols.append(j[both])
-                taps.append(offset + np.flatnonzero(both))
-                offset += both.size
-            i, j, k = np.concatenate(rows), np.concatenate(cols), np.concatenate(taps)
-            row = np.concatenate((at, i, j))
-            col = np.concatenate((at, j, i))
-            # rows in turn, columns sorted; the keys are distinct, and a stable
-            # sort takes the runs they already come in
-            order = np.argsort(row * m + col, kind="stable")
-            indptr = np.zeros(m + 1, dtype=np.int32)
-            np.cumsum(np.bincount(row, minlength=m), out=indptr[1:])
-            self._pattern = (
-                np.concatenate((at, k, k))[order], col[order].astype(np.int32), indptr
-            )
-        return self._pattern
+            kept = self._kept = (kappas, hessian, base, coef)
+        return _Stencil(kept[2] + shift, kept[3], self)
 
 
-def _ends(shape: tuple[int, ...]) -> list[tuple[tuple, tuple]]:
-    """Each axis's (lower, upper) edge-end slices on a grid of ``shape``."""
-    ends = []
-    for a, n in enumerate(shape):
-        lead = (slice(None),) * a
-        ends.append((lead + (slice(0, n - 1),), lead + (slice(1, n),)))
-    return ends
+def _ends(shape: tuple[int, ...], d: tuple[int, ...]) -> tuple[tuple, tuple]:
+    """The slices of the lower and upper ends r, r + d of every node pair
+    at offset ``d`` on a grid of ``shape``."""
+    lo = tuple(slice(max(0, -a), n - max(0, a)) for n, a in zip(shape, d))
+    hi = tuple(slice(max(0, a), n - max(0, -a)) for n, a in zip(shape, d))
+    return lo, hi
 
 
 class _Stencil:
     """A Newton block, applied as a stencil on a grid array.
 
-    ``main`` is the diagonal of A plus the shift and ``couplings`` holds one
-    array per axis, the off-diagonal entry of A on each edge of the grid
-    array of shape ``grid`` that the block works on, +0 on an edge with an
-    end outside the node set; ``where`` is each node's flat position in
-    that array, None when the nodes fill it.  ``hessian`` is H's
-    (psi, factors) on the whole grid, or None.  The grid, the edge slices
-    and the CSR pattern are the ``_FreeBlock``'s that made it.
+    ``main`` is the diagonal and ``coef`` maps each upper offset d, in
+    flat order, to the array of entries (r, r + d) over the r of the grid
+    array of shape ``grid`` that the block works on, +0 where an end lies
+    outside the node set; ``where`` is each node's flat position in that
+    array, None when the nodes fill it.  The grid and each offset's end
+    slices are the ``_FreeBlock``'s that made it.  Every operation reads
+    only these coefficients.
 
-    ``M @ x`` adds to +0.0, node by node, the lower neighbours' terms from
-    axis 0 to the last, the diagonal term, then the upper neighbours' terms
-    from the last axis to axis 0: the ascending-column order in which
-    scipy's CSR product adds a row, so without H the product equals
-    ``M.tocsr() @ x`` bit for bit.  H is applied without a matrix, in two
-    passes over the edges: grad q_i . x at every node, then the transpose.
-    ``diagonal()`` includes H's diagonal.  ``abs(M)`` has the absolute
-    entries of a block without H, ``M.tocsr()`` gathers the CSR block for
-    SuperLU and adds H as G^T diag(psi) G, G's row i being grad q_i on the
-    nodes, and in 1D ``M.banded()`` gives the block's bands to LAPACK.
+    ``M @ x`` adds to +0.0, node by node, the terms of the lower offsets
+    from the largest to the smallest, the diagonal term, then those of the
+    upper offsets from the smallest to the largest: the ascending-column
+    order in which scipy's CSR product adds a row, so the product equals
+    ``M.tocsr() @ x`` bit for bit.  ``abs(M)`` has the absolute entries,
+    ``M.tocsr()`` converts the entries between nodes of the set from COO
+    for SuperLU, and in 1D ``M.banded()`` gives the block's bands to
+    LAPACK.
     """
 
-    def __init__(self, main, couplings, block: _FreeBlock, hessian=None):
+    def __init__(self, main, coef, block: _FreeBlock):
         self.main = main
-        self.couplings = couplings
+        self.coef = coef
         self.block = block
-        self.hessian = hessian
         self.grid = block.grid
-        self.ends = block.ends
         self.where = block.where
         self.shape = (main.size, main.size)
         if self.where is None:
@@ -435,24 +414,7 @@ class _Stencil:
             self.on_grid.reshape(-1)[self.where] = main
 
     def diagonal(self) -> np.ndarray:
-        if self.hessian is None:
-            return self.main
-        return self.main + self.block.gather(self._hessian_diagonal())
-
-    def _hessian_diagonal(self) -> np.ndarray:
-        """H's diagonal on the whole grid: sum_i psi_i (d q_i / d u_j)^2."""
-        psi, factors = self.hessian
-        own = np.zeros(psi.shape)  # d q_j / d u_j
-        diag = np.zeros(psi.shape)
-        for (lo, hi), (alpha, beta) in zip(self.block.edges, factors):
-            own[lo] -= alpha
-            own[hi] += beta
-            diag[hi] += psi[lo] * alpha * alpha
-            diag[lo] += psi[hi] * beta * beta
-        own *= own
-        own *= psi
-        diag += own
-        return diag
+        return self.main
 
     def banded(self) -> np.ndarray:
         """A 1D block in LAPACK's lower band storage, for ``dpbsv``.
@@ -460,51 +422,28 @@ class _Stencil:
         Row k holds each node's coupling to the k-th next node of the set
         (row 0 the diagonal), +0 where the two share no term; the rows'
         unused tails are 0.  There are as many rows as the block has bands:
-        two without H (p = 2), three with it.  A's couplings join
-        consecutive nodes j, j + 1 on the edge that leaves node j.  H joins
-        nodes up to two apart: in edge space it is D^T S D, D the edge
-        differences and S tridiagonal, s_e = psi_lo alpha_e^2 +
-        psi_hi beta_e^2 on each edge and o_j = psi_j alpha_j beta_(j-1)
-        between the two edges at node j, so its bands are
-        s_(j-1) + s_j - 2 o_j, o_j + o_(j+1) - s_j and -o_(j+1).  Nodes j
-        and j + 2 couple across a node j + 1 outside the set, in the
-        block's first band.
+        two without H (p = 2), three with it, whose C_2 couples nodes two
+        apart, also across one node outside the set, in the first band.
         """
-        (c,) = self.couplings
-        rows = 2 if self.hessian is None else 3
+        rows = 2 + ((2,) in self.coef)
         ab = np.zeros((rows, self.main.size), order="F")  # LAPACK's layout
         ab[0] = self.main
-        ab[1, :-1] = c if self.where is None else c[self.where[:-1]]
-        if self.hessian is not None:
-            psi, ((alpha, beta),) = self.hessian
-            n = psi.size
-            pa = psi[:-1] * alpha
-            s = np.zeros(n + 1)  # s_e at e + 1, with 0 at both ends
-            np.multiply(pa, alpha, out=s[1:-1])
-            t = psi[1:] * beta
-            t *= beta
-            s[1:-1] += t
-            o = np.zeros(n)  # o_j at node j, 0 at both ends
-            np.multiply(pa[1:], beta[:-1], out=o[1:-1])
-            # the whole grid's bands, by distance; row 2's last entry is 0
-            bands = np.empty((3, n))
-            np.add(s[:-1], s[1:], out=bands[0])
-            bands[0] -= o
-            bands[0] -= o
-            np.add(o[:-1], o[1:], out=bands[1, :-1])
-            bands[1, :-1] -= s[1:-1]
-            np.negative(o[1:], out=bands[2, :-1])
-            bands[1:, -1] = 0.0
-            diag, near, after = self.block.taps
-            bands = bands.reshape(-1)
-            ab[0] += bands[diag]
-            ab[1, :-1] += bands[near]
-            ab[2, :-2] = bands[after]
+        c1, c2 = self.coef[(1,)], self.coef.get((2,))
+        if self.where is None:
+            ab[1, :-1] = c1
+            if c2 is not None:
+                ab[2, :-2] = c2
+        else:
+            if c2 is None:
+                c2 = np.zeros(c1.size - 1)
+            flat = np.concatenate((c1, c2, [0.0]))
+            for k, tap in zip(range(1, rows), self.block.taps):
+                ab[k, :-k] = flat[tap]
         return ab
 
     def __abs__(self) -> _Stencil:
-        couplings = [np.abs(c) for c in self.couplings]
-        return _Stencil(np.abs(self.main), couplings, self.block)
+        coef = {d: np.abs(c) for d, c in self.coef.items()}
+        return _Stencil(np.abs(self.main), coef, self.block)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         if self.where is None:
@@ -512,69 +451,38 @@ class _Stencil:
         else:
             v = np.zeros(self.grid)
             v.reshape(-1)[self.where] = x
+        ends = self.block.ends
+        coef = list(self.coef.items())
         y = np.zeros(self.grid)
-        for (lo, hi), c in zip(self.ends, self.couplings):
+        for d, c in reversed(coef):
+            lo, hi = ends[d]
             y[hi] += c * v[lo]
         y += self.on_grid * v
-        for (lo, hi), c in zip(self.ends[::-1], self.couplings[::-1]):
+        for d, c in coef:
+            lo, hi = ends[d]
             y[lo] += c * v[hi]
         y = y.reshape(-1)
-        if self.where is not None:
-            y = y[self.where]
-        if self.hessian is not None:
-            y += self._hessian_product(x)
-        return y
-
-    def _hessian_product(self, x: np.ndarray) -> np.ndarray:
-        """H @ x: s = psi (grad q_i . x) at every node, then G^T s."""
-        psi, factors = self.hessian
-        block = self.block
-        v = block.scatter(x)
-        s = np.zeros(psi.shape)
-        for (lo, hi), (alpha, beta) in zip(block.edges, factors):
-            dv = v[hi] - v[lo]
-            s[lo] += alpha * dv
-            s[hi] += beta * dv
-        s *= psi
-        y = np.zeros(psi.shape)
-        for (lo, hi), (alpha, beta) in zip(block.edges, factors):
-            t = alpha * s[lo]
-            t += beta * s[hi]
-            y[hi] += t
-            y[lo] -= t
-        return block.gather(y)
+        return y if self.where is None else y[self.where]
 
     def tocsr(self) -> sp.csr_matrix:
-        """The block as CSR, one gather through the block's pattern, plus H."""
+        """The block as CSR: its entries between nodes of the set, once."""
         import scipy.sparse as sp
 
-        source, indices, indptr = self.block.csr_pattern()
-        values = np.concatenate((self.main, *(c.reshape(-1) for c in self.couplings)))
-        # the matrix gets its own index arrays: scipy may sort or sum in place
-        csr = sp.csr_matrix(
-            (values[source], indices.copy(), indptr.copy()), shape=self.shape
-        )
-        if self.hessian is None:
-            return csr
-        # G's row i is grad q_i on the nodes: the edge's factor at i times
-        # -1 at its lower and +1 at its upper node, duplicates summed
-        psi, factors = self.hessian
-        n, m = psi.size, self.main.size
-        col_of = np.full(n, -1)
-        col_of[self.block.nodes] = np.arange(m)
-        at = np.arange(n).reshape(psi.shape)
-        rows, cols, vals = [], [], []
-        for (lo, hi), (alpha, beta) in zip(self.block.edges, factors):
-            i, j = at[lo].reshape(-1), at[hi].reshape(-1)
-            a, b = alpha.reshape(-1), beta.reshape(-1)
-            rows += [i, i, j, j]
-            cols += [i, j, i, j]
-            vals += [-a, a, -b, b]
-        row, col, val = (np.concatenate(x) for x in (rows, cols, vals))
-        col = col_of[col]
-        on = col >= 0
-        G = sp.csr_matrix((val[on], (row[on], col[on])), shape=(n, m))
-        return (csr + G.T @ sp.diags(psi.reshape(-1)) @ G).tocsr()
+        m = self.main.size
+        at = np.arange(m)
+        pos = np.full(self.grid, -1)  # block index of each grid node, -1 if outside
+        pos.reshape(-1)[at if self.where is None else self.where] = at
+        rows, cols, vals = [at], [at], [self.main]
+        for d, c in self.coef.items():
+            lo, hi = self.block.ends[d]
+            i, j = pos[lo], pos[hi]
+            both = (i >= 0) & (j >= 0)
+            i, j, c = i[both], j[both], c[both]
+            rows += [i, j]
+            cols += [j, i]
+            vals += [c, c]
+        coo = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
+        return sp.csr_matrix(coo, shape=self.shape)
 
 
 def assemble_diffusion(
@@ -862,14 +770,16 @@ def minimize(
     the polish stops contracting the residual, or in a stall, and is
     recorded once, with its grid's resolution, the residual of the iterate
     it leaves and which of these ``STAGE_EXITS`` it took.  A stall (the
-    Armijo search fell below the step floor, or a Newton system had no
-    finite solution even after the diagonal lift) ends the level's ladder,
+    Armijo search fell below the step floor, a Newton system had no
+    finite solution even after the diagonal lift, or its solution d is no
+    descent direction: g . d <= 0 or not finite) ends the level's ladder,
     and the level returns the best iterate so far.  The result lists every
     level's stages, coarsest first, and sums their work; its ``shortfall``
     is the finest level's.  A level whose last stage misses the tolerance
     carries a ``shortfall`` message naming that stage's exit, smoothing
     width and residual; a line-search stall also names the step length of
-    the last accepted Armijo step ("none" before the first).
+    the last accepted Armijo step ("none" before the first), and a
+    direction without descent its g . d.
     """
     kern = DiscreteEnergy(initial.grid, params)
     _check_ladder(eps_ladder, kern)
@@ -995,18 +905,20 @@ def _descend(
                 )
                 stage_exit = "stall"
                 break
+            slope = _dot(g_f, d)
+            if not (0.0 < slope < math.inf):
+                # a positive definite model gives g . d > 0; no step along
+                # an ascent or non-finite direction is taken
+                shortfall = (
+                    f"no descent direction at smoothing width {eps:g} "
+                    f"(g.d = {slope:.3e}, residual rms {res_rms:.3e})"
+                )
+                stage_exit = "stall"
+                break
             if not polishing:
-                step, slope = d, _dot(g_f, d)
-                if not math.isfinite(slope) or slope <= 0.0:
-                    # fall back to a diagonally preconditioned gradient step
-                    tally["gradient_fallbacks"] += 1
-                    dg = M.diagonal()
-                    dg = np.where(dg > 0, dg, np.max(dg) if np.max(dg) > 0 else 1.0)
-                    step = g_f / dg
-                    slope = _dot(g_f, step)
                 t = 1.0
                 while t >= _STEP_FLOOR:
-                    nxt = trial(step, t)
+                    nxt = trial(d, t)
                     if nxt.energy <= it.energy - _ARMIJO_C1 * t * slope:
                         break
                     tally["backtracks"] += 1

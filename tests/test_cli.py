@@ -308,7 +308,6 @@ def test_compare_reports_work_counters_apart(bundle_a, tmp_path, capsys):
         "solve/cg_forcing_stops": 0.0,
         "solve/cg_iterations": 5.0,
         "solve/clipped_models": 0.0,
-        "solve/gradient_fallbacks": 0.0,
         "solve/lift_retries": 0.0,
         "solve/linear_solves": 0.0,
         "solve/polish_steps": 0.0,

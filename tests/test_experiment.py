@@ -82,6 +82,18 @@ def test_readme_config_example_is_valid():
     validate_config(json.loads(example))
 
 
+def test_readme_counter_list_names_exactly_the_work_counters():
+    # README's one list of work counters names each of WORK_COUNTERS once,
+    # in order, and nothing else, so a counter added or removed cannot leave
+    # it stale; no other passage names a counter's report path
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    passage = readme.split("\nWork counters: ", 1)[1].split("\n\n")[1]
+    names = re.findall(r"^- `(\w+)` — ", passage, re.M)
+    assert tuple(names) == aplab.solver.WORK_COUNTERS
+    assert len(names) == passage.count("\n- ") + 1
+    assert re.findall(r"`solve/[^`]*`", readme) == ["`solve/<counter>`"]
+
+
 @pytest.mark.parametrize(
     "mutate,fragment",
     [

@@ -196,8 +196,8 @@ def test_diffusion_operator_reproduces_dirichlet_gradient(extents, shape, p):
 @_OPERATOR_GRIDS
 def test_newton_block_is_the_hessian_of_the_dirichlet_energy(extents, shape, p):
     # the lagged operator plus the rank-one part, on every node, against
-    # central differences of the kernel's gradient; the matrix-free product
-    # and diagonal against the CSR block's
+    # central differences of the kernel's gradient; the stencil's product
+    # and diagonal against the dense block's
     grid = Grid(extents=extents, resolution=shape)
     rng = np.random.default_rng(len(shape))
     u = rng.standard_normal(shape)
@@ -248,6 +248,23 @@ def _coo_operator(kern, kappas):
     n = kern.weights.size
     return sp.coo_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
                          shape=(n, n)).tocsr()
+
+
+def _rank_one_operator(kern, hessian):
+    # reference rank-one part G^T diag(psi) G, G's row k being grad q_k: the
+    # edge's factor at k times -1 at its lower and +1 at its upper node
+    psi, factors = hessian
+    n = psi.size
+    idx = np.arange(n).reshape(psi.shape)
+    rows, cols, data = [], [], []
+    for (lo, hi, *_), (alpha, beta) in zip(kern.axes, factors):
+        i, j, a, b = idx[lo].ravel(), idx[hi].ravel(), alpha.ravel(), beta.ravel()
+        rows.extend((i, i, j, j))
+        cols.extend((i, j, i, j))
+        data.extend((-a, a, -b, b))
+    G = sp.coo_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(n, n)).tocsr()
+    return (G.T @ sp.diags(psi.ravel()) @ G).tocsr()
 
 
 def _assert_same_csr(got, want):
@@ -360,78 +377,64 @@ def _random_subset(grid):
     return np.flatnonzero(np.random.default_rng(9).random(grid.shape).ravel() < 0.6)
 
 
-@pytest.mark.parametrize(
-    "subset",
-    [lambda grid: np.arange(np.prod(grid.shape)), _interior, _box_minus_ball,
-     _random_subset],
-    ids=["grid", "box", "box-minus-ball", "random"],
-)
-@pytest.mark.parametrize("shape", [(17, 13), (9, 7, 6)], ids=["2d", "3d"])
-def test_stencil_products_equal_the_csr_products_bit_for_bit(shape, subset):
-    # without the Hessian's rank-one part (p = 2), CG's M @ d and the
-    # floor's |M| @ |u| on the stencil are the products on the CSR block, to
-    # the last bit and the sign of every zero; some conductances are 0 and
-    # x holds both zeros
-    grid = Grid(extents=((-1.0, 1.0), (0.0, 1.5), (0.0, 1.0))[: len(shape)],
-                resolution=shape)
-    rng = np.random.default_rng(len(shape))
-    nodes = subset(grid)
-    kern = DiscreteEnergy.dirichlet(grid, 1.5)
-    kappas = [k.copy() for k in kern.at(rng.standard_normal(shape), 0.1).conductances]
-    for k in kappas:
-        k[rng.random(k.shape) < 0.1] = 0.0
-    shift = rng.random(nodes.size)
-    M = _FreeBlock(kern, nodes)(kappas, shift)
-    assert isinstance(M, _Stencil) and (M.where is None) == (subset is _interior)
-    csr = M.tocsr()
-    # the sliced full-grid operator; a sparse sum would drop its zero entries
-    want = _coo_operator(kern, kappas)[nodes][:, nodes].tocsr()
-    want.setdiag(want.diagonal() + shift)
-    _assert_same_csr(csr, want)
-    assert np.array_equal(M.diagonal(), csr.diagonal())
-    x = rng.standard_normal(nodes.size)
-    x[rng.random(nodes.size) < 0.3] = 0.0
-    x[rng.random(nodes.size) < 0.3] = -0.0
-    for got, want in ((M @ x, csr @ x), (abs(M) @ x, abs(csr) @ x)):
-        assert np.array_equal(got, want)
-        assert np.array_equal(np.signbit(got), np.signbit(want))
-
-
-@pytest.mark.parametrize(
-    "subset", [_interior, _box_minus_ball, _random_subset],
-    ids=["box", "box-minus-ball", "random"],
-)
-@pytest.mark.parametrize("p", [1.5, 3.0])
-@pytest.mark.parametrize("shape", [(17, 13), (9, 7, 6)], ids=["2d", "3d"])
-def test_hessian_products_match_the_csr_block(shape, p, subset):
-    # at p != 2 the rank-one part is applied without a matrix, in two
-    # passes over the whole grid's edges; CSR adds it as G^T diag(psi) G
-    grid = Grid(extents=((-1.0, 1.0), (0.0, 1.5), (0.0, 1.0))[: len(shape)],
-                resolution=shape)
-    rng = np.random.default_rng(len(shape))
-    nodes = subset(grid)
-    kern = DiscreteEnergy.dirichlet(grid, p)
-    it = kern.at(rng.standard_normal(shape), 0.1)
-    M = _FreeBlock(kern, nodes)(it.conductances, rng.random(nodes.size), it.hessian)
-    csr = M.tocsr()
-    for _ in range(3):
-        x = rng.standard_normal(nodes.size)
-        want = csr @ x
-        assert np.max(np.abs(M @ x - want)) <= 1e-12 * np.max(np.abs(want))
-    diag = csr.diagonal()
-    assert np.max(np.abs(M.diagonal() - diag)) <= 1e-12 * np.max(np.abs(diag))
-
-
-def _same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
-
-
 def _face_touching(grid):
     # the interior box and the inner nodes of the last face of the last axis
     free = ~grid.boundary_face_mask
     free[(slice(1, -1),) * (grid.ndim - 1) + (-1,)] = True
     return np.flatnonzero(free.ravel())
+
+
+@pytest.mark.parametrize(
+    "subset",
+    [lambda grid: np.arange(np.prod(grid.shape)), _interior, _box_minus_ball,
+     _random_subset, _face_touching],
+    ids=["grid", "box", "box-minus-ball", "random", "face"],
+)
+@pytest.mark.parametrize("shape", [(17, 13), (9, 7, 6)], ids=["2d", "3d"])
+def test_stencil_products_equal_the_csr_products_bit_for_bit(shape, subset):
+    # at every p, CG's M @ d and the floor's |M| @ |u| on the stencil are the
+    # products on the CSR block, to the last bit and the sign of every zero;
+    # some conductances are 0 and x holds both zeros.  Without the rank-one
+    # part (p = 2) the CSR block is the sliced full-grid operator, the signs
+    # of its zero entries included; with it, it adds G^T diag(psi) G up to
+    # rounding
+    grid = Grid(extents=((-1.0, 1.0), (0.0, 1.5), (0.0, 1.0))[: len(shape)],
+                resolution=shape)
+    rng = np.random.default_rng(len(shape))
+    nodes = subset(grid)
+    for p in (2.0, 1.5, 3.0):
+        kern = DiscreteEnergy.dirichlet(grid, p)
+        state = kern.at(rng.standard_normal(shape), 0.1)
+        kappas = [k.copy() for k in state.conductances]
+        for k in kappas:
+            k[rng.random(k.shape) < 0.1] = 0.0
+        shift = rng.random(nodes.size)
+        M = _FreeBlock(kern, nodes)(kappas, shift, state.hessian)
+        assert isinstance(M, _Stencil) and (M.where is None) == (subset is _interior)
+        csr = M.tocsr()
+        # the sliced full-grid operator; a sparse sum would drop its zero entries
+        want = _coo_operator(kern, kappas)[nodes][:, nodes].tocsr()
+        want.setdiag(want.diagonal() + shift)
+        if p == 2.0:
+            _assert_same_csr(csr, want)
+            assert np.array_equal(np.signbit(csr.data), np.signbit(want.data))
+        else:
+            want = (want + _rank_one_operator(kern, state.hessian)[nodes][:, nodes]).toarray()
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(csr.toarray() - want)) <= 1e-15 * scale
+        assert np.array_equal(M.diagonal(), csr.diagonal())
+        for _ in range(2):
+            x = rng.standard_normal(nodes.size)
+            x[rng.random(nodes.size) < 0.3] = 0.0
+            x[rng.random(nodes.size) < 0.3] = -0.0
+            for got, want in ((M @ x, csr @ x), (abs(M) @ x, abs(csr) @ x)):
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 @pytest.mark.parametrize(
@@ -442,9 +445,10 @@ def _face_touching(grid):
 )
 def test_a_kept_dirichlet_part_gives_a_fresh_block_bit_for_bit(shape, subset):
     # consecutive calls with the same conductances (the kernel's, at p = 2)
-    # reuse the block's Dirichlet part and only add the new shift; each
-    # block must be the one a fresh _FreeBlock makes, to the last bit, and
-    # new conductances must replace the kept part
+    # or the same iterate's conductances and Hessian terms reuse the block's
+    # Dirichlet part and only add the new shift; each block must be the one
+    # a fresh _FreeBlock makes, to the last bit, and new conductances or
+    # Hessian terms must replace the kept part
     grid = Grid(extents=((-1.0, 1.0), (0.0, 1.5), (0.0, 1.0))[: len(shape)],
                 resolution=shape)
     nodes = subset(grid)
@@ -453,76 +457,26 @@ def test_a_kept_dirichlet_part_gives_a_fresh_block_bit_for_bit(shape, subset):
     rng = np.random.default_rng(len(shape))
     block = _FreeBlock(kern, nodes)
     kappas = kern.at(rng.standard_normal(shape), 0.1).conductances
+    state = other.at(rng.standard_normal(shape), 0.1)
     calls = [(kappas, rng.random(nodes.size)), (kappas, 0.0),
              (kappas, rng.random(nodes.size)),
-             (other.at(rng.standard_normal(shape), 0.1).conductances, 1.0),
+             (state.conductances, 1.0),
+             (state.conductances, -rng.random(nodes.size), state.hessian),
+             (state.conductances, 1.0, state.hessian),
              (kappas, rng.random(nodes.size))]
     kept = []
     for args in calls:
         got = block(*args)
         want = _FreeBlock(kern, nodes)(*args)
-        kept.append(block._kept[2])
+        kept.append(block._kept[3])
         assert _same_bits(got.main, want.main) and got.where is want.where
-        for c, w in zip(got.couplings, want.couplings, strict=True):
+        assert list(got.coef) == list(want.coef)
+        for c, w in zip(got.coef.values(), want.coef.values()):
             assert _same_bits(c, w) and not c.flags.writeable
-    # the second and third calls reused the first call's couplings
-    assert kept[0] is kept[1] is kept[2]
-    assert kept[3] is not kept[2] and kept[4] is not kept[3]
-
-
-def _per_call_csr(M):
-    # reference: the CSR block assembled from scratch on every call, with
-    # the block-index grid, the edge masks and the argsort built anew
-    m = M.main.size
-    at = np.arange(m)
-    pos = np.full(M.grid, -1)
-    pos.reshape(-1)[at if M.where is None else M.where] = at
-    rows, cols, ks = [], [], []
-    for (lo, hi), c in zip(M.ends, M.couplings):
-        i, j = pos[lo], pos[hi]
-        both = (i >= 0) & (j >= 0)
-        rows.append(i[both])
-        cols.append(j[both])
-        ks.append(c[both])
-    i, j, k = np.concatenate(rows), np.concatenate(cols), np.concatenate(ks)
-    row = np.concatenate((at, i, j))
-    col = np.concatenate((at, j, i))
-    order = np.argsort(row * m + col, kind="stable")
-    indptr = np.zeros(m + 1, dtype=np.int32)
-    np.cumsum(np.bincount(row, minlength=m), out=indptr[1:])
-    data = np.concatenate((M.main, k, k))[order]
-    return sp.csr_matrix((data, col[order].astype(np.int32), indptr), shape=(m, m))
-
-
-@pytest.mark.parametrize(
-    "shape, subset",
-    [((17, 13), _face_touching), ((9, 7, 6), _face_touching),
-     ((9, 7, 6), _interior), ((17, 13), _random_subset)],
-    ids=["2d-face", "3d-face", "3d-box", "2d-random"],
-)
-def test_the_held_csr_pattern_gives_the_per_call_assembly(shape, subset):
-    # the block builds its CSR pattern once; over calls with different
-    # conductances, its one gather must give the arrays a per-call assembly
-    # gives, bit for bit, the signs of zero couplings included
-    grid = Grid(extents=((-1.0, 1.0), (0.0, 1.5), (0.0, 1.0))[: len(shape)],
-                resolution=shape)
-    nodes = subset(grid)
-    kern = DiscreteEnergy.dirichlet(grid, 1.5)
-    block = _FreeBlock(kern, nodes)
-    rng = np.random.default_rng(5)
-    patterns = []
-    for eps in (0.1, 0.01):
-        kappas = [k.copy() for k in kern.at(rng.standard_normal(shape), eps).conductances]
-        for k in kappas:
-            k[rng.random(k.shape) < 0.1] = 0.0
-        M = block(kappas, rng.random(nodes.size))
-        got, want = M.tocsr(), _per_call_csr(M)
-        for name in ("data", "indices", "indptr"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == b.dtype and np.array_equal(a, b), name
-        assert np.array_equal(np.signbit(got.data), np.signbit(want.data))
-        patterns.append(block.csr_pattern())
-    assert patterns[0] is patterns[1]
+    # the second and third calls reused the first call's coefficients, and
+    # the sixth the fifth's
+    assert kept[0] is kept[1] is kept[2] and kept[4] is kept[5]
+    assert len({id(k) for k in (kept[2], kept[3], kept[4], kept[6])}) == 4
 
 
 @pytest.mark.parametrize("shift", [0.0, 1.0, 1e3])
@@ -600,21 +554,15 @@ def test_banded_solve_matches_superlu(subset, p, shift):
     kern, M, b = _newton_system(grid, p, nodes, shift)
     assert isinstance(M, _Stencil)
     assert _box_preconditioner(kern, _FreeBlock(kern, nodes)) is None
-    # dpbsv's bands are the CSR block's: two, bit for bit, without the
-    # Hessian's rank-one part (p = 2), and three with it, whose CSR sums it
-    # in another order
+    # dpbsv's bands are the CSR block's, bit for bit: two without the
+    # Hessian's rank-one part (p = 2), three with it
     csr = M.tocsr()
     ab = M.banded()
     assert ab.shape == (2 if p == 2.0 else 3, nodes.size)
     bands = tuple(ab[k, : nodes.size - k] for k in range(ab.shape[0]))
     want = tuple(csr.diagonal(k) for k in range(3))
-    if p == 2.0:
-        assert not want[2].any()
-        assert all(_same_bits(got, w) for got, w in zip(bands, want))
-    else:
-        scale = np.max(np.abs(want[0]))
-        assert all(np.max(np.abs(got - w), initial=0.0) <= 1e-13 * scale
-                   for got, w in zip(bands, want))
+    assert not want[2].any() if p == 2.0 else not csr.diagonal(3).any()
+    assert all(_same_bits(got, w) for got, w in zip(bands, want))
     # across one pinned node only the rank-one part couples; across two,
     # nothing does
     gaps = np.diff(nodes)
@@ -825,7 +773,7 @@ def test_minimize_1d_solves_by_banded_cholesky(convex_1d):
     assert res.work["linear_solves"] >= res.n_iterations > 0
     assert res.work["superlu_solves"] == 0
     assert res.work["cg_iterations"] == 0
-    assert res.work["lift_retries"] == res.work["gradient_fallbacks"] == 0
+    assert res.work["lift_retries"] == 0
 
 
 def test_minimize_counts_diagonal_lift_retries(monkeypatch):
@@ -839,7 +787,6 @@ def test_minimize_counts_diagonal_lift_retries(monkeypatch):
     res = minimize(fld, par, (0.1,))
     assert res.n_iterations == res.work["linear_solves"] == 8
     assert res.work["lift_retries"] == res.work["superlu_solves"] == 8
-    assert res.work["gradient_fallbacks"] == 0
 
 
 def test_nonfinite_lifted_solve_is_a_stall(monkeypatch):
@@ -866,16 +813,29 @@ def test_nonfinite_lifted_solve_is_a_stall(monkeypatch):
     )
 
 
-def test_minimize_counts_gradient_fallbacks(monkeypatch):
-    # a solve that returns the ascent direction forces the gradient step
+@pytest.mark.parametrize("factor", [-1.0, 0.0], ids=["ascent", "zero"])
+def test_a_direction_without_descent_is_a_stall(factor, monkeypatch):
+    # a solve that returns the ascent direction, or none, takes no step:
+    # the stall ends the ladder of n = 17 at its first width, and n = 33
+    # and 65 each stall at once from the prolonged start
     real = aplab.solver.spsolve
-    monkeypatch.setattr(aplab.solver, "spsolve", lambda *a, **kw: -real(*a, **kw))
-    monkeypatch.setattr(aplab.solver, "_MAX_ITERS", 4)
+    monkeypatch.setattr(aplab.solver, "spsolve",
+                        lambda *a, **kw: factor * real(*a, **kw))
     fld, par = _one_phase_start(n=65)
-    res = minimize(fld, par, (0.1,))
-    assert res.n_iterations == res.work["linear_solves"] == 12  # 4 per level
-    assert res.work["gradient_fallbacks"] == 12
-    assert res.work["lift_retries"] == res.work["superlu_solves"] == 0
+    res = minimize(fld, par, (0.1, 0.01))
+    head = "no descent direction at smoothing width 0.01 (g.d = "
+    tail = f", residual rms {res.residual_rms:.3e})"
+    assert res.shortfall.startswith(head) and res.shortfall.endswith(tail)
+    slope = float(res.shortfall[len(head):-len(tail)])
+    assert slope < 0.0 if factor < 0.0 else slope == 0.0
+    assert not res.converged and res.n_iterations == 0
+    assert res.work["linear_solves"] == 3 and res.work["backtracks"] == 0
+    assert [(s.eps, s.exit, s.resolution) for s in res.stages] == [
+        (0.1, "stall", (17,)), (0.01, "stall", (33,)), (0.01, "stall", (65,))
+    ]
+    np.testing.assert_array_equal(
+        res.field.values, fld.with_values(prolong(prolong(fld.values[::4]))).values
+    )
 
 
 # Newton steps of each fixture, and its CG iterations when every CG solve
@@ -1054,17 +1014,42 @@ def _refuse_signed_blocks(monkeypatch) -> list:
     return refused
 
 
+def _count_builds(monkeypatch) -> list:
+    # one entry per Dirichlet part A + H that a _FreeBlock builds
+    builds = []
+    real = _FreeBlock._coefficients
+
+    def spy(self, kappas, hessian):
+        builds.append(hessian is not None)
+        return real(self, kappas, hessian)
+
+    monkeypatch.setattr(_FreeBlock, "_coefficients", spy)
+    return builds
+
+
 def test_a_refused_signed_block_falls_back_to_the_clipped_model(monkeypatch):
     # every signed block refused: each such step is solved once more on the
     # clipped block, by dpbsv and never by SuperLU, and the solve takes the
-    # clipped model's 306 steps on (2, 0.5) at n = 129
+    # clipped model's 306 steps on (2, 0.5) at n = 129.  The re-solve only
+    # changes the diagonal: at p = 2 each of the four levels builds A once,
+    # and (3, 0.8) builds A + H once per Newton step
     refused = _refuse_signed_blocks(monkeypatch)
+    builds = _count_builds(monkeypatch)
     par = Params(p=2.0, gamma=0.5, lambda_plus=1.0, lambda_minus=1.0, alpha_p=1.0)
     res = minimize(_profile_start(par, 129), par)
     assert res.converged and res.n_iterations == 306
     assert res.work["clipped_models"] == len(refused) > 0
     assert res.work["linear_solves"] == res.n_iterations
     assert res.work["superlu_solves"] == 0
+    assert builds == [False] * 4
+    refused.clear()
+    builds.clear()
+    par = Params(p=3.0, gamma=0.8, lambda_plus=1.6905, lambda_minus=1.6905, alpha_p=1.0)
+    res = minimize(_profile_start(par, 129), par)
+    assert res.converged and res.n_iterations == 89
+    assert res.work["clipped_models"] == len(refused) == 88
+    assert builds == [True] * res.work["linear_solves"]
+    assert res.work["linear_solves"] == res.n_iterations
 
 
 def test_a_convex_potential_solve_is_the_clipped_models(
