@@ -432,6 +432,36 @@ def test_stencil_products_equal_the_csr_products_bit_for_bit(shape, subset):
                 assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+@pytest.mark.parametrize(
+    "subset", [_interior, _box_minus_ball, _random_subset],
+    ids=["box", "box-minus-ball", "random"],
+)
+@pytest.mark.parametrize("p", [1.5, 3.0])
+@pytest.mark.parametrize("shape", [(17, 13), (9, 7, 6)], ids=["2d", "3d"])
+def test_hessian_products_match_the_csr_block(shape, p, subset):
+    # at p != 2 the rank-one part lives in the offset coefficients 2 e_a and
+    # e_a +- e_b as well; the stencil's product and diagonal are the CSR
+    # block's, which must also be the sliced A + G^T diag(psi) G + shift
+    grid = Grid(extents=((-1.0, 1.0), (0.0, 1.5), (0.0, 1.0))[: len(shape)],
+                resolution=shape)
+    rng = np.random.default_rng(len(shape))
+    nodes = subset(grid)
+    kern = DiscreteEnergy.dirichlet(grid, p)
+    it = kern.at(rng.standard_normal(shape), 0.1)
+    shift = rng.random(nodes.size)
+    M = _FreeBlock(kern, nodes)(it.conductances, shift, it.hessian)
+    csr = M.tocsr()
+    want = _coo_operator(kern, it.conductances) + _rank_one_operator(kern, it.hessian)
+    want = want[nodes][:, nodes].toarray() + np.diag(shift)
+    assert np.max(np.abs(csr.toarray() - want)) <= 1e-12 * np.max(np.abs(want))
+    for _ in range(3):
+        x = rng.standard_normal(nodes.size)
+        want = csr @ x
+        assert np.max(np.abs(M @ x - want)) <= 1e-12 * np.max(np.abs(want))
+    diag = csr.diagonal()
+    assert np.max(np.abs(M.diagonal() - diag)) <= 1e-12 * np.max(np.abs(diag))
+
+
 def _same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
@@ -477,6 +507,64 @@ def test_a_kept_dirichlet_part_gives_a_fresh_block_bit_for_bit(shape, subset):
     # the sixth the fifth's
     assert kept[0] is kept[1] is kept[2] and kept[4] is kept[5]
     assert len({id(k) for k in (kept[2], kept[3], kept[4], kept[6])}) == 4
+
+
+def _per_call_csr(M):
+    # reference: the CSR block assembled from scratch on every call, with
+    # the block-index grid, each offset's end slices and the argsort built
+    # anew from the coefficients alone
+    m = M.main.size
+    at = np.arange(m)
+    pos = np.full(M.grid, -1)
+    pos.reshape(-1)[at if M.where is None else M.where] = at
+    rows, cols, ks = [], [], []
+    for d, c in M.coef.items():
+        lo = tuple(slice(max(0, -a), n - max(0, a)) for n, a in zip(M.grid, d))
+        hi = tuple(slice(max(0, a), n - max(0, -a)) for n, a in zip(M.grid, d))
+        i, j = pos[lo], pos[hi]
+        both = (i >= 0) & (j >= 0)
+        rows.append(i[both])
+        cols.append(j[both])
+        ks.append(c[both])
+    i, j, k = np.concatenate(rows), np.concatenate(cols), np.concatenate(ks)
+    row = np.concatenate((at, i, j))
+    col = np.concatenate((at, j, i))
+    order = np.argsort(row * m + col, kind="stable")
+    indptr = np.zeros(m + 1, dtype=np.int32)
+    np.cumsum(np.bincount(row, minlength=m), out=indptr[1:])
+    data = np.concatenate((M.main, k, k))[order]
+    return sp.csr_matrix((data, col[order].astype(np.int32), indptr), shape=(m, m))
+
+
+@pytest.mark.parametrize(
+    "shape, subset",
+    [((17, 13), _face_touching), ((9, 7, 6), _face_touching),
+     ((9, 7, 6), _interior), ((17, 13), _random_subset)],
+    ids=["2d-face", "3d-face", "3d-box", "2d-random"],
+)
+def test_the_held_csr_pattern_gives_the_per_call_assembly(shape, subset):
+    # the block plans its offsets and their end slices once; over calls with
+    # different conductances, with and without Hessian terms, tocsr on that
+    # plan must give the arrays a per-call assembly gives, bit for bit, the
+    # signs of zero couplings included
+    grid = Grid(extents=((-1.0, 1.0), (0.0, 1.5), (0.0, 1.0))[: len(shape)],
+                resolution=shape)
+    nodes = subset(grid)
+    kern = DiscreteEnergy.dirichlet(grid, 1.5)
+    block = _FreeBlock(kern, nodes)
+    rng = np.random.default_rng(5)
+    for eps, exact in ((0.1, False), (0.01, True), (0.1, True)):
+        state = kern.at(rng.standard_normal(shape), eps)
+        kappas = [k.copy() for k in state.conductances]
+        for k in kappas:
+            k[rng.random(k.shape) < 0.1] = 0.0
+        M = block(kappas, rng.random(nodes.size), state.hessian if exact else None)
+        assert (len(M.coef) > len(shape)) == exact
+        got, want = M.tocsr(), _per_call_csr(M)
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert np.array_equal(np.signbit(got.data), np.signbit(want.data))
 
 
 @pytest.mark.parametrize("shift", [0.0, 1.0, 1e3])
