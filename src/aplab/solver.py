@@ -19,37 +19,41 @@ w phi''(q) grad q grad q^T of each node; Huang, Li & Liu, J. Sci.
 Comput. 32, 2007) plus the potential curvature F''.  Where F is concave
 (gamma < 1, away from u = 0) F'' < 0 and the model may be indefinite, so
 it carries the signed F'' only where a Cholesky factorization certifies
-it positive definite, which in 1D is the factorization that solves it;
-otherwise, and always in 2D and 3D, where CG cannot certify it, it keeps
-the convex part max(F'', 0) (Newton with Hessian modification, Nocedal &
-Wright, Numerical Optimization, sec. 3.4).  The model is the Hessian of
-the stage energy on every step that clips no curvature.  A line search
-that collapses below the step floor is a stall, and so is a Newton system
-with no finite solution or whose solution is not a descent direction; a
-stall ends its level's ladder.  A coarse level that stops short only
-supplies the start of the next; the finest level's partial result is
-returned with a message that says where it stopped.
+it positive definite, which in 1D is the factorization that solves it.
+A 1D model that the factorization refuses is modified only as far as it
+needs (Newton with Hessian modification, Nocedal & Wright, Numerical
+Optimization, sec. 3.4): the potential term delta w F'' is truncated at
+-c, c halving from its most negative entry on each refusal; below 1e-3
+of that start, and always in 2D and 3D, where CG cannot certify the
+signed model, the model keeps the convex part max(F'', 0).  The model is
+the Hessian of the stage energy on every step that cuts no curvature.
+A line search that collapses below the step floor is a stall, and so is
+a Newton system with no finite solution or whose solution is not a
+descent direction; a stall ends its level's ladder.  A coarse level that
+stops short only supplies the start of the next; the finest level's
+partial result is returned with a message that says where it stopped.
 
 Each line-search trial is one ``DiscreteEnergy.at`` state.  The trial
 Armijo accepts becomes the next iterate, and the gradient, conductances,
 Hessian terms and curvature of the next Newton step come from that same
 state, so nothing is evaluated twice for one field.
 
-Every linear system but the signed 1D model is symmetric positive
-definite and goes through ``spsolve``.  In every dimension the system is
-a stencil, never a matrix: one coefficient array per offset between
-coupled nodes, the diagonal and each axis's unit at p = 2, and at p != 2
-also the offsets 2 e_a and e_a +- e_b of the rank-one terms, filled once
-per Newton step from the conductances and the Hessian terms (once per
-grid level at p = 2, where the conductances are the kernel's).  Its
-product, diagonal, bands and CSR form all read those arrays, and the
+Every linear system but the signed and truncated 1D models is symmetric
+positive definite and goes through ``spsolve``.  In every dimension the
+system is a stencil, never a matrix: one coefficient array per offset
+between coupled nodes, the diagonal and each axis's unit at p = 2, and
+at p != 2 also the offsets 2 e_a and e_a +- e_b of the rank-one terms,
+filled once per Newton step from the conductances and the Hessian terms
+(once per grid level at p = 2, where the conductances are the kernel's).
+Its product, diagonal, bands and CSR form all read those arrays, and the
 product adds in the order of a CSR product, bit for bit.  A 1D system
 is tridiagonal at p = 2 and pentadiagonal otherwise (the rank-one terms
 couple nodes two apart, also across one node outside the set); its two
 or three bands go to LAPACK's banded Cholesky (``dpbsv``), the signed
-model's directly, and a signed model that ``dpbsv`` refuses is solved
-again on the clipped one, which differs only in its diagonal.  A 2D
-or 3D system whose nodes all lie strictly inside the box is solved by
+and truncated models' directly, and a signed model that ``dpbsv``
+refuses is solved again on its truncations, then on the clipped one,
+each of which differs from it only in its diagonal.  A 2D or 3D system
+whose nodes all lie strictly inside the box is solved by
 conjugate gradients preconditioned with a fast Poisson solve: the
 constant-coefficient Laplacian of the interior box, inverted by DST-I,
 with a diagonal scaling that matches the system's own diagonal (Concus &
@@ -82,6 +86,7 @@ loads on the first 1D solve, and ``scipy.sparse`` and
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from collections.abc import Mapping
@@ -123,6 +128,9 @@ _BACKTRACK = 0.5
 _STEP_FLOOR = 1e-14
 # A relative energy change below this counts as flat to rounding.
 _TOL_ENERGY = 1e-15
+# Halvings of the cut of a refused signed 1D model before the clipped one:
+# the ninth leaves 2^-9 of the start, the last cut not below 1e-3 of it.
+_TRUNCATIONS = 9
 
 
 @dataclass(frozen=True)
@@ -167,7 +175,8 @@ WORK_COUNTERS = (
     "lift_retries",  # non-finite solves retried with a lifted diagonal
     "backtracks",  # Armijo trials rejected, those of a failed search included
     "polish_steps",  # accepted residual-monotone polish steps
-    "clipped_models",  # Newton steps whose model dropped the concave part of F''
+    "clipped_models",  # Newton steps whose model cut concave curvature
+    # (truncated or clipped): refused signed 1D models, 2D/3D with F'' < 0
 )
 
 
@@ -245,7 +254,8 @@ class _FreeBlock:
     nodes (d >= 0 in flat order): the diagonal d = 0 and each axis's unit
     e_a for A, and for H also 2 e_a and e_a +- e_b.  g_k lives on k and
     k +- e_a, so entry (k + s, k + t) gains psi_k g_k[s] g_k[t]: 6 pair
-    products in 1D, 15 in 2D and 28 in 3D, over slices planned here once.
+    products in 1D, 15 in 2D and 28 in 3D, over slices planned once per
+    grid shape and kind of node set (``_plan``).
 
     A call splits the block into its Dirichlet part A + H, which depends
     only on the conductances and the Hessian terms, and the shift.  The
@@ -285,40 +295,13 @@ class _FreeBlock:
         in_box = np.flatnonzero(fills)
         self.in_box = in_box if in_box.size == nodes.size else None
         self.box = inner if self.in_box is not None and fills.all() else None
-        if self.box is None:
-            self.where, self.grid = nodes, self.shape
-        else:
-            self.where, self.grid = None, fills.shape
-        ndim = len(self.shape)
-        self.zero = (0,) * ndim
-        self.units = [tuple(int(b == a) for b in range(ndim)) for a in range(ndim)]
-        # g_k's entries sit at k + s for s in 0 and +-e_a, in flat order;
-        # g[s] is stored over the k with k + s on the grid
-        minus = [tuple(-x for x in e) for e in self.units]
-        steps = sorted([self.zero, *self.units, *minus])
-        self.support = {s: _ends(self.shape, s)[0] for s in steps}
-        # each pair's k: on the grid, with k + s and k + t on the stencil's
-        # grid, which starts at node o of the whole one
-        o = 0 if self.box is None else 1
-        self.pairs = []  # (s, t, d, slices of k in g[s], in g[t], k + s in C_d)
-        for i, s in enumerate(steps):
-            for t in steps[i:]:
-                d = tuple(b - a for a, b in zip(s, t))
-                cuts = ([], [], [])
-                for n, sa, ta, da in zip(self.shape, s, t, d):
-                    lo = max(0, o - sa, o - ta)
-                    hi = max(lo, n - max(0, o + sa, o + ta))
-                    # where each array starts; C_d at the stencil's max(0, -d)
-                    starts = (max(0, -sa), max(0, -ta), o + max(0, -da) - sa)
-                    for cut, at in zip(cuts, starts):
-                        cut.append(slice(lo - at, hi - at))
-                self.pairs.append((s, t, d, *map(tuple, cuts)))
-        offsets = sorted({d for _, _, d, *_ in self.pairs} - {self.zero})
-        self.ends = {d: _ends(self.grid, d) for d in offsets}  # the stencil's
+        self.where = nodes if self.box is None else None
+        plan = _plan(self.shape, self.box is not None)
+        self.grid, self.zero, self.units, self.support, self.pairs, self.ends = plan
         if self.box is None:
             self.keep = {d: inside[lo] & inside[hi]
                          for d, (lo, hi) in self.ends.items()}
-        if ndim == 1 and self.box is None:
+        if len(self.shape) == 1 and self.box is None:
             # where the bands' entries lie in C_1, C_2 and a trailing 0 laid
             # end to end: nodes one apart couple in C_1, two apart in C_2
             n, lo = self.shape[0], nodes[:-1]
@@ -369,6 +352,43 @@ class _FreeBlock:
                 c.flags.writeable = False
             kept = self._kept = (kappas, hessian, base, coef)
         return _Stencil(kept[2] + shift, kept[3], self)
+
+
+@functools.lru_cache(maxsize=64)
+def _plan(shape: tuple[int, ...], boxed: bool) -> tuple:
+    """The node-set-free part of a ``_FreeBlock`` on a grid of ``shape``
+    whose nodes fill the interior box (``boxed``) or not, planned once:
+    the stencil's grid, the zero and unit offsets, the support of each
+    g[s], the pair products' slices and each offset's end slices.  Read
+    only."""
+    grid = tuple(n - 2 for n in shape) if boxed else shape
+    ndim = len(shape)
+    zero = (0,) * ndim
+    units = tuple(tuple(int(b == a) for b in range(ndim)) for a in range(ndim))
+    # g_k's entries sit at k + s for s in 0 and +-e_a, in flat order;
+    # g[s] is stored over the k with k + s on the grid
+    minus = [tuple(-x for x in e) for e in units]
+    steps = sorted([zero, *units, *minus])
+    support = {s: _ends(shape, s)[0] for s in steps}
+    # each pair's k: on the grid, with k + s and k + t on the stencil's
+    # grid, which starts at node o of the whole one
+    o = int(boxed)
+    pairs = []  # (s, t, d, slices of k in g[s], in g[t], k + s in C_d)
+    for i, s in enumerate(steps):
+        for t in steps[i:]:
+            d = tuple(b - a for a, b in zip(s, t))
+            cuts = ([], [], [])
+            for n, sa, ta, da in zip(shape, s, t, d):
+                lo = max(0, o - sa, o - ta)
+                hi = max(lo, n - max(0, o + sa, o + ta))
+                # where each array starts; C_d at the stencil's max(0, -d)
+                starts = (max(0, -sa), max(0, -ta), o + max(0, -da) - sa)
+                for cut, at in zip(cuts, starts):
+                    cut.append(slice(lo - at, hi - at))
+            pairs.append((s, t, d, *map(tuple, cuts)))
+    offsets = sorted({d for _, _, d, *_ in pairs} - {zero})
+    ends = {d: _ends(grid, d) for d in offsets}  # the stencil's
+    return grid, zero, units, support, tuple(pairs), ends
 
 
 def _ends(shape: tuple[int, ...], d: tuple[int, ...]) -> tuple[tuple, tuple]:
@@ -811,9 +831,8 @@ def _descend(
     """The ladder's stages on ``initial``'s grid alone (see ``minimize``)."""
     params = kern.params
     idx_f = np.flatnonzero(initial.free_mask.ravel())
-    it = kern.at(initial.values, 0.0)  # the current iterate
     if idx_f.size == 0:
-        return SolveResult(initial, it.energy)
+        return SolveResult(initial, kern.at(initial.values, 0.0).energy)
 
     block = _FreeBlock(kern, idx_f)
     precond = _box_preconditioner(kern, block)
@@ -846,8 +865,9 @@ def _descend(
         step_free(u, t * d)
         return kern.at(u, it.eps)
 
+    start = initial.values
     for eps in eps_ladder:
-        it = kern.at(it.u, eps)
+        it = kern.at(start, eps)  # the current iterate
         trace = [it.energy]
         n_it = 0
         n_flat = 0
@@ -862,18 +882,29 @@ def _descend(
                 # The model is first the Hessian of the stage energy, the
                 # signed curvature included.  Where F is concave (gamma < 1,
                 # away from u = 0) it may be indefinite; a Cholesky
-                # factorization that succeeds certifies it positive definite
-                # (Nocedal & Wright, Numerical Optimization, sec. 3.4).
-                M = block(it.conductances, shift * params.delta * w_f, it.hessian)
-                try:
-                    d = solveh_banded(M.banded(), g_f)
-                except np.linalg.LinAlgError:
-                    pass
-                else:
+                # factorization that succeeds certifies it positive definite.
+                # A refused model is modified only as far as its
+                # factorization needs (Nocedal & Wright, Numerical
+                # Optimization, sec. 3.4): its potential term is truncated
+                # at -c, c halving on each refusal from the largest
+                # -delta w F'', the cut that leaves the signed term whole.
+                signed = shift * params.delta * w_f
+                top = -float(np.min(signed))
+                for k in range(_TRUNCATIONS + 1):
+                    term = signed if k == 0 else np.maximum(signed, -top * 0.5**k)
+                    M = block(it.conductances, term, it.hessian)
+                    try:
+                        d = solveh_banded(M.banded(), g_f)
+                    except np.linalg.LinAlgError:
+                        continue
                     tally["linear_solves"] += 1
+                    if k:
+                        tally["clipped_models"] += 1
+                    break
             if d is None:
-                # Otherwise only the convex part max(F'', 0) of the potential
-                # enters the model, which keeps it positive definite without
+                # Otherwise, once c would fall below 1e-3 of its start, only
+                # the convex part max(F'', 0) of the potential enters the
+                # model, which keeps it positive definite without
                 # stiffening it: |F''| over-damps every step.  CG cannot
                 # certify the signed model, so a 2D or 3D model is always
                 # this one.  Without clipped curvature it is the Hessian,
@@ -980,6 +1011,7 @@ def _descend(
         )
         if shortfall is not None:
             break
+        start = it.u
     if shortfall is None and stage_exit != "tolerance":
         shortfall = (
             f"{stage_exit} exit at smoothing width {eps:g} "

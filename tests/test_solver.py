@@ -478,7 +478,8 @@ def test_a_kept_dirichlet_part_gives_a_fresh_block_bit_for_bit(shape, subset):
     # or the same iterate's conductances and Hessian terms reuse the block's
     # Dirichlet part and only add the new shift; each block must be the one
     # a fresh _FreeBlock makes, to the last bit, and new conductances or
-    # Hessian terms must replace the kept part
+    # Hessian terms must replace the kept part.  The fresh blocks share the
+    # first one's plan, made once per grid shape and kind of node set
     grid = Grid(extents=((-1.0, 1.0), (0.0, 1.5), (0.0, 1.0))[: len(shape)],
                 resolution=shape)
     nodes = subset(grid)
@@ -497,7 +498,9 @@ def test_a_kept_dirichlet_part_gives_a_fresh_block_bit_for_bit(shape, subset):
     kept = []
     for args in calls:
         got = block(*args)
-        want = _FreeBlock(kern, nodes)(*args)
+        fresh = _FreeBlock(kern, nodes)
+        want = fresh(*args)
+        assert fresh.pairs is block.pairs and fresh.ends is block.ends
         kept.append(block._kept[3])
         assert _same_bits(got.main, want.main) and got.where is want.where
         assert list(got.coef) == list(want.coef)
@@ -1058,48 +1061,55 @@ def test_exact_newton_model_converges_fast_on_every_finer_level(
 
 
 def test_newton_model_step_count_on_the_restricted_run(restricted_cases):
-    # the signed model, wherever the banded Cholesky accepts it, takes 126
-    # steps on this run; the convex-part model max(F'', 0) alone took 517,
+    # the signed model, wherever the banded Cholesky accepts it, truncated
+    # where it refuses, takes 93 steps on this run (126 with the clipped
+    # model on refusal); the convex-part model max(F'', 0) alone took 517,
     # and the stiffer |F''| model 975
     res = restricted_cases[(2.0, 0.5)].result
-    assert res.n_iterations <= 150
+    assert res.n_iterations <= 105
     assert res.work["linear_solves"] == res.n_iterations
 
 
 def test_signed_newton_model_gain_on_the_fine_restricted_runs(restricted_cases_fine):
     # with the signed curvature wherever the banded Cholesky accepts it,
-    # (2, 0.5) at n = 2049 takes 137 steps over all levels (the clipped
-    # model alone took 627), and (1.5, 0.3) converges in 233 (it stopped
-    # at the polish exit after 1166)
+    # truncated where it refuses, (2, 0.5) at n = 2049 takes 100 steps over
+    # all levels (137 with the clipped model on refusal, 627 with it alone),
+    # and (1.5, 0.3) converges in 171 (233 and, at the polish exit, 1166)
     gain = restricted_cases_fine[(2.0, 0.5)].result
-    assert gain.converged and gain.n_iterations <= 150
+    assert gain.converged and gain.n_iterations <= 110
     slow = restricted_cases_fine[(1.5, 0.3)].result
     assert slow.converged and slow.stages[-1].exit == "tolerance"
+    assert slow.n_iterations <= 185
     for res in (gain, slow):
         assert 0 < res.work["clipped_models"] < res.n_iterations
         assert res.work["linear_solves"] == res.n_iterations
         assert res.work["superlu_solves"] == 0
 
 
-def _refuse_signed_blocks(monkeypatch) -> list:
+def _refuse_signed_blocks(monkeypatch, first_only=False) -> tuple[list, list]:
     # dpbsv refuses every block whose shift has a negative entry, as it
-    # would an indefinite one; returns the sizes of the refused systems
+    # would an indefinite one, or with ``first_only`` only the first of a
+    # step's run of such blocks, the untruncated one; returns the smallest
+    # shift entry of every block made and the sizes of the refused systems
     made, refused = [], []
     real_block, real_solve = _FreeBlock.__call__, aplab.solver.solveh_banded
+    refusing = False  # the last solve was refused
 
     def block(self, kappas, shift=0.0, hessian=None):
-        made.append(bool(np.any(np.asarray(shift) < 0.0)))
+        made.append(float(np.min(shift)))
         return real_block(self, kappas, shift, hessian)
 
     def solve(ab, b):
-        if made[-1]:
+        nonlocal refusing
+        refusing = made[-1] < 0.0 and not (first_only and refusing)
+        if refusing:
             refused.append(b.size)
             raise np.linalg.LinAlgError("refused")
         return real_solve(ab, b)
 
     monkeypatch.setattr(_FreeBlock, "__call__", block)
     monkeypatch.setattr(aplab.solver, "solveh_banded", solve)
-    return refused
+    return made, refused
 
 
 def _count_builds(monkeypatch) -> list:
@@ -1116,17 +1126,20 @@ def _count_builds(monkeypatch) -> list:
 
 
 def test_a_refused_signed_block_falls_back_to_the_clipped_model(monkeypatch):
-    # every signed block refused: each such step is solved once more on the
-    # clipped block, by dpbsv and never by SuperLU, and the solve takes the
-    # clipped model's 306 steps on (2, 0.5) at n = 129.  The re-solve only
+    # every signed and every truncated block refused: each such step tries
+    # the signed block and its 9 truncations, then ends on the clipped
+    # block, solved by dpbsv and never by SuperLU, and the solve takes the
+    # clipped model's 306 steps on (2, 0.5) at n = 129.  Each rung only
     # changes the diagonal: at p = 2 each of the four levels builds A once,
     # and (3, 0.8) builds A + H once per Newton step
-    refused = _refuse_signed_blocks(monkeypatch)
+    rungs = aplab.solver._TRUNCATIONS + 1
+    _, refused = _refuse_signed_blocks(monkeypatch)
     builds = _count_builds(monkeypatch)
     par = Params(p=2.0, gamma=0.5, lambda_plus=1.0, lambda_minus=1.0, alpha_p=1.0)
     res = minimize(_profile_start(par, 129), par)
     assert res.converged and res.n_iterations == 306
-    assert res.work["clipped_models"] == len(refused) > 0
+    assert res.work["clipped_models"] > 0
+    assert len(refused) == rungs * res.work["clipped_models"]
     assert res.work["linear_solves"] == res.n_iterations
     assert res.work["superlu_solves"] == 0
     assert builds == [False] * 4
@@ -1135,9 +1148,33 @@ def test_a_refused_signed_block_falls_back_to_the_clipped_model(monkeypatch):
     par = Params(p=3.0, gamma=0.8, lambda_plus=1.6905, lambda_minus=1.6905, alpha_p=1.0)
     res = minimize(_profile_start(par, 129), par)
     assert res.converged and res.n_iterations == 89
-    assert res.work["clipped_models"] == len(refused) == 88
+    assert res.work["clipped_models"] == 88
+    assert len(refused) == rungs * 88
     assert builds == [True] * res.work["linear_solves"]
     assert res.work["linear_solves"] == res.n_iterations
+
+
+def test_a_refused_signed_block_is_truncated_not_clipped(monkeypatch):
+    # only the untruncated block of each step refused: the first truncation,
+    # the curvature term cut at half its most negative entry, is accepted,
+    # so no concave step builds the clipped block.  On (3, 0.8) dpbsv
+    # accepts every signed block, hence every truncation, which only adds
+    # to its diagonal
+    made, refused = _refuse_signed_blocks(monkeypatch, first_only=True)
+    par = Params(p=3.0, gamma=0.8, lambda_plus=1.6905, lambda_minus=1.6905, alpha_p=1.0)
+    res = minimize(_profile_start(par, 129), par)
+    assert res.converged
+    concave = res.work["clipped_models"]
+    assert concave == len(refused) > 0
+    assert res.work["linear_solves"] == res.n_iterations
+    assert res.work["superlu_solves"] == 0
+    # every concave step makes two blocks, the signed one and its first
+    # truncation; every other step one, with no negative entry
+    assert len(made) == res.n_iterations + concave
+    signed = [i for i, m in enumerate(made) if m < 0.0]
+    assert len(signed) == 2 * concave
+    pairs = [made[i : i + 2] for i in signed[::2]]
+    assert all(cut == 0.5 * top for top, cut in pairs)
 
 
 def test_a_convex_potential_solve_is_the_clipped_models(
@@ -1145,7 +1182,7 @@ def test_a_convex_potential_solve_is_the_clipped_models(
 ):
     # gamma >= 1: F'' >= 0 everywhere, so no step forms a signed block and
     # the solve is the clipped-only model's, bit for bit
-    refused = _refuse_signed_blocks(monkeypatch)
+    _, refused = _refuse_signed_blocks(monkeypatch)
     for case in (convex_1d, degenerate_1d):
         res = minimize(_profile_start(case.params, 1025), case.params)
         assert np.array_equal(res.field.values, case.result.field.values)
