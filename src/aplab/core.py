@@ -454,5 +454,8 @@ def report_leaves(report) -> dict:
         else:
             out[path] = node
 
-    walk(report, "")
+    try:
+        walk(report, "")
+    finally:
+        del walk  # walk's closure holds walk: break the cycle
     return out

@@ -380,6 +380,8 @@ def eval_boundary_expression(expr: str, grid: Grid) -> np.ndarray:
             out = ev(tree.body)
     except RecursionError as exc:
         raise ConfigError(_TOO_DEEP) from exc
+    finally:
+        del ev  # ev's closure holds ev: break the cycle
     out = np.broadcast_to(np.asarray(out, dtype=float), grid.shape).copy()
     if not np.all(np.isfinite(out)):
         raise ConfigError("boundary expression produced non-finite values")

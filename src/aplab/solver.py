@@ -20,26 +20,29 @@ Comput. 32, 2007) plus the potential curvature F''.  Where F is concave
 (gamma < 1, away from u = 0) F'' < 0 and the model may be indefinite, so
 it carries the signed F'' only where a Cholesky factorization certifies
 it positive definite, which in 1D is the factorization that solves it.
-A 1D model that the factorization refuses is modified only as far as it
-needs (Newton with Hessian modification, Nocedal & Wright, Numerical
-Optimization, sec. 3.4): the potential term delta w F'' is truncated at
--c, c halving from its most negative entry on each refusal; below 1e-3
-of that start, and always in 2D and 3D, where CG cannot certify the
-signed model, the model keeps the convex part max(F'', 0).  The model is
-the Hessian of the stage energy on every step that cuts no curvature.
-A line search that collapses below the step floor is a stall, and so is
-a Newton system with no finite solution or whose solution is not a
-descent direction; a stall ends its level's ladder.  A coarse level that
-stops short only supplies the start of the next; the finest level's
-partial result is returned with a message that says where it stopped.
+A step's models are the rungs of one loop, each cutting the potential
+term delta w F'' at -c.  A 1D step with F'' < 0 first tries the uncut
+term, c at its most negative entry, halves c on each model that the
+factorization refuses (Newton with Hessian modification, Nocedal &
+Wright, Numerical Optimization, sec. 3.4), and below 1e-3 of that start
+keeps only the convex part max(F'', 0), c = 0.  Every other step, every
+2D and 3D step included, where CG cannot certify the signed model, has
+only that last rung.  The model is the Hessian of the stage energy on
+every step that cuts no curvature.  A line search that collapses below
+the step floor is a stall, and so is a step whose every model the
+factorization refuses, a Newton system with no finite solution, or one
+whose solution is not a descent direction; a stall ends its level's
+ladder.  A coarse level that stops short only supplies the start of the
+next; the finest level's partial result is returned with a message that
+says where it stopped.
 
 Each line-search trial is one ``DiscreteEnergy.at`` state.  The trial
 Armijo accepts becomes the next iterate, and the gradient, conductances,
 Hessian terms and curvature of the next Newton step come from that same
 state, so nothing is evaluated twice for one field.
 
-Every linear system but the signed and truncated 1D models is symmetric
-positive definite and goes through ``spsolve``.  In every dimension the
+Every linear system, each rung's model of a Newton step included, goes
+through ``_solve_spd`` and ``spsolve``.  In every dimension the
 system is a stencil, never a matrix: one coefficient array per offset
 between coupled nodes, the diagonal and each axis's unit at p = 2, and
 at p != 2 also the offsets 2 e_a and e_a +- e_b of the rank-one terms,
@@ -49,10 +52,9 @@ Its product, diagonal, bands and CSR form all read those arrays, and the
 product adds in the order of a CSR product, bit for bit.  A 1D system
 is tridiagonal at p = 2 and pentadiagonal otherwise (the rank-one terms
 couple nodes two apart, also across one node outside the set); its two
-or three bands go to LAPACK's banded Cholesky (``dpbsv``), the signed
-and truncated models' directly, and a signed model that ``dpbsv``
-refuses is solved again on its truncations, then on the clipped one,
-each of which differs from it only in its diagonal.  A 2D or 3D system
+or three bands go to LAPACK's banded Cholesky (``dpbsv``), whose refusal
+of a model that is not positive definite moves the step to the next
+rung, which differs from it only in its diagonal.  A 2D or 3D system
 whose nodes all lie strictly inside the box is solved by
 conjugate gradients preconditioned with a fast Poisson solve: the
 constant-coefficient Laplacian of the interior box, inverted by DST-I,
@@ -71,9 +73,9 @@ Numer. Anal. 19, 1982; Eisenstat & Walker, SIAM J. Sci. Comput. 17,
 1996); at p != 2 that was cheaper than the floor.  SuperLU is the
 counted fallback, and the only consumer of a CSR matrix, converted from
 the stencil's coefficients by ``tocsr()``: it takes a 2D or 3D system
-with a node on a box face, a clipped 1D system that ``dpbsv`` finds not
-positive definite, a system on which CG breaks down or reaches its
-iteration cap, and the diagonal-lift retry of a non-finite solve.  Inner products are
+with a node on a box face, a system on which CG breaks down or reaches
+its iteration cap, and the diagonal-lift retry of a non-finite solve,
+the only way a 1D system reaches it.  Inner products are
 plain ``np.sum`` reductions, not BLAS, so a solve does not depend on the
 number of BLAS threads.
 
@@ -128,8 +130,8 @@ _BACKTRACK = 0.5
 _STEP_FLOOR = 1e-14
 # A relative energy change below this counts as flat to rounding.
 _TOL_ENERGY = 1e-15
-# Halvings of the cut of a refused signed 1D model before the clipped one:
-# the ninth leaves 2^-9 of the start, the last cut not below 1e-3 of it.
+# Halvings of the cut of a refused signed 1D model before the clipped one,
+# c = 0: the ninth leaves 2^-9 of the start, the last cut not below 1e-3.
 _TRUNCATIONS = 9
 
 
@@ -160,8 +162,8 @@ STAGE_EXITS = (
     "tolerance",  # the residual met _TOL_RESIDUAL
     "step_cap",  # _MAX_ITERS Newton steps were taken
     "polish",  # the residual-monotone polish stopped contracting
-    "stall",  # a failed line search far from criticality, no finite solve,
-    # or a Newton direction that is not a descent direction
+    "stall",  # a failed line search far from criticality, no positive
+    # definite model, no finite solve, or a direction that is not a descent one
 )
 
 
@@ -171,12 +173,12 @@ WORK_COUNTERS = (
     "cg_iterations",  # preconditioned CG iterations over all of them
     "cg_floor_stops",  # CG solves stopped by the representation floor
     "cg_forcing_stops",  # CG solves stopped by the inexact-Newton forcing term
-    "superlu_solves",  # fallback solves: CG misses, 1D non-SPD, lifts
+    "superlu_solves",  # fallback solves: box faces, CG misses, lifts
     "lift_retries",  # non-finite solves retried with a lifted diagonal
     "backtracks",  # Armijo trials rejected, those of a failed search included
     "polish_steps",  # accepted residual-monotone polish steps
-    "clipped_models",  # Newton steps whose model cut concave curvature
-    # (truncated or clipped): refused signed 1D models, 2D/3D with F'' < 0
+    "clipped_models",  # Newton steps whose model cut concave curvature:
+    # c < top, a refused signed 1D model or a 2D/3D one with F'' < 0
 )
 
 
@@ -672,14 +674,15 @@ def spsolve(
 ) -> np.ndarray:
     """Solve the SPD system ``M x = rhs``.
 
-    A 1D block is solved by LAPACK's banded Cholesky; a block with a
+    A 1D block is solved by LAPACK's banded Cholesky, whose LinAlgError
+    for a block it finds not positive definite propagates; a block with a
     box preconditioner by preconditioned CG, which stops at a residual
     norm of ``rtol`` (by default ``_CG_RTOL``) times that of ``rhs`` or of
     ``floor``, whichever is larger.  Everything else goes to SuperLU as
-    CSR, and so does a 1D block that the factorization finds not positive
-    definite and a block on which CG breaks down or reaches its iteration
-    cap.  ``tally`` counts the CG iterations, the CG solves that the floor
-    stopped, those that a looser ``rtol`` stopped, and the SuperLU solves.
+    CSR, and so does a block on which CG breaks down or reaches its
+    iteration cap.  ``tally`` counts the CG iterations, the CG solves that
+    the floor stopped, those that a looser ``rtol`` stopped, and the
+    SuperLU solves.
     """
     if tally is None:
         tally = Counter()
@@ -689,10 +692,7 @@ def spsolve(
             return x
     elif isinstance(M, _Stencil) and len(M.grid) == 1:
         # a CSR matrix, the lifted retry's, goes straight to SuperLU
-        try:
-            return solveh_banded(M.banded(), rhs)
-        except np.linalg.LinAlgError:
-            pass
+        return solveh_banded(M.banded(), rhs)
     tally["superlu_solves"] += 1
     return _superlu(M.tocsr(), rhs)
 
@@ -708,10 +708,11 @@ def _solve_spd(
     """Sparse SPD solve with a tiny diagonal lift retry for rank issues.
 
     ``floor`` and ``rtol`` go to CG (see ``spsolve``); the retry goes to
-    SuperLU.  None when the lifted solve is still non-finite.
+    SuperLU.  None when the lifted solve is still non-finite.  A 1D block
+    that ``dpbsv`` refuses raises LinAlgError and counts no linear solve.
     """
-    tally["linear_solves"] += 1
     x = spsolve(M, rhs, precond, tally, floor, rtol)
+    tally["linear_solves"] += 1
     if np.isfinite(x).all():
         return x
     import scipy.sparse as sp
@@ -790,9 +791,10 @@ def minimize(
     the polish stops contracting the residual, or in a stall, and is
     recorded once, with its grid's resolution, the residual of the iterate
     it leaves and which of these ``STAGE_EXITS`` it took.  A stall (the
-    Armijo search fell below the step floor, a Newton system had no
-    finite solution even after the diagonal lift, or its solution d is no
-    descent direction: g . d <= 0 or not finite) ends the level's ladder,
+    Armijo search fell below the step floor, the factorization refused
+    every model of a Newton step, a Newton system had no finite solution
+    even after the diagonal lift, or its solution d is no descent
+    direction: g . d <= 0 or not finite) ends the level's ladder,
     and the level returns the best iterate so far.  The result lists every
     level's stages, coarsest first, and sums their work; its ``shortfall``
     is the finest level's.  A level whose last stage misses the tolerance
@@ -875,52 +877,28 @@ def _descend(
         stage_exit = None  # set by a break; else the loop condition decides
         g_f = free_gradient(it)  # kept current with every accepted step
         while (res_rms := _rms(g_f / w_f)) > _TOL_RESIDUAL and n_it < _MAX_ITERS:
-            shift = free(it.curvature())
-            concave = (shift < 0).any()  # F is concave at a free node
-            d = None
-            if concave and one_d:
-                # The model is first the Hessian of the stage energy, the
-                # signed curvature included.  Where F is concave (gamma < 1,
-                # away from u = 0) it may be indefinite; a Cholesky
-                # factorization that succeeds certifies it positive definite.
-                # A refused model is modified only as far as its
-                # factorization needs (Nocedal & Wright, Numerical
-                # Optimization, sec. 3.4): its potential term is truncated
-                # at -c, c halving on each refusal from the largest
-                # -delta w F'', the cut that leaves the signed term whole.
-                signed = shift * params.delta * w_f
-                top = -float(np.min(signed))
-                for k in range(_TRUNCATIONS + 1):
-                    term = signed if k == 0 else np.maximum(signed, -top * 0.5**k)
-                    M = block(it.conductances, term, it.hessian)
-                    try:
-                        d = solveh_banded(M.banded(), g_f)
-                    except np.linalg.LinAlgError:
-                        continue
-                    tally["linear_solves"] += 1
-                    if k:
-                        tally["clipped_models"] += 1
-                    break
-            if d is None:
-                # Otherwise, once c would fall below 1e-3 of its start, only
-                # the convex part max(F'', 0) of the potential enters the
-                # model, which keeps it positive definite without
-                # stiffening it: |F''| over-damps every step.  CG cannot
-                # certify the signed model, so a 2D or 3D model is always
-                # this one.  Without clipped curvature it is the Hessian,
-                # which CG solves to the floor at p = 2; any other system CG
-                # stops at the forcing term: at p != 2 the floor saved a
-                # quarter of the Newton steps but took up to four times the
-                # CG iterations and twice the time.
-                if concave:
-                    tally["clipped_models"] += 1
-                to_floor = precond is not None and params.p == 2.0 and not concave
-                np.maximum(shift, 0.0, out=shift)
-                shift *= params.delta
-                shift *= w_f
-                M = block(it.conductances, shift, it.hessian)
+            # The rungs cut the potential term delta w F'' at -c (see the
+            # module docstring): a 1D step with F'' < 0 starts at c = top,
+            # the largest -delta w F'', which cuts nothing, and halves c on
+            # each model dpbsv refuses; every step ends on c = 0, the convex
+            # part max(F'', 0), positive definite without being stiffened:
+            # |F''| over-damps every step.
+            term = free(it.curvature())
+            term *= params.delta
+            term *= w_f
+            top = -float(np.min(term))
+            halvings = _TRUNCATIONS + 1 if one_d and top > 0.0 else 0
+            stall = "no positive definite Newton model"  # unless a rung solves
+            for c in (*(top * 0.5**k for k in range(halvings)), 0.0):
+                exact = c >= top  # no curvature cut: the model is the Hessian
+                M = block(it.conductances, term if exact else np.maximum(term, -c),
+                          it.hessian)
+                # CG solves the Hessian to the floor at p = 2 and stops any
+                # other system at the forcing term: at p != 2 the floor saved
+                # a quarter of the Newton steps but took up to four times the
+                # CG iterations and twice the time
                 floor, rtol = 0.0, _CG_RTOL
-                if to_floor:
+                if precond is not None and exact and params.p == 2.0:
                     # rounding u to float64 moves g_f by up to eps |M| |u_f|
                     # per entry, so CG need not resolve a smaller residual;
                     # 0 at a zero iterate
@@ -928,11 +906,17 @@ def _descend(
                     floor = np.finfo(float).eps * math.sqrt(_dot(blur, blur))
                 elif precond is not None:
                     rtol = _CG_FORCING
-                d = _solve_spd(M, g_f, precond, tally, floor, rtol)
-            if d is None:
+                try:
+                    d = _solve_spd(M, g_f, precond, tally, floor, rtol)
+                except np.linalg.LinAlgError:
+                    continue  # dpbsv refused the model
+                if not exact:
+                    tally["clipped_models"] += 1
+                stall = None if d is not None else "linear solve non-finite"
+                break
+            if stall is not None:
                 shortfall = (
-                    f"linear solve non-finite at smoothing width {eps:g} "
-                    f"(residual rms {res_rms:.3e})"
+                    f"{stall} at smoothing width {eps:g} (residual rms {res_rms:.3e})"
                 )
                 stage_exit = "stall"
                 break

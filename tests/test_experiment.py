@@ -3,6 +3,7 @@
 import copy
 import csv
 import dataclasses
+import gc
 import json
 import re
 import warnings
@@ -208,6 +209,29 @@ def test_expression_rejections(expr):
     grid = build_grid(((-1.0, 1.0),), (9,))
     with pytest.raises(ConfigError):
         eval_boundary_expression(expr, grid)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: eval_boundary_expression(
+            "max(x, 0.5) ** 2", build_grid(((-1.0, 1.0),), (9,))
+        ),
+        lambda: report_leaves({"a": [1, {"b": 2.0}], "c": "d"}),
+    ],
+    ids=["eval_boundary_expression", "report_leaves"],
+)
+def test_recursive_walks_leave_no_reference_cycle(call):
+    # a recursive closure that refers to itself is a cycle only the
+    # collector frees; with it off, a call must leave nothing for it
+    call()
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_integer_literal_past_float_range_is_config_error(tmp_path, capsys):

@@ -671,14 +671,18 @@ def test_banded_solve_matches_superlu(subset, p, shift):
     assert tally["superlu_solves"] == 0
 
 
-def test_indefinite_banded_system_falls_back_to_superlu():
+def test_indefinite_banded_system_is_refused_without_superlu():
+    # dpbsv's refusal reaches the caller, which cuts the model's curvature
+    # further; no SuperLU solve and no linear solve is counted
     grid = Grid(extents=((-1.0, 1.0),), resolution=(33,))
     nodes = _interior(grid)
     _, M, b = _newton_system(grid, 2.0, nodes, 0.0, indefinite=True)
     tally = Counter()
-    x = spsolve(M, b, None, tally)
-    assert tally["superlu_solves"] == 1
-    assert np.array_equal(x, spla.spsolve(M.tocsr(), b))
+    with pytest.raises(np.linalg.LinAlgError):
+        spsolve(M, b, None, tally)
+    with pytest.raises(np.linalg.LinAlgError):
+        aplab.solver._solve_spd(M, b, None, tally, 0.0, aplab.solver._CG_RTOL)
+    assert tally["superlu_solves"] == tally["linear_solves"] == 0
 
 
 def test_assemble_diffusion_returns_csr():
@@ -873,11 +877,20 @@ def test_minimize_counts_diagonal_lift_retries(monkeypatch):
     # (the cap) on n = 17, then two on each of n = 33 and 65
     monkeypatch.setattr(aplab.solver, "solveh_banded",
                         lambda ab, b: np.full_like(b, np.nan))
-    monkeypatch.setattr(aplab.solver, "_MAX_ITERS", 4)
-    fld, par = _one_phase_start(n=65)
-    res = minimize(fld, par, (0.1,))
+    with monkeypatch.context() as patch:
+        patch.setattr(aplab.solver, "_MAX_ITERS", 4)
+        fld, par = _one_phase_start(n=65)
+        res = minimize(fld, par, (0.1,))
     assert res.n_iterations == res.work["linear_solves"] == 8
     assert res.work["lift_retries"] == res.work["superlu_solves"] == 8
+    # the signed model of a concave step gets the same retry: on (3, 0.8),
+    # whose every signed block dpbsv accepts, no step stalls
+    par = Params(p=3.0, gamma=0.8, lambda_plus=1.6905, lambda_minus=1.6905, alpha_p=1.0)
+    res = minimize(_profile_start(par, 129), par)
+    assert res.converged and res.shortfall is None
+    assert all(s.exit == "tolerance" for s in res.stages)
+    assert res.n_iterations == res.work["linear_solves"] > 0
+    assert res.work["lift_retries"] == res.work["superlu_solves"] == res.n_iterations
 
 
 def test_nonfinite_lifted_solve_is_a_stall(monkeypatch):
@@ -1086,11 +1099,14 @@ def test_signed_newton_model_gain_on_the_fine_restricted_runs(restricted_cases_f
         assert res.work["superlu_solves"] == 0
 
 
-def _refuse_signed_blocks(monkeypatch, first_only=False) -> tuple[list, list]:
+def _refuse_signed_blocks(
+    monkeypatch, first_only=False, every=False
+) -> tuple[list, list]:
     # dpbsv refuses every block whose shift has a negative entry, as it
     # would an indefinite one, or with ``first_only`` only the first of a
-    # step's run of such blocks, the untruncated one; returns the smallest
-    # shift entry of every block made and the sizes of the refused systems
+    # step's run of such blocks, the untruncated one, or with ``every``
+    # every block; returns the smallest shift entry of every block made
+    # and the sizes of the refused systems
     made, refused = [], []
     real_block, real_solve = _FreeBlock.__call__, aplab.solver.solveh_banded
     refusing = False  # the last solve was refused
@@ -1101,7 +1117,7 @@ def _refuse_signed_blocks(monkeypatch, first_only=False) -> tuple[list, list]:
 
     def solve(ab, b):
         nonlocal refusing
-        refusing = made[-1] < 0.0 and not (first_only and refusing)
+        refusing = every or made[-1] < 0.0 and not (first_only and refusing)
         if refusing:
             refused.append(b.size)
             raise np.linalg.LinAlgError("refused")
@@ -1110,6 +1126,64 @@ def _refuse_signed_blocks(monkeypatch, first_only=False) -> tuple[list, list]:
     monkeypatch.setattr(_FreeBlock, "__call__", block)
     monkeypatch.setattr(aplab.solver, "solveh_banded", solve)
     return made, refused
+
+
+def test_every_banded_solve_goes_through_spsolve(monkeypatch):
+    # the signed, truncated and clipped models of a gamma < 1 solve are all
+    # factored inside spsolve, one dpbsv call per spsolve call; a call that
+    # dpbsv refuses counts no linear solve
+    depths, calls, inside = [], [0], [0]
+    real_spsolve, real_banded = aplab.solver.spsolve, aplab.solver.solveh_banded
+
+    def spy_spsolve(*args):
+        calls[0] += 1
+        inside[0] += 1
+        try:
+            return real_spsolve(*args)
+        finally:
+            inside[0] -= 1
+
+    def spy_banded(ab, b):
+        depths.append(inside[0])
+        return real_banded(ab, b)
+
+    monkeypatch.setattr(aplab.solver, "spsolve", spy_spsolve)
+    monkeypatch.setattr(aplab.solver, "solveh_banded", spy_banded)
+    par = Params(p=2.0, gamma=0.5, lambda_plus=1.0, lambda_minus=1.0, alpha_p=1.0)
+    res = minimize(_profile_start(par, 129), par)
+    assert res.converged and res.work["clipped_models"] > 0
+    assert depths == [1] * calls[0]
+    assert calls[0] > res.work["linear_solves"] == res.n_iterations
+    assert res.work["superlu_solves"] == 0
+
+
+def test_a_step_with_every_model_refused_is_a_stall(monkeypatch):
+    # dpbsv refuses every block, the clipped one included: the first step
+    # of n = 17 runs out of rungs and stalls, which ends that level's
+    # ladder, and n = 33 and 65 each stall at once from the prolonged start
+    made, refused = _refuse_signed_blocks(monkeypatch, every=True)
+    par = Params(p=2.0, gamma=0.5, lambda_plus=1.0, lambda_minus=1.0, alpha_p=1.0)
+    fld = _profile_start(par, 65)
+    res = minimize(fld, par, (0.1, 0.01))
+    assert res.shortfall == (
+        "no positive definite Newton model at smoothing width 0.01 "
+        f"(residual rms {res.residual_rms:.3e})"
+    )
+    assert not res.converged and res.n_iterations == 0
+    assert [(s.eps, s.exit, s.resolution) for s in res.stages] == [
+        (0.1, "stall", (17,)), (0.01, "stall", (33,)), (0.01, "stall", (65,))
+    ]
+    assert res.work["superlu_solves"] == res.work["linear_solves"] == 0
+    assert res.work["clipped_models"] == 0
+    # F'' > 0 at the zero start of n = 17, so its step has one rung; the
+    # prolonged starts of n = 33 and 65 are concave somewhere, so each of
+    # their steps tries the signed block, its 9 truncations and the clipped
+    rungs = aplab.solver._TRUNCATIONS + 2
+    assert len(refused) == len(made) == 1 + 2 * rungs
+    assert made[0] > 0.0 and made.count(0.0) == 2
+    np.testing.assert_array_equal(
+        res.field.values, fld.with_values(prolong(prolong(fld.values[::4]))).values
+    )
 
 
 def _count_builds(monkeypatch) -> list:
