@@ -10,6 +10,7 @@ call, which only a two-phase profile with C > 0 makes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -148,6 +149,16 @@ class ShootingResult:
         return self.solutions[0]
 
 
+@functools.lru_cache(maxsize=8)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre nodes and weights on [-1, 1], computed
+    once per order.  Read only."""
+    rule = np.polynomial.legendre.leggauss(n)
+    for x in rule:
+        x.flags.writeable = False
+    return rule
+
+
 def _rising_profile(x, walls, p, gamma, n_gauss):
     """(u, C, energy) of the nondecreasing profile on the nodes ``x``.
 
@@ -156,7 +167,7 @@ def _rising_profile(x, walls, p, gamma, n_gauss):
     m, k = p / (p - gamma), p / (p - 1.0)
     length = x[-1] - x[0]
     edges = np.append(0.0, _PANEL_RATIO ** np.arange(_N_PANELS - 1, -1, -1.0))
-    z, wz = np.polynomial.legendre.leggauss(n_gauss)
+    z, wz = _gauss_legendre(n_gauss)
     half = 0.5 * np.diff(edges)[:, None]
     t, w = edges[:-1, None] + half * (1.0 + z), half * wz
 

@@ -123,6 +123,11 @@ UNIT_CASES = [
     ("monotonicity", 1.5), ("monotonicity", 3.0), ("v_equivalence", 1.5),
     ("v_equivalence", 3.0),
 ]
+# the sweeps of tests/test_acceptance.py::SWEEPS that UNIT_CASES leaves out
+SWEEP_ONLY_CASES = [
+    ("sum", 2.0), ("sum", 4.0), ("convexity", 3.0), ("monotonicity", 2.0),
+    ("monotonicity", 4.0), ("v_equivalence", 2.0),
+]
 
 
 @pytest.mark.parametrize("name, p", UNIT_CASES)
@@ -434,6 +439,18 @@ def test_a_patched_draw_leaves_no_pairs_behind(monkeypatch):
     fresh = sweep_inequality("convexity", 3.0, n_pairs=2000, seed=3)
     assert repr(after) == repr(fresh)
     assert patched.n_pairs == 2000 and after.n_pairs == 2600
+    # a sweep on arrays that are not the held ones reads no held value,
+    # even where they equal the held pairs: poisoned held values stay unread
+    cases = UNIT_CASES + SWEEP_ONLY_CASES
+    held_reports = [repr(sweep_inequality(*case, n_pairs=2000, seed=3)) for case in cases]
+    ((key, held),) = inequalities._held.items()
+    poison = {f: np.full_like(getattr(held, f), np.nan)
+              for f in ("diff", "norm_ua", "norm_ub", "norm_diff")}
+    inequalities._held[key] = held._replace(**poison)
+    copies = tuple(np.array(x) for x in held[:4])
+    monkeypatch.setattr("aplab.inequalities._sweep_pairs", lambda n, seed: copies)
+    copied_reports = [repr(sweep_inequality(*case, n_pairs=2000, seed=3)) for case in cases]
+    assert copied_reports == held_reports
 
 
 def _counted_draws(monkeypatch):
@@ -458,12 +475,49 @@ def test_sweeps_at_one_seed_draw_their_pairs_once(monkeypatch):
     assert list(inequalities._held) == [(2000, 4)]
 
 
-def test_held_pairs_are_read_only_and_column_contiguous():
+def test_held_pairs_are_read_only_and_column_contiguous(monkeypatch):
+    monkeypatch.setattr(inequalities, "_held", {})
     a, b, ua, ub = inequalities._sweep_pairs(2000, 4)
     assert ua.flags.f_contiguous and ub.flags.f_contiguous
-    for x in (a, b, ua, ub):
+    ((key, held),) = inequalities._held.items()
+    assert key == (2000, 4)
+    assert all(x is y for x, y in zip(held, (a, b, ua, ub)))
+    for x in held:
         with pytest.raises(ValueError, match="read-only"):
-            x[0, 0] = 1.0
+            x[0] = 1.0
+    # the held values are the checks' own, and only the held arrays read them
+    assert_same_bits(held.diff, ua - ub)
+    for x, n in ((ua, held.norm_ua), (ub, held.norm_ub), (held.diff, held.norm_diff)):
+        assert_same_bits(n, np.sqrt(_dot(x, x)))
+        assert _norm(x) is n and _norm(np.array(x)) is not n
+    assert inequalities._difference(ua, ub) is held.diff
+    assert inequalities._difference(ub, ua) is not held.diff
+    assert inequalities._difference(np.array(ua), ub) is not held.diff
+    # another (n, seed) drops the entry and every value it held
+    inequalities._sweep_pairs(2000, 5)
+    assert list(inequalities._held) == [(2000, 5)]
+    assert _norm(ua) is not held.norm_ua
+    assert inequalities._difference(ua, ub) is not held.diff
+
+
+def test_sweeps_compute_each_held_norm_once(monkeypatch):
+    # every sweep of tests/test_acceptance.py::SWEEPS (and the sum at
+    # p = 0.5) reads |ua|, |ub| and |ua - ub| of the held pairs from the
+    # entry, which computed each of them once
+    monkeypatch.setattr(inequalities, "_held", {})
+    calls = []
+    dot = inequalities._dot
+
+    def counted(a, b):
+        calls.append((a, b))
+        return dot(a, b)
+
+    monkeypatch.setattr(inequalities, "_dot", counted)
+    for name, p in UNIT_CASES + SWEEP_ONLY_CASES:
+        sweep_inequality(name, p, n_pairs=2000, seed=4)
+    (held,) = inequalities._held.values()
+    for x in (held.ua, held.ub, held.diff):
+        assert sum(a is x and b is x for a, b in calls) == 1
 
 
 def test_an_evicted_draw_gives_the_held_report_again(monkeypatch):
@@ -489,7 +543,7 @@ def test_fresh_entropy_is_never_held(monkeypatch):
 
 
 @pytest.mark.parametrize("seed", [1, 7])
-@pytest.mark.parametrize("name, p", UNIT_CASES)
+@pytest.mark.parametrize("name, p", UNIT_CASES + SWEEP_ONLY_CASES)
 def test_sweep_is_bit_for_bit_its_margins_on_fresh_c_ordered_pairs(name, p, seed):
     margins = _unit_margins(name, p, seed)
     if name == "sum":
