@@ -310,12 +310,14 @@ def prolong(values: np.ndarray) -> np.ndarray:
 #   one value per line, row-major
 #
 # Floats are written with repr (shortest round-trip form), so a
-# serialize/deserialize cycle is bit-exact.  Each distinct bit pattern is
-# formatted once: a solved field repeats many values, and its boundary
-# values more.
+# serialize/deserialize cycle is bit-exact.  Each distinct magnitude is
+# formatted once: a solved field repeats many values, its boundary values
+# more, and an odd field holds every value with both signs.
 
 _MAGIC = "APFIELD"
 _VERSION = "v1"
+_MAGNITUDE = np.uint64(0x7FFF_FFFF_FFFF_FFFF)  # every bit but the sign
+_INF_BITS = np.uint64(0x7FF0_0000_0000_0000)  # NaN magnitudes lie above
 
 
 def _fmt_floats(xs) -> str:
@@ -323,13 +325,19 @@ def _fmt_floats(xs) -> str:
 
 
 def _reprs(values: np.ndarray) -> list[str]:
-    """repr of every value in C order, each distinct bit pattern formatted
-    once.  Distinct as uint64, not as float: a float ``np.unique`` would
-    merge -0.0 with 0.0 and NaNs of different payloads."""
+    """repr of every value in C order, each distinct magnitude formatted
+    once and prefixed with ``-`` where the sign bit is set, except on NaN,
+    which repr prints as ``nan`` whatever its sign.  Distinct as the bits
+    with the sign cleared, so x and -x share one repr, and -0.0 gets its
+    sign from the prefix as -x does."""
     bits = np.ascontiguousarray(values, dtype=np.float64).reshape(-1).view(np.uint64)
-    distinct, inverse = np.unique(bits, return_inverse=True)
-    text = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
-    return text[inverse].tolist()
+    magnitude = bits & _MAGNITUDE
+    distinct, inverse = np.unique(magnitude, return_inverse=True)
+    text = list(map(repr, distinct.view(np.float64).tolist()))
+    # the reprs of the magnitudes, then of their negatives
+    table = np.array(text + ["-" + s for s in text], dtype=object)
+    negative = (bits != magnitude) & (magnitude <= _INF_BITS)
+    return table[inverse + negative * len(text)].tolist()
 
 
 def serialize_field(field: ScalarField) -> str:

@@ -434,7 +434,13 @@ def _fit(scales, values) -> dict | None:
 
 @dataclass(frozen=True)
 class _Solved:
-    """What the diagnostics read: the solved field and its phase analysis."""
+    """What the diagnostics read: the solved field and its phase analysis.
+
+    The field and the classification masks are read-only, so the geometry
+    readers, called ball by ball and width by width on them, compute the
+    contour, a set's distance transform and the exact-density state once
+    per run and hold them for the next call.
+    """
 
     field: ScalarField
     params: Params

@@ -7,6 +7,13 @@ codimension-one size, read off the slope of the tube measures in
 ``minkowski_content``.
 ``level_strip_energy`` measures the energy near the zero level.
 
+A run reads one solved field ball after ball and width after width, so
+each reader computes its field-wide part once and holds it for the next
+call on the same field: the 1D crossings, the 2D contour segments, the 3D
+sign-change faces, the distance transform of a read-only set, and the
+exact-density state of the strip.  Only the per-ball selection and sum run
+per call, so every reading is bit for bit that of a fresh computation.
+
 Ball membership is by node center.  Sup-type and counting estimators use
 the closed ball, quadrature-type estimators the open one; the O(h) bias
 this introduces is common to numerator and denominator of every ratio
@@ -85,63 +92,134 @@ class BallSpec:
 
 
 # ---------------------------------------------------------------------------
+# Per-field quantities, computed once.
+
+# The last value of each kind of per-field quantity, with weak references
+# to the objects it was computed from.  A run reads one solved field and its
+# read-only masks ball after ball and width after width, so one entry per
+# kind is all it reuses, and an entry goes when one of its objects does.
+# Keys compare by identity, which is sound for objects that cannot change:
+# a ScalarField, a Grid, Params, and arrays that are read-only and own their
+# data (``_fixed``).
+_held: dict[str, tuple[tuple, object]] = {}
+
+
+def _once(kind: str, compute, *key):
+    """``compute(*key)``, computed once while ``key`` is the held key of
+    ``kind``."""
+    import weakref
+
+    held = _held.get(kind)
+    if held is not None and all(ref() is k for ref, k in zip(held[0], key)):
+        return held[1]
+    value = compute(*key)
+    _held[kind] = (tuple(weakref.ref(k, _forget) for k in key), value)
+    return value
+
+
+def _forget(dead) -> None:
+    """Drop the entry whose key held the object of weak reference ``dead``."""
+    for kind, (refs, _) in list(_held.items()):
+        if any(ref is dead for ref in refs):
+            del _held[kind]
+
+
+def _fixed(arr: np.ndarray) -> bool:
+    """True for a read-only array that owns its data, so that no writeable
+    view of it exists."""
+    return not arr.flags.writeable and arr.base is None
+
+
+def _distance(grid: Grid, set_mask: np.ndarray) -> np.ndarray:
+    """``distance_to_set(grid, set_mask)``, once per read-only set."""
+    if not _fixed(set_mask):
+        return distance_to_set(grid, set_mask)
+    return _once("distance", distance_to_set, grid, set_mask)
+
+
+# ---------------------------------------------------------------------------
 # Perimeter.
 
 
-def _crossing(p0, p1, v0, v1):
-    t = v0 / (v0 - v1)
-    return (p0[0] + t * (p1[0] - p0[0]), p0[1] + t * (p1[1] - p0[1]))
+def _contour_2d(field: ScalarField) -> list[tuple[float, float, float]]:
+    """The zero contour of the field's linear interpolant (marching cells):
+    (midpoint x, midpoint y, length) per segment, mixed cells in row-major
+    order.
 
-
-def _perimeter_2d(g: np.ndarray, grid: Grid, ball: BallSpec) -> float:
-    """Length of the zero contour of g inside the open ball (marching cells).
-
-    A cell whose corners a, b, c, d are not all one sign has a crossing on
-    each edge ab, bc, cd, da that changes sign: two, joined by one segment,
-    or four in a saddle.  A saddle's segments cut off b and d when a has
-    the sign of the corner sum (a is joined to the center), else a and c.
+    A cell whose corners a, b, c, d are not all one sign has a crossing
+    p0 + t (p1 - p0), t = v0 / (v0 - v1), on each edge ab, bc, cd, da that
+    changes sign: two, joined by one segment, or four in a saddle.  A
+    saddle's segments cut off b and d when a has the sign of the corner sum
+    a + b + c + d (a is joined to the center), else a and c.
     """
-    xs, ys = grid.axes
+    g = field.values
+    xs, ys = field.grid.axes
     pos = g > 0.0
     # cells whose four corners are not all one sign
     cp = pos[:-1, :-1].astype(np.int8) + pos[1:, :-1] + pos[1:, 1:] + pos[:-1, 1:]
-    mixed = (cp > 0) & (cp < 4)
+    i, j = np.nonzero((cp > 0) & (cp < 4))
+    # corner k of each cell, k = a, b, c, d; edge k runs from corner k to k + 1
+    px = np.stack((xs[i], xs[i + 1], xs[i + 1], xs[i]), axis=1)
+    py = np.stack((ys[j], ys[j], ys[j + 1], ys[j + 1]), axis=1)
+    v = np.stack((g[i, j], g[i + 1, j], g[i + 1, j + 1], g[i, j + 1]), axis=1)
+    px1, py1, v1 = (np.roll(x, -1, axis=1) for x in (px, py, v))
+    cut = (v > 0.0) != (v1 > 0.0)
+    t = np.divide(v, v - v1, out=np.zeros_like(v), where=cut)
+    qx = px + t * (px1 - px)
+    qy = py + t * (py1 - py)
+    # each cell's crossings in edge order, a saddle's from da when it turns
+    four = cut.all(axis=1)
+    turn = four & ((v[:, 0] > 0) != ((v[:, 0] + v[:, 1] + v[:, 2] + v[:, 3]) > 0.0))
+    order = np.argsort(~cut, axis=1, kind="stable")
+    order[turn] = (3, 0, 1, 2)
+    qx = np.take_along_axis(qx, order, axis=1)
+    qy = np.take_along_axis(qy, order, axis=1)
+    # segments join crossings 0-1 and, in a saddle, 2-3
+    kept = np.stack((np.ones_like(four), four), axis=1)
+    x1, x2 = qx[:, 0::2][kept], qx[:, 1::2][kept]
+    y1, y2 = qy[:, 0::2][kept], qy[:, 1::2][kept]
+    return list(zip(
+        (0.5 * (x1 + x2)).tolist(),
+        (0.5 * (y1 + y2)).tolist(),
+        map(math.hypot, (x2 - x1).tolist(), (y2 - y1).tolist()),
+    ))
+
+
+def _perimeter_2d(field: ScalarField, ball: BallSpec) -> float:
+    """Length of the contour segments whose midpoint is in the open ball,
+    added left to right in contour order.  The test squares with a float's
+    ``** 2``, libm's pow, which differs by an ulp from numpy's x * x square
+    of an array on about one value in a thousand."""
     cx, cy = ball.center
     r2 = ball.radius**2
     total = 0.0
-    for i, j in np.argwhere(mixed):
-        corners = ((i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1))
-        ends = [((xs[k], ys[m]), g[k, m]) for k, m in corners]
-        cuts = [
-            _crossing(p0, p1, v0, v1)
-            for (p0, v0), (p1, v1) in zip(ends, ends[1:] + ends[:1])
-            if (v0 > 0) != (v1 > 0)
-        ]
-        va, vb, vc, vd = (v for _, v in ends)
-        if len(cuts) == 4 and (va > 0) != ((va + vb + vc + vd) > 0.0):
-            cuts = cuts[3:] + cuts[:3]  # pair (da, ab) and (bc, cd)
-        for q1, q2 in zip(cuts[::2], cuts[1::2]):
-            mx, my = 0.5 * (q1[0] + q2[0]), 0.5 * (q1[1] + q2[1])
-            if (mx - cx) ** 2 + (my - cy) ** 2 < r2:
-                total += math.hypot(q2[0] - q1[0], q2[1] - q1[1])
+    for mx, my, length in _once("contour", _contour_2d, field):
+        if (mx - cx) ** 2 + (my - cy) ** 2 < r2:
+            total += length
     return total
 
 
-def _perimeter_1d(g: np.ndarray, grid: Grid, ball: BallSpec) -> float:
-    xs = grid.axes[0]
+def _crossings_1d(field: ScalarField) -> np.ndarray:
+    """The interpolated sign changes of a 1D field."""
+    g = field.values
+    xs = field.grid.axes[0]
     i = np.flatnonzero((g[:-1] > 0.0) != (g[1:] > 0.0))
     t = g[i] / (g[i] - g[i + 1])
-    x = xs[i] + t * (xs[i + 1] - xs[i])
+    return xs[i] + t * (xs[i + 1] - xs[i])
+
+
+def _perimeter_1d(field: ScalarField, ball: BallSpec) -> float:
+    x = _once("crossings", _crossings_1d, field)
     return float(np.count_nonzero(np.abs(x - ball.center[0]) < ball.radius))
 
 
-def _perimeter_3d_facecount(g: np.ndarray, grid: Grid, ball: BallSpec) -> float:
-    """Staircase face-count estimate (approximate; no sub-cell resolution)."""
-    pos = g > 0.0
-    total = 0.0
-    cx = np.array(ball.center)
-    r2 = ball.radius**2
+def _faces_3d(field: ScalarField) -> list[tuple[float, list[np.ndarray]]]:
+    """Per axis, the face area and the center coordinates of every face
+    between nodes of opposite sign."""
+    grid = field.grid
+    pos = field.values > 0.0
     coords = grid.coordinate_arrays()
+    faces = []
     for a in range(3):
         sl_lo = [slice(None)] * 3
         sl_hi = [slice(None)] * 3
@@ -150,11 +228,21 @@ def _perimeter_3d_facecount(g: np.ndarray, grid: Grid, ball: BallSpec) -> float:
         flips = pos[tuple(sl_lo)] != pos[tuple(sl_hi)]
         area = np.prod([grid.spacing[b] for b in range(3) if b != a])
         mids = [
-            0.5 * (coords[b][tuple(sl_lo)] + coords[b][tuple(sl_hi)])
+            0.5 * (coords[b][tuple(sl_lo)][flips] + coords[b][tuple(sl_hi)][flips])
             for b in range(3)
         ]
+        faces.append((area, mids))
+    return faces
+
+
+def _perimeter_3d_facecount(field: ScalarField, ball: BallSpec) -> float:
+    """Staircase face-count estimate (approximate; no sub-cell resolution)."""
+    total = 0.0
+    cx = np.array(ball.center)
+    r2 = ball.radius**2
+    for area, mids in _once("faces", _faces_3d, field):
         d2 = sum((m - cx[b]) ** 2 for b, m in enumerate(mids))
-        total += area * np.count_nonzero(flips & (d2 < r2))
+        total += area * np.count_nonzero(d2 < r2)
     return float(total)
 
 
@@ -164,14 +252,14 @@ def relative_perimeter(field: ScalarField, ball: BallSpec) -> float:
     1D counts interpolated crossings, 2D sums marching-cell contour
     segments of the linear interpolant (midpoint-in-ball rule), 3D falls
     back to a staircase face count and should be read as approximate.
+    The crossings, contour or faces are found once per field.
     """
-    g = field.values
-    grid = field.grid
-    if grid.ndim == 1:
-        return _perimeter_1d(g, grid, ball)
-    if grid.ndim == 2:
-        return _perimeter_2d(g, grid, ball)
-    return _perimeter_3d_facecount(g, grid, ball)
+    ndim = field.grid.ndim
+    if ndim == 1:
+        return _perimeter_1d(field, ball)
+    if ndim == 2:
+        return _perimeter_2d(field, ball)
+    return _perimeter_3d_facecount(field, ball)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +294,7 @@ def porosity_constant(set_mask: np.ndarray, ball: BallSpec, grid: Grid) -> float
         raise ValueError("ball contains no nodes; radius below grid resolution")
     if not set_mask.any():
         return 1.0
-    dist = distance_to_set(grid, set_mask)
+    dist = _distance(grid, set_mask)
     room = ball.radius - np.sqrt(ball.dist_sq(grid))
     score = np.minimum(dist, room)
     best = float(np.max(score[inside]))
@@ -218,7 +306,8 @@ def level_strip_energy(
 ) -> float:
     """Exact-density energy over the strip {0 < |u| < eps} in the open ball.
 
-    Rounding residue (``phases.residue_floor``) counts as zero.
+    Rounding residue (``phases.residue_floor``) counts as zero.  The
+    exact-density state of the field is built once per field and params.
     """
     if eps <= 0:
         raise ValueError("strip width must be positive")
@@ -228,8 +317,12 @@ def level_strip_energy(
     strip = (a > residue_floor(v)) & (a < eps) & ball.node_mask(grid, closed=False)
     if not strip.any():
         return 0.0
-    return DiscreteEnergy(grid, params).at(v, 0.0).energy_in(strip)
+    return _once("exact", _exact_state, field, params).energy_in(strip)
 
+
+def _exact_state(field: ScalarField, params: Params):
+    """The field's state at eps = 0 (exact density)."""
+    return DiscreteEnergy(field.grid, params).at(field.values, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +372,7 @@ def minkowski_content(set_mask: np.ndarray, grid: Grid, eps_ladder) -> Minkowski
     set_mask = np.asarray(set_mask)
     if not set_mask.any():
         raise ValueError("empty set")
-    dist = distance_to_set(grid, set_mask)
+    dist = _distance(grid, set_mask)
     measures = [grid.cell_volume * int(np.count_nonzero(dist < e)) for e in eps]
     slope, _, r2 = _loglog_fit(np.array(eps), np.array(measures))
     contents = tuple(m / (2.0 * e) for m, e in zip(measures, eps))

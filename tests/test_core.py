@@ -262,21 +262,52 @@ def _per_element_lines(fld: ScalarField) -> list[str]:
     return lines
 
 
-def test_serialization_matches_per_element_repr():
-    grid = build_grid(((0.0, 1.0), (0.0, 1.0)), (3, 3))
-    vals = np.array([[-0.0, 5e-324, 1e308], [-1.7976931348623157e308, -0.0, -2.5e-310],
-                     [1e22, -1e-5, 0.0]])
-    fld = ScalarField(grid, vals, grid.boundary_face_mask, vals)
-    lines = _per_element_lines(fld)
-    assert "-0.0" in lines and "5e-324" in lines and "1e+308" in lines
-    assert serialize_field(fld) == "\n".join(lines) + "\n"
-
-
 def _nans() -> np.ndarray:
     # quiet NaNs with two payloads, and one with the sign bit set
     bits = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000],
                     dtype=np.uint64)
     return bits.view(np.float64)
+
+
+def _signed_field() -> ScalarField:
+    # -0.0, mirrored +-x pairs and +-subnormals; the four free nodes'
+    # boundary values are +-inf, NaN with the sign bit set and -0.0, which a
+    # field allows off its mask
+    grid = build_grid(((0.0, 1.0), (0.0, 1.0)), (4, 4))
+    vals = np.array([[-0.0, 5e-324, 1e308, -1.7976931348623157e308],
+                     [-2.5e-310, 2.5e-310, 0.1, -0.1],
+                     [1e22, -1e-5, 1e-5, 0.0],
+                     [-5e-324, -1e22, 7.25, -7.25]])
+    bvals = vals.copy()
+    bvals[1:3, 1:3] = [[np.inf, -np.inf], [_nans()[2], -0.0]]
+    return ScalarField(grid, vals, grid.boundary_face_mask, bvals)
+
+
+def _bits(x: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+def test_serialization_matches_per_element_repr():
+    fld = _signed_field()
+    assert np.signbit(fld.boundary_values[2, 1]) and np.isnan(fld.boundary_values[2, 1])
+    lines = _per_element_lines(fld)
+    for token in ("-0.0", "0.0", "5e-324", "-5e-324", "2.5e-310", "-2.5e-310",
+                  "0.1", "-0.1", "1e+308", "-1e+22", "inf", "-inf", "nan"):
+        assert token in lines, token
+    assert "-nan" not in lines
+    assert serialize_field(fld) == "\n".join(lines) + "\n"
+
+
+def test_signed_values_round_trip_bit_for_bit():
+    fld = _signed_field()
+    back = deserialize_field(serialize_field(fld))
+    np.testing.assert_array_equal(_bits(back.values), _bits(fld.values))
+    # repr writes every NaN as nan, so a NaN comes back as NaN, sign and
+    # payload aside; every other boundary value comes back bit for bit
+    nan = np.isnan(fld.boundary_values)
+    np.testing.assert_array_equal(np.isnan(back.boundary_values), nan)
+    np.testing.assert_array_equal(_bits(back.boundary_values)[~nan],
+                                  _bits(fld.boundary_values)[~nan])
 
 
 def test_serialization_of_repeated_values_matches_per_element_repr():
@@ -344,19 +375,21 @@ def test_malformed_field_text_rejected(mangle):
 
 @given(
     st.lists(
-        st.floats(
-            min_value=-1e6, max_value=1e6, allow_nan=False, allow_subnormal=False
+        st.one_of(
+            st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+            st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072e-308]),
         ),
         min_size=5,
         max_size=5,
     )
 )
 def test_round_trip_preserves_arbitrary_values(vals):
-    grid = build_grid(((0.0, 1.0),), (5,))
-    arr = np.asarray(vals)
+    # each value with its mirror, so a magnitude comes with both signs
+    grid = build_grid(((0.0, 1.0),), (10,))
+    arr = np.concatenate((vals, np.negative(vals)))
     fld = ScalarField(grid, arr, grid.boundary_face_mask, arr)
     back = deserialize_field(serialize_field(fld))
-    np.testing.assert_array_equal(back.values, fld.values)
+    np.testing.assert_array_equal(_bits(back.values), _bits(fld.values))
 
 
 _MODULES = ["aplab"] + sorted(

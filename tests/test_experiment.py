@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import aplab.solver
+from aplab import geometry
 from aplab.core import Params, ScalarField, build_grid, report_leaves
 from aplab.energy import DiscreteEnergy
 from aplab.experiment import (
@@ -30,6 +31,13 @@ from aplab.experiment import (
     validate_config,
     write_bundle,
 )
+from aplab.geometry import (
+    BallSpec,
+    level_strip_energy,
+    porosity_constant,
+    relative_perimeter,
+)
+from aplab.phases import classify
 
 
 def tiny_config():
@@ -552,6 +560,77 @@ def test_run_auto_center_lands_on_interface():
     # the detected anchor sits near the takeoff point x = 0
     assert len(center) == 1
     assert abs(center[0]) <= 0.1
+
+
+def test_run_reads_each_per_field_quantity_once(monkeypatch):
+    # three perimeter balls, three porosity balls and three strip widths
+    # find the contour, the distance to the set and the exact-density state
+    # once, and read what the public readers read ball by ball
+    cfg = {
+        "seed": 0,
+        "problem": {
+            "p": 2.0, "gamma": 0.5, "lambda_plus": 0.4, "lambda_minus": 0.4,
+            "delta": 1.0, "extents": [[-1.0, 1.0], [-1.0, 1.0]],
+            "resolution": [33, 33],
+            "boundary": "pow(0.45, 2/3) * x * pow(abs(x), 1/3)",
+        },
+        "diagnostics": {
+            "zero_tol": 0.001,
+            "perimeter": {"center": [0.0, 0.0], "radii": [0.25, 0.5, 0.75]},
+            "porosity": {"center": [0.0, 0.0], "radii": [0.25, 0.5, 0.75]},
+            "strip": {"center": [0.0, 0.0], "radius": 0.5,
+                      "eps_ladder": [0.02, 0.05, 0.1]},
+        },
+    }
+    section, calls = [None], []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append((section[0], name, args))
+            return fn(*args)
+        return wrapper
+
+    def in_section(key, measure):
+        def wrapper(solved, spec):
+            section[0] = key
+            try:
+                return measure(solved, spec)
+            finally:
+                section[0] = None
+        return wrapper
+
+    monkeypatch.setattr(geometry, "_held", {})
+    monkeypatch.setattr(geometry, "_contour_2d",
+                        counted("contour", geometry._contour_2d))
+    monkeypatch.setattr(geometry, "distance_to_set",
+                        counted("distance", geometry.distance_to_set))
+    monkeypatch.setattr(DiscreteEnergy, "at", counted("at", DiscreteEnergy.at))
+    for key in cfg["diagnostics"].keys() & _DIAGNOSTICS.keys():
+        monkeypatch.setitem(_DIAGNOSTICS, key, in_section(key, _DIAGNOSTICS[key]))
+    out = run_experiment(cfg)
+
+    assert [(s, n) for s, n, _ in calls if n == "contour"] == [("perimeter", "contour")]
+    masks = [args[1] for s, n, args in calls if n == "distance"]
+    assert len(masks) == 1 and [s for s, n, _ in calls if n == "distance"] == ["porosity"]
+    exact = [s for s, n, args in calls if n == "at" and args[2] == 0.0 and s is not None]
+    assert exact == ["strip"]
+
+    fld = out.solve.field
+    _, params, _ = build_problem(cfg)
+    cls = classify(fld, params, 0.001)
+    assert np.array_equal(cls.gamma_zero, masks[0]) and cls.gamma_zero.any()
+    diag = out.report["diagnostics"]
+    for r, per, kappa in zip((0.25, 0.5, 0.75), diag["perimeter"]["perimeter"],
+                             diag["porosity"]["values"]):
+        ball = BallSpec((0.0, 0.0), r)
+        geometry._held.clear()
+        assert relative_perimeter(fld, ball) == per
+        geometry._held.clear()
+        assert porosity_constant(cls.gamma_zero, ball, fld.grid) == kappa
+    ball = BallSpec((0.0, 0.0), 0.5)
+    for eps, energy in zip((0.02, 0.05, 0.1), diag["strip"]["energies"]):
+        geometry._held.clear()
+        assert level_strip_energy(fld, params, eps, ball) == energy > 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
 """Perimeter, density, porosity, strip energy, and tube content."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from aplab.core import Params, ScalarField, build_grid
 from aplab.geometry import (
@@ -132,6 +136,152 @@ def test_perimeter_2d_saddle_pairs_by_the_corner_sum(corners):
     fld = ScalarField(grid, u, grid.boundary_face_mask, u)
     per = relative_perimeter(fld, BallSpec((0.5, 0.5), 1.0))
     assert per == pytest.approx(2.0 * np.sqrt(0.32), rel=1e-12)
+
+
+def _marching_cells_reference(g, grid):
+    """The contour segments of g, one mixed cell at a time: the definition
+    the 2D perimeter must match bit for bit.  Cells in row-major order; in
+    a cell, the crossings on edges ab, bc, cd, da that change sign, paired
+    in that order, or from da in a saddle whose corner a does not have the
+    sign of the corner sum."""
+    xs, ys = grid.axes
+    pos = g > 0.0
+    cp = pos[:-1, :-1].astype(np.int8) + pos[1:, :-1] + pos[1:, 1:] + pos[:-1, 1:]
+    segments = []
+    for i, j in np.argwhere((cp > 0) & (cp < 4)):
+        corners = ((i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1))
+        ends = [((xs[k], ys[m]), g[k, m]) for k, m in corners]
+        cuts = []
+        for (p0, v0), (p1, v1) in zip(ends, ends[1:] + ends[:1]):
+            if (v0 > 0) != (v1 > 0):
+                t = v0 / (v0 - v1)
+                cuts.append((p0[0] + t * (p1[0] - p0[0]), p0[1] + t * (p1[1] - p0[1])))
+        va, vb, vc, vd = (v for _, v in ends)
+        if len(cuts) == 4 and (va > 0) != ((va + vb + vc + vd) > 0.0):
+            cuts = cuts[3:] + cuts[:3]
+        segments.extend(zip(cuts[::2], cuts[1::2]))
+    return segments
+
+
+def _reference_perimeter_2d(segments, ball):
+    cx, cy = ball.center
+    r2 = ball.radius**2
+    total = 0.0
+    for q1, q2 in segments:
+        mx, my = 0.5 * (q1[0] + q2[0]), 0.5 * (q1[1] + q2[1])
+        if (mx - cx) ** 2 + (my - cy) ** 2 < r2:
+            total += math.hypot(q2[0] - q1[0], q2[1] - q1[1])
+    return total
+
+
+def _balls_cutting(segments, centers):
+    """Per center, a ball through the midpoint of a contour segment, and
+    balls just inside and just outside it."""
+    balls = []
+    for k, (cx, cy) in enumerate(centers):
+        radius = 0.7
+        if segments:
+            q1, q2 = segments[k % len(segments)]
+            mx, my = 0.5 * (q1[0] + q2[0]), 0.5 * (q1[1] + q2[1])
+            radius = math.hypot(mx - cx, my - cy) or 0.7
+        balls += [BallSpec((cx, cy), radius * f) for f in (1.0, 1 - 1e-15, 1 + 1e-15)]
+    return balls
+
+
+def _check_against_reference(u, extents, centers):
+    grid = build_grid(extents, u.shape)
+    fld = ScalarField(grid, u, grid.boundary_face_mask, u)
+    segments = _marching_cells_reference(fld.values, grid)
+    for ball in _balls_cutting(segments, centers):
+        assert relative_perimeter(fld, ball) == _reference_perimeter_2d(segments, ball)
+
+
+_CORNER_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -1.5, 2.0]),
+    st.floats(-4.0, 4.0, allow_nan=False),
+)
+
+
+@given(
+    shape=st.tuples(st.integers(2, 7), st.integers(2, 7)),
+    data=st.data(),
+    sign=st.sampled_from([None, 1.0, -1.0]),
+    extents=st.sampled_from([((0.0, 1.0), (0.0, 1.0)), ((-1.0, 1.0), (-0.5, 2.5)),
+                             ((-0.3, 0.7), (-1.0, 0.1))]),
+    centers=st.lists(st.tuples(st.floats(-1.5, 2.5), st.floats(-1.5, 2.5)),
+                     min_size=1, max_size=3),
+)
+def test_perimeter_2d_is_the_cell_by_cell_contour(shape, data, sign, extents, centers):
+    # the drawn values repeat, so corners of exact zeros and saddles of both
+    # pairings are common; a sign makes the field one-signed
+    size = shape[0] * shape[1]
+    u = np.array(data.draw(st.lists(_CORNER_VALUES, min_size=size, max_size=size)))
+    u = u.reshape(shape)
+    if sign is not None:
+        u = sign * np.abs(u)
+    _check_against_reference(u, extents, centers)
+
+
+@pytest.mark.parametrize(
+    "u",
+    [
+        np.array([[1.5, -1.0], [-1.0, 1.5]]),  # saddle, a joined to the center
+        np.array([[1.0, -1.5], [-1.5, 1.0]]),  # saddle, b and d joined
+        np.array([[0.0, 1.0, -0.0], [-2.0, 0.0, 3.0], [0.0, -1.0, 0.0]]),
+        np.array([[1.0, 2.0], [0.5, 3.0]]),  # one sign: no contour
+        np.array([[-1.0, -2.0, -0.0], [-0.5, -3.0, 0.0]]),
+        np.add.outer(np.linspace(-1, 1, 5), np.linspace(0.7, -0.9, 9)) ** 3 - 0.01,
+    ],
+)
+def test_perimeter_2d_hand_picked_fields_are_the_cell_by_cell_contour(u):
+    _check_against_reference(u, ((-1.0, 1.0), (-0.5, 0.5)),
+                             [(0.0, 0.0), (-0.6, 0.2), (0.9, -0.45)])
+
+
+def test_perimeter_2d_squares_midpoint_distances_with_pow():
+    # numpy squares an array as x * x, which differs from pow(x, 2) by an ulp
+    # on about one value in a thousand: balls whose r^2 lies between the two
+    # squared distances of a midpoint tell the rules apart.  The ball holding
+    # the whole grid adds every length, each by math.hypot, left to right
+    grid = build_grid(((-1.0, 1.0), (-0.7, 1.3)), (101, 97))
+    u = np.random.default_rng(11).standard_normal(grid.shape)
+    fld = ScalarField(grid, u, grid.boundary_face_mask, u)
+    segments = _marching_cells_reference(fld.values, grid)
+    balls = [BallSpec((0.0, 0.3), 2.0)]
+    for cx, cy in ((0.1234567, -0.0765432), (-0.31, 0.47), (0.5, 0.6)):
+        for q1, q2 in segments:
+            dx = float(0.5 * (q1[0] + q2[0])) - cx
+            dy = float(0.5 * (q1[1] + q2[1])) - cy
+            lo, hi = sorted((dx**2 + dy**2, dx * dx + dy * dy))
+            radius = math.sqrt(hi)
+            for _ in range(4):
+                if lo < radius**2 <= hi:
+                    balls.append(BallSpec((cx, cy), radius))
+                    break
+                radius = math.nextafter(radius, 0.0 if radius**2 > hi else 1.0)
+    assert len(balls) > 5
+    for ball in balls:
+        assert relative_perimeter(fld, ball) == _reference_perimeter_2d(segments, ball)
+
+
+def test_perimeter_3d_face_count_matches_a_per_radius_count():
+    grid = build_grid(((-1.0, 1.0), (-0.5, 0.5), (0.0, 2.0)), (9, 6, 11))
+    u = np.random.default_rng(5).standard_normal(grid.shape)
+    fld = ScalarField(grid, u, grid.boundary_face_mask, u)
+    coords = grid.coordinate_arrays()
+    pos = u > 0.0
+    for center, radius in (((0.0, 0.0, 1.0), 0.5), ((0.3, -0.2, 0.4), 0.9),
+                           ((-1.0, 0.5, 2.0), 3.0)):
+        # one ball's faces: the face centers of sign changes inside the ball
+        total = 0.0
+        for a in range(3):
+            lo = tuple(slice(0, -1) if b == a else slice(None) for b in range(3))
+            hi = tuple(slice(1, None) if b == a else slice(None) for b in range(3))
+            mids = [0.5 * (coords[b][lo] + coords[b][hi]) for b in range(3)]
+            d2 = sum((m - center[b]) ** 2 for b, m in enumerate(mids))
+            area = np.prod([grid.spacing[b] for b in range(3) if b != a])
+            total += area * np.count_nonzero((pos[lo] != pos[hi]) & (d2 < radius**2))
+        assert relative_perimeter(fld, BallSpec(center, radius)) == float(total)
 
 
 def test_perimeter_3d_staircase_is_approximate():
