@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import Grid, Params, ScalarField, build_grid
 from .energy import DiscreteEnergy
-from .geometry import BallSpec, _loglog_fit
+from .geometry import BallSpec, _exact_state, _loglog_fit, _once
 
 __all__ = [
     "GrowthProfile",
@@ -236,7 +236,10 @@ def scaling_identity_gap(
     ``radius / r`` carries, after multiplication by r**(N + p tau), the
     same energy as the original on the ball of radius ``radius``.
     Returns (transported, original).  An r**(1 + tau) or r**(N + p tau)
-    out of the float range (gamma near p) raises ValueError.
+    out of the float range (gamma near p) raises ValueError.  The
+    original side reads the field's exact-density state, which depends on
+    neither r nor the rescaled field and is built once per field and
+    params, the one ``geometry.level_strip_energy`` reads.
     """
     grid = field.grid
     center = tuple(float(c) for c in center)
@@ -251,5 +254,5 @@ def scaling_identity_gap(
     rhs_region = ball.node_mask(grid, closed=False)
     scaled_state = DiscreteEnergy(scaled.grid, scaled_params).at(scaled.values, 0.0)
     lhs = weight * scaled_state.energy_in(lhs_region)
-    rhs = DiscreteEnergy(grid, params).at(field.values, 0.0).energy_in(rhs_region)
+    rhs = _once("exact", _exact_state, field, params).energy_in(rhs_region)
     return float(lhs), float(rhs)

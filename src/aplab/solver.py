@@ -30,11 +30,11 @@ keeps only the convex part max(F'', 0), c = 0.  Every other step, every
 only that last rung.  The model is the Hessian of the stage energy on
 every step that cuts no curvature.  A line search that collapses below
 the step floor is a stall, and so is a step whose every model the
-factorization refuses, a Newton system with no finite solution, or one
-whose solution is not a descent direction; a stall ends its level's
-ladder.  A coarse level that stops short only supplies the start of the
-next; the finest level's partial result is returned with a message that
-says where it stopped.
+factorization refuses, a Newton system that CG does not solve or whose
+solution is not finite, or one whose solution is not a descent
+direction; a stall ends its level's ladder.  A coarse level that stops
+short only supplies the start of the next; the finest level's partial
+result is returned with a message that says where it stopped.
 
 Each line-search trial is one ``DiscreteEnergy.at`` state.  The trial
 Armijo accepts becomes the next iterate, and the gradient, conductances,
@@ -42,48 +42,43 @@ Hessian terms and curvature of the next Newton step come from that same
 state, so nothing is evaluated twice for one field.
 
 Every linear system, each rung's model of a Newton step included, goes
-through ``_solve_spd`` and ``spsolve``.  In every dimension the
-system is a stencil, never a matrix: one coefficient array per offset
-between coupled nodes, the diagonal and each axis's unit at p = 2, and
-at p != 2 also the offsets 2 e_a and e_a +- e_b of the rank-one terms,
-filled once per Newton step from the conductances and the Hessian terms
-(once per grid level at p = 2, where the conductances are the kernel's).
-Its product, diagonal, bands and CSR form all read those arrays, and the
-product adds in the order of a CSR product, bit for bit.  A 1D system
-is tridiagonal at p = 2 and pentadiagonal otherwise (the rank-one terms
-couple nodes two apart, also across one node outside the set); its two
-or three bands go to LAPACK's banded Cholesky (``dpbsv``), whose refusal
-of a model that is not positive definite moves the step to the next
-rung, which differs from it only in its diagonal.  A 2D or 3D system
-whose nodes all lie strictly inside the box is solved by
-conjugate gradients preconditioned with a fast Poisson solve: the
-constant-coefficient Laplacian of the interior box, inverted by DST-I,
-with a diagonal scaling that matches the system's own diagonal (Concus &
-Golub, SIAM J. Numer. Anal. 10, 1973).  How far CG goes depends on p and
-on the clipping.  A system at p = 2 with no curvature clipped, the
-Hessian, CG solves to a residual of 1e-12 relative to the right-hand
-side, or to the representation floor of the Newton system, whichever is
-larger: rounding the iterate u to float64 already moves the right-hand
-side by up to eps |M| |u| per entry, so a smaller residual solves
-rounding noise (Arioli, Numer. Math. 97, 2004).  Any other system, at
-p != 2 or with curvature clipped, CG stops at the forcing term, a
-residual of 0.1 relative to the gradient, the inexact Newton step that
-keeps the descent's convergence (Dembo, Eisenstat & Steihaug, SIAM J.
-Numer. Anal. 19, 1982; Eisenstat & Walker, SIAM J. Sci. Comput. 17,
-1996); at p != 2 that was cheaper than the floor.  SuperLU is the
-counted fallback, and the only consumer of a CSR matrix, converted from
-the stencil's coefficients by ``tocsr()``: it takes a 2D or 3D system
-with a node on a box face, a system on which CG breaks down or reaches
-its iteration cap, and the diagonal-lift retry of a non-finite solve,
-the only way a 1D system reaches it.  Inner products are
-plain ``np.sum`` reductions, not BLAS, so a solve does not depend on the
-number of BLAS threads.
+through ``spsolve``, which has one solver per dimension.  In every
+dimension the system is a stencil, never a matrix: one coefficient array
+per offset between coupled nodes, the diagonal and each axis's unit at
+p = 2, and at p != 2 also the offsets 2 e_a and e_a +- e_b of the
+rank-one terms, filled once per Newton step from the conductances and the
+Hessian terms (once per grid level at p = 2, where the conductances are
+the kernel's).  Its product, diagonal and bands all read those arrays,
+and the product adds in the order of a CSR product, bit for bit.  A 1D
+system is tridiagonal at p = 2 and pentadiagonal otherwise (the rank-one
+terms couple nodes two apart, also across one node outside the set); its
+two or three bands go to LAPACK's banded Cholesky (``dpbsv``), whose
+refusal of a model that is not positive definite moves the step to the
+next rung, which differs from it only in its diagonal.  A 2D or 3D
+system is solved by conjugate gradients preconditioned with a fast
+Poisson solve: the constant-coefficient Laplacian of the interior box,
+or of the whole grid when a node lies on a face of the box, inverted by
+DST-I, with a diagonal scaling that matches the system's own diagonal
+(Concus & Golub, SIAM J. Numer. Anal. 10, 1973).  How far CG goes
+depends on p and on the clipping.  A system at p = 2 with no curvature
+clipped, the Hessian, CG solves to a residual of 1e-12 relative to the
+right-hand side, or to the representation floor of the Newton system,
+whichever is larger: rounding the iterate u to float64 already moves the
+right-hand side by up to eps |M| |u| per entry, so a smaller residual
+solves rounding noise (Arioli, Numer. Math. 97, 2004).  Any other
+system, at p != 2 or with curvature clipped, CG stops at the forcing
+term, a residual of 0.1 relative to the gradient, the inexact Newton step
+that keeps the descent's convergence (Dembo, Eisenstat & Steihaug, SIAM
+J. Numer. Anal. 19, 1982; Eisenstat & Walker, SIAM J. Sci. Comput. 17,
+1996); at p != 2 that was cheaper than the floor.  A CG solve that
+breaks down or reaches its iteration cap is a stall, and so is a
+solution that is not finite.  Inner products are plain ``np.sum``
+reductions, not BLAS, so a solve does not depend on the number of BLAS
+threads.
 
 Importing the module loads no scipy module: ``scipy.linalg`` (``dpbsv``)
-loads on the first 1D solve, and ``scipy.sparse`` and
-``scipy.sparse.linalg`` (SuperLU) on the first SuperLU solve, so a 2D or
-3D solve that CG finishes and a 1D solve that ``dpbsv`` finishes load no
-``scipy.sparse``.
+loads on the first 1D solve and ``scipy.fft`` on the first CG solve; no
+solve loads scipy's sparse matrices.
 """
 
 from __future__ import annotations
@@ -94,15 +89,11 @@ from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import Grid, Params, ScalarField, inject, prolong
 from .energy import DiscreteEnergy
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 __all__ = [
     "DEFAULT_LADDER",
@@ -163,7 +154,8 @@ STAGE_EXITS = (
     "step_cap",  # _MAX_ITERS Newton steps were taken
     "polish",  # the residual-monotone polish stopped contracting
     "stall",  # a failed line search far from criticality, no positive
-    # definite model, no finite solve, or a direction that is not a descent one
+    # definite model, a CG miss, no finite solve, or a direction that is not
+    # a descent one
 )
 
 
@@ -173,8 +165,6 @@ WORK_COUNTERS = (
     "cg_iterations",  # preconditioned CG iterations over all of them
     "cg_floor_stops",  # CG solves stopped by the representation floor
     "cg_forcing_stops",  # CG solves stopped by the inexact-Newton forcing term
-    "superlu_solves",  # fallback solves: box faces, CG misses, lifts
-    "lift_retries",  # non-finite solves retried with a lifted diagonal
     "backtracks",  # Armijo trials rejected, those of a failed search included
     "polish_steps",  # accepted residual-monotone polish steps
     "clipped_models",  # Newton steps whose model cut concave curvature:
@@ -416,9 +406,8 @@ class _Stencil:
     from the largest to the smallest, the diagonal term, then those of the
     upper offsets from the smallest to the largest: the ascending-column
     order in which scipy's CSR product adds a row, so the product equals
-    ``M.tocsr() @ x`` bit for bit.  ``abs(M)`` has the absolute entries,
-    ``M.tocsr()`` converts the entries between nodes of the set from COO
-    for SuperLU, and in 1D ``M.banded()`` gives the block's bands to
+    that of the block's entries as CSR bit for bit.  ``abs(M)`` has the
+    absolute entries, and in 1D ``M.banded()`` gives the block's bands to
     LAPACK.
     """
 
@@ -428,7 +417,6 @@ class _Stencil:
         self.block = block
         self.grid = block.grid
         self.where = block.where
-        self.shape = (main.size, main.size)
         if self.where is None:
             self.on_grid = main.reshape(self.grid)
         else:
@@ -486,49 +474,33 @@ class _Stencil:
         y = y.reshape(-1)
         return y if self.where is None else y[self.where]
 
-    def tocsr(self) -> sp.csr_matrix:
-        """The block as CSR: its entries between nodes of the set, once."""
-        import scipy.sparse as sp
-
-        m = self.main.size
-        at = np.arange(m)
-        pos = np.full(self.grid, -1)  # block index of each grid node, -1 if outside
-        pos.reshape(-1)[at if self.where is None else self.where] = at
-        rows, cols, vals = [at], [at], [self.main]
-        for d, c in self.coef.items():
-            lo, hi = self.block.ends[d]
-            i, j = pos[lo], pos[hi]
-            both = (i >= 0) & (j >= 0)
-            i, j, c = i[both], j[both], c[both]
-            rows += [i, j]
-            cols += [j, i]
-            vals += [c, c]
-        coo = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
-        return sp.csr_matrix(coo, shape=self.shape)
-
 
 def assemble_diffusion(
     values: np.ndarray, grid: Grid, p: float, eps: float
-) -> sp.csr_matrix:
-    """The Dirichlet diffusion operator over all nodes, conductances of ``values``.
+) -> _Stencil:
+    """The Dirichlet diffusion operator over all nodes, conductances of
+    ``values``, as the whole grid's stencil.
 
     Nothing in the package calls it; the benchmark's tracer patches this
-    name, so it stays until the benchmark drops it.
+    name and its self-check reads it, so it stays until the benchmark
+    drops it.  It returns the stencil that every solve uses, not a
+    sparse matrix.
     """
     kern = DiscreteEnergy.dirichlet(grid, p)
     block = _FreeBlock(kern, np.arange(kern.weights.size))
-    return block(kern.at(values, eps).conductances).tocsr()
+    return block(kern.at(values, eps).conductances)
 
 
 @dataclass(frozen=True)
 class _BoxPreconditioner:
-    """Fast Poisson solve on the interior box of the grid.
+    """Fast Poisson solve on a box of the grid: its interior box, or the
+    whole grid.
 
     ``lam`` holds the eigenvalues, on the DST-I basis of every axis, of
     ``L0 = sum_a (vol / h_a^2) T_a`` with ``T_a`` the Dirichlet second
-    difference along axis a; ``diag`` is L0's (constant) diagonal and
-    ``where`` each node's flat position in the box, None when the nodes
-    fill the whole box.
+    difference along axis a, zero one node past each face of the box;
+    ``diag`` is L0's (constant) diagonal and ``where`` each node's flat
+    position in the box, None when the nodes fill the whole box.
     """
 
     lam: np.ndarray
@@ -552,17 +524,22 @@ class _BoxPreconditioner:
 def _box_preconditioner(
     kern: DiscreteEnergy, block: _FreeBlock
 ) -> _BoxPreconditioner | None:
-    """The fast Poisson preconditioner of the systems ``block`` makes, if
-    one applies.
+    """The fast Poisson preconditioner of the systems ``block`` makes, in
+    2D and 3D.
 
-    None in 1D, where ``spsolve`` factors the banded system directly,
-    and when a node lies on a box face, which the interior box does not
-    hold.
+    None in 1D, where ``spsolve`` factors the banded system directly.  Its
+    box is the grid's interior box when that holds every node, and
+    otherwise, when a node lies on a face of the grid, the whole grid,
+    with its Dirichlet condition one node past every face.
     """
     shape = kern.weights.shape
-    if len(shape) == 1 or block.in_box is None:
+    if len(shape) == 1:
         return None
-    box = tuple(n - 2 for n in shape)
+    if block.in_box is None:
+        box, where = shape, block.nodes
+    else:
+        box = tuple(n - 2 for n in shape)
+        where = None if block.box is not None else block.in_box
     h = kern.grid.spacing
     vol = float(np.prod(h))
     lam = np.zeros(box)
@@ -570,7 +547,6 @@ def _box_preconditioner(
         theta = 0.5 * np.pi * np.arange(1, m + 1) / (m + 1)
         along = (1,) * a + (-1,) + (1,) * (len(box) - 1 - a)
         lam += (4.0 * vol / ha**2 * np.sin(theta) ** 2).reshape(along)
-    where = None if block.box is not None else block.in_box
     return _BoxPreconditioner(lam, sum(2.0 * vol / ha**2 for ha in h), where)
 
 
@@ -581,7 +557,7 @@ _CG_RTOL = 1e-12
 _CG_FORCING = 0.1
 # A Newton system of the bundled 2D configs takes 1 iteration, one of the
 # 2D session fixtures at most 9, and one of any tier-1 test at most 52 (a
-# direct solve to _CG_RTOL); a miss costs at most a few SuperLU solves.
+# direct solve to _CG_RTOL); a miss is a stall.
 _CG_MAX_ITERS = 200
 
 
@@ -643,10 +619,9 @@ def _pcg(
     return x
 
 
-# The two direct solvers, imported on their first call.
 def solveh_banded(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve the SPD banded system of lower band storage ``ab`` (``dpbsv``),
-    which the factorization overwrites.
+    """Solve the SPD banded system of lower band storage ``ab`` (``dpbsv``,
+    imported on the first call), which the factorization overwrites.
 
     LinAlgError when the factorization finds it not positive definite.
     """
@@ -658,70 +633,29 @@ def solveh_banded(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _superlu(M: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
-    from scipy.sparse import linalg
-
-    return linalg.spsolve(M, rhs)
-
-
 def spsolve(
-    M: _Stencil | sp.csr_matrix,
+    M: _Stencil,
     rhs: np.ndarray,
     precond: _BoxPreconditioner | None = None,
     tally: Counter | None = None,
     floor: float = 0.0,
     rtol: float = _CG_RTOL,
-) -> np.ndarray:
-    """Solve the SPD system ``M x = rhs``.
-
-    A 1D block is solved by LAPACK's banded Cholesky, whose LinAlgError
-    for a block it finds not positive definite propagates; a block with a
-    box preconditioner by preconditioned CG, which stops at a residual
-    norm of ``rtol`` (by default ``_CG_RTOL``) times that of ``rhs`` or of
-    ``floor``, whichever is larger.  Everything else goes to SuperLU as
-    CSR, and so does a block on which CG breaks down or reaches its
-    iteration cap.  ``tally`` counts the CG iterations, the CG solves that
-    the floor stopped, those that a looser ``rtol`` stopped, and the
-    SuperLU solves.
-    """
-    if tally is None:
-        tally = Counter()
-    if precond is not None:
-        x = _pcg(M, rhs, precond, tally, floor, rtol)
-        if x is not None:
-            return x
-    elif isinstance(M, _Stencil) and len(M.grid) == 1:
-        # a CSR matrix, the lifted retry's, goes straight to SuperLU
-        return solveh_banded(M.banded(), rhs)
-    tally["superlu_solves"] += 1
-    return _superlu(M.tocsr(), rhs)
-
-
-def _solve_spd(
-    M: _Stencil,
-    rhs: np.ndarray,
-    precond: _BoxPreconditioner | None,
-    tally: Counter,
-    floor: float,
-    rtol: float,
 ) -> np.ndarray | None:
-    """Sparse SPD solve with a tiny diagonal lift retry for rank issues.
+    """Solve the SPD system ``M x = rhs``; None when CG misses.
 
-    ``floor`` and ``rtol`` go to CG (see ``spsolve``); the retry goes to
-    SuperLU.  None when the lifted solve is still non-finite.  A 1D block
-    that ``dpbsv`` refuses raises LinAlgError and counts no linear solve.
+    A 1D block (no ``precond``) is solved by LAPACK's banded Cholesky,
+    whose LinAlgError for a block it finds not positive definite
+    propagates.  A 2D or 3D block is solved by CG with its box
+    preconditioner, which stops at a residual norm of ``rtol`` (by default
+    ``_CG_RTOL``) times that of ``rhs`` or of ``floor``, whichever is
+    larger, and gives None when CG breaks down or reaches its iteration
+    cap.  ``tally`` counts the CG iterations, the CG solves that the floor
+    stopped and those that a looser ``rtol`` stopped.  The solution may
+    be non-finite; the caller checks.
     """
-    x = spsolve(M, rhs, precond, tally, floor, rtol)
-    tally["linear_solves"] += 1
-    if np.isfinite(x).all():
-        return x
-    import scipy.sparse as sp
-
-    tally["lift_retries"] += 1
-    lift = 1e-12 * float(np.max(np.abs(M.diagonal()))) + 1e-300
-    lifted = M.tocsr() + lift * sp.identity(M.shape[0], format="csr")
-    x = spsolve(lifted, rhs, None, tally)
-    return x if np.isfinite(x).all() else None
+    if precond is None:
+        return solveh_banded(M.banded(), rhs)
+    return _pcg(M, rhs, precond, Counter() if tally is None else tally, floor, rtol)
 
 
 def _rms(x: np.ndarray) -> float:
@@ -792,9 +726,9 @@ def minimize(
     recorded once, with its grid's resolution, the residual of the iterate
     it leaves and which of these ``STAGE_EXITS`` it took.  A stall (the
     Armijo search fell below the step floor, the factorization refused
-    every model of a Newton step, a Newton system had no finite solution
-    even after the diagonal lift, or its solution d is no descent
-    direction: g . d <= 0 or not finite) ends the level's ladder,
+    every model of a Newton step, CG broke down on a Newton system or
+    reached its iteration cap, the solution d is not finite, or it is no
+    descent direction: g . d <= 0 or not finite) ends the level's ladder,
     and the level returns the best iterate so far.  The result lists every
     level's stages, coarsest first, and sums their work; its ``shortfall``
     is the finest level's.  A level whose last stage misses the tolerance
@@ -907,12 +841,18 @@ def _descend(
                 elif precond is not None:
                     rtol = _CG_FORCING
                 try:
-                    d = _solve_spd(M, g_f, precond, tally, floor, rtol)
+                    d = spsolve(M, g_f, precond, tally, floor, rtol)
                 except np.linalg.LinAlgError:
                     continue  # dpbsv refused the model
+                tally["linear_solves"] += 1
                 if not exact:
                     tally["clipped_models"] += 1
-                stall = None if d is not None else "linear solve non-finite"
+                if d is None:
+                    stall = "CG breakdown or iteration cap"
+                elif not np.isfinite(d).all():
+                    stall = "linear solve non-finite"
+                else:
+                    stall = None
                 break
             if stall is not None:
                 shortfall = (

@@ -186,8 +186,8 @@ def test_run_unconverged_without_stall_is_exit_3(tmp_path, capsys, monkeypatch):
 def test_run_nonfinite_linear_solve_is_exit_3_with_partial_bundle(
     tmp_path, capsys, monkeypatch
 ):
-    # every linear solve, the diagonal-lift retry included, comes back NaN,
-    # on n = 17 at the first width and on n = 33 and 65 at the last
+    # every linear solve comes back NaN, which nothing retries: a stall on
+    # n = 17 at the first width and on n = 33 and 65 at the last
     monkeypatch.setattr(
         aplab.solver, "spsolve", lambda M, rhs, *a, **kw: np.full_like(rhs, np.nan)
     )
@@ -308,10 +308,8 @@ def test_compare_reports_work_counters_apart(bundle_a, tmp_path, capsys):
         "solve/cg_forcing_stops": 0.0,
         "solve/cg_iterations": 5.0,
         "solve/clipped_models": 0.0,
-        "solve/lift_retries": 0.0,
         "solve/linear_solves": 0.0,
         "solve/polish_steps": 0.0,
-        "solve/superlu_solves": 0.0,
     }
     assert summary["over_tolerance"] == {}
     assert summary["max_delta"] == 0.0
@@ -323,6 +321,26 @@ def test_compare_reports_work_counters_apart(bundle_a, tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out)
     assert summary["over_tolerance"] == {"solve/n_iterations": 1.0}
     assert summary["counter_deltas"]["solve/cg_iterations"] == 5.0
+
+
+def test_compare_lists_counters_an_older_bundle_still_carries(
+    bundle_a, tmp_path, capsys
+):
+    # a bundle written when the solver still counted SuperLU solves and
+    # diagonal-lift retries against a new one: the two counters are unmatched
+    # paths, neither compared nor failing the comparison
+    report = json.loads((bundle_a / "report.json").read_text())
+    assert "superlu_solves" not in report["solve"]
+    assert "lift_retries" not in report["solve"]
+    report["solve"].update(superlu_solves=0, lift_retries=0)
+    older = _bundle_with_report(bundle_a, tmp_path / "older", report)
+    for dirs in ((older, bundle_a), (bundle_a, older)):
+        assert main(["compare", *map(str, dirs), "--tol", "0"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["unmatched_paths"] == ["solve/lift_retries",
+                                              "solve/superlu_solves"]
+        assert summary["field_sup_diff"] == 0.0 and summary["over_tolerance"] == {}
+        assert "solve/superlu_solves" not in summary["counter_deltas"]
 
 
 def test_compare_passes_over_the_stage_exits(bundle_a, tmp_path, capsys):

@@ -38,6 +38,7 @@ from aplab.geometry import (
     relative_perimeter,
 )
 from aplab.phases import classify
+from aplab.scalelab import scaling_identity_gap
 
 
 def tiny_config():
@@ -631,6 +632,67 @@ def test_run_reads_each_per_field_quantity_once(monkeypatch):
     for eps, energy in zip((0.02, 0.05, 0.1), diag["strip"]["energies"]):
         geometry._held.clear()
         assert level_strip_energy(fld, params, eps, ball) == energy > 0.0
+
+
+@pytest.mark.parametrize("sections", [("strip", "scaling"), ("scaling",)],
+                         ids=["strip-and-scaling", "scaling"])
+def test_run_builds_the_exact_state_once_for_strip_and_scaling(sections, monkeypatch):
+    # the strip's widths and every r of the scaling identity read one
+    # exact-density state of the solved field, built by the first section
+    # that needs it; the transported side builds its own state per r, on
+    # the rescaled grid
+    r_values = [0.5, 0.25, 0.125]
+    cfg = {
+        "seed": 0,
+        "problem": {
+            "p": 2.0, "gamma": 0.5, "lambda_plus": 0.4, "lambda_minus": 0.4,
+            "delta": 1.0, "extents": [[-1.0, 1.0], [-1.0, 1.0]],
+            "resolution": [33, 33],
+            "boundary": "pow(0.45, 2/3) * x * pow(abs(x), 1/3)",
+        },
+        "diagnostics": {
+            "strip": {"center": [0.0, 0.0], "radius": 0.5,
+                      "eps_ladder": [0.02, 0.05, 0.1]},
+            "scaling": {"center": [0.0, 0.0], "radius": 0.5, "r_values": r_values},
+        },
+    }
+    cfg["diagnostics"] = {k: cfg["diagnostics"][k] for k in sections}
+    section, calls = [None], []
+    real_at = DiscreteEnergy.at
+
+    def at(kern, values, eps):
+        if eps == 0.0 and section[0] is not None:
+            calls.append((section[0], kern.grid))
+        return real_at(kern, values, eps)
+
+    def in_section(key, measure):
+        def wrapper(solved, spec):
+            section[0] = key
+            try:
+                return measure(solved, spec)
+            finally:
+                section[0] = None
+        return wrapper
+
+    monkeypatch.setattr(geometry, "_held", {})
+    monkeypatch.setattr(DiscreteEnergy, "at", at)
+    for key in sections:
+        monkeypatch.setitem(_DIAGNOSTICS, key, in_section(key, _DIAGNOSTICS[key]))
+    out = run_experiment(cfg)
+
+    fld = out.solve.field
+    assert [s for s, grid in calls if grid == fld.grid] == [sections[0]]
+    assert [s for s, grid in calls if grid != fld.grid] == ["scaling"] * len(r_values)
+    # the readings are those of a state built afresh for every r
+    monkeypatch.setattr(DiscreteEnergy, "at", real_at)
+    _, params, _ = build_problem(cfg)
+    region = BallSpec((0.0, 0.0), 0.5).node_mask(fld.grid, closed=False)
+    fresh = DiscreteEnergy(fld.grid, params).at(fld.values, 0.0).energy_in(region)
+    diag = out.report["diagnostics"]["scaling"]
+    assert diag["original"] == [float(fresh)] * len(r_values)
+    for r, lhs, rhs in zip(r_values, diag["transported"], diag["original"]):
+        geometry._held.clear()
+        assert scaling_identity_gap(fld, params, (0.0, 0.0), r, 0.5) == (lhs, rhs)
 
 
 # ---------------------------------------------------------------------------

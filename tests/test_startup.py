@@ -1,12 +1,12 @@
 """What a fresh interpreter loads: heavy modules wait for their first use.
 
-scipy.optimize, scipy.linalg, scipy.sparse, scipy.sparse.linalg and
-jsonschema are imported by the first call that needs them, so the
-closed-form oracles, the inequality sweeps, ``apl oracle`` and ``apl
-compare`` run on numpy alone, and neither a 2D or 3D solve that CG
-finishes nor a 1D solve that LAPACK's banded Cholesky finishes needs
-scipy.sparse.  Each check runs in a child interpreter, because this
-process has long since loaded all of them.
+scipy.optimize, scipy.linalg, scipy.fft and jsonschema are imported by
+the first call that needs them, so the closed-form oracles, the
+inequality sweeps, ``apl oracle`` and ``apl compare`` run on numpy alone.
+No solve loads scipy.sparse: CG solves the 2D and 3D systems and LAPACK's
+banded Cholesky the 1D ones, and only scipy.optimize, which the two-phase
+oracle uses, pulls it in.  Each check runs in a child interpreter, because
+this process has long since loaded all of them.
 """
 
 import json
@@ -18,8 +18,7 @@ import pytest
 
 from aplab.core import ScalarField, build_grid, save_field
 
-LAZY = ("scipy.optimize", "scipy.sparse", "scipy.sparse.linalg", "scipy.linalg",
-        "jsonschema")
+LAZY = ("scipy.optimize", "scipy.sparse", "scipy.linalg", "scipy.fft", "jsonschema")
 
 
 def _child(code: str) -> dict:
@@ -85,10 +84,25 @@ def test_apl_compare_loads_no_scipy_module(tmp_path):
     assert out == {"rc": 0, "n": 1, "scipy": []}
 
 
-# Solves whose Newton systems never reach SuperLU: CG finishes the 2D
-# ones, LAPACK's dpbsv the 1D ones, on a node set with gaps at the pinned
-# nodes 40, 41 and 200
-_NO_SUPERLU = {
+# Solves in every dimension and on every kind of node set: CG finishes the
+# 2D and 3D ones, also on free sets that touch a face of the box, LAPACK's
+# dpbsv the 1D ones, on a node set with gaps at the pinned nodes 40, 41 and
+# 200, and CG the minimize of a 2D p-harmonic replacement on a ball.  Each
+# sets ``res``, a SolveResult
+_BUMP = """
+        grid = Grid(extents=((-1.0, 1.0),) * len(shape), resolution=shape)
+        x, y, *z = grid.coordinate_arrays()
+        u = np.sin(2.1 * x) * np.cos(1.3 * y) + 0.3 * x * y
+        u = u + sum(0.2 * np.sin(1.7 * w) for w in z)
+        """
+_FACE = """
+        fixed = grid.boundary_face_mask.copy()
+        fixed[(slice(1, -1),) * (len(shape) - 1) + (-1,)] = False
+        par = Params(p=1.5, gamma=0.5, lambda_plus=0.5, lambda_minus=0.5,
+                     alpha_p=1.0)
+        res = minimize(ScalarField(grid, np.where(fixed, u, 0.0), fixed, u), par)
+        """
+_SOLVES = {
     "2d-cg": """
         grid = Grid(extents=((-1.0, 1.0), (0.0, 1.5)), resolution=(17, 13))
         x, y = grid.coordinate_arrays()
@@ -96,6 +110,7 @@ _NO_SUPERLU = {
         fixed = grid.boundary_face_mask
         par = Params(p=1.5, gamma=0.5, lambda_plus=0.5, lambda_minus=0.5,
                      alpha_p=1.0)
+        res = minimize(ScalarField(grid, np.where(fixed, u, 0.0), fixed, u), par)
         """,
     "1d-dpbsv": """
         grid = Grid(extents=((-1.0, 1.0),), resolution=(257,))
@@ -105,41 +120,53 @@ _NO_SUPERLU = {
         u = prof.coefficient * np.clip(grid.axes[0], 0.0, None) ** prof.beta
         fixed = grid.boundary_face_mask.copy()
         fixed[[40, 41, 200]] = True
+        res = minimize(ScalarField(grid, np.where(fixed, u, 0.0), fixed, u), par)
+        """,
+    "2d-face": "\n        shape = (17, 13)" + _BUMP + _FACE,
+    "3d-face": "\n        shape = (9, 9, 7)" + _BUMP + _FACE,
+    "2d-replacement": "\n        shape = (33, 33)" + _BUMP + """
+        import aplab.solver
+        solves, real = [], aplab.solver.minimize
+        aplab.solver.minimize = lambda *args: solves.append(real(*args)) or solves[-1]
+        fld = ScalarField(grid, u, grid.boundary_face_mask, u)
+        p_harmonic_replacement(fld, 1.5, x**2 + y**2 < 0.45**2)
+        (res,) = solves
         """,
 }
 
 
-@pytest.mark.parametrize("case", _NO_SUPERLU)
-def test_a_solve_that_needs_no_superlu_loads_no_scipy_sparse(case):
-    # the Newton blocks are stencils in every dimension; CSR is assembled
-    # only for SuperLU
+@pytest.mark.parametrize("case", _SOLVES)
+def test_no_solve_loads_scipy_sparse(case):
+    # the Newton blocks are stencils in every dimension, and no solver takes
+    # a sparse matrix
     out = _child(
         """
         import json, sys
         import numpy as np
         from aplab.core import Grid, Params, ScalarField
         from aplab.oracle import one_phase_profile
-        from aplab.solver import minimize
+        from aplab.solver import minimize, p_harmonic_replacement
         """
-        + _NO_SUPERLU[case]
+        + _SOLVES[case]
         + """
-        res = minimize(ScalarField(grid, np.where(fixed, u, 0.0), fixed, u), par)
         print(json.dumps({"converged": res.converged, "work": dict(res.work),
                           "sparse": "scipy.sparse" in sys.modules}))
         """
     )
     assert out["converged"] and not out["sparse"]
     work = out["work"]
-    assert work["superlu_solves"] == 0
-    if case == "2d-cg":
-        assert work["cg_iterations"] >= work["linear_solves"] > 0
-    else:
+    if case == "1d-dpbsv":
         assert work["cg_iterations"] == 0 and work["linear_solves"] == 54
+    else:
+        assert work["cg_iterations"] >= work["linear_solves"] > 0
+    steps = {"2d-face": 276, "3d-face": 298}
+    if case in steps:
+        assert work["linear_solves"] == steps[case]
 
 
 def test_first_use_imports_each_lazy_module_and_works():
-    # ordered so that no step loads a later step's module: scipy.sparse.linalg
-    # pulls in scipy.linalg, and scipy.optimize pulls in both
+    # ordered so that no step loads a later step's module: scipy.optimize
+    # pulls in scipy.linalg, scipy.fft and scipy.sparse
     out = _child(
         """
         import json, sys
@@ -151,7 +178,7 @@ def test_first_use_imports_each_lazy_module_and_works():
         from aplab.oracle import shoot_two_phase_1d
         from aplab.solver import _box_preconditioner, _FreeBlock, spsolve
 
-        def newton_system(shape, indefinite=False):
+        def newton_system(shape):
             grid = Grid(extents=((-1.0, 1.0),) * len(shape), resolution=shape)
             kern = DiscreteEnergy.dirichlet(grid, 2.0)
             nodes = np.flatnonzero(~grid.boundary_face_mask.ravel())
@@ -159,12 +186,7 @@ def test_first_use_imports_each_lazy_module_and_works():
                              0.1).conductances
             b = np.random.default_rng(1).standard_normal(nodes.size)
             block = _FreeBlock(kern, nodes)
-            M = block(kappas)
-            if indefinite:
-                # the entries of M - c I, c half the smallest diagonal entry:
-                # a positive diagonal, but eigenvalues of both signs
-                M = block(kappas, -0.5 * M.diagonal().min())
-            return kern, block, M, b
+            return kern, block, block(kappas), b
 
         def config_error():
             try:
@@ -177,12 +199,12 @@ def test_first_use_imports_each_lazy_module_and_works():
             x = spsolve(M, b)
             return float(np.max(np.abs(M @ x - b)))
 
-        def superlu():
-            # an indefinite system: CG breaks down
-            kern, block, M, b = newton_system((17, 17), indefinite=True)
+        def cg():
+            kern, block, M, b = newton_system((17, 17))
             tally = Counter()
             x = spsolve(M, b, _box_preconditioner(kern, block), tally)
-            return [tally["superlu_solves"], float(np.max(np.abs(M @ x - b)))]
+            return [tally["cg_iterations"], float(np.max(np.abs(M @ x - b))),
+                    "scipy.sparse" in sys.modules]
 
         def root_search():
             # C = 1/32 > 0, so brentq runs; u = sign(x) (x^2/4 + |x|/4)
@@ -192,7 +214,7 @@ def test_first_use_imports_each_lazy_module_and_works():
             return float(np.max(np.abs(sol.u - np.sign(sol.x) * (ax**2 + ax) / 4)))
 
         steps = [("jsonschema", config_error), ("scipy.linalg", banded),
-                 ("scipy.sparse.linalg", superlu), ("scipy.optimize", root_search)]
+                 ("scipy.fft", cg), ("scipy.optimize", root_search)]
         out = {}
         for module, call in steps:
             before = module in sys.modules
@@ -205,7 +227,8 @@ def test_first_use_imports_each_lazy_module_and_works():
     ]
     before, residual, after = out["scipy.linalg"]
     assert not before and after and residual <= 1e-10
-    before, (superlu_solves, residual), after = out["scipy.sparse.linalg"]
-    assert not before and after and superlu_solves == 1 and residual <= 1e-10
+    before, (iterations, residual, sparse), after = out["scipy.fft"]
+    assert not before and after and iterations > 0 and residual <= 1e-10
+    assert not sparse
     before, error, after = out["scipy.optimize"]
     assert not before and after and error <= 1e-13
