@@ -5,6 +5,7 @@ sweeps randomize over pair families including the adversarial near-parallel,
 near-antipodal, and near-zero ones.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from aplab import inequalities
 from aplab.inequalities import (
+    InequalityReport,
     _dot,
     _norm,
     _power,
@@ -128,6 +130,7 @@ SWEEP_ONLY_CASES = [
     ("sum", 2.0), ("sum", 4.0), ("convexity", 3.0), ("monotonicity", 2.0),
     ("monotonicity", 4.0), ("v_equivalence", 2.0),
 ]
+ACCEPTANCE_SWEEPS = [c for c in UNIT_CASES + SWEEP_ONLY_CASES if c != ("sum", 0.5)]
 
 
 @pytest.mark.parametrize("name, p", UNIT_CASES)
@@ -443,11 +446,16 @@ def test_a_patched_draw_leaves_no_pairs_behind(monkeypatch):
     # even where they equal the held pairs: poisoned held values stay unread
     cases = UNIT_CASES + SWEEP_ONLY_CASES
     held_reports = [repr(sweep_inequality(*case, n_pairs=2000, seed=3)) for case in cases]
+    copies = tuple(np.array(x) for x in inequalities._sweep_pairs(2000, 3))
     ((key, held),) = inequalities._held.items()
-    poison = {f: np.full_like(getattr(held, f), np.nan)
-              for f in ("diff", "norm_ua", "norm_ub", "norm_diff")}
-    inequalities._held[key] = held._replace(**poison)
-    copies = tuple(np.array(x) for x in held[:4])
+
+    def poisoned(units):
+        return units._replace(**{f: np.full_like(getattr(units, f), np.nan)
+                                 for f in ("diff", "norm_ua", "norm_ub", "norm_diff")})
+
+    inequalities._held[key] = held._replace(
+        units=poisoned(held.units), blocks=tuple(map(poisoned, held.blocks))
+    )
     monkeypatch.setattr("aplab.inequalities._sweep_pairs", lambda n, seed: copies)
     copied_reports = [repr(sweep_inequality(*case, n_pairs=2000, seed=3)) for case in cases]
     assert copied_reports == held_reports
@@ -481,29 +489,32 @@ def test_held_pairs_are_read_only_and_column_contiguous(monkeypatch):
     assert ua.flags.f_contiguous and ub.flags.f_contiguous
     ((key, held),) = inequalities._held.items()
     assert key == (2000, 4)
-    assert all(x is y for x, y in zip(held, (a, b, ua, ub)))
-    for x in held:
-        with pytest.raises(ValueError, match="read-only"):
-            x[0] = 1.0
-    # the held values are the checks' own, and only the held arrays read them
-    assert_same_bits(held.diff, ua - ub)
-    for x, n in ((ua, held.norm_ua), (ub, held.norm_ub), (held.diff, held.norm_diff)):
-        assert_same_bits(n, np.sqrt(_dot(x, x)))
-        assert _norm(x) is n and _norm(np.array(x)) is not n
-    assert inequalities._difference(ua, ub) is held.diff
-    assert inequalities._difference(ub, ua) is not held.diff
-    assert inequalities._difference(np.array(ua), ub) is not held.diff
+    assert all(x is y for x, y in zip((held.a, held.b, *held.units), (a, b, ua, ub)))
+    for units in (held.units, *held.blocks):
+        for x in (held.a, held.b, *units):
+            with pytest.raises(ValueError, match="read-only"):
+                x[0] = 1.0
+        # the held values are the checks' own, and only the held arrays read them
+        ua, ub, diff = units[:3]
+        assert_same_bits(diff, ua - ub)
+        for x, n in ((ua, units.norm_ua), (ub, units.norm_ub), (diff, units.norm_diff)):
+            assert_same_bits(n, np.sqrt(_dot(x, x)))
+            assert _norm(x) is n and _norm(np.array(x)) is not n
+        assert inequalities._difference(ua, ub) is diff
+        assert inequalities._difference(ub, ua) is not diff
+        assert inequalities._difference(np.array(ua), ub) is not diff
     # another (n, seed) drops the entry and every value it held
     inequalities._sweep_pairs(2000, 5)
     assert list(inequalities._held) == [(2000, 5)]
-    assert _norm(ua) is not held.norm_ua
-    assert inequalities._difference(ua, ub) is not held.diff
+    for units in (held.units, *held.blocks):
+        assert _norm(units.ua) is not units.norm_ua
+        assert inequalities._difference(units.ua, units.ub) is not units.diff
 
 
 def test_sweeps_compute_each_held_norm_once(monkeypatch):
     # every sweep of tests/test_acceptance.py::SWEEPS (and the sum at
-    # p = 0.5) reads |ua|, |ub| and |ua - ub| of the held pairs from the
-    # entry, which computed each of them once
+    # p = 0.5) reads |ua|, |ub| and |ua - ub| of each held block from the
+    # entry, which computed each of them once, on the whole held arrays
     monkeypatch.setattr(inequalities, "_held", {})
     calls = []
     dot = inequalities._dot
@@ -516,8 +527,11 @@ def test_sweeps_compute_each_held_norm_once(monkeypatch):
     for name, p in UNIT_CASES + SWEEP_ONLY_CASES:
         sweep_inequality(name, p, n_pairs=2000, seed=4)
     (held,) = inequalities._held.values()
-    for x in (held.ua, held.ub, held.diff):
+    for x in held.units[:3]:
         assert sum(a is x and b is x for a, b in calls) == 1
+    for units in held.blocks:
+        for x in units[:3]:
+            assert not any(a is x and b is x for a, b in calls)
 
 
 def test_an_evicted_draw_gives_the_held_report_again(monkeypatch):
@@ -554,6 +568,91 @@ def test_sweep_is_bit_for_bit_its_margins_on_fresh_c_ordered_pairs(name, p, seed
     rep = sweep_inequality(name, p, n_pairs=2000, seed=seed)
     assert rep.min_margin.hex() == float(margins[i]).hex()
     assert rep.witness_a == tuple(a[i]) and rep.witness_b == tuple(b[i])
+
+
+def _one_call_report(name, p, n_pairs, seed):
+    """A sweep's report built from the public checks called once on all of
+    its unit pairs, drawn anew; also the witness's index."""
+    a, b, ua, ub = inequalities._draw_pairs(n_pairs, seed)
+    constant = None
+    if name == "sum":
+        margins = check_sum_inequality(ua, ub, p, 1.0) / inequalities._sum_rhs(ua, ub, p, 1.0)
+    elif name == "convexity":
+        margins = check_convexity_inequality(ua, ub, p)
+    elif name == "monotonicity":
+        margins = check_monotonicity(ua, ub, p)
+        constant = monotonicity_constant(p)
+    else:
+        constant = calibrate_v_constant(p)
+        margins = np.minimum(*check_v_equivalence(ua, ub, p, constant))
+    i = int(np.argmin(margins))
+    report = InequalityReport(
+        name, p, len(margins), float(margins[i]), tuple(map(float, a[i])),
+        tuple(map(float, b[i])), constant, 1.0 if name == "sum" and p > 1.0 else None,
+    )
+    return report, i
+
+
+@pytest.mark.parametrize("generator", [False, True], ids=["held", "generator"])
+@pytest.mark.parametrize("name, p", ACCEPTANCE_SWEEPS)
+def test_blocked_sweep_is_bit_for_bit_one_call_on_all_pairs(name, p, generator):
+    # 130 000 pairs: seven whole blocks and one of 15 312; repr spells every
+    # float exactly, signed zeros included
+    def seed():
+        return np.random.default_rng(11) if generator else 1
+
+    report = sweep_inequality(name, p, n_pairs=100_000, seed=seed())
+    assert repr(report) == repr(_one_call_report(name, p, 100_000, seed())[0])
+
+
+BLOCK = inequalities._BLOCK
+
+
+# batches of 4 pairs, one short of a block, one block, one past it, two blocks
+@pytest.mark.parametrize("n_pairs, total", [
+    (1, 4), (12603, BLOCK - 1), (12604, BLOCK), (12605, BLOCK + 1), (25208, 2 * BLOCK),
+])
+@pytest.mark.parametrize("name, p", [
+    ("sum", 3.0), ("convexity", 3.0), ("monotonicity", 1.5), ("v_equivalence", 3.0),
+])
+def test_blocked_sweep_at_the_block_edges(name, p, n_pairs, total):
+    report = sweep_inequality(name, p, n_pairs=n_pairs, seed=2)
+    assert report.n_pairs == total
+    assert repr(report) == repr(_one_call_report(name, p, n_pairs, 2)[0])
+
+
+def test_a_witness_in_the_last_block_is_the_reported_one():
+    expected, i = _one_call_report("monotonicity", 4.0, 100_000, 1)
+    assert i >= 7 * BLOCK  # the last of eight blocks
+    assert repr(sweep_inequality("monotonicity", 4.0, n_pairs=100_000, seed=1)) == repr(expected)
+
+
+@pytest.mark.parametrize("name", SWEEP_NAMES)
+def test_a_nonfinite_margin_in_the_last_block_raises(name, monkeypatch):
+    a, b, ua, ub = (np.array(x) for x in inequalities._draw_pairs(100_000, 1))
+    ua[-1] = np.nan  # pair 129 999, in the last of eight blocks
+    monkeypatch.setattr("aplab.inequalities._sweep_pairs", lambda n, seed: (a, b, ua, ub))
+    with pytest.raises(ValueError, match=f"the {name} margins at p = 3.0 are not finite"):
+        sweep_inequality(name, 3.0, n_pairs=100_000, seed=1)
+
+
+def test_a_held_sweep_reads_block_views_and_peaks_under_3_mb(monkeypatch):
+    monkeypatch.setattr(inequalities, "_held", {})
+    inequalities._sweep_pairs(100_000, 1)
+    (held,) = inequalities._held.values()
+    assert [len(units.ua) for units in held.blocks] == [BLOCK] * 7 + [15312]
+    for units in held.blocks:
+        for whole, view in zip(held.units, units):
+            assert np.shares_memory(whole, view)
+    # one call on all 130 000 pairs peaks at 5.0 to 8.5 MB of temporaries
+    for name, p in ACCEPTANCE_SWEEPS:
+        tracemalloc.start()
+        try:
+            sweep_inequality(name, p, n_pairs=100_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3e6, (name, p)
 
 
 @pytest.mark.parametrize("name", ["sum", "monotonicity"])
