@@ -1,12 +1,20 @@
 """Elementary vector inequalities behind the energy comparison estimates.
 
-Each check evaluates both sides on arrays of vector pairs and returns the
-margins (rhs - lhs, oriented so that nonnegative means the inequality
-holds).  The constants are the provable ones where a clean closed form
-exists.  The two-sided equivalence constant for the half-power map V is
-the largest ratio (or reciprocal ratio) of its two sides; the ratio
-reduces exactly to two curves in one parameter, whose end values give
-it in closed form (see ``calibrate_v_constant``).
+The public API is ``sweep_inequality``, which runs one margin check (the
+sum split, convexity, monotonicity of the p-flux or equivalence of the
+half-power map V) over a seeded randomized batch of vector pairs and
+returns its worst case as an ``InequalityReport``, and the two constants
+the checks use, ``monotonicity_constant`` and ``calibrate_v_constant``.
+
+Each check is a private margin kernel on one block of pairs (``_Pairs``,
+which also carries |a|, |b|, a - b and |a - b|).  It evaluates both sides
+and returns the margins (rhs - lhs, oriented so that nonnegative means
+the inequality holds); the sum's kernel returns both sides, since its
+sweep divides the margin by the right-hand side.  The constants are the
+provable ones where a clean closed form exists.  The two-sided
+equivalence constant for V is the largest ratio (or reciprocal ratio) of
+its two sides; the ratio reduces exactly to two curves in one parameter,
+whose end values give it in closed form (see ``calibrate_v_constant``).
 
 Pairs are arrays of shape (..., N); reductions run over the last axis.
 Computations preserve the input dtype.  A sum over the last axis (``_dot``,
@@ -30,48 +38,28 @@ absolute rounding under the gate at small p.  Past the float range
 (monotonicity and the sum from p = 1025) a sweep raises instead of
 reporting a non-finite margin.
 
-A run sweeps every (name, p) at one seed, so the pairs are drawn and
-scaled once per (n_pairs, seed) and held, read-only, for the next sweep,
-one (n_pairs, seed) entry at a time.  The scaled pairs are held
+A sweep runs its kernel on consecutive blocks of 2^14 pairs and writes
+each block's margins into one array of all the margins.  Every margin
+depends on its own pair only (the kernels reduce over the N components
+alone), so the margins are bit for bit those of one call on all the
+pairs, and a temporary holds at most 2^14 pairs, 256 KB: it reuses the
+heap memory that the block before it freed and stays in cache.  A run
+sweeps every (name, p) at one seed, so the pairs are drawn and scaled
+once per (n_pairs, seed) and held, read-only, with their blocks for the
+next sweep, one (n_pairs, seed) entry at a time.  The scaled pairs are
 column-contiguous (Fortran order), so the component sums above read
 unit-stride data; the margins are the same bit for bit in either layout.
-The entry also holds what the checks would recompute from the unit pairs
-ua, ub on every sweep: |ua|, |ub|, ua - ub and |ua - ub|, computed once
-by the same ``_norm`` and subtraction.  ``_norm`` and ``_difference``
-return a held value only for the held array itself, so a check on any
-other arrays computes its own.
-
-A sweep runs its check on consecutive blocks of 2^14 pairs and writes each
-block's margins into one array of all the margins.  Every margin depends
-on its own pair only (the checks reduce over the N components alone), so
-the margins are bit for bit those of one call on all the pairs.  A
-temporary then holds at most 2^14 pairs, 256 KB: it reuses the heap memory
-that the block before it freed and stays in cache.  On all 130 000 pairs
-of a 100 000-pair sweep at once, every temporary was 1-2 MB and a sweep's
-traced peak 5.0-8.5 MB; the sum at p = 2 and every monotonicity and
-v_equivalence sweep took 476-983 minor page faults each, even with the
-pairs held, as they grew the trimmed heap again.  By blocks a held sweep
-takes none and peaks at 1.7-2.1 MB.  The held entry also holds its
-arrays' block views (slices, not copies), which the sweeps pass to the
-checks, so the held values are found per block as well.  A seed that is
-not held streams its draw through the same blocks.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
-    "v_map",
-    "check_sum_inequality",
-    "check_convexity_inequality",
-    "check_monotonicity",
     "monotonicity_constant",
-    "check_v_equivalence",
     "calibrate_v_constant",
     "InequalityReport",
     "sweep_inequality",
@@ -90,23 +78,8 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _norm(a: np.ndarray) -> np.ndarray:
-    """|a| over the last axis; the held value for a held unit array."""
-    for units in _held_units():
-        if a is units.ua:
-            return units.norm_ua
-        if a is units.ub:
-            return units.norm_ub
-        if a is units.diff:
-            return units.norm_diff
+    """|a| over the last axis."""
     return np.sqrt(_dot(a, a))
-
-
-def _difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a - b; the held ua - ub for the held unit pairs."""
-    for units in _held_units():
-        if a is units.ua and b is units.ub:
-            return units.diff
-    return a - b
 
 
 def _power(n: np.ndarray, e: float) -> np.ndarray:
@@ -123,48 +96,51 @@ def _power(n: np.ndarray, e: float) -> np.ndarray:
         return np.where(n == 0, 0, n**e)
 
 
-def v_map(a: np.ndarray, p: float) -> np.ndarray:
-    """Half-power map V(a) = |a|^((p-2)/2) a, with V(0) = 0."""
-    a = np.asarray(a)
-    return a * _power(_norm(a), (p - 2.0) / 2.0)[..., None]
+class _Pairs(NamedTuple):
+    """A block of pairs a, b and what the kernels read of them."""
+
+    a: np.ndarray
+    b: np.ndarray
+    na: np.ndarray  # |a|
+    nb: np.ndarray  # |b|
+    diff: np.ndarray  # a - b
+    nd: np.ndarray  # |a - b|
 
 
-def _sum_rhs(a: np.ndarray, b: np.ndarray, p: float, eps: float | None) -> np.ndarray:
-    """Right-hand side of the sum split: |a|^p + |b|^p, weighted for p > 1."""
-    na = _power(_norm(a), p)
-    nb = _power(_norm(b), p)
+def _pairs(a: np.ndarray, b: np.ndarray) -> _Pairs:
+    """The ``_Pairs`` of a and b, by ``_norm`` and ``-``."""
+    diff = a - b
+    return _Pairs(a, b, _norm(a), _norm(b), diff, _norm(diff))
+
+
+def _radial(a: np.ndarray, na: np.ndarray, s: float) -> np.ndarray:
+    """|a|^s a from the norm na, with 0 where a = 0: the half-power map V
+    at s = (p-2)/2 and the p-flux at s = p-2."""
+    return a * _power(na, s)[..., None]
+
+
+def _sum_sides(x: _Pairs, p: float, eps: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of the split of |a+b|^p into |a|^p and |b|^p.
+
+    For 0 < p <= 1 the split is plain subadditivity, with right-hand side
+    |a|^p + |b|^p, and ``eps`` is not used.  For p > 1 it is the
+    Young-type split with weights (1+eps)^(p-1) and (1+1/eps)^(p-1),
+    eps > 0.
+    """
+    lhs = _power(_norm(x.a + x.b), p)
+    na = _power(x.na, p)
+    nb = _power(x.nb, p)
     if p <= 1.0:
-        return na + nb
+        return lhs, na + nb
     # numpy scalars: past the float range a weight is inf, not OverflowError
     one = na.dtype.type(1.0)
-    return (one + eps) ** (p - 1.0) * na + (one + one / eps) ** (p - 1.0) * nb
+    return lhs, (one + eps) ** (p - 1.0) * na + (one + one / eps) ** (p - 1.0) * nb
 
 
-def check_sum_inequality(a, b, p: float, eps: float | None = None) -> np.ndarray:
-    """Margins of the split of |a+b|^p into |a|^p and |b|^p.
-
-    For 0 < p <= 1 the split is plain subadditivity and ``eps`` is not
-    used.  For p >= 1 it is the Young-type split with weights
-    (1+eps)^(p-1) and (1+1/eps)^(p-1); ``eps`` > 0 is then required.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if p <= 0:
-        raise ValueError("p must be positive")
-    if p > 1.0 and (eps is None or eps <= 0):
-        raise ValueError("p > 1 requires eps > 0")
-    return _sum_rhs(a, b, p, eps) - _power(_norm(a + b), p)
-
-
-def check_convexity_inequality(a, b, p: float) -> np.ndarray:
+def _convexity(x: _Pairs, p: float) -> np.ndarray:
     """Margins of |b|^p - |a|^p >= p |a|^(p-2) a . (b - a), valid for p >= 1."""
-    if p < 1.0:
-        raise ValueError("convexity inequality needs p >= 1")
-    a = np.asarray(a)
-    b = np.asarray(b)
-    na = _norm(a)
-    lhs = p * _power(na, p - 2.0) * _dot(a, b - a)
-    return _power(_norm(b), p) - _power(na, p) - lhs
+    lhs = p * _power(x.na, p - 2.0) * _dot(x.a, x.b - x.a)
+    return _power(x.nb, p) - _power(x.na, p) - lhs
 
 
 def monotonicity_constant(p: float) -> float:
@@ -179,53 +155,36 @@ def monotonicity_constant(p: float) -> float:
     return (p - 1.0) * 2.0 ** (p - 2.0)
 
 
-def check_monotonicity(a, b, p: float) -> np.ndarray:
+def _monotonicity(x: _Pairs, p: float, c: float) -> np.ndarray:
     """Margins of the monotonicity of the p-flux map a -> |a|^(p-2) a.
 
     lhs = (|a|^(p-2) a - |b|^(p-2) b) . (a - b); the lower bound is
-    C(p) |a-b|^p for p >= 2 and C(p) (|a|+|b|)^(p-2) |a-b|^2 for
-    1 < p <= 2.  Pairs with a = b contribute margin 0.
+    c |a-b|^p for p >= 2 and c (|a|+|b|)^(p-2) |a-b|^2 for 1 < p <= 2,
+    c = ``monotonicity_constant(p)``.  Pairs with a = b contribute margin 0.
     """
-    if p <= 1.0:
-        raise ValueError("monotonicity check needs p > 1")
-    a = np.asarray(a)
-    b = np.asarray(b)
-    na = _norm(a)
-    nb = _norm(b)
-    flux_a = a * _power(na, p - 2.0)[..., None]
-    flux_b = b * _power(nb, p - 2.0)[..., None]
-    diff = _difference(a, b)
-    lhs = _dot(flux_a - flux_b, diff)
-    d = _norm(diff)
-    c = monotonicity_constant(p)
+    lhs = _dot(_radial(x.a, x.na, p - 2.0) - _radial(x.b, x.nb, p - 2.0), x.diff)
     if p >= 2.0:
-        rhs = c * _power(d, p)
-    else:
-        # d > 0 forces |a| + |b| > 0, so the zero base only meets d = 0
-        rhs = c * _power(na + nb, p - 2.0) * d * d
-    return lhs - rhs
+        return lhs - c * _power(x.nd, p)
+    # |a - b| > 0 forces |a| + |b| > 0, so the zero base only meets a = b
+    return lhs - c * _power(x.na + x.nb, p - 2.0) * x.nd * x.nd
 
 
-def check_v_equivalence(a, b, p: float, c: float) -> tuple[np.ndarray, np.ndarray]:
+def _v_equivalence(x: _Pairs, p: float, c: float) -> np.ndarray:
     """Two-sided margins of |V(a)-V(b)|^2 ~ (|a|^2+|b|^2)^((p-2)/2)|a-b|^2.
 
-    Returns (upper_margin, lower_margin) = (c*base - diff, diff - base/c);
-    both are nonnegative when the calibrated constant c is valid.  Pairs
-    with a = b = 0 contribute zero margins.
+    The worse of c*base - |V(a)-V(b)|^2 and |V(a)-V(b)|^2 - base/c; both
+    are nonnegative when the constant c >= 1 is valid.  Pairs with
+    a = b = 0 contribute zero margins.
     """
-    if c < 1.0:
-        raise ValueError("equivalence constant must be >= 1")
-    a = np.asarray(a)
-    b = np.asarray(b)
-    diff = v_map(a, p) - v_map(b, p)
-    diff2 = _dot(diff, diff)
-    s = _power(_norm(a), 2) + _power(_norm(b), 2)
-    base = _power(s, (p - 2.0) / 2.0) * _power(_norm(_difference(a, b)), 2)
-    return c * base - diff2, diff2 - base / c
+    s = (p - 2.0) / 2.0
+    dv = _radial(x.a, x.na, s) - _radial(x.b, x.nb, s)
+    diff2 = _dot(dv, dv)
+    base = _power(_power(x.na, 2) + _power(x.nb, 2), s) * _power(x.nd, 2)
+    return np.minimum(c * base - diff2, diff2 - base / c)
 
 
 def calibrate_v_constant(p: float) -> float:
-    """Smallest safe two-sided constant for ``check_v_equivalence``.
+    """Smallest safe two-sided constant for the v_equivalence sweep.
 
     The ratio |V(a)-V(b)|^2 / ((|a|^2+|b|^2)^((p-2)/2) |a-b|^2) is
     invariant under scaling, rotation and swapping a and b, so pairs
@@ -237,9 +196,9 @@ def calibrate_v_constant(p: float) -> float:
     sampling of both curves finds nothing beyond their end values: 1 at
     t = 0, and at t = 1 the parallel limit p^2/4 2^((2-p)/2) and the
     antipodal value 2^((2-p)/2).  The constant is the max of these and
-    their reciprocals, with a 1e-6 headroom.  It is evaluated in float64,
-    so past p = 2050, where it leaves the float range, it raises
-    ValueError.
+    their reciprocals, with a 1e-6 headroom, so it is at least 1.  It is
+    evaluated in float64, so past p = 2050, where it leaves the float
+    range, it raises ValueError.
     """
     if p <= 1.0:
         raise ValueError("calibration needs p > 1")
@@ -304,99 +263,46 @@ def _draw_pairs(n: int, seed) -> tuple[np.ndarray, ...]:
     return pairs
 
 
-# Pairs per block of a sweep: the checks run on consecutive blocks of this
+# Pairs per block of a sweep: the kernels run on consecutive blocks of this
 # many pairs, so a temporary holds at most 2^14 pairs (256 KB).
 _BLOCK = 2**14
-
-
-def _blocks(x: np.ndarray) -> list[np.ndarray]:
-    """Consecutive views of ``_BLOCK`` rows of x; the last may be shorter."""
-    return [x[i:i + _BLOCK] for i in range(0, len(x), _BLOCK)]
-
-
-class _Units(NamedTuple):
-    """Unit pairs ua, ub and what every check computes from them."""
-
-    ua: np.ndarray
-    ub: np.ndarray
-    diff: np.ndarray  # ua - ub
-    norm_ua: np.ndarray
-    norm_ub: np.ndarray
-    norm_diff: np.ndarray
-
-
-class _Held(NamedTuple):
-    """A held (n, seed) entry: the pairs as drawn, the unit pairs with what
-    every sweep computes from them, and the same per block as views of
-    those arrays, all read-only.  ``_norm`` and ``_difference`` return the
-    held values for the held arrays themselves (an identity check), so no
-    other array reads them."""
-
-    a: np.ndarray
-    b: np.ndarray
-    units: _Units
-    blocks: tuple[_Units, ...]
-
-
-def _hold(pairs: tuple[np.ndarray, ...]) -> _Held:
-    """The entry of ``pairs``, its values computed as the checks compute
-    them (``_norm``, and ``-`` for the difference), so every bit is the
-    same."""
-    a, b, ua, ub = pairs
-    diff = ua - ub
-    units = _Units(ua, ub, diff, _norm(ua), _norm(ub), _norm(diff))
-    for x in units:
-        x.flags.writeable = False  # and so every view of x
-    blocks = tuple(_Units(*views) for views in zip(*map(_blocks, units)))
-    return _Held(a, b, units, blocks)
-
-
-def _held_units() -> Iterator[_Units]:
-    """Every held ``_Units``: each entry's whole arrays, then its blocks."""
-    for held in _held.values():
-        yield held.units
-        yield from held.blocks
-
 
 # The one (n, seed) entry of ``_sweep_pairs``.  A run sweeps every (name, p)
 # at its one seed, so one entry is all it reuses; an entry is five arrays of
 # 1.3 n pairs and three of 1.3 n norms, about 13.5 MB at n = 100 000.
-_held: dict[tuple, _Held] = {}
+_held: dict[tuple, tuple[np.ndarray, np.ndarray, tuple[_Pairs, ...]]] = {}
 
 
-def _sweep_pairs(n: int, seed) -> tuple[np.ndarray, ...]:
-    """``_draw_pairs(n, seed)``, drawn once for an integer seed.
+def _sweep_pairs(n: int, seed) -> tuple[np.ndarray, np.ndarray, tuple[_Pairs, ...]]:
+    """The pairs a, b of ``_draw_pairs(n, seed)`` as drawn, and the
+    ``_Pairs`` of each block of their unit pairs (views of ua and ub), all
+    read-only.
 
-    An integer seed's pairs are held, with their unit pairs' norms and
-    difference, until a sweep asks for another (n, seed).  Any other seed
-    is drawn anew on every call: None draws fresh entropy, and a Generator
-    or SeedSequence has state of its own.
+    An integer seed's entry is held until a sweep asks for another
+    (n, seed).  Any other seed is drawn anew on every call: None draws
+    fresh entropy, and a Generator or SeedSequence has state of its own.
     """
-    if not isinstance(seed, (int, np.integer)):
-        return _draw_pairs(n, seed)
-    key = (n, seed)
-    held = _held.get(key)
-    if held is None:
-        pairs = _draw_pairs(n, seed)
+    hold = isinstance(seed, (int, np.integer))
+    if hold and (n, seed) in _held:
+        return _held[n, seed]
+    a, b, ua, ub = _draw_pairs(n, seed)
+    blocks = tuple(_pairs(ua[i:i + _BLOCK], ub[i:i + _BLOCK])
+                   for i in range(0, len(ua), _BLOCK))
+    for x in blocks:
+        for y in x[2:]:
+            y.flags.writeable = False
+    entry = a, b, blocks
+    if hold:
         _held.clear()
-        held = _held[key] = _hold(pairs)
-    return held.a, held.b, held.units.ua, held.units.ub
-
-
-def _unit_blocks(ua: np.ndarray, ub: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The blocks of the unit pairs: the held views for the held arrays,
-    fresh views of any other arrays."""
-    for held in _held.values():
-        if ua is held.units.ua and ub is held.units.ub:
-            return [(units.ua, units.ub) for units in held.blocks]
-    return list(zip(_blocks(ua), _blocks(ub)))
+        _held[n, seed] = entry
+    return entry
 
 
 def sweep_inequality(
     name: str,
     p: float,
     n_pairs: int = 100_000,
-    seed: int = 0,
+    seed: int | np.random.Generator | np.random.SeedSequence | None = 0,
     eps: float = 1.0,
 ) -> InequalityReport:
     """Run one margin check over a seeded randomized batch of vector pairs.
@@ -409,45 +315,61 @@ def sweep_inequality(
     is homogeneous of degree p, so this keeps the sign of each margin and
     makes it scale-free.  The sum margin is also divided by its right-hand
     side, (1+eps)^(p-1)|a|^p + (1+1/eps)^(p-1)|b|^p for p > 1 and
-    |a|^p + |b|^p for p <= 1, since its weights grow like 2^(p-1).  A
-    margin that is not finite (p past the float range, or a non-finite p
-    or eps) raises ValueError.
+    |a|^p + |b|^p for p <= 1, since its weights grow like 2^(p-1).
+
+    An unknown name, p outside the check's range (sum: p > 0, and eps > 0
+    for p > 1; convexity: p >= 1; monotonicity and v_equivalence: p > 1)
+    or a v-map constant past the float range raises ValueError before any
+    pair is drawn.  A margin that is not finite (p past the float range,
+    or a non-finite p or eps) raises ValueError too.
 
     The pairs are drawn and scaled once per (n_pairs, seed) and held,
     read-only and column-contiguous, until a sweep asks for another
     (n_pairs, seed); only one entry is held.  A seed that is not an
-    integer (None for fresh entropy) is drawn anew on every sweep.  The
-    check runs on consecutive blocks of 2^14 pairs; each margin depends
-    on its own pair only, so the margins are those of one call on all
-    pairs, bit for bit.
+    integer (None for fresh entropy, a Generator or a SeedSequence) is
+    drawn anew on every sweep.  The check runs on consecutive blocks of
+    2^14 pairs; each margin depends on its own pair only, so the margins
+    are those of one call on all pairs, bit for bit.
     """
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be at least 1, got {n_pairs}")
-    a, b, ua, ub = _sweep_pairs(n_pairs, seed)
     constant: float | None = None
     if name == "sum":
-        def check(x, y):
-            return check_sum_inequality(x, y, p, eps) / _sum_rhs(x, y, p, eps)
+        if p <= 0:
+            raise ValueError("p must be positive")
+        if p > 1.0 and (eps is None or eps <= 0):
+            raise ValueError("p > 1 requires eps > 0")
+
+        def margin(x):
+            lhs, rhs = _sum_sides(x, p, eps)
+            return (rhs - lhs) / rhs
     elif name == "convexity":
-        def check(x, y):
-            return check_convexity_inequality(x, y, p)
+        if p < 1.0:
+            raise ValueError("convexity inequality needs p >= 1")
+
+        def margin(x):
+            return _convexity(x, p)
     elif name == "monotonicity":
-        def check(x, y):
-            return check_monotonicity(x, y, p)
+        if p <= 1.0:
+            raise ValueError("monotonicity check needs p > 1")
         constant = monotonicity_constant(p)
+
+        def margin(x):
+            return _monotonicity(x, p, constant)
     elif name == "v_equivalence":
         constant = calibrate_v_constant(p)
 
-        def check(x, y):
-            return np.minimum(*check_v_equivalence(x, y, p, constant))
+        def margin(x):
+            return _v_equivalence(x, p, constant)
     else:
         raise ValueError(f"unknown inequality sweep {name!r}")
-    margins = np.empty(len(ua))
+    a, b, blocks = _sweep_pairs(n_pairs, seed)
+    margins = np.empty(len(a))
     start = 0
     with np.errstate(all="ignore"):
-        for x, y in _unit_blocks(ua, ub):
-            margins[start:start + len(x)] = check(x, y)
-            start += len(x)
+        for x in blocks:
+            margins[start:start + len(x.a)] = margin(x)
+            start += len(x.a)
     if not np.isfinite(margins).all():
         raise ValueError(f"the {name} margins at p = {p} are not finite")
     i = int(np.argmin(margins))

@@ -61,7 +61,9 @@ def growth_profile(
     """Measure sup_pos/sup_neg/sup_abs and ball energies over a radius ladder.
 
     Sups are taken over the closed ball, energies over the open one (the
-    same convention as the transport identity).
+    same convention as the transport identity).  The energies read the
+    field's exact-density state, which the strip energy and the scaling
+    identity share.
     """
     grid = field.grid
     center = tuple(float(c) for c in center)
@@ -70,7 +72,7 @@ def growth_profile(
         raise ValueError("empty radius ladder")
     balls = [BallSpec(center, r).within(grid) for r in radii]
     v = field.values
-    state = DiscreteEnergy(grid, params).at(v, 0.0)
+    state = _once("exact", _exact_state, field, params)
     w = grid.quadrature_weights
     dir_w = w * state.dirichlet
     pot_w = w * (params.delta * state.potential)

@@ -38,7 +38,7 @@ from aplab.geometry import (
     relative_perimeter,
 )
 from aplab.phases import classify
-from aplab.scalelab import scaling_identity_gap
+from aplab.scalelab import growth_profile, scaling_identity_gap
 
 
 def tiny_config():
@@ -634,13 +634,15 @@ def test_run_reads_each_per_field_quantity_once(monkeypatch):
         assert level_strip_energy(fld, params, eps, ball) == energy > 0.0
 
 
-@pytest.mark.parametrize("sections", [("strip", "scaling"), ("scaling",)],
-                         ids=["strip-and-scaling", "scaling"])
+@pytest.mark.parametrize(
+    "sections", [("strip", "scaling"), ("scaling",), ("growth", "strip", "scaling")],
+    ids=["strip-and-scaling", "scaling", "growth-strip-and-scaling"],
+)
 def test_run_builds_the_exact_state_once_for_strip_and_scaling(sections, monkeypatch):
-    # the strip's widths and every r of the scaling identity read one
-    # exact-density state of the solved field, built by the first section
-    # that needs it; the transported side builds its own state per r, on
-    # the rescaled grid
+    # the growth ladder, the strip's widths and every r of the scaling
+    # identity read one exact-density state of the solved field, built by
+    # the first section that needs it; the transported side builds its own
+    # state per r, on the rescaled grid
     r_values = [0.5, 0.25, 0.125]
     cfg = {
         "seed": 0,
@@ -651,6 +653,7 @@ def test_run_builds_the_exact_state_once_for_strip_and_scaling(sections, monkeyp
             "boundary": "pow(0.45, 2/3) * x * pow(abs(x), 1/3)",
         },
         "diagnostics": {
+            "growth": {"center": [0.0, 0.0], "radii": [0.25, 0.5, 0.75]},
             "strip": {"center": [0.0, 0.0], "radius": 0.5,
                       "eps_ladder": [0.02, 0.05, 0.1]},
             "scaling": {"center": [0.0, 0.0], "radius": 0.5, "r_values": r_values},
@@ -693,6 +696,12 @@ def test_run_builds_the_exact_state_once_for_strip_and_scaling(sections, monkeyp
     for r, lhs, rhs in zip(r_values, diag["transported"], diag["original"]):
         geometry._held.clear()
         assert scaling_identity_gap(fld, params, (0.0, 0.0), r, 0.5) == (lhs, rhs)
+    if "growth" in sections:
+        geometry._held.clear()
+        prof = growth_profile(fld, params, (0.0, 0.0), (0.25, 0.5, 0.75))
+        growth = out.report["diagnostics"]["growth"]
+        assert growth["dirichlet"] == list(prof.dirichlet)
+        assert growth["potential"] == list(prof.potential)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ sweeps randomize over pair families including the adversarial near-parallel,
 near-antipodal, and near-zero ones.
 """
 
+import re
 import tracemalloc
 import warnings
 
@@ -16,17 +17,17 @@ from hypothesis import strategies as st
 from aplab import inequalities
 from aplab.inequalities import (
     InequalityReport,
+    _convexity,
     _dot,
+    _monotonicity,
     _norm,
+    _pairs,
     _power,
+    _sum_sides,
+    _v_equivalence,
     calibrate_v_constant,
-    check_convexity_inequality,
-    check_monotonicity,
-    check_sum_inequality,
-    check_v_equivalence,
     monotonicity_constant,
     sweep_inequality,
-    v_map,
 )
 
 unit_floats = st.floats(
@@ -35,11 +36,20 @@ unit_floats = st.floats(
 vectors = st.tuples(unit_floats, unit_floats)
 
 
-def _pairs(seed=0, n=5000, dim=2):
+def _random_pairs(seed=0, n=5000, dim=2):
     rng = np.random.default_rng(seed)
     a = rng.uniform(-10, 10, size=(n, dim))
     b = rng.uniform(-10, 10, size=(n, dim))
     return a, b
+
+
+def _sum_margin(a, b, p, eps=None):
+    lhs, rhs = _sum_sides(_pairs(a, b), p, eps)
+    return rhs - lhs
+
+
+def _monotonicity_margin(a, b, p):
+    return _monotonicity(_pairs(a, b), p, monotonicity_constant(p))
 
 
 # ---------------------------------------------------------------------------
@@ -108,16 +118,17 @@ def _fresh_unit_pairs(seed):
 
 
 def _unit_margins(name, p, seed=1):
-    """Every margin array a sweep reads, on 2000 of its pairs, scaled as it
-    scales them."""
-    a, b = _fresh_unit_pairs(seed)[2:]
+    """Every array a sweep reads of its kernel, on 2000 of its pairs,
+    scaled as it scales them: both sides of the sum, the margins of the
+    other checks."""
+    x = _pairs(*_fresh_unit_pairs(seed)[2:])
     if name == "sum":
-        return check_sum_inequality(a, b, p, 1.0), inequalities._sum_rhs(a, b, p, 1.0)
+        return _sum_sides(x, p, 1.0)
     if name == "convexity":
-        return (check_convexity_inequality(a, b, p),)
+        return (_convexity(x, p),)
     if name == "monotonicity":
-        return (check_monotonicity(a, b, p),)
-    return check_v_equivalence(a, b, p, calibrate_v_constant(p))
+        return (_monotonicity(x, p, monotonicity_constant(p)),)
+    return (_v_equivalence(x, p, calibrate_v_constant(p)),)
 
 
 UNIT_CASES = [
@@ -148,20 +159,27 @@ def test_margins_keep_their_bits_under_np_sum_reductions(name, p, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# v_map
+# the half-power map V, through the v_equivalence kernel
 
 
 def test_v_map_fixed_points():
-    np.testing.assert_allclose(v_map(np.array([0.0, 0.0]), 3.0), 0.0)
-    # p = 2 reduces to the identity
+    # V(0) = 0, also at p < 2, where |a|^((p-2)/2) is infinite at a = 0
+    zero = np.zeros((1, 2))
+    for p in (1.5, 3.0):
+        assert _v_equivalence(_pairs(zero, zero), p, 2.0)[0] == 0.0
+    # p = 2 reduces V to the identity: both sides are |a - b|^2, so even
+    # the constant 1 leaves only rounding
     a = np.array([[1.5, -2.0], [0.0, 3.0]])
-    np.testing.assert_allclose(v_map(a, 2.0), a)
+    b = np.array([[-0.5, 1.0], [2.0, 0.5]])
+    np.testing.assert_allclose(_v_equivalence(_pairs(a, b), 2.0, 1.0), 0.0, atol=1e-12)
 
 
 def test_v_map_norm_is_half_power():
-    a = np.array([3.0, 4.0])
-    out = v_map(a, 3.0)
-    assert np.linalg.norm(out) == pytest.approx(5.0**1.5)
+    # with b = 0 the difference is V(a), and the base is |a|^p: at the
+    # constant 1 the margin is |V(a)|^2 - |a|^p to rounding
+    a = np.array([[3.0, 4.0]])
+    margin = _v_equivalence(_pairs(a, np.zeros((1, 2))), 3.0, 1.0)
+    assert abs(margin[0]) <= 1e-12 * 5.0**3
 
 
 # ---------------------------------------------------------------------------
@@ -170,39 +188,38 @@ def test_v_map_norm_is_half_power():
 
 @pytest.mark.parametrize("p", [0.5, 1.0])
 def test_sum_split_subadditive_branch(p):
-    a, b = _pairs(1)
-    assert check_sum_inequality(a, b, p).min() >= -1e-12
+    a, b = _random_pairs(1)
+    assert _sum_margin(a, b, p).min() >= -1e-12
 
 
 @pytest.mark.parametrize("p,eps", [(2.0, 1.0), (3.0, 0.5), (1.5, 2.0)])
 def test_sum_split_weighted_branch(p, eps):
-    a, b = _pairs(2)
-    assert check_sum_inequality(a, b, p, eps=eps).min() >= -1e-12
+    a, b = _random_pairs(2)
+    assert _sum_margin(a, b, p, eps=eps).min() >= -1e-12
 
 
 def test_sum_split_requires_eps_above_one():
-    a, b = _pairs(3, n=10)
-    with pytest.raises(ValueError):
-        check_sum_inequality(a, b, 2.0)
+    with pytest.raises(ValueError, match="p > 1 requires eps > 0"):
+        sweep_inequality("sum", 2.0, n_pairs=10, seed=0, eps=None)
 
 
 def test_sum_split_weighted_is_tight_for_proportional_pairs():
     # at b = eps * a the Young split holds with equality
     a = np.array([[2.0, 1.0]])
     eps = 0.7
-    margin = check_sum_inequality(a, eps * a, 3.0, eps=eps)
+    margin = _sum_margin(a, eps * a, 3.0, eps=eps)
     assert abs(margin[0]) <= 1e-10
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, 2.7, 4.0])
 def test_convexity_margins(p):
-    a, b = _pairs(4)
-    assert check_convexity_inequality(a, b, p).min() >= -1e-12
+    a, b = _random_pairs(4)
+    assert _convexity(_pairs(a, b), p).min() >= -1e-12
 
 
 def test_convexity_equality_at_same_point():
-    a, _ = _pairs(5, n=50)
-    np.testing.assert_allclose(check_convexity_inequality(a, a, 3.0), 0.0, atol=1e-12)
+    a, _ = _random_pairs(5, n=50)
+    np.testing.assert_allclose(_convexity(_pairs(a, a), 3.0), 0.0, atol=1e-12)
 
 
 def test_monotonicity_constants_branch_values():
@@ -213,37 +230,27 @@ def test_monotonicity_constants_branch_values():
 
 @pytest.mark.parametrize("p", [1.2, 1.5, 2.0, 3.0, 4.5])
 def test_monotonicity_margins(p):
-    a, b = _pairs(6)
-    assert check_monotonicity(a, b, p).min() >= -1e-12
+    a, b = _random_pairs(6)
+    assert _monotonicity_margin(a, b, p).min() >= -1e-12
 
 
 def test_monotonicity_sharp_at_antipodal_pairs_for_large_p():
     # b = -a makes the p >= 2 bound an equality
     a = np.array([[1.0, 2.0]])
-    margin = check_monotonicity(a, -a, 3.0)
+    margin = _monotonicity_margin(a, -a, 3.0)
     assert abs(margin[0]) <= 1e-10
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_v_equivalence_two_sided(p):
-    a, b = _pairs(7)
-    c = calibrate_v_constant(p)
-    upper, lower = check_v_equivalence(a, b, p, c)
-    assert upper.min() >= -1e-12
-    assert lower.min() >= -1e-12
+    a, b = _random_pairs(7)
+    assert _v_equivalence(_pairs(a, b), p, calibrate_v_constant(p)).min() >= -1e-12
 
 
 def test_v_equivalence_identity_at_p_two():
     # V is the identity at p = 2, so the constant 1 + headroom works
-    a, b = _pairs(8)
-    upper, lower = check_v_equivalence(a, b, 2.0, 1.0 + 1e-9)
-    assert upper.min() >= -1e-12
-    assert lower.min() >= -1e-12
-
-
-def test_v_equivalence_rejects_constant_below_one():
-    with pytest.raises(ValueError):
-        check_v_equivalence(np.zeros((1, 2)), np.zeros((1, 2)), 3.0, 0.5)
+    a, b = _random_pairs(8)
+    assert _v_equivalence(_pairs(a, b), 2.0, 1.0 + 1e-9).min() >= -1e-12
 
 
 def _sampled_v_constant(p, samples=100_000):
@@ -293,23 +300,22 @@ def test_calibrated_constant_is_necessary():
     b = np.array([[1.0 - 1e-6, 0.0], [-1.0, 0.0]])
     for p in (1.5, 3.0, 4.0):
         c = calibrate_v_constant(p)
-        upper, lower = check_v_equivalence(a, b, p, c / (1.0 + 1e-4))
-        assert min(upper.min(), lower.min()) < 0, p
+        assert _v_equivalence(_pairs(a, b), p, c / (1.0 + 1e-4)).min() < 0, p
 
 
 @given(vectors, vectors)
 def test_monotonicity_margin_property(av, bv):
     a = np.array([av])
     b = np.array([bv])
-    assert check_monotonicity(a, b, 3.0)[0] >= -1e-12
-    assert check_monotonicity(a, b, 1.5)[0] >= -1e-12
+    assert _monotonicity_margin(a, b, 3.0)[0] >= -1e-12
+    assert _monotonicity_margin(a, b, 1.5)[0] >= -1e-12
 
 
 @given(vectors, vectors)
 def test_convexity_margin_property(av, bv):
     a = np.array([av])
     b = np.array([bv])
-    assert check_convexity_inequality(a, b, 2.5)[0] >= -1e-12
+    assert _convexity(_pairs(a, b), 2.5)[0] >= -1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +406,7 @@ def _uniform_pairs(n, seed):
     # uniform pairs only: near-equality pairs have margins that are all rounding
     a, b = np.random.default_rng(seed).uniform(-10.0, 10.0, size=(2, n, 2))
     scale = np.maximum(np.linalg.norm(a, axis=1), np.linalg.norm(b, axis=1))
-    return a, b, a / scale[:, None], b / scale[:, None]
+    return a, b, (_pairs(a / scale[:, None], b / scale[:, None]),)
 
 
 @pytest.mark.parametrize(
@@ -416,17 +422,17 @@ def test_sweep_margin_is_the_witness_margin_in_unit_scale(name, p, eps, monkeypa
     na, nb = np.linalg.norm(a), np.linalg.norm(b)
     scale = max(na, nb) ** p
     if name == "sum":
-        margin = check_sum_inequality(a, b, p, eps)
+        margin = _sum_margin(a, b, p, eps)
         if p > 1.0:
             scale = (1 + eps) ** (p - 1) * na**p + (1 + 1 / eps) ** (p - 1) * nb**p
         else:
             scale = na**p + nb**p
     elif name == "convexity":
-        margin = check_convexity_inequality(a, b, p)
+        margin = _convexity(_pairs(a, b), p)
     elif name == "monotonicity":
-        margin = check_monotonicity(a, b, p)
+        margin = _monotonicity_margin(a, b, p)
     else:
-        margin = np.minimum(*check_v_equivalence(a, b, p, rep.constant))
+        margin = _v_equivalence(_pairs(a, b), p, rep.constant)
     assert rep.min_margin > 1e-6
     assert margin[0] / scale == pytest.approx(rep.min_margin, rel=1e-9)
 
@@ -442,23 +448,6 @@ def test_a_patched_draw_leaves_no_pairs_behind(monkeypatch):
     fresh = sweep_inequality("convexity", 3.0, n_pairs=2000, seed=3)
     assert repr(after) == repr(fresh)
     assert patched.n_pairs == 2000 and after.n_pairs == 2600
-    # a sweep on arrays that are not the held ones reads no held value,
-    # even where they equal the held pairs: poisoned held values stay unread
-    cases = UNIT_CASES + SWEEP_ONLY_CASES
-    held_reports = [repr(sweep_inequality(*case, n_pairs=2000, seed=3)) for case in cases]
-    copies = tuple(np.array(x) for x in inequalities._sweep_pairs(2000, 3))
-    ((key, held),) = inequalities._held.items()
-
-    def poisoned(units):
-        return units._replace(**{f: np.full_like(getattr(units, f), np.nan)
-                                 for f in ("diff", "norm_ua", "norm_ub", "norm_diff")})
-
-    inequalities._held[key] = held._replace(
-        units=poisoned(held.units), blocks=tuple(map(poisoned, held.blocks))
-    )
-    monkeypatch.setattr("aplab.inequalities._sweep_pairs", lambda n, seed: copies)
-    copied_reports = [repr(sweep_inequality(*case, n_pairs=2000, seed=3)) for case in cases]
-    assert copied_reports == held_reports
 
 
 def _counted_draws(monkeypatch):
@@ -483,39 +472,56 @@ def test_sweeps_at_one_seed_draw_their_pairs_once(monkeypatch):
     assert list(inequalities._held) == [(2000, 4)]
 
 
+REFUSALS = {
+    "unknown-name": (("bogus", 2.0), "unknown inequality sweep 'bogus'"),
+    "sum-p": (("sum", 0.0), "p must be positive"),
+    "sum-eps": (("sum", 3.0, 0.0), "p > 1 requires eps > 0"),
+    "convexity-p": (("convexity", 0.5), "convexity inequality needs p >= 1"),
+    "monotonicity-p": (("monotonicity", 1.0), "monotonicity check needs p > 1"),
+    "v_equivalence-p": (("v_equivalence", 1.0), "calibration needs p > 1"),
+    "v_equivalence-overflow": (
+        ("v_equivalence", 2500.0), "the v-map constant at p = 2500.0 exceeds the float range"
+    ),
+}
+
+
+@pytest.mark.parametrize("args, message", REFUSALS.values(), ids=REFUSALS)
+def test_a_refused_sweep_draws_nothing(args, message, monkeypatch):
+    # the range checks run before the draw: the held entry stays
+    calls = _counted_draws(monkeypatch)
+    sweep_inequality("monotonicity", 3.0, n_pairs=2000, seed=4)
+    name, p, *eps = args
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sweep_inequality(name, p, 2000, 5, *eps)
+    assert calls == [(2000, 4)]
+    assert list(inequalities._held) == [(2000, 4)]
+
+
 def test_held_pairs_are_read_only_and_column_contiguous(monkeypatch):
     monkeypatch.setattr(inequalities, "_held", {})
-    a, b, ua, ub = inequalities._sweep_pairs(2000, 4)
-    assert ua.flags.f_contiguous and ub.flags.f_contiguous
+    a, b, blocks = entry = inequalities._sweep_pairs(2000, 4)
     ((key, held),) = inequalities._held.items()
-    assert key == (2000, 4)
-    assert all(x is y for x, y in zip((held.a, held.b, *held.units), (a, b, ua, ub)))
-    for units in (held.units, *held.blocks):
-        for x in (held.a, held.b, *units):
-            with pytest.raises(ValueError, match="read-only"):
-                x[0] = 1.0
-        # the held values are the checks' own, and only the held arrays read them
-        ua, ub, diff = units[:3]
-        assert_same_bits(diff, ua - ub)
-        for x, n in ((ua, units.norm_ua), (ub, units.norm_ub), (diff, units.norm_diff)):
-            assert_same_bits(n, np.sqrt(_dot(x, x)))
-            assert _norm(x) is n and _norm(np.array(x)) is not n
-        assert inequalities._difference(ua, ub) is diff
-        assert inequalities._difference(ub, ua) is not diff
-        assert inequalities._difference(np.array(ua), ub) is not diff
-    # another (n, seed) drops the entry and every value it held
+    assert key == (2000, 4) and held is entry
+    # 2600 pairs: one block, the whole held unit pairs
+    (x,) = blocks
+    assert x.a.flags.f_contiguous and x.b.flags.f_contiguous
+    _, _, ua, ub = inequalities._draw_pairs(2000, 4)
+    assert_same_bits(x.a, ua)
+    assert_same_bits(x.b, ub)
+    for y in (a, b, *x):
+        with pytest.raises(ValueError, match="read-only"):
+            y[0] = 1.0
+    # the held values are those of ``_norm`` and ``-`` on the block
+    assert_same_bits(x.diff, x.a - x.b)
+    for y, n in ((x.a, x.na), (x.b, x.nb), (x.diff, x.nd)):
+        assert_same_bits(n, np.sqrt(_dot(y, y)))
+    # another (n, seed) drops the entry
     inequalities._sweep_pairs(2000, 5)
     assert list(inequalities._held) == [(2000, 5)]
-    for units in (held.units, *held.blocks):
-        assert _norm(units.ua) is not units.norm_ua
-        assert inequalities._difference(units.ua, units.ub) is not units.diff
 
 
-def test_sweeps_compute_each_held_norm_once(monkeypatch):
-    # every sweep of tests/test_acceptance.py::SWEEPS (and the sum at
-    # p = 0.5) reads |ua|, |ub| and |ua - ub| of each held block from the
-    # entry, which computed each of them once, on the whole held arrays
-    monkeypatch.setattr(inequalities, "_held", {})
+def _counted_dots(monkeypatch):
+    """Record the arguments of every ``_dot`` from here on."""
     calls = []
     dot = inequalities._dot
 
@@ -524,14 +530,61 @@ def test_sweeps_compute_each_held_norm_once(monkeypatch):
         return dot(a, b)
 
     monkeypatch.setattr(inequalities, "_dot", counted)
+    return calls
+
+
+def _assert_norms_computed_once(blocks, calls):
+    for x in blocks:
+        for y in (x.a, x.b, x.diff):
+            assert sum(a is y and b is y for a, b in calls) == 1
+
+
+def test_sweeps_compute_each_held_norm_once(monkeypatch):
+    # every sweep of tests/test_acceptance.py::SWEEPS (and the sum at
+    # p = 0.5) reads |a|, |b| and |a - b| of each held block from the
+    # entry, which computed each of them once
+    monkeypatch.setattr(inequalities, "_held", {})
+    calls = _counted_dots(monkeypatch)
     for name, p in UNIT_CASES + SWEEP_ONLY_CASES:
-        sweep_inequality(name, p, n_pairs=2000, seed=4)
-    (held,) = inequalities._held.values()
-    for x in held.units[:3]:
-        assert sum(a is x and b is x for a, b in calls) == 1
-    for units in held.blocks:
-        for x in units[:3]:
-            assert not any(a is x and b is x for a, b in calls)
+        sweep_inequality(name, p, n_pairs=20_000, seed=4)
+    ((_, _, blocks),) = inequalities._held.values()
+    assert len(blocks) == 2
+    _assert_norms_computed_once(blocks, calls)
+
+
+@pytest.mark.parametrize("name", SWEEP_NAMES)
+def test_a_fresh_seed_computes_each_block_norm_once(name, monkeypatch):
+    blocks = []
+    pairs = inequalities._pairs
+
+    def recorded(a, b):
+        blocks.append(pairs(a, b))
+        return blocks[-1]
+
+    monkeypatch.setattr(inequalities, "_pairs", recorded)
+    calls = _counted_dots(monkeypatch)
+    sweep_inequality(name, 3.0, n_pairs=20_000, seed=np.random.default_rng(4))
+    assert len(blocks) == 2
+    _assert_norms_computed_once(blocks, calls)
+
+
+@pytest.mark.parametrize("p", [0.5, 3.0])
+def test_the_sum_evaluates_its_right_hand_side_once_per_block(p, monkeypatch):
+    # |a|^p and |b|^p once each, from the held norms, and |a + b|^p
+    monkeypatch.setattr(inequalities, "_held", {})
+    _, _, blocks = inequalities._sweep_pairs(20_000, 4)
+    bases = []
+    power = inequalities._power
+
+    def counted(n, e):
+        bases.append(n)
+        return power(n, e)
+
+    monkeypatch.setattr(inequalities, "_power", counted)
+    sweep_inequality("sum", p, n_pairs=20_000, seed=4)
+    assert len(bases) == 3 * len(blocks) == 6
+    for x in blocks:
+        assert sum(n is x.na for n in bases) == sum(n is x.nb for n in bases) == 1
 
 
 def test_an_evicted_draw_gives_the_held_report_again(monkeypatch):
@@ -561,8 +614,9 @@ def test_fresh_entropy_is_never_held(monkeypatch):
 def test_sweep_is_bit_for_bit_its_margins_on_fresh_c_ordered_pairs(name, p, seed):
     margins = _unit_margins(name, p, seed)
     if name == "sum":
-        margins = (margins[0] / margins[1],)
-    margins = np.minimum.reduce(margins)  # v_equivalence: the worse side
+        lhs, rhs = margins
+        margins = ((rhs - lhs) / rhs,)
+    (margins,) = margins
     i = int(np.argmin(margins))
     a, b = _fresh_unit_pairs(seed)[:2]
     rep = sweep_inequality(name, p, n_pairs=2000, seed=seed)
@@ -571,20 +625,22 @@ def test_sweep_is_bit_for_bit_its_margins_on_fresh_c_ordered_pairs(name, p, seed
 
 
 def _one_call_report(name, p, n_pairs, seed):
-    """A sweep's report built from the public checks called once on all of
-    its unit pairs, drawn anew; also the witness's index."""
+    """A sweep's report built from one kernel call on all of its unit
+    pairs, drawn anew; also the witness's index."""
     a, b, ua, ub = inequalities._draw_pairs(n_pairs, seed)
+    x = _pairs(ua, ub)
     constant = None
     if name == "sum":
-        margins = check_sum_inequality(ua, ub, p, 1.0) / inequalities._sum_rhs(ua, ub, p, 1.0)
+        lhs, rhs = _sum_sides(x, p, 1.0)
+        margins = (rhs - lhs) / rhs
     elif name == "convexity":
-        margins = check_convexity_inequality(ua, ub, p)
+        margins = _convexity(x, p)
     elif name == "monotonicity":
-        margins = check_monotonicity(ua, ub, p)
         constant = monotonicity_constant(p)
+        margins = _monotonicity(x, p, constant)
     else:
         constant = calibrate_v_constant(p)
-        margins = np.minimum(*check_v_equivalence(ua, ub, p, constant))
+        margins = _v_equivalence(x, p, constant)
     i = int(np.argmin(margins))
     report = InequalityReport(
         name, p, len(margins), float(margins[i]), tuple(map(float, a[i])),
@@ -631,19 +687,21 @@ def test_a_witness_in_the_last_block_is_the_reported_one():
 def test_a_nonfinite_margin_in_the_last_block_raises(name, monkeypatch):
     a, b, ua, ub = (np.array(x) for x in inequalities._draw_pairs(100_000, 1))
     ua[-1] = np.nan  # pair 129 999, in the last of eight blocks
-    monkeypatch.setattr("aplab.inequalities._sweep_pairs", lambda n, seed: (a, b, ua, ub))
+    monkeypatch.setattr(inequalities, "_held", {})
+    monkeypatch.setattr(inequalities, "_draw_pairs", lambda n, seed: (a, b, ua, ub))
     with pytest.raises(ValueError, match=f"the {name} margins at p = 3.0 are not finite"):
         sweep_inequality(name, 3.0, n_pairs=100_000, seed=1)
 
 
 def test_a_held_sweep_reads_block_views_and_peaks_under_3_mb(monkeypatch):
     monkeypatch.setattr(inequalities, "_held", {})
-    inequalities._sweep_pairs(100_000, 1)
-    (held,) = inequalities._held.values()
-    assert [len(units.ua) for units in held.blocks] == [BLOCK] * 7 + [15312]
-    for units in held.blocks:
-        for whole, view in zip(held.units, units):
-            assert np.shares_memory(whole, view)
+    _, _, blocks = inequalities._sweep_pairs(100_000, 1)
+    assert [len(x.a) for x in blocks] == [BLOCK] * 7 + [15312]
+    # every block's pairs are views of the held unit pairs
+    ua, ub = blocks[0].a.base, blocks[0].b.base
+    assert ua.shape == ub.shape == (130_000, 2) and ua.flags.f_contiguous
+    for x in blocks:
+        assert np.shares_memory(x.a, ua) and np.shares_memory(x.b, ub)
     # one call on all 130 000 pairs peaks at 5.0 to 8.5 MB of temporaries
     for name, p in ACCEPTANCE_SWEEPS:
         tracemalloc.start()
