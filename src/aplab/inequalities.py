@@ -53,6 +53,7 @@ unit-stride data; the margins are the same bit for bit in either layout.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -273,29 +274,37 @@ _BLOCK = 2**14
 _held: dict[tuple, tuple[np.ndarray, np.ndarray, tuple[_Pairs, ...]]] = {}
 
 
-def _sweep_pairs(n: int, seed) -> tuple[np.ndarray, np.ndarray, tuple[_Pairs, ...]]:
+def _sweep_pairs(n: int, seed) -> tuple[np.ndarray, np.ndarray, Iterable[_Pairs]]:
     """The pairs a, b of ``_draw_pairs(n, seed)`` as drawn, and the
     ``_Pairs`` of each block of their unit pairs (views of ua and ub), all
     read-only.
 
-    An integer seed's entry is held until a sweep asks for another
-    (n, seed).  Any other seed is drawn anew on every call: None draws
-    fresh entropy, and a Generator or SeedSequence has state of its own.
+    An integer seed's entry, its blocks a tuple, is held until a sweep
+    asks for another (n, seed).  Any other seed is drawn anew on every
+    call: None draws fresh entropy, and a Generator or SeedSequence has
+    state of its own.  Its blocks are a generator, so each block's norms
+    and difference are built as the sweep reaches it and dropped after.
     """
     hold = isinstance(seed, (int, np.integer))
     if hold and (n, seed) in _held:
         return _held[n, seed]
     a, b, ua, ub = _draw_pairs(n, seed)
-    blocks = tuple(_pairs(ua[i:i + _BLOCK], ub[i:i + _BLOCK])
-                   for i in range(0, len(ua), _BLOCK))
-    for x in blocks:
-        for y in x[2:]:
-            y.flags.writeable = False
-    entry = a, b, blocks
-    if hold:
-        _held.clear()
-        _held[n, seed] = entry
+    blocks = (_block(ua[i:i + _BLOCK], ub[i:i + _BLOCK])
+              for i in range(0, len(ua), _BLOCK))
+    if not hold:
+        return a, b, blocks
+    entry = a, b, tuple(blocks)
+    _held.clear()
+    _held[n, seed] = entry
     return entry
+
+
+def _block(a: np.ndarray, b: np.ndarray) -> _Pairs:
+    """``_pairs(a, b)`` with its norms and difference read-only."""
+    x = _pairs(a, b)
+    for y in x[2:]:
+        y.flags.writeable = False
+    return x
 
 
 def sweep_inequality(

@@ -5,6 +5,14 @@ classification carries the thresholds it was computed with.  ``classify``
 is the one place that knows them: by default values below h^(1+tau) are
 indistinguishable from zero at resolution h, and gradients below h^tau
 likewise.
+
+The module runs on numpy alone.  The neighbour sets of ``classify`` are
+binary dilations by the cross, built from shifted slices.
+``distance_to_set`` is a separable exact transform (Saito & Toriwaki,
+Pattern Recognit. 27, 1994): squared gaps along axis 0, then one lower
+envelope of shifted parabolas per later axis.  It sums the squared axis
+terms in axis order before the square root, as
+``scipy.ndimage.distance_transform_edt`` does, and gives its bits.
 """
 
 from __future__ import annotations
@@ -74,8 +82,6 @@ def classify(
     with sqrt(DiscreteEnergy.grad_sq(u)) <= grad_tol.  With h the largest
     spacing, the defaults are zero_tol = h^(1+tau) and grad_tol = h^tau.
     """
-    from scipy import ndimage
-
     h = max(field.grid.spacing)
     zero_tol = h ** (1.0 + params.tau) if zero_tol is None else float(zero_tol)
     grad_tol = h**params.tau if grad_tol is None else float(grad_tol)
@@ -85,17 +91,14 @@ def classify(
     pos = v > zero_tol
     neg = v < -zero_tol
     zero = ~(pos | neg)
-    st = ndimage.generate_binary_structure(v.ndim, 1)
-    near_pos = ndimage.binary_dilation(pos, st)
-    near_neg = ndimage.binary_dilation(neg, st)
-    near_zero = ndimage.binary_dilation(zero, st)
+    near_pos = _dilate(pos)
+    near_neg = _dilate(neg)
+    near_zero = _dilate(zero)
 
     gamma_all = (zero & (near_pos | near_neg)) | (pos & (near_neg | near_zero)) | (
         neg & (near_pos | near_zero)
     )
-    pos2 = ndimage.binary_dilation(near_pos, st)
-    neg2 = ndimage.binary_dilation(near_neg, st)
-    two_phase = gamma_all & pos2 & neg2
+    two_phase = gamma_all & _dilate(near_pos) & _dilate(near_neg)
 
     low_grad = np.sqrt(DiscreteEnergy(field.grid, params).grad_sq(v)) <= grad_tol
     return FreeBoundaryClassification(
@@ -114,17 +117,86 @@ def classify(
 def distance_to_set(grid: Grid, set_mask: np.ndarray) -> np.ndarray:
     """Euclidean distance from every node to the nearest set node.
 
-    Exact on the node lattice (anisotropic spacings respected); an empty
-    set gives +inf everywhere.
+    Exact on the node lattice (anisotropic spacings respected): the
+    smallest float sqrt(sum_a (o_a h_a)^2) over the set nodes, offsets
+    o_a, the squares summed in axis order.  An empty set gives +inf
+    everywhere.
     """
     set_mask = np.asarray(set_mask)
     if set_mask.dtype != bool or set_mask.shape != grid.shape:
         raise ValueError("set_mask must be a bool array of grid shape")
     if not set_mask.any():
         return np.full(grid.shape, np.inf)
-    from scipy import ndimage
+    h = grid.spacing
+    sq = _gaps_sq(set_mask, h[0])
+    for axis in range(1, grid.ndim):
+        sq = _envelope(sq, axis, h[axis])
+    return np.sqrt(sq, out=np.empty(grid.shape))
 
-    return ndimage.distance_transform_edt(~set_mask, sampling=grid.spacing)
+
+def _dilate(mask: np.ndarray) -> np.ndarray:
+    """``mask`` or a face neighbour in it, False past the grid's faces:
+    binary dilation by the cross."""
+    out = mask.copy()
+    for a in range(mask.ndim):
+        lo = (slice(None),) * a + (slice(None, -1),)
+        hi = (slice(None),) * a + (slice(1, None),)
+        out[lo] |= mask[hi]
+        out[hi] |= mask[lo]
+    return out
+
+
+def _gaps_sq(set_mask: np.ndarray, h: float) -> np.ndarray:
+    """(g h)^2 per node, g the index gap along axis 0 to the nearest set
+    node of its line, +inf on a line without one."""
+    n = set_mask.shape[0]
+    idx = np.arange(n, dtype=float).reshape((n,) + (1,) * (set_mask.ndim - 1))
+    before = np.maximum.accumulate(np.where(set_mask, idx, -np.inf), axis=0)
+    after = np.minimum.accumulate(np.where(set_mask, idx, np.inf)[::-1], axis=0)
+    d = np.minimum(idx - before, after[::-1] - idx) * h
+    return d * d
+
+
+def _envelope(sq: np.ndarray, axis: int, h: float) -> np.ndarray:
+    """min over offsets o of ``sq`` shifted by o along ``axis``, plus (o h)^2.
+
+    Only positions that hold a finite entry on some line can lower an
+    entry.  When fewer than a quarter of the positions do (a sparse set),
+    each such position j passes once over all lines, with o = i - j.
+    Otherwise the passes run offset by offset, and a line's pass at
+    offset o stops being needed once its minimum plus (o h)^2 reaches its
+    largest entry so far: no farther offset can lower any entry (float
+    addition is monotone).  So they run on the lines that can still
+    improve, and never on a line with no finite entry.
+    """
+    moved = np.moveaxis(sq, axis, -1)
+    n = moved.shape[-1]
+    start = moved.reshape(-1, n)
+    best = start.copy()
+    sources = np.flatnonzero(np.isfinite(start).any(axis=0))
+    if 4 * sources.size < n:
+        at = np.arange(n, dtype=float)
+        for j in sources:
+            d = (at - j) * h
+            np.minimum(best, start[:, j, None] + d * d, out=best)
+        return np.moveaxis(best.reshape(moved.shape), -1, axis)
+    low = start.min(axis=1)
+    rows = np.flatnonzero(np.isfinite(low))
+    g, b, lo = start[rows], best[rows], low[rows]
+    for o in range(1, n):
+        d = o * h
+        t = d * d
+        live = lo + t < b.max(axis=1)
+        if not live.all():
+            best[rows] = b
+            rows, g, b, lo = rows[live], g[live], b[live], lo[live]
+            if not rows.size:
+                break
+        np.minimum(b[:, o:], g[:, :-o] + t, out=b[:, o:])
+        np.minimum(b[:, :-o], g[:, o:] + t, out=b[:, :-o])
+    else:
+        best[rows] = b
+    return np.moveaxis(best.reshape(moved.shape), -1, axis)
 
 
 def pick_interface_node(

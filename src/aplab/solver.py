@@ -76,8 +76,10 @@ solution that is not finite.  Inner products are plain ``np.sum``
 reductions, not BLAS, so a solve does not depend on the number of BLAS
 threads.
 
-Importing the module loads no scipy module: ``scipy.linalg`` (``dpbsv``)
-loads on the first 1D solve and ``scipy.fft`` on the first CG solve; no
+Importing the module loads no scipy module, and only a 1D solve loads
+one: ``scipy.linalg`` (``dpbsv``), on its first call.  The preconditioner
+of a 2D or 3D solve runs DST-I on numpy's real FFT, bit for bit
+``scipy.fft.dstn`` and ``idstn``, so CG loads no scipy module, and no
 solve loads scipy's sparse matrices.
 """
 
@@ -491,6 +493,42 @@ def assemble_diffusion(
     return block(kern.at(values, eps).conductances)
 
 
+class _OddLines:
+    """Held buffers for DST-I along one axis of a box, through numpy's
+    real FFT.
+
+    DST-I of a line x of length m is -Im of bins 1..m of the real FFT of
+    its odd extension [0, x, 0, -x reversed], of length 2(m + 1): the
+    same extension, on the same pocketfft plan, as ``scipy.fft.dst(x,
+    type=1)``, so the same bits.  ``ext`` holds the odd extensions of all
+    the box's lines along ``axis``, and the caller fills their x through
+    ``head``, the view of positions 1..m.  A call fills -x reversed and
+    returns -DST-I of ``head`` along ``axis``: the view of Im of bins
+    1..m, in the box's layout.  ``flat`` is ``head`` in C order for the
+    lines along axis 0, where ``head`` is contiguous.
+    """
+
+    def __init__(self, box: tuple[int, ...], axis: int):
+        m = box[axis]
+
+        def cut(x: np.ndarray, s: slice) -> np.ndarray:
+            return x[(slice(None),) * axis + (s,)]
+
+        self.axis = axis
+        self.ext = np.zeros(box[:axis] + (2 * (m + 1),) + box[axis + 1:])
+        self.spec = np.empty(box[:axis] + (m + 2,) + box[axis + 1:], dtype=complex)
+        self.head = cut(self.ext, slice(1, m + 1))
+        self.flat = self.head.reshape(-1) if axis == 0 else None
+        self._mirror = cut(self.ext, slice(m, 0, -1))
+        self._tail = cut(self.ext, slice(m + 2, None))
+        self._im = cut(self.spec.imag, slice(1, m + 1))
+
+    def __call__(self) -> np.ndarray:
+        np.negative(self._mirror, out=self._tail)
+        np.fft.rfft(self.ext, axis=self.axis, out=self.spec)
+        return self._im
+
+
 @dataclass(frozen=True)
 class _BoxPreconditioner:
     """Fast Poisson solve on a box of the grid: its interior box, or the
@@ -501,24 +539,44 @@ class _BoxPreconditioner:
     difference along axis a, zero one node past each face of the box;
     ``diag`` is L0's (constant) diagonal and ``where`` each node's flat
     position in the box, None when the nodes fill the whole box.
+
+    A call is ``idstn(dstn(y, type=1) / lam, type=1)`` of scipy.fft, bit
+    for bit, on the held buffers of ``lines``, one per axis.  Like
+    pocketfft it transforms axis 0 first and scales the inverse once,
+    after its first axis, by ``scale``, 1 / prod 2(m_a + 1) rounded from
+    long double.  Each axis negates (``_OddLines``); the 2 ndim negations
+    of a call cancel, and negation commutes with every operation between
+    them exactly.
     """
 
     lam: np.ndarray
     diag: float
     where: np.ndarray | None
+    lines: tuple[_OddLines, ...]
+    scale: float
 
     def __call__(self, s: np.ndarray, r: np.ndarray) -> np.ndarray:
         """s * E^T L0^-1 E (s * r), E the zero extension into the box."""
-        from scipy.fft import dstn, idstn
-
-        y = s * r
-        if self.where is not None:
-            y = np.zeros(self.lam.size)
-            y[self.where] = s * r
-        y = dstn(y.reshape(self.lam.shape), type=1)
-        y /= self.lam
-        y = idstn(y, type=1, overwrite_x=True).reshape(-1)
-        return s * (y if self.where is None else y[self.where])
+        first, *rest = self.lines
+        if self.where is None:
+            np.multiply(s, r, out=first.flat)
+        else:
+            first.head.fill(0.0)
+            first.flat[self.where] = s * r
+        y = first()
+        for line in rest:
+            np.copyto(line.head, y)
+            y = line()
+        np.divide(y, self.lam, out=first.head)
+        y = first()
+        scale = self.scale  # after the inverse's first axis only
+        for line in rest:
+            np.multiply(y, scale, out=line.head)
+            scale = 1.0
+            y = line()
+        if self.where is None:
+            return np.multiply(s.reshape(y.shape), y).reshape(-1)
+        return s * y.reshape(-1)[self.where]
 
 
 def _box_preconditioner(
@@ -547,7 +605,11 @@ def _box_preconditioner(
         theta = 0.5 * np.pi * np.arange(1, m + 1) / (m + 1)
         along = (1,) * a + (-1,) + (1,) * (len(box) - 1 - a)
         lam += (4.0 * vol / ha**2 * np.sin(theta) ** 2).reshape(along)
-    return _BoxPreconditioner(lam, sum(2.0 * vol / ha**2 for ha in h), where)
+    lines = tuple(_OddLines(box, a) for a in range(len(box)))
+    # pocketfft's 1 / N, N an integer rounded once from long double
+    scale = float(1 / np.longdouble(math.prod(2 * (m + 1) for m in box)))
+    diag = sum(2.0 * vol / ha**2 for ha in h)
+    return _BoxPreconditioner(lam, diag, where, lines, scale)
 
 
 # CG's relative residual for a system solved exactly, and the forcing term

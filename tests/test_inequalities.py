@@ -713,6 +713,31 @@ def test_a_held_sweep_reads_block_views_and_peaks_under_3_mb(monkeypatch):
         assert peak <= 3e6, (name, p)
 
 
+@pytest.mark.parametrize("name, p", [
+    ("sum", 2.0), ("convexity", 3.0), ("monotonicity", 1.5), ("v_equivalence", 2.0),
+])
+def test_a_generator_seed_builds_each_block_as_the_sweep_reaches_it(name, p, monkeypatch):
+    # default_rng(11) draws the pairs of seed 11, so the reports agree bit
+    # for bit; the integer seed builds and holds all eight blocks' norms and
+    # differences (5.2 MB), the generator one block at a time
+    def traced(seed):
+        monkeypatch.setattr(inequalities, "_held", {})
+        tracemalloc.start()
+        try:
+            report = sweep_inequality(name, p, n_pairs=100_000, seed=seed)
+            return repr(report), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    held, held_peak = traced(11)
+    fresh, fresh_peak = traced(np.random.default_rng(11))
+    assert fresh == held
+    assert fresh_peak <= held_peak - 2e6
+    _, _, blocks = inequalities._sweep_pairs(100_000, np.random.default_rng(11))
+    assert not isinstance(blocks, tuple)
+    assert [len(x.a) for x in blocks] == [BLOCK] * 7 + [15312]
+
+
 @pytest.mark.parametrize("name", ["sum", "monotonicity"])
 def test_sweep_past_the_float_range_raises(name):
     # 2^(p-1) and |a-b|^p overflow from p = 1025: refuse, never report -inf or nan

@@ -158,6 +158,57 @@ def test_distance_to_empty_set_is_infinite():
     assert np.all(np.isinf(d))
 
 
+# non-dyadic and anisotropic spacings: the grid's extents over its intervals
+_EXTENTS = ((0.0, 1.0), (-1.0, 2.3), (0.0, 0.7))
+
+
+def _edt_cases():
+    """(grid, set mask) pairs: random sets of several densities in 1D, 2D
+    and 3D, sets that leave lines and planes without a set node, and the
+    full set."""
+    rng = np.random.default_rng(5)
+    cases = []
+    for shape in [(200,), (37, 41), (64, 33), (129, 129), (13, 17, 11)]:
+        grid = build_grid(_EXTENTS[: len(shape)], shape)
+        for density in (0.001, 0.02, 0.3):
+            mask = rng.random(shape) < density
+            mask.flat[rng.integers(mask.size)] = True
+            cases.append((grid, mask))
+        sparse = np.zeros(shape, dtype=bool)
+        sparse[(shape[0] // 3,) + tuple(n - 2 for n in shape[1:])] = True
+        sparse[(0,) * len(shape)] = True
+        cases.append((grid, sparse))
+        cases.append((grid, np.ones(shape, dtype=bool)))
+    return cases
+
+
+def test_distance_to_set_is_scipy_edt_bit_for_bit():
+    from scipy import ndimage
+
+    for grid, mask in _edt_cases():
+        want = ndimage.distance_transform_edt(~mask, sampling=grid.spacing)
+        got = distance_to_set(grid, mask)
+        assert got.flags.c_contiguous and got.dtype == np.float64
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (
+            grid.shape, int(mask.sum()))
+
+
+@pytest.mark.parametrize("ndim", [1, 2, 3])
+def test_dilation_is_scipy_binary_dilation_by_the_cross(ndim):
+    from scipy import ndimage
+
+    from aplab.phases import _dilate
+
+    cross = ndimage.generate_binary_structure(ndim, 1)
+    rng = np.random.default_rng(ndim)
+    shape = {1: (50,), 2: (23, 31), 3: (9, 12, 7)}[ndim]
+    edges = np.zeros(shape, dtype=bool)
+    edges[(0,) * ndim] = edges[(-1,) * ndim] = True
+    masks = [rng.random(shape) < d for d in (0.02, 0.2, 0.6)]
+    for mask in masks + [edges, np.zeros(shape, bool), np.ones(shape, bool)]:
+        assert np.array_equal(_dilate(mask), ndimage.binary_dilation(mask, cross))
+
+
 def test_distance_to_set_validates_mask():
     grid = build_grid(((0.0, 1.0),), (5,))
     with pytest.raises(ValueError):

@@ -717,6 +717,52 @@ def test_box_preconditioner_needs_strictly_interior_nodes_in_2d_or_3d():
         assert whole.diag == box.diag
 
 
+# box shapes of the DST-I checks: interior boxes of power-of-two grids,
+# odd and mixed lengths, and 3D
+_DST_BOXES = [(15, 15), (127, 127), (129, 129), (17, 13), (9, 9, 7), (33, 33, 33),
+              (20, 37)]
+
+
+@pytest.mark.parametrize("box", _DST_BOXES, ids=str)
+def test_odd_lines_are_scipy_dst_type_1_bit_for_bit(box):
+    from scipy.fft import dst
+
+    rng = np.random.default_rng(len(box) + box[0])
+    for axis in range(len(box)):
+        line = aplab.solver._OddLines(box, axis)
+        for _ in range(2):
+            x = rng.standard_normal(box)
+            line.head[...] = x
+            assert _same_bits(-line(), dst(x, type=1, axis=axis))
+
+
+@pytest.mark.parametrize("whole", [False, True], ids=["interior", "whole"])
+@pytest.mark.parametrize("box", _DST_BOXES, ids=str)
+def test_box_preconditioner_is_scipy_dstn_and_idstn_bit_for_bit(box, whole):
+    # on the interior box of a grid two nodes wider, and on the whole grid
+    # for a node set with a node on a face; non-dyadic spacings
+    from scipy.fft import dstn, idstn
+
+    shape = box if whole else tuple(m + 2 for m in box)
+    grid = Grid(extents=tuple((0.0, 1.0 + 0.37 * a) for a in range(len(shape))),
+                resolution=shape)
+    kern = DiscreteEnergy.dirichlet(grid, 2.0)
+    nodes = _face_touching(grid) if whole else _interior(grid)
+    precond = _precond(kern, nodes)
+    assert precond.lam.shape == box and (precond.where is None) != whole
+    rng = np.random.default_rng(sum(box))
+    for _ in range(2):
+        s = rng.uniform(0.5, 2.0, nodes.size)
+        r = rng.standard_normal(nodes.size)
+        y = np.zeros(precond.lam.size)
+        y[nodes if whole else slice(None)] = s * r
+        y = dstn(y.reshape(box), type=1)
+        y /= precond.lam
+        y = idstn(y, type=1, overwrite_x=True).reshape(-1)
+        want = s * (y[nodes] if whole else y)
+        assert _same_bits(precond(s, r), want)
+
+
 def test_cg_breakdown_on_an_indefinite_system_returns_none():
     # CG meets d . M d <= 0 and gives up: spsolve returns None, the signal
     # that the Newton step stalls, and solves nothing else

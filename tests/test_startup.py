@@ -1,30 +1,44 @@
 """What a fresh interpreter loads: heavy modules wait for their first use.
 
-scipy.optimize, scipy.linalg, scipy.fft and jsonschema are imported by
-the first call that needs them, so the closed-form oracles, the
-inequality sweeps, ``apl oracle`` and ``apl compare`` run on numpy alone.
-No solve loads scipy.sparse: CG solves the 2D and 3D systems and LAPACK's
-banded Cholesky the 1D ones, and only scipy.optimize, which the two-phase
-oracle uses, pulls it in.  Each check runs in a child interpreter, because
-this process has long since loaded all of them.
+scipy.optimize, scipy.linalg and jsonschema are imported by the first call
+that needs them, so the closed-form oracles, the inequality sweeps,
+``apl oracle`` and ``apl compare`` run on numpy alone.  A 2D or 3D run
+loads no scipy subpackage at all: numpy's real FFT gives the CG
+preconditioner's DST-I, and the phase masks and distance transforms are
+numpy code.  A 1D run loads scipy.linalg, whose banded Cholesky solves its
+systems.  Only scipy.optimize, which the two-phase oracle uses, pulls in
+scipy.sparse.  Each check runs in a child interpreter, because this
+process has long since loaded all of them.
 """
 
 import json
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
 from aplab.core import ScalarField, build_grid, save_field
 
-LAZY = ("scipy.optimize", "scipy.sparse", "scipy.linalg", "scipy.fft", "jsonschema")
+LAZY = ("scipy.optimize", "scipy.sparse", "scipy.linalg", "scipy.fft", "scipy.ndimage",
+        "jsonschema")
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+# The head of every child's code: ``loaded(name)`` lists the loaded modules
+# of package ``name``, itself included, sorted.
+_LOADED = """
+import json, sys
+
+def loaded(name):
+    return sorted(m for m in sys.modules if m == name or m.startswith(name + "."))
+"""
 
 
 def _child(code: str) -> dict:
     """Run ``code`` in a fresh interpreter; it prints one JSON object last."""
     proc = subprocess.run(
-        [sys.executable, "-c", textwrap.dedent(code)],
+        [sys.executable, "-c", _LOADED + textwrap.dedent(code)],
         capture_output=True,
         text=True,
         timeout=120,
@@ -36,10 +50,9 @@ def _child(code: str) -> dict:
 def test_importing_the_package_loads_none_of_the_lazy_modules():
     out = _child(
         f"""
-        import json, sys
         import aplab.cli, aplab.experiment, aplab.oracle, aplab.solver
         import aplab.inequalities
-        print(json.dumps([m for m in {LAZY!r} if m in sys.modules]))
+        print(json.dumps([m for m in {LAZY!r} if loaded(m)]))
         """
     )
     assert out == []
@@ -48,14 +61,13 @@ def test_importing_the_package_loads_none_of_the_lazy_modules():
 def test_apl_oracle_loads_no_scipy_module():
     out = _child(
         """
-        import contextlib, io, json, sys
+        import contextlib, io
         import aplab.cli
         with contextlib.redirect_stdout(io.StringIO()) as text:
             rc = aplab.cli.main(["oracle", "--p", "2", "--gamma", "1",
                                  "--lambda-plus", "0.5"])
-        scipy = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
         print(json.dumps({"rc": rc, "beta": json.loads(text.getvalue())["beta"],
-                          "scipy": scipy}))
+                          "scipy": loaded("scipy")}))
         """
     )
     assert out == {"rc": 0, "beta": 2.0, "scipy": []}
@@ -71,14 +83,13 @@ def test_apl_compare_loads_no_scipy_module(tmp_path):
         (tmp_path / name / "report.json").write_text('{"solve": {"energy": 1.0}}')
     out = _child(
         f"""
-        import contextlib, io, json, sys
+        import contextlib, io
         import aplab.cli
         with contextlib.redirect_stdout(io.StringIO()) as text:
             rc = aplab.cli.main(["compare", {str(tmp_path / "a")!r},
                                  {str(tmp_path / "b")!r}])
-        scipy = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
         print(json.dumps({{"rc": rc, "n": json.loads(text.getvalue())["n_compared"],
-                          "scipy": scipy}}))
+                          "scipy": loaded("scipy")}}))
         """
     )
     assert out == {"rc": 0, "n": 1, "scipy": []}
@@ -141,7 +152,6 @@ def test_no_solve_loads_scipy_sparse(case):
     # a sparse matrix
     out = _child(
         """
-        import json, sys
         import numpy as np
         from aplab.core import Grid, Params, ScalarField
         from aplab.oracle import one_phase_profile
@@ -150,7 +160,7 @@ def test_no_solve_loads_scipy_sparse(case):
         + _SOLVES[case]
         + """
         print(json.dumps({"converged": res.converged, "work": dict(res.work),
-                          "sparse": "scipy.sparse" in sys.modules}))
+                          "sparse": bool(loaded("scipy.sparse"))}))
         """
     )
     assert out["converged"] and not out["sparse"]
@@ -166,10 +176,10 @@ def test_no_solve_loads_scipy_sparse(case):
 
 def test_first_use_imports_each_lazy_module_and_works():
     # ordered so that no step loads a later step's module: scipy.optimize
-    # pulls in scipy.linalg, scipy.fft and scipy.sparse
+    # pulls in scipy.linalg, scipy.fft and scipy.sparse.  Each step records
+    # the scipy modules it loaded; the CG solve loads none
     out = _child(
         """
-        import json, sys
         from collections import Counter
         import numpy as np
         from aplab.core import Grid, Params
@@ -194,17 +204,16 @@ def test_first_use_imports_each_lazy_module_and_works():
             except ConfigError as exc:
                 return str(exc)
 
-        def banded():
-            _, _, M, b = newton_system((33,))
-            x = spsolve(M, b)
-            return float(np.max(np.abs(M @ x - b)))
-
         def cg():
             kern, block, M, b = newton_system((17, 17))
             tally = Counter()
             x = spsolve(M, b, _box_preconditioner(kern, block), tally)
-            return [tally["cg_iterations"], float(np.max(np.abs(M @ x - b))),
-                    "scipy.sparse" in sys.modules]
+            return [tally["cg_iterations"], float(np.max(np.abs(M @ x - b)))]
+
+        def banded():
+            _, _, M, b = newton_system((33,))
+            x = spsolve(M, b)
+            return float(np.max(np.abs(M @ x - b)))
 
         def root_search():
             # C = 1/32 > 0, so brentq runs; u = sign(x) (x^2/4 + |x|/4)
@@ -213,22 +222,48 @@ def test_first_use_imports_each_lazy_module_and_works():
             ax = np.abs(sol.x)
             return float(np.max(np.abs(sol.u - np.sign(sol.x) * (ax**2 + ax) / 4)))
 
-        steps = [("jsonschema", config_error), ("scipy.linalg", banded),
-                 ("scipy.fft", cg), ("scipy.optimize", root_search)]
+        steps = [("jsonschema", config_error), ("cg", cg), ("scipy.linalg", banded),
+                 ("scipy.optimize", root_search)]
         out = {}
         for module, call in steps:
-            before = module in sys.modules
-            out[module] = [before, call(), module in sys.modules]
+            before, scipy = bool(loaded(module)), loaded("scipy")
+            result = call()
+            new = sorted(set(loaded("scipy")) - set(scipy))
+            out[module] = [before, result, bool(loaded(module)), new]
         print(json.dumps(out))
         """
     )
     assert out["jsonschema"] == [
-        False, "config invalid at <root>: 'problem' is a required property", True
+        False, "config invalid at <root>: 'problem' is a required property", True, []
     ]
-    before, residual, after = out["scipy.linalg"]
+    _, (iterations, residual), _, new = out["cg"]
+    assert iterations > 0 and residual <= 1e-10 and new == []
+    before, residual, after, new = out["scipy.linalg"]
     assert not before and after and residual <= 1e-10
-    before, (iterations, residual, sparse), after = out["scipy.fft"]
-    assert not before and after and iterations > 0 and residual <= 1e-10
-    assert not sparse
-    before, error, after = out["scipy.optimize"]
+    assert "scipy.fft" not in new and "scipy.sparse" not in new
+    before, error, after, new = out["scipy.optimize"]
     assert not before and after and error <= 1e-13
+
+
+@pytest.mark.parametrize("config", ["crossing_2d", "one_phase_1d"])
+def test_apl_run_loads_scipy_linalg_in_1d_and_no_subpackage_in_2d(config, tmp_path):
+    # the manifest reads scipy.__version__, so scipy's own init is loaded;
+    # a 2D run loads nothing past it, a 1D run only scipy.linalg (dpbsv)
+    base = _child("import scipy\nprint(json.dumps(loaded('scipy')))")
+    out = _child(
+        f"""
+        import contextlib, io
+        import aplab.cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = aplab.cli.main(["run", {str(CONFIG_DIR / (config + ".json"))!r},
+                                 "--out", {str(tmp_path / "bundle")!r}])
+        print(json.dumps({{"rc": rc, "scipy": loaded("scipy")}}))
+        """
+    )
+    assert out["rc"] == 0
+    extra = sorted(set(out["scipy"]) - set(base))
+    if config == "crossing_2d":
+        assert extra == []
+    else:
+        assert "scipy.linalg" in extra
+        assert not any(m.startswith(("scipy.ndimage", "scipy.fft")) for m in extra)
