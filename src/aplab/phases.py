@@ -12,7 +12,13 @@ binary dilations by the cross, built from shifted slices.
 Pattern Recognit. 27, 1994): squared gaps along axis 0, then one lower
 envelope of shifted parabolas per later axis.  It sums the squared axis
 terms in axis order before the square root, as
-``scipy.ndimage.distance_transform_edt`` does, and gives its bits.
+``scipy.ndimage.distance_transform_edt`` does, and returns the smallest
+such float over the set.  On dyadic spacings (the bundled configs' 1/64)
+every square and sum is exact, and the result is scipy's bits.  scipy
+sums the squares of the one set node it picks, so where two set nodes
+lie at the same distance and their rounded sums differ (h = 0.1:
+(5h)^2 = 0.25 but (3h)^2 + (4h)^2 rounds above it) scipy may return the
+larger, one rounding above this result.
 """
 
 from __future__ import annotations
@@ -160,26 +166,16 @@ def _gaps_sq(set_mask: np.ndarray, h: float) -> np.ndarray:
 def _envelope(sq: np.ndarray, axis: int, h: float) -> np.ndarray:
     """min over offsets o of ``sq`` shifted by o along ``axis``, plus (o h)^2.
 
-    Only positions that hold a finite entry on some line can lower an
-    entry.  When fewer than a quarter of the positions do (a sparse set),
-    each such position j passes once over all lines, with o = i - j.
-    Otherwise the passes run offset by offset, and a line's pass at
-    offset o stops being needed once its minimum plus (o h)^2 reaches its
-    largest entry so far: no farther offset can lower any entry (float
-    addition is monotone).  So they run on the lines that can still
-    improve, and never on a line with no finite entry.
+    The passes run offset by offset, and a line's pass at offset o stops
+    being needed once its minimum plus (o h)^2 reaches its largest entry
+    so far: no farther offset can lower any entry (float addition is
+    monotone).  So they run on the lines that can still improve, and
+    never on a line with no finite entry.
     """
     moved = np.moveaxis(sq, axis, -1)
     n = moved.shape[-1]
     start = moved.reshape(-1, n)
     best = start.copy()
-    sources = np.flatnonzero(np.isfinite(start).any(axis=0))
-    if 4 * sources.size < n:
-        at = np.arange(n, dtype=float)
-        for j in sources:
-            d = (at - j) * h
-            np.minimum(best, start[:, j, None] + d * d, out=best)
-        return np.moveaxis(best.reshape(moved.shape), -1, axis)
     low = start.min(axis=1)
     rows = np.flatnonzero(np.isfinite(low))
     g, b, lo = start[rows], best[rows], low[rows]

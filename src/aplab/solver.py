@@ -500,7 +500,8 @@ class _OddLines:
     DST-I of a line x of length m is -Im of bins 1..m of the real FFT of
     its odd extension [0, x, 0, -x reversed], of length 2(m + 1): the
     same extension, on the same pocketfft plan, as ``scipy.fft.dst(x,
-    type=1)``, so the same bits.  ``ext`` holds the odd extensions of all
+    type=1)``, so the same bits.  Both hold for numpy 2 alone, which
+    runs scipy's C++ pocketfft and takes ``out=`` (numpy 1 had neither).  ``ext`` holds the odd extensions of all
     the box's lines along ``axis``, and the caller fills their x through
     ``head``, the view of positions 1..m.  A call fills -x reversed and
     returns -DST-I of ``head`` along ``axis``: the view of Im of bins

@@ -160,16 +160,38 @@ def test_distance_to_empty_set_is_infinite():
 
 # non-dyadic and anisotropic spacings: the grid's extents over its intervals
 _EXTENTS = ((0.0, 1.0), (-1.0, 2.3), (0.0, 0.7))
+# dyadic spacings: every (o h)^2 and every sum of them is exact
+_DYADIC = ((0.0, 1.0), (-1.0, 3.0), (0.0, 0.5))
 
 
-def _edt_cases():
-    """(grid, set mask) pairs: random sets of several densities in 1D, 2D
-    and 3D, sets that leave lines and planes without a set node, and the
-    full set."""
-    rng = np.random.default_rng(5)
+def _rings(shape, rng):
+    """2D masks of lattice points at radius 5 or 25 from a node, some of
+    them dropped: nodes equidistant from the centre along different
+    offsets, (5, 0) and (3, 4) among them."""
+    masks = []
+    for r in (5, 25):
+        ring = [(a, b) for a in range(-r, r + 1) for b in range(-r, r + 1)
+                if a * a + b * b == r * r]
+        for _ in range(4):
+            mask = np.zeros(shape, dtype=bool)
+            c = rng.integers(0, shape)
+            for a, b in ring:
+                i, j = c[0] + a, c[1] + b
+                if 0 <= i < shape[0] and 0 <= j < shape[1] and rng.random() < 0.6:
+                    mask[i, j] = True
+            mask[tuple(c)] |= not mask.any()
+            masks.append(mask)
+    return masks
+
+
+def _edt_cases(extents, shapes, seed):
+    """(grid, set mask) pairs: random sets of several densities, sets that
+    leave lines and planes without a set node, and the full set; in 2D
+    also rings of equidistant nodes."""
+    rng = np.random.default_rng(seed)
     cases = []
-    for shape in [(200,), (37, 41), (64, 33), (129, 129), (13, 17, 11)]:
-        grid = build_grid(_EXTENTS[: len(shape)], shape)
+    for shape in shapes:
+        grid = build_grid(extents[: len(shape)], shape)
         for density in (0.001, 0.02, 0.3):
             mask = rng.random(shape) < density
             mask.flat[rng.integers(mask.size)] = True
@@ -179,18 +201,55 @@ def _edt_cases():
         sparse[(0,) * len(shape)] = True
         cases.append((grid, sparse))
         cases.append((grid, np.ones(shape, dtype=bool)))
+        if len(shape) == 2:
+            cases += [(grid, mask) for mask in _rings(shape, rng)]
     return cases
 
 
-def test_distance_to_set_is_scipy_edt_bit_for_bit():
+def _float_minimum(grid, mask):
+    """Brute force: the smallest float sqrt(sum_a (o_a h_a)^2) over the set
+    nodes, the squares summed in axis order."""
+    at = np.indices(grid.shape).reshape(grid.ndim, -1)
+    best = np.full(at.shape[1], np.inf)
+    for node in np.argwhere(mask):
+        total = 0.0
+        for a, h in enumerate(grid.spacing):
+            d = (at[a] - node[a]).astype(float) * h
+            total = total + d * d
+        np.minimum(best, total, out=best)
+    return np.sqrt(best).reshape(grid.shape)
+
+
+def _bits(x):
+    assert x.flags.c_contiguous and x.dtype == np.float64
+    return x.view(np.uint64)
+
+
+def test_distance_to_set_is_scipy_edt_bit_for_bit_on_dyadic_spacings():
     from scipy import ndimage
 
-    for grid, mask in _edt_cases():
+    shapes = [(257,), (33, 65), (65, 17), (129, 129), (17, 9, 33)]
+    for grid, mask in _edt_cases(_DYADIC, shapes, seed=5):
         want = ndimage.distance_transform_edt(~mask, sampling=grid.spacing)
         got = distance_to_set(grid, mask)
-        assert got.flags.c_contiguous and got.dtype == np.float64
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (
-            grid.shape, int(mask.sum()))
+        assert np.array_equal(_bits(got), _bits(want)), (grid.shape, int(mask.sum()))
+
+
+@pytest.mark.parametrize("extents", [_EXTENTS, ((0.0, 1.0),) * 3],
+                         ids=["anisotropic", "isotropic"])
+def test_distance_to_set_is_the_float_minimum_over_the_set(extents):
+    """On non-dyadic spacings, isotropic h = 0.1 and 1/30 with rings of
+    equidistant nodes included: the float minimum bit for bit, never above
+    scipy's distance, and within two roundings of it."""
+    from scipy import ndimage
+
+    shapes = [(200,), (11, 11), (31, 31), (37, 41), (13, 17, 11)]
+    for grid, mask in _edt_cases(extents, shapes, seed=7):
+        got = distance_to_set(grid, mask)
+        assert np.array_equal(_bits(got), _bits(_float_minimum(grid, mask)))
+        want = ndimage.distance_transform_edt(~mask, sampling=grid.spacing)
+        assert np.all(got <= want), (grid.shape, int(mask.sum()))
+        np.testing.assert_allclose(got, want, rtol=5e-16, atol=0)
 
 
 @pytest.mark.parametrize("ndim", [1, 2, 3])
